@@ -373,6 +373,14 @@ def _descend(f, theta0: np.ndarray, iters: int):
     return best, traj
 
 
+def _exp_or_inf(x: float) -> float:
+    """exp(x), with a value too large for a float reported as math.inf."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def estimate_bl_constant(
     d: BLDatum, budget: int, seed: int, restarts: int = 8
 ) -> BLEstimate:
@@ -404,7 +412,7 @@ def estimate_bl_constant(
             best_log_f = val
             var_traj_best = traj
     bl_infinite_var = best_log_f < math.log(BL_ZERO_THRESHOLD)
-    lower_var = math.exp(-best_log_f)
+    lower_var = _exp_or_inf(-best_log_f)
 
     # (b) Gaussian, maximize log ratio over Cholesky parameters
     try:
@@ -447,12 +455,12 @@ def estimate_bl_constant(
             if val < best_neg:
                 best_neg = val
                 gauss_traj_best = traj
-    lower_gauss = math.exp(-best_neg)
+    lower_gauss = _exp_or_inf(-best_neg)
     bl_infinite_gauss = identity_singular or lower_gauss > 1.0 / BL_ZERO_THRESHOLD
 
     bl_infinite = bl_infinite_var or bl_infinite_gauss
     history = [
-        (math.exp(-v), math.exp(-g))
+        (_exp_or_inf(-v), _exp_or_inf(-g))
         for v, g in zip(var_traj_best, gauss_traj_best)
     ]
     tail = max(1, len(history) // 10)

@@ -212,10 +212,9 @@ def _require_bound_inputs(cfg: RepConfig, w: Subspace, w_prime: Subspace) -> Non
     for s in (w, w_prime):
         if s.ambient_dim != cfg.n:
             raise PreconditionError("subspace ambient dimension does not match config")
-        if s.dim == 0 or s.dim == cfg.n:
-            # full space W is allowed: the bound is then trivial but still checked
-            if s.dim == 0:
-                raise PreconditionError("subspaces must be nontrivial")
+        # the full space is allowed: the bound is then trivial but still checked
+        if s.dim == 0:
+            raise PreconditionError("subspaces must be nontrivial")
     verdict = check_irreducible(cfg)
     if not verdict.is_absolutely_irreducible:
         raise PreconditionError(f"configuration is not certified irreducible ({verdict.kind})")
@@ -346,11 +345,3 @@ def random_subspace(n: int, dim: int, rng: random.Random) -> Subspace:
         if s.dim == dim:
             return s
 
-
-def perturb_subspace(s: Subspace, rng: random.Random, denom: int = 1000) -> Subspace:
-    """Small exact rational perturbation of a subspace, preserving dimension."""
-    cols = []
-    for col in s.column_vectors():
-        cols.append([x + Fraction(rng.randint(-9, 9), denom * rng.randint(1, 9)) for x in col])
-    out = Subspace.from_columns(s.ambient_dim, cols)
-    return out if out.dim == s.dim else s

@@ -12,14 +12,16 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+import traceback
 from dataclasses import dataclass, field
 from fractions import Fraction
+from pathlib import Path
 
 from . import brascamp_lieb as bl
 from . import discretized as dg
 from . import generic, oppenheim
 from .qlinalg import Mat
-from .reps import build_config, check_irreducible, check_proximal, flag_projector, weight_decompose
+from .reps import RepConfig, build_config, check_irreducible, check_proximal, flag_projector, weight_decompose
 
 SUITES = ("hypotheses", "generic-dim", "bl", "discretized", "oppenheim")
 
@@ -175,6 +177,31 @@ def _suite_generic_dim(cfg: SuiteConfig) -> list[dict]:
     return results
 
 
+CORPUS_DRAWS = 16
+
+
+def _corpus_pair(rc: RepConfig, master_seed: int, idx: int, mu: int, m: int) -> tuple[bl.BLDatum, bl.BLDatum]:
+    """A corpus datum and its stuffed twin, whose maps drop the last coordinate.
+
+    Dropping it can leave a map non-surjective, which is no BL datum; such a
+    draw is replaced by the next seed of a fixed sequence, so the first draw,
+    and every master seed where it works, keeps its elements.
+    """
+    proj = Mat.diagonal([Fraction(1)] * (rc.n - 1) + [Fraction(0)])
+    for draw in range(CORPUS_DRAWS):
+        op, index = ("corpus", idx) if draw == 0 else (f"corpus-redraw/{idx}", draw)
+        els = tuple(generic.sample_elements(rc, derive_seed(master_seed, "bl", op, index), m, height=5))
+        datum = bl.build_datum_from_rep(rc, els, mu=mu)
+        try:
+            stuffed = bl.BLDatum(
+                datum.n, tuple(bl.BLMap(mp.n_j, mp.matrix @ proj) for mp in datum.maps), datum.exponents
+            )
+        except ValueError:  # a stuffed map is not surjective
+            continue
+        return datum, stuffed
+    raise ValueError(f"no stuffed twin with surjective maps in {CORPUS_DRAWS} draws")
+
+
 def _suite_bl(cfg: SuiteConfig) -> list[dict]:
     results = []
     budget = _scaled(200, cfg.scale)
@@ -196,9 +223,7 @@ def _suite_bl(cfg: SuiteConfig) -> list[dict]:
                 lower_bound_gaussian=round(est.lower_bound_gaussian, 6),
             )
         )
-    from .qlinalg import Mat as _Mat
-
-    bad = bl.BLDatum(2, (bl.BLMap(1, _Mat.from_rows([[1, 0]])),), (Fraction(2),))
+    bad = bl.BLDatum(2, (bl.BLMap(1, Mat.from_rows([[1, 0]])),), (Fraction(2),))
     cert = bl.check_feasibility(bad, "lattice")
     est = bl.estimate_bl_constant(bad, budget, derive_seed(cfg.master_seed, "bl", "violating"))
     results.append(
@@ -216,15 +241,7 @@ def _suite_bl(cfg: SuiteConfig) -> list[dict]:
     for idx, (name, mu, m) in enumerate(
         (("so_pq:2,1", 2, 5), ("sl2_sym:4", 4, 5), ("sl2_sym:2", 2, 3))
     ):
-        rc = build_config(name)
-        els = tuple(
-            generic.sample_elements(rc, derive_seed(cfg.master_seed, "bl", "corpus", idx), m, height=5)
-        )
-        datum = bl.build_datum_from_rep(rc, els, mu=mu)
-        proj = Mat.diagonal([Fraction(1)] * (rc.n - 1) + [Fraction(0)])
-        stuffed = bl.BLDatum(
-            datum.n, tuple(bl.BLMap(mp.n_j, mp.matrix @ proj) for mp in datum.maps), datum.exponents
-        )
+        datum, stuffed = _corpus_pair(build_config(name), cfg.master_seed, idx, mu, m)
         c1 = bl.check_feasibility(datum, "lattice")
         c2 = bl.check_feasibility(stuffed, "lattice")
         e1 = bl.estimate_bl_constant(datum, budget, derive_seed(cfg.master_seed, "bl", "corpus-est", idx), restarts=2)
@@ -321,12 +338,27 @@ _SUITE_FUNCS = {
 }
 
 
+def _error_site(exc: Exception) -> str:
+    """Package-relative `file:line` of the innermost traceback frame inside repverify."""
+    pkg = Path(__file__).resolve().parent
+    frames = [f for f in traceback.extract_tb(exc.__traceback__) if Path(f.filename).resolve().parent == pkg]
+    return f"{pkg.name}/{Path(frames[-1].filename).name}:{frames[-1].lineno}"
+
+
 def _run_one(args: tuple[str, "SuiteConfig"]) -> list[dict]:
     name, cfg = args
     try:
         return _SUITE_FUNCS[name](cfg)
     except Exception as exc:  # precondition failures are recorded, not fatal
-        return [_item(f"{name}/error", False, error=f"{type(exc).__name__}: {exc}")]
+        return [
+            _item(
+                f"{name}/error",
+                False,
+                error=f"{type(exc).__name__}: {exc}",
+                error_type=type(exc).__name__,
+                error_at=_error_site(exc),
+            )
+        ]
 
 
 def run_suite(cfg: SuiteConfig, jobs: int = 1) -> ExperimentReport:

@@ -4,11 +4,14 @@ All arithmetic is over Q via fractions.Fraction, so ranks, kernels, sums,
 intersections and orthogonal complements are exact.  Subspaces are kept in
 reduced column echelon form, which makes subspace equality a plain value
 comparison.
+
+Every elimination goes through the one pivot step `_pivot`: the column sweep
+`_rref_rows` (behind rank, det, inverses, solves, kernels and canonical
+bases) and the incremental `RowSpan.add` both call it.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -161,62 +164,59 @@ class Mat:
         return [[float(x) for x in self.row(i)] for i in range(self.rows)]
 
 
-def _rref_rows(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot column indices)."""
+def _pivot(rows: list[list[Fraction]], r: int, c: int) -> Fraction:
+    """The one elimination step: scale rows[r] to a leading 1 in column c and
+    clear column c from every other row.  Returns the entry it divided by."""
+    p = rows[r][c]
+    if p != 1:
+        inv = Fraction(1) / p
+        rows[r] = [x * inv for x in rows[r]]
+    prow = rows[r]
+    for i, row in enumerate(rows):
+        f = row[c]
+        if f != 0 and i != r:
+            rows[i] = [x - f * y for x, y in zip(row, prow)]
+    return p
+
+
+def _rref_rows(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int], Fraction]:
+    """In-place reduced row echelon form by a column sweep of _pivot.
+
+    Returns (rows, pivot column indices, signed product of the pivot entries);
+    the product is the determinant when the matrix is square and nonsingular.
+    """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     pivots: list[int] = []
+    d = Fraction(1)
     r = 0
     for c in range(ncols):
         pivot = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
         if pivot is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            d = -d
+        d *= _pivot(rows, r, c)
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return rows, pivots
-
-
-def rref(m: Mat) -> tuple[Mat, list[int]]:
-    rows, pivots = _rref_rows(m.to_rows())
-    return Mat.from_rows(rows) if rows else Mat(0, m.cols, ()), pivots
+    return rows, pivots, d
 
 
 def rank(m: Mat) -> int:
     if m.rows == 0 or m.cols == 0:
         return 0
-    _, pivots = _rref_rows(m.to_rows())
+    _, pivots, _ = _rref_rows(m.to_rows())
     return len(pivots)
 
 
 def det(m: Mat) -> Fraction:
     if m.rows != m.cols:
         raise DimensionMismatch("determinant of non-square matrix")
-    n = m.rows
-    rows = m.to_rows()
-    d = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            d = -d
-        d *= rows[c][c]
-        inv = Fraction(1) / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return d
+    _, pivots, d = _rref_rows(m.to_rows())
+    return d if len(pivots) == m.rows else Fraction(0)
 
 
 def mat_inverse(m: Mat) -> Mat:
@@ -224,7 +224,7 @@ def mat_inverse(m: Mat) -> Mat:
         raise DimensionMismatch("inverse of non-square matrix")
     n = m.rows
     aug = [list(m.row(i)) + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    aug, pivots = _rref_rows(aug)
+    aug, pivots, _ = _rref_rows(aug)
     if len(pivots) < n:
         raise LinAlgError("matrix is singular")
     return Mat.from_rows([row[n:] for row in aug])
@@ -233,29 +233,25 @@ def mat_inverse(m: Mat) -> Mat:
 def solve_exact(m: Mat, rhs: Mat) -> Mat:
     """Solve m @ X = rhs for a consistent system with full column rank m."""
     aug = [list(m.row(i)) + list(rhs.row(i)) for i in range(m.rows)]
-    aug, pivots = _rref_rows(aug)
+    aug, pivots, _ = _rref_rows(aug)
+    # a pivot in the rhs columns is an inconsistent row; rows past the pivots are zero
     if len(pivots) < m.cols or any(p >= m.cols for p in pivots):
         raise LinAlgError("system is inconsistent or underdetermined")
-    sol = [[Fraction(0)] * rhs.cols for _ in range(m.cols)]
-    for r, p in enumerate(pivots):
-        sol[p] = aug[r][m.cols :]
-    # consistency: remaining rows must vanish
-    for r in range(len(pivots), len(aug)):
-        if any(x != 0 for x in aug[r][m.cols :]) and all(x == 0 for x in aug[r][: m.cols]):
-            raise LinAlgError("system is inconsistent")
-    return Mat.from_rows(sol)
+    return Mat.from_rows([row[m.cols :] for row in aug[: m.cols]])
 
 
 class RowSpan:
-    """Incrementally maintained echelonized row span of exact vectors.
+    """Incrementally maintained reduced row echelon span of exact vectors.
 
     Used for algebra closures and membership tests: add() reduces a vector
-    against the current span and absorbs any new direction.
+    against the current span and absorbs any new direction.  Each stored row
+    is zero in every other row's pivot column, so reduction order is free.
     """
 
     def __init__(self, length: int):
         self.length = length
-        self._rows: dict[int, tuple[Fraction, ...]] = {}
+        self._rows: list[list[Fraction]] = []
+        self._pivots: list[int] = []
 
     @property
     def dim(self) -> int:
@@ -263,10 +259,9 @@ class RowSpan:
 
     def reduce(self, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
         v = list(vec)
-        for p in sorted(self._rows):
-            if v[p] != 0:
-                f = v[p]
-                row = self._rows[p]
+        for p, row in zip(self._pivots, self._rows):
+            f = v[p]
+            if f != 0:
                 v = [a - f * b for a, b in zip(v, row)]
         return tuple(v)
 
@@ -274,17 +269,13 @@ class RowSpan:
         return all(x == 0 for x in self.reduce(vec))
 
     def add(self, vec: Sequence[Fraction]) -> bool:
-        v = list(self.reduce(vec))
+        v = self.reduce(vec)
         p = next((i for i, x in enumerate(v) if x != 0), None)
         if p is None:
             return False
-        inv = Fraction(1) / v[p]
-        v = [x * inv for x in v]
-        for q, row in list(self._rows.items()):
-            if row[p] != 0:
-                f = row[p]
-                self._rows[q] = tuple(a - f * b for a, b in zip(row, v))
-        self._rows[p] = tuple(v)
+        self._rows.append(list(v))
+        self._pivots.append(p)
+        _pivot(self._rows, len(self._rows) - 1, p)
         return True
 
 
@@ -340,16 +331,15 @@ def canonicalize(m: Mat) -> Subspace:
     """Column span of m as a canonical Subspace (reduced column echelon form)."""
     if m.cols == 0:
         return Subspace(m.rows, Mat(m.rows, 0, ()))
-    reduced, pivots = rref(m.transpose())
-    cols = [reduced.row(i) for i in range(len(pivots))]
-    if not cols:
+    rows, pivots, _ = _rref_rows(m.transpose().to_rows())
+    if not pivots:
         return Subspace(m.rows, Mat(m.rows, 0, ()))
-    return Subspace(m.rows, Mat.from_cols(cols))
+    return Subspace(m.rows, Mat.from_cols(rows[: len(pivots)]))
 
 
 def kernel_basis(m: Mat) -> Subspace:
     """ker(m) as a Subspace of the domain; dimension cols - rank(m)."""
-    rows, pivots = _rref_rows(m.to_rows()) if m.rows else ([], [])
+    rows, pivots, _ = _rref_rows(m.to_rows())
     pivset = set(pivots)
     free = [j for j in range(m.cols) if j not in pivset]
     cols = []
@@ -450,10 +440,3 @@ def subspace_to_json(s: Subspace) -> dict:
 def subspace_from_json(obj: dict) -> Subspace:
     return Subspace(int(obj["ambient_dim"]), mat_from_json(obj["basis"]))
 
-
-def dumps_mat(m: Mat) -> str:
-    return json.dumps(mat_to_json(m), sort_keys=True)
-
-
-def loads_mat(text: str) -> Mat:
-    return mat_from_json(json.loads(text))

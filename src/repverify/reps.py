@@ -24,13 +24,14 @@ from functools import lru_cache
 
 from .qlinalg import (
     Mat,
-    Rat,
+    NotNilpotent,
     RowSpan,
     Subspace,
     canonicalize,
     kernel_basis,
     mat_from_json,
     mat_to_json,
+    nilpotent_exp,
     solve_exact,
     subspace_intersect,
 )
@@ -42,10 +43,6 @@ class ConfigError(Exception):
 
 class RationalityError(ConfigError):
     """The requested configuration needs irrational structure constants."""
-
-
-class IncompleteConfig(ConfigError):
-    """The configuration lacks data required by the operation."""
 
 
 class InvalidLevel(Exception):
@@ -71,7 +68,6 @@ class RepConfig:
     h_dim: int
     h_basis: tuple[Mat, ...]
     a_action: Mat
-    h_internal: tuple[Mat, ...] | None
     u_plus_indices: tuple[int, ...]
     u_minus_indices: tuple[int, ...]
     a_norm_sq: Fraction
@@ -267,16 +263,13 @@ def _validate_config(cfg: RepConfig) -> None:
 
 
 def _check_nilpotent(m: Mat) -> None:
-    cur = m
-    for _ in range(m.rows):
-        if cur.is_zero():
-            return
-        cur = cur @ m
-    if not cur.is_zero():
-        raise ConfigError("horospherical generator is not nilpotent on V")
+    try:
+        nilpotent_exp(m)
+    except NotNilpotent:
+        raise ConfigError("horospherical generator is not nilpotent on V") from None
 
 
-def _complement_config(name: str, s_form: Mat, a_diag: list[Fraction], symplectic: bool) -> RepConfig:
+def _complement_config(name: str, s_form: Mat, a_diag: list[Fraction]) -> RepConfig:
     d = s_form.rows
     h_raw = _form_stabilizer_basis(s_form)
     h_mats, h_wts = _weight_adapt(h_raw, a_diag)
@@ -294,7 +287,6 @@ def _complement_config(name: str, s_form: Mat, a_diag: list[Fraction], symplecti
         raise ConfigError("complement dimension mismatch")
     h_action = _action_matrices(v_mats, h_mats)
     a_action = Mat.diagonal(v_wts)
-    h_internal = _action_matrices(h_mats, h_mats)
     u_plus = tuple(i for i, w in enumerate(h_wts) if w > 0)
     u_minus = tuple(i for i, w in enumerate(h_wts) if w < 0)
     cfg = RepConfig(
@@ -303,7 +295,6 @@ def _complement_config(name: str, s_form: Mat, a_diag: list[Fraction], symplecti
         h_dim=len(h_mats),
         h_basis=tuple(h_action),
         a_action=a_action,
-        h_internal=tuple(h_internal),
         u_plus_indices=u_plus,
         u_minus_indices=u_minus,
         a_norm_sq=sum((x * x for x in a_diag), Fraction(0)),
@@ -344,7 +335,6 @@ def _adjoint_config(name: str, k: int) -> RepConfig:
         h_dim=len(v_mats),
         h_basis=tuple(h_action),
         a_action=Mat.diagonal(v_wts),
-        h_internal=tuple(h_action),
         u_plus_indices=tuple(i for i, w in enumerate(v_wts) if w > 0),
         u_minus_indices=tuple(i for i, w in enumerate(v_wts) if w < 0),
         a_norm_sq=sum((x * x for x in a_diag), Fraction(0)),
@@ -384,8 +374,6 @@ def _kron_action(left: Mat | None, right: Mat | None, dims: tuple[int, int], ord
 def _tensor_config(name: str, kn: int, km: int, standard: bool) -> RepConfig:
     left_basis, left_wts, a1 = _sl_weight_basis(kn)
     right_basis, right_wts, a2 = _sl_weight_basis(km)
-    li = _action_matrices(left_basis, left_basis)
-    ri = _action_matrices(right_basis, right_basis)
     if standard:
         # factors act on R^kn and R^km by the matrices themselves
         left_ops, right_ops = left_basis, right_basis
@@ -393,7 +381,8 @@ def _tensor_config(name: str, kn: int, km: int, standard: bool) -> RepConfig:
         da, db = kn, km
     else:
         # factors act on sl_kn and sl_km by ad, so V = sl_kn (x) sl_km
-        left_ops, right_ops = li, ri
+        left_ops = _action_matrices(left_basis, left_basis)
+        right_ops = _action_matrices(right_basis, right_basis)
         left_fac_wts, right_fac_wts = left_wts, right_wts
         da, db = len(left_basis), len(right_basis)
     pair_wts = [left_fac_wts[i] + right_fac_wts[j] for i in range(da) for j in range(db)]
@@ -404,23 +393,12 @@ def _tensor_config(name: str, kn: int, km: int, standard: bool) -> RepConfig:
     h_action += [_kron_action(None, y, (da, db), order) for y in right_ops]
     h_wts = list(left_wts) + list(right_wts)
 
-    hd = len(h_wts)
-    internal = []
-    for t, m in enumerate(li + ri):
-        block = [[Fraction(0)] * hd for _ in range(hd)]
-        off = 0 if t < len(li) else len(li)
-        for i in range(m.rows):
-            for j in range(m.rows):
-                block[off + i][off + j] = m.at(i, j)
-        internal.append(Mat.from_rows(block))
-
     cfg = RepConfig(
         name=name,
         n=da * db,
-        h_dim=hd,
+        h_dim=len(h_wts),
         h_basis=tuple(h_action),
         a_action=Mat.diagonal(sorted_wts),
-        h_internal=tuple(internal),
         u_plus_indices=tuple(i for i, w in enumerate(h_wts) if w > 0),
         u_minus_indices=tuple(i for i, w in enumerate(h_wts) if w < 0),
         a_norm_sq=sum((x * x for x in a1 + a2), Fraction(0)),
@@ -442,24 +420,12 @@ def _sl2_sym_config(k: int) -> RepConfig:
             f_rows[i + 1][i] = Fraction(k - i)  # f: v_i -> (k - i) v_{i+1}
     e = Mat.from_rows(e_rows)
     f = Mat.from_rows(f_rows)
-    internal = [
-        Mat.from_rows([[Fraction(0), Fraction(-2), Fraction(0)],
-                       [Fraction(0), Fraction(0), Fraction(1)],
-                       [Fraction(0), Fraction(0), Fraction(0)]]),
-        Mat.from_rows([[Fraction(2), Fraction(0), Fraction(0)],
-                       [Fraction(0), Fraction(0), Fraction(0)],
-                       [Fraction(0), Fraction(0), Fraction(-2)]]),
-        Mat.from_rows([[Fraction(0), Fraction(0), Fraction(0)],
-                       [Fraction(-1), Fraction(0), Fraction(0)],
-                       [Fraction(0), Fraction(2), Fraction(0)]]),
-    ]
     cfg = RepConfig(
         name=f"sl2_sym:{k}",
         n=n,
         h_dim=3,
         h_basis=(e, h, f),
         a_action=h,
-        h_internal=tuple(internal),
         u_plus_indices=(0,),
         u_minus_indices=(2,),
         a_norm_sq=Fraction(2),
@@ -491,7 +457,7 @@ def build_config(descriptor: str) -> RepConfig:
         a_diag = [Fraction(0)] * d
         a_diag[0] = Fraction(1)
         a_diag[-1] = Fraction(-1)
-        return _complement_config(f"so_pq:{p},{q}", _so_gram(p, q), a_diag, symplectic=False)
+        return _complement_config(f"so_pq:{p},{q}", _so_gram(p, q), a_diag)
     if kind == "sp2n":
         if len(args) != 1:
             raise ConfigError("sp2n needs n")
@@ -499,7 +465,7 @@ def build_config(descriptor: str) -> RepConfig:
         if nn < 1:
             raise ConfigError("sp2n needs n >= 1")
         a_diag = [Fraction(nn - i) for i in range(nn)] + [Fraction(-(nn - i)) for i in reversed(range(nn))]
-        return _complement_config(f"sp2n:{nn}", _sp_form(nn), a_diag, symplectic=True)
+        return _complement_config(f"sp2n:{nn}", _sp_form(nn), a_diag)
     if kind == "diagonal":
         if len(args) != 1 or not args[0].startswith("sl"):
             raise ConfigError("diagonal needs a kind like sl2, sl3")
@@ -620,17 +586,12 @@ def check_proximal(dec: WeightDecomposition) -> bool:
 
 
 def horospherical_basis(cfg: RepConfig) -> tuple[list[Mat], list[Mat]]:
-    """Action matrices of the expanding / contracting horospherical generators."""
-    if cfg.h_internal is None:
-        raise IncompleteConfig("configuration lacks h_internal data")
+    """Action matrices of the expanding / contracting horospherical generators.
+
+    Their ad(a) signs were checked once, when the configuration was built.
+    """
     u_plus = [cfg.h_basis[i] for i in cfg.u_plus_indices]
     u_minus = [cfg.h_basis[i] for i in cfg.u_minus_indices]
-    for idx in cfg.u_plus_indices:
-        if cfg.a_eigenvalue_of_generator(idx) <= 0:
-            raise ConfigError("u_plus generator fails ad(a) positivity")
-    for idx in cfg.u_minus_indices:
-        if cfg.a_eigenvalue_of_generator(idx) >= 0:
-            raise ConfigError("u_minus generator fails ad(a) negativity")
     return u_plus, u_minus
 
 
@@ -641,7 +602,6 @@ def config_to_json(cfg: RepConfig) -> dict:
         "h_dim": cfg.h_dim,
         "h_basis": [mat_to_json(m) for m in cfg.h_basis],
         "a_action": mat_to_json(cfg.a_action),
-        "h_internal": None if cfg.h_internal is None else [mat_to_json(m) for m in cfg.h_internal],
         "u_plus_indices": list(cfg.u_plus_indices),
         "u_minus_indices": list(cfg.u_minus_indices),
         "a_norm_sq": str(cfg.a_norm_sq),
@@ -649,16 +609,16 @@ def config_to_json(cfg: RepConfig) -> dict:
 
 
 def config_from_json(obj: dict) -> RepConfig:
-    return RepConfig(
+    """Rebuild a configuration and run the same validation as build_config."""
+    cfg = RepConfig(
         name=obj["name"],
         n=int(obj["n"]),
         h_dim=int(obj["h_dim"]),
         h_basis=tuple(mat_from_json(m) for m in obj["h_basis"]),
         a_action=mat_from_json(obj["a_action"]),
-        h_internal=None
-        if obj.get("h_internal") is None
-        else tuple(mat_from_json(m) for m in obj["h_internal"]),
         u_plus_indices=tuple(obj["u_plus_indices"]),
         u_minus_indices=tuple(obj["u_minus_indices"]),
         a_norm_sq=Fraction(obj["a_norm_sq"]),
     )
+    _validate_config(cfg)
+    return cfg

@@ -24,6 +24,7 @@ from repverify.brascamp_lieb import (
     loomis_whitney_datum,
 )
 from repverify.generic import sample_elements
+from repverify.harness import derive_seed
 from repverify.qlinalg import Mat
 from repverify.reps import build_config
 
@@ -185,6 +186,12 @@ class TestEstimate:
         d = BLDatum(2, (BLMap(1, Mat.from_rows([[1, 0]])),), (F(2),))
         est = estimate_bl_constant(d, budget=300, seed=2)
         assert est.bl_infinite
+
+    def test_overflowing_bound_is_infinite(self):
+        d = BLDatum(2, (BLMap(1, Mat.from_rows([[1, 0]])),), (F(2),))
+        est = estimate_bl_constant(d, budget=200, seed=derive_seed(0, "bl", "violating"), restarts=2)
+        assert est.bl_infinite
+        assert est.lower_bound_variational == math.inf
 
     def test_deterministic(self):
         a = estimate_bl_constant(loomis_whitney_datum(), budget=100, seed=9)

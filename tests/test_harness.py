@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 import subprocess
 import sys
 
 import pytest
 
+from repverify import harness, reps
 from repverify.cli import bl_main, genericdim_main, main, oppenheim_main, proj_exp_main
 from repverify.harness import (
     SuiteConfig,
@@ -47,6 +49,32 @@ class TestSuites:
     def test_summary_counts(self):
         rep = run_suite(SuiteConfig("hypotheses", master_seed=1))
         assert rep.passes + rep.failures == len(rep.results)
+
+    @pytest.mark.parametrize(
+        "suite,seed,scale,digest",
+        [
+            ("hypotheses", 0, 1.0, "0dd2f3daf07dd3e4d7160cbdee3ef46808cbcbaad1b5454ce2d5e8adc488eeb5"),
+            ("generic-dim", 4, 0.1, "c5d0915ecbb5d2480131c362f21758fa4cfb1bc6e009ae9c05ede84240f8f92c"),
+        ],
+    )
+    def test_exact_suite_hash_pinned(self, suite, seed, scale, digest):
+        # exact arithmetic only, so the digest does not depend on the BLAS in use
+        assert run_suite(SuiteConfig(suite, master_seed=seed, scale=scale)).content_hash() == digest
+
+    def test_bl_redraws_non_surjective_stuffed_datum(self):
+        # at master seed 18 the first draw's stuffed twin has a non-surjective map
+        names = {r["name"] for r in run_suite(SuiteConfig("bl", master_seed=18, scale=0.05)).results}
+        assert "bl/error" not in names
+        assert "bl/feasibility-optimizer-agreement" in names
+
+    def test_error_item_records_type_and_site(self, monkeypatch):
+        monkeypatch.setitem(harness._SUITE_FUNCS, "oppenheim", lambda cfg: reps.build_config("bogus:1"))
+        (item,) = run_suite(SuiteConfig("oppenheim")).results
+        lines, start = inspect.getsourcelines(reps.build_config)
+        raise_line = start + next(i for i, l in enumerate(lines) if "unsupported configuration kind" in l)
+        assert item["name"] == "oppenheim/error" and not item["passed"]
+        assert item["error_type"] == "ConfigError"
+        assert item["error_at"] == f"repverify/reps.py:{raise_line}"
 
     def test_all_suite_composes_with_identical_hash(self):
         a = run_suite(SuiteConfig("all", master_seed=6, scale=0.05))

@@ -9,7 +9,6 @@ import pytest
 from repverify.qlinalg import Mat, RowSpan, Subspace, subspace_intersect, subspace_sum
 from repverify.reps import (
     ConfigError,
-    IncompleteConfig,
     InvalidLevel,
     RepConfig,
     build_config,
@@ -163,7 +162,6 @@ def _direct_sum_fixture() -> RepConfig:
         h_dim=3,
         h_basis=tuple(two_blocks(m) for m in base.h_basis),
         a_action=Mat.diagonal([F(1), F(-1), F(1), F(-1)]),
-        h_internal=base.h_internal,
         u_plus_indices=(0,),
         u_minus_indices=(2,),
         a_norm_sq=F(2),
@@ -224,23 +222,14 @@ class TestHorospherical:
         for i in cfg.u_minus_indices:
             assert cfg.a_eigenvalue_of_generator(i) < 0
 
-    def test_missing_internal(self):
-        cfg = build_config("so_pq:2,1")
-        stripped = RepConfig(
-            name=cfg.name,
-            n=cfg.n,
-            h_dim=cfg.h_dim,
-            h_basis=cfg.h_basis,
-            a_action=cfg.a_action,
-            h_internal=None,
-            u_plus_indices=cfg.u_plus_indices,
-            u_minus_indices=cfg.u_minus_indices,
-            a_norm_sq=cfg.a_norm_sq,
-        )
-        with pytest.raises(IncompleteConfig):
-            horospherical_basis(stripped)
-
 
 def test_config_json_round_trip():
     cfg = build_config("so_pq:2,1")
     assert config_from_json(config_to_json(cfg)) == cfg
+
+
+def test_config_from_json_validates_ad_signs():
+    doc = config_to_json(build_config("so_pq:2,1"))
+    doc["u_plus_indices"], doc["u_minus_indices"] = doc["u_minus_indices"], doc["u_plus_indices"]
+    with pytest.raises(ConfigError):
+        config_from_json(doc)
