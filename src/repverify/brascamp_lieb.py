@@ -5,22 +5,24 @@ dim U <= sum p_j dim pi_j(U) over subspaces U; both sides are evaluated with
 exact rational arithmetic on a subspace lattice.  A passing lattice check is
 labeled as such and is not a proof for general data.
 
-The constant is estimated from below by two independent routes: minimizing
-the determinant-one Hilbert-Schmidt product (whose infimum is the inverse
-constant) and maximizing the closed-form Gaussian ratio.  Both values are
-certified lower bounds for the constant by construction.
+The constant is estimated by alternating (operator) scaling of the maps
+towards a geometric datum.  Every iterate gives two lower bounds for the
+constant, certified by construction: the closed-form Gaussian ratio and the
+reciprocal of the determinant-one Hilbert-Schmidt product, which meet at the
+fixed point.  A common kernel direction of the maps, which makes the
+constant infinite, is found exactly with a rank computation over Q.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 
 import numpy as np
-from scipy.linalg import expm
 
 from .generic import SampledElement
 from .qlinalg import (
@@ -36,10 +38,8 @@ from .qlinalg import (
 from .reps import RepConfig, flag_projector, weight_decompose
 
 LATTICE_CAP = 4096
-BL_ZERO_THRESHOLD = 1e-6
-CONVERGENCE_RTOL = 1e-3
-FD_STEP = 1e-6
 DET_GUARD = 1e-9
+SCALING_TOL = 1e-6
 
 
 class InvalidExponent(Exception):
@@ -115,11 +115,6 @@ class BLEstimate:
     iterations: int
     converged: bool
     bl_infinite: bool = False
-    history: list[tuple[float, float]] = field(default_factory=list)
-
-    @property
-    def best_lower_bound(self) -> float:
-        return max(self.lower_bound_variational, self.lower_bound_gaussian)
 
 
 # --- construction ---------------------------------------------------------------
@@ -317,164 +312,74 @@ def gaussian_ratio(d: BLDatum, m_list: list[np.ndarray]) -> float:
     return math.exp(-0.5 * logdet_agg + logprod)
 
 
-def _traceless(x: np.ndarray) -> np.ndarray:
-    return x - np.trace(x) / x.shape[0] * np.eye(x.shape[0])
+def _inv_sqrt(g: np.ndarray) -> np.ndarray:
+    """g^{-1/2} of a symmetric positive-definite Gram matrix."""
+    w, v = np.linalg.eigh(g)
+    if w[0] <= 0:
+        raise SingularForm("Gram matrix is not positive definite")
+    return (v / np.sqrt(w)) @ v.T
 
 
-def _hs_product_value(d: BLDatum, mats: list[np.ndarray], theta: np.ndarray, dims: list[int]) -> float:
-    """log of prod n_j^{-p_j n_j / 2} ||A_j pi_j A^t||^{p_j n_j} at packed parameters."""
-    n = d.n
-    offset = n * n
-    a = expm(_traceless(theta[:offset].reshape(n, n)))
-    out = 0.0
-    pos = offset
-    for p, nj, pi in zip(d.exponents, dims, mats):
-        aj = expm(_traceless(theta[pos : pos + nj * nj].reshape(nj, nj)))
-        pos += nj * nj
-        norm = np.linalg.norm(aj @ pi @ a.T)
-        pn = float(p) * nj
-        out += pn * math.log(max(norm, 1e-300)) - 0.5 * pn * math.log(nj)
-    return out
+def _hs_product_bound(ps: list[float], a: np.ndarray, cs: list[np.ndarray], bs: list[np.ndarray]) -> float:
+    """Reciprocal of prod (||B_j||^2 / n_j)^{p_j n_j / 2}, B_j = C_j pi_j A, at |det A| = |det C_j| = 1.
+
+    Determinant-one changes of variables leave the constant unchanged, and
+    the product is at least its inverse, so the value is a lower bound.
+    """
+    log_f = -np.linalg.slogdet(a)[1]
+    for p, c, b in zip(ps, cs, bs):
+        nj = b.shape[0]
+        log_f += p * (nj / 2 * math.log(float(np.sum(b**2)) / nj) - np.linalg.slogdet(c)[1])
+    return math.exp(-log_f)
 
 
-def _fd_gradient(f, theta: np.ndarray) -> np.ndarray:
-    g = np.zeros_like(theta)
-    for i in range(theta.size):
-        e = np.zeros_like(theta)
-        e[i] = FD_STEP
-        g[i] = (f(theta + e) - f(theta - e)) / (2 * FD_STEP)
-    return g
+def estimate_bl_constant(d: BLDatum, budget: int, seed: int, restarts: int = 8) -> BLEstimate:
+    """Two lower bounds for the constant of a scaling-correct datum.
 
+    Alternating scaling (Garg-Gurvits-Oliveira-Wigderson, GAFA 2018) keeps
+    B_j = C_j pi_j A and alternately normalizes B_j B_j^T = I, through
+    C_j <- (B_j B_j^T)^{-1/2} C_j, and sum p_j B_j^T B_j = I, through
+    A <- A (sum p_j B_j^T B_j)^{-1/2}; it stops once the squared Frobenius
+    error of the second condition is below SCALING_TOL (`converged`) or after
+    `budget` steps (`iterations` counts the steps begun).  Each step gives
+    two lower bounds that meet at the fixed point: the Gaussian ratio at
+    M_j = C_j^T C_j, and the reciprocal of the determinant-one
+    Hilbert-Schmidt product at (A, C_j).  A step whose matrices or bounds
+    leave the float range, or whose Gram matrices or Gaussian form are not
+    positive definite, ends the loop unconverged; the last bounds computed
+    stand.
 
-def _descend(f, theta0: np.ndarray, iters: int):
-    """Gradient descent with backtracking; returns (best value, trajectory)."""
-    theta = theta0.copy()
-    val = f(theta)
-    best = val
-    traj = [best]
-    step = 0.5
-    for _ in range(iters):
-        g = _fd_gradient(f, theta)
-        gn = np.linalg.norm(g)
-        if gn < 1e-12:
-            traj.append(best)
-            continue
-        s = step
-        for _ in range(20):
-            cand = theta - s * g
-            cval = f(cand)
-            if cval < val - 1e-4 * s * gn * gn:
-                theta, val = cand, cval
-                step = min(s * 2.0, 4.0)
-                break
-            s *= 0.5
-        best = min(best, val)
-        traj.append(best)
-    return best, traj
-
-
-def _exp_or_inf(x: float) -> float:
-    """exp(x), with a value too large for a float reported as math.inf."""
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
-
-
-def estimate_bl_constant(
-    d: BLDatum, budget: int, seed: int, restarts: int = 8
-) -> BLEstimate:
-    """Dual lower-bound estimation of the constant of a scaling-correct datum.
-
-    Variational route: minimize the determinant-one Hilbert-Schmidt product
-    and report the reciprocal.  Gaussian route: maximize the Gaussian ratio
-    over Cholesky-parameterized positive-definite inputs.  Deterministic in
-    (datum, budget, seed).  A collapse of the product below 1e-6 is the
-    bl_infinite signal (the datum is infeasible and the constant is infinite).
+    The constant is reported infinite (bl_infinite) when the maps share a
+    kernel direction, certified exactly by a rank deficit of the stacked maps
+    over Q, with both bounds math.inf; or when the scaling does not converge.
+    `seed` and `restarts` are accepted and have no effect: the result depends
+    only on the datum and the budget.
     """
     if not d.scaling_holds():
         raise InvalidExponent("scaling condition fails; constant is trivially degenerate")
+    if rank(reduce(Mat.vstack, (m.matrix for m in d.maps))) < d.n:
+        return BLEstimate(math.inf, math.inf, 0, False, bl_infinite=True)
     mats = d.numpy_maps()
-    dims = [m.n_j for m in d.maps]
-    n = d.n
-    rng = np.random.default_rng(seed)
-    iters = max(2, budget // max(1, restarts))
-
-    # (a) variational
-    nvar = n * n + sum(nj * nj for nj in dims)
-    f_var = lambda th: _hs_product_value(d, mats, th, dims)
-    best_log_f = math.inf
-    var_traj_best: list[float] = []
-    for r in range(restarts):
-        theta0 = np.zeros(nvar) if r == 0 else rng.normal(scale=0.3, size=nvar)
-        val, traj = _descend(f_var, theta0, iters)
-        if val < best_log_f:
-            best_log_f = val
-            var_traj_best = traj
-    bl_infinite_var = best_log_f < math.log(BL_ZERO_THRESHOLD)
-    lower_var = _exp_or_inf(-best_log_f)
-
-    # (b) Gaussian, maximize log ratio over Cholesky parameters
-    try:
-        gaussian_ratio(d, [np.eye(nj) for nj in dims])
-        identity_singular = False
-    except SingularForm:
-        # singular aggregate at the identity: the maps share a kernel
-        # direction, the integral functional is infinite
-        identity_singular = True
-    tri = [nj * (nj + 1) // 2 for nj in dims]
-
-    def unpack(th):
-        out = []
-        pos = 0
-        for nj, tn in zip(dims, tri):
-            l = np.zeros((nj, nj))
-            vals = th[pos : pos + tn]
-            pos += tn
-            k = 0
-            for i in range(nj):
-                for j in range(i + 1):
-                    l[i, j] = math.exp(min(vals[k], 300.0)) if i == j else vals[k]
-                    k += 1
-            out.append(l @ l.T)
-        return out
-
-    def neg_log_ratio(th):
+    ps = [float(p) for p in d.exponents]
+    a = np.eye(d.n)
+    cs = [np.eye(m.n_j) for m in d.maps]
+    bounds = (0.0, 0.0)
+    steps, converged = 0, False
+    with np.errstate(over="raise", invalid="raise"):
         try:
-            return -math.log(max(gaussian_ratio(d, unpack(th)), 1e-300))
-        except SingularForm:
-            return math.inf
-
-    ngauss = sum(tri)
-    best_neg = math.inf
-    gauss_traj_best: list[float] = [math.inf] * (iters + 1)
-    if not identity_singular:
-        for r in range(restarts):
-            theta0 = np.zeros(ngauss) if r == 0 else rng.normal(scale=0.3, size=ngauss)
-            val, traj = _descend(neg_log_ratio, theta0, iters)
-            if val < best_neg:
-                best_neg = val
-                gauss_traj_best = traj
-    lower_gauss = _exp_or_inf(-best_neg)
-    bl_infinite_gauss = identity_singular or lower_gauss > 1.0 / BL_ZERO_THRESHOLD
-
-    bl_infinite = bl_infinite_var or bl_infinite_gauss
-    history = [
-        (_exp_or_inf(-v), _exp_or_inf(-g))
-        for v, g in zip(var_traj_best, gauss_traj_best)
-    ]
-    tail = max(1, len(history) // 10)
-    converged = not bl_infinite and all(
-        abs(v - g) <= CONVERGENCE_RTOL * max(v, g) for v, g in history[-tail:]
-    )
-    return BLEstimate(
-        lower_bound_variational=lower_var,
-        lower_bound_gaussian=lower_gauss,
-        iterations=iters * restarts,
-        converged=converged,
-        bl_infinite=bl_infinite,
-        history=history,
-    )
+            for steps in range(1, budget + 1):
+                bs = [c @ pi @ a for c, pi in zip(cs, mats)]
+                cs = [_inv_sqrt(b @ b.T) @ c for b, c in zip(bs, cs)]
+                bs = [c @ pi @ a for c, pi in zip(cs, mats)]
+                bounds = (_hs_product_bound(ps, a, cs, bs), gaussian_ratio(d, [c.T @ c for c in cs]))
+                s = sum(p * b.T @ b for p, b in zip(ps, bs))
+                if float(np.sum((s - np.eye(d.n)) ** 2)) < SCALING_TOL:
+                    converged = True
+                    break
+                a = a @ _inv_sqrt(s)
+        except (FloatingPointError, OverflowError, SingularForm):
+            pass  # the guard stops the loop; the last bounds computed stand
+    return BLEstimate(bounds[0], bounds[1], steps, converged, bl_infinite=not converged)
 
 
 # --- serialization ---------------------------------------------------------------

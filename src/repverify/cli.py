@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -158,8 +159,8 @@ def bl_main(argv=None) -> int:
         return 0 if cert.feasible_so_far else 1
     est = bl_mod.estimate_bl_constant(datum, args.budget, args.seed)
     payload = {
-        "lower_bound_variational": est.lower_bound_variational,
-        "lower_bound_gaussian": est.lower_bound_gaussian,
+        "lower_bound_variational": est.lower_bound_variational if math.isfinite(est.lower_bound_variational) else None,
+        "lower_bound_gaussian": est.lower_bound_gaussian if math.isfinite(est.lower_bound_gaussian) else None,
         "iterations": est.iterations,
         "converged": est.converged,
         "bl_infinite": est.bl_infinite,

@@ -244,8 +244,8 @@ def _suite_bl(cfg: SuiteConfig) -> list[dict]:
         datum, stuffed = _corpus_pair(build_config(name), cfg.master_seed, idx, mu, m)
         c1 = bl.check_feasibility(datum, "lattice")
         c2 = bl.check_feasibility(stuffed, "lattice")
-        e1 = bl.estimate_bl_constant(datum, budget, derive_seed(cfg.master_seed, "bl", "corpus-est", idx), restarts=2)
-        e2 = bl.estimate_bl_constant(stuffed, budget, derive_seed(cfg.master_seed, "bl", "corpus-est2", idx), restarts=2)
+        e1 = bl.estimate_bl_constant(datum, budget, derive_seed(cfg.master_seed, "bl", "corpus-est", idx))
+        e2 = bl.estimate_bl_constant(stuffed, budget, derive_seed(cfg.master_seed, "bl", "corpus-est2", idx))
         agree += int(c1.feasible_so_far == (not e1.bl_infinite))
         agree += int((c2.status == "violated") == e2.bl_infinite)
         total += 2

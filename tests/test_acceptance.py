@@ -237,7 +237,7 @@ def test_criterion_7_feasibility_optimizer_agreement():
             datum = bl.build_datum_from_rep(cfg, els, w=w)
         for variant, expect_feasible in ((datum, True), (_stuffed(datum), False)):
             cert = bl.check_feasibility(variant, "lattice")
-            est = bl.estimate_bl_constant(variant, budget=260, seed=7 + idx, restarts=2)
+            est = bl.estimate_bl_constant(variant, budget=260, seed=7 + idx)
             feas_verdict = cert.feasible_so_far
             opt_verdict = not est.bl_infinite
             total += 1

@@ -187,9 +187,21 @@ class TestEstimate:
         est = estimate_bl_constant(d, budget=300, seed=2)
         assert est.bl_infinite
 
+    def test_infeasible_without_common_kernel_signals_infinite(self):
+        # U = span(e_2) violates the criterion (1 > 2/3), yet no direction is
+        # killed by every map, so only the scaling can see the infinite constant
+        d = BLDatum(
+            2,
+            (BLMap(1, Mat.from_rows([[1, 0]])), BLMap(1, Mat.from_rows([[1, 0]])), BLMap(1, Mat.from_rows([[0, 1]]))),
+            (F(2, 3),) * 3,
+        )
+        assert check_feasibility(d, "lattice").status == "violated"
+        est = estimate_bl_constant(d, budget=10, seed=0)
+        assert est.bl_infinite and not est.converged
+
     def test_overflowing_bound_is_infinite(self):
         d = BLDatum(2, (BLMap(1, Mat.from_rows([[1, 0]])),), (F(2),))
-        est = estimate_bl_constant(d, budget=200, seed=derive_seed(0, "bl", "violating"), restarts=2)
+        est = estimate_bl_constant(d, budget=200, seed=derive_seed(0, "bl", "violating"))
         assert est.bl_infinite
         assert est.lower_bound_variational == math.inf
 
