@@ -47,9 +47,7 @@ class InvalidExponent(Exception):
 
 
 class CapExceeded(Exception):
-    def __init__(self, msg, partial):
-        super().__init__(msg)
-        self.partial = partial
+    pass
 
 
 class SingularForm(Exception):
@@ -200,8 +198,10 @@ def _criterion_deficit(d: BLDatum, u: Subspace) -> Fraction:
 def _iter_kernel_lattice(d: BLDatum, cap: int):
     """Yield the sum/intersection closure of the map kernels as it grows.
 
-    Raises CapExceeded (carrying the partial lattice) past `cap` elements;
-    callers checking the criterion incrementally see every element first.
+    Each round combines every new element with the older members and with
+    the new elements after it, so every unordered pair is combined once.
+    Raises CapExceeded past `cap` elements; callers checking the criterion
+    incrementally see every element first.
     """
     seeds = [kernel_basis(m.matrix) for m in d.maps]
     seeds.append(Subspace.full(d.n))
@@ -210,21 +210,20 @@ def _iter_kernel_lattice(d: BLDatum, cap: int):
         if s not in seen:
             seen[s] = True
             yield s
+    old: list[Subspace] = []
     frontier = list(seen)
     while frontier:
         new: list[Subspace] = []
-        members = list(seen)
-        for a in frontier:
-            for b in members:
-                if a == b:
-                    continue
+        for i, a in enumerate(frontier):
+            for b in old + frontier[i + 1 :]:
                 for c in (subspace_sum(a, b), subspace_intersect(a, b)):
                     if c not in seen:
                         seen[c] = True
                         new.append(c)
                         if len(seen) > cap:
-                            raise CapExceeded(f"kernel lattice exceeded cap {cap}", list(seen))
+                            raise CapExceeded(f"kernel lattice exceeded cap {cap}")
                         yield c
+        old += frontier
         frontier = new
 
 
@@ -243,6 +242,10 @@ def check_feasibility(
     The lattice is checked incrementally, so a violation is reported even
     when the full closure would exceed the element cap.
     """
+    if mode not in ("lattice", "lattice_plus_random", "coordinate_exhaustive"):
+        raise ValueError(f"unknown feasibility mode {mode!r}")
+    if mode == "coordinate_exhaustive" and d.n > 16:
+        raise ValueError("coordinate_exhaustive supported only for n <= 16")
     scaling_ok = d.scaling_holds()
     lattice_size = 0
     for u in _iter_kernel_lattice(d, LATTICE_CAP):
@@ -265,20 +268,15 @@ def check_feasibility(
                         scaling_ok, "violated", u, lattice_size, random_checks
                     )
         return FeasibilityCertificate(scaling_ok, "passed_heuristic", None, lattice_size, random_checks)
-    if mode == "coordinate_exhaustive":
-        if d.n > 16:
-            raise ValueError("coordinate_exhaustive supported only for n <= 16")
-        for size in range(1, d.n):
-            for idx in combinations(range(d.n), size):
-                cols = [[Fraction(1 if t == i else 0) for t in range(d.n)] for i in idx]
-                u = Subspace.from_columns(d.n, cols)
-                random_checks += 1
-                if _criterion_deficit(d, u) > 0:
-                    return FeasibilityCertificate(
-                        scaling_ok, "violated", u, lattice_size, random_checks
-                    )
-        return FeasibilityCertificate(scaling_ok, "passed_heuristic", None, lattice_size, random_checks)
-    raise ValueError(f"unknown feasibility mode {mode!r}")
+    # coordinate_exhaustive
+    for size in range(1, d.n):
+        for idx in combinations(range(d.n), size):
+            cols = [[Fraction(1 if t == i else 0) for t in range(d.n)] for i in idx]
+            u = Subspace.from_columns(d.n, cols)
+            random_checks += 1
+            if _criterion_deficit(d, u) > 0:
+                return FeasibilityCertificate(scaling_ok, "violated", u, lattice_size, random_checks)
+    return FeasibilityCertificate(scaling_ok, "passed_heuristic", None, lattice_size, random_checks)
 
 
 # --- Gaussian ratio and estimators ----------------------------------------------

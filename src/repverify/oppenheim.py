@@ -1,14 +1,17 @@
 """Small-values search for indefinite quadratic forms at integer points.
 
 Forms have entries a + b sqrt(D) with rational a, b and one squarefree D, so
-values at integer vectors are exact field elements; the scan itself runs on
-floats and only improvements are re-evaluated exactly.  The enumeration
-solves for the last coordinate, which makes T = 10^3..10^4 at d = 3
-practical.
+values at integer vectors are exact field elements.  One scan serves every
+dimension d and every bound T: it enumerates the leading d - 2 coordinates,
+vectorizes the next one and solves for the last, which makes T = 10^3..10^4
+practical at d = 3.  It runs on floats and re-evaluates only improvements
+exactly; up to float ties it returns the minimum of |Q(v) - s| over primitive
+v in the box, except for the skipped points described at `_scan`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -226,26 +229,26 @@ MAX_T = {3: 10_000, 4: 1_000}
 
 
 def search_min_value(q: QuadraticForm, s: float, t_bound: int) -> SearchResult:
-    """Best primitive |Q(v) - s| over 0 < ||v||_inf <= T.
-
-    Enumerates the leading d-1 coordinates, solves the quadratic in the last
-    one, and tests the integer neighbors of each real root (and of the vertex
-    when there is no real root).  Float values order the scan; any improvement
-    is re-checked in exact arithmetic.
-    """
-    curve = _scan(q, s, [t_bound])
-    v, exact = curve
-    best_v, value_exact = v[0], exact[0]
+    """Best primitive |Q(v) - s| over 0 < ||v||_inf <= T, as `_scan` finds it."""
+    _check_scannable(q, t_bound)
+    best_v, value_exact = _scan(q, s, t_bound)
     return SearchResult(best_v, abs(float(value_exact)), value_exact, t_bound, s)
 
 
 def decay_curve(q: QuadraticForm, s: float, t_list: list[int]) -> DecayCurve:
-    """Running minima over nested bounds plus a log-log decay exponent fit."""
+    """Running minima over nested bounds plus a log-log decay exponent fit.
+
+    Each bound is scanned on its own; a row is the exact minimum up to it.
+    """
     if len(set(t_list)) < 3:
         raise FitError("need at least three distinct bounds")
     if sorted(t_list) != list(t_list):
         raise FitError("bounds must be ascending")
-    vecs, exacts = _scan(q, s, list(t_list))
+    _check_scannable(q, t_list[-1])
+    exacts: list[QuadExt] = []
+    for t in t_list:
+        e = _scan(q, s, t)[1]
+        exacts.append(e if not exacts or _abs_less(e, exacts[-1]) else exacts[-1])
     rows = [(t, abs(float(e))) for t, e in zip(t_list, exacts)]
     # fit on strictly improving checkpoints only: plateaus bias the slope
     pts = []
@@ -266,129 +269,81 @@ def decay_curve(q: QuadraticForm, s: float, t_list: list[int]) -> DecayCurve:
     return DecayCurve(rows, exacts, kappa)
 
 
-def _scan(q: QuadraticForm, s: float, checkpoints: list[int]):
-    d = q.d
-    t_max = checkpoints[-1]
-    if d not in MAX_T:
+def _check_scannable(q: QuadraticForm, t_bound: int) -> None:
+    if q.d not in MAX_T:
         raise BudgetError(f"supported dimensions: {sorted(MAX_T)}")
-    if t_max > MAX_T[d]:
-        raise BudgetError(f"t_bound {t_max} exceeds cap {MAX_T[d]} at d = {d}")
+    if t_bound > MAX_T[q.d]:
+        raise BudgetError(f"t_bound {t_bound} exceeds cap {MAX_T[q.d]} at d = {q.d}")
     if not q.is_indefinite():
         raise SignatureError("form must be indefinite")
+
+
+def _scan(q: QuadraticForm, s: float, t: int) -> tuple[tuple[int, ...], QuadExt]:
+    """Best primitive v with 0 < ||v||_inf <= t, and the exact value Q(v) - s.
+
+    Rows are the choices of the leading d - 2 coordinates.  In a row,
+    coordinate d - 1 runs vectorized over [-t, t], and for each of its values
+    Q(v) - s is a quadratic a x^2 + b x + c in the last coordinate x.  The
+    integer neighbours of its real roots (of its vertex when it has none),
+    clipped to [-t, t], contain a minimizer of |a x^2 + b x + c| over the
+    integers in [-t, t]; the primitive candidate with the smallest float
+    error is kept.  A row minimum within 1e-9 of the best float value so far
+    is re-evaluated exactly and replaces the best only if exactly smaller.
+
+    Up to float rounding and ties within 1e-9 the result is the minimum over
+    the box, with one gap: where every clipped candidate gives a non-primitive
+    vector, that value of coordinate d - 1 is skipped even if another x gives
+    a primitive one.  At x1^2 + x2^2 - x3^2/100, s = -2.5, t = 4 this misses
+    (0, 0, +-1) and reports 167/50 instead of 249/100.
+    """
+    d = q.d
+    k = d - 2  # the row coordinates are v[:k]; v[k] is vectorized, v[k + 1] solved
     g = q.gram_float()
-    sd = q.field_d
-    a_coef = g[d - 1, d - 1]
-    best_val = [math.inf] * len(checkpoints)
-    best_vec: list[tuple[int, ...] | None] = [None] * len(checkpoints)
-    best_exact: list[QuadExt | None] = [None] * len(checkpoints)
-
-    if d == 3:
-        v2 = np.arange(-t_max, t_max + 1)
-        for v1 in range(-t_max, t_max + 1):
-            c = g[0, 0] * v1 * v1 + 2 * g[0, 1] * v1 * v2 + g[1, 1] * v2 * v2
-            b = 2 * (g[0, 2] * v1 + g[1, 2] * v2)
-            cands = _candidate_roots(a_coef, b, c - s)
-            err_best = None
-            for v3 in cands:
-                err = np.abs(a_coef * v3 * v3 + b * v3 + c - s)
-                ok = (np.abs(v3) <= t_max) & (np.gcd(np.gcd(abs(v1), np.abs(v2)), np.abs(v3.astype(np.int64))) == 1)
-                err = np.where(ok, err, math.inf)
-                if err_best is None:
-                    err_best, v3_best = err, v3.copy()
-                else:
-                    better = err < err_best
-                    err_best = np.where(better, err, err_best)
-                    v3_best = np.where(better, v3, v3_best)
-            if err_best is None:
-                continue
-            for ci, t_cap in enumerate(checkpoints):
-                if abs(v1) > t_cap:
-                    continue
-                mask = (np.abs(v2) <= t_cap) & (np.abs(v3_best) <= t_cap)
-                masked = np.where(mask, err_best, math.inf)
-                j = int(np.argmin(masked))
-                if masked[j] < best_val[ci] + 1e-9 and masked[j] < math.inf:
-                    vec = (v1, int(v2[j]), int(v3_best[j]))
-                    exact = q.evaluate(vec) - QuadExt.rational(Fraction(s).limit_denominator(10**12), sd)
-                    if best_exact[ci] is None or _abs_less(exact, best_exact[ci]):
-                        best_val[ci] = abs(float(exact))
-                        best_vec[ci] = vec
-                        best_exact[ci] = exact
-    else:  # d == 4
-        rng_v3 = np.arange(-t_max, t_max + 1)
-        for v1 in range(-t_max, t_max + 1):
-            for v2 in range(-t_max, t_max + 1):
-                c = (
-                    g[0, 0] * v1 * v1
-                    + g[1, 1] * v2 * v2
-                    + g[2, 2] * rng_v3 * rng_v3
-                    + 2 * (g[0, 1] * v1 * v2 + g[0, 2] * v1 * rng_v3 + g[1, 2] * v2 * rng_v3)
-                )
-                b = 2 * (g[0, 3] * v1 + g[1, 3] * v2 + g[2, 3] * rng_v3)
-                a4 = g[3, 3]
-                cands = _candidate_roots(a4, b, c - s)
-                err_best = None
-                for v4 in cands:
-                    err = np.abs(a4 * v4 * v4 + b * v4 + c - s)
-                    gcd12 = math.gcd(abs(v1), abs(v2))
-                    ok = (np.abs(v4) <= t_max) & (
-                        np.gcd(np.gcd(gcd12, np.abs(rng_v3)), np.abs(v4.astype(np.int64))) == 1
-                    )
-                    err = np.where(ok, err, math.inf)
-                    if err_best is None:
-                        err_best, v4_best = err, v4.copy()
-                    else:
-                        better = err < err_best
-                        err_best = np.where(better, err, err_best)
-                        v4_best = np.where(better, v4, v4_best)
-                for ci, t_cap in enumerate(checkpoints):
-                    if abs(v1) > t_cap or abs(v2) > t_cap:
-                        continue
-                    mask = (np.abs(rng_v3) <= t_cap) & (np.abs(v4_best) <= t_cap)
-                    masked = np.where(mask, err_best, math.inf)
-                    j = int(np.argmin(masked))
-                    if masked[j] < best_val[ci] + 1e-9 and masked[j] < math.inf:
-                        vec = (v1, v2, int(rng_v3[j]), int(v4_best[j]))
-                        exact = q.evaluate(vec) - QuadExt.rational(Fraction(s).limit_denominator(10**12), sd)
-                        if best_exact[ci] is None or _abs_less(exact, best_exact[ci]):
-                            best_val[ci] = abs(float(exact))
-                            best_vec[ci] = vec
-                            best_exact[ci] = exact
-
-    out_v, out_e = [], []
-    running: QuadExt | None = None
-    running_v = None
-    for ci in range(len(checkpoints)):
-        if best_vec[ci] is not None and (running is None or _abs_less(best_exact[ci], running)):
-            running = best_exact[ci]
-            running_v = best_vec[ci]
-        if running is None:
-            raise BudgetError("no admissible vector found; enlarge the bound")
-        out_v.append(running_v)
-        out_e.append(running)
-    return out_v, out_e
+    target = QuadExt.rational(Fraction(s).limit_denominator(10**12), q.field_d)
+    a = g[d - 1, d - 1]
+    w = np.arange(-t, t + 1)
+    best_val, best_vec, best_exact = math.inf, None, None
+    for head in itertools.product(range(-t, t + 1), repeat=k):
+        c = sum(g[i, j] * head[i] * head[j] for i in range(k) for j in range(k))
+        c = c + 2 * sum(g[i, k] * head[i] for i in range(k)) * w + g[k, k] * w * w
+        b = 2 * (sum(g[i, d - 1] * head[i] for i in range(k)) + g[k, d - 1] * w)
+        gcd_w = np.gcd(math.gcd(*head), np.abs(w))
+        err_best = np.full(w.shape, math.inf)
+        x_best = np.zeros_like(w)
+        for x in _candidate_roots(a, b, c - s, t):
+            err = np.abs(a * x * x + b * x + c - s)
+            err = np.where(np.gcd(gcd_w, np.abs(x)) == 1, err, math.inf)
+            better = err < err_best
+            err_best = np.where(better, err, err_best)
+            x_best = np.where(better, x, x_best)
+        j = int(np.argmin(err_best))
+        if err_best[j] < best_val + 1e-9 and err_best[j] < math.inf:
+            vec = (*head, int(w[j]), int(x_best[j]))
+            exact = q.evaluate(vec) - target
+            if best_exact is None or _abs_less(exact, best_exact):
+                best_val, best_vec, best_exact = abs(float(exact)), vec, exact
+    if best_vec is None:
+        raise BudgetError("no admissible vector found; enlarge the bound")
+    return best_vec, best_exact
 
 
-def _candidate_roots(a, b, c):
-    """Integer candidates near the roots (or the vertex) of a x^2 + b x + c."""
-    cands = []
+def _candidate_roots(a, b, c, t: int):
+    """Integers in [-t, t] next to the roots (or the vertex) of a x^2 + b x + c."""
     if abs(a) > 1e-12:
         disc = b * b - 4 * a * c
         has_root = disc >= 0
         sq = np.sqrt(np.where(has_root, disc, 0.0))
-        for sgn in (1.0, -1.0):
-            r = np.where(has_root, (-b + sgn * sq) / (2 * a), -b / (2 * a))
-            cands.append(np.floor(r).astype(np.int64))
-            cands.append(np.floor(r).astype(np.int64) + 1)
+        roots = [np.where(has_root, (-b + sgn * sq) / (2 * a), -b / (2 * a)) for sgn in (1.0, -1.0)]
     else:
-        b_arr = np.asarray(b, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
-            r = np.where(np.abs(b_arr) > 1e-12, -np.asarray(c, dtype=float) / b_arr, 0.0)
-        cands.append(np.floor(r).astype(np.int64))
-        cands.append(np.floor(r).astype(np.int64) + 1)
-        cands.append(np.zeros_like(np.floor(r).astype(np.int64)))
-        cands.append(np.ones_like(np.floor(r).astype(np.int64)))
-    return cands
+            roots = [np.where(np.abs(b) > 1e-12, -c / b, 0.0)]
+    cands = []
+    for r in roots:
+        f = np.floor(r).astype(np.int64)
+        cands += [f, f + 1]
+    if len(roots) == 1:
+        cands += [np.zeros_like(f), np.ones_like(f)]
+    return [np.clip(x, -t, t) for x in cands]
 
 
 # --- form mini-grammar -------------------------------------------------------------
@@ -415,7 +370,10 @@ def parse_form(text: str, dim: int | None = None) -> QuadraticForm:
         vars_seen: list[int] = []
         for p in parts:
             if p.startswith("sqrt"):
-                d = int(p[4:])
+                try:
+                    d = int(p[4:])
+                except ValueError:
+                    raise FormParseError(f"bad radicand {p!r}") from None
                 if field_d is not None and field_d != d:
                     raise FormParseError("mixed radicands are not supported")
                 field_d = d

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from repverify import brascamp_lieb
 from repverify.brascamp_lieb import (
     BLDatum,
     BLMap,
@@ -128,6 +130,32 @@ class TestFeasibility:
         )
         cert = check_feasibility(stuffed, "lattice")
         assert cert.status == "violated"
+
+    def test_lattice_sums_each_pair_once(self, monkeypatch):
+        pairs = Counter()
+        real_sum = brascamp_lieb.subspace_sum
+
+        def counting_sum(a, b):
+            pairs[frozenset((a, b))] += 1
+            return real_sum(a, b)
+
+        monkeypatch.setattr(brascamp_lieb, "subspace_sum", counting_sum)
+        cert = check_feasibility(loomis_whitney_datum(), "lattice")
+        assert cert.status == "passed_lattice"
+        assert pairs and max(pairs.values()) == 1
+
+    @pytest.mark.parametrize(
+        "datum, mode",
+        [
+            (BLDatum(2, (BLMap(1, Mat.from_rows([[1, 0]])),), (F(2),)), "bogus"),
+            (BLDatum(17, (BLMap(1, Mat.from_rows([[1] + [0] * 16])),), (F(17),)), "coordinate_exhaustive"),
+        ],
+        ids=["unknown-mode", "coordinate-exhaustive-n17"],
+    )
+    def test_bad_mode_rejected_before_lattice_walk(self, datum, mode):
+        # both data violate the criterion on their kernel, the first lattice element
+        with pytest.raises(ValueError):
+            check_feasibility(datum, mode)
 
 
 class TestGaussianRatio:

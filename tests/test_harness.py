@@ -202,6 +202,10 @@ class TestCLI:
     def test_oppenheim_bad_form(self):
         assert oppenheim_main(["--form", "x1^3", "--T", "10"]) == 2
 
+    @pytest.mark.parametrize("radicand", ["sqrtx", "sqrt2/1"])
+    def test_oppenheim_bad_radicand(self, radicand):
+        assert oppenheim_main(["--form", f"x1^2+x2^2-{radicand}*x3^2", "--T", "5"]) == 2
+
     def test_installed_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "repverify.cli"],

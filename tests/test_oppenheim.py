@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -124,3 +125,49 @@ class TestDecay:
         assert all(not e.is_zero() for e in c.exact_values)
         assert c.kappa > 0
         assert vals[-1] <= 0.05
+
+
+def brute_min(q: QuadraticForm, s: Fraction, t: int) -> QuadExt:
+    """min |Q(v) - s| over primitive v with ||v||_inf <= t, exactly."""
+    target = QuadExt.rational(s, q.field_d)
+    best = None
+    for v in itertools.product(range(-t, t + 1), repeat=q.d):
+        if math.gcd(*v) == 1:
+            e = (q.evaluate(v) - target).abs_exact()
+            if best is None or (best - e).sign() > 0:
+                best = e
+    return best
+
+
+class TestScan:
+    @pytest.mark.parametrize(
+        "form, s, t",
+        [
+            ("x1^2+x2^2+x3^2-1/50*x4^2", "1/2", 3),  # d = 4: 8/25
+            ("x1^2+x2^2-1/100*x3^2", "1/2", 3),  # roots of x3 near +-7, best at x3 = 3: 41/100
+            ("x1^2-sqrt2*x2^2+1/7*x2*x3", "1/10", 5),  # linear in the last coordinate
+        ],
+    )
+    def test_matches_brute_force(self, form, s, t):
+        q = parse_form(form)
+        r = search_min_value(q, float(F(s)), t)
+        assert r.value_exact.abs_exact() == brute_min(q, F(s), t)
+
+    def test_intermediate_bound_is_minimal(self):
+        q = parse_form("x1^2+x2^2-1/100*x3^2")
+        c = decay_curve(q, 0.37, [2, 4, 7, 11])
+        assert c.rows[2] == (7, pytest.approx(7 / 50))
+        assert c.exact_values[2].abs_exact() == brute_min(q, F(37, 100), 7)
+
+    @pytest.mark.parametrize(
+        "form, s, bounds",
+        [
+            ("x1^2+x2^2-1/100*x3^2", 0.37, [2, 4, 7, 11]),
+            ("x1^2+x2^2-sqrt2*x3^2", 0.0, [5, 20, 100]),
+            ("x1*x2+sqrt3*x3^2-x4^2+1/2*x1*x4", 0.3, [2, 4, 6]),
+        ],
+    )
+    def test_decay_rows_equal_single_searches(self, form, s, bounds):
+        q = parse_form(form)
+        c = decay_curve(q, s, bounds)
+        assert c.exact_values == [search_min_value(q, s, t).value_exact for t in bounds]
