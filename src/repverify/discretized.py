@@ -19,6 +19,7 @@ from .reps import RepConfig, check_proximal, flag_projector, weight_decompose
 MAX_POINTS = 1 << 26
 DEDUP_SCALE = 40  # coincidence resolution 2^-40
 MAX_SCALE = 40
+PAIR_BLOCK = 1 << 16  # point pairs per block of the pairwise-distance scans
 
 
 class SpecError(Exception):
@@ -80,24 +81,38 @@ def make_point_set(points, provenance: str, seed=None, designed_dim=None) -> Poi
 
 
 def _cube_keys(points: np.ndarray, delta: float) -> np.ndarray:
-    return np.floor(points / delta).astype(np.int64)
+    """Cube indices floor(points / delta), column-major so that each
+    coordinate's keys are contiguous for `_count_distinct`."""
+    keys = points / delta
+    np.floor(keys, out=keys)
+    return keys.astype(np.int64, order="F")
 
 
 def _count_distinct(keys: np.ndarray) -> int:
+    """Number of distinct rows of an (N, k) integer key array.
+
+    Counts by sorting and comparing neighbours: the count is 1 + the number of
+    adjacent unequal entries.  np.unique would give the same number, but on
+    int64 numpy 2.x sends it through a hash table (`_unique_hash`), about 40x
+    slower than np.sort on 2^20 keys.  Rows whose shifted columns fit in 62 bits
+    are packed into one int64 and sorted in place; wider rows are lexsorted.
+    """
     if keys.shape[0] == 0:
         return 0
     if keys.shape[1] == 1:
-        return int(np.unique(keys[:, 0]).size)
-    # pack shifted columns into a single int64 when the widths allow it
-    mins = keys.min(axis=0)
-    shifted = keys - mins
-    widths = [int(w).bit_length() for w in shifted.max(axis=0) + 1]
-    if sum(widths) <= 62:
-        packed = shifted[:, 0].copy()
-        for j in range(1, shifted.shape[1]):
-            packed = (packed << widths[j]) | shifted[:, j]
-        return int(np.unique(packed).size)
-    return int(np.unique(shifted, axis=0).size // shifted.shape[1])
+        flat = np.sort(keys[:, 0])
+    else:
+        lo = keys.min(axis=0)
+        widths = [int(w).bit_length() for w in keys.max(axis=0) - lo + 1]
+        if sum(widths) > 62:
+            rows = keys[np.lexsort(keys.T)]
+            return 1 + int(np.count_nonzero(np.any(rows[1:] != rows[:-1], axis=1)))
+        flat = keys[:, 0] - lo[0]
+        for j in range(1, keys.shape[1]):
+            flat <<= widths[j]
+            flat |= keys[:, j] - lo[j]
+        flat.sort()
+    return 1 + int(np.count_nonzero(flat[1:] != flat[:-1]))
 
 
 def covering_number(a: PointSet, delta: float) -> int:
@@ -144,22 +159,40 @@ def tube_covering_number(a: PointSet, spec: TubeSpec) -> int:
         raise SpecError("level dimensions do not sum to the ambient dimension")
     cols = []
     for sl, r in zip(spec.level_slices(), spec.r_tuple):
-        scale = spec.delta**r
-        cols.append(np.floor(a.points[:, sl] / scale).astype(np.int64))
+        cols.append(_cube_keys(a.points[:, sl], spec.delta**r))
     return _count_distinct(np.hstack(cols))
+
+
+def _distance_blocks(queries: np.ndarray, pts: np.ndarray):
+    """Euclidean distances from each query row to every point, as row blocks.
+
+    A block holds about PAIR_BLOCK distances (one row when a row is longer),
+    so its memory does not grow with the number of queries."""
+    step = max(1, PAIR_BLOCK // pts.shape[0])
+    for start in range(0, queries.shape[0], step):
+        block = queries[start : start + step]
+        # coordinate by coordinate: the same sums, in the same order, as
+        # np.linalg.norm(pts - w, axis=1), without reducing a length-d axis
+        sq = (pts[None, :, 0] - block[:, 0, None]) ** 2
+        for j in range(1, pts.shape[1]):
+            sq += (pts[None, :, j] - block[:, j, None]) ** 2
+        yield np.sqrt(sq)
+
+
+def _truncated_energies(dists: np.ndarray, delta: float, alpha: float) -> np.ndarray:
+    """Row sums of max(d, delta)^-alpha over the distances d that are not coincidences."""
+    at_w = dists <= 2.0**-DEDUP_SCALE
+    return np.where(at_w, 0.0, np.maximum(dists, delta) ** -alpha).sum(axis=1)
 
 
 def alpha_energy(f: PointSet, delta: float, alpha: float, w) -> float:
     """Scale-truncated Riesz energy sum_{w' != w} max(|w'-w|, delta)^-alpha."""
     if not 0 < alpha < f.ambient + 1e-12:
         raise SpecError("need 0 < alpha <= ambient dimension")
-    w = np.asarray(w, dtype=float)
-    dists = np.linalg.norm(f.points - w, axis=1)
-    at_w = dists <= 2.0**-DEDUP_SCALE
-    if not np.any(at_w):
+    (dists,) = _distance_blocks(np.asarray(w, dtype=float)[None, :], f.points)
+    if not np.any(dists <= 2.0**-DEDUP_SCALE):
         raise MembershipError("w is not a point of the set")
-    dists = dists[~at_w]
-    return float(np.sum(np.maximum(dists, delta) ** -alpha))
+    return float(_truncated_energies(dists, delta, alpha)[0])
 
 
 def frostman_constant(f: PointSet, delta0: float, alpha: float) -> float:
@@ -167,16 +200,12 @@ def frostman_constant(f: PointSet, delta0: float, alpha: float) -> float:
     if f.size < 2:
         raise SpecError("need at least two points")
     s_max = _dyadic_exponent(delta0)
-    pts = f.points
-    best = 0.0
-    n_total = f.size
-    for i in range(n_total):
-        d = np.sort(np.linalg.norm(pts - pts[i], axis=1))
-        for s in range(0, s_max + 1):
-            r = 2.0**-s
-            count = int(np.searchsorted(d, r, side="right"))
-            best = max(best, (count / n_total) / r**alpha)
-    return best
+    # heaviest ball of each dyadic radius 2^-s over all centres
+    counts = [0] * (s_max + 1)
+    for dists in _distance_blocks(f.points, f.points):
+        for s in range(s_max + 1):
+            counts[s] = max(counts[s], int(np.count_nonzero(dists <= 2.0**-s, axis=1).max()))
+    return max((counts[s] / f.size) / (2.0**-s) ** alpha for s in range(s_max + 1))
 
 
 def frostman_energy_bound_check(f: PointSet, delta: float, alpha: float, beta: float) -> bool:
@@ -186,10 +215,10 @@ def frostman_energy_bound_check(f: PointSet, delta: float, alpha: float, beta: f
         raise SpecError("need 0 < beta < alpha")
     c = frostman_constant(f, delta, alpha)
     bound = 2.0**f.ambient * c * (1.0 + 1.0 / (1.0 - 2.0 ** (beta - alpha))) * f.size
-    for i in range(f.size):
-        if alpha_energy(f, delta, beta, f.points[i]) > bound:
-            return False
-    return True
+    return not any(
+        np.any(_truncated_energies(dists, delta, beta) > bound)
+        for dists in _distance_blocks(f.points, f.points)
+    )
 
 
 # --- generators -----------------------------------------------------------------
@@ -392,7 +421,7 @@ def projection_experiment(
     for i in range(num_u):
         coeffs = rng.uniform(-1.0, 1.0, size=dim_u)
         mat = _unipotent_matrix(cfg, coeffs)
-        image = (mat @ pts_t)[flag_idx].T
+        image = (mat[flag_idx] @ pts_t).T
         cover = _count_distinct(_cube_keys(image, delta))
         bad = cover < covering_threshold
         exceptional += bad

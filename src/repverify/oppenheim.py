@@ -6,7 +6,7 @@ dimension d and every bound T: it enumerates the leading d - 2 coordinates,
 vectorizes the next one and solves for the last, which makes T = 10^3..10^4
 practical at d = 3.  It runs on floats and re-evaluates only improvements
 exactly; up to float ties it returns the minimum of |Q(v) - s| over primitive
-v in the box, except for the skipped points described at `_scan`.
+v in the box.
 """
 
 from __future__ import annotations
@@ -285,16 +285,16 @@ def _scan(q: QuadraticForm, s: float, t: int) -> tuple[tuple[int, ...], QuadExt]
     coordinate d - 1 runs vectorized over [-t, t], and for each of its values
     Q(v) - s is a quadratic a x^2 + b x + c in the last coordinate x.  The
     integer neighbours of its real roots (of its vertex when it has none),
-    clipped to [-t, t], contain a minimizer of |a x^2 + b x + c| over the
-    integers in [-t, t]; the primitive candidate with the smallest float
-    error is kept.  A row minimum within 1e-9 of the best float value so far
-    is re-evaluated exactly and replaces the best only if exactly smaller.
-
-    Up to float rounding and ties within 1e-9 the result is the minimum over
-    the box, with one gap: where every clipped candidate gives a non-primitive
-    vector, that value of coordinate d - 1 is skipped even if another x gives
-    a primitive one.  At x1^2 + x2^2 - x3^2/100, s = -2.5, t = 4 this misses
-    (0, 0, +-1) and reports 167/50 instead of 249/100.
+    clipped to [-t, t], are each the integer nearest the low end of a stretch
+    of [-t, t] on which |a x^2 + b x + c| is monotone, so together they hold a
+    minimizer over the integers in [-t, t].  A candidate whose vector is not
+    primitive steps away from its root or vertex to the nearest x in [-t, t]
+    that gives a primitive vector, the best primitive x of its stretch; only
+    candidates whose own error could still beat the best value so far take
+    that step.  The candidate with the smallest float error is kept.  A row
+    minimum within 1e-9 of the best float value so far is re-evaluated exactly
+    and replaces the best only if exactly smaller.  Up to float rounding and
+    ties within 1e-9 the result is the minimum over the box.
     """
     d = q.d
     k = d - 2  # the row coordinates are v[:k]; v[k] is vectorized, v[k + 1] solved
@@ -310,9 +310,16 @@ def _scan(q: QuadraticForm, s: float, t: int) -> tuple[tuple[int, ...], QuadExt]
         gcd_w = np.gcd(math.gcd(*head), np.abs(w))
         err_best = np.full(w.shape, math.inf)
         x_best = np.zeros_like(w)
-        for x in _candidate_roots(a, b, c - s, t):
+        for x, r in _candidate_roots(a, b, c - s, t):
             err = np.abs(a * x * x + b * x + c - s)
-            err = np.where(np.gcd(gcd_w, np.abs(x)) == 1, err, math.inf)
+            prim = np.gcd(gcd_w, np.abs(x)) == 1
+            walk = (~prim & (err < best_val + 1e-9)).nonzero()[0]
+            if walk.size:
+                side = np.where(x[walk] <= r[walk], -1, 1)  # away from the root
+                xw, prim[walk] = _primitive_step(x[walk], side, gcd_w[walk], t)
+                x[walk] = xw
+                err[walk] = np.abs(a * xw * xw + b[walk] * xw + c[walk] - s)
+            err = np.where(prim, err, math.inf)
             better = err < err_best
             err_best = np.where(better, err, err_best)
             x_best = np.where(better, x, x_best)
@@ -328,7 +335,8 @@ def _scan(q: QuadraticForm, s: float, t: int) -> tuple[tuple[int, ...], QuadExt]
 
 
 def _candidate_roots(a, b, c, t: int):
-    """Integers in [-t, t] next to the roots (or the vertex) of a x^2 + b x + c."""
+    """Integers in [-t, t] next to the roots (or the vertex) of a x^2 + b x + c,
+    each paired with that root."""
     if abs(a) > 1e-12:
         disc = b * b - 4 * a * c
         has_root = disc >= 0
@@ -340,10 +348,18 @@ def _candidate_roots(a, b, c, t: int):
     cands = []
     for r in roots:
         f = np.floor(r).astype(np.int64)
-        cands += [f, f + 1]
-    if len(roots) == 1:
-        cands += [np.zeros_like(f), np.ones_like(f)]
-    return [np.clip(x, -t, t) for x in cands]
+        xs = [f, f + 1] + ([np.zeros_like(f), np.ones_like(f)] if len(roots) == 1 else [])
+        cands += [(np.clip(x, -t, t), r) for x in xs]
+    return cands
+
+
+def _primitive_step(x, side, g, t: int):
+    """Step each x by its side until gcd(g, x) = 1; also return which stayed in [-t, t]."""
+    todo = np.flatnonzero(np.gcd(g, np.abs(x)) != 1)
+    while todo.size:
+        x[todo] += side[todo]
+        todo = todo[(np.abs(x[todo]) <= t) & (np.gcd(g[todo], np.abs(x[todo])) != 1)]
+    return x, (np.abs(x) <= t) & (np.gcd(g, np.abs(x)) == 1)
 
 
 # --- form mini-grammar -------------------------------------------------------------
@@ -365,8 +381,8 @@ def parse_form(text: str, dim: int | None = None) -> QuadraticForm:
             sign = Fraction(-1)
             term = term[1:]
         parts = term.split("*")
-        coeff_a = Fraction(1)
-        coeff_b = Fraction(0)
+        rational = Fraction(1)
+        odd_root = False  # whether the sqrtD factors so far leave one sqrtD
         vars_seen: list[int] = []
         for p in parts:
             if p.startswith("sqrt"):
@@ -377,7 +393,9 @@ def parse_form(text: str, dim: int | None = None) -> QuadraticForm:
                 if field_d is not None and field_d != d:
                     raise FormParseError("mixed radicands are not supported")
                 field_d = d
-                coeff_a, coeff_b = Fraction(0), coeff_a
+                if odd_root:
+                    rational = rational * d  # sqrtD * sqrtD = D
+                odd_root = not odd_root
             elif p.startswith("x"):
                 try:
                     if p.endswith("^2"):
@@ -389,11 +407,12 @@ def parse_form(text: str, dim: int | None = None) -> QuadraticForm:
                     raise FormParseError(f"bad monomial factor {p!r}") from None
             else:
                 try:
-                    coeff_a = coeff_a * Fraction(p)
+                    rational = rational * Fraction(p)
                 except ValueError:
                     raise FormParseError(f"bad coefficient {p!r}") from None
         if len(vars_seen) != 2:
             raise FormParseError(f"monomial {term!r} is not quadratic")
+        coeff_a, coeff_b = (Fraction(0), rational) if odd_root else (rational, Fraction(0))
         i, j = sorted(vars_seen)
         max_var = max(max_var, j)
         a, b = entries.get((i, j), (Fraction(0), Fraction(0)))

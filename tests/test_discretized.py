@@ -8,11 +8,13 @@ import random
 import numpy as np
 import pytest
 
+from repverify import discretized
 from repverify.discretized import (
     DegenerateError,
     FullGrid,
     HypothesisError,
     MembershipError,
+    PointSet,
     Poly,
     ProductCantor,
     RandomSubset,
@@ -65,6 +67,37 @@ class TestCovering:
             covering_number(ps, 0.3)
 
 
+def _distinct_rows(keys: np.ndarray) -> int:
+    return len(set(map(tuple, keys.tolist())))
+
+
+class TestCountDistinct:
+    @pytest.mark.parametrize(
+        "shape, span",
+        [
+            ((5000, 1), 1 << 40),  # single column
+            ((5000, 1), 7),
+            ((5000, 3), 50),  # packable: 3 x 6 bits
+            ((5000, 2), 1 << 31),  # packable: 2 x 31 bits, the 62-bit limit
+            ((5000, 2), 1 << 32),  # 2 x 32 bits, wider than 62: lexsort
+            ((3000, 4), 1 << 20),  # 4 x 20 bits: lexsort
+        ],
+    )
+    def test_matches_set_of_rows(self, shape, span):
+        rng = np.random.default_rng(span % 1000 + shape[1])
+        keys = rng.integers(-span // 2, span // 2, size=shape)
+        keys = np.vstack([keys, keys[: shape[0] // 3]])  # repeated rows
+        assert discretized._count_distinct(keys) == _distinct_rows(keys)
+
+    def test_negative_offset_columns(self):
+        keys = np.array([[-5, 3], [-5, 3], [2, -7], [-5, -7], [2, -7]])
+        assert discretized._count_distinct(keys) == 3
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_empty(self, width):
+        assert discretized._count_distinct(np.zeros((0, width), dtype=np.int64)) == 0
+
+
 class TestTubeCovering:
     def test_degenerate_tuple_is_covering(self):
         g = generate_fractal(FullGrid(2, 4))
@@ -89,6 +122,16 @@ class TestTubeCovering:
         count = tube_covering_number(ps, spec)
         expected = len(fine) * len(coarse)
         assert expected <= count <= 4 * expected
+
+    def test_wide_keys(self):
+        # levels at 2^-20 and 2^-40: 20 + 40 + 40 key bits take the lexsort path
+        rng = np.random.default_rng(12)
+        pts = rng.random((400, 3))
+        pts = np.vstack([pts, pts[:150], np.floor(pts[:100] * 2**20) / 2**20])
+        spec = TubeSpec(2**-40, (0.5, 1.0), (1, 2))
+        keys = np.hstack([np.floor(pts[:, :2] * 2**40), np.floor(pts[:, 2:] * 2**20)]).astype(np.int64)
+        count = tube_covering_number(PointSet(3, pts, "wide"), spec)
+        assert count == _distinct_rows(keys) == 500
 
     def test_malformed_spec(self):
         with pytest.raises(SpecError):
@@ -151,6 +194,71 @@ class TestFrostman:
         ps = generate_fractal(FullGrid(1, 4))
         with pytest.raises(SpecError):
             frostman_energy_bound_check(ps, 2**-6, 0.5, 1.0)
+
+
+def _frostman_reference(ps, delta0, alpha):
+    """The per-point definition: sort each point's distances, count each ball."""
+    s_max = round(-math.log2(delta0))
+    best = 0.0
+    for i in range(ps.size):
+        d = np.sort(np.linalg.norm(ps.points - ps.points[i], axis=1))
+        for s in range(s_max + 1):
+            count = int(np.searchsorted(d, 2.0**-s, side="right"))
+            best = max(best, (count / ps.size) / (2.0**-s) ** alpha)
+    return best
+
+
+def _energy_reference(ps, delta, beta, w):
+    dists = np.linalg.norm(ps.points - w, axis=1)
+    dists = dists[dists > 2.0**-40]
+    return float(np.sum(np.maximum(dists, delta) ** -beta))
+
+
+def _criterion_8_sets(count, rng):
+    for i in range(count):
+        kind = i % 5
+        if kind == 0:
+            spec = FullGrid(1, rng.randint(4, 7))
+        elif kind == 1:
+            spec = ProductCantor(((3, (0, 2), rng.randint(4, 7)),))
+        elif kind == 2:
+            spec = RandomSubset(2, rng.randint(3, 5), rng.uniform(0.2, 0.8))
+        elif kind == 3:
+            spec = WeightAligned((1, rng.choice((0.25, 0.5, 0.75)), 0.5), level_scale=4)
+        else:
+            spec = ProductCantor(((2, (0, 1), rng.randint(4, 6)), (4, (0, 3), 3)))
+        yield generate_fractal(spec, seed=i)
+
+
+class TestFrostmanBlocks:
+    """The row-block scans against the per-point definitions."""
+
+    @pytest.mark.parametrize("pair_block", [None, 1, 1000])
+    def test_constant_and_verdicts_match_per_point(self, pair_block, monkeypatch):
+        if pair_block is not None:  # one row per block, and blocks that leave a remainder
+            monkeypatch.setattr(discretized, "PAIR_BLOCK", pair_block)
+        for ps in _criterion_8_sets(10, random.Random(808)):
+            for alpha, beta in ((1.0, 0.5), (2.5, 2.0)):
+                if alpha > ps.ambient:
+                    continue
+                c = _frostman_reference(ps, 2**-8, alpha)
+                assert frostman_constant(ps, 2**-8, alpha) == c
+                bound = 2.0**ps.ambient * c * (1.0 + 1.0 / (1.0 - 2.0 ** (beta - alpha))) * ps.size
+                energies = [_energy_reference(ps, 2**-8, beta, w) for w in ps.points]
+                assert frostman_energy_bound_check(ps, 2**-8, alpha, beta) == (max(energies) <= bound)
+                for i in (0, ps.size // 2, ps.size - 1):
+                    assert alpha_energy(ps, 2**-8, beta, ps.points[i]) == pytest.approx(energies[i], rel=1e-14)
+
+    @pytest.mark.parametrize("level, verdict", [(0.5, False), (2.0, True)])
+    def test_verdict_follows_largest_energy(self, level, verdict, monkeypatch):
+        # a constant that puts the bound at level x the median or the largest energy
+        ps = generate_fractal(RandomSubset(2, 4, 0.6), seed=2)
+        energies = sorted(_energy_reference(ps, 2**-6, 0.5, w) for w in ps.points)
+        target = level * (energies[len(energies) // 2] if level < 1 else energies[-1])
+        scale = 2.0**2 * (1.0 + 1.0 / (1.0 - 2.0 ** (0.5 - 1.0))) * ps.size
+        monkeypatch.setattr(discretized, "frostman_constant", lambda f, d, a: target / scale)
+        monkeypatch.setattr(discretized, "PAIR_BLOCK", 7)
+        assert frostman_energy_bound_check(ps, 2**-6, 1.0, 0.5) is verdict
 
 
 class TestGenerators:

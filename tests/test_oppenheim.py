@@ -75,6 +75,17 @@ class TestParseAndSignature:
         with pytest.raises(SignatureError):
             search_min_value(q, 0.0, 10)
 
+    @pytest.mark.parametrize(
+        "form, entry",
+        [
+            ("2*sqrt3*x1^2+x2^2-x3^2", QuadExt(F(0), F(2), 3)),
+            ("sqrt3*2*x1^2+x2^2-x3^2", QuadExt(F(0), F(2), 3)),  # coefficient after the root
+            ("sqrt2*sqrt2*x1^2+x2^2-x3^2", QuadExt(F(2), F(0), 2)),  # two roots multiply out
+        ],
+    )
+    def test_coefficient_factors(self, form, entry):
+        assert parse_form(form).gram[0][0] == entry
+
     def test_bad_monomial(self):
         with pytest.raises(FormParseError):
             parse_form("x1^3")
@@ -146,6 +157,8 @@ class TestScan:
             ("x1^2+x2^2+x3^2-1/50*x4^2", "1/2", 3),  # d = 4: 8/25
             ("x1^2+x2^2-1/100*x3^2", "1/2", 3),  # roots of x3 near +-7, best at x3 = 3: 41/100
             ("x1^2-sqrt2*x2^2+1/7*x2*x3", "1/10", 5),  # linear in the last coordinate
+            # roots of x3 near +-15.8 clip to +-4, so row (0, 0) needs a primitive step: 249/100
+            ("x1^2+x2^2-1/100*x3^2", "-5/2", 4),
         ],
     )
     def test_matches_brute_force(self, form, s, t):
