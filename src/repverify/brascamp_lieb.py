@@ -38,7 +38,6 @@ from .qlinalg import (
 from .reps import RepConfig, flag_projector, weight_decompose
 
 LATTICE_CAP = 4096
-DET_GUARD = 1e-9
 SCALING_TOL = 1e-6
 
 
@@ -305,7 +304,13 @@ def gaussian_ratio(d: BLDatum, m_list: list[np.ndarray]) -> float:
         sign, logdet = np.linalg.slogdet(mj)
         logprod += float(p) / 2.0 * logdet
     sign, logdet_agg = np.linalg.slogdet(agg)
-    if sign <= 0 or logdet_agg < math.log(DET_GUARD) * d.n:
+    diag = np.diagonal(agg)
+    # The Hadamard ratio det / prod(diagonal) is the product of the n Cholesky
+    # pivots of the form rescaled to a unit diagonal, each in (0, 1]; unlike
+    # det itself it does not change when a coordinate is rescaled.  The form is
+    # singular to working precision when their geometric mean is below epsilon.
+    hadamard = logdet_agg - float(np.sum(np.log(diag))) if np.all(diag > 0) else -math.inf
+    if sign <= 0 or hadamard < math.log(np.finfo(float).eps) * d.n:
         raise SingularForm("aggregate form is singular along some direction")
     return math.exp(-0.5 * logdet_agg + logprod)
 

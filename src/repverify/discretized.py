@@ -195,30 +195,47 @@ def alpha_energy(f: PointSet, delta: float, alpha: float, w) -> float:
     return float(_truncated_energies(dists, delta, alpha)[0])
 
 
+def _heaviest_balls(
+    f: PointSet, s_max: int, delta: float | None = None, beta: float | None = None
+) -> tuple[list[int], float]:
+    """The most points of f in one ball centred at a point of f, per dyadic radius
+    2^-s for s = 0..s_max; with beta, also the largest truncated beta-energy at a
+    point of f.  One pass over the pairwise distances."""
+    counts = [0] * (s_max + 1)
+    top = 0.0
+    for dists in _distance_blocks(f.points, f.points):
+        for s in range(s_max + 1):
+            counts[s] = max(counts[s], int(np.count_nonzero(dists <= 2.0**-s, axis=1).max()))
+        if beta is not None:
+            top = max(top, float(_truncated_energies(dists, delta, beta).max()))
+    return counts, top
+
+
+def _frostman_from_counts(counts: list[int], size: int, alpha: float) -> float:
+    return max((c / size) / (2.0**-s) ** alpha for s, c in enumerate(counts))
+
+
 def frostman_constant(f: PointSet, delta0: float, alpha: float) -> float:
     """Minimal C with mu_F(B(x, r)) <= C r^alpha over x in F, dyadic r in [delta0, 1]."""
     if f.size < 2:
         raise SpecError("need at least two points")
-    s_max = _dyadic_exponent(delta0)
-    # heaviest ball of each dyadic radius 2^-s over all centres
-    counts = [0] * (s_max + 1)
-    for dists in _distance_blocks(f.points, f.points):
-        for s in range(s_max + 1):
-            counts[s] = max(counts[s], int(np.count_nonzero(dists <= 2.0**-s, axis=1).max()))
-    return max((counts[s] / f.size) / (2.0**-s) ** alpha for s in range(s_max + 1))
+    counts, _ = _heaviest_balls(f, _dyadic_exponent(delta0))
+    return _frostman_from_counts(counts, f.size, alpha)
 
 
 def frostman_energy_bound_check(f: PointSet, delta: float, alpha: float, beta: float) -> bool:
     """Nonconcentration controls the truncated energy:
-    G^(beta)(w) <= 2^n C (1 + 1/(1 - 2^{beta-alpha})) #F at every w."""
+    G^(beta)(w) <= 2^n C (1 + 1/(1 - 2^{beta-alpha})) #F at every w.
+
+    The energies do not depend on C, so one pass over the distances yields
+    both the ball counts behind C and the largest energy."""
     if not 0 < beta < alpha:
         raise SpecError("need 0 < beta < alpha")
-    c = frostman_constant(f, delta, alpha)
-    bound = 2.0**f.ambient * c * (1.0 + 1.0 / (1.0 - 2.0 ** (beta - alpha))) * f.size
-    return not any(
-        np.any(_truncated_energies(dists, delta, beta) > bound)
-        for dists in _distance_blocks(f.points, f.points)
-    )
+    if f.size < 2:
+        raise SpecError("need at least two points")
+    counts, top = _heaviest_balls(f, _dyadic_exponent(delta), delta, beta)
+    c = _frostman_from_counts(counts, f.size, alpha)
+    return top <= 2.0**f.ambient * c * (1.0 + 1.0 / (1.0 - 2.0 ** (beta - alpha))) * f.size
 
 
 # --- generators -----------------------------------------------------------------

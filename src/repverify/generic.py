@@ -13,17 +13,20 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .qlinalg import (
+    ExpTerms,
     Mat,
     Subspace,
     canonicalize,
-    nilpotent_exp,
+    exp_product,
+    exp_terms,
     rank,
     subspace_intersect,
     subspace_sum,
 )
-from .reps import RepConfig, check_irreducible, horospherical_basis
+from .reps import RepConfig, check_irreducible
 
 STABILIZATION = 0.95
 
@@ -112,7 +115,8 @@ PARAM_HEIGHT = 9999
 
 
 def sample_element(cfg: RepConfig, seed: int, complexity: int, height: int = PARAM_HEIGHT) -> SampledElement:
-    """Product of `complexity` unipotent factors exp(t N).
+    """Product of `complexity` unipotent factors exp(t N): draws the recipe of
+    (generator index, t) pairs, then replays it through `replay_recipe`.
 
     The generators N alternate between the u+ and u- lists on a round-robin
     schedule, so every expanding and contracting generator of every simple
@@ -124,25 +128,22 @@ def sample_element(cfg: RepConfig, seed: int, complexity: int, height: int = PAR
     """
     if complexity < 1:
         raise PreconditionError("complexity must be >= 1")
-    u_plus, u_minus = horospherical_basis(cfg)
     rng = random.Random(seed)
-    acc = Mat.identity(cfg.n)
     recipe: list[tuple[int, Fraction]] = []
     for step in range(complexity):
-        pool_idx = cfg.u_plus_indices if step % 2 == 0 else cfg.u_minus_indices
-        pool = u_plus if step % 2 == 0 else u_minus
-        pick = (step // 2) % len(pool)
+        pool = cfg.u_plus_indices if step % 2 == 0 else cfg.u_minus_indices
         t = Fraction(rng.randint(-height, height), rng.randint(1, height))
-        acc = acc @ nilpotent_exp(pool[pick].scale(t))
-        recipe.append((pool_idx[pick], t))
-    return SampledElement(acc, tuple(recipe), seed)
+        recipe.append((pool[(step // 2) % len(pool)], t))
+    return SampledElement(replay_recipe(cfg, recipe), tuple(recipe), seed)
+
+
+@lru_cache(maxsize=None)
+def _generator_terms(cfg: RepConfig, idx: int) -> ExpTerms:
+    return exp_terms(cfg.h_basis[idx])
 
 
 def replay_recipe(cfg: RepConfig, recipe) -> Mat:
-    acc = Mat.identity(cfg.n)
-    for idx, t in recipe:
-        acc = acc @ nilpotent_exp(cfg.h_basis[idx].scale(Fraction(t)))
-    return acc
+    return exp_product(cfg.n, [(_generator_terms(cfg, idx), Fraction(t)) for idx, t in recipe])
 
 
 def translate(h: Mat, s: Subspace) -> Subspace:

@@ -8,10 +8,15 @@ comparison.
 Every elimination goes through the one pivot step `_pivot`: the column sweep
 `_rref_rows` (behind rank, det, inverses, solves, kernels and canonical
 bases) and the incremental `RowSpan.add` both call it.
+
+Every unipotent exponential goes through the one exp kernel `exp_product`:
+it multiplies exp(t N) factors from the terms N^k/k! of each N (`exp_terms`)
+over Z with one common denominator, and `nilpotent_exp` is its one-factor case.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -395,22 +400,97 @@ def projection_matrix(u: Subspace) -> Mat:
     return b @ gram_inv @ b.transpose()
 
 
-def nilpotent_exp(n: Mat) -> Mat:
-    """exp(n) as the finite exact series for nilpotent n."""
+@dataclass(frozen=True)
+class ExpTerms:
+    """The terms N^k/k!, k = 1..degree, of exp(tN) for one nilpotent N.
+
+    Term k is terms[k-1] = (its denominator, its integer rows), each row a tuple
+    of (column, value) pairs; den is the lcm of the term denominators.
+    """
+
+    den: int
+    terms: tuple[tuple[int, tuple[tuple[tuple[int, int], ...], ...]], ...]
+
+
+def exp_terms(n: Mat) -> ExpTerms:
+    """The ExpTerms of a nilpotent n, with its powers taken over Z.
+
+    With n = M/d for an integer M, N^k/k! = M^k/(d^k k!); each term is reduced by
+    the gcd of its denominator and entries.  Raises NotNilpotent when n^dim != 0.
+    """
     if n.rows != n.cols:
         raise DimensionMismatch("exp of non-square matrix")
-    acc = Mat.identity(n.rows)
-    cur = n
-    fact = 1
-    for i in range(1, n.rows + 1):
-        if cur.is_zero():
-            return acc
-        fact *= i
-        acc = acc + cur.scale(Fraction(1, fact))
-        cur = cur @ n
-    if not cur.is_zero():
+    dim = n.rows
+    d = math.lcm(*(x.denominator for x in n.entries))
+    m = [{j: x.numerator * (d // x.denominator) for j, x in enumerate(n.row(i)) if x} for i in range(dim)]
+    terms = []
+    power, den = m, 1
+    for k in range(1, dim + 1):
+        if not any(power):
+            break
+        den *= d * k
+        g = math.gcd(den, *(v for row in power for v in row.values()))
+        terms.append((den // g, tuple(tuple((j, v // g) for j, v in sorted(row.items())) for row in power)))
+        power = _sparse_matmul(power, m)
+    if any(power):
         raise NotNilpotent("matrix is not nilpotent (n^dim != 0)")
-    return acc
+    return ExpTerms(math.lcm(*(den_k for den_k, _ in terms)), tuple(terms))
+
+
+def _sparse_matmul(a: list[dict[int, int]], b: list[dict[int, int]]) -> list[dict[int, int]]:
+    out = []
+    for arow in a:
+        acc: dict[int, int] = {}
+        for t, x in arow.items():
+            for j, y in b[t].items():
+                acc[j] = acc.get(j, 0) + x * y
+        out.append({j: v for j, v in acc.items() if v})
+    return out
+
+
+def exp_product(dim: int, factors: Sequence[tuple[ExpTerms, Fraction]]) -> Mat:
+    """The exact product of exp(t N) over the (ExpTerms of N, t) factors, in order.
+
+    For t = a/b, exp(tN) is an integer matrix over b^degree * den.  The running
+    product is kept as integer rows over one common denominator, reduced by the
+    gcd of that denominator and all entries after each factor; the Fractions
+    are built once, at the end.
+    """
+    num = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    den = 1
+    for terms, t in factors:
+        a, b = t.numerator, t.denominator
+        deg = len(terms.terms)
+        scale = b**deg * terms.den
+        # exp(tN) * scale = scale * I + sum_k a^k b^(deg-k) (den / den_k) * term_k
+        coeffs = [a**k * b ** (deg - k) * (terms.den // den_k) for k, (den_k, _) in enumerate(terms.terms, 1)]
+        exp_rows = []
+        for i in range(dim):
+            row = {i: scale}
+            for c, (_, rows) in zip(coeffs, terms.terms):
+                for j, v in rows[i]:
+                    row[j] = row.get(j, 0) + c * v
+            exp_rows.append([(j, v) for j, v in row.items() if v])
+        prod = []
+        for arow in num:
+            out = [0] * dim
+            for x, row in zip(arow, exp_rows):
+                if x:
+                    for j, v in row:
+                        out[j] += x * v
+            prod.append(out)
+        num = prod
+        den *= scale
+        g = math.gcd(den, *(x for row in num for x in row))
+        if g > 1:
+            den //= g
+            num = [[x // g for x in row] for row in num]
+    return Mat(dim, dim, tuple(Fraction(x, den) for row in num for x in row))
+
+
+def nilpotent_exp(n: Mat) -> Mat:
+    """exp(n) as the finite exact series for nilpotent n."""
+    return exp_product(n.rows, [(exp_terms(n), Fraction(1))])
 
 
 # --- JSON round trip (exact rational strings) ---------------------------------

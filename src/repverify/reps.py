@@ -72,6 +72,11 @@ class RepConfig:
     u_minus_indices: tuple[int, ...]
     a_norm_sq: Fraction
 
+    def __hash__(self) -> int:
+        # Equal configs agree on these fields; the generated hash read every
+        # Fraction of h_basis on each lookup of a cache keyed by a config.
+        return hash((self.name, self.n, self.h_dim))
+
     def a_eigenvalue_of_generator(self, idx: int) -> Fraction:
         """ad(a)-eigenvalue of h_basis[idx], from the V-action bracket."""
         x = self.h_basis[idx]

@@ -210,6 +210,16 @@ class TestEstimate:
         assert est.lower_bound_gaussian >= 0.999
         assert est.converged
 
+    @pytest.mark.parametrize("e", [8, 10])
+    def test_nearly_dependent_maps_converge(self, e):
+        # maps [1, 0] and [1, 10^-e] at p = (1, 1): the constant is 1/|det| = 10^e;
+        # the aggregate form's determinant (about 10^-2e) is small only in scale
+        d = BLDatum(2, (BLMap(1, Mat.from_rows([[1, 0]])), BLMap(1, Mat.from_rows([[1, F(1, 10**e)]]))), (F(1), F(1)))
+        est = estimate_bl_constant(d, budget=200, seed=0)
+        assert est.converged and not est.bl_infinite
+        assert est.lower_bound_variational == pytest.approx(10.0**e, rel=1e-6)
+        assert est.lower_bound_gaussian == pytest.approx(10.0**e, rel=1e-6)
+
     def test_infeasible_signals_infinite(self):
         d = BLDatum(2, (BLMap(1, Mat.from_rows([[1, 0]])),), (F(2),))
         est = estimate_bl_constant(d, budget=300, seed=2)

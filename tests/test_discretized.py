@@ -256,9 +256,21 @@ class TestFrostmanBlocks:
         energies = sorted(_energy_reference(ps, 2**-6, 0.5, w) for w in ps.points)
         target = level * (energies[len(energies) // 2] if level < 1 else energies[-1])
         scale = 2.0**2 * (1.0 + 1.0 / (1.0 - 2.0 ** (0.5 - 1.0))) * ps.size
-        monkeypatch.setattr(discretized, "frostman_constant", lambda f, d, a: target / scale)
+        monkeypatch.setattr(discretized, "_frostman_from_counts", lambda counts, size, a: target / scale)
         monkeypatch.setattr(discretized, "PAIR_BLOCK", 7)
         assert frostman_energy_bound_check(ps, 2**-6, 1.0, 0.5) is verdict
+
+    def test_largest_energy_of_every_block_counts(self, monkeypatch):
+        # a bound just below / just above the largest energy, at one point per block
+        ps = generate_fractal(RandomSubset(2, 4, 0.6), seed=2)
+        energies = [_energy_reference(ps, 2**-6, 0.5, w) for w in ps.points]
+        assert int(np.argmax(energies)) != ps.size - 1  # not the last block's point
+        scale = 2.0**2 * (1.0 + 1.0 / (1.0 - 2.0 ** (0.5 - 1.0))) * ps.size
+        monkeypatch.setattr(discretized, "PAIR_BLOCK", 7)
+        for level, verdict in ((1 - 1e-9, False), (1 + 1e-9, True)):
+            c = level * max(energies) / scale
+            monkeypatch.setattr(discretized, "_frostman_from_counts", lambda counts, size, a, c=c: c)
+            assert frostman_energy_bound_check(ps, 2**-6, 1.0, 0.5) is verdict
 
 
 class TestGenerators:

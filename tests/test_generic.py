@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -21,10 +23,11 @@ from repverify.generic import (
     random_subspace,
     replay_recipe,
     sample_element,
+    sample_elements,
     submodularity_check,
     translate,
 )
-from repverify.qlinalg import Mat, Subspace, det, rank, subspace_intersect, subspace_sum
+from repverify.qlinalg import Mat, Subspace, det, mat_to_json, rank, subspace_intersect, subspace_sum
 from repverify.reps import build_config, flag_projector, weight_decompose
 
 F = Fraction
@@ -62,6 +65,38 @@ class TestSampling:
     def test_recipe_replays(self):
         cfg = build_config("so_pq:2,1")
         el = sample_element(cfg, 5, default_complexity(cfg))
+        assert replay_recipe(cfg, el.recipe) == el.matrix
+
+
+# sha256 of the first 5 elements of sample_elements(cfg, 42, 5): their matrices
+# (mat_to_json) and recipes, pinned before sampling moved to qlinalg.exp_product.
+SAMPLE_PINS = {
+    ("so_pq:2,1", 9999): "424bea6d8dc795d8f84aa299d385c2f14f34750aebde64e51c1f15b3f5b19ba5",
+    ("so_pq:2,1", 5): "82ecf4b40d311f06d654052b2771733a990fea11e471da446e760c8c0c2fb589",
+    ("so_pq:2,2", 9999): "b3a628d686cf9b83999437392b4c6a4066f1d75c75ec5fc406673c8e3f185665",
+    ("so_pq:2,2", 5): "7479959306765058f135c1f87d4acd113cf231c091663bd8c70116b6d7386eef",
+    ("so_pq:3,1", 9999): "fd90203bd29cca4c6409f34f3fb70868878911e9066185097794d7ccc773f47b",
+    ("so_pq:3,1", 5): "b7093ff1c2027d199ca58e985211fd9094629f570e992b48b46f570a816069df",
+    ("sp2n:2", 9999): "0c1457f9b854552459911fddf918c721704c79c5e93ef566e63d077fb819c96b",
+    ("sp2n:2", 5): "f2fed3e0369756e35e72b773f9c07a83a61f5cac15e1ea06951ad1ec99b66c8f",
+    ("tensor:2,2", 9999): "67aa4a5d669552259d113cce1631968bffe78bafe155494f1abdac07463bff49",
+    ("tensor:2,2", 5): "49b3bbf2cbccce205c77c131b792fcfbaf525274c742fa61f07ca865cbbc5490",
+    ("sl2_sym:4", 9999): "d33433e3a35f2b554a76369a8ff2d9de0e98326ce7444f3044ddd7bc65372224",
+    ("sl2_sym:4", 5): "1492bdcbe09750d76f83d935e6ff5657986c5fe12c50066210cf2d7a5d8ccf5f",
+    ("so_pq:3,2", 9999): "d5d6a9d18f6eb8a663bdf72f281e74632973e41e196ad864da5f1cedd6db58dc",
+    ("so_pq:3,2", 5): "2d71ca68db69b0c516102d5670cde7b94637095dea72bf23d3776292d5d066e3",
+    ("tensor_std:2,2", 9999): "08050d19d43ff9a6b06cb7a2e632a6f6d2d1b269f7c2c44e5de7d824cc2d4509",
+    ("tensor_std:2,2", 5): "b00542291f0df317a0c2915830adb78fa294d0aef7877c6088f904eff6f49220",
+}
+
+
+@pytest.mark.parametrize("name, height", sorted(SAMPLE_PINS))
+def test_sampled_elements_pinned(name, height):
+    cfg = build_config(name)
+    els = sample_elements(cfg, 42, 5, height=height)
+    payload = json.dumps([[mat_to_json(el.matrix), [[i, str(t)] for i, t in el.recipe]] for el in els])
+    assert hashlib.sha256(payload.encode()).hexdigest() == SAMPLE_PINS[(name, height)]
+    for el in els:
         assert replay_recipe(cfg, el.recipe) == el.matrix
 
 

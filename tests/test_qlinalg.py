@@ -17,6 +17,8 @@ from repverify.qlinalg import (
     Subspace,
     canonicalize,
     det,
+    exp_product,
+    exp_terms,
     kernel_basis,
     mat_from_json,
     mat_to_json,
@@ -276,3 +278,43 @@ def test_kernel_annihilates_property(m):
 def test_complement_involution_property(m):
     u = canonicalize(m)
     assert orthogonal_complement(orthogonal_complement(u)) == u
+
+
+@st.composite
+def nilpotent_matrix(draw, min_n=1, max_n=6):
+    """Strictly upper-triangular rational N, conjugated by a permutation so the
+    pattern is not always triangular."""
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
+    entry = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+    rows = [[draw(entry) if j > i else F(0) for j in range(n)] for i in range(n)]
+    perm = draw(st.permutations(range(n)))
+    return Mat.from_rows([[rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)])
+
+
+def power_series_exp(m):
+    """sum_k m^k / k! for k = 0..dim, by plain Fraction matrix products."""
+    acc, term = Mat.identity(m.rows), Mat.identity(m.rows)
+    for k in range(1, m.rows + 1):
+        term = (term @ m).scale(F(1, k))
+        acc = acc + term
+    return acc
+
+
+params = st.fractions(min_value=-99, max_value=99, max_denominator=97)
+
+
+@settings(max_examples=80, deadline=None)
+@given(nilpotent_matrix(), params)
+def test_nilpotent_exp_matches_power_series(n, t):
+    assert nilpotent_exp(n.scale(t)) == power_series_exp(n.scale(t))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_exp_product_matches_power_series(data):
+    dim = data.draw(st.integers(min_value=1, max_value=5))
+    factors = data.draw(st.lists(st.tuples(nilpotent_matrix(dim, dim), params), max_size=4))
+    expected = Mat.identity(dim)
+    for n, t in factors:
+        expected = expected @ power_series_exp(n.scale(t))
+    assert exp_product(dim, [(exp_terms(n), t) for n, t in factors]) == expected
