@@ -112,6 +112,7 @@ class BLEstimate:
     iterations: int
     converged: bool
     bl_infinite: bool = False
+    cause: str | None = None  # why bl_infinite: "common-kernel" (exact) or "unconverged"
 
 
 # --- construction ---------------------------------------------------------------
@@ -354,14 +355,16 @@ def estimate_bl_constant(d: BLDatum, budget: int, seed: int, restarts: int = 8) 
 
     The constant is reported infinite (bl_infinite) when the maps share a
     kernel direction, certified exactly by a rank deficit of the stacked maps
-    over Q, with both bounds math.inf; or when the scaling does not converge.
+    over Q, with both bounds math.inf (cause "common-kernel"); or when the
+    scaling does not converge, which is evidence but not proof (cause
+    "unconverged").  A finite constant has cause None.
     `seed` and `restarts` are accepted and have no effect: the result depends
     only on the datum and the budget.
     """
     if not d.scaling_holds():
         raise InvalidExponent("scaling condition fails; constant is trivially degenerate")
     if rank(reduce(Mat.vstack, (m.matrix for m in d.maps))) < d.n:
-        return BLEstimate(math.inf, math.inf, 0, False, bl_infinite=True)
+        return BLEstimate(math.inf, math.inf, 0, False, bl_infinite=True, cause="common-kernel")
     mats = d.numpy_maps()
     ps = [float(p) for p in d.exponents]
     a = np.eye(d.n)
@@ -382,7 +385,8 @@ def estimate_bl_constant(d: BLDatum, budget: int, seed: int, restarts: int = 8) 
                 a = a @ _inv_sqrt(s)
         except (FloatingPointError, OverflowError, SingularForm):
             pass  # the guard stops the loop; the last bounds computed stand
-    return BLEstimate(bounds[0], bounds[1], steps, converged, bl_infinite=not converged)
+    cause = None if converged else "unconverged"
+    return BLEstimate(bounds[0], bounds[1], steps, converged, bl_infinite=not converged, cause=cause)
 
 
 # --- serialization ---------------------------------------------------------------

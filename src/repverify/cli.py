@@ -164,6 +164,7 @@ def bl_main(argv=None) -> int:
         "iterations": est.iterations,
         "converged": est.converged,
         "bl_infinite": est.bl_infinite,
+        "cause": est.cause,
     }
     _write_out(json.dumps(payload, indent=2, sort_keys=True), args.out)
     return 0

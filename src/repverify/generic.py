@@ -9,6 +9,8 @@ threshold of 95%.
 
 from __future__ import annotations
 
+import math
+import operator
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -22,7 +24,8 @@ from .qlinalg import (
     canonicalize,
     exp_product,
     exp_terms,
-    rank,
+    independent_columns,
+    integer_columns,
     subspace_intersect,
     subspace_sum,
 )
@@ -147,8 +150,6 @@ def replay_recipe(cfg: RepConfig, recipe) -> Mat:
 
 
 def translate(h: Mat, s: Subspace) -> Subspace:
-    if s.dim == 0:
-        return s
     return canonicalize(h @ s.basis)
 
 
@@ -189,16 +190,13 @@ def generic_tree_dim(
     complexity = complexity or default_complexity(cfg)
     slots = tree.leaf_slots()
     report = TrialReport()
-    dims = Counter()
     for t in range(trials):
         leaves = []
         for li in range(len(slots)):
             h = sample_element(cfg, seed * 1_000_003 + t * 101 + li, complexity)
             leaves.append(translate(h.matrix, w))
-        d = eval_tree(tree, leaves).dim
-        dims[d] += 1
-        report.record(d, True)
-    k, count, unique = _modal(dims)
+        report.record(eval_tree(tree, leaves).dim, True)
+    k, count, unique = _modal(Counter(report.dimension_histogram))
     frac = count / trials
     report.stable = unique and frac >= STABILIZATION
     if not report.stable:
@@ -228,6 +226,13 @@ def sample_elements(
     return [sample_element(cfg, seed * 9_999_991 + t, complexity, height) for t in range(count)]
 
 
+def _translate_columns(h: Mat, cols: list[list[int]]) -> list[list[int]]:
+    """Integer columns spanning h.W from those of W, with h scaled by its common denominator."""
+    s = math.lcm(*(x.denominator for x in h.entries))
+    rows = [[x.numerator * (s // x.denominator) for x in h.row(i)] for i in range(h.rows)]
+    return [[sum(map(operator.mul, row, col)) for row in rows] for col in cols]
+
+
 def check_intersection_bound(
     cfg: RepConfig,
     w: Subspace,
@@ -239,6 +244,7 @@ def check_intersection_bound(
 ) -> TrialReport:
     """Per trial: dim((h.W) cap W') <= (dim W / n) dim W', compared exactly.
 
+    The dimension is dim W + dim W' - rank [h.W | W'], the rank taken over Z.
     A pre-sampled element list may be shared across (W, W') pairs; each pair
     still gets one exact check per trial.
     """
@@ -248,36 +254,29 @@ def check_intersection_bound(
     if len(elements) < trials:
         raise PreconditionError("not enough pre-sampled elements")
     k, n = w.dim, cfg.n
+    wc, wpc = integer_columns(w.basis), integer_columns(w_prime.basis)
     report = TrialReport()
-    for t in range(trials):
-        h = elements[t]
-        d = subspace_intersect(translate(h.matrix, w), w_prime).dim
-        passed = d * n <= k * w_prime.dim
-        report.record(d, passed, witness=(h.seed, h.recipe))
+    for h in elements[:trials]:
+        d = k + w_prime.dim - len(independent_columns(_translate_columns(h.matrix, wc) + wpc))
+        report.record(d, d * n <= k * w_prime.dim, witness=(h.seed, h.recipe))
     return report
 
 
 def check_projection_bound(
     cfg: RepConfig, w: Subspace, w_prime: Subspace, trials: int, seed: int, complexity: int | None = None
 ) -> TrialReport:
-    """Per trial: rank(pi_{h.W}|_{W'}) >= (dim W / n) dim W', plus the exact
-    transpose-duality identity rank(pi_W o h|_{W'}) = rank(pi_{h^t.W}|_{W'})."""
+    """Per trial: rank(pi_{h.W}|_{W'}) >= (dim W / n) dim W', with the rank of
+    the k x k' integer matrix (h.W)^T W' taken over Z."""
     _require_bound_inputs(cfg, w, w_prime)
     complexity = complexity or default_complexity(cfg)
     k, n = w.dim, cfg.n
+    wc, wpc = integer_columns(w.basis), integer_columns(w_prime.basis)
     report = TrialReport()
     for t in range(trials):
         h = sample_element(cfg, seed * 7_777_777 + t, complexity)
-        hw = translate(h.matrix, w)
-        r = rank(hw.basis.transpose() @ w_prime.basis)
-        lhs = rank(w.basis.transpose() @ h.matrix @ w_prime.basis)
-        rhs = rank(translate(h.matrix.transpose(), w).basis.transpose() @ w_prime.basis)
-        if lhs != rhs:
-            report.record(r, False, witness=(h.seed, h.recipe))
-            report.notes.append(f"duality identity failed at trial {t}")
-            continue
-        passed = r * n >= k * w_prime.dim
-        report.record(r, passed, witness=(h.seed, h.recipe))
+        hwc = _translate_columns(h.matrix, wc)
+        r = len(independent_columns([[sum(map(operator.mul, a, b)) for a in hwc] for b in wpc]))
+        report.record(r, r * n >= k * w_prime.dim, witness=(h.seed, h.recipe))
     return report
 
 
@@ -287,31 +286,33 @@ def find_spanning_q(
     """Minimal q with generic h_1.W + ... + h_q.W = V, and the intersection
     dimensions k_{q'} = dim((sum_{i<q'} h_i.W) cap h_{q'}.W).
 
-    Asserts every k_{q'} < dim W and sum k_{q'} = q k - n on the modal outcome.
+    The sum is kept as independent integer columns of the h_i.W, and k_{q'} =
+    dim(sum) + dim W - rank [sum | h_{q'}.W], the rank taken over Z.  Asserts
+    every k_{q'} < dim W and sum k_{q'} = q k - n on the modal outcome.
     """
-    if w.dim == 0 or w.dim == cfg.n:
-        raise PreconditionError("w must be a nontrivial proper subspace")
-    verdict = check_irreducible(cfg)
-    if not verdict.is_absolutely_irreducible:
-        raise PreconditionError(f"configuration is not certified irreducible ({verdict.kind})")
+    if w.dim == cfg.n:
+        raise PreconditionError("w must be a proper subspace")
+    _require_bound_inputs(cfg, w, w)
     complexity = complexity or default_complexity(cfg)
     n, k = cfg.n, w.dim
+    wc = integer_columns(w.basis)
     outcomes: Counter = Counter()
     for t in range(trials):
         h = sample_element(cfg, seed * 31_337 + 7919 * t, complexity)
-        total = translate(h.matrix, w)
+        total = _translate_columns(h.matrix, wc)
         k_list: list[int] = []
         step = 1
-        while total.dim < n:
+        while len(total) < n:
             step += 1
             if step > n + 1:
                 raise IrreducibilityViolation(
                     "translates never span V; configuration looks reducible"
                 )
             h = sample_element(cfg, seed * 31_337 + 7919 * t + step, complexity)
-            hw = translate(h.matrix, w)
-            k_list.append(subspace_intersect(total, hw).dim)
-            total = subspace_sum(total, hw)
+            cols = total + _translate_columns(h.matrix, wc)
+            sel = independent_columns(cols)
+            k_list.append(len(total) + k - len(sel))
+            total = [cols[i] for i in sel]
         outcomes[(step, tuple(k_list))] += 1
     (q, k_list), _, _ = _modal(outcomes)
     if any(kq >= k for kq in k_list):
@@ -335,8 +336,6 @@ def submodularity_check(w_prime: Subspace, w1: Subspace, w2: Subspace) -> bool:
 
 def random_subspace(n: int, dim: int, rng: random.Random) -> Subspace:
     """Random rational subspace of the given dimension (exact)."""
-    if dim == 0:
-        return Subspace.zero(n)
     while True:
         cols = [
             [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]

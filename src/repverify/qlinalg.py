@@ -5,9 +5,16 @@ intersections and orthogonal complements are exact.  Subspaces are kept in
 reduced column echelon form, which makes subspace equality a plain value
 comparison.
 
-Every elimination goes through the one pivot step `_pivot`: the column sweep
-`_rref_rows` (behind rank, det, inverses, solves, kernels and canonical
-bases) and the incremental `RowSpan.add` both call it.
+Every elimination over Q goes through the one pivot step `_pivot`: the column
+sweep `_rref_rows` (behind rank, det, solves, kernels and canonical bases) and
+the incremental `RowSpan.add` both call it.
+
+Ranks that need no basis go through the one integer kernel
+`independent_columns`, on columns cleared of denominators by
+`integer_columns`: it eliminates mod a 31-bit prime p and keeps that answer
+only when the mod-p rank reaches min(#columns, length), which certifies it
+(rank_p <= rank_Q <= min, and a minor nonzero mod p is nonzero over Z); any
+smaller mod-p rank is recomputed by Bareiss elimination over Z.
 
 Every unipotent exponential goes through the one exp kernel `exp_product`:
 it multiplies exp(t N) factors from the terms N^k/k! of each N (`exp_terms`)
@@ -224,15 +231,63 @@ def det(m: Mat) -> Fraction:
     return d if len(pivots) == m.rows else Fraction(0)
 
 
-def mat_inverse(m: Mat) -> Mat:
-    if m.rows != m.cols:
-        raise DimensionMismatch("inverse of non-square matrix")
-    n = m.rows
-    aug = [list(m.row(i)) + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    aug, pivots, _ = _rref_rows(aug)
-    if len(pivots) < n:
-        raise LinAlgError("matrix is singular")
-    return Mat.from_rows([row[n:] for row in aug])
+MODULUS = 2**31 - 1
+
+
+def integer_columns(m: Mat) -> list[list[int]]:
+    """The columns of m, each scaled by the lcm of its denominators; scaling a
+    column keeps its span."""
+    cols = []
+    for j in range(m.cols):
+        col = m.col(j)
+        s = math.lcm(*(x.denominator for x in col))
+        cols.append([x.numerator * (s // x.denominator) for x in col])
+    return cols
+
+
+def independent_columns(vecs: Sequence[Sequence[int]]) -> list[int]:
+    """Indices of a maximal independent subset of the integer vectors vecs, so
+    its length is their rank over Q.
+
+    Eliminates mod MODULUS first.  rank_p <= rank_Q <= min(#vecs, length), and a
+    minor that is nonzero mod p is nonzero over Z, so a mod-p count that reaches
+    the minimum is the exact rank and its columns are an exact basis of the span.
+    Any smaller count is recomputed by fraction-free Bareiss elimination over Z.
+    """
+    rows = [[x % MODULUS for x in row] for row in zip(*vecs)]
+    pivots = _pivot_columns(rows, MODULUS)
+    if len(pivots) == min(len(vecs), len(rows)):
+        return pivots
+    return _pivot_columns([list(row) for row in zip(*vecs)], None)
+
+
+def _pivot_columns(rows: list[list[int]], modulus: int | None) -> list[int]:
+    """Pivot columns of an integer matrix by a column sweep, in place: mod
+    `modulus`, or over Z by Bareiss (each update is exactly divisible by the
+    previous pivot) when it is None.  Zero columns below the pivots are skipped."""
+    nrows = len(rows)
+    pivots: list[int] = []
+    prev, r = 1, 0
+    for c in range(len(rows[0]) if rows else 0):
+        i = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if i is None:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        prow = rows[r]
+        p = prow[c]
+        for i in range(r + 1, nrows):
+            row = rows[i]
+            f = row[c]
+            if modulus:
+                if f:
+                    rows[i] = [(p * x - f * y) % modulus for x, y in zip(row, prow)]
+            else:
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, prow)]
+        pivots.append(c)
+        prev, r = p, r + 1
+        if r == nrows:
+            break
+    return pivots
 
 
 def solve_exact(m: Mat, rhs: Mat) -> Mat:
@@ -388,16 +443,6 @@ def orthogonal_complement(u: Subspace) -> Subspace:
     if u.dim == 0:
         return Subspace.full(u.ambient_dim)
     return kernel_basis(u.basis.transpose())
-
-
-def projection_matrix(u: Subspace) -> Mat:
-    """Orthogonal projection onto u: B (B^T B)^{-1} B^T, exact."""
-    n = u.ambient_dim
-    if u.dim == 0:
-        return Mat.zeros(n, n)
-    b = u.basis
-    gram_inv = mat_inverse(b.transpose() @ b)
-    return b @ gram_inv @ b.transpose()
 
 
 @dataclass(frozen=True)

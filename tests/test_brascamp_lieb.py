@@ -202,7 +202,7 @@ class TestEstimate:
         est = estimate_bl_constant(holder_datum(3, 2), budget=200, seed=1)
         assert est.lower_bound_variational >= 0.999
         assert est.lower_bound_gaussian >= 0.999
-        assert not est.bl_infinite
+        assert not est.bl_infinite and est.cause is None
 
     def test_loomis_whitney_reaches_one(self):
         est = estimate_bl_constant(loomis_whitney_datum(), budget=200, seed=1)
@@ -223,7 +223,7 @@ class TestEstimate:
     def test_infeasible_signals_infinite(self):
         d = BLDatum(2, (BLMap(1, Mat.from_rows([[1, 0]])),), (F(2),))
         est = estimate_bl_constant(d, budget=300, seed=2)
-        assert est.bl_infinite
+        assert est.bl_infinite and est.cause == "common-kernel"
 
     def test_infeasible_without_common_kernel_signals_infinite(self):
         # U = span(e_2) violates the criterion (1 > 2/3), yet no direction is
@@ -236,6 +236,7 @@ class TestEstimate:
         assert check_feasibility(d, "lattice").status == "violated"
         est = estimate_bl_constant(d, budget=10, seed=0)
         assert est.bl_infinite and not est.converged
+        assert est.cause == "unconverged"
 
     def test_overflowing_bound_is_infinite(self):
         d = BLDatum(2, (BLMap(1, Mat.from_rows([[1, 0]])),), (F(2),))

@@ -192,6 +192,53 @@ class TestIntersectionBound:
             check_intersection_bound(cfg, Subspace.zero(3), Subspace.full(3), 5, 0)
 
 
+def _intersection_cases():
+    for name in ("so_pq:2,1", "sl2_sym:4"):
+        cfg, _, flags = flags_of(name)
+        yield from ((cfg, w, wp) for w in flags for wp in flags)
+    plane = Subspace.from_columns(4, [[1, 0, 0, 0], [0, 0, 1, 0]])
+    yield build_config("tensor_std:2,2"), plane, Subspace.from_columns(4, [[1, 0, 0, 0], [0, 1, 0, 0]])
+
+
+@pytest.mark.parametrize("height", [9999, 1])
+def test_intersection_trials_match_subspace_intersect(height):
+    # every trial's rank-only dimension equals the canonical subspace calculus;
+    # at height 1 (t in {-1, 0, 1}) half the elements are non-generic, so the
+    # mod-p rank falls short and Bareiss decides
+    cases = list(_intersection_cases())
+    elements = {cfg.name: sample_elements(cfg, 17, 8, height=height) for cfg, _, _ in cases}
+    for cfg, w, wp in cases:
+        for el in elements[cfg.name]:
+            rep = check_intersection_bound(cfg, w, wp, 1, 0, elements=[el])
+            assert rep.dimension_histogram == {subspace_intersect(translate(el.matrix, w), wp).dim: 1}
+
+
+# Criterion 3's configs at seed 11, pinned before the checks moved to integer
+# ranks; configs of equal n agree.  PROJECTION_PINS[n][i][j] is the rank of
+# every one of 10 projection trials on flags i, j; SPANNING_PINS[n][i] is
+# find_spanning_q on flag i with 10 trials.
+CRITERION_3_CONFIGS = ("so_pq:2,1", "so_pq:2,2", "so_pq:3,1", "sp2n:2", "tensor:2,2", "sl2_sym:4")
+PROJECTION_PINS = {
+    5: [[4, 3, 2, 1], [3, 3, 2, 1], [2, 2, 2, 1], [1, 1, 1, 1]],
+    9: [[8, 6, 3, 1], [6, 6, 3, 1], [3, 3, 3, 1], [1, 1, 1, 1]],
+}
+SPANNING_PINS = {
+    5: [(2, (3,)), (2, (1,)), (3, (0, 1)), (5, (0, 0, 0, 0))],
+    9: [(2, (7,)), (2, (3,)), (4, (0, 1, 2)), (9, (0, 0, 0, 0, 0, 0, 0, 0))],
+}
+
+
+@pytest.mark.parametrize("name", CRITERION_3_CONFIGS)
+def test_projection_and_spanning_pinned(name):
+    cfg, _, flags = flags_of(name)
+    for i, w in enumerate(flags):
+        assert find_spanning_q(cfg, w, trials=10, seed=11) == SPANNING_PINS[cfg.n][i]
+        for j, wp in enumerate(flags):
+            rep = check_projection_bound(cfg, w, wp, 10, 11)
+            assert rep.dimension_histogram == {PROJECTION_PINS[cfg.n][i][j]: 10}
+            assert rep.all_passed and not rep.notes
+
+
 class TestProjectionBound:
     def test_full_space_projects_fully(self):
         cfg = build_config("sl2_sym:2")

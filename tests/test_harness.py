@@ -159,7 +159,8 @@ class TestCLI:
         out2 = tmp_path / "est.json"
         assert bl_main(["estimate", "--datum", str(datum_path), "--budget", "100",
                         "--seed", "1", "--out", str(out2)]) == 0
-        assert json.loads(out2.read_text())["lower_bound_gaussian"] >= 0.999
+        doc = json.loads(out2.read_text())
+        assert doc["lower_bound_gaussian"] >= 0.999 and doc["cause"] is None
 
     def test_bl_estimate_writes_strict_json(self, tmp_path):
         from repverify.brascamp_lieb import BLDatum, BLMap, datum_to_json
@@ -176,7 +177,7 @@ class TestCLI:
 
         doc = json.loads(out.read_text(), parse_constant=reject)
         assert doc["lower_bound_variational"] is None and doc["lower_bound_gaussian"] is None
-        assert doc["bl_infinite"] is True
+        assert doc["bl_infinite"] is True and doc["cause"] == "common-kernel"
 
     def test_proj_exp(self, tmp_path):
         out = tmp_path / "p.json"

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repverify.qlinalg import (
+    MODULUS,
     DimensionMismatch,
     Mat,
     NotNilpotent,
@@ -19,12 +20,13 @@ from repverify.qlinalg import (
     det,
     exp_product,
     exp_terms,
+    independent_columns,
+    integer_columns,
     kernel_basis,
     mat_from_json,
     mat_to_json,
     nilpotent_exp,
     orthogonal_complement,
-    projection_matrix,
     rank,
     subspace_from_json,
     subspace_intersect,
@@ -209,16 +211,37 @@ class TestNilpotentExp:
             assert det(nilpotent_exp(m)) == 1
 
 
-class TestProjection:
-    def test_projection_properties(self):
-        rng = random.Random(41)
-        for _ in range(10):
-            n = rng.randint(1, 5)
-            u = random_subspace(rng, n, rng.randint(0, n))
-            p = projection_matrix(u)
-            assert p @ p == p
-            assert p.transpose() == p
-            assert canonicalize(p) == u or u.dim == 0
+class TestIndependentColumns:
+    def test_integer_columns_clear_each_column(self):
+        m = Mat.from_rows([[F(1, 2), F(2, 3)], [F(1, 4), 1]])
+        assert integer_columns(m) == [[2, 1], [2, 3]]
+
+    def test_full_rank_mod_p_is_kept(self):
+        assert independent_columns([[1, 2], [3, 4], [5, 6]]) == [0, 1]
+        assert independent_columns([]) == []
+
+    def test_deficient_mod_p_full_over_q(self):
+        # (p, 0) vanishes mod p; only the Bareiss recount sees rank 2
+        assert independent_columns([[MODULUS, 0], [0, 1]]) == [0, 1]
+
+    def test_deficient_mod_p_and_over_q(self):
+        # rank 1 mod p, rank 2 over Q, below min(3, 3) both ways
+        cols = [[MODULUS, 0, 0], [0, 1, 0], [MODULUS, 1, 0]]
+        assert independent_columns(cols) == [0, 1]
+
+    def test_bareiss_recount_matches_rank(self):
+        # every column a multiple of p, so every rank is recounted over Z; the
+        # sparse entries leave zeros below pivots, which Bareiss must rescale too
+        rng = random.Random(5)
+        for _ in range(3000):
+            n, c = rng.randint(1, 6), rng.randint(1, 7)
+            cols = [[0 if rng.random() < 0.5 else rng.randint(-9, 9) for _ in range(n)] for _ in range(c)]
+            sel = independent_columns([[MODULUS * x for x in col] for col in cols])
+            assert len(sel) == rank(Mat.from_cols(cols))
+            assert rank(Mat.from_cols([cols[i] for i in sel]) if sel else Mat(n, 0, ())) == len(sel)
+
+    def test_zero_columns_are_skipped(self):
+        assert independent_columns([[0, 0, 0], [0, 2, 0], [0, 0, 0], [0, 4, 0], [1, 1, 1]]) == [1, 4]
 
 
 class TestSerialization:
@@ -255,6 +278,36 @@ def test_dim_formula_property(a, b):
     s = subspace_sum(u, w)
     i = subspace_intersect(u, w)
     assert s.dim + i.dim == u.dim + w.dim
+
+
+@st.composite
+def int_or_frac_matrix(draw):
+    """A random rational matrix, half of its entries zero, or a product A B of
+    small inner dimension (rank deficient); some columns are scaled by MODULUS
+    so that they vanish mod p."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    c = draw(st.integers(min_value=1, max_value=7))
+    entry = st.one_of(st.just(F(0)), small_fracs)
+
+    def mat(rows, cols):
+        return Mat.from_rows(draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)))
+
+    if draw(st.booleans()):
+        inner = draw(st.integers(min_value=1, max_value=3))
+        m = mat(n, inner) @ mat(inner, c)
+    else:
+        m = mat(n, c)
+    scaled = draw(st.lists(st.booleans(), min_size=c, max_size=c))
+    return Mat.from_cols([[x * MODULUS if s else x for x in m.col(j)] for j, s in enumerate(scaled)])
+
+
+@settings(max_examples=120, deadline=None)
+@given(int_or_frac_matrix())
+def test_independent_columns_rank_property(m):
+    cols = integer_columns(m)
+    sel = independent_columns(cols)
+    assert len(sel) == rank(m)
+    assert rank(Mat.from_cols([cols[i] for i in sel]) if sel else Mat(m.rows, 0, ())) == len(sel)
 
 
 @settings(max_examples=60, deadline=None)
