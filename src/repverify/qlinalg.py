@@ -1,17 +1,21 @@
 """Exact rational matrices and the subspace calculus used everywhere else.
 
-All arithmetic is over Q via fractions.Fraction, so ranks, kernels, sums,
+Matrices, vectors and subspace bases are Fractions, so ranks, kernels, sums,
 intersections and orthogonal complements are exact.  Subspaces are kept in
 reduced column echelon form, which makes subspace equality a plain value
 comparison.
 
-Every elimination over Q goes through the one pivot step `_pivot`: the column
-sweep `_rref_rows` (behind rank, det, solves, kernels and canonical bases) and
-the incremental `RowSpan.add` both call it.
+Every elimination runs on integer rows in the one column sweep
+`_pivot_columns`; Fractions are cleared on the way in (each vector times the
+lcm of its denominators) and built once on the way out.  Over Z the sweep is
+fraction-free Bareiss elimination (each update (p x - f y) // prev is exact),
+forward-only for ranks and determinants (the last pivot), or Gauss-Jordan for
+canonical bases, kernels and solves, where each pivot row ends as its reduced
+row echelon row times the last pivot.  `RowSpan` keeps its rows in that form
+and absorbs each new vector by one such step.
 
-Ranks that need no basis go through the one integer kernel
-`independent_columns`, on columns cleared of denominators by
-`integer_columns`: it eliminates mod a 31-bit prime p and keeps that answer
+Ranks go through `independent_columns`, on columns cleared of denominators by
+`integer_columns`: it runs the sweep mod a 31-bit prime p and keeps that answer
 only when the mod-p rank reaches min(#columns, length), which certifies it
 (rank_p <= rank_Q <= min, and a minor nonzero mod p is nonzero over Z); any
 smaller mod-p rank is recomputed by Bareiss elimination over Z.
@@ -102,9 +106,6 @@ class Mat:
     def col(self, j: int) -> tuple[Fraction, ...]:
         return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
-    def to_rows(self) -> list[list[Fraction]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
     def transpose(self) -> "Mat":
         return Mat(
             self.cols,
@@ -176,59 +177,23 @@ class Mat:
         return [[float(x) for x in self.row(i)] for i in range(self.rows)]
 
 
-def _pivot(rows: list[list[Fraction]], r: int, c: int) -> Fraction:
-    """The one elimination step: scale rows[r] to a leading 1 in column c and
-    clear column c from every other row.  Returns the entry it divided by."""
-    p = rows[r][c]
-    if p != 1:
-        inv = Fraction(1) / p
-        rows[r] = [x * inv for x in rows[r]]
-    prow = rows[r]
-    for i, row in enumerate(rows):
-        f = row[c]
-        if f != 0 and i != r:
-            rows[i] = [x - f * y for x, y in zip(row, prow)]
-    return p
-
-
-def _rref_rows(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int], Fraction]:
-    """In-place reduced row echelon form by a column sweep of _pivot.
-
-    Returns (rows, pivot column indices, signed product of the pivot entries);
-    the product is the determinant when the matrix is square and nonsingular.
-    """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots: list[int] = []
-    d = Fraction(1)
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        if pivot != r:
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            d = -d
-        d *= _pivot(rows, r, c)
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots, d
+def _integer(vec: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(s, s * vec) for s the lcm of the denominators of vec."""
+    s = math.lcm(*(x.denominator for x in vec))
+    return s, [x.numerator * (s // x.denominator) for x in vec]
 
 
 def rank(m: Mat) -> int:
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    _, pivots, _ = _rref_rows(m.to_rows())
-    return len(pivots)
+    return len(independent_columns(integer_columns(m)))
 
 
 def det(m: Mat) -> Fraction:
+    """The last Bareiss pivot of s m over s^n, for s the lcm of m's denominators."""
     if m.rows != m.cols:
         raise DimensionMismatch("determinant of non-square matrix")
-    _, pivots, d = _rref_rows(m.to_rows())
-    return d if len(pivots) == m.rows else Fraction(0)
+    s, ents = _integer(m.entries)
+    pivots, d = _pivot_columns([ents[i * m.cols : (i + 1) * m.cols] for i in range(m.rows)], None)
+    return Fraction(d, s**m.rows) if len(pivots) == m.rows else Fraction(0)
 
 
 MODULUS = 2**31 - 1
@@ -237,12 +202,7 @@ MODULUS = 2**31 - 1
 def integer_columns(m: Mat) -> list[list[int]]:
     """The columns of m, each scaled by the lcm of its denominators; scaling a
     column keeps its span."""
-    cols = []
-    for j in range(m.cols):
-        col = m.col(j)
-        s = math.lcm(*(x.denominator for x in col))
-        cols.append([x.numerator * (s // x.denominator) for x in col])
-    return cols
+    return [_integer(m.col(j))[1] for j in range(m.cols)]
 
 
 def independent_columns(vecs: Sequence[Sequence[int]]) -> list[int]:
@@ -255,16 +215,23 @@ def independent_columns(vecs: Sequence[Sequence[int]]) -> list[int]:
     Any smaller count is recomputed by fraction-free Bareiss elimination over Z.
     """
     rows = [[x % MODULUS for x in row] for row in zip(*vecs)]
-    pivots = _pivot_columns(rows, MODULUS)
+    pivots, _ = _pivot_columns(rows, MODULUS)
     if len(pivots) == min(len(vecs), len(rows)):
         return pivots
-    return _pivot_columns([list(row) for row in zip(*vecs)], None)
+    return _pivot_columns([list(row) for row in zip(*vecs)], None)[0]
 
 
-def _pivot_columns(rows: list[list[int]], modulus: int | None) -> list[int]:
-    """Pivot columns of an integer matrix by a column sweep, in place: mod
-    `modulus`, or over Z by Bareiss (each update is exactly divisible by the
-    previous pivot) when it is None.  Zero columns below the pivots are skipped."""
+def _pivot_columns(rows: list[list[int]], modulus: int | None, reduced: bool = False) -> tuple[list[int], int]:
+    """Pivot columns and last pivot of an integer matrix, by a column sweep in
+    place: mod `modulus`, or over Z by Bareiss (each update is exactly divisible
+    by the previous pivot) when it is None.  Zero columns below the pivots are
+    skipped.
+
+    A row swap negates the row it moves down, so the determinant keeps its sign
+    and the last pivot of a square nonsingular matrix is its determinant.  With
+    `reduced` (over Z) the rows above each pivot are cleared too, and at the end
+    every pivot row is its reduced row echelon row times the last pivot.
+    """
     nrows = len(rows)
     pivots: list[int] = []
     prev, r = 1, 0
@@ -272,70 +239,100 @@ def _pivot_columns(rows: list[list[int]], modulus: int | None) -> list[int]:
         i = next((i for i in range(r, nrows) if rows[i][c]), None)
         if i is None:
             continue
-        rows[r], rows[i] = rows[i], rows[r]
+        if i != r:
+            rows[r], rows[i] = rows[i], [-x for x in rows[r]]
         prow = rows[r]
         p = prow[c]
-        for i in range(r + 1, nrows):
+        for i in range(0 if reduced else r + 1, nrows):
             row = rows[i]
             f = row[c]
             if modulus:
                 if f:
                     rows[i] = [(p * x - f * y) % modulus for x, y in zip(row, prow)]
-            else:
+            elif i != r:
                 rows[i] = [(p * x - f * y) // prev for x, y in zip(row, prow)]
         pivots.append(c)
         prev, r = p, r + 1
         if r == nrows:
             break
-    return pivots
+    return pivots, prev
+
+
+def _kernel_vectors(rows: list[list[int]], ncols: int) -> list[list[int]]:
+    """Integer vectors spanning the kernel of the integer matrix rows (consumed):
+    one per free column f, d e_f - sum_r rows[r][f] e_(pivot r) with d the last
+    pivot of the reduced sweep."""
+    pivots, d = _pivot_columns(rows, None, reduced=True)
+    out = []
+    for f in sorted(set(range(ncols)) - set(pivots)):
+        v = [0] * ncols
+        v[f] = d
+        for row, p in zip(rows, pivots):
+            v[p] = -row[f]
+        out.append(v)
+    return out
 
 
 def solve_exact(m: Mat, rhs: Mat) -> Mat:
     """Solve m @ X = rhs for a consistent system with full column rank m."""
-    aug = [list(m.row(i)) + list(rhs.row(i)) for i in range(m.rows)]
-    aug, pivots, _ = _rref_rows(aug)
+    aug = [_integer(m.row(i) + rhs.row(i))[1] for i in range(m.rows)]
+    pivots, d = _pivot_columns(aug, None, reduced=True)
     # a pivot in the rhs columns is an inconsistent row; rows past the pivots are zero
     if len(pivots) < m.cols or any(p >= m.cols for p in pivots):
         raise LinAlgError("system is inconsistent or underdetermined")
-    return Mat.from_rows([row[m.cols :] for row in aug[: m.cols]])
+    return Mat(m.cols, rhs.cols, tuple(Fraction(x, d) for row in aug[: m.cols] for x in row[m.cols :]))
 
 
 class RowSpan:
-    """Incrementally maintained reduced row echelon span of exact vectors.
+    """Incrementally maintained row span of exact vectors, kept over Z.
 
     Used for algebra closures and membership tests: add() reduces a vector
-    against the current span and absorbs any new direction.  Each stored row
-    is zero in every other row's pivot column, so reduction order is free.
+    against the current span and absorbs any new direction.  The stored rows
+    are the reduced row echelon rows times their common pivot d, so each is
+    zero in every other row's pivot column and reduction order is free.
     """
 
     def __init__(self, length: int):
         self.length = length
-        self._rows: list[list[Fraction]] = []
+        self._rows: list[list[int]] = []
         self._pivots: list[int] = []
+        self._d = 1
 
     @property
     def dim(self) -> int:
         return len(self._rows)
 
-    def reduce(self, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        v = list(vec)
+    def _residual(self, vec: Sequence[Fraction]) -> tuple[list[int], int]:
+        """(w, s): with v = s * vec integer, w = d v - sum_i v[pivot i] row_i,
+        which is d s times the reduced vector."""
+        if len(vec) != self.length:
+            raise DimensionMismatch("vector length mismatch")
+        s, v = _integer(vec)
+        w = [self._d * x for x in v]
         for p, row in zip(self._pivots, self._rows):
             f = v[p]
-            if f != 0:
-                v = [a - f * b for a, b in zip(v, row)]
-        return tuple(v)
+            if f:
+                w = [a - f * b for a, b in zip(w, row)]
+        return w, s
+
+    def reduce(self, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
+        w, s = self._residual(vec)
+        return tuple(Fraction(x, self._d * s) for x in w)
 
     def contains(self, vec: Sequence[Fraction]) -> bool:
-        return all(x == 0 for x in self.reduce(vec))
+        return not any(self._residual(vec)[0])
 
     def add(self, vec: Sequence[Fraction]) -> bool:
-        v = self.reduce(vec)
-        p = next((i for i, x in enumerate(v) if x != 0), None)
-        if p is None:
+        w, _ = self._residual(vec)
+        c = next((i for i, x in enumerate(w) if x), None)
+        if c is None:
             return False
-        self._rows.append(list(v))
-        self._pivots.append(p)
-        _pivot(self._rows, len(self._rows) - 1, p)
+        q, d = w[c], self._d
+        # one Bareiss step: row_i -> (q row_i - row_i[c] w) / d, exact by Sylvester's identity
+        self._rows = [[(q * x - row[c] * y) // d for x, y in zip(row, w)] for row in self._rows]
+        self._rows.append(w)
+        self._pivots.append(c)
+        self._d = q
         return True
 
 
@@ -370,15 +367,13 @@ class Subspace:
     def from_columns(n: int, cols: Sequence[Sequence]) -> "Subspace":
         if not cols:
             return Subspace.zero(n)
-        return canonicalize(Mat.from_cols([[_rat(x) for x in c] for c in cols]))
+        return canonicalize(Mat.from_cols(cols))
 
     def contains_vector(self, vec: Sequence[Fraction]) -> bool:
-        if len(vec) != self.ambient_dim:
-            raise DimensionMismatch("vector length mismatch")
         span = RowSpan(self.ambient_dim)
-        for j in range(self.dim):
-            span.add(self.basis.col(j))
-        return span.contains(tuple(_rat(x) for x in vec))
+        for col in self.column_vectors():
+            span.add(col)
+        return span.contains(vec)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return subspace_sum(self, other) == self
@@ -389,29 +384,20 @@ class Subspace:
 
 def canonicalize(m: Mat) -> Subspace:
     """Column span of m as a canonical Subspace (reduced column echelon form)."""
-    if m.cols == 0:
-        return Subspace(m.rows, Mat(m.rows, 0, ()))
-    rows, pivots, _ = _rref_rows(m.transpose().to_rows())
-    if not pivots:
-        return Subspace(m.rows, Mat(m.rows, 0, ()))
-    return Subspace(m.rows, Mat.from_cols(rows[: len(pivots)]))
+    return _span(m.rows, integer_columns(m))
+
+
+def _span(n: int, vecs: list[list[int]]) -> Subspace:
+    """The canonical Subspace spanned by integer vectors of length n (consumed):
+    the reduced sweep's pivot rows over its last pivot."""
+    pivots, d = _pivot_columns(vecs, None, reduced=True)
+    k = len(pivots)
+    return Subspace(n, Mat(n, k, tuple(Fraction(vecs[j][i], d) for i in range(n) for j in range(k))))
 
 
 def kernel_basis(m: Mat) -> Subspace:
     """ker(m) as a Subspace of the domain; dimension cols - rank(m)."""
-    rows, pivots, _ = _rref_rows(m.to_rows())
-    pivset = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivset]
-    cols = []
-    for f in free:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -rows[r][f]
-        cols.append(v)
-    if not cols:
-        return Subspace.zero(m.cols)
-    return canonicalize(Mat.from_cols(cols))
+    return _span(m.cols, _kernel_vectors([_integer(m.row(i))[1] for i in range(m.rows)], m.cols))
 
 
 def subspace_sum(u: Subspace, w: Subspace) -> Subspace:
@@ -425,17 +411,23 @@ def subspace_sum(u: Subspace, w: Subspace) -> Subspace:
 
 
 def subspace_intersect(u: Subspace, w: Subspace) -> Subspace:
-    """u cap w via the kernel of the stacked block matrix [B_u | -B_w]."""
+    """u cap w as W y over the kernel of the constraints x = B_u x[P] on x = W y,
+    for the larger of the two canonical bases B_u (pivot rows P) and the integer
+    columns W of the other; the rows of B_u are scaled to integers one by one."""
     if u.ambient_dim != w.ambient_dim:
         raise DimensionMismatch("ambient dimension mismatch in intersection")
     if u.dim == 0 or w.dim == 0:
         return Subspace.zero(u.ambient_dim)
-    stacked = u.basis.hstack(-w.basis)
-    ker = kernel_basis(stacked)
-    if ker.dim == 0:
-        return Subspace.zero(u.ambient_dim)
-    top = Mat.from_rows([ker.basis.row(i) for i in range(u.dim)])
-    return canonicalize(u.basis @ top)
+    if u.dim < w.dim:
+        u, w = w, u
+    n, cols = u.ambient_dim, integer_columns(w.basis)
+    pivots = [next(i for i, x in enumerate(col) if x) for col in u.column_vectors()]
+    rows = []
+    for i in sorted(set(range(n)) - set(pivots)):
+        r, b = _integer(u.basis.row(i))
+        rows.append([r * col[i] - sum(x * col[p] for x, p in zip(b, pivots)) for col in cols])
+    ker = _kernel_vectors(rows, len(cols))
+    return _span(n, [[sum(y * col[i] for y, col in zip(v, cols)) for i in range(n)] for v in ker])
 
 
 def orthogonal_complement(u: Subspace) -> Subspace:
@@ -563,5 +555,7 @@ def subspace_to_json(s: Subspace) -> dict:
 
 
 def subspace_from_json(obj: dict) -> Subspace:
-    return Subspace(int(obj["ambient_dim"]), mat_from_json(obj["basis"]))
+    """Loads through canonicalize, so a stored basis that is not canonical (or
+    not independent) gives the same Subspace as its span."""
+    return Subspace(int(obj["ambient_dim"]), canonicalize(mat_from_json(obj["basis"])).basis)
 

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import inspect
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import repverify
 from repverify import harness, reps
 from repverify.cli import bl_main, genericdim_main, main, oppenheim_main, proj_exp_main
 from repverify.harness import (
@@ -220,3 +223,25 @@ def test_report_csv_trial_rows():
     rep = run_suite(SuiteConfig("generic-dim", master_seed=4, scale=0.1))
     csv = emit_report(rep, "csv")
     assert csv.splitlines()[0] == "name,passed"
+
+
+def test_benchmark_tracer_installs():
+    """benchmark/tracing.py resolves every layer name it wraps with
+    inspect.getattr_static, so a renamed or deleted public method (say
+    RowSpan.reduce) breaks `--trace 1`; the probes also call the names below."""
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "import tracing\n"
+        "from repverify import generic, qlinalg\n"
+        "tracing.install(tracing.Tracer())\n"
+        "names = (qlinalg.rank, qlinalg.subspace_intersect, qlinalg.nilpotent_exp, generic.translate)\n"
+        "assert all(map(callable, names))\n"
+    )
+    path = os.pathsep.join([str(root / "benchmark"), str(Path(repverify.__file__).resolve().parents[1])])
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 from repverify.qlinalg import (
     MODULUS,
     DimensionMismatch,
+    LinAlgError,
     Mat,
     NotNilpotent,
+    RowSpan,
     Subspace,
     canonicalize,
     det,
@@ -28,6 +30,7 @@ from repverify.qlinalg import (
     nilpotent_exp,
     orthogonal_complement,
     rank,
+    solve_exact,
     subspace_from_json,
     subspace_intersect,
     subspace_sum,
@@ -244,6 +247,19 @@ class TestIndependentColumns:
         assert independent_columns([[0, 0, 0], [0, 2, 0], [0, 0, 0], [0, 4, 0], [1, 1, 1]]) == [1, 4]
 
 
+class TestRowSpan:
+    def test_wrong_length_raises(self):
+        span = RowSpan(3)
+        span.add([1, 0, 0])
+        for bad in ([1, 0, 0, 5], [0, 1]):
+            for method in (span.add, span.contains, span.reduce):
+                with pytest.raises(DimensionMismatch):
+                    method(bad)
+        assert span.dim == 1
+        with pytest.raises(DimensionMismatch):
+            RowSpan(3).add([0, 1])
+
+
 class TestSerialization:
     def test_mat_round_trip(self):
         rng = random.Random(2)
@@ -254,6 +270,14 @@ class TestSerialization:
         rng = random.Random(9)
         s = random_subspace(rng, 5, 3)
         assert subspace_from_json(subspace_to_json(s)) == s
+
+    def test_subspace_from_json_canonicalizes(self):
+        m = Mat.from_cols([[1, 0], [2, 0]])
+        s = subspace_from_json({"ambient_dim": 2, "basis": mat_to_json(m)})
+        assert s.dim == 1
+        assert s == canonicalize(m)
+        with pytest.raises(DimensionMismatch):
+            subspace_from_json({"ambient_dim": 3, "basis": mat_to_json(m)})
 
 
 small_fracs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -308,6 +332,93 @@ def test_independent_columns_rank_property(m):
     sel = independent_columns(cols)
     assert len(sel) == rank(m)
     assert rank(Mat.from_cols([cols[i] for i in sel]) if sel else Mat(m.rows, 0, ())) == len(sel)
+
+
+@st.composite
+def reference_matrix(draw):
+    """A rational matrix, half of its entries zero or a rank-deficient product
+    A B, with some rows and columns zeroed; a zero top-left entry makes the
+    first pivot a row swap whenever column 0 is nonzero."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    c = draw(st.integers(min_value=1, max_value=6))
+    entry = st.one_of(st.just(F(0)), small_fracs)
+
+    def mat(rows, cols):
+        return draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+
+    if draw(st.booleans()):
+        inner = draw(st.integers(min_value=1, max_value=3))
+        prod = Mat.from_rows(mat(n, inner)) @ Mat.from_rows(mat(inner, c))
+        rows = [list(prod.row(i)) for i in range(n)]
+    else:
+        rows = mat(n, c)
+    rarely = st.integers(min_value=0, max_value=3).map(lambda x: x == 0)
+    zero_rows = draw(st.lists(rarely, min_size=n, max_size=n))
+    zero_cols = draw(st.lists(rarely, min_size=c, max_size=c))
+    rows = [[F(0) if zero_rows[i] or zero_cols[j] else x for j, x in enumerate(row)] for i, row in enumerate(rows)]
+    if draw(st.booleans()):
+        rows[0][0] = F(0)
+    return Mat.from_rows(rows)
+
+
+def from_sympy(rows) -> Mat:
+    """Rows of sympy Rationals as a Mat."""
+    return Mat.from_rows([[F(int(x.p), int(x.q)) for x in row] for row in rows])
+
+
+def sympy_span(n, vectors) -> Subspace:
+    """The canonical Subspace of span(vectors) computed by sympy's rref."""
+    if not vectors:
+        return Subspace.zero(n)
+    ref, pivots = sympy.Matrix.hstack(*vectors).T.rref()
+    if not pivots:
+        return Subspace.zero(n)
+    return Subspace(n, from_sympy([list(ref.row(i)) for i in range(len(pivots))]).transpose())
+
+
+@settings(max_examples=150, deadline=None)
+@given(reference_matrix(), st.data())
+def test_elimination_matches_sympy(m, data):
+    sm = to_sympy(m)
+    r = sm.rank()
+    assert rank(m) == r
+    assert canonicalize(m) == sympy_span(m.rows, [sm.col(j) for j in range(m.cols)])
+    assert kernel_basis(m) == sympy_span(m.cols, sm.nullspace())
+    # the span of A x over the kernel vectors (x, y) of [A | -B]; A and B share column h
+    h = m.cols // 2
+    a, b = sm[:, : h + 1], sm[:, h:]
+    meet = [a * v[: h + 1, :] for v in sympy.Matrix.hstack(a, -b).nullspace()]
+    u, w = canonicalize(from_sympy(a.tolist())), canonicalize(from_sympy(b.tolist()))
+    assert subspace_intersect(u, w) == subspace_intersect(w, u) == sympy_span(m.rows, meet)
+    # half the entries zero, so most pivots need a row swap
+    k = data.draw(st.integers(min_value=0, max_value=5))
+    entry = st.one_of(st.just(F(0)), small_fracs)
+    square = Mat(k, k, tuple(data.draw(st.lists(entry, min_size=k * k, max_size=k * k))))
+    assert det(square) == F(to_sympy(square).det())
+    # m X = rhs, for a consistent rhs or a random one
+    pairs = st.lists(small_fracs, min_size=2, max_size=2)
+    x0 = Mat.from_rows(data.draw(st.lists(pairs, min_size=m.cols, max_size=m.cols)))
+    rhs = m @ x0
+    if data.draw(st.booleans()):
+        rhs = Mat.from_rows(data.draw(st.lists(pairs, min_size=m.rows, max_size=m.rows)))
+    srhs = to_sympy(rhs)
+    if r == m.cols and sympy.Matrix.hstack(sm, srhs).rank() == r:
+        assert solve_exact(m, rhs) == from_sympy(sm.gauss_jordan_solve(srhs)[0].tolist())
+    else:
+        with pytest.raises(LinAlgError):
+            solve_exact(m, rhs)
+    # RowSpan grows exactly when the sympy rank of the rows added so far grows
+    span = RowSpan(m.cols)
+    for i in range(m.rows):
+        row = m.row(i)
+        grows = sm[: i + 1, :].rank() > span.dim
+        assert span.contains(row) is not grows
+        assert span.add(row) is grows
+        assert span.dim == sm[: i + 1, :].rank()
+    v = x0.col(0)
+    residual = span.reduce(v)
+    assert span.contains([x - y for x, y in zip(v, residual)])
+    assert span.contains(v) is not any(residual)
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
-from repverify.qlinalg import Mat, RowSpan, Subspace, subspace_intersect, subspace_sum
+from repverify.qlinalg import Mat, RowSpan, Subspace, subspace_intersect, subspace_sum, subspace_to_json
 from repverify.reps import (
     ConfigError,
     InvalidLevel,
@@ -184,6 +186,46 @@ class TestIrreducibility:
 
     def test_so21_absolutely_irreducible(self):
         assert check_irreducible(build_config("so_pq:2,1")).is_absolutely_irreducible
+
+
+# sha256 of config_to_json(build_config(d)) and of the check_irreducible verdict
+# (kind, algebra dimension, witness), pinned before qlinalg's elimination moved
+# to integer rows: building a configuration runs kernel_basis, solve_exact,
+# subspace_intersect and RowSpan, and the closure test runs RowSpan.
+CONFIG_PINS = {
+    "so_pq:2,1": ("78c422c7bf0076a14da51dbd0c78d7d52d0b4667576d1174710bf143e9f938d9", "e2bc9e92bab6630d63bb4c188d9c83d1989a3ee0d3e64f836d4ecd9d52998f79"),
+    "so_pq:2,2": ("8bac25cd2556fa942642c768d28be53ccb5b0415ce1de92b318d79de018da70b", "bb2cac08dc711cc2628278040ed6fcd6d44927ad983f49d9022086818ae4b781"),
+    "so_pq:3,1": ("4d59ab1f011e7ff78ca55a74939f659af1c5594ea153db1747de70577b5db028", "bb2cac08dc711cc2628278040ed6fcd6d44927ad983f49d9022086818ae4b781"),
+    "sp2n:2": ("8396b3459b458083c3e2481f142b92e8cf2cd602ecd2bea96786901d6ecff770", "e2bc9e92bab6630d63bb4c188d9c83d1989a3ee0d3e64f836d4ecd9d52998f79"),
+    "tensor:2,2": ("02359979ffe3119e4ec41eb6715a60ef3d941cfec331f72f2d07d0d9235bcc71", "bb2cac08dc711cc2628278040ed6fcd6d44927ad983f49d9022086818ae4b781"),
+    "tensor_std:2,2": ("339bc3e39e8064d249b202b24841b4902883795eafc80654510da04a3eb649e6", "74d94bb4a956079287d1c9dd7eda8beb5e9cf955e38517fb07bd672de54352de"),
+    "sl2_sym:1": ("020b8e15ec9347710bf7652ece3dbc0881a4dbf55dcc37e4b44c8bbff79b80e4", "ec961b7d9aa83114e2a308147fd45ded18f2fa130eda08830d5950ff53e49c71"),
+    "sl2_sym:2": ("26807cb994013cd3902f24c0b9c87c973cf6e5c0980d774ac1288160f8c43805", "a6ba5ddda4dec1f8ad80b191c4fcb01fc0e98364d7e54f58a4a2e55fbe073d52"),
+    "sl2_sym:4": ("9dd7b47e838064ea664e2a92de304b6aea4fec3d45e60f5fbfc8356259605f4a", "e2bc9e92bab6630d63bb4c188d9c83d1989a3ee0d3e64f836d4ecd9d52998f79"),
+    "diagonal:sl2": ("0233df94abafbabbc350ba95ec2abbcb15cb0f4de26ddb554d1b7b65c6efcdaa", "a6ba5ddda4dec1f8ad80b191c4fcb01fc0e98364d7e54f58a4a2e55fbe073d52"),
+    "diagonal:sl3": ("16a443599cecf62f5facb5ab874dce58b0fecc3b831404bb033b4b25ebc8f533", "d50d2bd90bb4fecf2c6815c4c5485e52dfedc9dc77fa229231682b48af76e8fb"),
+    "so_pq:3,2": ("7b627121429366f01347718df1ba78ce0b9a9325294855bcf167553e28e6d63c", "753bd17e1eafd088f76e562b93f9ebf64b54aa4aaf31de7e5273ee519f2fc238"),
+}
+FIXTURE_VERDICT_PIN = "b7bed8b129c62dbb5ca4f558fb673d3462f6b071745d5ec997eda1a0dae4d38f"
+
+
+def _sha(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+def _verdict_json(v) -> dict:
+    witness = None if v.witness is None else subspace_to_json(v.witness)
+    return {"kind": v.kind, "algebra_dim": v.algebra_dim, "witness": witness}
+
+
+@pytest.mark.parametrize("desc", sorted(CONFIG_PINS))
+def test_config_and_verdict_pinned(desc):
+    cfg = build_config(desc)
+    assert (_sha(config_to_json(cfg)), _sha(_verdict_json(check_irreducible(cfg)))) == CONFIG_PINS[desc]
+
+
+def test_reducible_verdict_pinned():
+    assert _sha(_verdict_json(check_irreducible(_direct_sum_fixture()))) == FIXTURE_VERDICT_PIN
 
 
 class TestProximal:
