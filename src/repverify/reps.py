@@ -23,15 +23,16 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .qlinalg import (
+    DimensionMismatch,
     Mat,
     NotNilpotent,
     RowSpan,
     Subspace,
     canonicalize,
+    exp_terms,
     kernel_basis,
     mat_from_json,
     mat_to_json,
-    nilpotent_exp,
     solve_exact,
     subspace_intersect,
 )
@@ -56,11 +57,14 @@ MAX_DIM = 64
 class RepConfig:
     """An (H, a, V) configuration as exact matrix data.
 
-    h_basis holds the action of a weight-adapted basis of Lie(H) on V;
-    u_plus_indices / u_minus_indices mark the basis elements with positive /
-    negative ad(a)-eigenvalue (the horospherical generators).  a_norm_sq
-    records ||a||^2 of the defining rational a; all downstream claims are
-    scale covariant, so a is stored unnormalized.
+    h_basis holds the action of a weight-adapted basis of Lie(H) on V, and
+    a_action is diagonal, so the ad(a)-eigenvalue of a matrix unit E_ij is
+    a_i - a_j.  u_plus_indices / u_minus_indices mark the basis elements of
+    positive / negative ad(a)-eigenvalue (the horospherical generators); the
+    builders derive them from a's diagonal, and validation requires every
+    horospherical generator to be a nilpotent ad(a)-eigenvector of the right
+    sign.  a_norm_sq records ||a||^2 of the defining rational a; all
+    downstream claims are scale covariant, so a is stored unnormalized.
     """
 
     name: str
@@ -78,14 +82,8 @@ class RepConfig:
         return hash((self.name, self.n, self.h_dim))
 
     def a_eigenvalue_of_generator(self, idx: int) -> Fraction:
-        """ad(a)-eigenvalue of h_basis[idx], from the V-action bracket."""
-        x = self.h_basis[idx]
-        br = self.a_action @ x - x @ self.a_action
-        for i in range(self.n):
-            for j in range(self.n):
-                if x.at(i, j) != 0:
-                    return br.at(i, j) / x.at(i, j)
-        return Fraction(0)
+        """ad(a)-eigenvalue of h_basis[idx], read off a's diagonal."""
+        return _weight(self.h_basis[idx], _diagonal(self.a_action))
 
 
 @dataclass(frozen=True)
@@ -142,6 +140,27 @@ def _unvec(v, d: int) -> Mat:
 
 def _bracket(x: Mat, y: Mat) -> Mat:
     return x @ y - y @ x
+
+
+def _diagonal(a: Mat) -> list[Fraction]:
+    """The diagonal of a; RationalityError unless a is diagonal."""
+    n = a.rows
+    if a.cols != n or any(x for k, x in enumerate(a.entries) if k % (n + 1)):
+        raise RationalityError("a_action is not diagonal in the stored coordinates")
+    return list(a.entries[:: n + 1])
+
+
+def _weight(x: Mat, diag: list[Fraction]) -> Fraction:
+    """The ad(a)-eigenvalue of x for a = diag(diag), 0 for x = 0.
+
+    ad(a) scales the matrix unit E_ij by a_i - a_j, so x is an eigenvector
+    exactly when its nonzero entries all carry one such weight.
+    """
+    n = len(diag)
+    weights = {diag[k // n] - diag[k % n] for k, x_k in enumerate(x.entries) if x_k}
+    if len(weights) > 1:
+        raise ConfigError("generator is not an ad(a)-eigenvector")
+    return weights.pop() if weights else Fraction(0)
 
 
 def _so_gram(p: int, q: int) -> Mat:
@@ -241,10 +260,9 @@ def _validate_config(cfg: RepConfig) -> None:
     n = cfg.n
     if n > MAX_DIM:
         raise ConfigError(f"dimension {n} exceeds supported cap {MAX_DIM}")
-    for i in range(n):
-        for j in range(n):
-            if i != j and cfg.a_action.at(i, j) != 0:
-                raise RationalityError("a_action is not diagonal in the stored coordinates")
+    diag = _diagonal(cfg.a_action)
+    if len(diag) != n:
+        raise DimensionMismatch("a_action is not n x n")
     for x in cfg.h_basis:
         if x.trace() != 0:
             raise ConfigError("h_basis element with nonzero trace")
@@ -256,28 +274,48 @@ def _validate_config(cfg: RepConfig) -> None:
         for j in range(i + 1, cfg.h_dim):
             if not span.contains(_vec(_bracket(cfg.h_basis[i], cfg.h_basis[j]))):
                 raise ConfigError("h_basis is not closed under brackets")
-    # horospherical generators act nilpotently and with the right ad(a) sign
+    # horospherical generators are nilpotent ad(a)-eigenvectors of the right sign
     for idx in cfg.u_plus_indices:
-        if cfg.a_eigenvalue_of_generator(idx) <= 0:
+        if _weight(cfg.h_basis[idx], diag) <= 0:
             raise ConfigError("u_plus generator with nonpositive ad(a) eigenvalue")
         _check_nilpotent(cfg.h_basis[idx])
     for idx in cfg.u_minus_indices:
-        if cfg.a_eigenvalue_of_generator(idx) >= 0:
+        if _weight(cfg.h_basis[idx], diag) >= 0:
             raise ConfigError("u_minus generator with nonnegative ad(a) eigenvalue")
         _check_nilpotent(cfg.h_basis[idx])
 
 
 def _check_nilpotent(m: Mat) -> None:
     try:
-        nilpotent_exp(m)
+        exp_terms(m)
     except NotNilpotent:
         raise ConfigError("horospherical generator is not nilpotent on V") from None
+
+
+def _config(name: str, h_action: list[Mat], a_diag: list[Fraction], a_norm_sq: Fraction) -> RepConfig:
+    """A validated configuration with a_action = diag(a_diag).
+
+    u+ / u- are the generators of positive / negative ad(a)-weight.
+    """
+    wts = [_weight(x, a_diag) for x in h_action]
+    cfg = RepConfig(
+        name=name,
+        n=len(a_diag),
+        h_dim=len(h_action),
+        h_basis=tuple(h_action),
+        a_action=Mat.diagonal(a_diag),
+        u_plus_indices=tuple(i for i, w in enumerate(wts) if w > 0),
+        u_minus_indices=tuple(i for i, w in enumerate(wts) if w < 0),
+        a_norm_sq=a_norm_sq,
+    )
+    _validate_config(cfg)
+    return cfg
 
 
 def _complement_config(name: str, s_form: Mat, a_diag: list[Fraction]) -> RepConfig:
     d = s_form.rows
     h_raw = _form_stabilizer_basis(s_form)
-    h_mats, h_wts = _weight_adapt(h_raw, a_diag)
+    h_mats, _ = _weight_adapt(h_raw, a_diag)
     a_mat = Mat.diagonal(a_diag)
     span = RowSpan(d * d)
     for m in h_mats:
@@ -290,62 +328,32 @@ def _complement_config(name: str, s_form: Mat, a_diag: list[Fraction]) -> RepCon
     expected = d * d - 1 - len(h_mats)
     if n != expected:
         raise ConfigError("complement dimension mismatch")
-    h_action = _action_matrices(v_mats, h_mats)
-    a_action = Mat.diagonal(v_wts)
-    u_plus = tuple(i for i, w in enumerate(h_wts) if w > 0)
-    u_minus = tuple(i for i, w in enumerate(h_wts) if w < 0)
-    cfg = RepConfig(
-        name=name,
-        n=n,
-        h_dim=len(h_mats),
-        h_basis=tuple(h_action),
-        a_action=a_action,
-        u_plus_indices=u_plus,
-        u_minus_indices=u_minus,
-        a_norm_sq=sum((x * x for x in a_diag), Fraction(0)),
-    )
-    _validate_config(cfg)
-    return cfg
+    return _config(name, _action_matrices(v_mats, h_mats), v_wts, sum(x * x for x in a_diag))
 
 
-def _sl_weight_basis(k: int) -> tuple[list[Mat], list[Fraction], list[Fraction]]:
-    """Weight-adapted basis of sl_k for the regular a = diag(k-1, k-3, ...).
-
-    Returns (basis matrices, ad(a)-weights, a diagonal).
-    """
+def _sl_weight_basis(k: int) -> tuple[list[Mat], list[Fraction]]:
+    """Weight-adapted basis of sl_k for the regular a = diag(k-1, k-3, ...), and a's diagonal."""
     a_diag = [Fraction(k - 1 - 2 * i) for i in range(k)]
-    mats: list[tuple[Fraction, Mat]] = []
+    mats: list[Mat] = []
     for i in range(k):
         for j in range(k):
             if i != j:
                 e = [[Fraction(0)] * k for _ in range(k)]
                 e[i][j] = Fraction(1)
-                mats.append((a_diag[i] - a_diag[j], Mat.from_rows(e)))
+                mats.append(Mat.from_rows(e))
     for i in range(k - 1):
         h = [[Fraction(0)] * k for _ in range(k)]
         h[i][i] = Fraction(1)
         h[i + 1][i + 1] = Fraction(-1)
-        mats.append((Fraction(0), Mat.from_rows(h)))
-    mats.sort(key=lambda t: t[0], reverse=True)
-    return [m for _, m in mats], [w for w, _ in mats], a_diag
+        mats.append(Mat.from_rows(h))
+    mats.sort(key=lambda m: _weight(m, a_diag), reverse=True)
+    return mats, a_diag
 
 
 def _adjoint_config(name: str, k: int) -> RepConfig:
-    basis, wts, a_diag = _sl_weight_basis(k)
+    basis, a_diag = _sl_weight_basis(k)
     v_mats, v_wts = _weight_adapt(basis, a_diag)
-    h_action = _action_matrices(v_mats, v_mats)
-    cfg = RepConfig(
-        name=name,
-        n=len(v_mats),
-        h_dim=len(v_mats),
-        h_basis=tuple(h_action),
-        a_action=Mat.diagonal(v_wts),
-        u_plus_indices=tuple(i for i, w in enumerate(v_wts) if w > 0),
-        u_minus_indices=tuple(i for i, w in enumerate(v_wts) if w < 0),
-        a_norm_sq=sum((x * x for x in a_diag), Fraction(0)),
-    )
-    _validate_config(cfg)
-    return cfg
+    return _config(name, _action_matrices(v_mats, v_mats), v_wts, sum(x * x for x in a_diag))
 
 
 def _tensor_sort(perm_weights: list[Fraction]) -> list[int]:
@@ -377,8 +385,8 @@ def _kron_action(left: Mat | None, right: Mat | None, dims: tuple[int, int], ord
 
 
 def _tensor_config(name: str, kn: int, km: int, standard: bool) -> RepConfig:
-    left_basis, left_wts, a1 = _sl_weight_basis(kn)
-    right_basis, right_wts, a2 = _sl_weight_basis(km)
+    left_basis, a1 = _sl_weight_basis(kn)
+    right_basis, a2 = _sl_weight_basis(km)
     if standard:
         # factors act on R^kn and R^km by the matrices themselves
         left_ops, right_ops = left_basis, right_basis
@@ -388,7 +396,8 @@ def _tensor_config(name: str, kn: int, km: int, standard: bool) -> RepConfig:
         # factors act on sl_kn and sl_km by ad, so V = sl_kn (x) sl_km
         left_ops = _action_matrices(left_basis, left_basis)
         right_ops = _action_matrices(right_basis, right_basis)
-        left_fac_wts, right_fac_wts = left_wts, right_wts
+        left_fac_wts = [_weight(m, a1) for m in left_basis]
+        right_fac_wts = [_weight(m, a2) for m in right_basis]
         da, db = len(left_basis), len(right_basis)
     pair_wts = [left_fac_wts[i] + right_fac_wts[j] for i in range(da) for j in range(db)]
     order = _tensor_sort(pair_wts)
@@ -396,26 +405,13 @@ def _tensor_config(name: str, kn: int, km: int, standard: bool) -> RepConfig:
 
     h_action = [_kron_action(x, None, (da, db), order) for x in left_ops]
     h_action += [_kron_action(None, y, (da, db), order) for y in right_ops]
-    h_wts = list(left_wts) + list(right_wts)
-
-    cfg = RepConfig(
-        name=name,
-        n=da * db,
-        h_dim=len(h_wts),
-        h_basis=tuple(h_action),
-        a_action=Mat.diagonal(sorted_wts),
-        u_plus_indices=tuple(i for i, w in enumerate(h_wts) if w > 0),
-        u_minus_indices=tuple(i for i, w in enumerate(h_wts) if w < 0),
-        a_norm_sq=sum((x * x for x in a1 + a2), Fraction(0)),
-    )
-    _validate_config(cfg)
-    return cfg
+    return _config(name, h_action, sorted_wts, sum(x * x for x in a1 + a2))
 
 
 def _sl2_sym_config(k: int) -> RepConfig:
     """Sym^k of the standard SL_2 module on monomials x^{k-i} y^i."""
     n = k + 1
-    h = Mat.diagonal([Fraction(k - 2 * i) for i in range(n)])
+    a_diag = [Fraction(k - 2 * i) for i in range(n)]
     e_rows = [[Fraction(0)] * n for _ in range(n)]
     f_rows = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
@@ -423,20 +419,8 @@ def _sl2_sym_config(k: int) -> RepConfig:
             e_rows[i - 1][i] = Fraction(i)  # e: v_i -> i v_{i-1}
         if i <= k - 1:
             f_rows[i + 1][i] = Fraction(k - i)  # f: v_i -> (k - i) v_{i+1}
-    e = Mat.from_rows(e_rows)
-    f = Mat.from_rows(f_rows)
-    cfg = RepConfig(
-        name=f"sl2_sym:{k}",
-        n=n,
-        h_dim=3,
-        h_basis=(e, h, f),
-        a_action=h,
-        u_plus_indices=(0,),
-        u_minus_indices=(2,),
-        a_norm_sq=Fraction(2),
-    )
-    _validate_config(cfg)
-    return cfg
+    e, h, f = Mat.from_rows(e_rows), Mat.diagonal(a_diag), Mat.from_rows(f_rows)
+    return _config(f"sl2_sym:{k}", [e, h, f], a_diag, Fraction(2))
 
 
 def parse_descriptor(text: str) -> tuple[str, tuple]:
@@ -500,11 +484,7 @@ def build_config(descriptor: str) -> RepConfig:
 def weight_decompose(cfg: RepConfig) -> WeightDecomposition:
     """Eigenvalues of a on V with exact eigenbases, sorted ascending."""
     n = cfg.n
-    for i in range(n):
-        for j in range(n):
-            if i != j and cfg.a_action.at(i, j) != 0:
-                raise RationalityError("a_action must be diagonal in the stored coordinates")
-    diag = [cfg.a_action.at(i, i) for i in range(n)]
+    diag = _diagonal(cfg.a_action)
     values = sorted(set(diag))
     bases = []
     mults = []
@@ -541,29 +521,17 @@ def flag_projector(dec: WeightDecomposition, mu) -> FlagProjector:
 def check_irreducible(cfg: RepConfig) -> IrreducibilityVerdict:
     """Burnside closure test of the matrix algebra generated by the action."""
     n = cfg.n
-    generators = list(cfg.h_basis)
-    span = RowSpan(n * n)
-    basis_mats: list[Mat] = []
-    queue: list[Mat] = [Mat.identity(n)] + generators
-    for m in queue:
-        if span.add(_vec(m)):
-            basis_mats.append(m)
-    frontier = list(basis_mats)
-    while frontier and span.dim < n * n:
-        new_frontier = []
-        for b in frontier:
-            for g in generators:
-                prod = g @ b
-                if span.add(_vec(prod)):
-                    basis_mats.append(prod)
-                    new_frontier.append(prod)
-                    if span.dim == n * n:
-                        break
-            if span.dim == n * n:
-                break
-        frontier = new_frontier
+    generators = cfg.h_basis
+    full = n * n
+    # breadth-first products g b from the identity, none once the span is full
+    frontier = [Mat.identity(n)]
+    span = RowSpan(full)
+    span.add(_vec(frontier[0]))
+    while frontier and span.dim < full:
+        products = (g @ b for b in frontier for g in generators if span.dim < full)
+        frontier = [p for p in products if span.add(_vec(p))]
     algebra_dim = span.dim
-    if algebra_dim == n * n:
+    if algebra_dim == full:
         return IrreducibilityVerdict("absolutely_irreducible", algebra_dim)
     # hunt for an invariant subspace: the closure of a cyclic vector
     for start in range(n):

@@ -86,7 +86,7 @@ class TestSuites:
 
     def test_all_suite_composes_with_identical_hash(self):
         a = run_suite(SuiteConfig("all", master_seed=6, scale=0.05))
-        b = run_suite(SuiteConfig("all", master_seed=6, scale=0.05))
+        b = run_suite(SuiteConfig("all", master_seed=6, scale=0.05), jobs=2)
         assert a.content_hash() == b.content_hash()
         names = {r["name"].split("/")[0] for r in a.results}
         assert {"hypotheses", "generic-dim", "bl", "discretized", "oppenheim"} <= names

@@ -8,10 +8,11 @@ from fractions import Fraction
 
 import pytest
 
-from repverify.qlinalg import Mat, RowSpan, Subspace, subspace_intersect, subspace_sum, subspace_to_json
+from repverify.qlinalg import DimensionMismatch, Mat, RowSpan, Subspace, mat_to_json, subspace_intersect, subspace_sum, subspace_to_json
 from repverify.reps import (
     ConfigError,
     InvalidLevel,
+    RationalityError,
     RepConfig,
     build_config,
     check_irreducible,
@@ -251,18 +252,21 @@ class TestHorospherical:
         assert len(horospherical_basis(build_config("sp2n:2"))[0]) == 4
         assert len(horospherical_basis(build_config("sl2_sym:3"))[0]) == 1
 
-    def test_nilpotent_and_signed(self):
-        cfg = build_config("sp2n:2")
+    @pytest.mark.parametrize("desc", ALL_DESCRIPTORS + ["so_pq:3,2"])
+    def test_nilpotent_and_signed(self, desc):
+        cfg = build_config(desc)
         u_plus, u_minus = horospherical_basis(cfg)
         for x in u_plus + u_minus:
             cur = x
             for _ in range(cfg.n):
                 cur = cur @ x
             assert cur.is_zero()
-        for i in cfg.u_plus_indices:
-            assert cfg.a_eigenvalue_of_generator(i) > 0
-        for i in cfg.u_minus_indices:
-            assert cfg.a_eigenvalue_of_generator(i) < 0
+        wts = [cfg.a_eigenvalue_of_generator(i) for i in range(cfg.h_dim)]
+        for x, w in zip(cfg.h_basis, wts):
+            # the bracket [a, x] is the reference for the weight read off a's diagonal
+            assert cfg.a_action @ x - x @ cfg.a_action == x.scale(w)
+        assert cfg.u_plus_indices == tuple(i for i, w in enumerate(wts) if w > 0)
+        assert cfg.u_minus_indices == tuple(i for i, w in enumerate(wts) if w < 0)
 
 
 def test_config_json_round_trip():
@@ -274,4 +278,30 @@ def test_config_from_json_validates_ad_signs():
     doc = config_to_json(build_config("so_pq:2,1"))
     doc["u_plus_indices"], doc["u_minus_indices"] = doc["u_minus_indices"], doc["u_plus_indices"]
     with pytest.raises(ConfigError):
+        config_from_json(doc)
+
+
+@pytest.mark.parametrize("plus", [0, 1, 2])
+@pytest.mark.parametrize("minus", [5, 6, 7])
+def test_config_from_json_rejects_mixed_weight_generator(plus, minus):
+    # h_basis[plus] + h_basis[minus] spans the same algebra and can be nilpotent,
+    # but its entries carry a positive and a negative ad(a)-weight.
+    cfg = build_config("diagonal:sl3")
+    assert cfg.u_plus_indices == (0, 1, 2) and cfg.u_minus_indices == (5, 6, 7)
+    doc = config_to_json(cfg)
+    mixed = cfg.h_basis[plus] + cfg.h_basis[minus]
+    doc["h_basis"][plus] = mat_to_json(mixed)
+    with pytest.raises(ConfigError):
+        config_from_json(doc)
+
+
+def test_config_from_json_rejects_bad_a_action():
+    cfg = build_config("so_pq:2,1")
+    doc = config_to_json(cfg)
+    doc["a_action"] = mat_to_json(cfg.a_action + cfg.h_basis[0])
+    with pytest.raises(RationalityError):
+        config_from_json(doc)
+    # one diagonal entry too many: the weights of n x n generators cannot be read off it
+    doc["a_action"] = mat_to_json(Mat.diagonal([cfg.a_action.at(i, i) for i in range(cfg.n)] + [F(7)]))
+    with pytest.raises(DimensionMismatch):
         config_from_json(doc)
