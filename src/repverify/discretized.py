@@ -8,6 +8,7 @@ Euclidean throughout (a different norm only shifts constants).
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -75,9 +76,9 @@ def _dedupe(points: np.ndarray) -> np.ndarray:
     return points[np.sort(idx)]
 
 
-def make_point_set(points, provenance: str, seed=None, designed_dim=None) -> PointSet:
+def make_point_set(points, provenance: str) -> PointSet:
     pts = _dedupe(np.asarray(points, dtype=float))
-    return PointSet(pts.shape[1], pts, provenance, seed, designed_dim)
+    return PointSet(pts.shape[1], pts, provenance)
 
 
 def _cube_keys(points: np.ndarray, delta: float) -> np.ndarray:
@@ -290,67 +291,53 @@ def parse_fractal(text: str) -> FractalSpec:
     raise SpecError(f"unknown fractal descriptor {text!r}")
 
 
-def _grid_points(count: int, spacing: float) -> np.ndarray:
-    return np.arange(count) * spacing
-
-
 def generate_fractal(desc: FractalSpec | str, seed: int = 0) -> PointSet:
-    """Deterministic point set with its designed box dimension recorded."""
+    """Deterministic point set with its designed box dimension recorded.
+
+    Every family is one product of coordinate axes.  An axis is a digit expansion
+    listed as places (digits, scale): one place (range(count), spacing) for a grid,
+    one per level for a Cantor coordinate.  The size is checked before any axis is
+    built.  RandomSubset masks FullGrid's points by `seed`, keeping the first if none.
+    """
     if isinstance(desc, str):
         desc = parse_fractal(desc)
-    if isinstance(desc, FullGrid):
-        side = 1 << desc.s
-        if side**desc.ambient > MAX_POINTS:
-            raise SizeError("grid too large")
-        axes = [_grid_points(side, 2.0**-desc.s)] * desc.ambient
-        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, desc.ambient)
-        return PointSet(desc.ambient, pts, f"full_grid:{desc.ambient},{desc.s}", seed, float(desc.ambient))
-    if isinstance(desc, ProductCantor):
-        axes = []
-        dim = 0.0
-        for base, digits, depth in desc.coords:
-            vals = np.zeros(1)
-            for level in range(1, depth + 1):
-                vals = (vals[:, None] + np.array(digits) * float(base) ** -level).ravel()
-            axes.append(vals)
-            dim += math.log(len(digits)) / math.log(base)
-        total = math.prod(len(a) for a in axes)
-        if total > MAX_POINTS:
-            raise SizeError("cantor set too large")
-        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
-        return PointSet(len(axes), pts, f"product_cantor:{desc.coords}", seed, dim)
+    if isinstance(desc, (FullGrid, RandomSubset)):
+        axes = [[(range(1 << desc.s), 2.0**-desc.s)]] * desc.ambient
+        dim = float(desc.ambient)
+        provenance = f"full_grid:{desc.ambient},{desc.s}"
+    elif isinstance(desc, ProductCantor):
+        axes = [
+            [(digits, base**-level) for level in range(1, depth + 1)] for base, digits, depth in desc.coords
+        ]
+        dim = sum(math.log(len(digits)) / math.log(base) for base, digits, _ in desc.coords)
+        provenance = f"product_cantor:{desc.coords}"
+    elif isinstance(desc, WeightAligned):
+        if not all(0 <= dj <= 1 for dj in desc.dims):
+            raise SpecError("per-coordinate dimensions must lie in [0, 1]")
+        axes = [[(range(1 << round(desc.level_scale * dj)), 2.0 ** -(desc.level_scale * dj))] for dj in desc.dims]
+        dim = float(sum(desc.dims))
+        provenance = f"weight_aligned:{','.join(str(d) for d in desc.dims)}@{desc.level_scale}"
+    else:
+        raise SpecError(f"unknown fractal spec {desc!r}")
+    total = math.prod(len(digits) for places in axes for digits, _ in places)
+    if total > MAX_POINTS:
+        raise SizeError(f"{desc} has {total} points, more than the cap {MAX_POINTS}")
+    grids = []
+    for places in axes:
+        vals = np.zeros(1)
+        for digits, scale in places:
+            digits = np.arange(len(digits)) if isinstance(digits, range) else np.asarray(digits)
+            vals = (vals[:, None] + digits * scale).ravel()
+        grids.append(vals)
+    pts = np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(-1, len(grids))
     if isinstance(desc, RandomSubset):
-        side = 1 << desc.s
-        if side**desc.ambient > MAX_POINTS:
-            raise SizeError("grid too large")
-        rng = np.random.default_rng(seed)
-        axes = [_grid_points(side, 2.0**-desc.s)] * desc.ambient
-        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, desc.ambient)
-        keep = rng.random(pts.shape[0]) < desc.density
+        keep = np.random.default_rng(seed).random(pts.shape[0]) < desc.density
         if not np.any(keep):
             keep[0] = True
         pts = pts[keep]
         dim = math.log(pts.shape[0]) / (desc.s * math.log(2))
-        return PointSet(
-            desc.ambient, pts, f"random_subset:{desc.ambient},{desc.s},{desc.density}", seed, dim
-        )
-    if isinstance(desc, WeightAligned):
-        axes = []
-        for dj in desc.dims:
-            if not 0 <= dj <= 1:
-                raise SpecError("per-coordinate dimensions must lie in [0, 1]")
-            count = 1 << round(desc.level_scale * dj)
-            axes.append(_grid_points(count, 2.0 ** -(desc.level_scale * dj) if dj > 0 else 1.0))
-        total = math.prod(len(a) for a in axes)
-        if total > MAX_POINTS:
-            raise SizeError("weight-aligned product too large")
-        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
-        return PointSet(
-            len(desc.dims), pts,
-            f"weight_aligned:{','.join(str(d) for d in desc.dims)}@{desc.level_scale}",
-            seed, float(sum(desc.dims)),
-        )
-    raise SpecError(f"unknown fractal spec {desc!r}")
+        provenance = f"random_subset:{desc.ambient},{desc.s},{desc.density}"
+    return PointSet(len(grids), pts, provenance, seed, dim)
 
 
 # --- projection experiments -------------------------------------------------------
@@ -496,22 +483,12 @@ class Poly:
 
 def random_poly(nvars: int, degree: int, rng: random.Random) -> Poly:
     terms = []
-    for exps in _exponents(nvars, degree):
-        if rng.random() < 0.7:
+    for exps in itertools.product(range(degree + 1), repeat=nvars):
+        if sum(exps) <= degree and rng.random() < 0.7:
             terms.append((rng.uniform(-2, 2), exps))
     if not terms:
         terms.append((rng.uniform(0.5, 2), (0,) * nvars))
     return Poly(nvars, degree, tuple(terms))
-
-
-def _exponents(nvars: int, degree: int):
-    if nvars == 1:
-        for d in range(degree + 1):
-            yield (d,)
-        return
-    for d in range(degree + 1):
-        for rest in _exponents(nvars - 1, degree - d):
-            yield (d,) + rest
 
 
 @dataclass
@@ -528,14 +505,13 @@ def remez_check(
     eps: float,
     samples: int,
     seed: int,
-    c_factor: float | None = None,
 ) -> RemezResult:
     """Monte Carlo check of the sublevel-measure inequality
     Leb{|P| < eps} <= C (eps / sup_B |P|)^{1/(d k)} Leb(B).
 
     The sup norm is estimated from a dense grid plus the Monte Carlo sample;
     being a lower bound for the true sup it only enlarges the right side.
-    The default C = 4^{d k} comes from the configuration table.
+    C = 4^{d k} comes from the configuration table.
     """
     if p.is_zero():
         raise DegenerateError("zero polynomial")
@@ -544,7 +520,6 @@ def remez_check(
     d, k = p.nvars, max(p.degree, 1)
     if len(box) != d:
         raise SpecError("box arity mismatch")
-    c = c_factor if c_factor is not None else 4.0 ** (d * k)
     rng = np.random.default_rng(seed)
     lo = np.array([b[0] for b in box])
     hi = np.array([b[1] for b in box])
@@ -557,5 +532,5 @@ def remez_check(
         raise DegenerateError("polynomial vanishes on the sample")
     vol = float(np.prod(hi - lo))
     empirical = float(np.mean(vals < eps)) * vol
-    bound = c * (eps / sup) ** (1.0 / (d * k)) * vol
+    bound = 4.0 ** (d * k) * (eps / sup) ** (1.0 / (d * k)) * vol
     return RemezResult(empirical, bound, sup, empirical <= bound)

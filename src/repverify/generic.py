@@ -181,13 +181,11 @@ def _modal(counter: Counter) -> tuple[object, int, bool]:
     return ranked[0][0], ranked[0][1], True
 
 
-def generic_tree_dim(
-    cfg: RepConfig, tree: TreeOp, w: Subspace, trials: int, seed: int, complexity: int | None = None
-) -> tuple[int, TrialReport]:
+def generic_tree_dim(cfg: RepConfig, tree: TreeOp, w: Subspace, trials: int, seed: int) -> tuple[int, TrialReport]:
     """Modal dimension of the tree operation on independent translates of w."""
     if trials < 2:
         raise PreconditionError("need at least 2 trials")
-    complexity = complexity or default_complexity(cfg)
+    complexity = default_complexity(cfg)
     slots = tree.leaf_slots()
     report = TrialReport()
     for t in range(trials):
@@ -219,10 +217,8 @@ def _require_bound_inputs(cfg: RepConfig, w: Subspace, w_prime: Subspace) -> Non
         raise PreconditionError(f"configuration is not certified irreducible ({verdict.kind})")
 
 
-def sample_elements(
-    cfg: RepConfig, seed: int, count: int, complexity: int | None = None, height: int = PARAM_HEIGHT
-) -> list[SampledElement]:
-    complexity = complexity or default_complexity(cfg)
+def sample_elements(cfg: RepConfig, seed: int, count: int, height: int = PARAM_HEIGHT) -> list[SampledElement]:
+    complexity = default_complexity(cfg)
     return [sample_element(cfg, seed * 9_999_991 + t, complexity, height) for t in range(count)]
 
 
@@ -239,7 +235,6 @@ def check_intersection_bound(
     w_prime: Subspace,
     trials: int,
     seed: int,
-    complexity: int | None = None,
     elements: list[SampledElement] | None = None,
 ) -> TrialReport:
     """Per trial: dim((h.W) cap W') <= (dim W / n) dim W', compared exactly.
@@ -250,7 +245,7 @@ def check_intersection_bound(
     """
     _require_bound_inputs(cfg, w, w_prime)
     if elements is None:
-        elements = sample_elements(cfg, seed, trials, complexity)
+        elements = sample_elements(cfg, seed, trials)
     if len(elements) < trials:
         raise PreconditionError("not enough pre-sampled elements")
     k, n = w.dim, cfg.n
@@ -262,13 +257,11 @@ def check_intersection_bound(
     return report
 
 
-def check_projection_bound(
-    cfg: RepConfig, w: Subspace, w_prime: Subspace, trials: int, seed: int, complexity: int | None = None
-) -> TrialReport:
+def check_projection_bound(cfg: RepConfig, w: Subspace, w_prime: Subspace, trials: int, seed: int) -> TrialReport:
     """Per trial: rank(pi_{h.W}|_{W'}) >= (dim W / n) dim W', with the rank of
     the k x k' integer matrix (h.W)^T W' taken over Z."""
     _require_bound_inputs(cfg, w, w_prime)
-    complexity = complexity or default_complexity(cfg)
+    complexity = default_complexity(cfg)
     k, n = w.dim, cfg.n
     wc, wpc = integer_columns(w.basis), integer_columns(w_prime.basis)
     report = TrialReport()
@@ -280,9 +273,7 @@ def check_projection_bound(
     return report
 
 
-def find_spanning_q(
-    cfg: RepConfig, w: Subspace, trials: int, seed: int, complexity: int | None = None
-) -> tuple[int, tuple[int, ...]]:
+def find_spanning_q(cfg: RepConfig, w: Subspace, trials: int, seed: int) -> tuple[int, tuple[int, ...]]:
     """Minimal q with generic h_1.W + ... + h_q.W = V, and the intersection
     dimensions k_{q'} = dim((sum_{i<q'} h_i.W) cap h_{q'}.W).
 
@@ -293,7 +284,7 @@ def find_spanning_q(
     if w.dim == cfg.n:
         raise PreconditionError("w must be a proper subspace")
     _require_bound_inputs(cfg, w, w)
-    complexity = complexity or default_complexity(cfg)
+    complexity = default_complexity(cfg)
     n, k = cfg.n, w.dim
     wc = integer_columns(w.basis)
     outcomes: Counter = Counter()

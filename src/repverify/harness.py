@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -91,9 +92,7 @@ def _scaled(base: int, scale: float, minimum: int = 2) -> int:
 
 
 def _item(name: str, passed: bool, **detail) -> dict:
-    out = {"name": name, "passed": bool(passed)}
-    out.update({k: v for k, v in detail.items()})
-    return out
+    return {"name": name, "passed": bool(passed), **detail}
 
 
 # --- individual suites -------------------------------------------------------------
@@ -161,9 +160,7 @@ def _suite_generic_dim(cfg: SuiteConfig) -> list[dict]:
             ok = ok and sum(k_list) == q * w.dim - rc.n and all(k < w.dim for k in k_list)
             spans.append({"dim_w": w.dim, "q": q, "k_list": list(k_list)})
         results.append(_item(f"generic-dim/spanning/{name}", ok, spans=spans))
-    import random as _random
-
-    rng = _random.Random(derive_seed(cfg.master_seed, "generic", "submodularity"))
+    rng = random.Random(derive_seed(cfg.master_seed, "generic", "submodularity"))
     triples = _scaled(200, cfg.scale)
     bad = 0
     for _ in range(triples):
@@ -288,9 +285,7 @@ def _suite_discretized(cfg: SuiteConfig) -> list[dict]:
         _item("discretized/supercritical-grid", rep2.exceptional_fraction == 0.0,
               exceptional_fraction=rep2.exceptional_fraction)
     )
-    import random as _random
-
-    rng = _random.Random(derive_seed(cfg.master_seed, "dg", "remez"))
+    rng = random.Random(derive_seed(cfg.master_seed, "dg", "remez"))
     polys = _scaled(20, cfg.scale)
     bad = 0
     for i in range(polys):

@@ -274,15 +274,19 @@ def _validate_config(cfg: RepConfig) -> None:
         for j in range(i + 1, cfg.h_dim):
             if not span.contains(_vec(_bracket(cfg.h_basis[i], cfg.h_basis[j]))):
                 raise ConfigError("h_basis is not closed under brackets")
-    # horospherical generators are nilpotent ad(a)-eigenvectors of the right sign
-    for idx in cfg.u_plus_indices:
-        if _weight(cfg.h_basis[idx], diag) <= 0:
-            raise ConfigError("u_plus generator with nonpositive ad(a) eigenvalue")
+    # u+ / u- are all the generators of positive / negative ad(a)-weight, each nilpotent
+    if (cfg.u_plus_indices, cfg.u_minus_indices) != _signed_indices(cfg.h_basis, diag):
+        raise ConfigError("u_plus / u_minus are not the generators of positive / negative ad(a)-weight")
+    for idx in cfg.u_plus_indices + cfg.u_minus_indices:
         _check_nilpotent(cfg.h_basis[idx])
-    for idx in cfg.u_minus_indices:
-        if _weight(cfg.h_basis[idx], diag) >= 0:
-            raise ConfigError("u_minus generator with nonnegative ad(a) eigenvalue")
-        _check_nilpotent(cfg.h_basis[idx])
+
+
+def _signed_indices(
+    h_basis: tuple[Mat, ...] | list[Mat], diag: list[Fraction]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The indices of the generators of positive and of negative ad(a)-weight."""
+    wts = [_weight(x, diag) for x in h_basis]
+    return tuple(i for i, w in enumerate(wts) if w > 0), tuple(i for i, w in enumerate(wts) if w < 0)
 
 
 def _check_nilpotent(m: Mat) -> None:
@@ -297,15 +301,15 @@ def _config(name: str, h_action: list[Mat], a_diag: list[Fraction], a_norm_sq: F
 
     u+ / u- are the generators of positive / negative ad(a)-weight.
     """
-    wts = [_weight(x, a_diag) for x in h_action]
+    u_plus, u_minus = _signed_indices(h_action, a_diag)
     cfg = RepConfig(
         name=name,
         n=len(a_diag),
         h_dim=len(h_action),
         h_basis=tuple(h_action),
         a_action=Mat.diagonal(a_diag),
-        u_plus_indices=tuple(i for i, w in enumerate(wts) if w > 0),
-        u_minus_indices=tuple(i for i, w in enumerate(wts) if w < 0),
+        u_plus_indices=u_plus,
+        u_minus_indices=u_minus,
         a_norm_sq=a_norm_sq,
     )
     _validate_config(cfg)

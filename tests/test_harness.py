@@ -225,17 +225,35 @@ def test_report_csv_trial_rows():
     assert csv.splitlines()[0] == "name,passed"
 
 
+# The functions whose spans benchmark/workloads.py and benchmark/worker.py read
+# by name: an inlined or renamed one would make its per-layer metric read 0.
+BENCHMARK_SPANS = {
+    "discretized": ("generate_fractal", "covering_number", "projection_experiment", "frostman_energy_bound_check"),
+    "generic": ("sample_element", "check_intersection_bound", "check_projection_bound", "find_spanning_q"),
+    "brascamp_lieb": ("check_feasibility", "estimate_bl_constant"),
+    "qlinalg": ("subspace_sum", "subspace_intersect"),
+    "reps": ("build_config", "check_irreducible"),
+    "oppenheim": ("decay_curve", "search_min_value"),
+    "harness": ("emit_report",),
+}
+
+
 def test_benchmark_tracer_installs():
     """benchmark/tracing.py resolves every layer name it wraps with
     inspect.getattr_static, so a renamed or deleted public method (say
-    RowSpan.reduce) breaks `--trace 1`; the probes also call the names below."""
+    RowSpan.reduce) breaks `--trace 1`; the probes also call the names below.
+    Every function whose spans the benchmark reads must come out wrapped."""
     root = Path(__file__).resolve().parents[1]
     code = (
-        "import tracing\n"
+        "import importlib, tracing\n"
         "from repverify import generic, qlinalg\n"
         "tracing.install(tracing.Tracer())\n"
         "names = (qlinalg.rank, qlinalg.subspace_intersect, qlinalg.nilpotent_exp, generic.translate)\n"
         "assert all(map(callable, names))\n"
+        f"for layer, attrs in {BENCHMARK_SPANS!r}.items():\n"
+        "    mod = importlib.import_module('repverify.' + layer)\n"
+        "    for attr in attrs:\n"
+        "        assert hasattr(getattr(mod, attr, None), '__wrapped__'), f'{layer}.{attr} is not traced'\n"
     )
     path = os.pathsep.join([str(root / "benchmark"), str(Path(repverify.__file__).resolve().parents[1])])
     proc = subprocess.run(

@@ -295,6 +295,20 @@ def test_config_from_json_rejects_mixed_weight_generator(plus, minus):
         config_from_json(doc)
 
 
+@pytest.mark.parametrize(
+    "key, indices",
+    [("u_plus_indices", [0]), ("u_plus_indices", [0, 0, 1, 2]), ("u_plus_indices", [0, 1]), ("u_minus_indices", [])],
+    ids=["plus-one", "plus-repeated", "plus-two", "minus-empty"],
+)
+def test_config_from_json_rejects_partial_horospherical_indices(key, indices):
+    # every listed generator has the right sign, but u+ / u- must be all of them, once each
+    doc = config_to_json(build_config("diagonal:sl3"))
+    assert (doc["u_plus_indices"], doc["u_minus_indices"]) == ([0, 1, 2], [5, 6, 7])
+    doc[key] = indices
+    with pytest.raises(ConfigError):
+        config_from_json(doc)
+
+
 def test_config_from_json_rejects_bad_a_action():
     cfg = build_config("so_pq:2,1")
     doc = config_to_json(cfg)
