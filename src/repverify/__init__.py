@@ -25,7 +25,6 @@ from .reps import (
     check_irreducible,
     check_proximal,
     flag_projector,
-    horospherical_basis,
     weight_decompose,
 )
 from .generic import (
@@ -73,7 +72,6 @@ __all__ = [
     "check_irreducible",
     "check_proximal",
     "flag_projector",
-    "horospherical_basis",
     "weight_decompose",
     "TreeOp",
     "check_intersection_bound",

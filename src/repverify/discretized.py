@@ -276,18 +276,27 @@ class WeightAligned:
 FractalSpec = FullGrid | ProductCantor | RandomSubset | WeightAligned
 
 
+_FIELDS = {"full_grid": 2, "random_subset": 3, "cantor": 3}
+
+
 def parse_fractal(text: str) -> FractalSpec:
+    """The spec of a descriptor such as full_grid:2,6; SpecError names a bad one."""
     kind, _, rest = text.partition(":")
     args = [p for p in rest.split(",") if p]
-    if kind == "full_grid":
-        return FullGrid(int(args[0]), int(args[1]))
-    if kind == "random_subset":
-        return RandomSubset(int(args[0]), int(args[1]), float(args[2]))
-    if kind == "weight_aligned":
-        return WeightAligned(tuple(float(x) for x in args))
-    if kind == "cantor":
-        base, digits, depth = int(args[0]), args[1], int(args[2])
-        return ProductCantor(((base, tuple(int(c) for c in digits), depth),))
+    if len(args) != _FIELDS.get(kind, len(args)):
+        raise SpecError(f"fractal descriptor {text!r} needs {_FIELDS[kind]} fields")
+    try:
+        if kind == "full_grid":
+            return FullGrid(int(args[0]), int(args[1]))
+        if kind == "random_subset":
+            return RandomSubset(int(args[0]), int(args[1]), float(args[2]))
+        if kind == "weight_aligned":
+            return WeightAligned(tuple(float(x) for x in args))
+        if kind == "cantor":
+            base, digits, depth = int(args[0]), args[1], int(args[2])
+            return ProductCantor(((base, tuple(int(c) for c in digits), depth),))
+    except ValueError as exc:
+        raise SpecError(f"fractal descriptor {text!r} has a non-numeric field") from exc
     raise SpecError(f"unknown fractal descriptor {text!r}")
 
 

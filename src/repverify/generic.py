@@ -5,27 +5,42 @@ rational parameters, so every trial stays in exact arithmetic.  Generic
 quantities (dimensions after tree operations, the minimal spanning count) are
 read off as modal values over independent trials, with a stabilization
 threshold of 95%.
+
+A sampled element is its recipe; the exact matrix is built from it only on
+first use.  The bound checks need only ranks, so they compute the residues mod
+the prime MODULUS of all their elements in one batch, straight from the
+recipes, and certify each trial's rank on those residues.  A mod-p rank that
+reaches min(#columns, length) is the exact rank; every trial whose mod-p rank
+falls short builds its exact elements and is decided over Z.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import Callable, Sequence
+
+import numpy as np
 
 from .qlinalg import (
+    MODULUS,
     ExpTerms,
     Mat,
     Subspace,
+    bareiss_columns,
     canonicalize,
+    certified_columns,
     exp_product,
+    exp_product_residues,
+    exp_product_rows,
     exp_terms,
     independent_columns,
     integer_columns,
+    matmul_mod,
     subspace_intersect,
     subspace_sum,
 )
@@ -81,11 +96,27 @@ class TreeOp:
 
 @dataclass(frozen=True)
 class SampledElement:
-    """Exact determinant-one element with the recipe that rebuilds it."""
+    """Determinant-one element of cfg given by its recipe of (generator index, t)
+    factors; its exact matrix, equal to replay_recipe(cfg, recipe), is built on
+    first use."""
 
-    matrix: Mat
+    cfg: RepConfig = field(repr=False)
     recipe: tuple[tuple[int, Fraction], ...]
     seed: int
+
+    @cached_property
+    def integer_rows(self) -> tuple[list[list[int]], int]:
+        """(rows, den): the exact matrix is rows / den, with rows integer."""
+        return exp_product_rows(self.cfg.n, _factors(self.cfg, self.recipe))
+
+    @cached_property
+    def matrix(self) -> Mat:
+        return Mat.from_integer(*self.integer_rows)
+
+    @cached_property
+    def residues(self) -> np.ndarray:
+        """The (n, n) int64 residues of the matrix mod MODULUS, from the recipe."""
+        return _residues(self.cfg, [self])[0]
 
 
 @dataclass
@@ -119,7 +150,7 @@ PARAM_HEIGHT = 9999
 
 def sample_element(cfg: RepConfig, seed: int, complexity: int, height: int = PARAM_HEIGHT) -> SampledElement:
     """Product of `complexity` unipotent factors exp(t N): draws the recipe of
-    (generator index, t) pairs, then replays it through `replay_recipe`.
+    (generator index, t) pairs; the matrix is built from it on first use.
 
     The generators N alternate between the u+ and u- lists on a round-robin
     schedule, so every expanding and contracting generator of every simple
@@ -137,7 +168,7 @@ def sample_element(cfg: RepConfig, seed: int, complexity: int, height: int = PAR
         pool = cfg.u_plus_indices if step % 2 == 0 else cfg.u_minus_indices
         t = Fraction(rng.randint(-height, height), rng.randint(1, height))
         recipe.append((pool[(step // 2) % len(pool)], t))
-    return SampledElement(replay_recipe(cfg, recipe), tuple(recipe), seed)
+    return SampledElement(cfg, tuple(recipe), seed)
 
 
 @lru_cache(maxsize=None)
@@ -145,8 +176,37 @@ def _generator_terms(cfg: RepConfig, idx: int) -> ExpTerms:
     return exp_terms(cfg.h_basis[idx])
 
 
+def _factors(cfg: RepConfig, recipe) -> list[tuple[ExpTerms, Fraction]]:
+    return [(_generator_terms(cfg, idx), Fraction(t)) for idx, t in recipe]
+
+
 def replay_recipe(cfg: RepConfig, recipe) -> Mat:
-    return exp_product(cfg.n, [(_generator_terms(cfg, idx), Fraction(t)) for idx, t in recipe])
+    return exp_product(cfg.n, _factors(cfg, recipe))
+
+
+def _residues(cfg: RepConfig, elements: Sequence[SampledElement]) -> np.ndarray:
+    """(len(elements), n, n) int64 residues mod MODULUS of the elements.
+
+    Those not yet known are computed in one batch per generator schedule
+    (sample_element gives all elements of one complexity the same schedule) and
+    kept as each element's cached `residues`, so checks that share elements
+    reduce each one once.
+    """
+    batches: dict[tuple[int, ...], list[SampledElement]] = {}
+    for el in elements:
+        if "residues" not in vars(el):
+            batches.setdefault(tuple(idx for idx, _ in el.recipe), []).append(el)
+    for schedule, members in batches.items():
+        params = [[t for _, t in el.recipe] for el in members]
+        batch = exp_product_residues(cfg.n, [_generator_terms(cfg, idx) for idx in schedule], params)
+        for el, r in zip(members, batch):
+            vars(el)["residues"] = r
+    return np.array([el.residues for el in elements], dtype=np.int64).reshape(-1, cfg.n, cfg.n)
+
+
+def _mod_p(cols: list[list[int]]) -> np.ndarray:
+    """The integer columns cols as an (n, len(cols)) int64 array of residues."""
+    return np.array([[x % MODULUS for x in col] for col in cols], dtype=np.int64).T
 
 
 def translate(h: Mat, s: Subspace) -> Subspace:
@@ -222,10 +282,9 @@ def sample_elements(cfg: RepConfig, seed: int, count: int, height: int = PARAM_H
     return [sample_element(cfg, seed * 9_999_991 + t, complexity, height) for t in range(count)]
 
 
-def _translate_columns(h: Mat, cols: list[list[int]]) -> list[list[int]]:
-    """Integer columns spanning h.W from those of W, with h scaled by its common denominator."""
-    s = math.lcm(*(x.denominator for x in h.entries))
-    rows = [[x.numerator * (s // x.denominator) for x in h.row(i)] for i in range(h.rows)]
+def _translate_columns(h: SampledElement, cols: list[list[int]]) -> list[list[int]]:
+    """Integer columns spanning h.W from those of W: h's integer rows times each column."""
+    rows, _ = h.integer_rows
     return [[sum(map(operator.mul, row, col)) for row in rows] for col in cols]
 
 
@@ -239,47 +298,86 @@ def check_intersection_bound(
 ) -> TrialReport:
     """Per trial: dim((h.W) cap W') <= (dim W / n) dim W', compared exactly.
 
-    The dimension is dim W + dim W' - rank [h.W | W'], the rank taken over Z.
-    A pre-sampled element list may be shared across (W, W') pairs; each pair
-    still gets one exact check per trial.
+    The dimension is dim W + dim W' - rank [h.W | W'], the rank over Q: certified
+    on the batch's residues mod p, or by Bareiss elimination over Z for a trial
+    whose mod-p rank falls short.  A pre-sampled element list may be shared
+    across (W, W') pairs; each pair still gets one exact check per trial.
     """
     _require_bound_inputs(cfg, w, w_prime)
     if elements is None:
         elements = sample_elements(cfg, seed, trials)
     if len(elements) < trials:
         raise PreconditionError("not enough pre-sampled elements")
+    elements = elements[:trials]
     k, n = w.dim, cfg.n
     wc, wpc = integer_columns(w.basis), integer_columns(w_prime.basis)
+    hw = matmul_mod(_residues(cfg, elements), _mod_p(wc))
+    wp = np.broadcast_to(_mod_p(wpc), (len(elements), n, len(wpc)))
     report = TrialReport()
-    for h in elements[:trials]:
-        d = k + w_prime.dim - len(independent_columns(_translate_columns(h.matrix, wc) + wpc))
+    for h, residues in zip(elements, np.concatenate([hw, wp], axis=2).transpose(0, 2, 1).tolist()):
+        sel = certified_columns(residues)
+        if sel is None:
+            sel = bareiss_columns(_translate_columns(h, wc) + wpc)
+        d = k + w_prime.dim - len(sel)
         report.record(d, d * n <= k * w_prime.dim, witness=(h.seed, h.recipe))
     return report
 
 
 def check_projection_bound(cfg: RepConfig, w: Subspace, w_prime: Subspace, trials: int, seed: int) -> TrialReport:
     """Per trial: rank(pi_{h.W}|_{W'}) >= (dim W / n) dim W', with the rank of
-    the k x k' integer matrix (h.W)^T W' taken over Z."""
+    the k x k' integer matrix (h.W)^T W' taken over Q: certified on residues mod
+    p, or by Bareiss elimination over Z when the mod-p rank falls short."""
     _require_bound_inputs(cfg, w, w_prime)
     complexity = default_complexity(cfg)
     k, n = w.dim, cfg.n
     wc, wpc = integer_columns(w.basis), integer_columns(w_prime.basis)
+    elements = [sample_element(cfg, seed * 7_777_777 + t, complexity) for t in range(trials)]
+    products = matmul_mod(_mod_p(wpc).T, matmul_mod(_residues(cfg, elements), _mod_p(wc)))
     report = TrialReport()
-    for t in range(trials):
-        h = sample_element(cfg, seed * 7_777_777 + t, complexity)
-        hwc = _translate_columns(h.matrix, wc)
-        r = len(independent_columns([[sum(map(operator.mul, a, b)) for a in hwc] for b in wpc]))
+    for h, residues in zip(elements, products.tolist()):
+        sel = certified_columns(residues)
+        if sel is None:
+            hwc = _translate_columns(h, wc)
+            sel = bareiss_columns([[sum(map(operator.mul, a, b)) for a in hwc] for b in wpc])
+        r = len(sel)
         report.record(r, r * n >= k * w_prime.dim, witness=(h.seed, h.recipe))
     return report
+
+
+def _spanning_run(
+    n: int, k: int, translate: Callable[[int], list[list[int]]], pivots: Callable[[list[list[int]]], list[int] | None]
+) -> tuple[int, tuple[int, ...]] | None:
+    """(q, k_list) of one spanning run from the columns translate(step) of
+    h_step.W, with `pivots` selecting independent columns; None as soon as
+    `pivots` cannot decide a step."""
+    total = translate(1)
+    k_list: list[int] = []
+    step = 1
+    while len(total) < n:
+        step += 1
+        if step > n + 1:
+            raise IrreducibilityViolation("translates never span V; configuration looks reducible")
+        cols = total + translate(step)
+        sel = pivots(cols)
+        if sel is None:
+            return None
+        k_list.append(len(total) + k - len(sel))
+        total = [cols[i] for i in sel]
+    return step, tuple(k_list)
 
 
 def find_spanning_q(cfg: RepConfig, w: Subspace, trials: int, seed: int) -> tuple[int, tuple[int, ...]]:
     """Minimal q with generic h_1.W + ... + h_q.W = V, and the intersection
     dimensions k_{q'} = dim((sum_{i<q'} h_i.W) cap h_{q'}.W).
 
-    The sum is kept as independent integer columns of the h_i.W, and k_{q'} =
-    dim(sum) + dim W - rank [sum | h_{q'}.W], the rank taken over Z.  Asserts
-    every k_{q'} < dim W and sum k_{q'} = q k - n on the modal outcome.
+    The sum is kept as independent columns of the h_i.W, and k_{q'} = dim(sum)
+    + dim W - rank [sum | h_{q'}.W].  A run first goes on residues mod p, where
+    a step counts only when its rank is certified: then every column is kept
+    (rank = #columns) or the sum is V (rank = n), exactly as over Q.  Since
+    q >= ceil(n / dim W), the first ceil(n / dim W) elements of every trial are
+    reduced in one batch, later ones one at a time.  A run with any uncertified
+    step replays over Z.  Asserts every k_{q'} < dim W and sum k_{q'} = q k - n
+    on the modal outcome.
     """
     if w.dim == cfg.n:
         raise PreconditionError("w must be a proper subspace")
@@ -287,24 +385,31 @@ def find_spanning_q(cfg: RepConfig, w: Subspace, trials: int, seed: int) -> tupl
     complexity = default_complexity(cfg)
     n, k = cfg.n, w.dim
     wc = integer_columns(w.basis)
+    wm = _mod_p(wc)
+    first = -(-n // k)
+
+    def draw(t: int, step: int) -> SampledElement:
+        return sample_element(cfg, seed * 31_337 + 7919 * t + (step if step > 1 else 0), complexity)
+
+    heads = [[draw(t, step) for step in range(1, first + 1)] for t in range(trials)]
+    head_residues = matmul_mod(_residues(cfg, [h for hs in heads for h in hs]), wm).transpose(0, 2, 1).tolist()
     outcomes: Counter = Counter()
-    for t in range(trials):
-        h = sample_element(cfg, seed * 31_337 + 7919 * t, complexity)
-        total = _translate_columns(h.matrix, wc)
-        k_list: list[int] = []
-        step = 1
-        while len(total) < n:
-            step += 1
-            if step > n + 1:
-                raise IrreducibilityViolation(
-                    "translates never span V; configuration looks reducible"
-                )
-            h = sample_element(cfg, seed * 31_337 + 7919 * t + step, complexity)
-            cols = total + _translate_columns(h.matrix, wc)
-            sel = independent_columns(cols)
-            k_list.append(len(total) + k - len(sel))
-            total = [cols[i] for i in sel]
-        outcomes[(step, tuple(k_list))] += 1
+    for t, drawn in enumerate(heads):
+
+        def element(step: int) -> SampledElement:
+            while len(drawn) < step:
+                drawn.append(draw(t, len(drawn) + 1))
+            return drawn[step - 1]
+
+        def translate_mod_p(step: int) -> list[list[int]]:
+            if step <= first:
+                return head_residues[t * first + step - 1]
+            return matmul_mod(_residues(cfg, [element(step)]), wm)[0].T.tolist()
+
+        outcome = _spanning_run(n, k, translate_mod_p, certified_columns)
+        if outcome is None:
+            outcome = _spanning_run(n, k, lambda step: _translate_columns(element(step), wc), independent_columns)
+        outcomes[outcome] += 1
     (q, k_list), _, _ = _modal(outcomes)
     if any(kq >= k for kq in k_list):
         raise IrreducibilityViolation("an intersection dimension reached dim W")

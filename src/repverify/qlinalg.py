@@ -15,14 +15,20 @@ row echelon row times the last pivot.  `RowSpan` keeps its rows in that form
 and absorbs each new vector by one such step.
 
 Ranks go through `independent_columns`, on columns cleared of denominators by
-`integer_columns`: it runs the sweep mod a 31-bit prime p and keeps that answer
-only when the mod-p rank reaches min(#columns, length), which certifies it
-(rank_p <= rank_Q <= min, and a minor nonzero mod p is nonzero over Z); any
-smaller mod-p rank is recomputed by Bareiss elimination over Z.
+`integer_columns`: `certified_columns` runs the sweep mod the 31-bit prime
+p = MODULUS and keeps that answer only when the mod-p rank reaches
+min(#columns, length), which certifies it (rank_p <= rank_Q <= min, and a minor
+nonzero mod p is nonzero over Z); any smaller mod-p rank is recomputed by
+Bareiss elimination over Z (`bareiss_columns`).  Callers that already hold the
+residues of their columns, such as the batched Monte Carlo trials of `generic`,
+call the two halves directly.
 
-Every unipotent exponential goes through the one exp kernel `exp_product`:
+Every unipotent exponential goes through the one exp kernel `exp_product_rows`:
 it multiplies exp(t N) factors from the terms N^k/k! of each N (`exp_terms`)
-over Z with one common denominator, and `nilpotent_exp` is its one-factor case.
+over Z with one common denominator; `exp_product` is its `Mat`, and
+`nilpotent_exp` the one-factor case.  `exp_product_residues` computes the same
+products mod p for a batch of parameter rows sharing one schedule of N's, as
+int64 numpy arrays multiplied by `matmul_mod`.
 """
 
 from __future__ import annotations
@@ -30,7 +36,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
+
+import numpy as np
 
 Rat = Fraction
 
@@ -86,6 +95,11 @@ class Mat:
     @staticmethod
     def zeros(rows: int, cols: int) -> "Mat":
         return Mat(rows, cols, (Fraction(0),) * (rows * cols))
+
+    @staticmethod
+    def from_integer(rows: Sequence[Sequence[int]], den: int) -> "Mat":
+        """The matrix rows / den, for integer rows."""
+        return Mat(len(rows), len(rows[0]) if rows else 0, tuple(Fraction(x, den) for row in rows for x in row))
 
     @staticmethod
     def identity(n: int) -> "Mat":
@@ -209,15 +223,32 @@ def independent_columns(vecs: Sequence[Sequence[int]]) -> list[int]:
     """Indices of a maximal independent subset of the integer vectors vecs, so
     its length is their rank over Q.
 
-    Eliminates mod MODULUS first.  rank_p <= rank_Q <= min(#vecs, length), and a
-    minor that is nonzero mod p is nonzero over Z, so a mod-p count that reaches
-    the minimum is the exact rank and its columns are an exact basis of the span.
-    Any smaller count is recomputed by fraction-free Bareiss elimination over Z.
+    Eliminates mod MODULUS first (`certified_columns`); a mod-p count that falls
+    short of min(#vecs, length) is recomputed by `bareiss_columns` over Z.  The
+    trial checks of `generic` certify on batched residues of their elements
+    instead, and decide every uncertified trial exactly the same way.
     """
-    rows = [[x % MODULUS for x in row] for row in zip(*vecs)]
+    pivots = certified_columns([[x % MODULUS for x in vec] for vec in vecs])
+    return bareiss_columns(vecs) if pivots is None else pivots
+
+
+def certified_columns(residues: Sequence[Sequence[int]]) -> list[int] | None:
+    """Pivot indices of vectors given by their residues mod MODULUS, when that
+    count certifies the rank over Q of any integer vectors with these residues;
+    else None.
+
+    rank_p <= rank_Q <= min(#vecs, length), and a minor that is nonzero mod p is
+    nonzero over Z, so a mod-p count that reaches the minimum is the exact rank
+    and its columns are an exact basis of the span.
+    """
+    rows = [list(row) for row in zip(*residues)]
     pivots, _ = _pivot_columns(rows, MODULUS)
-    if len(pivots) == min(len(vecs), len(rows)):
-        return pivots
+    return pivots if len(pivots) == min(len(residues), len(rows)) else None
+
+
+def bareiss_columns(vecs: Sequence[Sequence[int]]) -> list[int]:
+    """Pivot indices of the integer vectors vecs by fraction-free Bareiss
+    elimination over Z, for vectors whose mod-p rank could not be certified."""
     return _pivot_columns([list(row) for row in zip(*vecs)], None)[0]
 
 
@@ -439,14 +470,26 @@ def orthogonal_complement(u: Subspace) -> Subspace:
 
 @dataclass(frozen=True)
 class ExpTerms:
-    """The terms N^k/k!, k = 1..degree, of exp(tN) for one nilpotent N.
+    """The terms N^k/k!, k = 1..degree, of exp(tN) for one dim x dim nilpotent N.
 
     Term k is terms[k-1] = (its denominator, its integer rows), each row a tuple
     of (column, value) pairs; den is the lcm of the term denominators.
     """
 
+    dim: int
     den: int
     terms: tuple[tuple[int, tuple[tuple[tuple[int, int], ...], ...]], ...]
+
+    @cached_property
+    def residues(self) -> np.ndarray:
+        """(degree, dim, dim) int64: term k mod MODULUS is residues[k-1]."""
+        out = np.zeros((len(self.terms), self.dim, self.dim), dtype=np.int64)
+        for k, (den_k, rows) in enumerate(self.terms):
+            inv = _inverse(den_k)
+            for i, row in enumerate(rows):
+                for j, v in row:
+                    out[k, i, j] = v * inv % MODULUS
+        return out
 
 
 def exp_terms(n: Mat) -> ExpTerms:
@@ -471,7 +514,7 @@ def exp_terms(n: Mat) -> ExpTerms:
         power = _sparse_matmul(power, m)
     if any(power):
         raise NotNilpotent("matrix is not nilpotent (n^dim != 0)")
-    return ExpTerms(math.lcm(*(den_k for den_k, _ in terms)), tuple(terms))
+    return ExpTerms(dim, math.lcm(*(den_k for den_k, _ in terms)), tuple(terms))
 
 
 def _sparse_matmul(a: list[dict[int, int]], b: list[dict[int, int]]) -> list[dict[int, int]]:
@@ -485,13 +528,14 @@ def _sparse_matmul(a: list[dict[int, int]], b: list[dict[int, int]]) -> list[dic
     return out
 
 
-def exp_product(dim: int, factors: Sequence[tuple[ExpTerms, Fraction]]) -> Mat:
-    """The exact product of exp(t N) over the (ExpTerms of N, t) factors, in order.
+def exp_product_rows(dim: int, factors: Sequence[tuple[ExpTerms, Fraction]]) -> tuple[list[list[int]], int]:
+    """(rows, den) with rows / den the exact product of exp(t N) over the
+    (ExpTerms of N, t) factors, in order.
 
     For t = a/b, exp(tN) is an integer matrix over b^degree * den.  The running
     product is kept as integer rows over one common denominator, reduced by the
-    gcd of that denominator and all entries after each factor; the Fractions
-    are built once, at the end.
+    gcd of that denominator and all entries after each factor, so den is the
+    lcm of the denominators of the reduced entries.
     """
     num = [[int(i == j) for j in range(dim)] for i in range(dim)]
     den = 1
@@ -522,7 +566,55 @@ def exp_product(dim: int, factors: Sequence[tuple[ExpTerms, Fraction]]) -> Mat:
         if g > 1:
             den //= g
             num = [[x // g for x in row] for row in num]
-    return Mat(dim, dim, tuple(Fraction(x, den) for row in num for x in row))
+    return num, den
+
+
+def exp_product(dim: int, factors: Sequence[tuple[ExpTerms, Fraction]]) -> Mat:
+    """The exact product of exp(t N) over the (ExpTerms of N, t) factors, in order."""
+    return Mat.from_integer(*exp_product_rows(dim, factors))
+
+
+def _inverse(d: int) -> int:
+    """1/d mod MODULUS; raises LinAlgError when MODULUS divides d."""
+    if d % MODULUS == 0:
+        raise LinAlgError(f"{d} is not invertible mod {MODULUS}")
+    return pow(d, -1, MODULUS)
+
+
+def matmul_mod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b mod MODULUS for int64 arrays of residues, broadcast over leading axes.
+
+    Each elementwise product of two residues is below p^2 < 2^62 and is reduced
+    before the sum, so a sum of n reduced terms stays below n p < n 2^31, which
+    is below 2^63 for any n < 2^32.  A plain int64 `@` would sum n unreduced
+    products of up to 2^62, and numpy array overflow wraps without a warning.
+    """
+    prod = a[..., :, :, None] * b[..., None, :, :]
+    np.remainder(prod, MODULUS, out=prod)
+    return prod.sum(-2) % MODULUS
+
+
+def exp_product_residues(dim: int, schedule: Sequence[ExpTerms], params: Sequence[Sequence[Fraction]]) -> np.ndarray:
+    """Residues mod MODULUS of the products of exp(t_s N_s) over one schedule of
+    (ExpTerms of) N_s, one product per row (t_1, ..., t_S) of params, as a
+    (len(params), dim, dim) int64 array.
+
+    Each t = a/b is a b^-1 mod p and each term N^k/k! its integer rows times the
+    inverse of its denominator; `_inverse` checks that p divides neither.  Then
+    exp(t N) = I + sum_k t^k N^k/k! for the whole batch at once, every product of
+    two residues reduced before it is summed.
+    """
+    identity = np.eye(dim, dtype=np.int64)
+    h = np.broadcast_to(identity, (len(params), dim, dim))
+    for s, terms in enumerate(schedule):
+        t = np.array([row[s].numerator * _inverse(row[s].denominator) % MODULUS for row in params], dtype=np.int64)
+        t = t.reshape(-1, 1, 1)
+        power, e = t, identity
+        for term in terms.residues:
+            e = e + power * term % MODULUS
+            power = power * t % MODULUS
+        h = matmul_mod(h, e % MODULUS)
+    return h
 
 
 def nilpotent_exp(n: Mat) -> Mat:

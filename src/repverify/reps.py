@@ -562,16 +562,6 @@ def check_proximal(dec: WeightDecomposition) -> bool:
     return dec.multiplicities[-1] == 1
 
 
-def horospherical_basis(cfg: RepConfig) -> tuple[list[Mat], list[Mat]]:
-    """Action matrices of the expanding / contracting horospherical generators.
-
-    Their ad(a) signs were checked once, when the configuration was built.
-    """
-    u_plus = [cfg.h_basis[i] for i in cfg.u_plus_indices]
-    u_minus = [cfg.h_basis[i] for i in cfg.u_minus_indices]
-    return u_plus, u_minus
-
-
 def config_to_json(cfg: RepConfig) -> dict:
     return {
         "name": cfg.name,

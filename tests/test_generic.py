@@ -9,9 +9,11 @@ from fractions import Fraction
 
 import pytest
 
+from repverify import generic
 from repverify.generic import (
     IrreducibilityViolation,
     PreconditionError,
+    SampledElement,
     TreeOp,
     TreeShapeError,
     check_intersection_bound,
@@ -27,7 +29,7 @@ from repverify.generic import (
     submodularity_check,
     translate,
 )
-from repverify.qlinalg import Mat, Subspace, det, mat_to_json, rank, subspace_intersect, subspace_sum
+from repverify.qlinalg import MODULUS, Mat, Subspace, det, mat_to_json, rank, subspace_intersect, subspace_sum
 from repverify.reps import build_config, flag_projector, weight_decompose
 
 F = Fraction
@@ -66,6 +68,13 @@ class TestSampling:
         cfg = build_config("so_pq:2,1")
         el = sample_element(cfg, 5, default_complexity(cfg))
         assert replay_recipe(cfg, el.recipe) == el.matrix
+
+    @pytest.mark.parametrize("name", ["so_pq:2,1", "sp2n:2", "so_pq:3,2"])
+    def test_residues_are_the_matrix_mod_p(self, name):
+        cfg = build_config(name)
+        for el in sample_elements(cfg, 9, 3):
+            assert el.residues.tolist() == [[x.numerator * pow(x.denominator, -1, MODULUS) % MODULUS
+                                             for x in el.matrix.row(i)] for i in range(cfg.n)]
 
 
 # sha256 of the first 5 elements of sample_elements(cfg, 42, 5): their matrices
@@ -211,6 +220,32 @@ def test_intersection_trials_match_subspace_intersect(height):
         for el in elements[cfg.name]:
             rep = check_intersection_bound(cfg, w, wp, 1, 0, elements=[el])
             assert rep.dimension_histogram == {subspace_intersect(translate(el.matrix, w), wp).dim: 1}
+
+
+def _identity_element(cfg):
+    """h = I, as the recipe of one factor with t = 0."""
+    return SampledElement(cfg, ((cfg.u_plus_indices[0], F(0)),), 0)
+
+
+class TestUncertifiedModP:
+    """Columns whose mod-p rank falls short of the minimum, so Bareiss decides."""
+
+    def test_intersection_decided_over_z(self):
+        # [h.W | W'] = [e1 | e1 + p e2] has rank 2, but rank 1 mod p
+        cfg = build_config("sl2_sym:2")
+        w = Subspace.from_columns(3, [[1, 0, 0]])
+        wp = Subspace.from_columns(3, [[1, MODULUS, 0]])
+        rep = check_intersection_bound(cfg, w, wp, 1, 0, elements=[_identity_element(cfg)])
+        assert rep.dimension_histogram == {0: 1}
+
+    def test_projection_decided_over_z(self, monkeypatch):
+        # (h.W)^T W' = e1 . (p e1 + e2) = p: rank 1, but rank 0 mod p
+        cfg = build_config("sl2_sym:2")
+        monkeypatch.setattr(generic, "sample_element", lambda cfg, seed, complexity: _identity_element(cfg))
+        w = Subspace.from_columns(3, [[1, 0, 0]])
+        wp = Subspace.from_columns(3, [[MODULUS, 1, 0]])
+        rep = check_projection_bound(cfg, w, wp, 2, 0)
+        assert rep.dimension_histogram == {1: 2}
 
 
 # Criterion 3's configs at seed 11, pinned before the checks moved to integer

@@ -195,6 +195,11 @@ class TestCLI:
         assert doc["within_bound"] is True
         assert len(csv.read_text().strip().splitlines()) == 11  # header + one row per u
 
+    @pytest.mark.parametrize("fractal", ["full_grid:5", "random_subset:2,4", "cantor:3,0a,2"])
+    def test_proj_exp_bad_fractal(self, fractal, capsys):
+        assert proj_exp_main(["--config", "so_pq:2,1", "--fractal", fractal, "--delta", "4"]) == 2
+        assert capsys.readouterr().err.startswith("error: fractal descriptor")
+
     def test_oppenheim_cli(self, tmp_path):
         out = tmp_path / "o.json"
         code = oppenheim_main(["--form", "x1^2+x2^2-sqrt2*x3^2", "--s", "0", "--T", "50",

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -21,12 +22,15 @@ from repverify.qlinalg import (
     canonicalize,
     det,
     exp_product,
+    exp_product_residues,
+    exp_product_rows,
     exp_terms,
     independent_columns,
     integer_columns,
     kernel_basis,
     mat_from_json,
     mat_to_json,
+    matmul_mod,
     nilpotent_exp,
     orthogonal_complement,
     rank,
@@ -482,3 +486,35 @@ def test_exp_product_matches_power_series(data):
     for n, t in factors:
         expected = expected @ power_series_exp(n.scale(t))
     assert exp_product(dim, [(exp_terms(n), t) for n, t in factors]) == expected
+
+
+def test_matmul_mod_matches_big_integers():
+    # residues p - 1 and p - 2: each product is near 2^62 and a sum of 14 of them
+    # overflows int64, which numpy's plain @ wraps silently
+    rng = random.Random(3)
+    p = MODULUS
+    a, b = ([[[rng.choice((p - 1, p - 2)) for _ in range(14)] for _ in range(14)] for _ in range(15)] for _ in "ab")
+    want = [[[sum(x * y for x, y in zip(row, col)) % p for col in zip(*mb)] for row in ma] for ma, mb in zip(a, b)]
+    a, b = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+    assert matmul_mod(a, b).tolist() == want
+    assert (a @ b % p).tolist() != want
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_exp_product_residues_match_exact(data):
+    # a batch of parameter rows on one schedule of N's, against each exact product mod p
+    dim = data.draw(st.integers(min_value=1, max_value=5))
+    schedule = [exp_terms(n) for n in data.draw(st.lists(nilpotent_matrix(dim, dim), max_size=4))]
+    batch = data.draw(st.lists(st.lists(params, min_size=len(schedule), max_size=len(schedule)), max_size=3))
+    got = exp_product_residues(dim, schedule, batch)
+    assert got.shape == (len(batch), dim, dim)
+    for row, residues in zip(batch, got.tolist()):
+        num, den = exp_product_rows(dim, list(zip(schedule, row)))
+        assert residues == [[x * pow(den, -1, MODULUS) % MODULUS for x in r] for r in num]
+
+
+def test_exp_product_residues_need_invertible_denominators():
+    terms = exp_terms(Mat.from_rows([[0, 1], [0, 0]]))
+    with pytest.raises(LinAlgError):
+        exp_product_residues(2, [terms], [[F(1, MODULUS)]])

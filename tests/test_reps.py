@@ -20,7 +20,6 @@ from repverify.reps import (
     config_from_json,
     config_to_json,
     flag_projector,
-    horospherical_basis,
     weight_decompose,
 )
 
@@ -134,7 +133,7 @@ class TestFlags:
     def test_projector_idempotent_and_u_stability(self, desc):
         cfg = build_config(desc)
         dec = weight_decompose(cfg)
-        u_plus, _ = horospherical_basis(cfg)
+        u_plus = [cfg.h_basis[i] for i in cfg.u_plus_indices]
         for mu in dec.eigenvalues:
             fp = flag_projector(dec, mu)
             assert fp.projector @ fp.projector == fp.projector
@@ -248,15 +247,14 @@ class TestProximal:
 
 class TestHorospherical:
     def test_u_plus_dims(self):
-        assert len(horospherical_basis(build_config("so_pq:2,1"))[0]) == 1
-        assert len(horospherical_basis(build_config("sp2n:2"))[0]) == 4
-        assert len(horospherical_basis(build_config("sl2_sym:3"))[0]) == 1
+        assert len(build_config("so_pq:2,1").u_plus_indices) == 1
+        assert len(build_config("sp2n:2").u_plus_indices) == 4
+        assert len(build_config("sl2_sym:3").u_plus_indices) == 1
 
     @pytest.mark.parametrize("desc", ALL_DESCRIPTORS + ["so_pq:3,2"])
     def test_nilpotent_and_signed(self, desc):
         cfg = build_config(desc)
-        u_plus, u_minus = horospherical_basis(cfg)
-        for x in u_plus + u_minus:
+        for x in [cfg.h_basis[i] for i in cfg.u_plus_indices + cfg.u_minus_indices]:
             cur = x
             for _ in range(cfg.n):
                 cur = cur @ x
