@@ -39,7 +39,6 @@ from .qlinalg import (
     exp_product_rows,
     exp_terms,
     independent_columns,
-    integer_columns,
     matmul_mod,
     subspace_intersect,
     subspace_sum,
@@ -204,7 +203,7 @@ def _residues(cfg: RepConfig, elements: Sequence[SampledElement]) -> np.ndarray:
     return np.array([el.residues for el in elements], dtype=np.int64).reshape(-1, cfg.n, cfg.n)
 
 
-def _mod_p(cols: list[list[int]]) -> np.ndarray:
+def _mod_p(cols: Sequence[Sequence[int]]) -> np.ndarray:
     """The integer columns cols as an (n, len(cols)) int64 array of residues."""
     return np.array([[x % MODULUS for x in col] for col in cols], dtype=np.int64).T
 
@@ -282,7 +281,7 @@ def sample_elements(cfg: RepConfig, seed: int, count: int, height: int = PARAM_H
     return [sample_element(cfg, seed * 9_999_991 + t, complexity, height) for t in range(count)]
 
 
-def _translate_columns(h: SampledElement, cols: list[list[int]]) -> list[list[int]]:
+def _translate_columns(h: SampledElement, cols: Sequence[Sequence[int]]) -> list[list[int]]:
     """Integer columns spanning h.W from those of W: h's integer rows times each column."""
     rows, _ = h.integer_rows
     return [[sum(map(operator.mul, row, col)) for row in rows] for col in cols]
@@ -310,7 +309,7 @@ def check_intersection_bound(
         raise PreconditionError("not enough pre-sampled elements")
     elements = elements[:trials]
     k, n = w.dim, cfg.n
-    wc, wpc = integer_columns(w.basis), integer_columns(w_prime.basis)
+    wc, wpc = list(w.columns), list(w_prime.columns)
     hw = matmul_mod(_residues(cfg, elements), _mod_p(wc))
     wp = np.broadcast_to(_mod_p(wpc), (len(elements), n, len(wpc)))
     report = TrialReport()
@@ -330,7 +329,7 @@ def check_projection_bound(cfg: RepConfig, w: Subspace, w_prime: Subspace, trial
     _require_bound_inputs(cfg, w, w_prime)
     complexity = default_complexity(cfg)
     k, n = w.dim, cfg.n
-    wc, wpc = integer_columns(w.basis), integer_columns(w_prime.basis)
+    wc, wpc = list(w.columns), list(w_prime.columns)
     elements = [sample_element(cfg, seed * 7_777_777 + t, complexity) for t in range(trials)]
     products = matmul_mod(_mod_p(wpc).T, matmul_mod(_residues(cfg, elements), _mod_p(wc)))
     report = TrialReport()
@@ -384,7 +383,7 @@ def find_spanning_q(cfg: RepConfig, w: Subspace, trials: int, seed: int) -> tupl
     _require_bound_inputs(cfg, w, w)
     complexity = default_complexity(cfg)
     n, k = cfg.n, w.dim
-    wc = integer_columns(w.basis)
+    wc = list(w.columns)
     wm = _mod_p(wc)
     first = -(-n // k)
 

@@ -1,18 +1,18 @@
 """Exact rational matrices and the subspace calculus used everywhere else.
 
-Matrices, vectors and subspace bases are Fractions, so ranks, kernels, sums,
-intersections and orthogonal complements are exact.  Subspaces are kept in
-reduced column echelon form, which makes subspace equality a plain value
-comparison.
+Matrices and vectors are Fractions.  Subspaces are kept over Z in one
+canonical integer form, so their equality and hashing compare integers; ranks,
+kernels, sums, intersections and orthogonal complements are exact, and the
+Fraction basis of a subspace is built only when it is read.
 
 Every elimination runs on integer rows in the one column sweep
-`_pivot_columns`; Fractions are cleared on the way in (each vector times the
-lcm of its denominators) and built once on the way out.  Over Z the sweep is
-fraction-free Bareiss elimination (each update (p x - f y) // prev is exact),
-forward-only for ranks and determinants (the last pivot), or Gauss-Jordan for
-canonical bases, kernels and solves, where each pivot row ends as its reduced
-row echelon row times the last pivot.  `RowSpan` keeps its rows in that form
-and absorbs each new vector by one such step.
+`_pivot_columns`, on vectors cleared of denominators (each times the lcm of its
+own).  Over Z the sweep is fraction-free Bareiss elimination (each update
+(p x - f y) // prev is exact), forward-only for ranks and determinants (the
+last pivot), or Gauss-Jordan for canonical bases, kernels and solves, where
+each pivot row ends as its reduced row echelon row times the last pivot.  A
+`Subspace` is those rows over their gcd; `RowSpan` keeps them as they are and
+absorbs each new vector by one such step.
 
 Ranks go through `independent_columns`, on columns cleared of denominators by
 `integer_columns`: `certified_columns` runs the sweep mod the 31-bit prime
@@ -252,7 +252,7 @@ def bareiss_columns(vecs: Sequence[Sequence[int]]) -> list[int]:
     return _pivot_columns([list(row) for row in zip(*vecs)], None)[0]
 
 
-def _pivot_columns(rows: list[list[int]], modulus: int | None, reduced: bool = False) -> tuple[list[int], int]:
+def _pivot_columns(rows: list[Sequence[int]], modulus: int | None, reduced: bool = False) -> tuple[list[int], int]:
     """Pivot columns and last pivot of an integer matrix, by a column sweep in
     place: mod `modulus`, or over Z by Bareiss (each update is exactly divisible
     by the previous pivot) when it is None.  Zero columns below the pivots are
@@ -289,7 +289,7 @@ def _pivot_columns(rows: list[list[int]], modulus: int | None, reduced: bool = F
     return pivots, prev
 
 
-def _kernel_vectors(rows: list[list[int]], ncols: int) -> list[list[int]]:
+def _kernel_vectors(rows: list[Sequence[int]], ncols: int) -> list[list[int]]:
     """Integer vectors spanning the kernel of the integer matrix rows (consumed):
     one per free column f, d e_f - sum_r rows[r][f] e_(pivot r) with d the last
     pivot of the reduced sweep."""
@@ -306,6 +306,8 @@ def _kernel_vectors(rows: list[list[int]], ncols: int) -> list[list[int]]:
 
 def solve_exact(m: Mat, rhs: Mat) -> Mat:
     """Solve m @ X = rhs for a consistent system with full column rank m."""
+    if rhs.rows != m.rows:
+        raise DimensionMismatch(f"rhs has {rhs.rows} rows, m has {m.rows}")
     aug = [_integer(m.row(i) + rhs.row(i))[1] for i in range(m.rows)]
     pivots, d = _pivot_columns(aug, None, reduced=True)
     # a pivot in the rhs columns is an inconsistent row; rows past the pivots are zero
@@ -369,42 +371,44 @@ class RowSpan:
 
 @dataclass(frozen=True)
 class Subspace:
-    """Column span in reduced column echelon form.
-
-    The canonical basis makes equality of subspaces equality of values; the
-    zero subspace is a basis with zero columns.
+    """Column span, kept over Z as its reduced column echelon columns times the
+    least positive integer L clearing their denominators: every pivot entry is
+    L and the entries have gcd 1, so equality and hashing compare integers.
+    `basis`, the Fraction matrix of the columns over L, is built on first read.
     """
 
     ambient_dim: int
-    basis: Mat
+    columns: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.basis.rows != self.ambient_dim:
-            raise DimensionMismatch("basis rows must equal ambient dimension")
+        if any(len(col) != self.ambient_dim for col in self.columns):
+            raise DimensionMismatch("column length must equal ambient dimension")
 
     @property
     def dim(self) -> int:
-        return self.basis.cols
+        return len(self.columns)
+
+    @cached_property
+    def basis(self) -> Mat:
+        scale = next(x for x in self.columns[0] if x) if self.columns else 1
+        return Mat(self.ambient_dim, self.dim, tuple(Fraction(x, scale) for row in zip(*self.columns) for x in row))
 
     @staticmethod
     def zero(n: int) -> "Subspace":
-        return Subspace(n, Mat(n, 0, ()))
+        return Subspace(n, ())
 
     @staticmethod
     def full(n: int) -> "Subspace":
-        return Subspace(n, Mat.identity(n))
+        return Subspace(n, tuple(tuple(int(i == j) for i in range(n)) for j in range(n)))
 
     @staticmethod
     def from_columns(n: int, cols: Sequence[Sequence]) -> "Subspace":
-        if not cols:
-            return Subspace.zero(n)
-        return canonicalize(Mat.from_cols(cols))
+        if any(len(col) != n for col in cols):
+            raise DimensionMismatch(f"columns must have length {n}")
+        return _span(n, [_integer([_rat(x) for x in col])[1] for col in cols])
 
     def contains_vector(self, vec: Sequence[Fraction]) -> bool:
-        span = RowSpan(self.ambient_dim)
-        for col in self.column_vectors():
-            span.add(col)
-        return span.contains(vec)
+        return self.contains_subspace(Subspace.from_columns(self.ambient_dim, [vec]))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return subspace_sum(self, other) == self
@@ -418,12 +422,12 @@ def canonicalize(m: Mat) -> Subspace:
     return _span(m.rows, integer_columns(m))
 
 
-def _span(n: int, vecs: list[list[int]]) -> Subspace:
+def _span(n: int, vecs: list[Sequence[int]]) -> Subspace:
     """The canonical Subspace spanned by integer vectors of length n (consumed):
-    the reduced sweep's pivot rows over its last pivot."""
+    the reduced sweep's rows, zero past the pivots, over their gcd, pivots > 0."""
     pivots, d = _pivot_columns(vecs, None, reduced=True)
-    k = len(pivots)
-    return Subspace(n, Mat(n, k, tuple(Fraction(vecs[j][i], d) for i in range(n) for j in range(k))))
+    g = math.gcd(*(x for row in vecs for x in row)) * (1 if d > 0 else -1)
+    return Subspace(n, tuple(tuple(x // g for x in row) for row in vecs[: len(pivots)]))
 
 
 def kernel_basis(m: Mat) -> Subspace:
@@ -438,34 +442,31 @@ def subspace_sum(u: Subspace, w: Subspace) -> Subspace:
         return w
     if w.dim == 0:
         return u
-    return canonicalize(u.basis.hstack(w.basis))
+    return _span(u.ambient_dim, list(u.columns + w.columns))
 
 
 def subspace_intersect(u: Subspace, w: Subspace) -> Subspace:
-    """u cap w as W y over the kernel of the constraints x = B_u x[P] on x = W y,
-    for the larger of the two canonical bases B_u (pivot rows P) and the integer
-    columns W of the other; the rows of B_u are scaled to integers one by one."""
+    """u cap w as W y over the kernel of the constraints L x_i = sum_j u_j[i]
+    x[p_j], i off the pivots p_j, on x = W y, for the larger of the two column
+    lists u_j (pivot entry L) and the columns W of the other."""
     if u.ambient_dim != w.ambient_dim:
         raise DimensionMismatch("ambient dimension mismatch in intersection")
     if u.dim == 0 or w.dim == 0:
         return Subspace.zero(u.ambient_dim)
     if u.dim < w.dim:
         u, w = w, u
-    n, cols = u.ambient_dim, integer_columns(w.basis)
-    pivots = [next(i for i, x in enumerate(col) if x) for col in u.column_vectors()]
-    rows = []
+    n, cols = u.ambient_dim, w.columns
+    pivots = [next(i for i, x in enumerate(col) if x) for col in u.columns]
+    scale, rows = u.columns[0][pivots[0]], []
     for i in sorted(set(range(n)) - set(pivots)):
-        r, b = _integer(u.basis.row(i))
-        rows.append([r * col[i] - sum(x * col[p] for x, p in zip(b, pivots)) for col in cols])
+        rows.append([scale * col[i] - sum(uj[i] * col[p] for uj, p in zip(u.columns, pivots)) for col in cols])
     ker = _kernel_vectors(rows, len(cols))
     return _span(n, [[sum(y * col[i] for y, col in zip(v, cols)) for i in range(n)] for v in ker])
 
 
 def orthogonal_complement(u: Subspace) -> Subspace:
     """Complement w.r.t. the standard dot product of the fixed coordinates."""
-    if u.dim == 0:
-        return Subspace.full(u.ambient_dim)
-    return kernel_basis(u.basis.transpose())
+    return _span(u.ambient_dim, _kernel_vectors(list(u.columns), u.ambient_dim))
 
 
 @dataclass(frozen=True)
@@ -649,5 +650,8 @@ def subspace_to_json(s: Subspace) -> dict:
 def subspace_from_json(obj: dict) -> Subspace:
     """Loads through canonicalize, so a stored basis that is not canonical (or
     not independent) gives the same Subspace as its span."""
-    return Subspace(int(obj["ambient_dim"]), canonicalize(mat_from_json(obj["basis"])).basis)
+    m = mat_from_json(obj["basis"])
+    if m.rows != int(obj["ambient_dim"]):
+        raise DimensionMismatch("basis rows must equal ambient dimension")
+    return canonicalize(m)
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -91,6 +94,66 @@ class TestCanonicalize:
         for _ in range(25):
             s = canonicalize(random_mat(rng, 5, 3))
             assert canonicalize(s.basis) == s
+
+
+class TestCanonicalForm:
+    """Subspaces are stored as integer columns: reduced column echelon columns
+    times the least integer L clearing their denominators."""
+
+    def test_equivalent_generators_compare_equal(self):
+        rng = random.Random(5)
+        for _ in range(20):
+            cols = [random_mat(rng, 5, 1).col(0) for _ in range(3)]
+            s = Subspace.from_columns(5, cols)
+            mixed = [[F(-7, 3) * x for x in cols[2]], cols[0], [5 * x for x in cols[1]], [F(2) * x for x in cols[0]]]
+            t = Subspace.from_columns(5, mixed)
+            assert t == s and hash(t) == hash(s)
+            assert canonicalize(Mat.from_cols(mixed)) == s
+
+    def test_columns_have_gcd_one_and_equal_positive_pivots(self):
+        rng = random.Random(6)
+        for _ in range(20):
+            s = random_subspace(rng, 5, rng.randint(1, 4))
+            pivots = [next(x for x in col if x) for col in s.columns]
+            assert len(set(pivots)) == 1 and pivots[0] > 0
+            assert math.gcd(*(x for col in s.columns for x in col)) == 1
+            assert s.basis == Mat.from_cols(s.columns).scale(F(1, pivots[0]))
+        assert Subspace.zero(3).columns == ()
+        assert Subspace.full(2).columns == ((1, 0), (0, 1))
+
+    def test_subspace_to_json_pinned(self):
+        spaces = [
+            Subspace.from_columns(3, [[2, 1, 0], [0, 3, 1]]),
+            Subspace.from_columns(4, [[3, 1, 2, 0]]),
+            Subspace.from_columns(5, [[1, 2, 3, 4, 5], [0, 7, 1, 0, 2], [4, 0, 0, 1, F(9, 2)]]),
+        ]
+        assert [json.dumps(subspace_to_json(s)) for s in spaces] == [
+            '{"ambient_dim": 3, "basis": {"rows": 3, "cols": 2, "entries": [["1", "0"], ["0", "1"], ["-1/6", "1/3"]]}}',
+            '{"ambient_dim": 4, "basis": {"rows": 4, "cols": 1, "entries": [["1"], ["1/3"], ["2/3"], ["0"]]}}',
+            '{"ambient_dim": 5, "basis": {"rows": 5, "cols": 3, "entries": [["1", "0", "0"], ["0", "1", "0"], '
+            '["0", "0", "1"], ["1/4", "-15/76", "105/76"], ["9/8", "17/152", "185/152"]]}}',
+        ]
+        assert spaces[0].columns == ((6, 0, -1), (0, 6, 2))
+
+    def test_pickle_round_trip(self):
+        s = random_subspace(random.Random(8), 4, 2)
+        fresh = pickle.loads(pickle.dumps(s))
+        assert fresh == s and hash(fresh) == hash(s)
+        s.basis  # noqa: B018 - a cached basis travels with the pickle
+        assert pickle.loads(pickle.dumps(s)).basis == s.basis
+
+    def test_from_columns_checks_lengths(self):
+        with pytest.raises(DimensionMismatch):
+            Subspace.from_columns(3, [[1, 0]])
+        with pytest.raises(DimensionMismatch):
+            Subspace.from_columns(3, [[1, 0, 0], [1, 0]])
+
+    def test_solve_exact_checks_rhs_rows(self):
+        m = Mat.from_rows([[1, 0], [0, 1], [1, 1]])
+        with pytest.raises(DimensionMismatch):
+            solve_exact(m, Mat.from_rows([[1], [2], [3], [4]]))
+        with pytest.raises(DimensionMismatch):
+            solve_exact(m, Mat.from_rows([[1], [2]]))
 
 
 class TestKernel:
@@ -371,13 +434,16 @@ def from_sympy(rows) -> Mat:
 
 
 def sympy_span(n, vectors) -> Subspace:
-    """The canonical Subspace of span(vectors) computed by sympy's rref."""
+    """The canonical Subspace of span(vectors) computed by sympy's rref: its
+    nonzero rows times the lcm of their denominators."""
     if not vectors:
         return Subspace.zero(n)
     ref, pivots = sympy.Matrix.hstack(*vectors).T.rref()
     if not pivots:
         return Subspace.zero(n)
-    return Subspace(n, from_sympy([list(ref.row(i)) for i in range(len(pivots))]).transpose())
+    rows = [list(ref.row(i)) for i in range(len(pivots))]
+    lcm = math.lcm(*(int(x.q) for row in rows for x in row))
+    return Subspace(n, tuple(tuple(int(x * lcm) for x in row) for row in rows))
 
 
 @settings(max_examples=150, deadline=None)
@@ -394,6 +460,9 @@ def test_elimination_matches_sympy(m, data):
     meet = [a * v[: h + 1, :] for v in sympy.Matrix.hstack(a, -b).nullspace()]
     u, w = canonicalize(from_sympy(a.tolist())), canonicalize(from_sympy(b.tolist()))
     assert subspace_intersect(u, w) == subspace_intersect(w, u) == sympy_span(m.rows, meet)
+    generators = [a.col(j) for j in range(a.cols)] + [b.col(j) for j in range(b.cols)]
+    assert subspace_sum(u, w) == sympy_span(m.rows, generators)
+    assert orthogonal_complement(u) == sympy_span(m.rows, a.T.nullspace())
     # half the entries zero, so most pivots need a row swap
     k = data.draw(st.integers(min_value=0, max_value=5))
     entry = st.one_of(st.just(F(0)), small_fracs)
