@@ -19,7 +19,7 @@ from . import discretized as dg
 from . import generic, oppenheim
 from .harness import SUITES, SuiteConfig, UsageError, emit_report, run_suite
 from .qlinalg import Subspace, subspace_to_json
-from .reps import ConfigError, build_config, flag_projector, weight_decompose
+from .reps import ConfigError, InvalidLevel, build_config, flag_projector, weight_decompose
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -90,7 +90,7 @@ def genericdim_main(argv=None) -> int:
         cfg = build_config(args.config)
         w = parse_subspace(cfg, args.w)
         wp = parse_subspace(cfg, args.wprime)
-    except (ConfigError, UsageError, ValueError) as exc:
+    except (ConfigError, UsageError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     check = (
@@ -186,11 +186,16 @@ def proj_exp_main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = build_config(args.config)
+        mu = Fraction(args.mu)
+    except (ConfigError, ValueError, ZeroDivisionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
         fractal = dg.generate_fractal(args.fractal, seed=args.seed)
         rep = dg.projection_experiment(
             cfg,
             fractal,
-            Fraction(args.mu),
+            mu,
             2.0**-args.delta,
             args.epsilon,
             args.m_exponent,
@@ -198,7 +203,7 @@ def proj_exp_main(argv=None) -> int:
             args.seed,
             args.mode,
         )
-    except (ConfigError, dg.SpecError, dg.HypothesisError, dg.SizeError) as exc:
+    except (ConfigError, InvalidLevel, dg.SpecError, dg.HypothesisError, dg.SizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     payload = {

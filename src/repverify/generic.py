@@ -264,6 +264,11 @@ def generic_tree_dim(cfg: RepConfig, tree: TreeOp, w: Subspace, trials: int, see
     return int(k), report
 
 
+def _require_trials(trials: int) -> None:
+    if trials < 1:
+        raise PreconditionError("need at least 1 trial")
+
+
 def _require_bound_inputs(cfg: RepConfig, w: Subspace, w_prime: Subspace) -> None:
     for s in (w, w_prime):
         if s.ambient_dim != cfg.n:
@@ -302,6 +307,7 @@ def check_intersection_bound(
     whose mod-p rank falls short.  A pre-sampled element list may be shared
     across (W, W') pairs; each pair still gets one exact check per trial.
     """
+    _require_trials(trials)
     _require_bound_inputs(cfg, w, w_prime)
     if elements is None:
         elements = sample_elements(cfg, seed, trials)
@@ -326,6 +332,7 @@ def check_projection_bound(cfg: RepConfig, w: Subspace, w_prime: Subspace, trial
     """Per trial: rank(pi_{h.W}|_{W'}) >= (dim W / n) dim W', with the rank of
     the k x k' integer matrix (h.W)^T W' taken over Q: certified on residues mod
     p, or by Bareiss elimination over Z when the mod-p rank falls short."""
+    _require_trials(trials)
     _require_bound_inputs(cfg, w, w_prime)
     complexity = default_complexity(cfg)
     k, n = w.dim, cfg.n
@@ -343,12 +350,9 @@ def check_projection_bound(cfg: RepConfig, w: Subspace, w_prime: Subspace, trial
     return report
 
 
-def _spanning_run(
-    n: int, k: int, translate: Callable[[int], list[list[int]]], pivots: Callable[[list[list[int]]], list[int] | None]
-) -> tuple[int, tuple[int, ...]] | None:
-    """(q, k_list) of one spanning run from the columns translate(step) of
-    h_step.W, with `pivots` selecting independent columns; None as soon as
-    `pivots` cannot decide a step."""
+def _spanning_run(n: int, k: int, translate: Callable[[int], list[list[int]]]) -> tuple[int, tuple[int, ...]]:
+    """(q, k_list) of one spanning run over Z from the integer columns
+    translate(step) of h_step.W."""
     total = translate(1)
     k_list: list[int] = []
     step = 1
@@ -357,9 +361,7 @@ def _spanning_run(
         if step > n + 1:
             raise IrreducibilityViolation("translates never span V; configuration looks reducible")
         cols = total + translate(step)
-        sel = pivots(cols)
-        if sel is None:
-            return None
+        sel = independent_columns(cols)
         k_list.append(len(total) + k - len(sel))
         total = [cols[i] for i in sel]
     return step, tuple(k_list)
@@ -370,45 +372,42 @@ def find_spanning_q(cfg: RepConfig, w: Subspace, trials: int, seed: int) -> tupl
     dimensions k_{q'} = dim((sum_{i<q'} h_i.W) cap h_{q'}.W).
 
     The sum is kept as independent columns of the h_i.W, and k_{q'} = dim(sum)
-    + dim W - rank [sum | h_{q'}.W].  A run first goes on residues mod p, where
-    a step counts only when its rank is certified: then every column is kept
-    (rank = #columns) or the sum is V (rank = n), exactly as over Q.  Since
-    q >= ceil(n / dim W), the first ceil(n / dim W) elements of every trial are
-    reduced in one batch, later ones one at a time.  A run with any uncertified
-    step replays over Z.  Asserts every k_{q'} < dim W and sum k_{q'} = q k - n
-    on the modal outcome.
+    + dim W - rank [sum | h_{q'}.W].  Since q >= q0 = ceil(n / dim W), the
+    first q0 elements of every trial are reduced mod p in one batch.  A trial
+    whose q0 translates certify rank n mod p, with their first (q0 - 1) dim W
+    columns independent, reads (q0, (0, ..., 0, q0 dim W - n)) exactly as over
+    Q; every other trial replays over Z.  Asserts every k_{q'} < dim W and
+    sum k_{q'} = q k - n on the modal outcome.
     """
+    _require_trials(trials)
     if w.dim == cfg.n:
         raise PreconditionError("w must be a proper subspace")
     _require_bound_inputs(cfg, w, w)
     complexity = default_complexity(cfg)
     n, k = cfg.n, w.dim
     wc = list(w.columns)
-    wm = _mod_p(wc)
     first = -(-n // k)
+    certified = (first, (0,) * (first - 2) + (first * k - n,))
 
     def draw(t: int, step: int) -> SampledElement:
         return sample_element(cfg, seed * 31_337 + 7919 * t + (step if step > 1 else 0), complexity)
 
     heads = [[draw(t, step) for step in range(1, first + 1)] for t in range(trials)]
-    head_residues = matmul_mod(_residues(cfg, [h for hs in heads for h in hs]), wm).transpose(0, 2, 1).tolist()
+    head = matmul_mod(_residues(cfg, [h for hs in heads for h in hs]), _mod_p(wc))
+    head_columns = head.reshape(trials, first, n, k).transpose(0, 1, 3, 2).reshape(trials, first * k, n).tolist()
     outcomes: Counter = Counter()
-    for t, drawn in enumerate(heads):
+    for t, (drawn, cols) in enumerate(zip(heads, head_columns)):
+        sel = certified_columns(cols)
+        if sel is not None and sel[: (first - 1) * k] == list(range((first - 1) * k)):
+            outcomes[certified] += 1
+            continue
 
         def element(step: int) -> SampledElement:
             while len(drawn) < step:
                 drawn.append(draw(t, len(drawn) + 1))
             return drawn[step - 1]
 
-        def translate_mod_p(step: int) -> list[list[int]]:
-            if step <= first:
-                return head_residues[t * first + step - 1]
-            return matmul_mod(_residues(cfg, [element(step)]), wm)[0].T.tolist()
-
-        outcome = _spanning_run(n, k, translate_mod_p, certified_columns)
-        if outcome is None:
-            outcome = _spanning_run(n, k, lambda step: _translate_columns(element(step), wc), independent_columns)
-        outcomes[outcome] += 1
+        outcomes[_spanning_run(n, k, lambda step: _translate_columns(element(step), wc))] += 1
     (q, k_list), _, _ = _modal(outcomes)
     if any(kq >= k for kq in k_list):
         raise IrreducibilityViolation("an intersection dimension reached dim W")
@@ -431,6 +430,8 @@ def submodularity_check(w_prime: Subspace, w1: Subspace, w2: Subspace) -> bool:
 
 def random_subspace(n: int, dim: int, rng: random.Random) -> Subspace:
     """Random rational subspace of the given dimension (exact)."""
+    if not 0 <= dim <= n:
+        raise PreconditionError(f"no subspace of dimension {dim} in Q^{n}")
     while True:
         cols = [
             [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]

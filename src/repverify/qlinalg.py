@@ -5,14 +5,14 @@ canonical integer form, so their equality and hashing compare integers; ranks,
 kernels, sums, intersections and orthogonal complements are exact, and the
 Fraction basis of a subspace is built only when it is read.
 
-Every elimination runs on integer rows in the one column sweep
+Every matrix elimination runs on integer rows in the one column sweep
 `_pivot_columns`, on vectors cleared of denominators (each times the lcm of its
 own).  Over Z the sweep is fraction-free Bareiss elimination (each update
 (p x - f y) // prev is exact), forward-only for ranks and determinants (the
 last pivot), or Gauss-Jordan for canonical bases, kernels and solves, where
 each pivot row ends as its reduced row echelon row times the last pivot.  A
-`Subspace` is those rows over their gcd; `RowSpan` keeps them as they are and
-absorbs each new vector by one such step.
+`Subspace` is those rows over their gcd.  `RowSpan` runs no sweep: it keeps a
+primitive echelon basis and appends one reduced row per new vector.
 
 Ranks go through `independent_columns`, on columns cleared of denominators by
 `integer_columns`: `certified_columns` runs the sweep mod the 31-bit prime
@@ -320,37 +320,38 @@ class RowSpan:
     """Incrementally maintained row span of exact vectors, kept over Z.
 
     Used for algebra closures and membership tests: add() reduces a vector
-    against the current span and absorbs any new direction.  The stored rows
-    are the reduced row echelon rows times their common pivot d, so each is
-    zero in every other row's pivot column and reduction order is free.
+    against the current span and appends any new direction as a row.  The rows
+    are a primitive echelon basis in insertion order: each has gcd 1 and is zero
+    in the pivot columns of the rows before it, so none is ever rewritten.
     """
 
     def __init__(self, length: int):
         self.length = length
         self._rows: list[list[int]] = []
         self._pivots: list[int] = []
-        self._d = 1
 
     @property
     def dim(self) -> int:
         return len(self._rows)
 
     def _residual(self, vec: Sequence[Fraction]) -> tuple[list[int], int]:
-        """(w, s): with v = s * vec integer, w = d v - sum_i v[pivot i] row_i,
-        which is d s times the reduced vector."""
+        """(w, s) with w / s the unique vector of vec + span that is zero in
+        every pivot column: at each nonzero pivot entry, w -> q w - f row for
+        q / f = row[p] / w[p] in lowest terms, and s -> q s."""
         if len(vec) != self.length:
             raise DimensionMismatch("vector length mismatch")
-        s, v = _integer(vec)
-        w = [self._d * x for x in v]
+        s, w = _integer(vec)
         for p, row in zip(self._pivots, self._rows):
-            f = v[p]
-            if f:
-                w = [a - f * b for a, b in zip(w, row)]
+            if w[p]:
+                g = math.gcd(row[p], w[p])
+                q, f = row[p] // g, w[p] // g
+                w = [q * a - f * b for a, b in zip(w, row)]
+                s *= q
         return w, s
 
     def reduce(self, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
         w, s = self._residual(vec)
-        return tuple(Fraction(x, self._d * s) for x in w)
+        return tuple(Fraction(x, s) for x in w)
 
     def contains(self, vec: Sequence[Fraction]) -> bool:
         return not any(self._residual(vec)[0])
@@ -360,12 +361,9 @@ class RowSpan:
         c = next((i for i, x in enumerate(w) if x), None)
         if c is None:
             return False
-        q, d = w[c], self._d
-        # one Bareiss step: row_i -> (q row_i - row_i[c] w) / d, exact by Sylvester's identity
-        self._rows = [[(q * x - row[c] * y) // d for x, y in zip(row, w)] for row in self._rows]
-        self._rows.append(w)
+        g = math.gcd(*w)
+        self._rows.append([x // g for x in w])
         self._pivots.append(c)
-        self._d = q
         return True
 
 

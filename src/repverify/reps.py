@@ -436,6 +436,13 @@ def parse_descriptor(text: str) -> tuple[str, tuple]:
     return kind, args
 
 
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"bad integer {text!r} in config descriptor") from None
+
+
 @lru_cache(maxsize=None)
 def build_config(descriptor: str) -> RepConfig:
     """Build a configuration from a descriptor like "so_pq:2,1"."""
@@ -443,7 +450,7 @@ def build_config(descriptor: str) -> RepConfig:
     if kind == "so_pq":
         if len(args) != 2:
             raise ConfigError("so_pq needs p,q")
-        p, q = int(args[0]), int(args[1])
+        p, q = _int(args[0]), _int(args[1])
         if p < 1 or q < 1 or p + q < 3:
             raise ConfigError("so_pq needs p, q >= 1 with p + q >= 3")
         d = p + q
@@ -454,7 +461,7 @@ def build_config(descriptor: str) -> RepConfig:
     if kind == "sp2n":
         if len(args) != 1:
             raise ConfigError("sp2n needs n")
-        nn = int(args[0])
+        nn = _int(args[0])
         if nn < 1:
             raise ConfigError("sp2n needs n >= 1")
         a_diag = [Fraction(nn - i) for i in range(nn)] + [Fraction(-(nn - i)) for i in reversed(range(nn))]
@@ -462,22 +469,22 @@ def build_config(descriptor: str) -> RepConfig:
     if kind == "diagonal":
         if len(args) != 1 or not args[0].startswith("sl"):
             raise ConfigError("diagonal needs a kind like sl2, sl3")
-        k = int(args[0][2:])
+        k = _int(args[0][2:])
         if k < 2:
             raise ConfigError("diagonal slK needs K >= 2")
         return _adjoint_config(f"diagonal:sl{k}", k)
     if kind == "tensor":
         if len(args) != 2:
             raise ConfigError("tensor needs n,m")
-        return _tensor_config(f"tensor:{args[0]},{args[1]}", int(args[0]), int(args[1]), standard=False)
+        return _tensor_config(f"tensor:{args[0]},{args[1]}", _int(args[0]), _int(args[1]), standard=False)
     if kind == "tensor_std":
         if len(args) != 2:
             raise ConfigError("tensor_std needs n,m")
-        return _tensor_config(f"tensor_std:{args[0]},{args[1]}", int(args[0]), int(args[1]), standard=True)
+        return _tensor_config(f"tensor_std:{args[0]},{args[1]}", _int(args[0]), _int(args[1]), standard=True)
     if kind == "sl2_sym":
         if len(args) != 1:
             raise ConfigError("sl2_sym needs k")
-        k = int(args[0])
+        k = _int(args[0])
         if k < 1:
             raise ConfigError("sl2_sym needs k >= 1")
         return _sl2_sym_config(k)
@@ -521,39 +528,31 @@ def flag_projector(dec: WeightDecomposition, mu) -> FlagProjector:
     return FlagProjector(mu, flag, proj)
 
 
+def _spin(generators: tuple[Mat, ...], seed: Mat) -> list[Mat]:
+    """The seed and the products g x, breadth first, that each enlarge the span
+    of those before them; none once that span is full."""
+    span = RowSpan(len(_vec(seed)))
+    span.add(_vec(seed))
+    orbit, frontier = [seed], [seed]
+    while frontier and span.dim < span.length:
+        products = (g @ x for x in frontier for g in generators if span.dim < span.length)
+        frontier = [p for p in products if span.add(_vec(p))]
+        orbit += frontier
+    return orbit
+
+
 @lru_cache(maxsize=None)
 def check_irreducible(cfg: RepConfig) -> IrreducibilityVerdict:
     """Burnside closure test of the matrix algebra generated by the action."""
     n = cfg.n
-    generators = cfg.h_basis
-    full = n * n
-    # breadth-first products g b from the identity, none once the span is full
-    frontier = [Mat.identity(n)]
-    span = RowSpan(full)
-    span.add(_vec(frontier[0]))
-    while frontier and span.dim < full:
-        products = (g @ b for b in frontier for g in generators if span.dim < full)
-        frontier = [p for p in products if span.add(_vec(p))]
-    algebra_dim = span.dim
-    if algebra_dim == full:
+    algebra_dim = len(_spin(cfg.h_basis, Mat.identity(n)))
+    if algebra_dim == n * n:
         return IrreducibilityVerdict("absolutely_irreducible", algebra_dim)
-    # hunt for an invariant subspace: the closure of a cyclic vector
+    # hunt for an invariant subspace: the closure of a basis vector
     for start in range(n):
-        vec_span = RowSpan(n)
-        vecs: list[tuple[Fraction, ...]] = []
-        seed = tuple(Fraction(1 if i == start else 0) for i in range(n))
-        vec_span.add(seed)
-        vecs.append(seed)
-        queue2 = [seed]
-        while queue2:
-            v = queue2.pop()
-            for g in generators:
-                w = g.apply(v)
-                if vec_span.add(w):
-                    vecs.append(w)
-                    queue2.append(w)
-        if 0 < vec_span.dim < n:
-            witness = Subspace.from_columns(n, vecs)
+        orbit = _spin(cfg.h_basis, Mat.from_cols([[int(i == start) for i in range(n)]]))
+        if len(orbit) < n:
+            witness = Subspace.from_columns(n, [_vec(x) for x in orbit])
             return IrreducibilityVerdict("reducible", algebra_dim, witness)
     return IrreducibilityVerdict("inconclusive", algebra_dim)
 

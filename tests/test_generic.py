@@ -274,6 +274,27 @@ def test_projection_and_spanning_pinned(name):
             assert rep.all_passed and not rep.notes
 
 
+def test_spanning_replayed_over_z_matches_pins(monkeypatch):
+    # no head batch certifies, so every trial runs the spanning run over Z
+    monkeypatch.setattr(generic, "certified_columns", lambda residues: None)
+    cfg, _, flags = flags_of("so_pq:2,1")
+    assert [find_spanning_q(cfg, w, trials=4, seed=11) for w in flags] == SPANNING_PINS[5]
+
+
+class TestZeroTrials:
+    def test_every_monte_carlo_check_needs_a_trial(self):
+        cfg, _, flags = flags_of("so_pq:2,1")
+        w = flags[1]
+        for check in (
+            lambda: find_spanning_q(cfg, w, 0, 0),
+            lambda: check_intersection_bound(cfg, w, w, 0, 0),
+            lambda: check_intersection_bound(cfg, w, w, 0, 0, elements=[]),
+            lambda: check_projection_bound(cfg, w, w, 0, 0),
+        ):
+            with pytest.raises(PreconditionError):
+                check()
+
+
 class TestProjectionBound:
     def test_full_space_projects_fully(self):
         cfg = build_config("sl2_sym:2")
@@ -334,6 +355,12 @@ class TestSpanning:
                 q, k_list = find_spanning_q(cfg, w, trials=10, seed=11)
                 assert sum(k_list) == q * w.dim - cfg.n
                 assert all(kq < w.dim for kq in k_list)
+
+
+@pytest.mark.parametrize("dim", [-1, 4])
+def test_random_subspace_rejects_impossible_dimension(dim):
+    with pytest.raises(PreconditionError):
+        random_subspace(3, dim, random.Random(0))
 
 
 class TestSubmodularity:

@@ -151,6 +151,16 @@ class TestCLI:
     def test_genericdim_bad_config(self):
         assert genericdim_main(["--config", "bogus:1", "--w", "full", "--wprime", "full"]) == 2
 
+    def test_genericdim_zero_denominator(self, capsys):
+        assert genericdim_main(["--config", "so_pq:2,1", "--w", "flag:1/0", "--wprime", "full"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("check", ["intersection", "projection"])
+    def test_genericdim_zero_trials(self, check, capsys):
+        argv = ["--config", "so_pq:2,1", "--w", "flag:1", "--wprime", "flag:0", "--trials", "0", "--check", check]
+        assert genericdim_main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: need at least 1 trial")
+
     def test_bl_check_and_estimate(self, tmp_path):
         from repverify.brascamp_lieb import datum_to_json, loomis_whitney_datum
 
@@ -199,6 +209,15 @@ class TestCLI:
     def test_proj_exp_bad_fractal(self, fractal, capsys):
         assert proj_exp_main(["--config", "so_pq:2,1", "--fractal", fractal, "--delta", "4"]) == 2
         assert capsys.readouterr().err.startswith("error: fractal descriptor")
+
+    @pytest.mark.parametrize(
+        "config,mu",
+        [("so_pq:x,1", "0"), ("tensor:2,y", "0"), ("so_pq:2,1", "abc"), ("so_pq:2,1", "1/0"), ("so_pq:2,1", "7")],
+    )
+    def test_proj_exp_bad_config_or_mu(self, config, mu, capsys):
+        argv = ["--config", config, "--fractal", "weight_aligned:1,0.5,0.5,0,0", "--mu", mu, "--delta", "4"]
+        assert proj_exp_main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_oppenheim_cli(self, tmp_path):
         out = tmp_path / "o.json"

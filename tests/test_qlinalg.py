@@ -326,6 +326,19 @@ class TestRowSpan:
         with pytest.raises(DimensionMismatch):
             RowSpan(3).add([0, 1])
 
+    def test_reduce_clears_pivots_and_rows_stay(self):
+        span = RowSpan(3)
+        assert span.add([2, 4, 0]) and span.add([F(1, 3), 1, 2])
+        rows = [list(row) for row in span._rows]
+        assert not span.add([1, 3, 6])
+        assert span.add([0, 0, F(-5, 7)]) and span.dim == 3
+        assert span._rows[:2] == rows == [[1, 2, 0], [0, 1, 6]]
+        span = RowSpan(3)
+        span.add([2, 4, 0])
+        span.add([0, 3, 6])
+        assert span.reduce([F(1, 2), 0, 0]) == (0, 0, 2)
+        assert span.reduce([1, 1, 1]) == (0, 0, 3)
+
 
 class TestSerialization:
     def test_mat_round_trip(self):
@@ -492,6 +505,7 @@ def test_elimination_matches_sympy(m, data):
     residual = span.reduce(v)
     assert span.contains([x - y for x, y in zip(v, residual)])
     assert span.contains(v) is not any(residual)
+    assert not any(residual[p] for p in sm.rref()[1])
 
 
 @settings(max_examples=60, deadline=None)

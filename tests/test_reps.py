@@ -60,6 +60,13 @@ class TestBuild:
         with pytest.raises(ConfigError):
             build_config("frobnicate:3")
 
+    @pytest.mark.parametrize(
+        "desc", ["so_pq:x,1", "sp2n:1.5", "diagonal:slx", "tensor:2,y", "tensor_std:z,2", "sl2_sym:k"]
+    )
+    def test_non_integer_field(self, desc):
+        with pytest.raises(ConfigError):
+            build_config(desc)
+
     @pytest.mark.parametrize("desc", ALL_DESCRIPTORS)
     def test_bracket_closure_and_diagonality(self, desc):
         cfg = build_config(desc)
@@ -170,6 +177,21 @@ def _direct_sum_fixture() -> RepConfig:
     )
 
 
+def _fixture(name: str, generator) -> RepConfig:
+    """An unvalidated one-generator configuration, for the closure test only."""
+    n = len(generator)
+    return RepConfig(
+        name=name,
+        n=n,
+        h_dim=1,
+        h_basis=(Mat.from_rows(generator),),
+        a_action=Mat.zeros(n, n),
+        u_plus_indices=(),
+        u_minus_indices=(),
+        a_norm_sq=F(0),
+    )
+
+
 class TestIrreducibility:
     def test_sl2_sym1_burnside(self):
         v = check_irreducible(build_config("sl2_sym:1"))
@@ -186,6 +208,16 @@ class TestIrreducibility:
 
     def test_so21_absolutely_irreducible(self):
         assert check_irreducible(build_config("so_pq:2,1")).is_absolutely_irreducible
+
+    def test_rotation_is_inconclusive(self):
+        # the algebra of a quarter turn is C: irreducible over R, not absolutely
+        v = check_irreducible(_fixture("fixture:rotation", [[0, -1], [1, 0]]))
+        assert (v.kind, v.algebra_dim, v.witness) == ("inconclusive", 2, None)
+
+    def test_rotation_plus_fixed_line_reducible(self):
+        v = check_irreducible(_fixture("fixture:rotation+line", [[0, -1, 0], [1, 0, 0], [0, 0, 0]]))
+        assert (v.kind, v.algebra_dim) == ("reducible", 3)
+        assert v.witness == Subspace.from_columns(3, [[1, 0, 0], [0, 1, 0]])
 
 
 # sha256 of config_to_json(build_config(d)) and of the check_irreducible verdict
