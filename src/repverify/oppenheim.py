@@ -2,11 +2,13 @@
 
 Forms have entries a + b sqrt(D) with rational a, b and one squarefree D, so
 values at integer vectors are exact field elements.  One scan serves every
-dimension d and every bound T: it enumerates the leading d - 2 coordinates,
-vectorizes the next one and solves for the last, which makes T = 10^3..10^4
-practical at d = 3.  It runs on floats and re-evaluates only improvements
-exactly; up to float ties it returns the minimum of |Q(v) - s| over primitive
-v in the box.
+dimension d and every bound T: it enumerates the leading d - 2 coordinates
+(a row), runs the next one over [-T, T] and solves for the last, which makes
+T = 10^3..10^4 practical at d = 3.  Rows go through numpy in blocks of about
+2^14 entries; a candidate pays for a gcd only while its float error can still
+beat the best value found before its block.  The scan runs on floats and
+re-evaluates only improvements exactly, row by row; up to float ties it
+returns the minimum of |Q(v) - s| over primitive v in the box.
 """
 
 from __future__ import annotations
@@ -230,7 +232,7 @@ MAX_T = {3: 10_000, 4: 1_000}
 
 def search_min_value(q: QuadraticForm, s: float, t_bound: int) -> SearchResult:
     """Best primitive |Q(v) - s| over 0 < ||v||_inf <= T, as `_scan` finds it."""
-    _check_scannable(q, t_bound)
+    _check_scannable(q, s, [t_bound])
     best_v, value_exact = _scan(q, s, t_bound)
     return SearchResult(best_v, abs(float(value_exact)), value_exact, t_bound, s)
 
@@ -244,7 +246,7 @@ def decay_curve(q: QuadraticForm, s: float, t_list: list[int]) -> DecayCurve:
         raise FitError("need at least three distinct bounds")
     if sorted(t_list) != list(t_list):
         raise FitError("bounds must be ascending")
-    _check_scannable(q, t_list[-1])
+    _check_scannable(q, s, t_list)
     exacts: list[QuadExt] = []
     for t in t_list:
         e = _scan(q, s, t)[1]
@@ -269,66 +271,106 @@ def decay_curve(q: QuadraticForm, s: float, t_list: list[int]) -> DecayCurve:
     return DecayCurve(rows, exacts, kappa)
 
 
-def _check_scannable(q: QuadraticForm, t_bound: int) -> None:
+def _check_scannable(q: QuadraticForm, s: float, t_list: list[int]) -> None:
     if q.d not in MAX_T:
         raise BudgetError(f"supported dimensions: {sorted(MAX_T)}")
-    if t_bound > MAX_T[q.d]:
-        raise BudgetError(f"t_bound {t_bound} exceeds cap {MAX_T[q.d]} at d = {q.d}")
+    if max(t_list) > MAX_T[q.d]:
+        raise BudgetError(f"t_bound {max(t_list)} exceeds cap {MAX_T[q.d]} at d = {q.d}")
+    if min(t_list) < 1:
+        raise BudgetError(f"t_bound {min(t_list)} is below 1")
+    if not math.isfinite(s):
+        raise BudgetError(f"target s must be finite, got {s}")
     if not q.is_indefinite():
         raise SignatureError("form must be indefinite")
+
+
+_BLOCK_ENTRIES = 2**14  # a block holds max(1, _BLOCK_ENTRIES // (2t + 1)) rows
 
 
 def _scan(q: QuadraticForm, s: float, t: int) -> tuple[tuple[int, ...], QuadExt]:
     """Best primitive v with 0 < ||v||_inf <= t, and the exact value Q(v) - s.
 
     Rows are the choices of the leading d - 2 coordinates.  In a row,
-    coordinate d - 1 runs vectorized over [-t, t], and for each of its values
-    Q(v) - s is a quadratic a x^2 + b x + c in the last coordinate x.  The
-    integer neighbours of its real roots (of its vertex when it has none),
-    clipped to [-t, t], are each the integer nearest the low end of a stretch
-    of [-t, t] on which |a x^2 + b x + c| is monotone, so together they hold a
-    minimizer over the integers in [-t, t].  A candidate whose vector is not
-    primitive steps away from its root or vertex to the nearest x in [-t, t]
-    that gives a primitive vector, the best primitive x of its stretch; only
-    candidates whose own error could still beat the best value so far take
-    that step.  The candidate with the smallest float error is kept.  A row
-    minimum within 1e-9 of the best float value so far is re-evaluated exactly
-    and replaces the best only if exactly smaller.  Up to float rounding and
-    ties within 1e-9 the result is the minimum over the box.
+    coordinate d - 1 runs over [-t, t], and for each of its values Q(v) - s is
+    a quadratic a x^2 + b x + c in the last coordinate x.  The integer
+    neighbours of its real roots (of its vertex when it has none), clipped to
+    [-t, t], are each the integer nearest the low end of a stretch of [-t, t]
+    on which |a x^2 + b x + c| is monotone, so together they hold a minimizer
+    over the integers in [-t, t].  A candidate whose vector is not primitive
+    steps away from its root or vertex to the nearest x in [-t, t] that gives
+    a primitive vector, the best primitive x of its stretch.
+
+    Rows are scanned in blocks of max(1, _BLOCK_ENTRIES // (2t + 1)) rows, as
+    flat arrays.  Before a block starts, its threshold is read off the best
+    float value so far, best_val + 1e-9; only candidates whose float error is
+    below it pay for a gcd and, if not primitive, take the step, and every
+    other candidate counts as infinitely far.  Then the block's row minima are
+    visited in row order: a row minimum below the current threshold is
+    re-evaluated exactly and replaces the best only if exactly smaller.  Up to
+    float rounding and ties within 1e-9 the result is the minimum over the box.
+
+    The block threshold dates from before the block, so it can be looser
+    than the current one, which a row-at-a-time scan would use.  A candidate
+    that passes the filter or steps only because of that already has error >=
+    the current threshold; stepping away from its root only raises that error,
+    so it cannot become a row minimum below the threshold, ties included.  (A
+    step that runs past the vertex into the neighbouring stretch lands on a
+    primitive x which that stretch's own candidate, already below the
+    threshold, reaches or beats exactly.)  So up to float rounding the result
+    is the one the row-at-a-time scan returns.
     """
     d = q.d
-    k = d - 2  # the row coordinates are v[:k]; v[k] is vectorized, v[k + 1] solved
+    k = d - 2  # the row coordinates are v[:k]; v[k] runs over w, v[k + 1] is solved
     g = q.gram_float()
     target = QuadExt.rational(Fraction(s).limit_denominator(10**12), q.field_d)
     a = g[d - 1, d - 1]
     w = np.arange(-t, t + 1)
+    abs_w, w_sq, w_lin = np.abs(w), g[k, k] * w * w, g[k, d - 1] * w
+    heads = itertools.product(range(-t, t + 1), repeat=k)
     best_val, best_vec, best_exact = math.inf, None, None
-    for head in itertools.product(range(-t, t + 1), repeat=k):
-        c = sum(g[i, j] * head[i] * head[j] for i in range(k) for j in range(k))
-        c = c + 2 * sum(g[i, k] * head[i] for i in range(k)) * w + g[k, k] * w * w
-        b = 2 * (sum(g[i, d - 1] * head[i] for i in range(k)) + g[k, d - 1] * w)
-        gcd_w = np.gcd(math.gcd(*head), np.abs(w))
-        err_best = np.full(w.shape, math.inf)
-        x_best = np.zeros_like(w)
+    while block := list(itertools.islice(heads, max(1, _BLOCK_ENTRIES // w.size))):
+        # per-head scalars, each summed in the same order as for a single row
+        scalars = [
+            (
+                sum(g[i, j] * h[i] * h[j] for i in range(k) for j in range(k)),
+                2 * sum(g[i, k] * h[i] for i in range(k)),
+                sum(g[i, d - 1] * h[i] for i in range(k)),
+                math.gcd(*h),
+            )
+            for h in block
+        ]
+        c0, c1, b0, head_gcd = map(np.array, zip(*scalars))
+        c = (c0[:, None] + c1[:, None] * w + w_sq).ravel()
+        b = (2 * (b0[:, None] + w_lin)).ravel()
+        threshold = best_val + 1e-9
+        err_best = np.full(c.shape, math.inf)
+        x_best = np.zeros(c.shape, dtype=w.dtype)
         for x, r in _candidate_roots(a, b, c - s, t):
             err = np.abs(a * x * x + b * x + c - s)
+            live = np.flatnonzero(err < threshold)
+            row, col = np.divmod(live, w.size)
+            gcd_w = np.gcd(head_gcd[row], abs_w[col])
+            x, err = x[live], err[live]
             prim = np.gcd(gcd_w, np.abs(x)) == 1
-            walk = (~prim & (err < best_val + 1e-9)).nonzero()[0]
+            walk = np.flatnonzero(~prim)
             if walk.size:
-                side = np.where(x[walk] <= r[walk], -1, 1)  # away from the root
+                at = live[walk]
+                side = np.where(x[walk] <= r[at], -1, 1)  # away from the root
                 xw, prim[walk] = _primitive_step(x[walk], side, gcd_w[walk], t)
                 x[walk] = xw
-                err[walk] = np.abs(a * xw * xw + b[walk] * xw + c[walk] - s)
-            err = np.where(prim, err, math.inf)
-            better = err < err_best
-            err_best = np.where(better, err, err_best)
-            x_best = np.where(better, x, x_best)
-        j = int(np.argmin(err_best))
-        if err_best[j] < best_val + 1e-9 and err_best[j] < math.inf:
-            vec = (*head, int(w[j]), int(x_best[j]))
-            exact = q.evaluate(vec) - target
-            if best_exact is None or _abs_less(exact, best_exact):
-                best_val, best_vec, best_exact = abs(float(exact)), vec, exact
+                err[walk] = np.abs(a * xw * xw + b[at] * xw + c[at] - s)
+            better = prim & (err < err_best[live])
+            err_best[live[better]] = err[better]
+            x_best[live[better]] = x[better]
+        err_best = err_best.reshape(len(block), w.size)
+        cols = err_best.argmin(axis=1)
+        row_min = err_best[np.arange(len(block)), cols]
+        for i in np.flatnonzero(row_min < threshold):
+            if row_min[i] < best_val + 1e-9:
+                vec = (*block[i], int(w[cols[i]]), int(x_best[i * w.size + cols[i]]))
+                exact = q.evaluate(vec) - target
+                if best_exact is None or _abs_less(exact, best_exact):
+                    best_val, best_vec, best_exact = abs(float(exact)), vec, exact
     if best_vec is None:
         raise BudgetError("no admissible vector found; enlarge the bound")
     return best_vec, best_exact

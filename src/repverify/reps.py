@@ -256,10 +256,14 @@ def _action_matrices(
     return out
 
 
-def _validate_config(cfg: RepConfig) -> None:
-    n = cfg.n
+def _check_dim(n: int) -> None:
     if n > MAX_DIM:
         raise ConfigError(f"dimension {n} exceeds supported cap {MAX_DIM}")
+
+
+def _validate_config(cfg: RepConfig) -> None:
+    n = cfg.n
+    _check_dim(n)
     diag = _diagonal(cfg.a_action)
     if len(diag) != n:
         raise DimensionMismatch("a_action is not n x n")
@@ -445,7 +449,11 @@ def _int(text: str) -> int:
 
 @lru_cache(maxsize=None)
 def build_config(descriptor: str) -> RepConfig:
-    """Build a configuration from a descriptor like "so_pq:2,1"."""
+    """Build a configuration from a descriptor like "so_pq:2,1".
+
+    Each kind's fields are range checked, and the dimension of V they give is
+    checked against MAX_DIM, before any matrix is built.
+    """
     kind, args = parse_descriptor(descriptor)
     if kind == "so_pq":
         if len(args) != 2:
@@ -454,6 +462,7 @@ def build_config(descriptor: str) -> RepConfig:
         if p < 1 or q < 1 or p + q < 3:
             raise ConfigError("so_pq needs p, q >= 1 with p + q >= 3")
         d = p + q
+        _check_dim(d * (d + 1) // 2 - 1)  # dim sl_d - dim so(p, q)
         a_diag = [Fraction(0)] * d
         a_diag[0] = Fraction(1)
         a_diag[-1] = Fraction(-1)
@@ -462,8 +471,9 @@ def build_config(descriptor: str) -> RepConfig:
         if len(args) != 1:
             raise ConfigError("sp2n needs n")
         nn = _int(args[0])
-        if nn < 1:
-            raise ConfigError("sp2n needs n >= 1")
+        if nn < 2:
+            raise ConfigError("sp2n needs n >= 2")  # sp_2 = sl_2 leaves no complement
+        _check_dim(2 * nn * nn - nn - 1)  # dim sl_2n - dim sp_2n
         a_diag = [Fraction(nn - i) for i in range(nn)] + [Fraction(-(nn - i)) for i in reversed(range(nn))]
         return _complement_config(f"sp2n:{nn}", _sp_form(nn), a_diag)
     if kind == "diagonal":
@@ -472,21 +482,31 @@ def build_config(descriptor: str) -> RepConfig:
         k = _int(args[0][2:])
         if k < 2:
             raise ConfigError("diagonal slK needs K >= 2")
+        _check_dim(k * k - 1)
         return _adjoint_config(f"diagonal:sl{k}", k)
     if kind == "tensor":
         if len(args) != 2:
             raise ConfigError("tensor needs n,m")
-        return _tensor_config(f"tensor:{args[0]},{args[1]}", _int(args[0]), _int(args[1]), standard=False)
+        kn, km = _int(args[0]), _int(args[1])
+        if kn < 2 or km < 2:
+            raise ConfigError("tensor needs n, m >= 2")  # sl_1 = 0 would leave V = 0
+        _check_dim((kn * kn - 1) * (km * km - 1))
+        return _tensor_config(f"tensor:{args[0]},{args[1]}", kn, km, standard=False)
     if kind == "tensor_std":
         if len(args) != 2:
             raise ConfigError("tensor_std needs n,m")
-        return _tensor_config(f"tensor_std:{args[0]},{args[1]}", _int(args[0]), _int(args[1]), standard=True)
+        kn, km = _int(args[0]), _int(args[1])
+        if kn < 1 or km < 1 or kn + km < 3:
+            raise ConfigError("tensor_std needs n, m >= 1 with n + m >= 3")
+        _check_dim(kn * km)
+        return _tensor_config(f"tensor_std:{args[0]},{args[1]}", kn, km, standard=True)
     if kind == "sl2_sym":
         if len(args) != 1:
             raise ConfigError("sl2_sym needs k")
         k = _int(args[0])
         if k < 1:
             raise ConfigError("sl2_sym needs k >= 1")
+        _check_dim(k + 1)
         return _sl2_sym_config(k)
     raise ConfigError(f"unsupported configuration kind {kind!r}")
 

@@ -227,6 +227,17 @@ class TestCLI:
         doc = json.loads(out.read_text())
         assert doc["best_value"] > 0
 
+    @pytest.mark.parametrize("config", ["so_pq:40,40", "tensor:1,2", "tensor_std:0,3"])
+    def test_proj_exp_config_out_of_range(self, config, capsys):
+        argv = ["--config", config, "--fractal", "weight_aligned:1,0.5,0.5,0,0", "--delta", "4"]
+        assert proj_exp_main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("s", ["nan", "inf"])
+    def test_oppenheim_non_finite_target(self, s, capsys):
+        assert oppenheim_main(["--form", "x1^2+x2^2-sqrt2*x3^2", "--s", s, "--T", "5"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_oppenheim_bad_form(self):
         assert oppenheim_main(["--form", "x1^3", "--T", "10"]) == 2
 

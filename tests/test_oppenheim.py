@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from repverify import oppenheim
 from repverify.oppenheim import (
     BudgetError,
     FitError,
@@ -117,6 +119,28 @@ class TestSearch:
         r = search_min_value(sqrt2_form(), 1.0, 50)
         assert r.best_value < 0.01  # values near 1 are easy to hit
 
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+    def test_non_finite_target(self, s):
+        with pytest.raises(BudgetError):
+            search_min_value(sqrt2_form(), s, 5)
+        with pytest.raises(BudgetError):
+            decay_curve(sqrt2_form(), s, [2, 3, 5])
+
+    @pytest.mark.parametrize("t", [0, -3])
+    def test_bound_below_one(self, t):
+        with pytest.raises(BudgetError):
+            search_min_value(sqrt2_form(), 0.0, t)
+
+    def test_scan_memory_stays_small(self):
+        # a block holds at most 2^14 candidates per root; 2^16 peaked near 12 MB
+        tracemalloc.start()
+        try:
+            search_min_value(sqrt2_form(), 0.0, 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
 
 class TestDecay:
     def test_needs_three_bounds(self):
@@ -184,3 +208,51 @@ class TestScan:
         q = parse_form(form)
         c = decay_curve(q, s, bounds)
         assert c.exact_values == [search_min_value(q, s, t).value_exact for t in bounds]
+
+
+def _force_block_rows(monkeypatch, rows: int | None, t: int) -> None:
+    """Make a scan at bound t run `rows` rows per block (None keeps the default)."""
+    if rows is not None:
+        monkeypatch.setattr(oppenheim, "_BLOCK_ENTRIES", rows * (2 * t + 1))
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize(
+        "form, s, bounds",
+        [
+            ("x1^2+x2^2-1/100*x3^2", "-5/2", [2, 3, 4]),  # row (0, 0) needs a primitive step
+            ("x1^2+x2^2-1/100*x3^2", "37/100", [4, 7, 11]),
+            ("x1^2+x2^2+x3^2-1/50*x4^2", "1/2", [1, 2, 3]),  # 49 rows at t = 3
+            ("x1*x2+sqrt3*x3^2-x4^2+1/2*x1*x4", "3/10", [1, 2, 3]),
+        ],
+    )
+    def test_blocks_match_brute_force(self, monkeypatch, rows, form, s, bounds):
+        _force_block_rows(monkeypatch, rows, bounds[-1])
+        q = parse_form(form)
+        expected = [brute_min(q, F(s), t) for t in bounds]
+        assert search_min_value(q, float(F(s)), bounds[-1]).value_exact.abs_exact() == expected[-1]
+        curve = decay_curve(q, float(F(s)), bounds)
+        assert [e.abs_exact() for e in curve.exact_values] == expected
+
+    # computed with the row-at-a-time scan; every row of these ties at value 0
+    @pytest.mark.parametrize("rows", [None, 1, 3])
+    @pytest.mark.parametrize(
+        "form, t, best_v",
+        [
+            ("x1^2-x3^2", 10, (-10, -9, -10)),
+            ("x1^2-x3^2", 50, (-50, -49, -50)),
+            ("x1^2+x2^2-x3^2", 10, (-4, -3, -5)),
+            ("x1^2+x2^2-x3^2", 30, (-24, -7, -25)),
+        ],
+    )
+    def test_tie_pins(self, monkeypatch, rows, form, t, best_v):
+        _force_block_rows(monkeypatch, rows, t)
+        r = search_min_value(parse_form(form, dim=3), 0.0, t)
+        assert r.best_v == best_v
+        assert r.value_exact == QuadExt(F(0), F(0), 2)
+
+    def test_sqrt2_pin(self):
+        r = search_min_value(sqrt2_form(), 0.0, 1000)
+        assert r.best_v == (-966, -104, -817)
+        assert r.value_exact == QuadExt(F(943972), F(-667489), 2)

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from repverify import reps
 from repverify.qlinalg import DimensionMismatch, Mat, RowSpan, Subspace, mat_to_json, subspace_intersect, subspace_sum, subspace_to_json
 from repverify.reps import (
     ConfigError,
@@ -66,6 +67,29 @@ class TestBuild:
     def test_non_integer_field(self, desc):
         with pytest.raises(ConfigError):
             build_config(desc)
+
+    @pytest.mark.parametrize(
+        "desc", ["tensor:1,2", "tensor:2,1", "tensor_std:-1,2", "tensor_std:0,3", "tensor_std:1,1", "sp2n:1"]
+    )
+    def test_field_out_of_range(self, desc):
+        with pytest.raises(ConfigError):
+            build_config(desc)
+
+    @pytest.mark.parametrize(
+        "desc", ["so_pq:40,40", "tensor:9,9", "sp2n:6", "diagonal:sl9", "tensor_std:8,9", "sl2_sym:64"]
+    )
+    def test_dimension_cap_checked_before_building(self, monkeypatch, desc):
+        def no_build(*args, **kwargs):
+            raise AssertionError("a matrix was built past the dimension cap")
+
+        for builder in ("_complement_config", "_adjoint_config", "_tensor_config", "_sl2_sym_config"):
+            monkeypatch.setattr(reps, builder, no_build)
+        with pytest.raises(ConfigError, match="exceeds supported cap"):
+            build_config(desc)
+
+    @pytest.mark.parametrize("desc, n", [("tensor_std:1,2", 2), ("sl2_sym:63", 64)])
+    def test_range_edges_still_build(self, desc, n):
+        assert build_config(desc).n == n
 
     @pytest.mark.parametrize("desc", ALL_DESCRIPTORS)
     def test_bracket_closure_and_diagonality(self, desc):
