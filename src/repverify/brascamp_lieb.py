@@ -359,8 +359,10 @@ def estimate_bl_constant(d: BLDatum, budget: int, seed: int, restarts: int = 8) 
     scaling does not converge, which is evidence but not proof (cause
     "unconverged").  A finite constant has cause None.
     `seed` and `restarts` are accepted and have no effect: the result depends
-    only on the datum and the budget.
+    only on the datum and the budget, which must be at least 1.
     """
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
     if not d.scaling_holds():
         raise InvalidExponent("scaling condition fails; constant is trivially degenerate")
     if rank(reduce(Mat.vstack, (m.matrix for m in d.maps))) < d.n:

@@ -142,12 +142,15 @@ def bl_main(argv=None) -> int:
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: cannot load datum: {exc}", file=sys.stderr)
         return 2
-    if args.cmd == "check":
-        try:
+    try:
+        if args.cmd == "check":
             cert = bl_mod.check_feasibility(datum, args.mode, args.random_count, args.seed)
-        except bl_mod.CapExceeded as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        else:
+            est = bl_mod.estimate_bl_constant(datum, args.budget, args.seed)
+    except (bl_mod.CapExceeded, bl_mod.InvalidExponent, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if args.cmd == "check":
         payload = {
             "scaling_ok": cert.scaling_ok,
             "status": cert.status,
@@ -157,7 +160,6 @@ def bl_main(argv=None) -> int:
         }
         _write_out(json.dumps(payload, indent=2, sort_keys=True), args.out)
         return 0 if cert.feasible_so_far else 1
-    est = bl_mod.estimate_bl_constant(datum, args.budget, args.seed)
     payload = {
         "lower_bound_variational": est.lower_bound_variational if math.isfinite(est.lower_bound_variational) else None,
         "lower_bound_gaussian": est.lower_bound_gaussian if math.isfinite(est.lower_bound_gaussian) else None,

@@ -311,18 +311,26 @@ def generate_fractal(desc: FractalSpec | str, seed: int = 0) -> PointSet:
     if isinstance(desc, str):
         desc = parse_fractal(desc)
     if isinstance(desc, (FullGrid, RandomSubset)):
+        min_s = 1 if isinstance(desc, RandomSubset) else 0  # a random subset's dimension divides by s
+        if desc.ambient < 1 or desc.s < min_s:
+            raise SpecError(f"a grid needs ambient >= 1 and s >= {min_s}")
         axes = [[(range(1 << desc.s), 2.0**-desc.s)]] * desc.ambient
         dim = float(desc.ambient)
         provenance = f"full_grid:{desc.ambient},{desc.s}"
     elif isinstance(desc, ProductCantor):
+        if not desc.coords or any(
+            base < 2 or not digits or min(digits) < 0 or max(digits) >= base or depth < 1
+            for base, digits, depth in desc.coords
+        ):
+            raise SpecError("each Cantor coordinate needs base >= 2, digits in [0, base) and depth >= 1")
         axes = [
             [(digits, base**-level) for level in range(1, depth + 1)] for base, digits, depth in desc.coords
         ]
         dim = sum(math.log(len(digits)) / math.log(base) for base, digits, _ in desc.coords)
         provenance = f"product_cantor:{desc.coords}"
     elif isinstance(desc, WeightAligned):
-        if not all(0 <= dj <= 1 for dj in desc.dims):
-            raise SpecError("per-coordinate dimensions must lie in [0, 1]")
+        if not desc.dims or desc.level_scale < 0 or not all(0 <= dj <= 1 for dj in desc.dims):
+            raise SpecError("need at least one coordinate, level_scale >= 0 and dimensions in [0, 1]")
         axes = [[(range(1 << round(desc.level_scale * dj)), 2.0 ** -(desc.level_scale * dj))] for dj in desc.dims]
         dim = float(sum(desc.dims))
         provenance = f"weight_aligned:{','.join(str(d) for d in desc.dims)}@{desc.level_scale}"
@@ -405,8 +413,8 @@ def projection_experiment(
         raise SizeError("experiments support ambient dimension <= 9")
     if s > 14:
         raise SpecError("experiments support delta >= 2^-14")
-    if num_u > 1000:
-        raise SizeError("experiments support at most 1000 sampled parameters")
+    if not 1 <= num_u <= 1000:
+        raise SizeError("experiments support 1 to 1000 sampled parameters")
     dec = weight_decompose(cfg)
     if mode not in ("subcritical", "supercritical"):
         raise SpecError(f"unknown mode {mode!r}")

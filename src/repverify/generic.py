@@ -22,7 +22,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable, Sequence
+from itertools import chain, count, islice
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -30,8 +31,8 @@ from .qlinalg import (
     MODULUS,
     ExpTerms,
     Mat,
+    RowSpan,
     Subspace,
-    bareiss_columns,
     canonicalize,
     certified_columns,
     exp_product,
@@ -303,9 +304,9 @@ def check_intersection_bound(
     """Per trial: dim((h.W) cap W') <= (dim W / n) dim W', compared exactly.
 
     The dimension is dim W + dim W' - rank [h.W | W'], the rank over Q: certified
-    on the batch's residues mod p, or by Bareiss elimination over Z for a trial
-    whose mod-p rank falls short.  A pre-sampled element list may be shared
-    across (W, W') pairs; each pair still gets one exact check per trial.
+    on the batch's residues mod p, else by `independent_columns` on the exact
+    columns.  A pre-sampled element list may be shared across (W, W') pairs;
+    each pair still gets one exact check per trial.
     """
     _require_trials(trials)
     _require_bound_inputs(cfg, w, w_prime)
@@ -322,7 +323,7 @@ def check_intersection_bound(
     for h, residues in zip(elements, np.concatenate([hw, wp], axis=2).transpose(0, 2, 1).tolist()):
         sel = certified_columns(residues)
         if sel is None:
-            sel = bareiss_columns(_translate_columns(h, wc) + wpc)
+            sel = independent_columns(_translate_columns(h, wc) + wpc)
         d = k + w_prime.dim - len(sel)
         report.record(d, d * n <= k * w_prime.dim, witness=(h.seed, h.recipe))
     return report
@@ -331,7 +332,7 @@ def check_intersection_bound(
 def check_projection_bound(cfg: RepConfig, w: Subspace, w_prime: Subspace, trials: int, seed: int) -> TrialReport:
     """Per trial: rank(pi_{h.W}|_{W'}) >= (dim W / n) dim W', with the rank of
     the k x k' integer matrix (h.W)^T W' taken over Q: certified on residues mod
-    p, or by Bareiss elimination over Z when the mod-p rank falls short."""
+    p, else by `independent_columns` on its exact columns."""
     _require_trials(trials)
     _require_bound_inputs(cfg, w, w_prime)
     complexity = default_complexity(cfg)
@@ -344,36 +345,30 @@ def check_projection_bound(cfg: RepConfig, w: Subspace, w_prime: Subspace, trial
         sel = certified_columns(residues)
         if sel is None:
             hwc = _translate_columns(h, wc)
-            sel = bareiss_columns([[sum(map(operator.mul, a, b)) for a in hwc] for b in wpc])
+            sel = independent_columns([[sum(map(operator.mul, a, b)) for a in hwc] for b in wpc])
         r = len(sel)
         report.record(r, r * n >= k * w_prime.dim, witness=(h.seed, h.recipe))
     return report
 
 
-def _spanning_run(n: int, k: int, translate: Callable[[int], list[list[int]]]) -> tuple[int, tuple[int, ...]]:
-    """(q, k_list) of one spanning run over Z from the integer columns
-    translate(step) of h_step.W."""
-    total = translate(1)
-    k_list: list[int] = []
-    step = 1
-    while len(total) < n:
-        step += 1
-        if step > n + 1:
-            raise IrreducibilityViolation("translates never span V; configuration looks reducible")
-        cols = total + translate(step)
-        sel = independent_columns(cols)
-        k_list.append(len(total) + k - len(sel))
-        total = [cols[i] for i in sel]
-    return step, tuple(k_list)
+def _spanning_run(n: int, wc: list[list[int]], elements: Iterable[SampledElement]) -> tuple[int, tuple[int, ...]]:
+    """(q, k_list) of one spanning run over Z: each h.W joins one RowSpan of the
+    sum, and k_{q'} is dim W minus the rows that h_{q'}.W added."""
+    span, added = RowSpan(n), []
+    for h in islice(elements, n + 1):
+        added.append(sum(map(span.add, _translate_columns(h, wc))))
+        if span.dim == n:
+            return len(added), tuple(len(wc) - a for a in added[1:])
+    raise IrreducibilityViolation("translates never span V; configuration looks reducible")
 
 
 def find_spanning_q(cfg: RepConfig, w: Subspace, trials: int, seed: int) -> tuple[int, tuple[int, ...]]:
     """Minimal q with generic h_1.W + ... + h_q.W = V, and the intersection
     dimensions k_{q'} = dim((sum_{i<q'} h_i.W) cap h_{q'}.W).
 
-    The sum is kept as independent columns of the h_i.W, and k_{q'} = dim(sum)
-    + dim W - rank [sum | h_{q'}.W].  Since q >= q0 = ceil(n / dim W), the
-    first q0 elements of every trial are reduced mod p in one batch.  A trial
+    The columns of each h_i.W join one RowSpan of the sum, and k_{q'} is dim W
+    minus the rows that h_{q'}.W adds to it.  Since q >= q0 = ceil(n / dim W),
+    the first q0 elements of every trial are reduced mod p in one batch.  A trial
     whose q0 translates certify rank n mod p, with their first (q0 - 1) dim W
     columns independent, reads (q0, (0, ..., 0, q0 dim W - n)) exactly as over
     Q; every other trial replays over Z.  Asserts every k_{q'} < dim W and
@@ -401,13 +396,7 @@ def find_spanning_q(cfg: RepConfig, w: Subspace, trials: int, seed: int) -> tupl
         if sel is not None and sel[: (first - 1) * k] == list(range((first - 1) * k)):
             outcomes[certified] += 1
             continue
-
-        def element(step: int) -> SampledElement:
-            while len(drawn) < step:
-                drawn.append(draw(t, len(drawn) + 1))
-            return drawn[step - 1]
-
-        outcomes[_spanning_run(n, k, lambda step: _translate_columns(element(step), wc))] += 1
+        outcomes[_spanning_run(n, wc, chain(drawn, (draw(t, step) for step in count(first + 1))))] += 1
     (q, k_list), _, _ = _modal(outcomes)
     if any(kq >= k for kq in k_list):
         raise IrreducibilityViolation("an intersection dimension reached dim W")

@@ -52,6 +52,8 @@ class SuiteConfig:
     def __post_init__(self):
         if self.suite not in SUITES + ("all",):
             raise UsageError(f"unknown suite {self.suite!r}; choose from {SUITES + ('all',)}")
+        if not 0 < self.scale < float("inf"):
+            raise UsageError(f"scale must be finite and > 0, got {self.scale}")
 
 
 @dataclass

@@ -7,10 +7,9 @@ Fraction basis of a subspace is built only when it is read.
 
 Every matrix elimination runs on integer rows in the one column sweep
 `_pivot_columns`, on vectors cleared of denominators (each times the lcm of its
-own).  Over Z the sweep is fraction-free Bareiss elimination (each update
-(p x - f y) // prev is exact), forward-only for ranks and determinants (the
-last pivot), or Gauss-Jordan for canonical bases, kernels and solves, where
-each pivot row ends as its reduced row echelon row times the last pivot.  A
+own): forward only mod p, and over Z fraction-free Gauss-Jordan (each update
+(p x - f y) // prev is exact), where each pivot row ends as its reduced row
+echelon row times the last pivot, the determinant of a square matrix.  A
 `Subspace` is those rows over their gcd.  `RowSpan` runs no sweep: it keeps a
 primitive echelon basis and appends one reduced row per new vector.
 
@@ -18,10 +17,9 @@ Ranks go through `independent_columns`, on columns cleared of denominators by
 `integer_columns`: `certified_columns` runs the sweep mod the 31-bit prime
 p = MODULUS and keeps that answer only when the mod-p rank reaches
 min(#columns, length), which certifies it (rank_p <= rank_Q <= min, and a minor
-nonzero mod p is nonzero over Z); any smaller mod-p rank is recomputed by
-Bareiss elimination over Z (`bareiss_columns`).  Callers that already hold the
-residues of their columns, such as the batched Monte Carlo trials of `generic`,
-call the two halves directly.
+nonzero mod p is nonzero over Z); otherwise the columns that enlarge a
+`RowSpan` of the columns before them give the rank over Z.  The batched trials
+of `generic` certify on the residues they already hold first.
 
 Every unipotent exponential goes through the one exp kernel `exp_product_rows`:
 it multiplies exp(t N) factors from the terms N^k/k! of each N (`exp_terms`)
@@ -202,7 +200,7 @@ def rank(m: Mat) -> int:
 
 
 def det(m: Mat) -> Fraction:
-    """The last Bareiss pivot of s m over s^n, for s the lcm of m's denominators."""
+    """The last pivot of the sweep of s m over s^n, for s the lcm of m's denominators."""
     if m.rows != m.cols:
         raise DimensionMismatch("determinant of non-square matrix")
     s, ents = _integer(m.entries)
@@ -223,13 +221,15 @@ def independent_columns(vecs: Sequence[Sequence[int]]) -> list[int]:
     """Indices of a maximal independent subset of the integer vectors vecs, so
     its length is their rank over Q.
 
-    Eliminates mod MODULUS first (`certified_columns`); a mod-p count that falls
-    short of min(#vecs, length) is recomputed by `bareiss_columns` over Z.  The
-    trial checks of `generic` certify on batched residues of their elements
-    instead, and decide every uncertified trial exactly the same way.
+    Eliminates mod MODULUS first (`certified_columns`); when the mod-p count
+    falls short of min(#vecs, length), the subset is chosen over Z instead: the
+    vectors that enlarge a `RowSpan` of the vectors before them.
     """
     pivots = certified_columns([[x % MODULUS for x in vec] for vec in vecs])
-    return bareiss_columns(vecs) if pivots is None else pivots
+    if pivots is None:
+        span = RowSpan(len(vecs[0]))
+        pivots = [i for i, vec in enumerate(vecs) if span.add(vec)]
+    return pivots
 
 
 def certified_columns(residues: Sequence[Sequence[int]]) -> list[int] | None:
@@ -246,22 +246,15 @@ def certified_columns(residues: Sequence[Sequence[int]]) -> list[int] | None:
     return pivots if len(pivots) == min(len(residues), len(rows)) else None
 
 
-def bareiss_columns(vecs: Sequence[Sequence[int]]) -> list[int]:
-    """Pivot indices of the integer vectors vecs by fraction-free Bareiss
-    elimination over Z, for vectors whose mod-p rank could not be certified."""
-    return _pivot_columns([list(row) for row in zip(*vecs)], None)[0]
-
-
-def _pivot_columns(rows: list[Sequence[int]], modulus: int | None, reduced: bool = False) -> tuple[list[int], int]:
+def _pivot_columns(rows: list[Sequence[int]], modulus: int | None) -> tuple[list[int], int]:
     """Pivot columns and last pivot of an integer matrix, by a column sweep in
-    place: mod `modulus`, or over Z by Bareiss (each update is exactly divisible
-    by the previous pivot) when it is None.  Zero columns below the pivots are
-    skipped.
+    place: forward only mod `modulus`, or fraction-free Gauss-Jordan over Z when
+    it is None (each update is exactly divisible by the previous pivot), so
+    that every pivot row ends as its reduced row echelon row times the last
+    pivot.  Zero columns below the pivots are skipped.
 
     A row swap negates the row it moves down, so the determinant keeps its sign
-    and the last pivot of a square nonsingular matrix is its determinant.  With
-    `reduced` (over Z) the rows above each pivot are cleared too, and at the end
-    every pivot row is its reduced row echelon row times the last pivot.
+    and the last pivot of a square nonsingular matrix is its determinant.
     """
     nrows = len(rows)
     pivots: list[int] = []
@@ -274,7 +267,7 @@ def _pivot_columns(rows: list[Sequence[int]], modulus: int | None, reduced: bool
             rows[r], rows[i] = rows[i], [-x for x in rows[r]]
         prow = rows[r]
         p = prow[c]
-        for i in range(0 if reduced else r + 1, nrows):
+        for i in range(r + 1 if modulus else 0, nrows):
             row = rows[i]
             f = row[c]
             if modulus:
@@ -292,8 +285,8 @@ def _pivot_columns(rows: list[Sequence[int]], modulus: int | None, reduced: bool
 def _kernel_vectors(rows: list[Sequence[int]], ncols: int) -> list[list[int]]:
     """Integer vectors spanning the kernel of the integer matrix rows (consumed):
     one per free column f, d e_f - sum_r rows[r][f] e_(pivot r) with d the last
-    pivot of the reduced sweep."""
-    pivots, d = _pivot_columns(rows, None, reduced=True)
+    pivot of the sweep over Z."""
+    pivots, d = _pivot_columns(rows, None)
     out = []
     for f in sorted(set(range(ncols)) - set(pivots)):
         v = [0] * ncols
@@ -309,7 +302,7 @@ def solve_exact(m: Mat, rhs: Mat) -> Mat:
     if rhs.rows != m.rows:
         raise DimensionMismatch(f"rhs has {rhs.rows} rows, m has {m.rows}")
     aug = [_integer(m.row(i) + rhs.row(i))[1] for i in range(m.rows)]
-    pivots, d = _pivot_columns(aug, None, reduced=True)
+    pivots, d = _pivot_columns(aug, None)
     # a pivot in the rhs columns is an inconsistent row; rows past the pivots are zero
     if len(pivots) < m.cols or any(p >= m.cols for p in pivots):
         raise LinAlgError("system is inconsistent or underdetermined")
@@ -422,8 +415,8 @@ def canonicalize(m: Mat) -> Subspace:
 
 def _span(n: int, vecs: list[Sequence[int]]) -> Subspace:
     """The canonical Subspace spanned by integer vectors of length n (consumed):
-    the reduced sweep's rows, zero past the pivots, over their gcd, pivots > 0."""
-    pivots, d = _pivot_columns(vecs, None, reduced=True)
+    the rows of the sweep over Z, zero past the pivots, over their gcd, pivots > 0."""
+    pivots, d = _pivot_columns(vecs, None)
     g = math.gcd(*(x for row in vecs for x in row)) * (1 if d > 0 else -1)
     return Subspace(n, tuple(tuple(x // g for x in row) for row in vecs[: len(pivots)]))
 

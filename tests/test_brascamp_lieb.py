@@ -210,6 +210,11 @@ class TestEstimate:
         assert est.lower_bound_gaussian >= 0.999
         assert est.converged
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_rejected(self, budget):
+        with pytest.raises(ValueError, match="budget"):
+            estimate_bl_constant(holder_datum(3, 2), budget, 0)
+
     @pytest.mark.parametrize("e", [8, 10])
     def test_nearly_dependent_maps_converge(self, e):
         # maps [1, 0] and [1, 10^-e] at p = (1, 1): the constant is 1/|det| = 10^e;

@@ -339,6 +339,33 @@ class TestGenerators:
         with pytest.raises(SpecError):
             generate_fractal(WeightAligned(dims))
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            FullGrid(0, 3),
+            FullGrid(2, -3),
+            RandomSubset(0, 3, 0.5),
+            RandomSubset(2, 0, 0.5),
+            WeightAligned(()),
+            WeightAligned((1, 0.5), level_scale=-1),
+            ProductCantor(()),
+            ProductCantor(((1, (0,), 3),)),
+            ProductCantor(((0, (0,), 2),)),
+            ProductCantor(((3, (0, 5), 2),)),
+            ProductCantor(((3, (0, -1), 2),)),
+            ProductCantor(((3, (), 2),)),
+            ProductCantor(((3, (0, 2), 0),)),
+        ],
+    )
+    def test_field_out_of_range(self, spec):
+        with pytest.raises(SpecError):
+            generate_fractal(spec)
+
+    def test_field_range_edges_still_build(self):
+        assert generate_fractal(FullGrid(1, 0)).size == 1
+        assert generate_fractal(ProductCantor(((2, (1,), 1),))).size == 1
+        assert generate_fractal(WeightAligned((0.5,), level_scale=0)).size == 1
+
     def test_full_grid(self):
         g = generate_fractal(FullGrid(2, 6))
         assert g.size == 4096 and g.designed_dim == 2.0
@@ -405,6 +432,14 @@ class TestProjectionExperiment:
         a = projection_experiment(cfg, ps, 0, 2**-6, 0.05, 2.0, 10, 3)
         b = projection_experiment(cfg, ps, 0, 2**-6, 0.05, 2.0, 10, 3)
         assert a.per_u == b.per_u and a.exceptional_fraction == b.exceptional_fraction
+
+
+    @pytest.mark.parametrize("num_u", [0, -4, 1001])
+    def test_num_u_out_of_range(self, num_u):
+        cfg = build_config("so_pq:2,1")
+        ps = make_point_set([[0.1, 0.2, 0.3, 0.4, 0.5]], "p")
+        with pytest.raises(SizeError):
+            projection_experiment(cfg, ps, 0, 2**-6, 0.05, 2.0, num_u, 7)
 
 
 class TestRemez:

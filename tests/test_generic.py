@@ -274,11 +274,13 @@ def test_projection_and_spanning_pinned(name):
             assert rep.all_passed and not rep.notes
 
 
-def test_spanning_replayed_over_z_matches_pins(monkeypatch):
-    # no head batch certifies, so every trial runs the spanning run over Z
+@pytest.mark.parametrize("name", ["so_pq:2,1", "so_pq:2,2"])
+def test_spanning_replayed_over_z_matches_pins(name, monkeypatch):
+    # no head batch certifies, so every trial runs the spanning run over Z; at
+    # n = 9 the dim-3 flag replays its deficit (4, (0, 1, 2)) on ~380-bit entries
     monkeypatch.setattr(generic, "certified_columns", lambda residues: None)
-    cfg, _, flags = flags_of("so_pq:2,1")
-    assert [find_spanning_q(cfg, w, trials=4, seed=11) for w in flags] == SPANNING_PINS[5]
+    cfg, _, flags = flags_of(name)
+    assert [find_spanning_q(cfg, w, trials=4, seed=11) for w in flags] == SPANNING_PINS[cfg.n]
 
 
 class TestZeroTrials:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -39,6 +40,11 @@ class TestSuites:
     def test_unknown_suite(self):
         with pytest.raises(UsageError):
             SuiteConfig("nonsense")
+
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_scale_must_be_finite_and_positive(self, scale):
+        with pytest.raises(UsageError, match="scale"):
+            SuiteConfig("generic-dim", scale=scale)
 
     def test_hypotheses_deterministic_hash(self):
         a = run_suite(SuiteConfig("hypotheses", master_seed=5))
@@ -218,6 +224,53 @@ class TestCLI:
         argv = ["--config", config, "--fractal", "weight_aligned:1,0.5,0.5,0,0", "--mu", mu, "--delta", "4"]
         assert proj_exp_main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "fractal,message",
+        [
+            ("full_grid:0,3", "ambient >= 1"),
+            ("full_grid:2,-3", "s >= 0"),
+            ("weight_aligned:", "at least one coordinate"),
+            ("cantor:1,0,3", "base >= 2"),
+            ("cantor:0,0,2", "base >= 2"),
+            ("cantor:3,05,2", "digits in [0, base)"),
+        ],
+    )
+    def test_proj_exp_fractal_field_out_of_range(self, fractal, message, capsys):
+        assert proj_exp_main(["--config", "so_pq:2,1", "--fractal", fractal, "--delta", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("num_u", ["0", "-4"])
+    def test_proj_exp_no_sampled_u(self, num_u, capsys):
+        argv = ["--config", "so_pq:2,1", "--fractal", "full_grid:5,2", "--delta", "3", "--num-u", num_u]
+        assert proj_exp_main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_bl_estimate_budget_below_one(self, tmp_path, capsys):
+        from repverify.brascamp_lieb import datum_to_json, holder_datum
+
+        datum_path = tmp_path / "holder.json"
+        datum_path.write_text(json.dumps(datum_to_json(holder_datum(3, 2))))
+        assert bl_main(["estimate", "--datum", str(datum_path), "--budget", "0"]) == 2
+        assert capsys.readouterr().err.startswith("error: budget")
+
+    def test_bl_check_coordinate_exhaustive_too_large(self, tmp_path, capsys):
+        from repverify.brascamp_lieb import datum_to_json, holder_datum
+
+        datum_path = tmp_path / "holder17.json"
+        datum_path.write_text(json.dumps(datum_to_json(holder_datum(17, 2))))
+        assert bl_main(["check", "--datum", str(datum_path), "--mode", "coordinate_exhaustive"]) == 2
+        assert capsys.readouterr().err.startswith("error: coordinate_exhaustive")
+
+    @pytest.mark.parametrize("scale", ["nan", "inf", "-1", "0"])
+    def test_suite_scale_out_of_range(self, scale, tmp_path, capsys):
+        assert main(["generic-dim", "--scale", scale]) == 2
+        assert capsys.readouterr().err.startswith("error: scale")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scale": scale}))
+        assert main(["generic-dim", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: scale")
 
     def test_oppenheim_cli(self, tmp_path):
         out = tmp_path / "o.json"

@@ -414,6 +414,17 @@ def test_independent_columns_rank_property(m):
     assert to_sympy(Mat.from_cols([cols[i] for i in sel]) if sel else Mat(m.rows, 0, ())).rank() == len(sel)
 
 
+@settings(max_examples=120, deadline=None)
+@given(int_or_frac_matrix())
+def test_independent_columns_exact_branch_is_greedy(m):
+    # every column a multiple of p, so no rank is certified mod p and the exact
+    # branch picks column i exactly when it raises the rank of the columns before
+    cols = [[MODULUS * x for x in col] for col in integer_columns(m)]
+    sm = to_sympy(m)
+    ranks = [sm[:, :i].rank() for i in range(m.cols + 1)]
+    assert independent_columns(cols) == [i for i in range(m.cols) if ranks[i + 1] > ranks[i]]
+
+
 @st.composite
 def reference_matrix(draw):
     """A rational matrix, half of its entries zero or a rank-deficient product
