@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import random
 from collections import Counter
@@ -26,7 +28,7 @@ from repverify.brascamp_lieb import (
     loomis_whitney_datum,
 )
 from repverify.generic import sample_elements
-from repverify.harness import derive_seed
+from repverify.harness import _corpus_pair, derive_seed
 from repverify.qlinalg import Mat
 from repverify.reps import build_config
 
@@ -156,6 +158,97 @@ class TestFeasibility:
         # both data violate the criterion on their kernel, the first lattice element
         with pytest.raises(ValueError):
             check_feasibility(datum, mode)
+
+
+def _pinned_data() -> dict[str, BLDatum]:
+    data = {
+        "holder": holder_datum(3, 2),
+        "loomis_whitney": loomis_whitney_datum(),
+        "violating": BLDatum(2, (BLMap(1, Mat.from_rows([[1, 0]])),), (F(2),)),
+    }
+    for idx, (name, mu, m) in enumerate((("so_pq:2,1", 2, 5), ("sl2_sym:4", 4, 5), ("sl2_sym:2", 2, 3))):
+        data[f"corpus{idx}"], data[f"stuffed{idx}"] = _corpus_pair(build_config(name), 0, idx, mu, m)
+    return data
+
+
+PINNED_DATA = _pinned_data()
+FEASIBILITY_MODES = ("lattice", "lattice_plus_random", "coordinate_exhaustive")
+LATTICE_PASS = {"holder": 2, "loomis_whitney": 8, "corpus0": 32, "corpus1": 32, "corpus2": 8}
+LATTICE_WITNESS = {"violating": (1, ((0, 1),)), "stuffed0": (20, ((0, 0, 0, 0, 1),)),
+                   "stuffed1": (20, ((0, 0, 0, 0, 1),)), "stuffed2": (5, ((0, 0, 1),))}
+# (status, lattice_size, random_checks, witness columns) of check_feasibility(d, mode, 3, 7)
+FEASIBILITY_PINS = {
+    **{(name, "lattice"): ("passed_lattice", size, 0, None) for name, size in LATTICE_PASS.items()},
+    ("holder", "lattice_plus_random"): ("passed_heuristic", 2, 6, None),
+    ("holder", "coordinate_exhaustive"): ("passed_heuristic", 2, 6, None),
+    ("loomis_whitney", "lattice_plus_random"): ("passed_heuristic", 8, 6, None),
+    ("loomis_whitney", "coordinate_exhaustive"): ("passed_heuristic", 8, 6, None),
+    ("corpus0", "lattice_plus_random"): ("passed_heuristic", 32, 12, None),
+    ("corpus0", "coordinate_exhaustive"): ("passed_heuristic", 32, 30, None),
+    ("corpus1", "lattice_plus_random"): ("passed_heuristic", 32, 12, None),
+    ("corpus1", "coordinate_exhaustive"): ("passed_heuristic", 32, 30, None),
+    ("corpus2", "lattice_plus_random"): ("passed_heuristic", 8, 6, None),
+    ("corpus2", "coordinate_exhaustive"): ("passed_heuristic", 8, 6, None),
+    **{(name, mode): ("violated", size, 0, cols) for name, (size, cols) in LATTICE_WITNESS.items()
+       for mode in FEASIBILITY_MODES},
+}
+# sha256 of the columns of every subspace checked, in order, over the three modes
+CANDIDATE_PINS = {
+    "holder": "fbc7e0a8f3b190f34c3b377a2e15eb3d457e6c1b64b5b6db940ac04f16abaebd",
+    "loomis_whitney": "006fc7b0c351a2903716057197555500c24b63c513759de7c6018b619a4c686c",
+    "violating": "3fd30a40f058533ec0058b3aaec0f8651379121ba34346cdfe4999a2d7faa481",
+    "corpus0": "345b7c5458583d0669781f986baaf617a00bfca930de3bffbce2502c2251ecf3",
+    "stuffed0": "4c7f900ba39de0d79d232c293a61dab6b3f2498324554d5c3cb65c034da0c238",
+    "corpus1": "ad56e6ded5b6f800fcc94ad9b64c32b15a94509d25b1dc0d3c81e7916c7fa612",
+    "stuffed1": "b820eb974bcaf5c47f4f4057ed20a570f5b9fe4d8eec5728d518848e83a8984f",
+    "corpus2": "506a96bc6143255014a658d59be4ea311e611327e5c1312f089aae79460157db",
+    "stuffed2": "e2aac7ecca93e1e97e4ffe70de9b4caff4a25382905a7bed774f2b95d2c6fc5d",
+}
+# the certificate when the fifth subspace past the lattice is declared violating
+EXTRA_WITNESS_PINS = {
+    ("holder", "lattice_plus_random"): (2, ((81, 0, 171), (0, 81, -260))),
+    ("holder", "coordinate_exhaustive"): (2, ((1, 0, 0), (0, 0, 1))),
+    ("corpus0", "lattice_plus_random"): (32, ((7640, 0, -14664, -14280, -3648), (0, 7640, -3976, 2835, 1477))),
+    ("corpus0", "coordinate_exhaustive"): (32, ((0, 0, 0, 0, 1),)),
+    ("corpus2", "lattice_plus_random"): (8, ((81, 0, 171), (0, 81, -260))),
+    ("corpus2", "coordinate_exhaustive"): (8, ((1, 0, 0), (0, 0, 1))),
+}
+
+
+class TestFeasibilityPins:
+    """Certificates and candidate order recorded before the integer rank path."""
+
+    @pytest.mark.parametrize("name, mode", sorted(FEASIBILITY_PINS))
+    def test_certificate(self, name, mode):
+        cert = check_feasibility(PINNED_DATA[name], mode, 3, 7)
+        witness = cert.witness.columns if cert.witness else None
+        assert (cert.status, cert.lattice_size, cert.random_checks, witness) == FEASIBILITY_PINS[(name, mode)]
+
+    @pytest.mark.parametrize("name", sorted(CANDIDATE_PINS))
+    def test_candidate_order(self, name, monkeypatch):
+        seen, real = [], brascamp_lieb._criterion_deficit
+
+        def record(d, u):
+            seen.append(u.columns)
+            return real(d, u)
+
+        monkeypatch.setattr(brascamp_lieb, "_criterion_deficit", record)
+        for mode in FEASIBILITY_MODES:
+            check_feasibility(PINNED_DATA[name], mode, 3, 7)
+        assert hashlib.sha256(json.dumps(seen).encode()).hexdigest() == CANDIDATE_PINS[name]
+
+    @pytest.mark.parametrize("name, mode", sorted(EXTRA_WITNESS_PINS))
+    def test_extra_candidate_witness(self, name, mode, monkeypatch):
+        size, cols = EXTRA_WITNESS_PINS[(name, mode)]
+        calls, real = [], brascamp_lieb._criterion_deficit
+
+        def flag_fifth(d, u):
+            calls.append(u)
+            return F(1) if len(calls) == size + 5 else real(d, u)
+
+        monkeypatch.setattr(brascamp_lieb, "_criterion_deficit", flag_fifth)
+        cert = check_feasibility(PINNED_DATA[name], mode, 3, 7)
+        assert (cert.status, cert.lattice_size, cert.random_checks, cert.witness.columns) == ("violated", size, 5, cols)
 
 
 class TestGaussianRatio:

@@ -29,7 +29,7 @@ from repverify.generic import (
     submodularity_check,
     translate,
 )
-from repverify.qlinalg import MODULUS, Mat, Subspace, det, mat_to_json, rank, subspace_intersect, subspace_sum
+from repverify.qlinalg import MODULUS, Mat, Subspace, canonicalize, det, mat_to_json, rank, subspace_intersect, subspace_sum
 from repverify.reps import build_config, flag_projector, weight_decompose
 
 F = Fraction
@@ -363,6 +363,33 @@ class TestSpanning:
 def test_random_subspace_rejects_impossible_dimension(dim):
     with pytest.raises(PreconditionError):
         random_subspace(3, dim, random.Random(0))
+
+
+def _fraction_random_subspace(n, dim, rng):
+    """random_subspace as first written: Fraction draws spanned by Subspace.from_columns."""
+    while True:
+        cols = [[F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)] for _ in range(dim)]
+        s = Subspace.from_columns(n, cols)
+        if s.dim == dim:
+            return s
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5, 17, 2024])
+def test_random_subspace_matches_fraction_draws(seed):
+    rng, ref = random.Random(seed), random.Random(seed)
+    for n, dim in [(1, 1), (3, 0), (3, 2), (5, 3), (5, 5), (9, 4)] * 3:
+        assert random_subspace(n, dim, rng) == _fraction_random_subspace(n, dim, ref)
+        assert rng.getstate() == ref.getstate()
+
+
+def test_translate_matches_fraction_product():
+    # the reference is translate as first written, canonicalize(h @ s.basis)
+    cfg, _, flags = flags_of("so_pq:3,2")
+    rng = random.Random(3)
+    subspaces = flags + [Subspace.full(cfg.n)] + [random_subspace(cfg.n, d, rng) for d in (1, 6, 13)]
+    for el in sample_elements(cfg, 8, 2):
+        for s in subspaces:
+            assert translate(el.matrix, s) == canonicalize(el.matrix @ s.basis)
 
 
 class TestSubmodularity:
