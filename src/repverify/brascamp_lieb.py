@@ -24,10 +24,13 @@ from itertools import combinations
 
 import numpy as np
 
-from .generic import SampledElement
+from .generic import SampledElement, random_subspace
 from .qlinalg import (
     Mat,
     Subspace,
+    apply_rows,
+    independent_columns,
+    integer_columns,
     kernel_basis,
     mat_from_json,
     mat_to_json,
@@ -187,12 +190,12 @@ def loomis_whitney_datum() -> BLDatum:
 
 
 def _criterion_deficit(d: BLDatum, u: Subspace) -> Fraction:
-    """dim U - sum p_j dim pi_j(U); positive means the criterion is violated."""
+    """dim U - sum p_j dim pi_j(U), each dim the rank of the map's rows cleared of
+    denominators times U's integer columns; positive means the criterion is violated."""
     total = Fraction(0)
     for p, m in zip(d.exponents, d.maps):
-        if u.dim:
-            total += p * rank(m.matrix @ u.basis)
-    return Fraction(u.dim) - total
+        total += p * len(independent_columns(apply_rows(integer_columns(m.matrix.transpose()), u.columns)))
+    return u.dim - total
 
 
 def _iter_kernel_lattice(d: BLDatum, cap: int):
@@ -252,30 +255,18 @@ def check_feasibility(
         lattice_size += 1
         if _criterion_deficit(d, u) > 0:
             return FeasibilityCertificate(scaling_ok, "violated", u, lattice_size, 0)
-    random_checks = 0
     if mode == "lattice":
         return FeasibilityCertificate(scaling_ok, "passed_lattice", None, lattice_size, 0)
     if mode == "lattice_plus_random":
         rng = random.Random(seed)
-        from .generic import random_subspace
-
-        for dim in range(1, d.n):
-            for _ in range(max(1, random_count)):
-                u = random_subspace(d.n, dim, rng)
-                random_checks += 1
-                if _criterion_deficit(d, u) > 0:
-                    return FeasibilityCertificate(
-                        scaling_ok, "violated", u, lattice_size, random_checks
-                    )
-        return FeasibilityCertificate(scaling_ok, "passed_heuristic", None, lattice_size, random_checks)
-    # coordinate_exhaustive
-    for size in range(1, d.n):
-        for idx in combinations(range(d.n), size):
-            cols = [[Fraction(1 if t == i else 0) for t in range(d.n)] for i in idx]
-            u = Subspace.from_columns(d.n, cols)
-            random_checks += 1
-            if _criterion_deficit(d, u) > 0:
-                return FeasibilityCertificate(scaling_ok, "violated", u, lattice_size, random_checks)
+        extra = (random_subspace(d.n, dim, rng) for dim in range(1, d.n) for _ in range(max(1, random_count)))
+    else:
+        coordinates = (idx for size in range(1, d.n) for idx in combinations(range(d.n), size))
+        extra = (Subspace.from_columns(d.n, [[int(t == i) for t in range(d.n)] for i in idx]) for idx in coordinates)
+    random_checks = 0
+    for random_checks, u in enumerate(extra, 1):
+        if _criterion_deficit(d, u) > 0:
+            return FeasibilityCertificate(scaling_ok, "violated", u, lattice_size, random_checks)
     return FeasibilityCertificate(scaling_ok, "passed_heuristic", None, lattice_size, random_checks)
 
 

@@ -18,7 +18,7 @@ from . import brascamp_lieb as bl_mod
 from . import discretized as dg
 from . import generic, oppenheim
 from .harness import SUITES, SuiteConfig, UsageError, emit_report, run_suite
-from .qlinalg import Subspace, subspace_to_json
+from .qlinalg import LinAlgError, Subspace, subspace_to_json
 from .reps import ConfigError, InvalidLevel, build_config, flag_projector, weight_decompose
 
 
@@ -62,6 +62,8 @@ def main(argv=None) -> int:
         overrides = {}
         if args.config:
             overrides = json.loads(Path(args.config).read_text())
+            if not isinstance(overrides, dict):
+                raise UsageError(f"--config {args.config} does not hold a JSON object")
         cfg = SuiteConfig(
             suite=overrides.get("suite", args.suite),
             master_seed=int(overrides.get("master_seed", args.seed)),
@@ -90,7 +92,7 @@ def genericdim_main(argv=None) -> int:
         cfg = build_config(args.config)
         w = parse_subspace(cfg, args.w)
         wp = parse_subspace(cfg, args.wprime)
-    except (ConfigError, UsageError, ValueError, ZeroDivisionError) as exc:
+    except (ConfigError, InvalidLevel, UsageError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     check = (
@@ -139,7 +141,7 @@ def bl_main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         datum = bl_mod.datum_from_json(json.loads(Path(args.datum).read_text()))
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, bl_mod.InvalidExponent, LinAlgError) as exc:
         print(f"error: cannot load datum: {exc}", file=sys.stderr)
         return 2
     try:

@@ -319,10 +319,10 @@ def generate_fractal(desc: FractalSpec | str, seed: int = 0) -> PointSet:
         provenance = f"full_grid:{desc.ambient},{desc.s}"
     elif isinstance(desc, ProductCantor):
         if not desc.coords or any(
-            base < 2 or not digits or min(digits) < 0 or max(digits) >= base or depth < 1
+            base < 2 or depth < 1 or not digits or len({c for c in digits if 0 <= c < base}) < len(digits)
             for base, digits, depth in desc.coords
         ):
-            raise SpecError("each Cantor coordinate needs base >= 2, digits in [0, base) and depth >= 1")
+            raise SpecError("each Cantor coordinate needs base >= 2, distinct digits in [0, base) and depth >= 1")
         axes = [
             [(digits, base**-level) for level in range(1, depth + 1)] for base, digits, depth in desc.coords
         ]

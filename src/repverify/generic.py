@@ -16,7 +16,7 @@ falls short builds its exact elements and is decided over Z.
 
 from __future__ import annotations
 
-import operator
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -33,7 +33,7 @@ from .qlinalg import (
     Mat,
     RowSpan,
     Subspace,
-    canonicalize,
+    apply_rows,
     certified_columns,
     exp_product,
     exp_product_residues,
@@ -210,7 +210,12 @@ def _mod_p(cols: Sequence[Sequence[int]]) -> np.ndarray:
 
 
 def translate(h: Mat, s: Subspace) -> Subspace:
-    return canonicalize(h @ s.basis)
+    """h.s, spanned by h's rows times the lcm of its denominators applied to each
+    column of s, each product column over its gcd to keep the span's sweep small."""
+    den = math.lcm(*(x.denominator for x in h.entries))
+    rows = [[x.numerator * (den // x.denominator) for x in h.row(i)] for i in range(h.rows)]
+    cols = apply_rows(rows, s.columns)
+    return Subspace.from_columns(h.rows, [[x // g for x in col] for col in cols if (g := math.gcd(*col))])
 
 
 def eval_tree(tree: TreeOp, leaves: list[Subspace]) -> Subspace:
@@ -287,12 +292,6 @@ def sample_elements(cfg: RepConfig, seed: int, count: int, height: int = PARAM_H
     return [sample_element(cfg, seed * 9_999_991 + t, complexity, height) for t in range(count)]
 
 
-def _translate_columns(h: SampledElement, cols: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Integer columns spanning h.W from those of W: h's integer rows times each column."""
-    rows, _ = h.integer_rows
-    return [[sum(map(operator.mul, row, col)) for row in rows] for col in cols]
-
-
 def check_intersection_bound(
     cfg: RepConfig,
     w: Subspace,
@@ -323,7 +322,7 @@ def check_intersection_bound(
     for h, residues in zip(elements, np.concatenate([hw, wp], axis=2).transpose(0, 2, 1).tolist()):
         sel = certified_columns(residues)
         if sel is None:
-            sel = independent_columns(_translate_columns(h, wc) + wpc)
+            sel = independent_columns(apply_rows(h.integer_rows[0], wc) + wpc)
         d = k + w_prime.dim - len(sel)
         report.record(d, d * n <= k * w_prime.dim, witness=(h.seed, h.recipe))
     return report
@@ -344,8 +343,7 @@ def check_projection_bound(cfg: RepConfig, w: Subspace, w_prime: Subspace, trial
     for h, residues in zip(elements, products.tolist()):
         sel = certified_columns(residues)
         if sel is None:
-            hwc = _translate_columns(h, wc)
-            sel = independent_columns([[sum(map(operator.mul, a, b)) for a in hwc] for b in wpc])
+            sel = independent_columns(apply_rows(apply_rows(h.integer_rows[0], wc), wpc))
         r = len(sel)
         report.record(r, r * n >= k * w_prime.dim, witness=(h.seed, h.recipe))
     return report
@@ -356,7 +354,7 @@ def _spanning_run(n: int, wc: list[list[int]], elements: Iterable[SampledElement
     sum, and k_{q'} is dim W minus the rows that h_{q'}.W added."""
     span, added = RowSpan(n), []
     for h in islice(elements, n + 1):
-        added.append(sum(map(span.add, _translate_columns(h, wc))))
+        added.append(sum(map(span.add, apply_rows(h.integer_rows[0], wc))))
         if span.dim == n:
             return len(added), tuple(len(wc) - a for a in added[1:])
     raise IrreducibilityViolation("translates never span V; configuration looks reducible")
@@ -422,10 +420,8 @@ def random_subspace(n: int, dim: int, rng: random.Random) -> Subspace:
     if not 0 <= dim <= n:
         raise PreconditionError(f"no subspace of dimension {dim} in Q^{n}")
     while True:
-        cols = [
-            [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
-            for _ in range(dim)
-        ]
+        # each entry is a draw a / b, times lcm(1, ..., 9) = 2520 to clear b
+        cols = [[rng.randint(-9, 9) * (2520 // rng.randint(1, 9)) for _ in range(n)] for _ in range(dim)]
         s = Subspace.from_columns(n, cols)
         if s.dim == dim:
             return s

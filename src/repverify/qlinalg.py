@@ -3,7 +3,10 @@
 Matrices and vectors are Fractions.  Subspaces are kept over Z in one
 canonical integer form, so their equality and hashing compare integers; ranks,
 kernels, sums, intersections and orthogonal complements are exact, and the
-Fraction basis of a subspace is built only when it is read.
+Fraction basis of a subspace is built only when it is read.  Every exact
+product on a rank or span path (translates h.W, the BCCT ranks of
+`brascamp_lieb`, the kernel step of `subspace_intersect`) is the one integer
+product `apply_rows`: integer rows times integer columns.
 
 Every matrix elimination runs on integer rows in the one column sweep
 `_pivot_columns`, on vectors cleared of denominators (each times the lcm of its
@@ -32,6 +35,7 @@ int64 numpy arrays multiplied by `matmul_mod`.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -217,6 +221,11 @@ def integer_columns(m: Mat) -> list[list[int]]:
     return [_integer(m.col(j))[1] for j in range(m.cols)]
 
 
+def apply_rows(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The integer matrix `rows` times each integer column of cols."""
+    return [[sum(map(operator.mul, row, col)) for row in rows] for col in cols]
+
+
 def independent_columns(vecs: Sequence[Sequence[int]]) -> list[int]:
     """Indices of a maximal independent subset of the integer vectors vecs, so
     its length is their rank over Q.
@@ -396,7 +405,7 @@ class Subspace:
     def from_columns(n: int, cols: Sequence[Sequence]) -> "Subspace":
         if any(len(col) != n for col in cols):
             raise DimensionMismatch(f"columns must have length {n}")
-        return _span(n, [_integer([_rat(x) for x in col])[1] for col in cols])
+        return _span(n, [_integer([x if isinstance(x, int) else _rat(x) for x in col])[1] for col in cols])
 
     def contains_vector(self, vec: Sequence[Fraction]) -> bool:
         return self.contains_subspace(Subspace.from_columns(self.ambient_dim, [vec]))
@@ -452,7 +461,7 @@ def subspace_intersect(u: Subspace, w: Subspace) -> Subspace:
     for i in sorted(set(range(n)) - set(pivots)):
         rows.append([scale * col[i] - sum(uj[i] * col[p] for uj, p in zip(u.columns, pivots)) for col in cols])
     ker = _kernel_vectors(rows, len(cols))
-    return _span(n, [[sum(y * col[i] for y, col in zip(v, cols)) for i in range(n)] for v in ker])
+    return _span(n, apply_rows(list(zip(*cols)), ker))
 
 
 def orthogonal_complement(u: Subspace) -> Subspace:

@@ -27,9 +27,9 @@ from repverify.brascamp_lieb import (
     holder_datum,
     loomis_whitney_datum,
 )
-from repverify.generic import sample_elements
+from repverify.generic import sample_elements, translate
 from repverify.harness import _corpus_pair, derive_seed
-from repverify.qlinalg import Mat
+from repverify.qlinalg import Mat, Subspace
 from repverify.reps import build_config
 
 F = Fraction
@@ -249,6 +249,24 @@ class TestFeasibilityPins:
         monkeypatch.setattr(brascamp_lieb, "_criterion_deficit", flag_fifth)
         cert = check_feasibility(PINNED_DATA[name], mode, 3, 7)
         assert (cert.status, cert.lattice_size, cert.random_checks, cert.witness.columns) == ("violated", size, 5, cols)
+
+
+def test_rank_paths_make_no_fraction_product(monkeypatch):
+    """The BCCT ranks and generic translates run on integer products only."""
+    cfg = build_config("so_pq:2,1")
+    h = sample_elements(cfg, 4, 1)[0].matrix
+    w = Subspace.from_columns(cfg.n, [[1, 0, 0, 0, 0], [0, 2, 0, 1, 0]])
+    expected = translate(h, w)
+
+    def no_product(self, other):
+        raise AssertionError("Fraction matrix product on a rank path")
+
+    monkeypatch.setattr(Mat, "__matmul__", no_product)
+    for mode in FEASIBILITY_MODES:
+        cert = check_feasibility(PINNED_DATA["corpus0"], mode, 3, 7)
+        assert cert.status != "violated"
+    assert check_feasibility(PINNED_DATA["stuffed0"], "lattice").status == "violated"
+    assert translate(h, w) == expected
 
 
 class TestGaussianRatio:

@@ -355,6 +355,8 @@ class TestGenerators:
             ProductCantor(((3, (0, -1), 2),)),
             ProductCantor(((3, (), 2),)),
             ProductCantor(((3, (0, 2), 0),)),
+            ProductCantor(((3, (0, 0), 4),)),
+            ProductCantor(((3, (2, 0, 2), 3),)),
         ],
     )
     def test_field_out_of_range(self, spec):

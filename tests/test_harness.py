@@ -234,6 +234,7 @@ class TestCLI:
             ("cantor:1,0,3", "base >= 2"),
             ("cantor:0,0,2", "base >= 2"),
             ("cantor:3,05,2", "digits in [0, base)"),
+            ("cantor:3,00,4", "distinct digits"),
         ],
     )
     def test_proj_exp_fractal_field_out_of_range(self, fractal, message, capsys):
@@ -271,6 +272,34 @@ class TestCLI:
         cfg.write_text(json.dumps({"scale": scale}))
         assert main(["generic-dim", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("error: scale")
+
+    def test_genericdim_flag_level_out_of_range(self, capsys):
+        assert genericdim_main(["--config", "so_pq:2,1", "--w", "flag:7", "--wprime", "full"]) == 2
+        assert capsys.readouterr().err.startswith("error: 7 is not an eigenvalue")
+
+    @pytest.mark.parametrize("cmd", ["check", "estimate"])
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n": 2, "maps": [{"nj": 1, "matrix": {"rows": 1, "cols": 2, "entries": [["1", "0"]]}}],
+             "exponents": ["-2"]},
+            {"n": 2, "maps": [{"nj": 1, "matrix": {"rows": 2, "cols": 2, "entries": [["1", "0"], ["1"]]}}],
+             "exponents": ["2"]},
+            [1, 2],
+        ],
+        ids=["negative-exponent", "ragged-matrix", "not-an-object"],
+    )
+    def test_bl_bad_datum(self, cmd, doc, tmp_path, capsys):
+        datum_path = tmp_path / "datum.json"
+        datum_path.write_text(json.dumps(doc))
+        assert bl_main([cmd, "--datum", str(datum_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot load datum: ")
+
+    def test_config_file_not_an_object(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(["hypotheses"]))
+        assert main(["hypotheses", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_oppenheim_cli(self, tmp_path):
         out = tmp_path / "o.json"
