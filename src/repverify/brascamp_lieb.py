@@ -16,7 +16,6 @@ constant infinite, is found exactly with a rank computation over Q.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -24,7 +23,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .generic import SampledElement, random_subspace
+from .generic import SampledElement
 from .qlinalg import (
     Mat,
     Subspace,
@@ -101,7 +100,7 @@ class FeasibilityCertificate:
     status: str  # "violated" | "passed_lattice" | "passed_heuristic"
     witness: Subspace | None = None
     lattice_size: int = 0
-    random_checks: int = 0
+    random_checks: int = 0  # subspaces checked past the lattice
 
     @property
     def feasible_so_far(self) -> bool:
@@ -230,22 +229,22 @@ def _iter_kernel_lattice(d: BLDatum, cap: int):
         frontier = new
 
 
-def check_feasibility(
-    d: BLDatum,
-    mode: str = "lattice",
-    random_count: int = 0,
-    seed: int = 0,
-) -> FeasibilityCertificate:
+def check_feasibility(d: BLDatum, mode: str = "lattice") -> FeasibilityCertificate:
     """BCCT criterion on the kernel lattice, optionally reinforced.
 
-    mode is one of "lattice", "lattice_plus_random", "coordinate_exhaustive".
-    A pass is labeled passed_lattice only in pure lattice mode; anything that
-    adds random or coordinate subspaces reports passed_heuristic.  Neither is
-    a proof of feasibility: the criterion quantifies over all subspaces.
-    The lattice is checked incrementally, so a violation is reported even
-    when the full closure would exceed the element cap.
+    mode is "lattice" or "coordinate_exhaustive", which goes on to every
+    proper coordinate subspace.  A pass is labeled passed_lattice only in pure
+    lattice mode and passed_heuristic otherwise.  Neither is a proof of
+    feasibility: the criterion quantifies over all subspaces.  The lattice is
+    checked incrementally, so a violation is reported even when the full
+    closure would exceed the element cap.
+
+    Random subspaces are never worth checking: the full space is in the
+    lattice, so past it sum p_j n_j >= n, and a generic U of dimension k has
+    dim pi_j(U) = min(k, n_j) >= k n_j / n, hence deficit <= 0.  Only a U on
+    a proper Zariski-closed locus can fail.
     """
-    if mode not in ("lattice", "lattice_plus_random", "coordinate_exhaustive"):
+    if mode not in ("lattice", "coordinate_exhaustive"):
         raise ValueError(f"unknown feasibility mode {mode!r}")
     if mode == "coordinate_exhaustive" and d.n > 16:
         raise ValueError("coordinate_exhaustive supported only for n <= 16")
@@ -257,12 +256,7 @@ def check_feasibility(
             return FeasibilityCertificate(scaling_ok, "violated", u, lattice_size, 0)
     if mode == "lattice":
         return FeasibilityCertificate(scaling_ok, "passed_lattice", None, lattice_size, 0)
-    if mode == "lattice_plus_random":
-        rng = random.Random(seed)
-        extra = (random_subspace(d.n, dim, rng) for dim in range(1, d.n) for _ in range(max(1, random_count)))
-    else:
-        coordinates = (idx for size in range(1, d.n) for idx in combinations(range(d.n), size))
-        extra = (Subspace.from_columns(d.n, [[int(t == i) for t in range(d.n)] for i in idx]) for idx in coordinates)
+    extra = (Subspace.coordinate(d.n, idx) for size in range(1, d.n) for idx in combinations(range(d.n), size))
     random_checks = 0
     for random_checks, u in enumerate(extra, 1):
         if _criterion_deficit(d, u) > 0:

@@ -127,11 +127,7 @@ def bl_main(argv=None) -> int:
     sub = parser.add_subparsers(dest="cmd", required=True)
     p_check = sub.add_parser("check")
     p_check.add_argument("--datum", required=True)
-    p_check.add_argument(
-        "--mode", choices=("lattice", "lattice_plus_random", "coordinate_exhaustive"), default="lattice"
-    )
-    p_check.add_argument("--random-count", type=int, default=8)
-    p_check.add_argument("--seed", type=int, default=0)
+    p_check.add_argument("--mode", choices=("lattice", "coordinate_exhaustive"), default="lattice")
     p_check.add_argument("--out", default=None)
     p_est = sub.add_parser("estimate")
     p_est.add_argument("--datum", required=True)
@@ -146,7 +142,7 @@ def bl_main(argv=None) -> int:
         return 2
     try:
         if args.cmd == "check":
-            cert = bl_mod.check_feasibility(datum, args.mode, args.random_count, args.seed)
+            cert = bl_mod.check_feasibility(datum, args.mode)
         else:
             est = bl_mod.estimate_bl_constant(datum, args.budget, args.seed)
     except (bl_mod.CapExceeded, bl_mod.InvalidExponent, ValueError) as exc:

@@ -138,7 +138,7 @@ class TubeSpec:
     def __post_init__(self):
         if len(self.r_tuple) != len(self.level_dims):
             raise SpecError("r_tuple and level_dims must have equal length")
-        if any(r < 0 for r in self.r_tuple) or self.r_tuple[-1] != 1:
+        if not all(0 <= r <= 1 for r in self.r_tuple) or self.r_tuple[-1] != 1:
             raise SpecError("need 0 <= r_1 <= ... <= r_m = 1")
         if any(a > b for a, b in zip(self.r_tuple, self.r_tuple[1:])):
             raise SpecError("r_tuple must be nondecreasing")
@@ -415,6 +415,8 @@ def projection_experiment(
         raise SpecError("experiments support delta >= 2^-14")
     if not 1 <= num_u <= 1000:
         raise SizeError("experiments support 1 to 1000 sampled parameters")
+    if not (0 < epsilon < math.inf and 0 <= m_exponent < math.inf):
+        raise SpecError("need a finite epsilon > 0 and a finite m_exponent >= 0")
     dec = weight_decompose(cfg)
     if mode not in ("subcritical", "supercritical"):
         raise SpecError(f"unknown mode {mode!r}")
@@ -534,6 +536,8 @@ def remez_check(
         raise DegenerateError("zero polynomial")
     if samples < 10_000:
         raise SpecError("need at least 1e4 samples")
+    if not 0 < eps < math.inf:
+        raise SpecError("need a finite eps > 0")
     d, k = p.nvars, max(p.degree, 1)
     if len(box) != d:
         raise SpecError("box arity mismatch")

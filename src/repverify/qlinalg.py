@@ -39,7 +39,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -399,7 +399,15 @@ class Subspace:
 
     @staticmethod
     def full(n: int) -> "Subspace":
-        return Subspace(n, tuple(tuple(int(i == j) for i in range(n)) for j in range(n)))
+        return Subspace.coordinate(n, range(n))
+
+    @staticmethod
+    def coordinate(n: int, indices: Iterable[int]) -> "Subspace":
+        """The span of the unit vectors e_i, i in indices, already canonical."""
+        idx = sorted(set(indices))
+        if idx and (idx[0] < 0 or idx[-1] >= n):
+            raise DimensionMismatch(f"coordinate indices must lie in [0, {n})")
+        return Subspace(n, tuple(tuple(int(t == i) for t in range(n)) for i in idx))
 
     @staticmethod
     def from_columns(n: int, cols: Sequence[Sequence]) -> "Subspace":

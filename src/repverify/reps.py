@@ -228,11 +228,7 @@ def _weight_adapt(mats: list[Mat], a_diag: list[Fraction]) -> tuple[list[Mat], l
     total = 0
     for lam in weights:
         idx = [i * d + j for i in range(d) for j in range(d) if a_diag[i] - a_diag[j] == lam]
-        block = Subspace.from_columns(
-            d * d,
-            [[Fraction(1 if k == t else 0) for k in range(d * d)] for t in idx],
-        )
-        piece = subspace_intersect(span, block)
+        piece = subspace_intersect(span, Subspace.coordinate(d * d, idx))
         for c in range(piece.dim):
             out_mats.append(_unvec(piece.basis.col(c), d))
             out_wts.append(lam)
@@ -521,8 +517,7 @@ def weight_decompose(cfg: RepConfig) -> WeightDecomposition:
     mults = []
     for mu in values:
         idx = [i for i in range(n) if diag[i] == mu]
-        cols = [[Fraction(1 if t == i else 0) for t in range(n)] for i in idx]
-        bases.append(Subspace.from_columns(n, cols))
+        bases.append(Subspace.coordinate(n, idx))
         mults.append(len(idx))
     dec = WeightDecomposition(tuple(values), tuple(mults), tuple(bases))
     assert dec.total_dim == n
@@ -535,17 +530,10 @@ def flag_projector(dec: WeightDecomposition, mu) -> FlagProjector:
     if mu not in dec.eigenvalues:
         raise InvalidLevel(f"{mu} is not an eigenvalue")
     n = dec.total_dim
-    indices: set[int] = set()
-    for lam, basis in zip(dec.eigenvalues, dec.eigenbases):
-        if lam >= mu:
-            for c in range(basis.dim):
-                col = basis.basis.col(c)
-                pivots = [i for i, x in enumerate(col) if x != 0]
-                indices.update(pivots)
+    indices = {i for lam, basis in zip(dec.eigenvalues, dec.eigenbases) if lam >= mu
+               for col in basis.columns for i, x in enumerate(col) if x}
     proj = Mat.diagonal([Fraction(1 if i in indices else 0) for i in range(n)])
-    cols = [[Fraction(1 if t == i else 0) for t in range(n)] for i in sorted(indices)]
-    flag = Subspace.from_columns(n, cols)
-    return FlagProjector(mu, flag, proj)
+    return FlagProjector(mu, Subspace.coordinate(n, indices), proj)
 
 
 def _spin(generators: tuple[Mat, ...], seed: Mat) -> list[Mat]:

@@ -150,9 +150,10 @@ class TestFeasibility:
         "datum, mode",
         [
             (BLDatum(2, (BLMap(1, Mat.from_rows([[1, 0]])),), (F(2),)), "bogus"),
+            (BLDatum(2, (BLMap(1, Mat.from_rows([[1, 0]])),), (F(2),)), "lattice_plus_random"),
             (BLDatum(17, (BLMap(1, Mat.from_rows([[1] + [0] * 16])),), (F(17),)), "coordinate_exhaustive"),
         ],
-        ids=["unknown-mode", "coordinate-exhaustive-n17"],
+        ids=["unknown-mode", "removed-random-mode", "coordinate-exhaustive-n17"],
     )
     def test_bad_mode_rejected_before_lattice_walk(self, datum, mode):
         # both data violate the criterion on their kernel, the first lattice element
@@ -172,27 +173,22 @@ def _pinned_data() -> dict[str, BLDatum]:
 
 
 PINNED_DATA = _pinned_data()
-FEASIBILITY_MODES = ("lattice", "lattice_plus_random", "coordinate_exhaustive")
+FEASIBILITY_MODES = ("lattice", "coordinate_exhaustive")
 LATTICE_PASS = {"holder": 2, "loomis_whitney": 8, "corpus0": 32, "corpus1": 32, "corpus2": 8}
 LATTICE_WITNESS = {"violating": (1, ((0, 1),)), "stuffed0": (20, ((0, 0, 0, 0, 1),)),
                    "stuffed1": (20, ((0, 0, 0, 0, 1),)), "stuffed2": (5, ((0, 0, 1),))}
-# (status, lattice_size, random_checks, witness columns) of check_feasibility(d, mode, 3, 7)
+# (status, lattice_size, random_checks, witness columns) of check_feasibility(d, mode)
 FEASIBILITY_PINS = {
     **{(name, "lattice"): ("passed_lattice", size, 0, None) for name, size in LATTICE_PASS.items()},
-    ("holder", "lattice_plus_random"): ("passed_heuristic", 2, 6, None),
     ("holder", "coordinate_exhaustive"): ("passed_heuristic", 2, 6, None),
-    ("loomis_whitney", "lattice_plus_random"): ("passed_heuristic", 8, 6, None),
     ("loomis_whitney", "coordinate_exhaustive"): ("passed_heuristic", 8, 6, None),
-    ("corpus0", "lattice_plus_random"): ("passed_heuristic", 32, 12, None),
     ("corpus0", "coordinate_exhaustive"): ("passed_heuristic", 32, 30, None),
-    ("corpus1", "lattice_plus_random"): ("passed_heuristic", 32, 12, None),
     ("corpus1", "coordinate_exhaustive"): ("passed_heuristic", 32, 30, None),
-    ("corpus2", "lattice_plus_random"): ("passed_heuristic", 8, 6, None),
     ("corpus2", "coordinate_exhaustive"): ("passed_heuristic", 8, 6, None),
     **{(name, mode): ("violated", size, 0, cols) for name, (size, cols) in LATTICE_WITNESS.items()
        for mode in FEASIBILITY_MODES},
 }
-# sha256 of the columns of every subspace checked, in order, over "lattice" then "coordinate_exhaustive"
+# sha256 of the columns of every subspace checked, in order, over the two modes
 CANDIDATE_PINS = {
     "holder": "cf5c3f47cb3618a9966603614ae5ea8b6cfad8e742bea921d26ff5f61d457117",
     "loomis_whitney": "078fa8b11f20dcfb81444e8f3ece0e1056f907e90edd8a39f19682a36664f025",
@@ -206,11 +202,8 @@ CANDIDATE_PINS = {
 }
 # the certificate when the fifth subspace past the lattice is declared violating
 EXTRA_WITNESS_PINS = {
-    ("holder", "lattice_plus_random"): (2, ((81, 0, 171), (0, 81, -260))),
     ("holder", "coordinate_exhaustive"): (2, ((1, 0, 0), (0, 0, 1))),
-    ("corpus0", "lattice_plus_random"): (32, ((7640, 0, -14664, -14280, -3648), (0, 7640, -3976, 2835, 1477))),
     ("corpus0", "coordinate_exhaustive"): (32, ((0, 0, 0, 0, 1),)),
-    ("corpus2", "lattice_plus_random"): (8, ((81, 0, 171), (0, 81, -260))),
     ("corpus2", "coordinate_exhaustive"): (8, ((1, 0, 0), (0, 0, 1))),
 }
 
@@ -220,7 +213,7 @@ class TestFeasibilityPins:
 
     @pytest.mark.parametrize("name, mode", sorted(FEASIBILITY_PINS))
     def test_certificate(self, name, mode):
-        cert = check_feasibility(PINNED_DATA[name], mode, 3, 7)
+        cert = check_feasibility(PINNED_DATA[name], mode)
         witness = cert.witness.columns if cert.witness else None
         assert (cert.status, cert.lattice_size, cert.random_checks, witness) == FEASIBILITY_PINS[(name, mode)]
 
@@ -233,7 +226,7 @@ class TestFeasibilityPins:
             return real(d, u)
 
         monkeypatch.setattr(brascamp_lieb, "_criterion_deficit", record)
-        for mode in ("lattice", "coordinate_exhaustive"):
+        for mode in FEASIBILITY_MODES:
             check_feasibility(PINNED_DATA[name], mode)
         assert hashlib.sha256(json.dumps(seen).encode()).hexdigest() == CANDIDATE_PINS[name]
 
@@ -247,7 +240,7 @@ class TestFeasibilityPins:
             return F(1) if len(calls) == size + 5 else real(d, u)
 
         monkeypatch.setattr(brascamp_lieb, "_criterion_deficit", flag_fifth)
-        cert = check_feasibility(PINNED_DATA[name], mode, 3, 7)
+        cert = check_feasibility(PINNED_DATA[name], mode)
         assert (cert.status, cert.lattice_size, cert.random_checks, cert.witness.columns) == ("violated", size, 5, cols)
 
 
@@ -263,7 +256,7 @@ def test_rank_paths_make_no_fraction_product(monkeypatch):
 
     monkeypatch.setattr(Mat, "__matmul__", no_product)
     for mode in FEASIBILITY_MODES:
-        cert = check_feasibility(PINNED_DATA["corpus0"], mode, 3, 7)
+        cert = check_feasibility(PINNED_DATA["corpus0"], mode)
         assert cert.status != "violated"
     assert check_feasibility(PINNED_DATA["stuffed0"], "lattice").status == "violated"
     assert translate(h, w) == expected

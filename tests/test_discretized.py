@@ -142,6 +142,11 @@ class TestTubeCovering:
         with pytest.raises(SpecError):
             TubeSpec(2**-4, (0.5,), (1,))
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+    def test_non_finite_r_rejected(self, r):
+        with pytest.raises(SpecError):
+            TubeSpec(2**-4, (r, 1.0), (1, 1))
+
 
 class TestAlphaEnergy:
     def test_singleton(self):
@@ -443,6 +448,20 @@ class TestProjectionExperiment:
         with pytest.raises(SizeError):
             projection_experiment(cfg, ps, 0, 2**-6, 0.05, 2.0, num_u, 7)
 
+    @pytest.mark.parametrize(
+        "epsilon, m_exponent",
+        [(math.nan, 2.0), (-1.0, 2.0), (0.0, 2.0), (math.inf, 2.0), (0.05, math.nan), (0.05, -1.0), (0.05, math.inf)],
+    )
+    def test_epsilon_and_m_exponent_checked_before_any_cover(self, epsilon, m_exponent, monkeypatch):
+        def no_cover(keys):
+            raise AssertionError("a cover was counted")
+
+        monkeypatch.setattr(discretized, "_count_distinct", no_cover)
+        cfg = build_config("so_pq:2,1")
+        ps = make_point_set([[0.1, 0.2, 0.3, 0.4, 0.5]], "p")
+        with pytest.raises(SpecError):
+            projection_experiment(cfg, ps, 0, 2**-6, epsilon, m_exponent, 20, 7)
+
 
 class TestRemez:
     def test_linear_sublevel(self):
@@ -464,6 +483,11 @@ class TestRemez:
         p = Poly(1, 1, ((1.0, (1,)),))
         with pytest.raises(SpecError):
             remez_check(p, ((0.0, 1.0),), 0.1, 100, 5)
+
+    @pytest.mark.parametrize("eps", [-0.05, 0.0, math.nan, math.inf])
+    def test_eps_must_be_finite_and_positive(self, eps):
+        with pytest.raises(SpecError):
+            remez_check(random_poly(1, 2, random.Random(0)), ((0.0, 1.0),), eps, 20_000, 5)
 
     def test_random_cubics(self):
         rng = random.Random(31)

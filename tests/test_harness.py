@@ -264,6 +264,20 @@ class TestCLI:
         assert bl_main(["check", "--datum", str(datum_path), "--mode", "coordinate_exhaustive"]) == 2
         assert capsys.readouterr().err.startswith("error: coordinate_exhaustive")
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--mode", "lattice_plus_random"], ["--random-count", "3"], ["--seed", "1"]],
+        ids=["random-mode", "random-count", "seed"],
+    )
+    def test_bl_check_has_no_random_mode(self, flags, tmp_path):
+        from repverify.brascamp_lieb import datum_to_json, holder_datum
+
+        datum_path = tmp_path / "holder.json"
+        datum_path.write_text(json.dumps(datum_to_json(holder_datum(3, 2))))
+        with pytest.raises(SystemExit) as exc:
+            bl_main(["check", "--datum", str(datum_path), *flags])
+        assert exc.value.code == 2
+
     @pytest.mark.parametrize("scale", ["nan", "inf", "-1", "0"])
     def test_suite_scale_out_of_range(self, scale, tmp_path, capsys):
         assert main(["generic-dim", "--scale", scale]) == 2
@@ -308,6 +322,12 @@ class TestCLI:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["best_value"] > 0
+
+    @pytest.mark.parametrize("flags", [["--epsilon", "nan"], ["--epsilon", "-1"], ["--m-exponent", "nan"]])
+    def test_proj_exp_epsilon_or_m_exponent_out_of_range(self, flags, capsys):
+        argv = ["--config", "so_pq:2,1", "--fractal", "weight_aligned:1,0.5,0.5,0,0", "--delta", "4", *flags]
+        assert proj_exp_main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: need a finite epsilon")
 
     @pytest.mark.parametrize("config", ["so_pq:40,40", "tensor:1,2", "tensor_std:0,3"])
     def test_proj_exp_config_out_of_range(self, config, capsys):

@@ -148,6 +148,19 @@ class TestCanonicalForm:
         with pytest.raises(DimensionMismatch):
             Subspace.from_columns(3, [[1, 0, 0], [1, 0]])
 
+    def test_coordinate_matches_from_columns(self):
+        for n in range(7):
+            for mask in range(2**n):
+                idx = [i for i in range(n) if mask >> i & 1]
+                unit = [[int(t == i) for t in range(n)] for i in idx]
+                assert Subspace.coordinate(n, idx) == Subspace.from_columns(n, unit)
+                assert Subspace.coordinate(n, idx).columns == Subspace.from_columns(n, unit).columns
+        assert Subspace.coordinate(4, [3, 1, 3]) == Subspace.coordinate(4, [1, 3])
+        assert Subspace.full(3) == Subspace.coordinate(3, range(3))
+        for bad in ([3], [-1]):
+            with pytest.raises(DimensionMismatch):
+                Subspace.coordinate(3, bad)
+
     def test_solve_exact_checks_rhs_rows(self):
         m = Mat.from_rows([[1, 0], [0, 1], [1, 1]])
         with pytest.raises(DimensionMismatch):
