@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -64,6 +64,8 @@ class PointSet:
             raise SpecError("points array must be (N, ambient)")
         if pts.shape[0] > MAX_POINTS:
             raise SizeError(f"point set exceeds cap {MAX_POINTS}")
+        if not np.isfinite(pts).all():
+            raise SpecError("point coordinates must be finite")
 
     @property
     def size(self) -> int:
@@ -77,49 +79,60 @@ def _dedupe(points: np.ndarray) -> np.ndarray:
 
 
 def make_point_set(points, provenance: str) -> PointSet:
-    pts = _dedupe(np.asarray(points, dtype=float))
-    return PointSet(pts.shape[1], pts, provenance)
+    pts = np.asarray(points, dtype=float)
+    ps = PointSet(pts.shape[1], pts, provenance)  # checked before _dedupe rounds the points
+    return replace(ps, points=_dedupe(pts))
 
 
-def _cube_keys(points: np.ndarray, delta: float) -> np.ndarray:
-    """Cube indices floor(points / delta), column-major so that each
-    coordinate's keys are contiguous for `_count_distinct`."""
-    keys = points / delta
-    np.floor(keys, out=keys)
-    return keys.astype(np.int64, order="F")
+def _cube_keys(points: np.ndarray, blocks) -> np.ndarray:
+    """Cube indices floor(x / scale) of every point, cutting each coordinate block
+    sl at side `scale` for (sl, scale) in blocks, as an (N, k) float view.
+
+    The quotients go straight into one row-contiguous (k, N) buffer and are
+    floored in place; the view is its transpose, so `_count_distinct` reads
+    each coordinate's keys as one contiguous row."""
+    buf = np.empty(points.shape[::-1])
+    for sl, scale in blocks:
+        np.divide(points[:, sl].T, scale, out=buf[sl])
+    np.floor(buf, out=buf)
+    return buf.T
 
 
 def _count_distinct(keys: np.ndarray) -> int:
-    """Number of distinct rows of an (N, k) integer key array.
+    """Number of distinct rows of an (N, k) array of integers, int64 or
+    integer-valued float.
 
-    Counts by sorting and comparing neighbours: the count is 1 + the number of
-    adjacent unequal entries.  np.unique would give the same number, but on
-    int64 numpy 2.x sends it through a hash table (`_unique_hash`), about 40x
-    slower than np.sort on 2^20 keys.  Rows whose shifted columns fit in 62 bits
-    are packed into one int64 and sorted in place; wider rows are lexsorted.
+    Packs each row into one key by Horner's rule, column j shifted into a
+    field of bit_length(max_j - min_j + 1) bits, then sorts the keys and
+    counts unequal neighbours.  The keys stay in their own dtype: float keys
+    pack as float64 while the fields fit in 53 bits, where every integer is
+    exact, and wider ones are cast to int64 once.  Only rows wider than 62
+    bits, which no int64 holds, are lexsorted.
     """
-    if keys.shape[0] == 0:
+    rows = keys.T
+    if rows.shape[1] == 0:
         return 0
-    if keys.shape[1] == 1:
-        flat = np.sort(keys[:, 0])
-    else:
-        lo = keys.min(axis=0)
-        widths = [int(w).bit_length() for w in keys.max(axis=0) - lo + 1]
-        if sum(widths) > 62:
-            rows = keys[np.lexsort(keys.T)]
-            return 1 + int(np.count_nonzero(np.any(rows[1:] != rows[:-1], axis=1)))
-        flat = keys[:, 0] - lo[0]
-        for j in range(1, keys.shape[1]):
-            flat <<= widths[j]
-            flat |= keys[:, j] - lo[j]
-        flat.sort()
-    return 1 + int(np.count_nonzero(flat[1:] != flat[:-1]))
+    lo = [int(v) for v in rows.min(axis=1)]
+    widths = [(int(hi) - low + 1).bit_length() for hi, low in zip(rows.max(axis=1), lo)]
+    bits = sum(widths)
+    if bits > 62:
+        rows = rows[:, np.lexsort(rows)]
+        return 1 + int(np.count_nonzero(np.any(rows[:, 1:] != rows[:, :-1], axis=0)))
+    if bits > 53 and rows.dtype.kind == "f":
+        rows = rows.astype(np.int64)
+    key = rows[0] - lo[0]
+    term = np.empty_like(key)
+    for j in range(1, rows.shape[0]):
+        key *= 1 << widths[j]
+        key += np.subtract(rows[j], lo[j], out=term)
+    key.sort()
+    return 1 + int(np.count_nonzero(key[1:] != key[:-1]))
 
 
 def covering_number(a: PointSet, delta: float) -> int:
     """Number of half-open axis-aligned delta-cubes anchored at 0 meeting a."""
     _dyadic_exponent(delta)
-    return _count_distinct(_cube_keys(a.points, delta))
+    return _count_distinct(_cube_keys(a.points, [(slice(None), delta)]))
 
 
 @dataclass(frozen=True)
@@ -138,6 +151,8 @@ class TubeSpec:
     def __post_init__(self):
         if len(self.r_tuple) != len(self.level_dims):
             raise SpecError("r_tuple and level_dims must have equal length")
+        if not self.level_dims or any(k < 1 for k in self.level_dims):
+            raise SpecError("need at least one level, each of dimension >= 1")
         if not all(0 <= r <= 1 for r in self.r_tuple) or self.r_tuple[-1] != 1:
             raise SpecError("need 0 <= r_1 <= ... <= r_m = 1")
         if any(a > b for a, b in zip(self.r_tuple, self.r_tuple[1:])):
@@ -158,10 +173,9 @@ def tube_covering_number(a: PointSet, spec: TubeSpec) -> int:
     """Occupied atoms of the join partition with level-i scale delta^{r_i}."""
     if sum(spec.level_dims) != a.ambient:
         raise SpecError("level dimensions do not sum to the ambient dimension")
-    cols = []
-    for sl, r in zip(spec.level_slices(), spec.r_tuple):
-        cols.append(_cube_keys(a.points[:, sl], spec.delta**r))
-    return _count_distinct(np.hstack(cols))
+    # delta^r need not be dyadic: divide by it, never multiply by its reciprocal
+    blocks = [(sl, spec.delta**r) for sl, r in zip(spec.level_slices(), spec.r_tuple)]
+    return _count_distinct(_cube_keys(a.points, blocks))
 
 
 def _distance_blocks(queries: np.ndarray, pts: np.ndarray):
@@ -346,7 +360,8 @@ def generate_fractal(desc: FractalSpec | str, seed: int = 0) -> PointSet:
             digits = np.arange(len(digits)) if isinstance(digits, range) else np.asarray(digits)
             vals = (vals[:, None] + digits * scale).ravel()
         grids.append(vals)
-    pts = np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(-1, len(grids))
+    # broadcast views, not copies: np.stack writes the one (N, k) array
+    pts = np.stack(np.meshgrid(*grids, indexing="ij", copy=False), axis=-1).reshape(-1, len(grids))
     if isinstance(desc, RandomSubset):
         keep = np.random.default_rng(seed).random(pts.shape[0]) < desc.density
         if not np.any(keep):
@@ -417,9 +432,9 @@ def projection_experiment(
         raise SizeError("experiments support 1 to 1000 sampled parameters")
     if not (0 < epsilon < math.inf and 0 <= m_exponent < math.inf):
         raise SpecError("need a finite epsilon > 0 and a finite m_exponent >= 0")
-    dec = weight_decompose(cfg)
     if mode not in ("subcritical", "supercritical"):
         raise SpecError(f"unknown mode {mode!r}")
+    dec = weight_decompose(cfg)
     if mode == "supercritical":
         if not check_proximal(dec):
             raise HypothesisError("supercritical mode needs a proximal configuration")
@@ -444,15 +459,17 @@ def projection_experiment(
     for i in range(num_u):
         coeffs = rng.uniform(-1.0, 1.0, size=dim_u)
         mat = _unipotent_matrix(cfg, coeffs)
-        image = (mat[flag_idx] @ pts_t).T
-        cover = _count_distinct(_cube_keys(image, delta))
+        # delta = 2^-s, so pre-scaling the flag rows is exact: the k x N product
+        # equals (mat @ pts) / delta bit for bit, and is floored where it lies
+        keys = (mat[flag_idx] / delta) @ pts_t
+        np.floor(keys, out=keys)
+        cover = _count_distinct(keys.T)
         bad = cover < covering_threshold
         exceptional += bad
         per_u.append((tuple(coeffs), cover, bool(bad)))
-    frac = exceptional / num_u if num_u else 0.0
     return ExceptionalReport(
         num_u=num_u,
-        exceptional_fraction=frac,
+        exceptional_fraction=exceptional / num_u,
         threshold=delta**epsilon,
         covering_threshold=covering_threshold,
         per_u=per_u,
@@ -541,6 +558,8 @@ def remez_check(
     d, k = p.nvars, max(p.degree, 1)
     if len(box) != d:
         raise SpecError("box arity mismatch")
+    if not all(-math.inf < a < b < math.inf for a, b in box):
+        raise SpecError("each side of the box needs finite ends lo < hi")
     rng = np.random.default_rng(seed)
     lo = np.array([b[0] for b in box])
     hi = np.array([b[1] for b in box])

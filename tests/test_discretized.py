@@ -6,6 +6,7 @@ import hashlib
 import math
 import random
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from repverify.discretized import (
     remez_check,
     tube_covering_number,
 )
-from repverify.reps import build_config
+from repverify.reps import build_config, flag_projector, weight_decompose
 
 
 class TestCovering:
@@ -69,6 +70,30 @@ class TestCovering:
         with pytest.raises(SpecError):
             covering_number(ps, 0.3)
 
+    @pytest.mark.parametrize("s", [1, 5, 12])
+    def test_matches_floor_tuples(self, s):
+        rng = np.random.default_rng(s)
+        grid = generate_fractal(FullGrid(3, 4)).points  # points on cube boundaries
+        pts = np.vstack([rng.uniform(-1.5, 1.5, (3000, 3)), grid, grid[:300] - 0.5])
+        ps = make_point_set(pts, "mix")
+        assert covering_number(ps, 2**-s) == _floor_tuples(ps.points, [2**-s] * 3)
+
+
+def _floor_tuples(points: np.ndarray, scales) -> int:
+    """Occupied cubes by brute force: distinct tuples of floor(x_j / scales[j])."""
+    return len({tuple(math.floor(x / h) for x, h in zip(p, scales)) for p in points.tolist()})
+
+
+class TestPointSet:
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_coordinates_rejected(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SpecError):
+                make_point_set([[bad, 0.0], [0.5, 0.5]], "p")
+            with pytest.raises(SpecError):
+                PointSet(2, np.array([[0.5, 0.5], [0.0, bad]]), "p")
+
 
 def _distinct_rows(keys: np.ndarray) -> int:
     return len(set(map(tuple, keys.tolist())))
@@ -99,6 +124,37 @@ class TestCountDistinct:
     @pytest.mark.parametrize("width", [1, 3])
     def test_empty(self, width):
         assert discretized._count_distinct(np.zeros((0, width), dtype=np.int64)) == 0
+
+    @pytest.mark.parametrize(
+        "widths",
+        [
+            (53,),  # one float column, packed as float64
+            (20, 20, 13),  # 53 bits: float64 pack
+            (20, 20, 14),  # 54 bits: int64 pack
+            (31, 31),  # 62 bits: int64 pack
+            (21, 21, 21),  # 63 bits: lexsort
+        ],
+    )
+    def test_float_keys_match_int64(self, widths, monkeypatch):
+        # integer-valued floats handed as the transpose of a (k, N) buffer, as
+        # the covering counts hand them; column j spans exactly widths[j] bits
+        rng = np.random.default_rng(sum(widths))
+        lo = rng.integers(-(1 << 20), 0, size=len(widths))  # every key below 2^53, exact in float64
+        hi = lo + [(1 << w) - 2 for w in widths]
+        keys = rng.integers(lo, hi + 1, size=(4000, len(widths)))
+        # a packed key above 2^53 rounds in float64: neighbours differing by 1
+        # in the last column collide unless wider keys leave the float pack
+        top = np.tile(hi, (200, 1))
+        top[:, -1] = lo[-1] + np.arange(200)
+        keys = np.vstack([lo, hi, keys, keys[:1000], top])
+        buf = np.ascontiguousarray(keys.T, dtype=float)
+        assert np.array_equal(buf.T.astype(np.int64), keys)
+        lexsorts = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda k: lexsorts.append(1) or lexsort(k))
+        assert discretized._count_distinct(buf.T) == _distinct_rows(keys)
+        assert discretized._count_distinct(keys) == _distinct_rows(keys)
+        assert len(lexsorts) == (2 if sum(widths) > 62 else 0)
 
 
 class TestTubeCovering:
@@ -146,6 +202,32 @@ class TestTubeCovering:
     def test_non_finite_r_rejected(self, r):
         with pytest.raises(SpecError):
             TubeSpec(2**-4, (r, 1.0), (1, 1))
+
+    @pytest.mark.parametrize(
+        "r_tuple, level_dims",
+        [((), ()), ((0.5, 1.0), (3, -1)), ((0.5, 1.0), (0, 2)), ((1.0,), (0,))],
+    )
+    def test_bad_levels_rejected(self, r_tuple, level_dims):
+        with pytest.raises(SpecError):
+            TubeSpec(2**-4, r_tuple, level_dims)
+
+    @pytest.mark.parametrize(
+        "delta, r_tuple, level_dims",
+        [(2**-8, (1 / 3, 1.0), (2, 1)), (2**-7, (0.5, 1.0), (1, 2)), (2**-9, (0.2, 0.7, 1.0), (1, 1, 1))],
+    )
+    def test_non_dyadic_scale_matches_floor_tuples(self, delta, r_tuple, level_dims):
+        # random points, grid points, and points at and just below multiples of
+        # each scale, where x / h and x * (1 / h) can floor differently
+        rng = np.random.default_rng(len(level_dims))
+        grid = generate_fractal(FullGrid(3, 5)).points
+        edges = [k * delta**r for r in r_tuple for k in range(1, int(delta**-r) + 1)]
+        edges = np.concatenate([edges, np.nextafter(edges, 0)])
+        ps = make_point_set(np.vstack([rng.random((3000, 3)), grid, np.tile(edges[:, None], 3)]), "mix")
+        spec = TubeSpec(delta, r_tuple, level_dims)
+        scales = [0.0] * 3
+        for sl, r in zip(spec.level_slices(), r_tuple):
+            scales[sl] = [delta**r] * (sl.stop - sl.start)
+        assert tube_covering_number(ps, spec) == _floor_tuples(ps.points, scales)
 
 
 class TestAlphaEnergy:
@@ -462,6 +544,32 @@ class TestProjectionExperiment:
         with pytest.raises(SpecError):
             projection_experiment(cfg, ps, 0, 2**-6, epsilon, m_exponent, 20, 7)
 
+    def test_bad_mode_rejected_before_any_work(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(discretized, "weight_decompose", no_work)
+        monkeypatch.setattr(discretized, "_count_distinct", no_work)
+        cfg = build_config("so_pq:2,1")
+        ps = make_point_set([[0.1, 0.2, 0.3, 0.4, 0.5]], "p")
+        with pytest.raises(SpecError):
+            projection_experiment(cfg, ps, 0, 2**-6, 0.05, 2.0, 20, 7, mode="critical")
+
+    @pytest.mark.parametrize(
+        "desc, delta",
+        [(WeightAligned((1, 0.5, 0.5, 0, 0), level_scale=6), 2**-8), (FullGrid(5, 3), 2**-3), (FullGrid(5, 3), 2**-1)],
+    )
+    def test_per_u_covers_match_unscaled_recount(self, desc, delta):
+        # the flag rows are pre-scaled by 1/delta; recount from (mat @ p) / delta
+        cfg = build_config("so_pq:2,1")
+        ps = generate_fractal(desc)
+        rep = projection_experiment(cfg, ps, 0, delta, 0.05, 2.0, 12, 5)
+        proj = flag_projector(weight_decompose(cfg), 0)
+        flag_idx = [i for i in range(cfg.n) if proj.projector.at(i, i) == 1]
+        for coeffs, cover, _ in rep.per_u:
+            image = (discretized._unipotent_matrix(cfg, np.array(coeffs)) @ ps.points.T)[flag_idx] / delta
+            assert cover == len(set(map(tuple, np.floor(image).T.tolist())))
+
 
 class TestRemez:
     def test_linear_sublevel(self):
@@ -488,6 +596,26 @@ class TestRemez:
     def test_eps_must_be_finite_and_positive(self, eps):
         with pytest.raises(SpecError):
             remez_check(random_poly(1, 2, random.Random(0)), ((0.0, 1.0),), eps, 20_000, 5)
+
+    @pytest.mark.parametrize(
+        "box",
+        [
+            ((1.0, 0.0),),
+            ((0.5, 0.5),),
+            ((0.0, math.inf),),
+            ((-math.inf, 0.0),),
+            ((math.nan, 1.0),),
+            ((0.0, 1.0), (0.0, math.nan)),
+            ((0.0, 1.0), (2.0, -2.0)),
+        ],
+    )
+    def test_bad_box_rejected_before_sampling(self, box, monkeypatch):
+        def no_sample(seed):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr(np.random, "default_rng", no_sample)
+        with pytest.raises(SpecError):
+            remez_check(random_poly(len(box), 2, random.Random(0)), box, 0.1, 20_000, 5)
 
     def test_random_cubics(self):
         rng = random.Random(31)
