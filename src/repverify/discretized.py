@@ -360,8 +360,9 @@ def generate_fractal(desc: FractalSpec | str, seed: int = 0) -> PointSet:
             digits = np.arange(len(digits)) if isinstance(digits, range) else np.asarray(digits)
             vals = (vals[:, None] + digits * scale).ravel()
         grids.append(vals)
-    # broadcast views, not copies: np.stack writes the one (N, k) array
-    pts = np.stack(np.meshgrid(*grids, indexing="ij", copy=False), axis=-1).reshape(-1, len(grids))
+    # column-major (N, k): np.stack writes each coordinate as one contiguous row
+    # from broadcast views, and covering counts read each coordinate contiguously
+    pts = np.stack(np.meshgrid(*grids, indexing="ij", copy=False)).reshape(len(grids), -1).T
     if isinstance(desc, RandomSubset):
         keep = np.random.default_rng(seed).random(pts.shape[0]) < desc.density
         if not np.any(keep):
