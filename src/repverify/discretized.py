@@ -80,6 +80,8 @@ def _dedupe(points: np.ndarray) -> np.ndarray:
 
 def make_point_set(points, provenance: str) -> PointSet:
     pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] < 1:
+        raise SpecError("points array must be (N, ambient) with ambient >= 1")
     ps = PointSet(pts.shape[1], pts, provenance)  # checked before _dedupe rounds the points
     return replace(ps, points=_dedupe(pts))
 

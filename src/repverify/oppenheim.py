@@ -4,17 +4,23 @@ Forms have entries a + b sqrt(D) with rational a, b and one squarefree D, so
 values at integer vectors are exact field elements.  One scan serves every
 dimension d and every bound T: it enumerates the leading d - 2 coordinates
 (a row), runs the next one over [-T, T] and solves for the last, which makes
-T = 10^3..10^4 practical at d = 3.  Rows go through numpy in blocks of about
-2^14 entries; a candidate pays for a gcd only while its float error can still
-beat the best value found before its block.  The scan runs on floats and
+T = 10^3..10^4 practical at d = 3.  Since Q(-v) = Q(v), only the rows up to
+the zero head are scanned: half the box.  Rows go through numpy in blocks of
+about 2^14 entries; a candidate pays for a gcd only while its float error can
+still beat the best value found before its block.  The scan runs on floats and
 re-evaluates only improvements exactly, row by row; up to float ties it
 returns the minimum of |Q(v) - s| over primitive v in the box.
+
+At d = 4 the cost grows as T^3: x1^2+x2^2+x3^2-sqrt2*x4^2 at s = 0 takes
+about 0.6 s at T = 100, 1.5 s at T = 150 and 3.8 s at T = 200 on a 2-core
+x86 host.  The cap MAX_T[4] = 1000 is accepted but stays impractical: at that
+rate it would take several minutes.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -274,6 +280,9 @@ def decay_curve(q: QuadraticForm, s: float, t_list: list[int]) -> DecayCurve:
 def _check_scannable(q: QuadraticForm, s: float, t_list: list[int]) -> None:
     if q.d not in MAX_T:
         raise BudgetError(f"supported dimensions: {sorted(MAX_T)}")
+    for t in t_list:
+        if isinstance(t, bool) or not isinstance(t, numbers.Integral):
+            raise BudgetError(f"t_bound must be an integer, got {t!r}")
     if max(t_list) > MAX_T[q.d]:
         raise BudgetError(f"t_bound {max(t_list)} exceeds cap {MAX_T[q.d]} at d = {q.d}")
     if min(t_list) < 1:
@@ -290,24 +299,53 @@ _BLOCK_ENTRIES = 2**14  # a block holds max(1, _BLOCK_ENTRIES // (2t + 1)) rows
 def _scan(q: QuadraticForm, s: float, t: int) -> tuple[tuple[int, ...], QuadExt]:
     """Best primitive v with 0 < ||v||_inf <= t, and the exact value Q(v) - s.
 
-    Rows are the choices of the leading d - 2 coordinates.  In a row,
-    coordinate d - 1 runs over [-t, t], and for each of its values Q(v) - s is
-    a quadratic a x^2 + b x + c in the last coordinate x.  The integer
-    neighbours of its real roots (of its vertex when it has none), clipped to
-    [-t, t], are each the integer nearest the low end of a stretch of [-t, t]
-    on which |a x^2 + b x + c| is monotone, so together they hold a minimizer
-    over the integers in [-t, t].  A candidate whose vector is not primitive
-    steps away from its root or vertex to the nearest x in [-t, t] that gives
+    Rows are the choices of the leading d - 2 coordinates (the head h), in
+    lexicographic order.  In a row, coordinate d - 1 runs over w in [-t, t],
+    and for each w, Q(v) - s is a quadratic a x^2 + b x + c in the last
+    coordinate x.  The integer neighbours of its real roots (of its vertex
+    when it has none), clipped to [-t, t], are each the integer nearest the
+    low end of a stretch of [-t, t] on which |a x^2 + b x + c| is monotone, so
+    together they hold a minimizer over the integers in [-t, t].  A candidate
+    whose vector is not primitive steps away from its root or vertex (towards
+    -1 when x <= root, else towards +1) to the nearest x in [-t, t] that gives
     a primitive vector, the best primitive x of its stretch.
 
+    Only half the box is scanned.  The heads whose first nonzero entry is
+    negative, followed by the zero head, are exactly the first
+    ((2t + 1)^(d - 2) + 1) // 2 rows; the scan stops after the zero head,
+    whose row keeps every w in [-t, t].  Each skipped v has its mirror -v in
+    an earlier row, with a bit-identical float error, since Q(-v) = Q(v):
+    with c = c0 + 2 c1 w + g_kk w^2 and b = 2 (b0 + g_k,d-1 w), negating h and
+    w keeps every term of c and negates b exactly, so the roots (or the
+    vertex) are negated exactly and the error at -x in the mirror row is the
+    error at x.  A root r that is not an integer has candidates floor(r),
+    stepping to -1, and floor(r) + 1, stepping to +1; their mirrors are the
+    mirror row's candidates floor(-r) + 1, stepping to +1, and floor(-r),
+    stepping to -1.  An exactly integer root, as the isotropic forms have,
+    gives the pair {r, r + 1} and not a mirrored pair.  The step at x = r goes
+    to -1, so the row reaches the nearest primitive x <= r and the nearest
+    >= r + 1, while the mirror row, from -r and -r + 1, reaches the mirrors of
+    the nearest >= r and the nearest <= r - 1.  These differ only when r is
+    itself primitive, and then the rows hold r and -r, at the same error,
+    which is the least of either row.  In the linear case (a = 0) the extra
+    candidates 0 and 1 are not mirrored, but they lie on stretches whose best
+    primitive x the root's own pair already reaches.  So the skipped rows hold
+    only exact ties, which never replace the best; row order is unchanged, so
+    ties still go to the first vector found, and up to float ties the half
+    scan returns what the full scan returns.
+
     Rows are scanned in blocks of max(1, _BLOCK_ENTRIES // (2t + 1)) rows, as
-    flat arrays.  Before a block starts, its threshold is read off the best
-    float value so far, best_val + 1e-9; only candidates whose float error is
-    below it pay for a gcd and, if not primitive, take the step, and every
-    other candidate counts as infinitely far.  Then the block's row minima are
-    visited in row order: a row minimum below the current threshold is
-    re-evaluated exactly and replaces the best only if exactly smaller.  Up to
-    float rounding and ties within 1e-9 the result is the minimum over the box.
+    flat arrays.  A block builds its heads from their row numbers and sums
+    the per-head scalars c0, c1 and b0 over all its heads at once, term by
+    term in the order of the form's index pairs, so each is bit-identical to
+    summing one head's terms one by one.  Before a block starts, its
+    threshold is read off the best float value so far, best_val + 1e-9; only
+    candidates whose float error is below it pay for a gcd and, if not
+    primitive, take the step, and every other candidate counts as infinitely
+    far.  Then the block's row minima are visited in row order: a row minimum
+    below the current threshold is re-evaluated exactly and replaces the best
+    only if exactly smaller.  Up to float rounding and ties within 1e-9 the
+    result is the minimum over the box.
 
     The block threshold dates from before the block, so it can be looser
     than the current one, which a row-at-a-time scan would use.  A candidate
@@ -326,21 +364,21 @@ def _scan(q: QuadraticForm, s: float, t: int) -> tuple[tuple[int, ...], QuadExt]
     a = g[d - 1, d - 1]
     w = np.arange(-t, t + 1)
     abs_w, w_sq, w_lin = np.abs(w), g[k, k] * w * w, g[k, d - 1] * w
-    heads = itertools.product(range(-t, t + 1), repeat=k)
+    n_rows = (w.size**k + 1) // 2  # up to and including the zero head
+    block_rows = max(1, _BLOCK_ENTRIES // w.size)
     best_val, best_vec, best_exact = math.inf, None, None
-    while block := list(itertools.islice(heads, max(1, _BLOCK_ENTRIES // w.size))):
-        # per-head scalars, each summed in the same order as for a single row
-        scalars = [
-            (
-                sum(g[i, j] * h[i] * h[j] for i in range(k) for j in range(k)),
-                2 * sum(g[i, k] * h[i] for i in range(k)),
-                sum(g[i, d - 1] * h[i] for i in range(k)),
-                math.gcd(*h),
-            )
-            for h in block
-        ]
-        c0, c1, b0, head_gcd = map(np.array, zip(*scalars))
-        c = (c0[:, None] + c1[:, None] * w + w_sq).ravel()
+    for start in range(0, n_rows, block_rows):
+        rows = np.arange(start, min(start + block_rows, n_rows))
+        heads = np.stack(np.unravel_index(rows, (w.size,) * k), axis=1) - t
+        # each term is (g h_i) h_j, added in the same order as for a single row
+        c0, c1, b0 = np.zeros((3, rows.size))
+        for i in range(k):
+            for j in range(k):
+                c0 += g[i, j] * heads[:, i] * heads[:, j]
+            c1 += g[i, k] * heads[:, i]
+            b0 += g[i, d - 1] * heads[:, i]
+        head_gcd = np.gcd.reduce(heads, axis=1)
+        c = (c0[:, None] + 2 * c1[:, None] * w + w_sq).ravel()
         b = (2 * (b0[:, None] + w_lin)).ravel()
         threshold = best_val + 1e-9
         err_best = np.full(c.shape, math.inf)
@@ -362,12 +400,12 @@ def _scan(q: QuadraticForm, s: float, t: int) -> tuple[tuple[int, ...], QuadExt]
             better = prim & (err < err_best[live])
             err_best[live[better]] = err[better]
             x_best[live[better]] = x[better]
-        err_best = err_best.reshape(len(block), w.size)
+        err_best = err_best.reshape(rows.size, w.size)
         cols = err_best.argmin(axis=1)
-        row_min = err_best[np.arange(len(block)), cols]
+        row_min = err_best[np.arange(rows.size), cols]
         for i in np.flatnonzero(row_min < threshold):
             if row_min[i] < best_val + 1e-9:
-                vec = (*block[i], int(w[cols[i]]), int(x_best[i * w.size + cols[i]]))
+                vec = (*heads[i].tolist(), int(w[cols[i]]), int(x_best[i * w.size + cols[i]]))
                 exact = q.evaluate(vec) - target
                 if best_exact is None or _abs_less(exact, best_exact):
                     best_val, best_vec, best_exact = abs(float(exact)), vec, exact

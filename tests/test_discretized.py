@@ -94,6 +94,11 @@ class TestPointSet:
             with pytest.raises(SpecError):
                 PointSet(2, np.array([[0.5, 0.5], [0.0, bad]]), "p")
 
+    @pytest.mark.parametrize("bad", [[0.1, 0.2], [], [[]], 0.5])
+    def test_not_a_point_array_rejected(self, bad):
+        with pytest.raises(SpecError):
+            make_point_set(bad, "p")
+
 
 def _distinct_rows(keys: np.ndarray) -> int:
     return len(set(map(tuple, keys.tolist())))

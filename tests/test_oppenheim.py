@@ -131,6 +131,13 @@ class TestSearch:
         with pytest.raises(BudgetError):
             search_min_value(sqrt2_form(), 0.0, t)
 
+    @pytest.mark.parametrize("t", [2.5, 3.0, True])
+    def test_non_integer_bound(self, t):
+        with pytest.raises(BudgetError):
+            search_min_value(sqrt2_form(), 0.0, t)
+        with pytest.raises(BudgetError):
+            decay_curve(sqrt2_form(), 0.0, [t, 4, 7])
+
     def test_scan_memory_stays_small(self):
         # a block holds at most 2^14 candidates per root; 2^16 peaked near 12 MB
         tracemalloc.start()
@@ -189,6 +196,17 @@ class TestScan:
         q = parse_form(form)
         r = search_min_value(q, float(F(s)), t)
         assert r.value_exact.abs_exact() == brute_min(q, F(s), t)
+
+    # exactly integer roots: a row's candidate pair is {r, r + 1}, not a mirrored pair
+    @pytest.mark.parametrize("t", [2, 3])
+    @pytest.mark.parametrize("s", ["0", "1", "-5/2"])
+    @pytest.mark.parametrize("form", ["x1^2+x2^2-x3^2-x4^2", "x1*x2-x3*x4"])
+    def test_half_box_matches_brute_force_on_isotropic_forms(self, form, s, t):
+        q = parse_form(form)
+        r = search_min_value(q, float(F(s)), t)
+        assert r.value_exact.abs_exact() == brute_min(q, F(s), t)
+        head = [x for x in r.best_v[:-2] if x]
+        assert not head or head[0] < 0  # the scan stops after the zero head
 
     def test_intermediate_bound_is_minimal(self):
         q = parse_form("x1^2+x2^2-1/100*x3^2")
@@ -256,3 +274,8 @@ class TestBlocks:
         r = search_min_value(sqrt2_form(), 0.0, 1000)
         assert r.best_v == (-966, -104, -817)
         assert r.value_exact == QuadExt(F(943972), F(-667489), 2)
+
+    def test_d4_sqrt2_pin(self):
+        r = search_min_value(parse_form("x1^2+x2^2+x3^2-sqrt2*x4^2"), 0.0, 100)
+        assert r.best_v == (-54, -12, -8, -47)
+        assert r.value_exact == QuadExt(F(3124), F(-2209), 2)
