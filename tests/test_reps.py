@@ -244,29 +244,42 @@ class TestIrreducibility:
         assert v.witness == Subspace.from_columns(3, [[1, 0, 0], [0, 1, 0]])
 
 
-# sha256 of config_to_json(build_config(d)) and of the check_irreducible verdict
-# (kind, algebra dimension, witness), pinned before qlinalg's elimination moved
+# sha256 of build_config(d)'s name, n, h_dim, h_basis, a_action and u+ / u- (see
+# _config_json) and of the check_irreducible verdict (kind, algebra dimension,
+# witness).  The verdict hashes were pinned before qlinalg's elimination moved
 # to integer rows: building a configuration runs kernel_basis, solve_exact,
 # subspace_intersect and RowSpan, and the closure test runs RowSpan.
 CONFIG_PINS = {
-    "so_pq:2,1": ("78c422c7bf0076a14da51dbd0c78d7d52d0b4667576d1174710bf143e9f938d9", "e2bc9e92bab6630d63bb4c188d9c83d1989a3ee0d3e64f836d4ecd9d52998f79"),
-    "so_pq:2,2": ("8bac25cd2556fa942642c768d28be53ccb5b0415ce1de92b318d79de018da70b", "bb2cac08dc711cc2628278040ed6fcd6d44927ad983f49d9022086818ae4b781"),
-    "so_pq:3,1": ("4d59ab1f011e7ff78ca55a74939f659af1c5594ea153db1747de70577b5db028", "bb2cac08dc711cc2628278040ed6fcd6d44927ad983f49d9022086818ae4b781"),
-    "sp2n:2": ("8396b3459b458083c3e2481f142b92e8cf2cd602ecd2bea96786901d6ecff770", "e2bc9e92bab6630d63bb4c188d9c83d1989a3ee0d3e64f836d4ecd9d52998f79"),
-    "tensor:2,2": ("02359979ffe3119e4ec41eb6715a60ef3d941cfec331f72f2d07d0d9235bcc71", "bb2cac08dc711cc2628278040ed6fcd6d44927ad983f49d9022086818ae4b781"),
-    "tensor_std:2,2": ("339bc3e39e8064d249b202b24841b4902883795eafc80654510da04a3eb649e6", "74d94bb4a956079287d1c9dd7eda8beb5e9cf955e38517fb07bd672de54352de"),
-    "sl2_sym:1": ("020b8e15ec9347710bf7652ece3dbc0881a4dbf55dcc37e4b44c8bbff79b80e4", "ec961b7d9aa83114e2a308147fd45ded18f2fa130eda08830d5950ff53e49c71"),
-    "sl2_sym:2": ("26807cb994013cd3902f24c0b9c87c973cf6e5c0980d774ac1288160f8c43805", "a6ba5ddda4dec1f8ad80b191c4fcb01fc0e98364d7e54f58a4a2e55fbe073d52"),
-    "sl2_sym:4": ("9dd7b47e838064ea664e2a92de304b6aea4fec3d45e60f5fbfc8356259605f4a", "e2bc9e92bab6630d63bb4c188d9c83d1989a3ee0d3e64f836d4ecd9d52998f79"),
-    "diagonal:sl2": ("0233df94abafbabbc350ba95ec2abbcb15cb0f4de26ddb554d1b7b65c6efcdaa", "a6ba5ddda4dec1f8ad80b191c4fcb01fc0e98364d7e54f58a4a2e55fbe073d52"),
-    "diagonal:sl3": ("16a443599cecf62f5facb5ab874dce58b0fecc3b831404bb033b4b25ebc8f533", "d50d2bd90bb4fecf2c6815c4c5485e52dfedc9dc77fa229231682b48af76e8fb"),
-    "so_pq:3,2": ("7b627121429366f01347718df1ba78ce0b9a9325294855bcf167553e28e6d63c", "753bd17e1eafd088f76e562b93f9ebf64b54aa4aaf31de7e5273ee519f2fc238"),
+    "so_pq:2,1": ("0023d6677c18d7088cffb8bbc554a961bdc3f966485771090099ea44e691dc3b", "e2bc9e92bab6630d63bb4c188d9c83d1989a3ee0d3e64f836d4ecd9d52998f79"),
+    "so_pq:2,2": ("718121315023f09f6c339bd0535e622ebf86a2e2855b02d1b971c58fd93415be", "bb2cac08dc711cc2628278040ed6fcd6d44927ad983f49d9022086818ae4b781"),
+    "so_pq:3,1": ("08937cf78104eec6c74878b8b245ec62f2ad62a6fd3a446b816c55b7422aa094", "bb2cac08dc711cc2628278040ed6fcd6d44927ad983f49d9022086818ae4b781"),
+    "sp2n:2": ("fde84c27c2c270c93664ae354a9cb1af444f67b5f5fa8ffd50886febb90d3151", "e2bc9e92bab6630d63bb4c188d9c83d1989a3ee0d3e64f836d4ecd9d52998f79"),
+    "tensor:2,2": ("3fc4bff63a3b767bd421a1296c2f8ed079beac5a9cf4b888ee3ff4da56bac5ab", "bb2cac08dc711cc2628278040ed6fcd6d44927ad983f49d9022086818ae4b781"),
+    "tensor_std:2,2": ("cbf332b02fbe7fb4c507e111a8ba49b56a4816fdcd693408a047b3c960bccf4f", "74d94bb4a956079287d1c9dd7eda8beb5e9cf955e38517fb07bd672de54352de"),
+    "sl2_sym:1": ("82590fb803919bdf581a5a8e20ca01faaa0c30d4e3f9b09fda7f643961bef253", "ec961b7d9aa83114e2a308147fd45ded18f2fa130eda08830d5950ff53e49c71"),
+    "sl2_sym:2": ("0f1a5ec23ba6a74bf14e3350a4c152232c5459a5f2d79cf0f32def9c7f37bfca", "a6ba5ddda4dec1f8ad80b191c4fcb01fc0e98364d7e54f58a4a2e55fbe073d52"),
+    "sl2_sym:4": ("85435d2f48b65bedf8f1ba0e6c7bb15164080dd3cd270791892f6a313c539488", "e2bc9e92bab6630d63bb4c188d9c83d1989a3ee0d3e64f836d4ecd9d52998f79"),
+    "diagonal:sl2": ("cd282962e39798198ed4fdea4d46faafbae1aa5319acd0a96d75046057155eef", "a6ba5ddda4dec1f8ad80b191c4fcb01fc0e98364d7e54f58a4a2e55fbe073d52"),
+    "diagonal:sl3": ("75d3d9a12bec7df36f610649f14b3450a3ac8030bb8664ffcae7eedcb0689c07", "d50d2bd90bb4fecf2c6815c4c5485e52dfedc9dc77fa229231682b48af76e8fb"),
+    "so_pq:3,2": ("a97aa96a6ac6babadc31d79222ad61e6dc6d46f66428a5ef347e2b218be7fdb0", "753bd17e1eafd088f76e562b93f9ebf64b54aa4aaf31de7e5273ee519f2fc238"),
 }
 FIXTURE_VERDICT_PIN = "b7bed8b129c62dbb5ca4f558fb673d3462f6b071745d5ec997eda1a0dae4d38f"
 
 
 def _sha(obj) -> str:
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+def _config_json(cfg) -> dict:
+    return {
+        "name": cfg.name,
+        "n": cfg.n,
+        "h_dim": cfg.h_dim,
+        "h_basis": [mat_to_json(m) for m in cfg.h_basis],
+        "a_action": mat_to_json(cfg.a_action),
+        "u_plus": list(cfg.u_plus_indices),
+        "u_minus": list(cfg.u_minus_indices),
+    }
 
 
 def _verdict_json(v) -> dict:
@@ -277,7 +290,7 @@ def _verdict_json(v) -> dict:
 @pytest.mark.parametrize("desc", sorted(CONFIG_PINS))
 def test_config_and_verdict_pinned(desc):
     cfg = build_config(desc)
-    assert (_sha(config_to_json(cfg)), _sha(_verdict_json(check_irreducible(cfg)))) == CONFIG_PINS[desc]
+    assert (_sha(_config_json(cfg)), _sha(_verdict_json(check_irreducible(cfg)))) == CONFIG_PINS[desc]
 
 
 def test_reducible_verdict_pinned():
