@@ -22,11 +22,17 @@ from .qlinalg import LinAlgError, Subspace, subspace_to_json
 from .reps import ConfigError, InvalidLevel, build_config, flag_projector, weight_decompose
 
 
-def _write_out(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
+def _write_out(text: str, out: str | None, code: int) -> int:
+    """Write text to out, or print it; code, or 2 if out cannot be written."""
+    if not out:
         print(text)
+        return code
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:
+        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
+        return 2
+    return code
 
 
 def parse_subspace(cfg, spec: str) -> Subspace:
@@ -74,8 +80,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report = run_suite(cfg, jobs=args.jobs)
-    _write_out(emit_report(report, args.format), cfg.out)
-    return 0 if report.all_passed else 1
+    return _write_out(emit_report(report, args.format), cfg.out, 0 if report.all_passed else 1)
 
 
 def genericdim_main(argv=None) -> int:
@@ -118,8 +123,7 @@ def genericdim_main(argv=None) -> int:
             for seed, recipe in report.witness_failures
         ],
     }
-    _write_out(json.dumps(payload, indent=2, sort_keys=True), args.out)
-    return 0 if report.all_passed else 1
+    return _write_out(json.dumps(payload, indent=2, sort_keys=True), args.out, 0 if report.all_passed else 1)
 
 
 def bl_main(argv=None) -> int:
@@ -156,8 +160,7 @@ def bl_main(argv=None) -> int:
             "random_checks": cert.random_checks,
             "witness": subspace_to_json(cert.witness) if cert.witness else None,
         }
-        _write_out(json.dumps(payload, indent=2, sort_keys=True), args.out)
-        return 0 if cert.feasible_so_far else 1
+        return _write_out(json.dumps(payload, indent=2, sort_keys=True), args.out, 0 if cert.feasible_so_far else 1)
     payload = {
         "lower_bound_variational": est.lower_bound_variational if math.isfinite(est.lower_bound_variational) else None,
         "lower_bound_gaussian": est.lower_bound_gaussian if math.isfinite(est.lower_bound_gaussian) else None,
@@ -166,8 +169,7 @@ def bl_main(argv=None) -> int:
         "bl_infinite": est.bl_infinite,
         "cause": est.cause,
     }
-    _write_out(json.dumps(payload, indent=2, sort_keys=True), args.out)
-    return 0
+    return _write_out(json.dumps(payload, indent=2, sort_keys=True), args.out, 0)
 
 
 def proj_exp_main(argv=None) -> int:
@@ -214,13 +216,13 @@ def proj_exp_main(argv=None) -> int:
         "covering_threshold": rep.covering_threshold,
         "within_bound": rep.within_bound,
     }
-    _write_out(json.dumps(payload, indent=2, sort_keys=True), args.out)
-    if args.csv:
+    code = _write_out(json.dumps(payload, indent=2, sort_keys=True), args.out, 0 if rep.within_bound else 1)
+    if args.csv and code != 2:
         lines = ["u_coords,covering,exceptional"]
         for coords, cover, bad in rep.per_u:
             lines.append(f"\"{' '.join(f'{c:.6f}' for c in coords)}\",{cover},{int(bad)}")
-        Path(args.csv).write_text("\n".join(lines) + "\n")
-    return 0 if rep.within_bound else 1
+        code = _write_out("\n".join(lines) + "\n", args.csv, code)
+    return code
 
 
 def oppenheim_main(argv=None) -> int:
@@ -256,8 +258,7 @@ def oppenheim_main(argv=None) -> int:
     except (oppenheim.FormParseError, oppenheim.SignatureError, oppenheim.BudgetError, oppenheim.FitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _write_out(json.dumps(payload, indent=2, sort_keys=True), args.out)
-    return 0
+    return _write_out(json.dumps(payload, indent=2, sort_keys=True), args.out, 0)
 
 
 if __name__ == "__main__":

@@ -324,12 +324,16 @@ def generate_fractal(desc: FractalSpec | str, seed: int = 0) -> PointSet:
     one per level for a Cantor coordinate.  The size is checked before any axis is
     built.  RandomSubset masks FullGrid's points by `seed`, keeping the first if none.
     """
+    if seed < 0:
+        raise SpecError(f"seed must be >= 0, got {seed}")
     if isinstance(desc, str):
         desc = parse_fractal(desc)
     if isinstance(desc, (FullGrid, RandomSubset)):
         min_s = 1 if isinstance(desc, RandomSubset) else 0  # a random subset's dimension divides by s
         if desc.ambient < 1 or desc.s < min_s:
             raise SpecError(f"a grid needs ambient >= 1 and s >= {min_s}")
+        if isinstance(desc, RandomSubset) and not 0 <= desc.density <= 1:
+            raise SpecError(f"a random subset needs 0 <= density <= 1, got {desc.density}")
         axes = [[(range(1 << desc.s), 2.0**-desc.s)]] * desc.ambient
         dim = float(desc.ambient)
         provenance = f"full_grid:{desc.ambient},{desc.s}"
@@ -423,6 +427,8 @@ def projection_experiment(
     bound delta^(-alpha/n - eps) capped by the full slice delta^(-flag dim),
     with alpha measured from |F|_delta; requires proximality.
     """
+    if seed < 0:
+        raise SpecError(f"seed must be >= 0, got {seed}")
     s = _dyadic_exponent(delta)
     if f.ambient != cfg.n:
         raise SpecError("point set ambient dimension does not match the representation")

@@ -488,16 +488,20 @@ def parse_form(text: str, dim: int | None = None) -> QuadraticForm:
             else:
                 try:
                     rational = rational * Fraction(p)
-                except ValueError:
+                except (ValueError, ZeroDivisionError):
                     raise FormParseError(f"bad coefficient {p!r}") from None
         if len(vars_seen) != 2:
             raise FormParseError(f"monomial {term!r} is not quadratic")
         coeff_a, coeff_b = (Fraction(0), rational) if odd_root else (rational, Fraction(0))
         i, j = sorted(vars_seen)
+        if i < 1:
+            raise FormParseError(f"variables are numbered from x1, got x{i}")
         max_var = max(max_var, j)
         a, b = entries.get((i, j), (Fraction(0), Fraction(0)))
         entries[(i, j)] = (a + sign * coeff_a, b + sign * coeff_b)
     d = dim or max_var
+    if max_var > d:
+        raise FormParseError(f"variable x{max_var} exceeds dimension {d}")
     if field_d is None:
         field_d = 2  # rational form embedded in Q(sqrt 2)
     gram = [[QuadExt.rational(0, field_d) for _ in range(d)] for _ in range(d)]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .qlinalg import (
     DimensionMismatch,
@@ -59,25 +59,36 @@ class RepConfig:
 
     h_basis holds the action of a weight-adapted basis of Lie(H) on V, and
     a_action is diagonal, so the ad(a)-eigenvalue of a matrix unit E_ij is
-    a_i - a_j.  u_plus_indices / u_minus_indices mark the basis elements of
-    positive / negative ad(a)-eigenvalue (the horospherical generators); the
-    builders derive them from a's diagonal, and validation requires every
-    horospherical generator to be a nilpotent ad(a)-eigenvector of the right
-    sign.  a_norm_sq records ||a||^2 of the defining rational a; all
-    downstream claims are scale covariant, so a is stored unnormalized.
+    a_i - a_j.  Everything else is read off these: n = dim V, h_dim = dim H,
+    and u_plus_indices / u_minus_indices, the basis elements of positive /
+    negative ad(a)-eigenvalue (the horospherical generators).  Validation
+    requires every generator to be an ad(a)-eigenvector and every horospherical
+    one to be nilpotent.  All downstream claims are scale covariant, so a is
+    stored unnormalized.
     """
 
     name: str
-    n: int
-    h_dim: int
     h_basis: tuple[Mat, ...]
     a_action: Mat
-    u_plus_indices: tuple[int, ...]
-    u_minus_indices: tuple[int, ...]
-    a_norm_sq: Fraction
+
+    @cached_property
+    def n(self) -> int:
+        return self.a_action.rows
+
+    @property
+    def h_dim(self) -> int:
+        return len(self.h_basis)
+
+    @cached_property
+    def u_plus_indices(self) -> tuple[int, ...]:
+        return tuple(i for i in range(self.h_dim) if self.a_eigenvalue_of_generator(i) > 0)
+
+    @cached_property
+    def u_minus_indices(self) -> tuple[int, ...]:
+        return tuple(i for i in range(self.h_dim) if self.a_eigenvalue_of_generator(i) < 0)
 
     def __hash__(self) -> int:
-        # Equal configs agree on these fields; the generated hash read every
+        # Equal configs agree on these values; the generated hash read every
         # Fraction of h_basis on each lookup of a cache keyed by a config.
         return hash((self.name, self.n, self.h_dim))
 
@@ -89,8 +100,11 @@ class RepConfig:
 @dataclass(frozen=True)
 class WeightDecomposition:
     eigenvalues: tuple[Fraction, ...]
-    multiplicities: tuple[int, ...]
     eigenbases: tuple[Subspace, ...]
+
+    @property
+    def multiplicities(self) -> tuple[int, ...]:
+        return tuple(basis.dim for basis in self.eigenbases)
 
     @property
     def total_dim(self) -> int:
@@ -260,9 +274,9 @@ def _check_dim(n: int) -> None:
 def _validate_config(cfg: RepConfig) -> None:
     n = cfg.n
     _check_dim(n)
-    diag = _diagonal(cfg.a_action)
-    if len(diag) != n:
-        raise DimensionMismatch("a_action is not n x n")
+    _diagonal(cfg.a_action)
+    if any((x.rows, x.cols) != (n, n) for x in cfg.h_basis):
+        raise DimensionMismatch("h_basis element is not n x n for the n x n a_action")
     for x in cfg.h_basis:
         if x.trace() != 0:
             raise ConfigError("h_basis element with nonzero trace")
@@ -270,23 +284,13 @@ def _validate_config(cfg: RepConfig) -> None:
     span = RowSpan(n * n)
     for x in cfg.h_basis:
         span.add(_vec(x))
-    for i in range(cfg.h_dim):
-        for j in range(i + 1, cfg.h_dim):
-            if not span.contains(_vec(_bracket(cfg.h_basis[i], cfg.h_basis[j]))):
+    for i, x in enumerate(cfg.h_basis):
+        for y in cfg.h_basis[i + 1 :]:
+            if not span.contains(_vec(_bracket(x, y))):
                 raise ConfigError("h_basis is not closed under brackets")
-    # u+ / u- are all the generators of positive / negative ad(a)-weight, each nilpotent
-    if (cfg.u_plus_indices, cfg.u_minus_indices) != _signed_indices(cfg.h_basis, diag):
-        raise ConfigError("u_plus / u_minus are not the generators of positive / negative ad(a)-weight")
+    # every generator has one ad(a)-weight, and u+ / u- are nilpotent
     for idx in cfg.u_plus_indices + cfg.u_minus_indices:
         _check_nilpotent(cfg.h_basis[idx])
-
-
-def _signed_indices(
-    h_basis: tuple[Mat, ...] | list[Mat], diag: list[Fraction]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The indices of the generators of positive and of negative ad(a)-weight."""
-    wts = [_weight(x, diag) for x in h_basis]
-    return tuple(i for i, w in enumerate(wts) if w > 0), tuple(i for i, w in enumerate(wts) if w < 0)
 
 
 def _check_nilpotent(m: Mat) -> None:
@@ -296,22 +300,9 @@ def _check_nilpotent(m: Mat) -> None:
         raise ConfigError("horospherical generator is not nilpotent on V") from None
 
 
-def _config(name: str, h_action: list[Mat], a_diag: list[Fraction], a_norm_sq: Fraction) -> RepConfig:
-    """A validated configuration with a_action = diag(a_diag).
-
-    u+ / u- are the generators of positive / negative ad(a)-weight.
-    """
-    u_plus, u_minus = _signed_indices(h_action, a_diag)
-    cfg = RepConfig(
-        name=name,
-        n=len(a_diag),
-        h_dim=len(h_action),
-        h_basis=tuple(h_action),
-        a_action=Mat.diagonal(a_diag),
-        u_plus_indices=u_plus,
-        u_minus_indices=u_minus,
-        a_norm_sq=a_norm_sq,
-    )
+def _config(name: str, h_action: list[Mat], a_diag: list[Fraction]) -> RepConfig:
+    """A validated configuration with a_action = diag(a_diag)."""
+    cfg = RepConfig(name, tuple(h_action), Mat.diagonal(a_diag))
     _validate_config(cfg)
     return cfg
 
@@ -332,7 +323,7 @@ def _complement_config(name: str, s_form: Mat, a_diag: list[Fraction]) -> RepCon
     expected = d * d - 1 - len(h_mats)
     if n != expected:
         raise ConfigError("complement dimension mismatch")
-    return _config(name, _action_matrices(v_mats, h_mats), v_wts, sum(x * x for x in a_diag))
+    return _config(name, _action_matrices(v_mats, h_mats), v_wts)
 
 
 def _sl_weight_basis(k: int) -> tuple[list[Mat], list[Fraction]]:
@@ -357,7 +348,7 @@ def _sl_weight_basis(k: int) -> tuple[list[Mat], list[Fraction]]:
 def _adjoint_config(name: str, k: int) -> RepConfig:
     basis, a_diag = _sl_weight_basis(k)
     v_mats, v_wts = _weight_adapt(basis, a_diag)
-    return _config(name, _action_matrices(v_mats, v_mats), v_wts, sum(x * x for x in a_diag))
+    return _config(name, _action_matrices(v_mats, v_mats), v_wts)
 
 
 def _tensor_sort(perm_weights: list[Fraction]) -> list[int]:
@@ -409,7 +400,7 @@ def _tensor_config(name: str, kn: int, km: int, standard: bool) -> RepConfig:
 
     h_action = [_kron_action(x, None, (da, db), order) for x in left_ops]
     h_action += [_kron_action(None, y, (da, db), order) for y in right_ops]
-    return _config(name, h_action, sorted_wts, sum(x * x for x in a1 + a2))
+    return _config(name, h_action, sorted_wts)
 
 
 def _sl2_sym_config(k: int) -> RepConfig:
@@ -424,7 +415,7 @@ def _sl2_sym_config(k: int) -> RepConfig:
         if i <= k - 1:
             f_rows[i + 1][i] = Fraction(k - i)  # f: v_i -> (k - i) v_{i+1}
     e, h, f = Mat.from_rows(e_rows), Mat.diagonal(a_diag), Mat.from_rows(f_rows)
-    return _config(f"sl2_sym:{k}", [e, h, f], a_diag, Fraction(2))
+    return _config(f"sl2_sym:{k}", [e, h, f], a_diag)
 
 
 def parse_descriptor(text: str) -> tuple[str, tuple]:
@@ -513,13 +504,8 @@ def weight_decompose(cfg: RepConfig) -> WeightDecomposition:
     n = cfg.n
     diag = _diagonal(cfg.a_action)
     values = sorted(set(diag))
-    bases = []
-    mults = []
-    for mu in values:
-        idx = [i for i in range(n) if diag[i] == mu]
-        bases.append(Subspace.coordinate(n, idx))
-        mults.append(len(idx))
-    dec = WeightDecomposition(tuple(values), tuple(mults), tuple(bases))
+    bases = tuple(Subspace.coordinate(n, [i for i in range(n) if diag[i] == mu]) for mu in values)
+    dec = WeightDecomposition(tuple(values), bases)
     assert dec.total_dim == n
     return dec
 
@@ -572,27 +558,18 @@ def check_proximal(dec: WeightDecomposition) -> bool:
 def config_to_json(cfg: RepConfig) -> dict:
     return {
         "name": cfg.name,
-        "n": cfg.n,
-        "h_dim": cfg.h_dim,
         "h_basis": [mat_to_json(m) for m in cfg.h_basis],
         "a_action": mat_to_json(cfg.a_action),
-        "u_plus_indices": list(cfg.u_plus_indices),
-        "u_minus_indices": list(cfg.u_minus_indices),
-        "a_norm_sq": str(cfg.a_norm_sq),
     }
 
 
 def config_from_json(obj: dict) -> RepConfig:
-    """Rebuild a configuration and run the same validation as build_config."""
+    """Rebuild a configuration from its three keys, ignoring any others, and
+    run the same validation as build_config."""
     cfg = RepConfig(
-        name=obj["name"],
-        n=int(obj["n"]),
-        h_dim=int(obj["h_dim"]),
-        h_basis=tuple(mat_from_json(m) for m in obj["h_basis"]),
-        a_action=mat_from_json(obj["a_action"]),
-        u_plus_indices=tuple(obj["u_plus_indices"]),
-        u_minus_indices=tuple(obj["u_minus_indices"]),
-        a_norm_sq=Fraction(obj["a_norm_sq"]),
+        obj["name"],
+        tuple(mat_from_json(m) for m in obj["h_basis"]),
+        mat_from_json(obj["a_action"]),
     )
     _validate_config(cfg)
     return cfg

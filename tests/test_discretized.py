@@ -449,11 +449,20 @@ class TestGenerators:
             ProductCantor(((3, (0, 2), 0),)),
             ProductCantor(((3, (0, 0), 4),)),
             ProductCantor(((3, (2, 0, 2), 3),)),
+            "random_subset:5,2,2",
+            RandomSubset(2, 2, -0.25),
+            RandomSubset(2, 2, math.nan),
+            RandomSubset(2, 2, math.inf),
         ],
     )
     def test_field_out_of_range(self, spec):
         with pytest.raises(SpecError):
             generate_fractal(spec)
+
+    @pytest.mark.parametrize("spec", [FullGrid(1, 3), "random_subset:2,2,0.5"])
+    def test_negative_seed_rejected(self, spec):
+        with pytest.raises(SpecError, match="seed"):
+            generate_fractal(spec, seed=-1)
 
     def test_field_range_edges_still_build(self):
         assert generate_fractal(FullGrid(1, 0)).size == 1
@@ -559,6 +568,17 @@ class TestProjectionExperiment:
         ps = make_point_set([[0.1, 0.2, 0.3, 0.4, 0.5]], "p")
         with pytest.raises(SpecError):
             projection_experiment(cfg, ps, 0, 2**-6, 0.05, 2.0, 20, 7, mode="critical")
+
+    def test_negative_seed_rejected_before_any_work(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(discretized, "weight_decompose", no_work)
+        monkeypatch.setattr(discretized, "_count_distinct", no_work)
+        cfg = build_config("so_pq:2,1")
+        ps = make_point_set([[0.1, 0.2, 0.3, 0.4, 0.5]], "p")
+        with pytest.raises(SpecError, match="seed"):
+            projection_experiment(cfg, ps, 0, 2**-6, 0.05, 2.0, 20, -1)
 
     @pytest.mark.parametrize(
         "desc, delta",

@@ -122,6 +122,9 @@ class TestEmit:
             emit_report(rep, "xml")
 
 
+PROJ_EXP_ARGV = ["--config", "so_pq:2,1", "--fractal", "weight_aligned:1,0.5,0.5,0,0", "--delta", "4", "--num-u", "5"]
+
+
 class TestCLI:
     def test_suite_exit_code(self, tmp_path):
         out = tmp_path / "rep.json"
@@ -343,9 +346,40 @@ class TestCLI:
     def test_oppenheim_bad_form(self):
         assert oppenheim_main(["--form", "x1^3", "--T", "10"]) == 2
 
+    def test_oppenheim_zero_denominator(self, capsys):
+        assert oppenheim_main(["--form", "x1^2+x2^2-1/0*x3^2", "--T", "10"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     @pytest.mark.parametrize("radicand", ["sqrtx", "sqrt2/1"])
     def test_oppenheim_bad_radicand(self, radicand):
         assert oppenheim_main(["--form", f"x1^2+x2^2-{radicand}*x3^2", "--T", "5"]) == 2
+
+    @pytest.mark.parametrize(
+        "entry, argv",
+        [
+            (main, ["hypotheses", "--out", "{bad}"]),
+            (genericdim_main, ["--config", "so_pq:2,1", "--w", "flag:1", "--wprime", "flag:0", "--trials", "5",
+                               "--out", "{bad}"]),
+            (bl_main, ["check", "--datum", "{datum}", "--out", "{bad}"]),
+            (bl_main, ["estimate", "--datum", "{datum}", "--budget", "100", "--out", "{bad}"]),
+            (proj_exp_main, [*PROJ_EXP_ARGV, "--out", "{bad}"]),
+            (proj_exp_main, [*PROJ_EXP_ARGV, "--csv", "{bad}"]),
+            (oppenheim_main, ["--form", "x1^2+x2^2-sqrt2*x3^2", "--T", "5", "--out", "{bad}"]),
+        ],
+        ids=["repverify", "genericdim", "bl-check", "bl-estimate", "proj-exp-out", "proj-exp-csv", "oppenheim"],
+    )
+    def test_unwritable_output(self, entry, argv, tmp_path, capsys):
+        from repverify.brascamp_lieb import datum_to_json, loomis_whitney_datum
+
+        datum = tmp_path / "lw.json"
+        datum.write_text(json.dumps(datum_to_json(loomis_whitney_datum())))
+        bad = tmp_path / "missing" / "out.json"
+        assert entry([a.format(bad=bad, datum=datum) for a in argv]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {bad}")
+
+    def test_proj_exp_negative_seed(self, capsys):
+        assert proj_exp_main([*PROJ_EXP_ARGV, "--seed", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("error: seed must be >= 0")
 
     def test_installed_entry_point(self):
         proc = subprocess.run(

@@ -92,6 +92,19 @@ class TestParseAndSignature:
         with pytest.raises(FormParseError):
             parse_form("x1^3")
 
+    @pytest.mark.parametrize(
+        "form, dim",
+        [
+            ("x0^2+x2^2-x3^2", None),  # x0 would land in the last row, where x3 overwrites it
+            ("x1^2-x3^2", 2),  # a variable past the declared dimension
+            ("x1^2+x2^2-1/0*x3^2", None),
+        ],
+        ids=["x0", "past-dim", "zero-denominator"],
+    )
+    def test_bad_variable_or_coefficient(self, form, dim):
+        with pytest.raises(FormParseError):
+            parse_form(form, dim=dim)
+
 
 class TestSearch:
     def test_isotropic_hits_zero(self):

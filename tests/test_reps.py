@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from fractions import Fraction
@@ -191,13 +192,8 @@ def _direct_sum_fixture() -> RepConfig:
 
     return RepConfig(
         name="fixture:sym1+sym1",
-        n=4,
-        h_dim=3,
         h_basis=tuple(two_blocks(m) for m in base.h_basis),
         a_action=Mat.diagonal([F(1), F(-1), F(1), F(-1)]),
-        u_plus_indices=(0,),
-        u_minus_indices=(2,),
-        a_norm_sq=F(2),
     )
 
 
@@ -206,13 +202,8 @@ def _fixture(name: str, generator) -> RepConfig:
     n = len(generator)
     return RepConfig(
         name=name,
-        n=n,
-        h_dim=1,
         h_basis=(Mat.from_rows(generator),),
         a_action=Mat.zeros(n, n),
-        u_plus_indices=(),
-        u_minus_indices=(),
-        a_norm_sq=F(0),
     )
 
 
@@ -341,11 +332,40 @@ def test_config_json_round_trip():
     assert config_from_json(config_to_json(cfg)) == cfg
 
 
-def test_config_from_json_validates_ad_signs():
-    doc = config_to_json(build_config("so_pq:2,1"))
-    doc["u_plus_indices"], doc["u_minus_indices"] = doc["u_minus_indices"], doc["u_plus_indices"]
-    with pytest.raises(ConfigError):
+def _eight_key_doc(cfg: RepConfig) -> dict:
+    """A config document in the earlier eight-key format, which stored n, h_dim,
+    u+ / u- and ||a||^2 beside the generators and a."""
+    return {
+        **config_to_json(cfg),
+        "n": cfg.n,
+        "h_dim": cfg.h_dim,
+        "u_plus_indices": list(cfg.u_plus_indices),
+        "u_minus_indices": list(cfg.u_minus_indices),
+        "a_norm_sq": "2",
+    }
+
+
+def test_config_from_json_checks_every_bracket_whatever_h_dim_says():
+    # without its weight-0 generator so(2,1) is not bracket closed: [u+, u-] lies in the weight-0 space
+    cfg = build_config("so_pq:2,1")
+    assert [cfg.a_eigenvalue_of_generator(i) for i in range(cfg.h_dim)] == [1, 0, -1]
+    doc = _eight_key_doc(cfg)
+    doc["h_basis"] = [doc["h_basis"][0], doc["h_basis"][2]]
+    doc["h_dim"], doc["u_minus_indices"] = 0, [1]
+    with pytest.raises(ConfigError, match="closed under brackets"):
         config_from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "plus, minus", [([2], [0]), ([], []), ([0, 1], [2]), ([7], [])], ids=["swapped", "empty", "stale", "out-of-range"]
+)
+def test_config_from_json_derives_horospherical_indices(plus, minus):
+    cfg = build_config("so_pq:2,1")
+    doc = _eight_key_doc(cfg)
+    doc["u_plus_indices"], doc["u_minus_indices"], doc["n"], doc["h_dim"] = plus, minus, 9, 7
+    loaded = config_from_json(doc)
+    assert loaded == cfg
+    assert (loaded.n, loaded.h_dim, loaded.u_plus_indices, loaded.u_minus_indices) == (5, 3, (0,), (2,))
 
 
 @pytest.mark.parametrize("plus", [0, 1, 2])
@@ -362,20 +382,6 @@ def test_config_from_json_rejects_mixed_weight_generator(plus, minus):
         config_from_json(doc)
 
 
-@pytest.mark.parametrize(
-    "key, indices",
-    [("u_plus_indices", [0]), ("u_plus_indices", [0, 0, 1, 2]), ("u_plus_indices", [0, 1]), ("u_minus_indices", [])],
-    ids=["plus-one", "plus-repeated", "plus-two", "minus-empty"],
-)
-def test_config_from_json_rejects_partial_horospherical_indices(key, indices):
-    # every listed generator has the right sign, but u+ / u- must be all of them, once each
-    doc = config_to_json(build_config("diagonal:sl3"))
-    assert (doc["u_plus_indices"], doc["u_minus_indices"]) == ([0, 1, 2], [5, 6, 7])
-    doc[key] = indices
-    with pytest.raises(ConfigError):
-        config_from_json(doc)
-
-
 def test_config_from_json_rejects_bad_a_action():
     cfg = build_config("so_pq:2,1")
     doc = config_to_json(cfg)
@@ -386,3 +392,9 @@ def test_config_from_json_rejects_bad_a_action():
     doc["a_action"] = mat_to_json(Mat.diagonal([cfg.a_action.at(i, i) for i in range(cfg.n)] + [F(7)]))
     with pytest.raises(DimensionMismatch):
         config_from_json(doc)
+
+
+def test_config_stores_and_writes_only_generators_and_a():
+    assert [f.name for f in dataclasses.fields(RepConfig)] == ["name", "h_basis", "a_action"]
+    assert [f.name for f in dataclasses.fields(reps.WeightDecomposition)] == ["eigenvalues", "eigenbases"]
+    assert sorted(config_to_json(build_config("so_pq:2,1"))) == ["a_action", "h_basis", "name"]
