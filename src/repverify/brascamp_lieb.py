@@ -3,7 +3,10 @@
 Feasibility is the scaling condition sum p_j n_j = n together with
 dim U <= sum p_j dim pi_j(U) over subspaces U; both sides are evaluated with
 exact rational arithmetic on a subspace lattice.  A passing lattice check is
-labeled as such and is not a proof for general data.
+labeled as such and is not a proof for general data.  The lattice is the
+sum/intersection closure of the map kernels; a pair in which one member
+contains the other is skipped, since its sum and intersection are the pair
+itself, and each map's integer rows are cleared once.
 
 The constant is estimated by alternating (operator) scaling of the maps
 towards a geometric datum.  Every iterate gives two lower bounds for the
@@ -18,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import combinations
 
 import numpy as np
@@ -63,6 +66,11 @@ class BLMap:
     def __post_init__(self):
         if self.matrix.rows != self.n_j:
             raise ValueError("map shape does not match target dimension")
+
+    @cached_property
+    def integer_rows(self) -> list[list[int]]:
+        """The rows of the matrix, each cleared of its denominators."""
+        return integer_columns(self.matrix.transpose())
 
 
 @dataclass(frozen=True)
@@ -193,7 +201,7 @@ def _criterion_deficit(d: BLDatum, u: Subspace) -> Fraction:
     denominators times U's integer columns; positive means the criterion is violated."""
     total = Fraction(0)
     for p, m in zip(d.exponents, d.maps):
-        total += p * len(independent_columns(apply_rows(integer_columns(m.matrix.transpose()), u.columns)))
+        total += p * len(independent_columns(apply_rows(m.integer_rows, u.columns)))
     return u.dim - total
 
 
@@ -201,7 +209,10 @@ def _iter_kernel_lattice(d: BLDatum, cap: int):
     """Yield the sum/intersection closure of the map kernels as it grows.
 
     Each round combines every new element with the older members and with
-    the new elements after it, so every unordered pair is combined once.
+    the new elements after it, so every unordered pair is combined once.  A
+    comparable pair (one member contains the other) is skipped: its sum and
+    intersection are the pair itself, already seen, so the skip changes
+    neither the order of the yields nor the point where the cap is passed.
     Raises CapExceeded past `cap` elements; callers checking the criterion
     incrementally see every element first.
     """
@@ -218,6 +229,8 @@ def _iter_kernel_lattice(d: BLDatum, cap: int):
         new: list[Subspace] = []
         for i, a in enumerate(frontier):
             for b in old + frontier[i + 1 :]:
+                if a.contains_subspace(b) or b.contains_subspace(a):
+                    continue
                 for c in (subspace_sum(a, b), subspace_intersect(a, b)):
                     if c not in seen:
                         seen[c] = True

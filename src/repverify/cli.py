@@ -22,6 +22,16 @@ from .qlinalg import LinAlgError, Subspace, subspace_to_json
 from .reps import ConfigError, InvalidLevel, build_config, flag_projector, weight_decompose
 
 
+def _outputs_missing(*paths: str | None) -> bool:
+    """True, after printing an error, when the directory of an output path does
+    not exist, so that no work is spent on a result that cannot be written."""
+    for path in paths:
+        if path and not Path(path).parent.is_dir():
+            print(f"error: cannot write {path}: no directory {Path(path).parent}", file=sys.stderr)
+            return True
+    return False
+
+
 def _write_out(text: str, out: str | None, code: int) -> int:
     """Write text to out, or print it; code, or 2 if out cannot be written."""
     if not out:
@@ -79,6 +89,8 @@ def main(argv=None) -> int:
     except (UsageError, json.JSONDecodeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if _outputs_missing(cfg.out):
+        return 2
     report = run_suite(cfg, jobs=args.jobs)
     return _write_out(emit_report(report, args.format), cfg.out, 0 if report.all_passed else 1)
 
@@ -93,6 +105,8 @@ def genericdim_main(argv=None) -> int:
     parser.add_argument("--check", choices=("intersection", "projection"), default="intersection")
     parser.add_argument("--out", default=None)
     args = parser.parse_args(argv)
+    if _outputs_missing(args.out):
+        return 2
     try:
         cfg = build_config(args.config)
         w = parse_subspace(cfg, args.w)
@@ -139,6 +153,8 @@ def bl_main(argv=None) -> int:
     p_est.add_argument("--seed", type=int, default=1)
     p_est.add_argument("--out", default=None)
     args = parser.parse_args(argv)
+    if _outputs_missing(args.out):
+        return 2
     try:
         datum = bl_mod.datum_from_json(json.loads(Path(args.datum).read_text()))
     except (OSError, ValueError, KeyError, TypeError, bl_mod.InvalidExponent, LinAlgError) as exc:
@@ -186,6 +202,8 @@ def proj_exp_main(argv=None) -> int:
     parser.add_argument("--out", default=None)
     parser.add_argument("--csv", default=None, help="optional per-u CSV path")
     args = parser.parse_args(argv)
+    if _outputs_missing(args.out, args.csv):
+        return 2
     try:
         cfg = build_config(args.config)
         mu = Fraction(args.mu)
@@ -233,6 +251,8 @@ def oppenheim_main(argv=None) -> int:
     parser.add_argument("--decay", action="store_true", help="run the T/100, T/10, T curve")
     parser.add_argument("--out", default=None)
     args = parser.parse_args(argv)
+    if _outputs_missing(args.out):
+        return 2
     try:
         form = oppenheim.parse_form(args.form)
         if args.decay:

@@ -14,7 +14,11 @@ own): forward only mod p, and over Z fraction-free Gauss-Jordan (each update
 (p x - f y) // prev is exact), where each pivot row ends as its reduced row
 echelon row times the last pivot, the determinant of a square matrix.  A
 `Subspace` is those rows over their gcd.  `RowSpan` runs no sweep: it keeps a
-primitive echelon basis and appends one reduced row per new vector.
+primitive echelon basis and appends one reduced row per new vector.  Nor does
+containment: every pivot entry of a canonical column is L, so W lies in U
+exactly when W's pivots are among U's and each column x of W satisfies
+L x[i] = sum_j u_j[i] x[p_j], which `Subspace.contains_subspace` reads off the
+integer columns.
 
 Ranks go through `independent_columns`, on columns cleared of denominators by
 `integer_columns`: `certified_columns` runs the sweep mod the 31-bit prime
@@ -418,8 +422,26 @@ class Subspace:
     def contains_vector(self, vec: Sequence[Fraction]) -> bool:
         return self.contains_subspace(Subspace.from_columns(self.ambient_dim, [vec]))
 
+    @cached_property
+    def pivots(self) -> tuple[int, ...]:
+        """The first nonzero row of each column, where its entry is L."""
+        return tuple(next(i for i, x in enumerate(col) if x) for col in self.columns)
+
     def contains_subspace(self, other: "Subspace") -> bool:
-        return subspace_sum(self, other) == self
+        """Read off the columns: each column x of other satisfies
+        L x[i] = sum_j self_j[i] x[p_j] for every i, with p_j the pivots."""
+        if self.ambient_dim != other.ambient_dim:
+            raise DimensionMismatch("ambient dimension mismatch in containment")
+        if other.dim > self.dim or not set(other.pivots) <= set(self.pivots):
+            return False
+        if other.dim == 0 or self.dim == self.ambient_dim:
+            return True
+        scale = self.columns[0][self.pivots[0]]
+        return all(
+            scale * x[i] == sum(uj[i] * x[p] for uj, p in zip(self.columns, self.pivots))
+            for x in other.columns
+            for i in range(self.ambient_dim)
+        )
 
     def column_vectors(self) -> list[tuple[Fraction, ...]]:
         return [self.basis.col(j) for j in range(self.dim)]
@@ -464,7 +486,7 @@ def subspace_intersect(u: Subspace, w: Subspace) -> Subspace:
     if u.dim < w.dim:
         u, w = w, u
     n, cols = u.ambient_dim, w.columns
-    pivots = [next(i for i, x in enumerate(col) if x) for col in u.columns]
+    pivots = u.pivots
     scale, rows = u.columns[0][pivots[0]], []
     for i in sorted(set(range(n)) - set(pivots)):
         rows.append([scale * col[i] - sum(uj[i] * col[p] for uj, p in zip(u.columns, pivots)) for col in cols])

@@ -80,12 +80,18 @@ class RepConfig:
         return len(self.h_basis)
 
     @cached_property
+    def generator_weights(self) -> tuple[Fraction, ...]:
+        """The ad(a)-eigenvalue of each element of h_basis, off one read of a's diagonal."""
+        diag = _diagonal(self.a_action)
+        return tuple(_weight(x, diag) for x in self.h_basis)
+
+    @cached_property
     def u_plus_indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.h_dim) if self.a_eigenvalue_of_generator(i) > 0)
+        return tuple(i for i, w in enumerate(self.generator_weights) if w > 0)
 
     @cached_property
     def u_minus_indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.h_dim) if self.a_eigenvalue_of_generator(i) < 0)
+        return tuple(i for i, w in enumerate(self.generator_weights) if w < 0)
 
     def __hash__(self) -> int:
         # Equal configs agree on these values; the generated hash read every
@@ -94,7 +100,7 @@ class RepConfig:
 
     def a_eigenvalue_of_generator(self, idx: int) -> Fraction:
         """ad(a)-eigenvalue of h_basis[idx], read off a's diagonal."""
-        return _weight(self.h_basis[idx], _diagonal(self.a_action))
+        return self.generator_weights[idx]
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from repverify import brascamp_lieb
 from repverify.brascamp_lieb import (
     BLDatum,
     BLMap,
+    CapExceeded,
     InvalidExponent,
     SingularForm,
     build_datum_from_rep,
@@ -29,7 +30,7 @@ from repverify.brascamp_lieb import (
 )
 from repverify.generic import sample_elements, translate
 from repverify.harness import _corpus_pair, derive_seed
-from repverify.qlinalg import Mat, Subspace
+from repverify.qlinalg import Mat, Subspace, kernel_basis, subspace_intersect, subspace_sum
 from repverify.reps import build_config
 
 F = Fraction
@@ -242,6 +243,58 @@ class TestFeasibilityPins:
         monkeypatch.setattr(brascamp_lieb, "_criterion_deficit", flag_fifth)
         cert = check_feasibility(PINNED_DATA[name], mode)
         assert (cert.status, cert.lattice_size, cert.random_checks, cert.witness.columns) == ("violated", size, 5, cols)
+
+
+def _reference_lattice(d: BLDatum, cap: int):
+    """The kernel-lattice walk that sums and intersects every pair, comparable or not."""
+    seen: dict[Subspace, bool] = {}
+    for s in [kernel_basis(m.matrix) for m in d.maps] + [Subspace.full(d.n)]:
+        if s not in seen:
+            seen[s] = True
+            yield s
+    old: list[Subspace] = []
+    frontier = list(seen)
+    while frontier:
+        new: list[Subspace] = []
+        for i, a in enumerate(frontier):
+            for b in old + frontier[i + 1 :]:
+                for c in (subspace_sum(a, b), subspace_intersect(a, b)):
+                    if c not in seen:
+                        seen[c] = True
+                        new.append(c)
+                        if len(seen) > cap:
+                            raise CapExceeded(f"kernel lattice exceeded cap {cap}")
+                        yield c
+        old += frontier
+        frontier = new
+
+
+def _walk(lattice, d: BLDatum, cap: int) -> tuple[list[tuple], bool]:
+    """The columns of every element yielded, and whether the cap was passed."""
+    out: list[tuple] = []
+    try:
+        for u in lattice(d, cap):
+            out.append(u.columns)
+    except CapExceeded:
+        return out, True
+    return out, False
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DATA))
+def test_lattice_walk_matches_every_pair_reference(name, monkeypatch):
+    # stuffed0 (so_pq:2,1) and stuffed1 (sl2_sym:4) pass the cap; the others close below it
+    d, cap = PINNED_DATA[name], 64
+    expected = _walk(_reference_lattice, d, cap)
+    assert expected[1] == (name in ("stuffed0", "stuffed1"))
+    summed, real_sum = [], brascamp_lieb.subspace_sum
+
+    def recording_sum(a, b):
+        summed.append((a, b))
+        return real_sum(a, b)
+
+    monkeypatch.setattr(brascamp_lieb, "subspace_sum", recording_sum)
+    assert _walk(brascamp_lieb._iter_kernel_lattice, d, cap) == expected
+    assert not any(a.contains_subspace(b) or b.contains_subspace(a) for a, b in summed)
 
 
 def test_rank_paths_make_no_fraction_product(monkeypatch):

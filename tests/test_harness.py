@@ -377,6 +377,27 @@ class TestCLI:
         assert entry([a.format(bad=bad, datum=datum) for a in argv]) == 2
         assert capsys.readouterr().err.startswith(f"error: cannot write {bad}")
 
+    @pytest.mark.parametrize(
+        "entry, argv, work",
+        [
+            (main, ["bl", "--out", "{bad}"], "repverify.cli.run_suite"),
+            (genericdim_main, ["--config", "so_pq:2,1", "--w", "flag:1", "--wprime", "flag:0", "--out", "{bad}"],
+             "repverify.cli.build_config"),
+            (bl_main, ["check", "--datum", "{bad}", "--out", "{bad}"], "repverify.brascamp_lieb.datum_from_json"),
+            (proj_exp_main, [*PROJ_EXP_ARGV, "--csv", "{bad}"], "repverify.cli.build_config"),
+            (oppenheim_main, ["--form", "x1^2", "--T", "5", "--out", "{bad}"], "repverify.oppenheim.parse_form"),
+        ],
+        ids=["repverify", "genericdim", "bl", "proj-exp-csv", "oppenheim"],
+    )
+    def test_unwritable_output_fails_before_any_work(self, entry, argv, work, tmp_path, monkeypatch, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the output path was checked")
+
+        monkeypatch.setattr(work, no_work)
+        bad = tmp_path / "missing" / "x.json"
+        assert entry([a.format(bad=bad) for a in argv]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {bad}")
+
     def test_proj_exp_negative_seed(self, capsys):
         assert proj_exp_main([*PROJ_EXP_ARGV, "--seed", "-1"]) == 2
         assert capsys.readouterr().err.startswith("error: seed must be >= 0")

@@ -398,6 +398,48 @@ def test_dim_formula_property(a, b):
 
 
 @st.composite
+def subspace_pair(draw):
+    """Two small integer subspaces of one R^n: the second zero, full, equal to
+    the first, inside it, around it or unrelated, in either order."""
+    n = draw(st.integers(min_value=1, max_value=5))
+
+    def vectors(k):
+        return draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=k, max_size=k))
+
+    a = Subspace.from_columns(n, vectors(draw(st.integers(min_value=0, max_value=n))))
+    relation = draw(st.sampled_from(["zero", "full", "equal", "inside", "around", "any"]))
+    if relation == "zero":
+        b = Subspace.zero(n)
+    elif relation == "full":
+        b = Subspace.full(n)
+    elif relation == "equal":
+        b = a
+    elif relation == "inside":
+        coeffs = draw(st.lists(st.lists(st.integers(-2, 2), min_size=a.dim, max_size=a.dim), max_size=3))
+        b = Subspace.from_columns(n, [[sum(c * col[i] for c, col in zip(cs, a.columns)) for i in range(n)]
+                                      for cs in coeffs])
+    elif relation == "around":
+        b = subspace_sum(a, Subspace.from_columns(n, vectors(draw(st.integers(min_value=0, max_value=2)))))
+    else:
+        b = Subspace.from_columns(n, vectors(draw(st.integers(min_value=0, max_value=n))))
+    return (b, a) if draw(st.booleans()) else (a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(subspace_pair(), st.integers(min_value=1, max_value=6))
+def test_contains_subspace_matches_sum_property(pair, other_n):
+    a, b = pair
+    assert a.contains_subspace(b) == (subspace_sum(a, b) == a)
+    assert b.contains_subspace(a) == (subspace_sum(a, b) == b)
+    if other_n != a.ambient_dim:
+        for other in (Subspace.zero(other_n), Subspace.full(other_n)):
+            with pytest.raises(DimensionMismatch):
+                a.contains_subspace(other)
+            with pytest.raises(DimensionMismatch):
+                other.contains_subspace(a)
+
+
+@st.composite
 def int_or_frac_matrix(draw):
     """A random rational matrix, half of its entries zero, or a product A B of
     small inner dimension (rank deficient); some columns are scaled by MODULUS

@@ -398,3 +398,19 @@ def test_config_stores_and_writes_only_generators_and_a():
     assert [f.name for f in dataclasses.fields(RepConfig)] == ["name", "h_basis", "a_action"]
     assert [f.name for f in dataclasses.fields(reps.WeightDecomposition)] == ["eigenvalues", "eigenbases"]
     assert sorted(config_to_json(build_config("so_pq:2,1"))) == ["a_action", "h_basis", "name"]
+
+
+def test_horospherical_indices_read_the_diagonal_once(monkeypatch):
+    cfg = build_config("diagonal:sl3")
+    weights = [cfg.a_eigenvalue_of_generator(i) for i in range(cfg.h_dim)]
+    unvalidated = RepConfig(cfg.name, cfg.h_basis, cfg.a_action)
+    calls, real = [], reps._diagonal
+
+    def counting_diagonal(a):
+        calls.append(a)
+        return real(a)
+
+    monkeypatch.setattr(reps, "_diagonal", counting_diagonal)
+    assert (unvalidated.u_plus_indices, unvalidated.u_minus_indices) == ((0, 1, 2), (5, 6, 7))
+    assert [unvalidated.a_eigenvalue_of_generator(i) for i in range(cfg.h_dim)] == weights
+    assert len(calls) == 1
