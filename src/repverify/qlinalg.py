@@ -14,9 +14,11 @@ own): forward only mod p, and over Z fraction-free Gauss-Jordan (each update
 (p x - f y) // prev is exact), where each pivot row ends as its reduced row
 echelon row times the last pivot, the determinant of a square matrix.  A
 `Subspace` is those rows over their gcd.  `RowSpan` runs no sweep: it keeps a
-primitive echelon basis and appends one reduced row per new vector.  Nor does
-containment: every pivot entry of a canonical column is L, so W lies in U
-exactly when W's pivots are among U's and each column x of W satisfies
+primitive echelon basis and appends one reduced row per new vector, and a
+reduction by a row whose pivot ratio is 1 (a positive pivot that divides the
+vector's entry there) touches only that row's support, its nonzero columns.
+Nor does containment: every pivot entry of a canonical column is L, so W lies
+in U exactly when W's pivots are among U's and each column x of W satisfies
 L x[i] = sum_j u_j[i] x[p_j], which `Subspace.contains_subspace` reads off the
 integer columns.
 
@@ -199,6 +201,8 @@ class Mat:
 
 def _integer(vec: Sequence[Fraction]) -> tuple[int, list[int]]:
     """(s, s * vec) for s the lcm of the denominators of vec."""
+    if all(isinstance(x, int) for x in vec):
+        return 1, list(vec)
     s = math.lcm(*(x.denominator for x in vec))
     return s, [x.numerator * (s // x.denominator) for x in vec]
 
@@ -329,12 +333,15 @@ class RowSpan:
     against the current span and appends any new direction as a row.  The rows
     are a primitive echelon basis in insertion order: each has gcd 1 and is zero
     in the pivot columns of the rows before it, so none is ever rewritten.
+    Each row also keeps its support, its nonzero columns: a reduction by a row
+    whose pivot ratio q is 1 subtracts f row in place over that support only.
     """
 
     def __init__(self, length: int):
         self.length = length
         self._rows: list[list[int]] = []
         self._pivots: list[int] = []
+        self._supports: list[list[int]] = []
 
     @property
     def dim(self) -> int:
@@ -347,12 +354,16 @@ class RowSpan:
         if len(vec) != self.length:
             raise DimensionMismatch("vector length mismatch")
         s, w = _integer(vec)
-        for p, row in zip(self._pivots, self._rows):
+        for p, row, support in zip(self._pivots, self._rows, self._supports):
             if w[p]:
                 g = math.gcd(row[p], w[p])
                 q, f = row[p] // g, w[p] // g
-                w = [q * a - f * b for a, b in zip(w, row)]
-                s *= q
+                if q == 1:
+                    for j in support:
+                        w[j] -= f * row[j]
+                else:
+                    w = [q * a - f * b for a, b in zip(w, row)]
+                    s *= q
         return w, s
 
     def reduce(self, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -370,6 +381,7 @@ class RowSpan:
         g = math.gcd(*w)
         self._rows.append([x // g for x in w])
         self._pivots.append(c)
+        self._supports.append([j for j in range(c, self.length) if w[j]])
         return True
 
 

@@ -28,6 +28,7 @@ from .qlinalg import (
     NotNilpotent,
     RowSpan,
     Subspace,
+    _integer,
     canonicalize,
     exp_terms,
     kernel_basis,
@@ -528,15 +529,45 @@ def flag_projector(dec: WeightDecomposition, mu) -> FlagProjector:
     return FlagProjector(mu, Subspace.coordinate(n, indices), proj)
 
 
-def _spin(generators: tuple[Mat, ...], seed: Mat) -> list[Mat]:
+def _sparse_rows(g: Mat) -> list[list[tuple[int, int]]]:
+    """The rows of s g as lists of their nonzero (column, value) pairs, for s
+    the lcm of g's denominators."""
+    ents = _integer(g.entries)[1]
+    return [[(t, x) for t, x in enumerate(ents[i * g.cols : (i + 1) * g.cols]) if x] for i in range(g.rows)]
+
+
+def _product(g: list[list[tuple[int, int]]], x: list[int]) -> list[int]:
+    """The flat entries of g x, for x the flat entries of an integer matrix
+    with len(g) rows; zero entries of x are skipped, as in `Mat.__matmul__`."""
+    c = len(x) // len(g)
+    out = [0] * len(x)
+    for i, row in enumerate(g):
+        for t, v in row:
+            for j in range(c):
+                xv = x[t * c + j]
+                if xv:
+                    out[i * c + j] += v * xv
+    return out
+
+
+def _spin(generators: tuple[Mat, ...], seed: list[int]) -> list[list[int]]:
     """The seed and the products g x, breadth first, that each enlarge the span
-    of those before them; none once that span is full."""
-    span = RowSpan(len(_vec(seed)))
-    span.add(_vec(seed))
+    of those before them; none once that span is full.
+
+    Each generator is cleared of denominators once, a positive multiple of
+    itself, so the same products enlarge the span and the orbit and its span
+    are those of the Fraction products.  The words are integer and sparse, and
+    as small as those products: each is the Fraction word g_k ... g_1 x times
+    the product of those generators' lcms, which is 1 for integer generators
+    such as those of so_pq:3,2, whose words stay within 4 bits.
+    """
+    gens = [_sparse_rows(g) for g in generators]
+    span = RowSpan(len(seed))
+    span.add(seed)
     orbit, frontier = [seed], [seed]
     while frontier and span.dim < span.length:
-        products = (g @ x for x in frontier for g in generators if span.dim < span.length)
-        frontier = [p for p in products if span.add(_vec(p))]
+        products = (_product(g, x) for x in frontier for g in gens if span.dim < span.length)
+        frontier = [p for p in products if span.add(p)]
         orbit += frontier
     return orbit
 
@@ -545,15 +576,14 @@ def _spin(generators: tuple[Mat, ...], seed: Mat) -> list[Mat]:
 def check_irreducible(cfg: RepConfig) -> IrreducibilityVerdict:
     """Burnside closure test of the matrix algebra generated by the action."""
     n = cfg.n
-    algebra_dim = len(_spin(cfg.h_basis, Mat.identity(n)))
+    algebra_dim = len(_spin(cfg.h_basis, [int(i == j) for i in range(n) for j in range(n)]))
     if algebra_dim == n * n:
         return IrreducibilityVerdict("absolutely_irreducible", algebra_dim)
     # hunt for an invariant subspace: the closure of a basis vector
     for start in range(n):
-        orbit = _spin(cfg.h_basis, Mat.from_cols([[int(i == start) for i in range(n)]]))
+        orbit = _spin(cfg.h_basis, [int(i == start) for i in range(n)])
         if len(orbit) < n:
-            witness = Subspace.from_columns(n, [_vec(x) for x in orbit])
-            return IrreducibilityVerdict("reducible", algebra_dim, witness)
+            return IrreducibilityVerdict("reducible", algebra_dim, Subspace.from_columns(n, orbit))
     return IrreducibilityVerdict("inconclusive", algebra_dim)
 
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repverify.qlinalg import (
@@ -22,6 +22,7 @@ from repverify.qlinalg import (
     NotNilpotent,
     RowSpan,
     Subspace,
+    _integer,
     canonicalize,
     det,
     exp_product,
@@ -478,6 +479,76 @@ def test_independent_columns_exact_branch_is_greedy(m):
     sm = to_sympy(m)
     ranks = [sm[:, :i].rank() for i in range(m.cols + 1)]
     assert independent_columns(cols) == [i for i in range(m.cols) if ranks[i + 1] > ranks[i]]
+
+
+class DenseRowSpan:
+    """RowSpan's update without supports: every reduction rewrites the whole
+    vector, w -> q w - f row."""
+
+    def __init__(self):
+        self.rows, self.pivots = [], []
+
+    def residual(self, vec):
+        vec = [F(x) for x in vec]
+        s = math.lcm(*(x.denominator for x in vec))
+        w = [x.numerator * (s // x.denominator) for x in vec]
+        for p, row in zip(self.pivots, self.rows):
+            if w[p]:
+                g = math.gcd(row[p], w[p])
+                q, f = row[p] // g, w[p] // g
+                w = [q * a - f * b for a, b in zip(w, row)]
+                s *= q
+        return w, s
+
+    def add(self, vec):
+        w, _ = self.residual(vec)
+        if not any(w):
+            return False
+        g = math.gcd(*w)
+        self.rows.append([x // g for x in w])
+        self.pivots.append(next(i for i, x in enumerate(w) if x))
+        return True
+
+
+@st.composite
+def sparse_vectors(draw):
+    """Sparse integer vectors of one length, some of them integer combinations
+    of those before, so that reductions meet pivot ratios 1 and not 1."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    entry = st.one_of(st.just(0), st.just(0), st.integers(min_value=-4, max_value=4))
+    vecs = []
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        if vecs and draw(st.booleans()):
+            coeffs = draw(st.lists(st.integers(min_value=-2, max_value=2), min_size=len(vecs), max_size=len(vecs)))
+            vecs.append([sum(c * v[i] for c, v in zip(coeffs, vecs)) for i in range(n)])
+        else:
+            vecs.append(draw(st.lists(entry, min_size=n, max_size=n)))
+    return vecs
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_vectors())
+@example([[2, 1, 0], [1, 0, 0], [4, 0, 1], [3, 1, 5]])  # q = 2, then q = 1 and q = -1
+def test_rowspan_support_path_matches_dense_update(vecs):
+    span, ref = RowSpan(len(vecs[0])), DenseRowSpan()
+    for v in vecs:
+        for probe in (v, [F(x, 2) for x in v], v[::-1]):
+            w, s = ref.residual(probe)
+            assert span.contains(probe) is not any(w)
+            assert span.reduce(probe) == tuple(F(x, s) for x in w)
+        assert span.add(v) is ref.add(v)
+        assert (span._rows, span.dim) == (ref.rows, len(ref.rows))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(st.integers(min_value=-9, max_value=9), small_fracs), max_size=6))
+def test_integer_clears_denominators(vec):
+    s, w = _integer(vec)
+    if all(isinstance(x, int) for x in vec):
+        assert (s, w) == (1, vec) and w is not vec
+    lcm = math.lcm(*(F(x).denominator for x in vec))
+    assert (s, w) == (lcm, [int(F(x) * lcm) for x in vec])
+    assert all(type(x) is int for x in w)
 
 
 @st.composite

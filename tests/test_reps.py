@@ -8,6 +8,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repverify import reps
 from repverify.qlinalg import DimensionMismatch, Mat, RowSpan, Subspace, mat_to_json, subspace_intersect, subspace_sum, subspace_to_json
@@ -286,6 +288,92 @@ def test_config_and_verdict_pinned(desc):
 
 def test_reducible_verdict_pinned():
     assert _sha(_verdict_json(check_irreducible(_direct_sum_fixture()))) == FIXTURE_VERDICT_PIN
+
+
+def test_spin_makes_no_fraction_product(monkeypatch):
+    """Both closures, and the reducible witness, run on integer words only."""
+    cfg, fixture = build_config("so_pq:2,2"), _direct_sum_fixture()
+
+    def no_product(self, other):
+        raise AssertionError("Fraction matrix product in the closure")
+
+    monkeypatch.setattr(Mat, "__matmul__", no_product)
+    check_irreducible.cache_clear()
+    assert _sha(_verdict_json(check_irreducible(cfg))) == CONFIG_PINS["so_pq:2,2"][1]
+    assert _sha(_verdict_json(check_irreducible(fixture))) == FIXTURE_VERDICT_PIN
+
+
+def _reference_spin(generators, seed: Mat) -> list[Mat]:
+    """The closure on Fraction products: the seed and the products g @ x,
+    breadth first, that each enlarge a fresh RowSpan of those before them."""
+    span = RowSpan(len(seed.entries))
+    span.add(seed.entries)
+    orbit, frontier = [seed], [seed]
+    while frontier and span.dim < span.length:
+        products = (g @ x for x in frontier for g in generators if span.dim < span.length)
+        frontier = [p for p in products if span.add(p.entries)]
+        orbit += frontier
+    return orbit
+
+
+def _reference_verdict(cfg) -> tuple:
+    n = cfg.n
+    algebra_dim = len(_reference_spin(cfg.h_basis, Mat.identity(n)))
+    if algebra_dim == n * n:
+        return ("absolutely_irreducible", algebra_dim, None)
+    for start in range(n):
+        orbit = _reference_spin(cfg.h_basis, Mat.from_cols([[int(i == start) for i in range(n)]]))
+        if len(orbit) < n:
+            return ("reducible", algebra_dim, Subspace.from_columns(n, [x.entries for x in orbit]))
+    return ("inconclusive", algebra_dim, None)
+
+
+FIXTURE_GENERATORS = [
+    [[[0, -1], [1, 0]]],
+    [[[0, -1, 0], [1, 0, 0], [0, 0, 0]]],
+    [[[F(1, 2), 0], [0, F(-1, 2)]], [[0, 1], [0, 0]]],
+]
+
+
+@st.composite
+def generator_set(draw):
+    """A few small generators: sparse integer, with fractional entries, block
+    diagonal up to a permutation of the coordinates (reducible), or a fixture."""
+    kind = draw(st.sampled_from(["sparse", "fractional", "blocks", "fixture"]))
+    if kind == "fixture":
+        return draw(st.sampled_from(FIXTURE_GENERATORS))
+    if kind == "fractional":
+        entry = st.one_of(st.just(F(0)), st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    else:
+        entry = st.one_of(st.just(0), st.just(0), st.integers(min_value=-3, max_value=3))
+
+    def square(d):
+        return draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d))
+
+    count = draw(st.integers(min_value=1, max_value=3))
+    if kind != "blocks":
+        n = draw(st.integers(min_value=1, max_value=4))
+        return [square(n) for _ in range(count)]
+    a, b = draw(st.integers(min_value=1, max_value=2)), draw(st.integers(min_value=1, max_value=2))
+    perm = draw(st.permutations(range(a + b)))
+    gens = []
+    for _ in range(count):
+        top, bottom = square(a), square(b)
+        block = [row + [0] * b for row in top] + [[0] * a + row for row in bottom]
+        gens.append([[block[perm[i]][perm[j]] for j in range(a + b)] for i in range(a + b)])
+    return gens
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_set())
+def test_spin_matches_fraction_product_reference(gens):
+    n = len(gens[0])
+    cfg = RepConfig("fixture:drawn", tuple(Mat.from_rows(g) for g in gens), Mat.zeros(n, n))
+    v = check_irreducible(cfg)
+    assert (v.kind, v.algebra_dim, v.witness) == _reference_verdict(cfg)
+    for start in range(n):
+        e = [int(i == start) for i in range(n)]
+        assert len(reps._spin(cfg.h_basis, e)) == len(_reference_spin(cfg.h_basis, Mat.from_cols([e])))
 
 
 class TestProximal:
