@@ -35,10 +35,10 @@ def main() -> None:
     overall = 0.0
     for name, ps, mu, s in runs:
         delta = 2.0**-s
-        base = dg.covering_number(ps, delta)
         fp = flag_projector(dec, mu)
         k = fp.flag.dim
         rep = dg.projection_experiment(cfg, ps, mu, delta, args.epsilon, 1.0, args.num_u, args.seed)
+        base = rep.params["set_covering"]
         min_cover = min(c for _, c, _ in rep.per_u)
         ratio = min_cover / base ** (k / cfg.n)
         # a u is non-exceptional iff ratio >= delta^{M eps}; ratios below 1

@@ -4,6 +4,9 @@ All partitions are by half-open dyadic cubes anchored at 0, so bucketing is a
 floor division.  Point sets live in the unit box; images under sampled group
 elements may leave it, which covering counts handle transparently.  Norms are
 Euclidean throughout (a different norm only shifts constants).
+
+Every covering count floors the keys of KEY_BLOCK points at a time into one
+reused buffer, so it holds one packed key per point plus one block.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ MAX_POINTS = 1 << 26
 DEDUP_SCALE = 40  # coincidence resolution 2^-40
 MAX_SCALE = 40
 PAIR_BLOCK = 1 << 16  # point pairs per block of the pairwise-distance scans
+KEY_BLOCK = 1 << 15  # points per block of a covering count's keys
 
 
 class SpecError(Exception):
@@ -73,7 +77,14 @@ class PointSet:
 
 
 def _dedupe(points: np.ndarray) -> np.ndarray:
-    keys = np.round(points * (1 << DEDUP_SCALE)).astype(np.int64)
+    """The points without repeats at resolution 2^-40, first occurrences in order.
+
+    Each coordinate is rounded to the 2^-40 grid.  From 2^12 on every float
+    already lies on that grid, so only smaller ones are scaled and rounded:
+    scaling a large one to an integer key would overflow."""
+    small = np.abs(points) < 2.0 ** (52 - DEDUP_SCALE)
+    scale = 2.0**DEDUP_SCALE
+    keys = np.where(small, np.round(np.where(small, points, 0.0) * scale) / scale, points)
     _, idx = np.unique(keys, axis=0, return_index=True)
     return points[np.sort(idx)]
 
@@ -86,55 +97,87 @@ def make_point_set(points, provenance: str) -> PointSet:
     return replace(ps, points=_dedupe(pts))
 
 
-def _cube_keys(points: np.ndarray, blocks) -> np.ndarray:
-    """Cube indices floor(x / scale) of every point, cutting each coordinate block
-    sl at side `scale` for (sl, scale) in blocks, as an (N, k) float view.
+def _count_distinct(n: int, k: int, fill) -> int:
+    """Number of distinct key tuples among n points with k integer keys each.
 
-    The quotients go straight into one row-contiguous (k, N) buffer and are
-    floored in place; the view is its transpose, so `_count_distinct` reads
-    each coordinate's keys as one contiguous row."""
-    buf = np.empty(points.shape[::-1])
-    for sl, scale in blocks:
-        np.divide(points[:, sl].T, scale, out=buf[sl])
-    np.floor(buf, out=buf)
-    return buf.T
+    fill(start, out) writes the keys of points start .. start + m - 1, as
+    integer-valued floats, into the (k, m) buffer out, m <= KEY_BLOCK; one
+    buffer serves every block.  Pass 1 takes each key's min and max.  Pass 2
+    refills the blocks (a set that fits in one block is filled once), shifts
+    them by the minimum and packs each point into one key by one product with
+    the place values, key j taking bit_length(max_j - min_j + 1) bits.  The
+    packed keys are sorted and unequal neighbours counted.
 
-
-def _count_distinct(keys: np.ndarray) -> int:
-    """Number of distinct rows of an (N, k) array of integers, int64 or
-    integer-valued float.
-
-    Packs each row into one key by Horner's rule, column j shifted into a
-    field of bit_length(max_j - min_j + 1) bits, then sorts the keys and
-    counts unequal neighbours.  The keys stay in their own dtype: float keys
-    pack as float64 while the fields fit in 53 bits, where every integer is
-    exact, and wider ones are cast to int64 once.  Only rows wider than 62
-    bits, which no int64 holds, are lexsorted.
+    Keys of at most 53 bits pack as float64, where every integer is exact, and
+    sort as uint32 when they fit in 32 bits.  Keys of 54 to 62 bits pack as
+    int64.  Only wider keys, which no int64 holds, are kept whole and lexsorted.
     """
-    rows = keys.T
-    if rows.shape[1] == 0:
+    if n == 0:
         return 0
-    lo = [int(v) for v in rows.min(axis=1)]
-    widths = [(int(hi) - low + 1).bit_length() for hi, low in zip(rows.max(axis=1), lo)]
+    step = min(n, KEY_BLOCK)
+    buf = np.empty(k * step)
+
+    def blocks(refill=True):
+        for start in range(0, n, step):
+            out = buf[: k * min(step, n - start)].reshape(k, -1)
+            if refill:
+                fill(start, out)
+            yield start, out
+
+    lo = np.full(k, np.inf)
+    hi = np.full(k, -np.inf)
+    for _, out in blocks():
+        np.minimum(lo, out.min(axis=1), out=lo)
+        np.maximum(hi, out.max(axis=1), out=hi)
+    lo = [int(v) for v in lo]
+    widths = [(int(top) - low + 1).bit_length() for top, low in zip(hi, lo)]
     bits = sum(widths)
     if bits > 62:
+        rows = np.empty((k, n))
+        for start, out in blocks(refill=n > step):
+            rows[:, start : start + out.shape[1]] = out
         rows = rows[:, np.lexsort(rows)]
         return 1 + int(np.count_nonzero(np.any(rows[:, 1:] != rows[:, :-1], axis=0)))
-    if bits > 53 and rows.dtype.kind == "f":
-        rows = rows.astype(np.int64)
-    key = rows[0] - lo[0]
-    term = np.empty_like(key)
-    for j in range(1, rows.shape[0]):
-        key *= 1 << widths[j]
-        key += np.subtract(rows[j], lo[j], out=term)
+    exact = np.int64 if bits > 53 else np.float64
+    place = np.array([1 << sum(widths[j + 1 :]) for j in range(k)], dtype=exact)
+    shift = np.array(lo, dtype=exact)[:, None]
+
+    def pack(out):
+        out = out.astype(exact, copy=False)
+        out -= shift
+        return out[0] if k == 1 else np.dot(place, out)  # np.dot on one row costs more than a copy
+
+    dtype = np.uint32 if bits <= 32 else exact
+    if n == step:
+        key = pack(out).astype(dtype, copy=False)  # the one block is still in the buffer
+    else:
+        key = np.empty(n, dtype)
+        for start, out in blocks():
+            key[start : start + out.shape[1]] = pack(out)
     key.sort()
     return 1 + int(np.count_nonzero(key[1:] != key[:-1]))
+
+
+def _cube_fill(points: np.ndarray, blocks):
+    """fill(start, out) for `_count_distinct`: the cube indices floor(x / scale),
+    cutting each coordinate block sl at side `scale` for (sl, scale) in blocks.
+
+    Generated point sets are column-major, so each coordinate of a block is
+    read as one contiguous run."""
+
+    def fill(start, out):
+        rows = points[start : start + out.shape[1]].T
+        for sl, scale in blocks:
+            np.divide(rows[sl], scale, out=out[sl])
+        np.floor(out, out=out)
+
+    return fill
 
 
 def covering_number(a: PointSet, delta: float) -> int:
     """Number of half-open axis-aligned delta-cubes anchored at 0 meeting a."""
     _dyadic_exponent(delta)
-    return _count_distinct(_cube_keys(a.points, [(slice(None), delta)]))
+    return _count_distinct(a.size, a.ambient, _cube_fill(a.points, [(slice(None), delta)]))
 
 
 @dataclass(frozen=True)
@@ -177,7 +220,7 @@ def tube_covering_number(a: PointSet, spec: TubeSpec) -> int:
         raise SpecError("level dimensions do not sum to the ambient dimension")
     # delta^r need not be dyadic: divide by it, never multiply by its reciprocal
     blocks = [(sl, spec.delta**r) for sl, r in zip(spec.level_slices(), spec.r_tuple)]
-    return _count_distinct(_cube_keys(a.points, blocks))
+    return _count_distinct(a.size, a.ambient, _cube_fill(a.points, blocks))
 
 
 def _distance_blocks(queries: np.ndarray, pts: np.ndarray):
@@ -467,12 +510,15 @@ def projection_experiment(
     pts_t = f.points.T  # n x N
     for i in range(num_u):
         coeffs = rng.uniform(-1.0, 1.0, size=dim_u)
-        mat = _unipotent_matrix(cfg, coeffs)
-        # delta = 2^-s, so pre-scaling the flag rows is exact: the k x N product
-        # equals (mat @ pts) / delta bit for bit, and is floored where it lies
-        keys = (mat[flag_idx] / delta) @ pts_t
-        np.floor(keys, out=keys)
-        cover = _count_distinct(keys.T)
+        # delta = 2^-s, so pre-scaling the flag rows is exact: each k x m block
+        # product equals (mat @ pts) / delta bit for bit, and is floored where it lies
+        rows = _unipotent_matrix(cfg, coeffs)[flag_idx] / delta
+
+        def fill(start, out):
+            np.matmul(rows, pts_t[:, start : start + out.shape[1]], out=out)
+            np.floor(out, out=out)
+
+        cover = _count_distinct(f.size, k, fill)
         bad = cover < covering_threshold
         exceptional += bad
         per_u.append((tuple(coeffs), cover, bool(bad)))

@@ -6,6 +6,7 @@ import hashlib
 import math
 import random
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -99,9 +100,31 @@ class TestPointSet:
         with pytest.raises(SpecError):
             make_point_set(bad, "p")
 
+    @pytest.mark.parametrize(
+        "points, size",
+        [
+            ([[1e7], [2e7], [3e7]], 3),
+            ([[1e7, 0], [-1e7, 0]], 2),
+            ([[1e300, 1.0], [-1e300, 1.0], [1e300, 1.0]], 2),
+            ([[5000.0, 0.5], [5000.0, 0.5 + 2**-45], [-0.0, 0.0], [0.0, 0.0]], 2),
+        ],
+    )
+    def test_large_coordinates_keep_distinct_points(self, points, size):
+        # keys scaled by 2^40 used to overflow int64 from 2^23 on and merge distinct points
+        assert make_point_set(points, "p").size == size
+
 
 def _distinct_rows(keys: np.ndarray) -> int:
     return len(set(map(tuple, keys.tolist())))
+
+
+def _count_rows(keys: np.ndarray) -> int:
+    """`_count_distinct` of the rows of an (N, k) array, handed over as blocks of keys."""
+
+    def fill(start, out):
+        out[:] = keys[start : start + out.shape[1]].T
+
+    return discretized._count_distinct(*keys.shape, fill)
 
 
 class TestCountDistinct:
@@ -120,15 +143,15 @@ class TestCountDistinct:
         rng = np.random.default_rng(span % 1000 + shape[1])
         keys = rng.integers(-span // 2, span // 2, size=shape)
         keys = np.vstack([keys, keys[: shape[0] // 3]])  # repeated rows
-        assert discretized._count_distinct(keys) == _distinct_rows(keys)
+        assert _count_rows(keys) == _distinct_rows(keys)
 
     def test_negative_offset_columns(self):
         keys = np.array([[-5, 3], [-5, 3], [2, -7], [-5, -7], [2, -7]])
-        assert discretized._count_distinct(keys) == 3
+        assert _count_rows(keys) == 3
 
     @pytest.mark.parametrize("width", [1, 3])
     def test_empty(self, width):
-        assert discretized._count_distinct(np.zeros((0, width), dtype=np.int64)) == 0
+        assert _count_rows(np.zeros((0, width), dtype=np.int64)) == 0
 
     @pytest.mark.parametrize(
         "widths",
@@ -157,9 +180,106 @@ class TestCountDistinct:
         lexsorts = []
         lexsort = np.lexsort
         monkeypatch.setattr(np, "lexsort", lambda k: lexsorts.append(1) or lexsort(k))
-        assert discretized._count_distinct(buf.T) == _distinct_rows(keys)
-        assert discretized._count_distinct(keys) == _distinct_rows(keys)
+        assert _count_rows(buf.T) == _distinct_rows(keys)
+        assert _count_rows(keys) == _distinct_rows(keys)
         assert len(lexsorts) == (2 if sum(widths) > 62 else 0)
+
+
+def _spanning_keys(widths, size: int) -> np.ndarray:
+    """size rows of integer keys, column j spanning exactly widths[j] bits.
+
+    The largest row comes first and the smallest last, so the extremes fall in
+    different blocks; between them are repeated rows and rows at the top of the
+    range that differ by 1 in the last column."""
+    rng = np.random.default_rng(sum(widths) + size)
+    lo = rng.integers(-(1 << 20), 0, size=len(widths))
+    hi = lo + [(1 << w) - 2 for w in widths]
+    top = np.tile(hi, (size, 1))
+    top[:, -1] -= np.arange(size)
+    body = rng.integers(lo, hi + 1, size=(size, len(widths)))
+    rest = np.vstack([top, body, body])
+    return np.vstack([hi, rest[rng.permutation(len(rest))[: size - 2]], lo])
+
+
+class TestKeyBlocks:
+    """Counts whose points span several blocks of keys match sets of floor tuples."""
+
+    SIZES = [6, 7, 8, 50]  # below, at and just above one block of 7, and several blocks
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(discretized, "KEY_BLOCK", 7)
+
+    @staticmethod
+    def _points(size: int, ambient: int) -> np.ndarray:
+        # every point twice, the copies in other blocks; no dedupe, so size is exact
+        pts = np.random.default_rng(size + ambient).uniform(-1.5, 1.5, (size // 2 + 1, ambient))
+        return np.vstack([pts, pts[::-1]])[:size]
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_covering_number(self, size):
+        ps = PointSet(3, self._points(size, 3), "p")
+        for s in (1, 3, 6):
+            assert covering_number(ps, 2**-s) == _floor_tuples(ps.points, [2**-s] * 3)
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_tube_covering_number(self, size):
+        ps = PointSet(3, self._points(size, 3), "p")
+        spec = TubeSpec(2**-6, (1 / 3, 1.0), (2, 1))  # levels: coordinates 1-2 at delta^(1/3), 0 at delta
+        scales = [2**-6] + [(2**-6) ** (1 / 3)] * 2
+        assert tube_covering_number(ps, spec) == _floor_tuples(ps.points, scales)
+
+    @pytest.mark.parametrize("mode, mu", [("subcritical", 0), ("supercritical", None)])
+    @pytest.mark.parametrize("size", SIZES)
+    def test_projection_covers(self, size, mode, mu):
+        cfg = build_config("so_pq:2,1")
+        ps = PointSet(5, self._points(size, 5), "p")
+        rep = projection_experiment(cfg, ps, mu, 2**-6, 0.05, 2.0, 6, 5, mode=mode)
+        assert rep.params["set_covering"] == _floor_tuples(ps.points, [2**-6] * 5)
+        dec = weight_decompose(cfg)
+        proj = flag_projector(dec, dec.max_eigenvalue if mu is None else mu)
+        flag_idx = [i for i in range(cfg.n) if proj.projector.at(i, i) == 1]
+        for coeffs, cover, _ in rep.per_u:
+            image = (discretized._unipotent_matrix(cfg, np.array(coeffs)) @ ps.points.T)[flag_idx] / 2**-6
+            assert cover == len(set(map(tuple, np.floor(image).T.tolist())))
+
+    @pytest.mark.parametrize(
+        "widths",
+        [
+            (16, 16),  # 32 bits: uint32 keys
+            (16, 17),  # 33 bits: float64 keys
+            (20, 20, 13),  # 53 bits: float64 pack
+            (20, 20, 14),  # 54 bits: int64 pack
+            (31, 31),  # 62 bits: int64 pack
+            (21, 21, 21),  # 63 bits: lexsort
+        ],
+    )
+    @pytest.mark.parametrize("size", SIZES)
+    def test_bit_cuts(self, widths, size, monkeypatch):
+        keys = _spanning_keys(widths, size)
+        lexsorts = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda k: lexsorts.append(1) or lexsort(k))
+        assert _count_rows(keys) == _distinct_rows(keys)
+        assert len(lexsorts) == (1 if sum(widths) > 62 else 0)
+
+
+@pytest.mark.parametrize("count", ["covering_number", "projection_experiment"])
+def test_count_memory_stays_small(count):
+    # a count holds one packed key per point and one block of keys; the (k, N)
+    # key buffer it replaced peaked near 57 MB on this 2^20-point set
+    cfg = build_config("so_pq:2,1")
+    f = generate_fractal(WeightAligned((1, 1, 0.5, 0, 0)))
+    tracemalloc.start()
+    try:
+        if count == "covering_number":
+            covering_number(f, 2**-10)
+        else:
+            projection_experiment(cfg, f, 0, 2**-10, 0.05, 2.0, 1, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 class TestTubeCovering:
@@ -549,7 +669,7 @@ class TestProjectionExperiment:
         [(math.nan, 2.0), (-1.0, 2.0), (0.0, 2.0), (math.inf, 2.0), (0.05, math.nan), (0.05, -1.0), (0.05, math.inf)],
     )
     def test_epsilon_and_m_exponent_checked_before_any_cover(self, epsilon, m_exponent, monkeypatch):
-        def no_cover(keys):
+        def no_cover(*args):
             raise AssertionError("a cover was counted")
 
         monkeypatch.setattr(discretized, "_count_distinct", no_cover)
