@@ -15,6 +15,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -25,6 +26,7 @@ DEDUP_SCALE = 40  # coincidence resolution 2^-40
 MAX_SCALE = 40
 PAIR_BLOCK = 1 << 16  # point pairs per block of the pairwise-distance scans
 KEY_BLOCK = 1 << 15  # points per block of a covering count's keys
+MAX_QUOTIENT = 2.0**1023  # bound on |x| / side: a power of two times a side rounds below the float range
 
 
 class SpecError(Exception):
@@ -68,8 +70,13 @@ class PointSet:
             raise SpecError("points array must be (N, ambient)")
         if pts.shape[0] > MAX_POINTS:
             raise SizeError(f"point set exceeds cap {MAX_POINTS}")
-        if not np.isfinite(pts).all():
+        if not np.isfinite(self.extent).all():  # a NaN or an infinity reaches the extremes
             raise SpecError("point coordinates must be finite")
+
+    @cached_property
+    def extent(self) -> np.ndarray:
+        """The largest |x_j| over the points, for each coordinate j (0 for no points)."""
+        return np.maximum(self.points.max(axis=0, initial=0.0), -self.points.min(axis=0, initial=0.0))
 
     @property
     def size(self) -> int:
@@ -158,12 +165,19 @@ def _count_distinct(n: int, k: int, fill) -> int:
     return 1 + int(np.count_nonzero(key[1:] != key[:-1]))
 
 
-def _cube_fill(points: np.ndarray, blocks):
-    """fill(start, out) for `_count_distinct`: the cube indices floor(x / scale),
-    cutting each coordinate block sl at side `scale` for (sl, scale) in blocks.
+def _cube_fill(a: PointSet, blocks):
+    """fill(start, out) for `_count_distinct`: the cube indices floor(x / scale)
+    of the points of a, cutting each coordinate block sl at side `scale` for
+    (sl, scale) in blocks.
 
     Generated point sets are column-major, so each coordinate of a block is
-    read as one contiguous run."""
+    read as one contiguous run.  SpecError, before any division, when some
+    |x| / scale would reach MAX_QUOTIENT, so that no quotient overflows to inf.
+    """
+    for sl, scale in blocks:
+        if np.any(a.extent[sl] >= scale * MAX_QUOTIENT):
+            raise SpecError(f"|coordinate| / cell side must stay below 2^1023, got {a.extent[sl].max()} / {scale}")
+    points = a.points
 
     def fill(start, out):
         rows = points[start : start + out.shape[1]].T
@@ -177,7 +191,7 @@ def _cube_fill(points: np.ndarray, blocks):
 def covering_number(a: PointSet, delta: float) -> int:
     """Number of half-open axis-aligned delta-cubes anchored at 0 meeting a."""
     _dyadic_exponent(delta)
-    return _count_distinct(a.size, a.ambient, _cube_fill(a.points, [(slice(None), delta)]))
+    return _count_distinct(a.size, a.ambient, _cube_fill(a, [(slice(None), delta)]))
 
 
 @dataclass(frozen=True)
@@ -220,7 +234,7 @@ def tube_covering_number(a: PointSet, spec: TubeSpec) -> int:
         raise SpecError("level dimensions do not sum to the ambient dimension")
     # delta^r need not be dyadic: divide by it, never multiply by its reciprocal
     blocks = [(sl, spec.delta**r) for sl, r in zip(spec.level_slices(), spec.r_tuple)]
-    return _count_distinct(a.size, a.ambient, _cube_fill(a.points, blocks))
+    return _count_distinct(a.size, a.ambient, _cube_fill(a, blocks))
 
 
 def _distance_blocks(queries: np.ndarray, pts: np.ndarray):

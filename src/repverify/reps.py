@@ -14,6 +14,13 @@ Supported families:
   * tensor:n,m      sl_n tensor sl_m as a representation of SL_n x SL_m
   * tensor_std:n,m  R^n tensor R^m (standard outer tensor model)
   * sl2_sym:k       degree-k symmetric power of the standard SL_2 module
+
+`check_irreducible` spins the matrix algebra and each basis vector's orbit
+through one helper, `_spin`, on sparse integer words graded by ad(a)-weight.
+The grading is exact: a is diagonal and every generator is an
+ad(a)-eigenvector, so every word is homogeneous and enlarges the span of the
+words exactly when it enlarges its own weight block.  Building a
+configuration commutes generators as integer words too (`_commutator`).
 """
 
 from __future__ import annotations
@@ -159,10 +166,6 @@ def _unvec(v, d: int) -> Mat:
     return Mat(d, d, tuple(v))
 
 
-def _bracket(x: Mat, y: Mat) -> Mat:
-    return x @ y - y @ x
-
-
 def _diagonal(a: Mat) -> list[Fraction]:
     """The diagonal of a; RationalityError unless a is diagonal."""
     n = a.rows
@@ -262,15 +265,21 @@ def _weight_adapt(mats: list[Mat], a_diag: list[Fraction]) -> tuple[list[Mat], l
 def _action_matrices(
     v_mats: list[Mat], generators: list[Mat]
 ) -> list[Mat]:
-    """Matrices of Y -> [X, Y] on span(v_mats), in the v_mats coordinates."""
-    d = v_mats[0].rows
-    basis_cols = Mat.from_cols([_vec(m) for m in v_mats])
-    out = []
-    for x in generators:
-        bracket_cols = Mat.from_cols([_vec(_bracket(x, y)) for y in v_mats])
-        coords = solve_exact(basis_cols, bracket_cols)
-        out.append(coords)
-    return out
+    """Matrices of Y -> [X, Y] on span(v_mats), in the v_mats coordinates.
+
+    Each bracket is the integer word [s X, t Y] divided back by the lcms s and
+    t, and every bracket is solved against the one basis in one sweep.
+    """
+    k = len(v_mats)
+    ys = [_sparse_rows(y) for y in v_mats]
+    brackets = [
+        [Fraction(z, s * t) for z in _commutator(x, y)] for s, x in map(_sparse_rows, generators) for t, y in ys
+    ]
+    coords = solve_exact(Mat.from_cols([_vec(m) for m in v_mats]), Mat.from_cols(brackets))
+    return [
+        Mat(k, k, tuple(z for r in range(k) for z in coords.row(r)[i * k : (i + 1) * k]))
+        for i in range(len(generators))
+    ]
 
 
 def _check_dim(n: int) -> None:
@@ -287,13 +296,15 @@ def _validate_config(cfg: RepConfig) -> None:
     for x in cfg.h_basis:
         if x.trace() != 0:
             raise ConfigError("h_basis element with nonzero trace")
-    # bracket closure: [rho(X_i), rho(X_j)] must lie in span(h_basis)
+    # bracket closure: [rho(X_i), rho(X_j)] must lie in span(h_basis), read off
+    # the commutator of the generators cleared of denominators, a multiple of it
     span = RowSpan(n * n)
     for x in cfg.h_basis:
         span.add(_vec(x))
-    for i, x in enumerate(cfg.h_basis):
-        for y in cfg.h_basis[i + 1 :]:
-            if not span.contains(_vec(_bracket(x, y))):
+    words = [_sparse_rows(x)[1] for x in cfg.h_basis]
+    for i, x in enumerate(words):
+        for y in words[i + 1 :]:
+            if not span.contains(_commutator(x, y)):
                 raise ConfigError("h_basis is not closed under brackets")
     # every generator has one ad(a)-weight, and u+ / u- are nilpotent
     for idx in cfg.u_plus_indices + cfg.u_minus_indices:
@@ -529,11 +540,11 @@ def flag_projector(dec: WeightDecomposition, mu) -> FlagProjector:
     return FlagProjector(mu, Subspace.coordinate(n, indices), proj)
 
 
-def _sparse_rows(g: Mat) -> list[list[tuple[int, int]]]:
-    """The rows of s g as lists of their nonzero (column, value) pairs, for s
-    the lcm of g's denominators."""
-    ents = _integer(g.entries)[1]
-    return [[(t, x) for t, x in enumerate(ents[i * g.cols : (i + 1) * g.cols]) if x] for i in range(g.rows)]
+def _sparse_rows(g: Mat) -> tuple[int, list[list[tuple[int, int]]]]:
+    """(s, the rows of s g as lists of their nonzero (column, value) pairs), for
+    s the lcm of g's denominators."""
+    s, ents = _integer(g.entries)
+    return s, [[(t, x) for t, x in enumerate(ents[i * g.cols : (i + 1) * g.cols]) if x] for i in range(g.rows)]
 
 
 def _product(g: list[list[tuple[int, int]]], x: list[int]) -> list[int]:
@@ -550,9 +561,36 @@ def _product(g: list[list[tuple[int, int]]], x: list[int]) -> list[int]:
     return out
 
 
-def _spin(generators: tuple[Mat, ...], seed: list[int]) -> list[list[int]]:
-    """The seed and the products g x, breadth first, that each enlarge the span
-    of those before them; none once that span is full.
+def _commutator(x: list[list[tuple[int, int]]], y: list[list[tuple[int, int]]]) -> list[int]:
+    """The flat entries of x y - y x, for square integer matrices given by
+    their sparse rows."""
+    n = len(x)
+    out = [0] * (n * n)
+    for i in range(n):
+        for t, v in x[i]:
+            for j, w in y[t]:
+                out[i * n + j] += v * w
+        for t, v in y[i]:
+            for j, w in x[t]:
+                out[i * n + j] -= v * w
+    return out
+
+
+def _spin(cfg: RepConfig, seed: list[int], grading: list[Fraction]) -> list[list[int]]:
+    """The seed and the products g x over the generators g of cfg, breadth
+    first, that each enlarge the span of those before them; none once that
+    span is full.
+
+    grading holds the ad(a)-weight of each coordinate of the seed: a_i - a_j
+    for the entry (i, j) of a matrix, a_i for the entry i of a vector.  The
+    seed is homogeneous and every generator is an ad(a)-eigenvector, so every
+    word g_k ... g_1 x is homogeneous of weight w(x) + sum w(g), and a span of
+    homogeneous words is the direct sum of its weight blocks: a word enlarges
+    the span exactly when it enlarges the span of its own block.  So each
+    block keeps its own RowSpan of only that block's entries, and a product
+    whose block is full, or has no coordinate (the product is then zero),
+    is never formed.  The grading is exact, not a filter: the orbit is the
+    one an ungraded span gives.
 
     Each generator is cleared of denominators once, a positive multiple of
     itself, so the same products enlarge the span and the orbit and its span
@@ -561,27 +599,50 @@ def _spin(generators: tuple[Mat, ...], seed: list[int]) -> list[list[int]]:
     the product of those generators' lcms, which is 1 for integer generators
     such as those of so_pq:3,2, whose words stay within 4 bits.
     """
-    gens = [_sparse_rows(g) for g in generators]
-    span = RowSpan(len(seed))
-    span.add(seed)
-    orbit, frontier = [seed], [seed]
-    while frontier and span.dim < span.length:
-        products = (_product(g, x) for x in frontier for g in gens if span.dim < span.length)
-        frontier = [p for p in products if span.add(p)]
-        orbit += frontier
+    blocks: dict[Fraction, list[int]] = {}
+    for k, w in enumerate(grading):
+        blocks.setdefault(w, []).append(k)
+    coords = list(blocks.values())
+    spans = [RowSpan(len(c)) for c in coords]
+    ids = {w: b for b, w in enumerate(blocks)}
+    # target[b][i]: the block of g_i x for x in block b, None when it has no coordinate
+    target = [[ids.get(v + w) for w in cfg.generator_weights] for v in blocks]
+    gens = [_sparse_rows(g)[1] for g in cfg.h_basis]
+
+    def open_block(t: int | None) -> bool:
+        return t is not None and spans[t].dim < spans[t].length
+
+    def enlarges(x: list[int], t: int) -> bool:
+        return spans[t].add([x[k] for k in coords[t]])
+
+    first = ids[grading[next(k for k, x in enumerate(seed) if x)]]
+    enlarges(seed, first)
+    orbit, frontier = [seed], [(seed, first)]
+    while frontier and len(orbit) < len(seed):
+        products = ((_product(g, x), t) for x, b in frontier for g, t in zip(gens, target[b]) if open_block(t))
+        frontier = [(p, t) for p, t in products if enlarges(p, t)]
+        orbit += [p for p, _ in frontier]
     return orbit
 
 
 @lru_cache(maxsize=None)
 def check_irreducible(cfg: RepConfig) -> IrreducibilityVerdict:
-    """Burnside closure test of the matrix algebra generated by the action."""
+    """Burnside closure test of the matrix algebra generated by the action.
+
+    Both closures run graded by the ad(a)-weights of the generators
+    (`RepConfig.generator_weights`), so a generator that is not an
+    ad(a)-eigenvector raises ConfigError, as validation does, even for a
+    configuration that was never validated.
+    """
     n = cfg.n
-    algebra_dim = len(_spin(cfg.h_basis, [int(i == j) for i in range(n) for j in range(n)]))
+    diag = _diagonal(cfg.a_action)
+    grading = [x - y for x in diag for y in diag]
+    algebra_dim = len(_spin(cfg, [int(i == j) for i in range(n) for j in range(n)], grading))
     if algebra_dim == n * n:
         return IrreducibilityVerdict("absolutely_irreducible", algebra_dim)
     # hunt for an invariant subspace: the closure of a basis vector
     for start in range(n):
-        orbit = _spin(cfg.h_basis, [int(i == start) for i in range(n)])
+        orbit = _spin(cfg, [int(i == start) for i in range(n)], diag)
         if len(orbit) < n:
             return IrreducibilityVerdict("reducible", algebra_dim, Subspace.from_columns(n, orbit))
     return IrreducibilityVerdict("inconclusive", algebra_dim)

@@ -79,6 +79,25 @@ class TestCovering:
         ps = make_point_set(pts, "mix")
         assert covering_number(ps, 2**-s) == _floor_tuples(ps.points, [2**-s] * 3)
 
+    @pytest.mark.parametrize(
+        "count",
+        [
+            lambda pts: covering_number(PointSet(1, pts, "p"), 2**-40),
+            lambda pts: tube_covering_number(
+                PointSet(2, np.hstack([pts, pts]), "p"), TubeSpec(2**-40, (0.5, 1), (1, 1))
+            ),
+        ],
+        ids=["covering_number", "tube_covering_number"],
+    )
+    @pytest.mark.parametrize("x", [1e300, -1e300, 2.0**983])
+    def test_overflowing_quotient_is_a_spec_error(self, count, x):
+        # 1e300 / 2^-40 overflows to inf; 2^983 / 2^-40 = 2^1023 is finite but on the bound
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SpecError, match=r"2\^1023"):
+                count(np.array([[0.5], [x]]))
+            assert count(np.array([[0.5], [x * 2.0**-40]])) == 2
+
 
 def _floor_tuples(points: np.ndarray, scales) -> int:
     """Occupied cubes by brute force: distinct tuples of floor(x_j / scales[j])."""

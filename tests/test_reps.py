@@ -373,7 +373,75 @@ def test_spin_matches_fraction_product_reference(gens):
     assert (v.kind, v.algebra_dim, v.witness) == _reference_verdict(cfg)
     for start in range(n):
         e = [int(i == start) for i in range(n)]
-        assert len(reps._spin(cfg.h_basis, e)) == len(_reference_spin(cfg.h_basis, Mat.from_cols([e])))
+        assert len(reps._spin(cfg, e, reps._diagonal(cfg.a_action))) == len(_reference_spin(cfg.h_basis, Mat.from_cols([e])))
+
+
+@st.composite
+def graded_generator_set(draw):
+    """A random integer diagonal a with n <= 5, and one to three generators,
+    each supported on the matrix units of one ad(a)-weight a_i - a_j, with
+    integer or fractional entries: several weight blocks, unlike a = 0."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    diag = draw(st.lists(st.integers(min_value=-3, max_value=3), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        entry = st.one_of(st.just(F(0)), st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    else:
+        entry = st.one_of(st.just(0), st.integers(min_value=-3, max_value=3))
+    weights = sorted({x - y for x in diag for y in diag})
+    gens = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        w = draw(st.sampled_from(weights))
+        gens.append([[draw(entry) if diag[i] - diag[j] == w else 0 for j in range(n)] for i in range(n)])
+    return diag, gens
+
+
+@settings(max_examples=150, deadline=None)
+@given(graded_generator_set())
+def test_graded_spin_matches_fraction_product_reference(drawn):
+    diag, gens = drawn
+    n = len(diag)
+    cfg = RepConfig("fixture:graded", tuple(Mat.from_rows(g) for g in gens), Mat.diagonal(diag))
+    v = check_irreducible(cfg)
+    assert (v.kind, v.algebra_dim, v.witness) == _reference_verdict(cfg)
+    for start in range(n):
+        e = [int(i == start) for i in range(n)]
+        assert len(reps._spin(cfg, e, reps._diagonal(cfg.a_action))) == len(_reference_spin(cfg.h_basis, Mat.from_cols([e])))
+
+
+def test_closure_needs_eigenvector_generators():
+    # unvalidated: [[1, 1], [0, -1]] carries weight 0 on its diagonal and a_1 - a_2 = 2 off it
+    cfg = RepConfig("fixture:mixed", (Mat.from_rows([[1, 1], [0, -1]]),), Mat.diagonal([1, -1]))
+    with pytest.raises(ConfigError, match="not an ad\\(a\\)-eigenvector"):
+        check_irreducible(cfg)
+
+
+def test_build_config_makes_no_fraction_product(monkeypatch):
+    """Validation brackets and the action matrices are integer words too."""
+
+    def no_product(self, other):
+        raise AssertionError("Fraction matrix product while building a configuration")
+
+    monkeypatch.setattr(Mat, "__matmul__", no_product)
+    build_config.cache_clear()
+    check_irreducible.cache_clear()
+    for desc, pins in CONFIG_PINS.items():
+        cfg = build_config(desc)
+        assert (_sha(_config_json(cfg)), _sha(_verdict_json(check_irreducible(cfg)))) == pins
+
+
+def test_algebra_closure_spans_no_more_than_a_weight_block(monkeypatch):
+    # so_pq:3,2 has n = 14: its 196 matrix units fall in 9 ad(a)-weight blocks, the largest of 56
+    cfg, lengths = build_config("so_pq:3,2"), []
+
+    class RecordingRowSpan(RowSpan):
+        def __init__(self, length):
+            lengths.append(length)
+            super().__init__(length)
+
+    monkeypatch.setattr(reps, "RowSpan", RecordingRowSpan)
+    check_irreducible.cache_clear()
+    assert check_irreducible(cfg).algebra_dim == 196
+    assert (len(lengths), max(lengths), sum(lengths)) == (9, 56, 196)
 
 
 class TestProximal:
