@@ -9,7 +9,6 @@ for indefinite quadratic forms.
 
 from .qlinalg import (
     Mat,
-    Rat,
     Subspace,
     canonicalize,
     kernel_basis,
@@ -28,10 +27,8 @@ from .reps import (
     weight_decompose,
 )
 from .generic import (
-    TreeOp,
     check_intersection_bound,
     check_projection_bound,
-    eval_tree,
     find_spanning_q,
     sample_element,
     submodularity_check,
@@ -58,7 +55,6 @@ from .harness import SuiteConfig, emit_report, run_suite
 
 __all__ = [
     "Mat",
-    "Rat",
     "Subspace",
     "canonicalize",
     "kernel_basis",
@@ -73,10 +69,8 @@ __all__ = [
     "check_proximal",
     "flag_projector",
     "weight_decompose",
-    "TreeOp",
     "check_intersection_bound",
     "check_projection_bound",
-    "eval_tree",
     "find_spanning_q",
     "sample_element",
     "submodularity_check",

@@ -1,10 +1,8 @@
 """Exact Monte Carlo verification of generic subspace-position statements.
 
 Group elements are sampled as products of unipotent exponentials with random
-rational parameters, so every trial stays in exact arithmetic.  Generic
-quantities (dimensions after tree operations, the minimal spanning count) are
-read off as modal values over independent trials, with a stabilization
-threshold of 95%.
+rational parameters, so every trial stays in exact arithmetic.  The minimal
+spanning count is read off as the modal value over independent trials.
 
 A sampled element is its recipe; the exact matrix is built from it only on
 first use.  The bound checks need only ranks, so they compute the residues mod
@@ -46,52 +44,12 @@ from .qlinalg import (
 )
 from .reps import RepConfig, check_irreducible
 
-STABILIZATION = 0.95
-
-
-class TreeShapeError(Exception):
-    pass
-
-
 class PreconditionError(Exception):
     pass
 
 
 class IrreducibilityViolation(Exception):
     """A spanning run exceeded n translates without filling V."""
-
-
-@dataclass(frozen=True)
-class TreeOp:
-    """Rooted tree of sum/intersect operations; leaves carry slot indices."""
-
-    op: str | None  # None for a leaf, else "sum" or "intersect"
-    children: tuple["TreeOp", ...] = ()
-    slot: int | None = None
-
-    @staticmethod
-    def leaf(slot: int) -> "TreeOp":
-        return TreeOp(None, (), slot)
-
-    @staticmethod
-    def sum_of(*children: "TreeOp") -> "TreeOp":
-        if len(children) < 2:
-            raise TreeShapeError("internal node needs >= 2 descendants")
-        return TreeOp("sum", tuple(children))
-
-    @staticmethod
-    def intersect_of(*children: "TreeOp") -> "TreeOp":
-        if len(children) < 2:
-            raise TreeShapeError("internal node needs >= 2 descendants")
-        return TreeOp("intersect", tuple(children))
-
-    def leaf_slots(self) -> list[int]:
-        if self.op is None:
-            return [self.slot]
-        out: list[int] = []
-        for c in self.children:
-            out.extend(c.leaf_slots())
-        return out
 
 
 @dataclass(frozen=True)
@@ -125,15 +83,13 @@ class TrialReport:
     passes: int = 0
     dimension_histogram: dict[int, int] = field(default_factory=dict)
     witness_failures: list[tuple[int, tuple[tuple[int, Fraction], ...]]] = field(default_factory=list)
-    stable: bool = True
-    notes: list[str] = field(default_factory=list)
 
-    def record(self, dim: int, passed: bool, witness=None):
+    def record(self, dim: int, passed: bool, witness):
         self.trials += 1
         self.dimension_histogram[dim] = self.dimension_histogram.get(dim, 0) + 1
         if passed:
             self.passes += 1
-        elif witness is not None:
+        else:
             self.witness_failures.append(witness)
 
     @property
@@ -216,58 +172,6 @@ def translate(h: Mat, s: Subspace) -> Subspace:
     rows = [[x.numerator * (den // x.denominator) for x in h.row(i)] for i in range(h.rows)]
     cols = apply_rows(rows, s.columns)
     return Subspace.from_columns(h.rows, [[x // g for x in col] for col in cols if (g := math.gcd(*col))])
-
-
-def eval_tree(tree: TreeOp, leaves: list[Subspace]) -> Subspace:
-    slots = tree.leaf_slots()
-    if len(set(slots)) != len(leaves) or any(s >= len(leaves) or s < 0 for s in slots):
-        raise TreeShapeError("leaf slots do not match supplied subspaces")
-    ambient = {s.ambient_dim for s in leaves}
-    if len(ambient) != 1:
-        raise TreeShapeError("leaves live in different ambient dimensions")
-    return _eval(tree, leaves)
-
-
-def _eval(tree: TreeOp, leaves: list[Subspace]) -> Subspace:
-    if tree.op is None:
-        return leaves[tree.slot]
-    parts = [_eval(c, leaves) for c in tree.children]
-    out = parts[0]
-    for p in parts[1:]:
-        out = subspace_sum(out, p) if tree.op == "sum" else subspace_intersect(out, p)
-    return out
-
-
-def _modal(counter: Counter) -> tuple[object, int, bool]:
-    """(modal value, count, unique) with ties reported as non-unique."""
-    ranked = counter.most_common()
-    if len(ranked) > 1 and ranked[0][1] == ranked[1][1]:
-        return ranked[0][0], ranked[0][1], False
-    return ranked[0][0], ranked[0][1], True
-
-
-def generic_tree_dim(cfg: RepConfig, tree: TreeOp, w: Subspace, trials: int, seed: int) -> tuple[int, TrialReport]:
-    """Modal dimension of the tree operation on independent translates of w."""
-    if trials < 2:
-        raise PreconditionError("need at least 2 trials")
-    complexity = default_complexity(cfg)
-    slots = tree.leaf_slots()
-    report = TrialReport()
-    for t in range(trials):
-        leaves = []
-        for li in range(len(slots)):
-            h = sample_element(cfg, seed * 1_000_003 + t * 101 + li, complexity)
-            leaves.append(translate(h.matrix, w))
-        report.record(eval_tree(tree, leaves).dim, True)
-    k, count, unique = _modal(Counter(report.dimension_histogram))
-    frac = count / trials
-    report.stable = unique and frac >= STABILIZATION
-    if not report.stable:
-        report.notes.append(
-            f"unstable dimension: modal {k} attained in {frac:.0%} of trials"
-            + ("" if unique else " (tie)")
-        )
-    return int(k), report
 
 
 def _require_trials(trials: int) -> None:
@@ -395,7 +299,7 @@ def find_spanning_q(cfg: RepConfig, w: Subspace, trials: int, seed: int) -> tupl
             outcomes[certified] += 1
             continue
         outcomes[_spanning_run(n, wc, chain(drawn, (draw(t, step) for step in count(first + 1))))] += 1
-    (q, k_list), _, _ = _modal(outcomes)
+    (q, k_list), _ = outcomes.most_common(1)[0]
     if any(kq >= k for kq in k_list):
         raise IrreducibilityViolation("an intersection dimension reached dim W")
     if sum(k_list) != q * k - n:

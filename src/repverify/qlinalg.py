@@ -49,8 +49,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-Rat = Fraction
-
 
 class LinAlgError(Exception):
     pass

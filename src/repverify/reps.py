@@ -106,10 +106,6 @@ class RepConfig:
         # Fraction of h_basis on each lookup of a cache keyed by a config.
         return hash((self.name, self.n, self.h_dim))
 
-    def a_eigenvalue_of_generator(self, idx: int) -> Fraction:
-        """ad(a)-eigenvalue of h_basis[idx], read off a's diagonal."""
-        return self.generator_weights[idx]
-
 
 @dataclass(frozen=True)
 class WeightDecomposition:

@@ -1,4 +1,4 @@
-"""Sampling, tree operations, and the generic position bounds."""
+"""Sampling and the generic position bounds."""
 
 from __future__ import annotations
 
@@ -14,14 +14,11 @@ from repverify.generic import (
     IrreducibilityViolation,
     PreconditionError,
     SampledElement,
-    TreeOp,
-    TreeShapeError,
+    TrialReport,
     check_intersection_bound,
     check_projection_bound,
     default_complexity,
-    eval_tree,
     find_spanning_q,
-    generic_tree_dim,
     random_subspace,
     replay_recipe,
     sample_element,
@@ -109,64 +106,42 @@ def test_sampled_elements_pinned(name, height):
         assert replay_recipe(cfg, el.recipe) == el.matrix
 
 
-class TestEvalTree:
-    def test_height_one_identity(self):
-        w = Subspace.from_columns(3, [[1, 2, 3]])
-        assert eval_tree(TreeOp.leaf(0), [w]) == w
-
-    def test_sum_root(self):
-        u = Subspace.from_columns(3, [[1, 0, 0]])
-        w = Subspace.from_columns(3, [[0, 1, 0]])
-        out = eval_tree(TreeOp.sum_of(TreeOp.leaf(0), TreeOp.leaf(1)), [u, w])
-        assert out == Subspace.from_columns(3, [[1, 0, 0], [0, 1, 0]])
-
-    def test_intersect_root(self):
-        u = Subspace.from_columns(3, [[1, 0, 0], [0, 1, 0]])
-        w = Subspace.from_columns(3, [[0, 1, 0], [0, 0, 1]])
-        out = eval_tree(TreeOp.intersect_of(TreeOp.leaf(0), TreeOp.leaf(1)), [u, w])
-        assert out == Subspace.from_columns(3, [[0, 1, 0]])
-
-    def test_arity_errors(self):
-        with pytest.raises(TreeShapeError):
-            TreeOp.sum_of(TreeOp.leaf(0))
-        tree = TreeOp.sum_of(TreeOp.leaf(0), TreeOp.leaf(1))
-        with pytest.raises(TreeShapeError):
-            eval_tree(tree, [Subspace.full(2)])
-
-    def test_equivariance(self):
-        cfg = build_config("so_pq:2,1")
-        rng = random.Random(2)
-        w1 = random_subspace(5, 2, rng)
-        w2 = random_subspace(5, 3, rng)
-        h = sample_element(cfg, 21, default_complexity(cfg)).matrix
-        tree = TreeOp.intersect_of(
-            TreeOp.sum_of(TreeOp.leaf(0), TreeOp.leaf(1)), TreeOp.leaf(2)
-        )
-        w3 = random_subspace(5, 3, rng)
-        lhs = eval_tree(tree, [translate(h, w1), translate(h, w2), translate(h, w3)])
-        rhs = translate(h, eval_tree(tree, [w1, w2, w3]))
-        assert lhs == rhs
+def test_translate_commutes_with_sum_and_intersection():
+    cfg = build_config("so_pq:2,1")
+    rng = random.Random(2)
+    w1 = random_subspace(5, 2, rng)
+    w2 = random_subspace(5, 3, rng)
+    h = sample_element(cfg, 21, default_complexity(cfg)).matrix
+    w3 = random_subspace(5, 3, rng)
+    lhs = subspace_intersect(subspace_sum(translate(h, w1), translate(h, w2)), translate(h, w3))
+    rhs = translate(h, subspace_intersect(subspace_sum(w1, w2), w3))
+    assert lhs == rhs
 
 
-class TestGenericTreeDim:
-    def test_two_generic_lines_span_plane(self):
-        cfg, dec, _ = flags_of("so_pq:2,1")
-        top = flag_projector(dec, 2).flag
-        tree = TreeOp.sum_of(TreeOp.leaf(0), TreeOp.leaf(1))
-        k, rep = generic_tree_dim(cfg, tree, top, trials=20, seed=5)
-        assert k == 2 and rep.stable
+@pytest.mark.parametrize("name", ["so_pq:2,1", "so_pq:2,2", "so_pq:3,1", "sp2n:2", "sl2_sym:4", "tensor:2,2"])
+def test_two_translates_of_a_flag_are_in_general_position(name):
+    # independent generic translates of a d-dimensional flag in Q^n span min(n, 2d)
+    # and meet in max(0, 2d - n) dimensions
+    cfg, _, flags = flags_of(name)
+    complexity = default_complexity(cfg)
+    for w in flags:
+        for t in range(3):
+            a = translate(sample_element(cfg, 2 * t, complexity).matrix, w)
+            b = translate(sample_element(cfg, 2 * t + 1, complexity).matrix, w)
+            assert subspace_sum(a, b).dim == min(cfg.n, 2 * w.dim)
+            assert subspace_intersect(a, b).dim == max(0, 2 * w.dim - cfg.n)
 
-    def test_transverse_intersection_empty(self):
-        cfg, dec, _ = flags_of("so_pq:2,1")
-        flag2 = flag_projector(dec, 1).flag
-        tree = TreeOp.intersect_of(TreeOp.leaf(0), TreeOp.leaf(1))
-        k, rep = generic_tree_dim(cfg, tree, flag2, trials=20, seed=6)
-        assert k == 0 and rep.stable
 
-    def test_needs_two_trials(self):
-        cfg, dec, _ = flags_of("so_pq:2,1")
-        with pytest.raises(PreconditionError):
-            generic_tree_dim(cfg, TreeOp.leaf(0), flag_projector(dec, 2).flag, trials=1, seed=0)
+def test_record_keeps_the_witness_of_each_failed_trial():
+    rep = TrialReport()
+    rep.record(2, True, (1, ()))
+    rep.record(3, False, (2, ((0, F(1, 2)),)))
+    rep.record(2, False, (3, ()))
+    assert (rep.trials, rep.passes, rep.dimension_histogram) == (3, 1, {2: 2, 3: 1})
+    assert rep.witness_failures == [(2, ((0, F(1, 2)),)), (3, ())]
+    assert not rep.all_passed
+    with pytest.raises(TypeError):
+        rep.record(1, True)
 
 
 class TestIntersectionBound:
@@ -271,7 +246,7 @@ def test_projection_and_spanning_pinned(name):
         for j, wp in enumerate(flags):
             rep = check_projection_bound(cfg, w, wp, 10, 11)
             assert rep.dimension_histogram == {PROJECTION_PINS[cfg.n][i][j]: 10}
-            assert rep.all_passed and not rep.notes
+            assert rep.all_passed
 
 
 @pytest.mark.parametrize("name", ["so_pq:2,1", "so_pq:2,2"])
@@ -281,6 +256,19 @@ def test_spanning_replayed_over_z_matches_pins(name, monkeypatch):
     monkeypatch.setattr(generic, "certified_columns", lambda residues: None)
     cfg, _, flags = flags_of(name)
     assert [find_spanning_q(cfg, w, trials=4, seed=11) for w in flags] == SPANNING_PINS[cfg.n]
+
+
+def test_spanning_tie_goes_to_the_first_outcome(monkeypatch):
+    # two trials, two distinct outcomes that both satisfy sum k_q' = qk - n:
+    # the modal outcome of a tie is the one seen first
+    monkeypatch.setattr(generic, "certified_columns", lambda residues: None)
+    cfg, _, flags = flags_of("so_pq:2,1")
+    w = flags[2]
+    assert w.dim == 2
+    for outcomes in ([(3, (0, 1)), (3, (1, 0))], [(3, (1, 0)), (3, (0, 1))]):
+        runs = iter(outcomes)
+        monkeypatch.setattr(generic, "_spanning_run", lambda n, wc, elements: next(runs))
+        assert find_spanning_q(cfg, w, trials=2, seed=0) == outcomes[0]
 
 
 class TestZeroTrials:

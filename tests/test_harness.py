@@ -455,3 +455,11 @@ def test_benchmark_tracer_installs():
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_public_api_names_resolve():
+    names = repverify.__all__
+    assert [name for name in names if not hasattr(repverify, name)] == []
+    assert len(names) == len(set(names))
+    for gone in ("TreeOp", "eval_tree", "Rat"):
+        assert gone not in names and not hasattr(repverify, gone)

@@ -475,7 +475,7 @@ class TestHorospherical:
             for _ in range(cfg.n):
                 cur = cur @ x
             assert cur.is_zero()
-        wts = [cfg.a_eigenvalue_of_generator(i) for i in range(cfg.h_dim)]
+        wts = list(cfg.generator_weights)
         for x, w in zip(cfg.h_basis, wts):
             # the bracket [a, x] is the reference for the weight read off a's diagonal
             assert cfg.a_action @ x - x @ cfg.a_action == x.scale(w)
@@ -504,7 +504,7 @@ def _eight_key_doc(cfg: RepConfig) -> dict:
 def test_config_from_json_checks_every_bracket_whatever_h_dim_says():
     # without its weight-0 generator so(2,1) is not bracket closed: [u+, u-] lies in the weight-0 space
     cfg = build_config("so_pq:2,1")
-    assert [cfg.a_eigenvalue_of_generator(i) for i in range(cfg.h_dim)] == [1, 0, -1]
+    assert list(cfg.generator_weights) == [1, 0, -1]
     doc = _eight_key_doc(cfg)
     doc["h_basis"] = [doc["h_basis"][0], doc["h_basis"][2]]
     doc["h_dim"], doc["u_minus_indices"] = 0, [1]
@@ -558,7 +558,7 @@ def test_config_stores_and_writes_only_generators_and_a():
 
 def test_horospherical_indices_read_the_diagonal_once(monkeypatch):
     cfg = build_config("diagonal:sl3")
-    weights = [cfg.a_eigenvalue_of_generator(i) for i in range(cfg.h_dim)]
+    weights = list(cfg.generator_weights)
     unvalidated = RepConfig(cfg.name, cfg.h_basis, cfg.a_action)
     calls, real = [], reps._diagonal
 
@@ -568,5 +568,5 @@ def test_horospherical_indices_read_the_diagonal_once(monkeypatch):
 
     monkeypatch.setattr(reps, "_diagonal", counting_diagonal)
     assert (unvalidated.u_plus_indices, unvalidated.u_minus_indices) == ((0, 1, 2), (5, 6, 7))
-    assert [unvalidated.a_eigenvalue_of_generator(i) for i in range(cfg.h_dim)] == weights
+    assert list(unvalidated.generator_weights) == weights
     assert len(calls) == 1
