@@ -13,7 +13,6 @@ from .qlinalg import (
     canonicalize,
     kernel_basis,
     nilpotent_exp,
-    orthogonal_complement,
     subspace_intersect,
     subspace_sum,
 )
@@ -41,14 +40,10 @@ from .brascamp_lieb import (
 )
 from .discretized import (
     PointSet,
-    TubeSpec,
-    alpha_energy,
     covering_number,
-    frostman_constant,
     generate_fractal,
     projection_experiment,
     remez_check,
-    tube_covering_number,
 )
 from .oppenheim import QuadraticForm, decay_curve, parse_form, search_min_value
 from .harness import SuiteConfig, emit_report, run_suite
@@ -59,7 +54,6 @@ __all__ = [
     "canonicalize",
     "kernel_basis",
     "nilpotent_exp",
-    "orthogonal_complement",
     "subspace_intersect",
     "subspace_sum",
     "RepConfig",
@@ -79,14 +73,10 @@ __all__ = [
     "estimate_bl_constant",
     "gaussian_ratio",
     "PointSet",
-    "TubeSpec",
-    "alpha_energy",
     "covering_number",
-    "frostman_constant",
     "generate_fractal",
     "projection_experiment",
     "remez_check",
-    "tube_covering_number",
     "QuadraticForm",
     "decay_curve",
     "parse_form",

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -33,10 +33,6 @@ class SpecError(Exception):
     pass
 
 
-class MembershipError(Exception):
-    pass
-
-
 class SizeError(Exception):
     pass
 
@@ -50,7 +46,7 @@ class DegenerateError(Exception):
 
 
 def _dyadic_exponent(delta: float) -> int:
-    s = round(-math.log2(delta))
+    s = round(-math.log2(delta)) if 0 < delta < math.inf else 0  # NaN, 0 and inf fail the range check
     if not (1 <= s <= MAX_SCALE) or abs(2.0**-s - delta) > 1e-15:
         raise SpecError(f"delta must be 2^-s with 1 <= s <= {MAX_SCALE}, got {delta}")
     return s
@@ -100,8 +96,9 @@ def make_point_set(points, provenance: str) -> PointSet:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] < 1:
         raise SpecError("points array must be (N, ambient) with ambient >= 1")
-    ps = PointSet(pts.shape[1], pts, provenance)  # checked before _dedupe rounds the points
-    return replace(ps, points=_dedupe(pts))
+    if pts.shape[0] > MAX_POINTS:
+        raise SizeError(f"point set exceeds cap {MAX_POINTS}")
+    return PointSet(pts.shape[1], _dedupe(pts), provenance)  # rejects a non-finite point, which _dedupe keeps
 
 
 def _count_distinct(n: int, k: int, fill) -> int:
@@ -165,24 +162,20 @@ def _count_distinct(n: int, k: int, fill) -> int:
     return 1 + int(np.count_nonzero(key[1:] != key[:-1]))
 
 
-def _cube_fill(a: PointSet, blocks):
-    """fill(start, out) for `_count_distinct`: the cube indices floor(x / scale)
-    of the points of a, cutting each coordinate block sl at side `scale` for
-    (sl, scale) in blocks.
+def _cube_fill(a: PointSet, delta: float):
+    """fill(start, out) for `_count_distinct`: the cube indices floor(x / delta)
+    of the points of a.
 
     Generated point sets are column-major, so each coordinate of a block is
     read as one contiguous run.  SpecError, before any division, when some
-    |x| / scale would reach MAX_QUOTIENT, so that no quotient overflows to inf.
+    |x| / delta would reach MAX_QUOTIENT, so that no quotient overflows to inf.
     """
-    for sl, scale in blocks:
-        if np.any(a.extent[sl] >= scale * MAX_QUOTIENT):
-            raise SpecError(f"|coordinate| / cell side must stay below 2^1023, got {a.extent[sl].max()} / {scale}")
+    if np.any(a.extent >= delta * MAX_QUOTIENT):
+        raise SpecError(f"|coordinate| / cell side must stay below 2^1023, got {a.extent.max()} / {delta}")
     points = a.points
 
     def fill(start, out):
-        rows = points[start : start + out.shape[1]].T
-        for sl, scale in blocks:
-            np.divide(rows[sl], scale, out=out[sl])
+        np.divide(points[start : start + out.shape[1]].T, delta, out=out)
         np.floor(out, out=out)
 
     return fill
@@ -191,60 +184,17 @@ def _cube_fill(a: PointSet, blocks):
 def covering_number(a: PointSet, delta: float) -> int:
     """Number of half-open axis-aligned delta-cubes anchored at 0 meeting a."""
     _dyadic_exponent(delta)
-    return _count_distinct(a.size, a.ambient, _cube_fill(a, [(slice(None), delta)]))
+    return _count_distinct(a.size, a.ambient, _cube_fill(a, delta))
 
 
-@dataclass(frozen=True)
-class TubeSpec:
-    """Anisotropic tube partition data.
-
-    r_tuple and level_dims are listed in ascending-eigenvalue order; ambient
-    coordinates are ordered by descending eigenvalue, so level i occupies the
-    trailing block of size level_dims[i].
-    """
-
-    delta: float
-    r_tuple: tuple[float, ...]
-    level_dims: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.r_tuple) != len(self.level_dims):
-            raise SpecError("r_tuple and level_dims must have equal length")
-        if not self.level_dims or any(k < 1 for k in self.level_dims):
-            raise SpecError("need at least one level, each of dimension >= 1")
-        if not all(0 <= r <= 1 for r in self.r_tuple) or self.r_tuple[-1] != 1:
-            raise SpecError("need 0 <= r_1 <= ... <= r_m = 1")
-        if any(a > b for a, b in zip(self.r_tuple, self.r_tuple[1:])):
-            raise SpecError("r_tuple must be nondecreasing")
-        _dyadic_exponent(self.delta)
-
-    def level_slices(self) -> list[slice]:
-        n = sum(self.level_dims)
-        out = []
-        stop = n
-        for k in self.level_dims:
-            out.append(slice(stop - k, stop))
-            stop -= k
-        return out
-
-
-def tube_covering_number(a: PointSet, spec: TubeSpec) -> int:
-    """Occupied atoms of the join partition with level-i scale delta^{r_i}."""
-    if sum(spec.level_dims) != a.ambient:
-        raise SpecError("level dimensions do not sum to the ambient dimension")
-    # delta^r need not be dyadic: divide by it, never multiply by its reciprocal
-    blocks = [(sl, spec.delta**r) for sl, r in zip(spec.level_slices(), spec.r_tuple)]
-    return _count_distinct(a.size, a.ambient, _cube_fill(a, blocks))
-
-
-def _distance_blocks(queries: np.ndarray, pts: np.ndarray):
-    """Euclidean distances from each query row to every point, as row blocks.
+def _distance_blocks(pts: np.ndarray):
+    """Euclidean distances from each point to every point, as row blocks.
 
     A block holds about PAIR_BLOCK distances (one row when a row is longer),
-    so its memory does not grow with the number of queries."""
+    so its memory does not grow with the number of points."""
     step = max(1, PAIR_BLOCK // pts.shape[0])
-    for start in range(0, queries.shape[0], step):
-        block = queries[start : start + step]
+    for start in range(0, pts.shape[0], step):
+        block = pts[start : start + step]
         # coordinate by coordinate: the same sums, in the same order, as
         # np.linalg.norm(pts - w, axis=1), without reducing a length-d axis
         sq = (pts[None, :, 0] - block[:, 0, None]) ** 2
@@ -259,42 +209,22 @@ def _truncated_energies(dists: np.ndarray, delta: float, alpha: float) -> np.nda
     return np.where(at_w, 0.0, np.maximum(dists, delta) ** -alpha).sum(axis=1)
 
 
-def alpha_energy(f: PointSet, delta: float, alpha: float, w) -> float:
-    """Scale-truncated Riesz energy sum_{w' != w} max(|w'-w|, delta)^-alpha."""
-    if not 0 < alpha < f.ambient + 1e-12:
-        raise SpecError("need 0 < alpha <= ambient dimension")
-    (dists,) = _distance_blocks(np.asarray(w, dtype=float)[None, :], f.points)
-    if not np.any(dists <= 2.0**-DEDUP_SCALE):
-        raise MembershipError("w is not a point of the set")
-    return float(_truncated_energies(dists, delta, alpha)[0])
-
-
-def _heaviest_balls(
-    f: PointSet, s_max: int, delta: float | None = None, beta: float | None = None
-) -> tuple[list[int], float]:
+def _heaviest_balls(f: PointSet, s_max: int, delta: float, beta: float) -> tuple[list[int], float]:
     """The most points of f in one ball centred at a point of f, per dyadic radius
-    2^-s for s = 0..s_max; with beta, also the largest truncated beta-energy at a
-    point of f.  One pass over the pairwise distances."""
+    2^-s for s = 0..s_max, and the largest truncated beta-energy at a point of f.
+    One pass over the pairwise distances."""
     counts = [0] * (s_max + 1)
     top = 0.0
-    for dists in _distance_blocks(f.points, f.points):
+    for dists in _distance_blocks(f.points):
         for s in range(s_max + 1):
             counts[s] = max(counts[s], int(np.count_nonzero(dists <= 2.0**-s, axis=1).max()))
-        if beta is not None:
-            top = max(top, float(_truncated_energies(dists, delta, beta).max()))
+        top = max(top, float(_truncated_energies(dists, delta, beta).max()))
     return counts, top
 
 
 def _frostman_from_counts(counts: list[int], size: int, alpha: float) -> float:
+    """Minimal C with mu_F(B(x, 2^-s)) <= C 2^(-s alpha) over the heaviest ball counts."""
     return max((c / size) / (2.0**-s) ** alpha for s, c in enumerate(counts))
-
-
-def frostman_constant(f: PointSet, delta0: float, alpha: float) -> float:
-    """Minimal C with mu_F(B(x, r)) <= C r^alpha over x in F, dyadic r in [delta0, 1]."""
-    if f.size < 2:
-        raise SpecError("need at least two points")
-    counts, _ = _heaviest_balls(f, _dyadic_exponent(delta0))
-    return _frostman_from_counts(counts, f.size, alpha)
 
 
 def frostman_energy_bound_check(f: PointSet, delta: float, alpha: float, beta: float) -> bool:

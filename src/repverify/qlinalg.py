@@ -2,11 +2,11 @@
 
 Matrices and vectors are Fractions.  Subspaces are kept over Z in one
 canonical integer form, so their equality and hashing compare integers; ranks,
-kernels, sums, intersections and orthogonal complements are exact, and the
-Fraction basis of a subspace is built only when it is read.  Every exact
-product on a rank or span path (translates h.W, the BCCT ranks of
-`brascamp_lieb`, the kernel step of `subspace_intersect`) is the one integer
-product `apply_rows`: integer rows times integer columns.
+kernels, sums and intersections are exact, and the Fraction basis of a
+subspace is built only when it is read.  Every exact product on a rank or span
+path (translates h.W, the BCCT ranks of `brascamp_lieb`, the kernel step of
+`subspace_intersect`) is the one integer product `apply_rows`: integer rows
+times integer columns.
 
 Every matrix elimination runs on integer rows in the one column sweep
 `_pivot_columns`, on vectors cleared of denominators (each times the lcm of its
@@ -502,11 +502,6 @@ def subspace_intersect(u: Subspace, w: Subspace) -> Subspace:
         rows.append([scale * col[i] - sum(uj[i] * col[p] for uj, p in zip(u.columns, pivots)) for col in cols])
     ker = _kernel_vectors(rows, len(cols))
     return _span(n, apply_rows(list(zip(*cols)), ker))
-
-
-def orthogonal_complement(u: Subspace) -> Subspace:
-    """Complement w.r.t. the standard dot product of the fixed coordinates."""
-    return _span(u.ambient_dim, _kernel_vectors(list(u.columns), u.ambient_dim))
 
 
 @dataclass(frozen=True)

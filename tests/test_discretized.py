@@ -1,4 +1,4 @@
-"""Covering numbers, energies, fractal generators, projections, Remez."""
+"""Covering numbers, Frostman energies, fractal generators, projections, Remez."""
 
 from __future__ import annotations
 
@@ -17,18 +17,14 @@ from repverify.discretized import (
     DegenerateError,
     FullGrid,
     HypothesisError,
-    MembershipError,
     PointSet,
     Poly,
     ProductCantor,
     RandomSubset,
     SizeError,
     SpecError,
-    TubeSpec,
     WeightAligned,
-    alpha_energy,
     covering_number,
-    frostman_constant,
     frostman_energy_bound_check,
     generate_fractal,
     make_point_set,
@@ -36,7 +32,6 @@ from repverify.discretized import (
     projection_experiment,
     random_poly,
     remez_check,
-    tube_covering_number,
 )
 from repverify.reps import build_config, flag_projector, weight_decompose
 
@@ -71,6 +66,21 @@ class TestCovering:
         with pytest.raises(SpecError):
             covering_number(ps, 0.3)
 
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf, 0.0, -0.25, 1.0, 2.0**-41, 0.375])
+    @pytest.mark.parametrize(
+        "count",
+        [
+            lambda ps, delta: covering_number(ps, delta),
+            lambda ps, delta: frostman_energy_bound_check(ps, delta, 1.0, 0.5),
+        ],
+        ids=["covering_number", "frostman_energy_bound_check"],
+    )
+    def test_delta_outside_dyadic_range_is_a_spec_error(self, count, delta):
+        # NaN, 0, negatives and inf used to escape as ValueError or OverflowError from log2
+        ps = make_point_set([[0.25], [0.75]], "p")
+        with pytest.raises(SpecError, match="delta must be 2"):
+            count(ps, delta)
+
     @pytest.mark.parametrize("s", [1, 5, 12])
     def test_matches_floor_tuples(self, s):
         rng = np.random.default_rng(s)
@@ -83,11 +93,9 @@ class TestCovering:
         "count",
         [
             lambda pts: covering_number(PointSet(1, pts, "p"), 2**-40),
-            lambda pts: tube_covering_number(
-                PointSet(2, np.hstack([pts, pts]), "p"), TubeSpec(2**-40, (0.5, 1), (1, 1))
-            ),
+            lambda pts: covering_number(PointSet(2, np.hstack([pts, pts]), "p"), 2**-40),
         ],
-        ids=["covering_number", "tube_covering_number"],
+        ids=["covering_number", "two_coordinates"],
     )
     @pytest.mark.parametrize("x", [1e300, -1e300, 2.0**983])
     def test_overflowing_quotient_is_a_spec_error(self, count, x):
@@ -97,6 +105,19 @@ class TestCovering:
             with pytest.raises(SpecError, match=r"2\^1023"):
                 count(np.array([[0.5], [x]]))
             assert count(np.array([[0.5], [x * 2.0**-40]])) == 2
+
+    def test_wide_keys(self, monkeypatch):
+        # 3 x 41 key bits at 2^-40 take the lexsort path
+        rng = np.random.default_rng(12)
+        pts = rng.random((400, 3))
+        pts = np.vstack([pts, pts[:150], np.floor(pts[:100] * 2**20) / 2**20])
+        keys = np.floor(pts * 2**40).astype(np.int64)
+        lexsorts = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda k: lexsorts.append(1) or lexsort(k))
+        count = covering_number(PointSet(3, pts, "wide"), 2**-40)
+        assert count == _distinct_rows(keys) == 500
+        assert len(lexsorts) == 1
 
 
 def _floor_tuples(points: np.ndarray, scales) -> int:
@@ -131,6 +152,15 @@ class TestPointSet:
     def test_large_coordinates_keep_distinct_points(self, points, size):
         # keys scaled by 2^40 used to overflow int64 from 2^23 on and merge distinct points
         assert make_point_set(points, "p").size == size
+
+    def test_validated_once(self, monkeypatch):
+        # the extremes behind the finiteness check are one pass over every point
+        calls = []
+        post_init = PointSet.__post_init__
+        monkeypatch.setattr(PointSet, "__post_init__", lambda ps: calls.append(ps.size) or post_init(ps))
+        pts = np.random.default_rng(4).random((1000, 3))
+        ps = make_point_set(np.vstack([pts, pts[:10]]), "p")
+        assert ps.size == 1000 and calls == [1000]
 
 
 def _distinct_rows(keys: np.ndarray) -> int:
@@ -242,11 +272,15 @@ class TestKeyBlocks:
             assert covering_number(ps, 2**-s) == _floor_tuples(ps.points, [2**-s] * 3)
 
     @pytest.mark.parametrize("size", SIZES)
-    def test_tube_covering_number(self, size):
-        ps = PointSet(3, self._points(size, 3), "p")
-        spec = TubeSpec(2**-6, (1 / 3, 1.0), (2, 1))  # levels: coordinates 1-2 at delta^(1/3), 0 at delta
-        scales = [2**-6] + [(2**-6) ** (1 / 3)] * 2
-        assert tube_covering_number(ps, spec) == _floor_tuples(ps.points, scales)
+    def test_covering_number_at_cube_edges(self, size):
+        # points on and just below multiples of delta: x / delta is exact for a
+        # dyadic delta, so every block floors them as the tuples do
+        delta = 2**-3
+        edges = np.arange(-12, 13) * delta
+        edges = np.concatenate([edges, np.nextafter(edges, -np.inf)])
+        rng = np.random.default_rng(size)
+        ps = PointSet(3, rng.choice(edges, (size, 3)), "edges")
+        assert covering_number(ps, delta) == _floor_tuples(ps.points, [delta] * 3)
 
     @pytest.mark.parametrize("mode, mu", [("subcritical", 0), ("supercritical", None)])
     @pytest.mark.parametrize("size", SIZES)
@@ -301,117 +335,28 @@ def test_count_memory_stays_small(count):
     assert peak < 16 * 2**20
 
 
-class TestTubeCovering:
-    def test_degenerate_tuple_is_covering(self):
-        g = generate_fractal(FullGrid(2, 4))
-        spec = TubeSpec(2**-4, (1.0, 1.0), (1, 1))
-        assert tube_covering_number(g, spec) == covering_number(g, 2**-4)
-
-    def test_single_point(self):
-        ps = make_point_set([[0.1, 0.2, 0.3]], "p")
-        spec = TubeSpec(2**-6, (0.5, 1.0), (2, 1))
-        assert tube_covering_number(ps, spec) == 1
-
-    def test_product_grid_count(self):
-        # per-level spacing delta^{r_i}: one point per tube up to boundary.
-        # level 1 (r = 1/2, coarse) occupies the trailing coordinate.
-        delta = 2**-8
-        r = (0.5, 1.0)
-        coarse = np.arange(0, 1, delta**0.5)
-        fine = np.arange(0, 1, delta)
-        pts = np.array([[a, b] for a in fine for b in coarse])
-        ps = make_point_set(pts, "prod")
-        spec = TubeSpec(delta, r, (1, 1))
-        count = tube_covering_number(ps, spec)
-        expected = len(fine) * len(coarse)
-        assert expected <= count <= 4 * expected
-
-    def test_wide_keys(self):
-        # levels at 2^-20 and 2^-40: 20 + 40 + 40 key bits take the lexsort path
-        rng = np.random.default_rng(12)
-        pts = rng.random((400, 3))
-        pts = np.vstack([pts, pts[:150], np.floor(pts[:100] * 2**20) / 2**20])
-        spec = TubeSpec(2**-40, (0.5, 1.0), (1, 2))
-        keys = np.hstack([np.floor(pts[:, :2] * 2**40), np.floor(pts[:, 2:] * 2**20)]).astype(np.int64)
-        count = tube_covering_number(PointSet(3, pts, "wide"), spec)
-        assert count == _distinct_rows(keys) == 500
-
-    def test_malformed_spec(self):
-        with pytest.raises(SpecError):
-            TubeSpec(2**-4, (1.0, 0.5), (1, 1))
-        with pytest.raises(SpecError):
-            TubeSpec(2**-4, (0.5,), (1,))
-
-    @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
-    def test_non_finite_r_rejected(self, r):
-        with pytest.raises(SpecError):
-            TubeSpec(2**-4, (r, 1.0), (1, 1))
-
-    @pytest.mark.parametrize(
-        "r_tuple, level_dims",
-        [((), ()), ((0.5, 1.0), (3, -1)), ((0.5, 1.0), (0, 2)), ((1.0,), (0,))],
-    )
-    def test_bad_levels_rejected(self, r_tuple, level_dims):
-        with pytest.raises(SpecError):
-            TubeSpec(2**-4, r_tuple, level_dims)
-
-    @pytest.mark.parametrize(
-        "delta, r_tuple, level_dims",
-        [(2**-8, (1 / 3, 1.0), (2, 1)), (2**-7, (0.5, 1.0), (1, 2)), (2**-9, (0.2, 0.7, 1.0), (1, 1, 1))],
-    )
-    def test_non_dyadic_scale_matches_floor_tuples(self, delta, r_tuple, level_dims):
-        # random points, grid points, and points at and just below multiples of
-        # each scale, where x / h and x * (1 / h) can floor differently
-        rng = np.random.default_rng(len(level_dims))
-        grid = generate_fractal(FullGrid(3, 5)).points
-        edges = [k * delta**r for r in r_tuple for k in range(1, int(delta**-r) + 1)]
-        edges = np.concatenate([edges, np.nextafter(edges, 0)])
-        ps = make_point_set(np.vstack([rng.random((3000, 3)), grid, np.tile(edges[:, None], 3)]), "mix")
-        spec = TubeSpec(delta, r_tuple, level_dims)
-        scales = [0.0] * 3
-        for sl, r in zip(spec.level_slices(), r_tuple):
-            scales[sl] = [delta**r] * (sl.stop - sl.start)
-        assert tube_covering_number(ps, spec) == _floor_tuples(ps.points, scales)
-
-
-class TestAlphaEnergy:
-    def test_singleton(self):
-        ps = make_point_set([[0.5]], "p")
-        assert alpha_energy(ps, 2**-4, 0.5, [0.5]) == 0.0
-
-    def test_two_term_example(self):
-        delta = 2**-6
-        ps = make_point_set([[0.0], [delta], [1.0]], "p")
-        assert alpha_energy(ps, delta, 1.0, [0.0]) == pytest.approx(1 / delta + 1.0)
-
-    def test_monotone_in_delta(self):
-        rng = np.random.default_rng(9)
-        ps = make_point_set(rng.random((60, 2)), "r")
-        w = ps.points[0]
-        vals = [alpha_energy(ps, 2**-s, 1.5, w) for s in (8, 6, 4, 2)]
-        assert all(a >= b for a, b in zip(vals, vals[1:]))
-
-    def test_membership_required(self):
-        ps = make_point_set([[0.0], [1.0]], "p")
-        with pytest.raises(MembershipError):
-            alpha_energy(ps, 2**-4, 1.0, [0.5])
+def _criterion_8_constant(ps, delta0, alpha):
+    """The constant C that criterion 8 computes, from the heaviest dyadic balls
+    down to radius delta0 (the beta of the energies beside them plays no part)."""
+    counts, _ = discretized._heaviest_balls(ps, discretized._dyadic_exponent(delta0), delta0, 0.5)
+    return discretized._frostman_from_counts(counts, ps.size, alpha)
 
 
 class TestFrostman:
     def test_uniform_grid_constant(self):
         ps = make_point_set([[i / 64] for i in range(64)], "u")
-        assert frostman_constant(ps, 1 / 64, 1.0) == pytest.approx(3.0)
+        assert _criterion_8_constant(ps, 1 / 64, 1.0) == pytest.approx(3.0)
 
     def test_alpha_zero_gives_one(self):
         ps = make_point_set([[i / 16] for i in range(16)], "u")
-        assert frostman_constant(ps, 2**-4, 0.0) == pytest.approx(1.0)
+        assert _criterion_8_constant(ps, 2**-4, 0.0) == pytest.approx(1.0)
 
     def test_cluster_dominates(self):
         delta = 2**-10
         cluster = [[j * delta / 8] for j in range(8)]
         spread = [[0.25 + i / 16] for i in range(8)]
         ps = make_point_set(cluster + spread, "c")
-        c = frostman_constant(ps, delta, 1.0)
+        c = _criterion_8_constant(ps, delta, 1.0)
         assert c >= (8 / 16) / delta * 0.9  # worst ball holds the cluster
 
     def test_energy_bound_on_generated_sets(self):
@@ -464,6 +409,34 @@ def _criterion_8_sets(count, rng):
         yield generate_fractal(spec, seed=i)
 
 
+class TestHeaviestBalls:
+    """Ball counts and the largest truncated energy of small sets, by hand."""
+
+    def test_singleton_has_no_energy(self):
+        ps = make_point_set([[0.5]], "p")
+        assert discretized._heaviest_balls(ps, 4, 2**-4, 0.5) == ([1] * 5, 0.0)
+
+    def test_two_term_example(self):
+        # at delta the energy is 1/delta + 1/(1 - delta), above 1/delta + 1 at 0
+        delta = 2**-6
+        ps = make_point_set([[0.0], [delta], [1.0]], "p")
+        counts, top = discretized._heaviest_balls(ps, 6, delta, 1.0)
+        assert counts == [3, 2, 2, 2, 2, 2, 2]
+        assert top == pytest.approx(1 / delta + 1 / (1 - delta))
+
+    def test_coincident_points_carry_no_energy(self):
+        ps = PointSet(1, np.array([[0.0], [0.0], [0.5]]), "p")
+        counts, top = discretized._heaviest_balls(ps, 4, 2**-4, 1.0)
+        assert counts == [3, 3, 2, 2, 2]  # the closed ball of radius 1/2 at 0 reaches 0.5
+        assert top == 4.0  # at 0.5: two points at distance 1/2
+
+    def test_largest_energy_monotone_in_delta(self):
+        ps = make_point_set(np.random.default_rng(9).random((60, 2)), "r")
+        tops = [discretized._heaviest_balls(ps, s, 2**-s, 1.5)[1] for s in (8, 6, 4, 2)]
+        assert all(a >= b for a, b in zip(tops, tops[1:]))
+        assert tops[0] > tops[-1]
+
+
 class TestFrostmanBlocks:
     """The row-block scans against the per-point definitions."""
 
@@ -476,12 +449,12 @@ class TestFrostmanBlocks:
                 if alpha > ps.ambient:
                     continue
                 c = _frostman_reference(ps, 2**-8, alpha)
-                assert frostman_constant(ps, 2**-8, alpha) == c
+                counts, top = discretized._heaviest_balls(ps, 8, 2**-8, beta)
+                assert discretized._frostman_from_counts(counts, ps.size, alpha) == c
                 bound = 2.0**ps.ambient * c * (1.0 + 1.0 / (1.0 - 2.0 ** (beta - alpha))) * ps.size
                 energies = [_energy_reference(ps, 2**-8, beta, w) for w in ps.points]
                 assert frostman_energy_bound_check(ps, 2**-8, alpha, beta) == (max(energies) <= bound)
-                for i in (0, ps.size // 2, ps.size - 1):
-                    assert alpha_energy(ps, 2**-8, beta, ps.points[i]) == pytest.approx(energies[i], rel=1e-14)
+                assert top == pytest.approx(max(energies), rel=1e-14)
 
     @pytest.mark.parametrize("level, verdict", [(0.5, False), (2.0, True)])
     def test_verdict_follows_largest_energy(self, level, verdict, monkeypatch):

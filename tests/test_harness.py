@@ -245,6 +245,13 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 
+    @pytest.mark.parametrize("delta", ["0", "41", "1100"])
+    def test_proj_exp_delta_out_of_range(self, delta, capsys):
+        # 2^-1100 underflows to 0.0, which used to escape as a ValueError from log2
+        argv = ["--config", "so_pq:2,1", "--fractal", "full_grid:5,2", "--delta", delta]
+        assert proj_exp_main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: delta must be 2^-s")
+
     @pytest.mark.parametrize("num_u", ["0", "-4"])
     def test_proj_exp_no_sampled_u(self, num_u, capsys):
         argv = ["--config", "so_pq:2,1", "--fractal", "full_grid:5,2", "--delta", "3", "--num-u", num_u]
@@ -457,9 +464,35 @@ def test_benchmark_tracer_installs():
     assert proc.returncode == 0, proc.stderr
 
 
+SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=[p.name for p in SCRIPTS])
+def test_script_help_runs(script):
+    """Each script imports what it uses of the package at its top, so `--help`
+    fails when one of those names is renamed or deleted."""
+    proc = subprocess.run(
+        [sys.executable, str(script), "--help"],
+        env={**os.environ, "PYTHONPATH": str(Path(repverify.__file__).resolve().parents[1])},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage:")
+
+
 def test_public_api_names_resolve():
     names = repverify.__all__
     assert [name for name in names if not hasattr(repverify, name)] == []
     assert len(names) == len(set(names))
-    for gone in ("TreeOp", "eval_tree", "Rat"):
+    for gone in (
+        "TreeOp",
+        "eval_tree",
+        "Rat",
+        "TubeSpec",
+        "tube_covering_number",
+        "alpha_energy",
+        "frostman_constant",
+        "orthogonal_complement",
+    ):
         assert gone not in names and not hasattr(repverify, gone)

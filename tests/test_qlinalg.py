@@ -36,7 +36,6 @@ from repverify.qlinalg import (
     mat_to_json,
     matmul_mod,
     nilpotent_exp,
-    orthogonal_complement,
     rank,
     solve_exact,
     subspace_from_json,
@@ -240,32 +239,6 @@ class TestSumIntersect:
             assert s.dim + i.dim == u.dim + w.dim
             assert s.contains_subspace(u) and s.contains_subspace(w)
             assert u.contains_subspace(i) and w.contains_subspace(i)
-
-
-class TestOrthocomplement:
-    def test_coordinate_case(self):
-        u = Subspace.from_columns(3, [e(3, 0)])
-        assert orthogonal_complement(u) == Subspace.from_columns(3, [e(3, 1), e(3, 2)])
-
-    def test_full_space(self):
-        assert orthogonal_complement(Subspace.full(3)).dim == 0
-
-    def test_diagonal_line(self):
-        u = Subspace.from_columns(2, [[1, 1]])
-        c = orthogonal_complement(u)
-        assert c.dim == 1
-        v = c.basis.col(0)
-        assert v[0] + v[1] == 0
-
-    def test_involution(self):
-        rng = random.Random(23)
-        for _ in range(20):
-            n = rng.randint(1, 6)
-            u = random_subspace(rng, n, rng.randint(0, n))
-            c = orthogonal_complement(u)
-            assert c.dim == n - u.dim
-            assert subspace_intersect(u, c).dim == 0
-            assert orthogonal_complement(c) == u
 
 
 class TestNilpotentExp:
@@ -612,7 +585,6 @@ def test_elimination_matches_sympy(m, data):
     assert subspace_intersect(u, w) == subspace_intersect(w, u) == sympy_span(m.rows, meet)
     generators = [a.col(j) for j in range(a.cols)] + [b.col(j) for j in range(b.cols)]
     assert subspace_sum(u, w) == sympy_span(m.rows, generators)
-    assert orthogonal_complement(u) == sympy_span(m.rows, a.T.nullspace())
     # half the entries zero, so most pivots need a row swap
     k = data.draw(st.integers(min_value=0, max_value=5))
     entry = st.one_of(st.just(F(0)), small_fracs)
@@ -663,9 +635,13 @@ def test_kernel_annihilates_property(m):
 
 @settings(max_examples=40, deadline=None)
 @given(frac_matrix())
-def test_complement_involution_property(m):
+def test_column_space_and_left_kernel_split_the_space_property(m):
+    # over Q the column space of m meets the kernel of m^T only in 0
     u = canonicalize(m)
-    assert orthogonal_complement(orthogonal_complement(u)) == u
+    k = kernel_basis(m.transpose())
+    assert u.dim + k.dim == m.rows
+    assert subspace_intersect(u, k).dim == 0
+    assert subspace_sum(u, k) == Subspace.full(m.rows)
 
 
 @st.composite
