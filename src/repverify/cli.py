@@ -83,16 +83,16 @@ def main(argv=None) -> int:
         cfg = SuiteConfig(
             suite=overrides.get("suite", args.suite),
             master_seed=int(overrides.get("master_seed", args.seed)),
-            out=overrides.get("out", args.out),
             scale=float(overrides.get("scale", args.scale)),
         )
+        out = overrides.get("out", args.out)
     except (UsageError, json.JSONDecodeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if _outputs_missing(cfg.out):
+    if _outputs_missing(out):
         return 2
     report = run_suite(cfg, jobs=args.jobs)
-    return _write_out(emit_report(report, args.format), cfg.out, 0 if report.all_passed else 1)
+    return _write_out(emit_report(report, args.format), out, 0 if report.all_passed else 1)
 
 
 def genericdim_main(argv=None) -> int:
@@ -216,7 +216,7 @@ def proj_exp_main(argv=None) -> int:
             cfg,
             fractal,
             mu,
-            2.0**-args.delta,
+            2.0**-args.delta if args.delta > -1024 else math.inf,  # 2^1024 overflows; inf fails like 0.0
             args.epsilon,
             args.m_exponent,
             args.num_u,

@@ -7,9 +7,10 @@ spanning count is read off as the modal value over independent trials.
 A sampled element is its recipe; the exact matrix is built from it only on
 first use.  The bound checks need only ranks, so they compute the residues mod
 the prime MODULUS of all their elements in one batch, straight from the
-recipes, and certify each trial's rank on those residues.  A mod-p rank that
-reaches min(#columns, length) is the exact rank; every trial whose mod-p rank
-falls short builds its exact elements and is decided over Z.
+recipes, and certify the ranks of all their trials in one `certified_columns`
+call on that batch.  A mod-p rank that reaches min(#columns, length) is the
+exact rank; every trial whose mod-p rank falls short builds its exact elements
+and is decided over Z, by a `RowSpan`.
 """
 
 from __future__ import annotations
@@ -223,8 +224,7 @@ def check_intersection_bound(
     hw = matmul_mod(_residues(cfg, elements), _mod_p(wc))
     wp = np.broadcast_to(_mod_p(wpc), (len(elements), n, len(wpc)))
     report = TrialReport()
-    for h, residues in zip(elements, np.concatenate([hw, wp], axis=2).transpose(0, 2, 1).tolist()):
-        sel = certified_columns(residues)
+    for h, sel in zip(elements, certified_columns(np.concatenate([hw, wp], axis=2))):
         if sel is None:
             sel = independent_columns(apply_rows(h.integer_rows[0], wc) + wpc)
         d = k + w_prime.dim - len(sel)
@@ -244,8 +244,7 @@ def check_projection_bound(cfg: RepConfig, w: Subspace, w_prime: Subspace, trial
     elements = [sample_element(cfg, seed * 7_777_777 + t, complexity) for t in range(trials)]
     products = matmul_mod(_mod_p(wpc).T, matmul_mod(_residues(cfg, elements), _mod_p(wc)))
     report = TrialReport()
-    for h, residues in zip(elements, products.tolist()):
-        sel = certified_columns(residues)
+    for h, sel in zip(elements, certified_columns(products)):
         if sel is None:
             sel = independent_columns(apply_rows(apply_rows(h.integer_rows[0], wc), wpc))
         r = len(sel)
@@ -291,10 +290,9 @@ def find_spanning_q(cfg: RepConfig, w: Subspace, trials: int, seed: int) -> tupl
 
     heads = [[draw(t, step) for step in range(1, first + 1)] for t in range(trials)]
     head = matmul_mod(_residues(cfg, [h for hs in heads for h in hs]), _mod_p(wc))
-    head_columns = head.reshape(trials, first, n, k).transpose(0, 1, 3, 2).reshape(trials, first * k, n).tolist()
+    head = head.reshape(trials, first, n, k).transpose(0, 2, 1, 3).reshape(trials, n, first * k)
     outcomes: Counter = Counter()
-    for t, (drawn, cols) in enumerate(zip(heads, head_columns)):
-        sel = certified_columns(cols)
+    for t, (drawn, sel) in enumerate(zip(heads, certified_columns(head))):
         if sel is not None and sel[: (first - 1) * k] == list(range((first - 1) * k)):
             outcomes[certified] += 1
             continue

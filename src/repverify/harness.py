@@ -46,7 +46,6 @@ class UsageError(Exception):
 class SuiteConfig:
     suite: str
     master_seed: int = 0
-    out: str | None = None
     scale: float = 1.0  # multiplies trial counts; 1.0 is the standard run
 
     def __post_init__(self):
@@ -89,8 +88,8 @@ def derive_seed(master_seed: int, module: str, op: str, index: int = 0) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _scaled(base: int, scale: float, minimum: int = 2) -> int:
-    return max(minimum, int(round(base * scale)))
+def _scaled(base: int, scale: float) -> int:
+    return max(2, int(round(base * scale)))
 
 
 def _item(name: str, passed: bool, **detail) -> dict:

@@ -8,27 +8,26 @@ path (translates h.W, the BCCT ranks of `brascamp_lieb`, the kernel step of
 `subspace_intersect`) is the one integer product `apply_rows`: integer rows
 times integer columns.
 
-Every matrix elimination runs on integer rows in the one column sweep
-`_pivot_columns`, on vectors cleared of denominators (each times the lcm of its
-own): forward only mod p, and over Z fraction-free Gauss-Jordan (each update
-(p x - f y) // prev is exact), where each pivot row ends as its reduced row
-echelon row times the last pivot, the determinant of a square matrix.  A
-`Subspace` is those rows over their gcd.  `RowSpan` runs no sweep: it keeps a
-primitive echelon basis and appends one reduced row per new vector, and a
-reduction by a row whose pivot ratio is 1 (a positive pivot that divides the
-vector's entry there) touches only that row's support, its nonzero columns.
-Nor does containment: every pivot entry of a canonical column is L, so W lies
-in U exactly when W's pivots are among U's and each column x of W satisfies
+Every matrix elimination over Z runs on integer rows in the one column sweep
+`_pivot_columns`, fraction-free Gauss-Jordan on vectors cleared of
+denominators (each times the lcm of its own; each update (p x - f y) // prev is
+exact), where each pivot row ends as its reduced row echelon row times the last
+pivot, the determinant of a square matrix.  A `Subspace` is those rows over
+their gcd.  Every exact rank is a `RowSpan`: `independent_columns`, on columns
+cleared by `integer_columns`, keeps the columns that enlarge a `RowSpan` of the
+columns before them.  `RowSpan` runs no sweep: it keeps a primitive echelon
+basis and appends one reduced row per new vector, and a reduction by a row
+whose pivot ratio is 1 (a positive pivot that divides the vector's entry there)
+touches only that row's support, its nonzero columns.  Nor does containment:
+every pivot entry of a canonical column is L, so W lies in U exactly when W's
+pivots are among U's and each column x of W satisfies
 L x[i] = sum_j u_j[i] x[p_j], which `Subspace.contains_subspace` reads off the
 integer columns.
 
-Ranks go through `independent_columns`, on columns cleared of denominators by
-`integer_columns`: `certified_columns` runs the sweep mod the 31-bit prime
-p = MODULUS and keeps that answer only when the mod-p rank reaches
-min(#columns, length), which certifies it (rank_p <= rank_Q <= min, and a minor
-nonzero mod p is nonzero over Z); otherwise the columns that enlarge a
-`RowSpan` of the columns before them give the rank over Z.  The batched trials
-of `generic` certify on the residues they already hold first.
+The one elimination mod the 31-bit prime p = MODULUS is `certified_columns`,
+one numpy sweep over a batch of residue matrices, which `generic` runs once
+per trial check: a mod-p rank that reaches min(#columns, length) is the rank
+over Q (rank_p <= rank_Q <= min, and a minor nonzero mod p is nonzero over Z).
 
 Every unipotent exponential goes through the one exp kernel `exp_product_rows`:
 it multiplies exp(t N) factors from the terms N^k/k! of each N (`exp_terms`)
@@ -214,7 +213,7 @@ def det(m: Mat) -> Fraction:
     if m.rows != m.cols:
         raise DimensionMismatch("determinant of non-square matrix")
     s, ents = _integer(m.entries)
-    pivots, d = _pivot_columns([ents[i * m.cols : (i + 1) * m.cols] for i in range(m.rows)], None)
+    pivots, d = _pivot_columns([ents[i * m.cols : (i + 1) * m.cols] for i in range(m.rows)])
     return Fraction(d, s**m.rows) if len(pivots) == m.rows else Fraction(0)
 
 
@@ -233,40 +232,43 @@ def apply_rows(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]]) -> 
 
 
 def independent_columns(vecs: Sequence[Sequence[int]]) -> list[int]:
-    """Indices of a maximal independent subset of the integer vectors vecs, so
-    its length is their rank over Q.
-
-    Eliminates mod MODULUS first (`certified_columns`); when the mod-p count
-    falls short of min(#vecs, length), the subset is chosen over Z instead: the
-    vectors that enlarge a `RowSpan` of the vectors before them.
-    """
-    pivots = certified_columns([[x % MODULUS for x in vec] for vec in vecs])
-    if pivots is None:
-        span = RowSpan(len(vecs[0]))
-        pivots = [i for i, vec in enumerate(vecs) if span.add(vec)]
-    return pivots
+    """Indices of the integer vectors vecs that enlarge a `RowSpan` of the
+    vectors before them: a maximal independent subset, so its length is their
+    rank over Q."""
+    span = RowSpan(len(vecs[0]) if vecs else 0)
+    return [i for i, vec in enumerate(vecs) if span.add(vec)]
 
 
-def certified_columns(residues: Sequence[Sequence[int]]) -> list[int] | None:
-    """Pivot indices of vectors given by their residues mod MODULUS, when that
-    count certifies the rank over Q of any integer vectors with these residues;
+def certified_columns(batch: np.ndarray) -> list[list[int] | None]:
+    """Per matrix of a (trials, length, #vectors) int64 batch of residues mod
+    MODULUS, its pivot columns when their count reaches min(#vectors, length),
+    which certifies the rank over Q of any integer matrix with these residues;
     else None.
 
-    rank_p <= rank_Q <= min(#vecs, length), and a minor that is nonzero mod p is
-    nonzero over Z, so a mod-p count that reaches the minimum is the exact rank
-    and its columns are an exact basis of the span.
+    One forward sweep runs over the whole batch: at each column, each matrix
+    pivots on its first row y that is nonzero there, with entry p (1 if none
+    is), and every row x, y too, becomes (p x - f y) mod MODULUS for f its entry
+    there.  Both products are below 2^62, so int64 is exact.  The pivot columns
+    of a forward sweep do not depend on the rows it picks.
     """
-    rows = [list(row) for row in zip(*residues)]
-    pivots, _ = _pivot_columns(rows, MODULUS)
-    return pivots if len(pivots) == min(len(residues), len(rows)) else None
+    trials, length, width = batch.shape
+    m, at = batch, np.arange(trials)
+    pivoted = np.zeros((trials, width), dtype=bool)
+    for c in range(width):
+        col = m[:, :, c]
+        nonzero = col != 0
+        y = m[at, nonzero.argmax(axis=1)]
+        pivoted[:, c] = nonzero.any(axis=1)
+        p = np.where(pivoted[:, c], y[:, c], 1)
+        m = (p[:, None, None] * m - col[:, :, None] * y[:, None, :]) % MODULUS
+    return [np.flatnonzero(row).tolist() if row.sum() == min(length, width) else None for row in pivoted]
 
 
-def _pivot_columns(rows: list[Sequence[int]], modulus: int | None) -> tuple[list[int], int]:
-    """Pivot columns and last pivot of an integer matrix, by a column sweep in
-    place: forward only mod `modulus`, or fraction-free Gauss-Jordan over Z when
-    it is None (each update is exactly divisible by the previous pivot), so
-    that every pivot row ends as its reduced row echelon row times the last
-    pivot.  Zero columns below the pivots are skipped.
+def _pivot_columns(rows: list[Sequence[int]]) -> tuple[list[int], int]:
+    """Pivot columns and last pivot of an integer matrix, by fraction-free
+    Gauss-Jordan in place (each update (p x - f y) // prev is exact), so that
+    every pivot row ends as its reduced row echelon row times the last pivot.
+    Zero columns below the pivots are skipped.
 
     A row swap negates the row it moves down, so the determinant keeps its sign
     and the last pivot of a square nonsingular matrix is its determinant.
@@ -282,13 +284,9 @@ def _pivot_columns(rows: list[Sequence[int]], modulus: int | None) -> tuple[list
             rows[r], rows[i] = rows[i], [-x for x in rows[r]]
         prow = rows[r]
         p = prow[c]
-        for i in range(r + 1 if modulus else 0, nrows):
-            row = rows[i]
-            f = row[c]
-            if modulus:
-                if f:
-                    rows[i] = [(p * x - f * y) % modulus for x, y in zip(row, prow)]
-            elif i != r:
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[c]
                 rows[i] = [(p * x - f * y) // prev for x, y in zip(row, prow)]
         pivots.append(c)
         prev, r = p, r + 1
@@ -301,7 +299,7 @@ def _kernel_vectors(rows: list[Sequence[int]], ncols: int) -> list[list[int]]:
     """Integer vectors spanning the kernel of the integer matrix rows (consumed):
     one per free column f, d e_f - sum_r rows[r][f] e_(pivot r) with d the last
     pivot of the sweep over Z."""
-    pivots, d = _pivot_columns(rows, None)
+    pivots, d = _pivot_columns(rows)
     out = []
     for f in sorted(set(range(ncols)) - set(pivots)):
         v = [0] * ncols
@@ -317,7 +315,7 @@ def solve_exact(m: Mat, rhs: Mat) -> Mat:
     if rhs.rows != m.rows:
         raise DimensionMismatch(f"rhs has {rhs.rows} rows, m has {m.rows}")
     aug = [_integer(m.row(i) + rhs.row(i))[1] for i in range(m.rows)]
-    pivots, d = _pivot_columns(aug, None)
+    pivots, d = _pivot_columns(aug)
     # a pivot in the rhs columns is an inconsistent row; rows past the pivots are zero
     if len(pivots) < m.cols or any(p >= m.cols for p in pivots):
         raise LinAlgError("system is inconsistent or underdetermined")
@@ -465,7 +463,7 @@ def canonicalize(m: Mat) -> Subspace:
 def _span(n: int, vecs: list[Sequence[int]]) -> Subspace:
     """The canonical Subspace spanned by integer vectors of length n (consumed):
     the rows of the sweep over Z, zero past the pivots, over their gcd, pivots > 0."""
-    pivots, d = _pivot_columns(vecs, None)
+    pivots, d = _pivot_columns(vecs)
     g = math.gcd(*(x for row in vecs for x in row)) * (1 if d > 0 else -1)
     return Subspace(n, tuple(tuple(x // g for x in row) for row in vecs[: len(pivots)]))
 

@@ -203,7 +203,7 @@ def _identity_element(cfg):
 
 
 class TestUncertifiedModP:
-    """Columns whose mod-p rank falls short of the minimum, so Bareiss decides."""
+    """Columns whose mod-p rank falls short of the minimum, so a RowSpan over Z decides."""
 
     def test_intersection_decided_over_z(self):
         # [h.W | W'] = [e1 | e1 + p e2] has rank 2, but rank 1 mod p
@@ -221,6 +221,19 @@ class TestUncertifiedModP:
         wp = Subspace.from_columns(3, [[MODULUS, 1, 0]])
         rep = check_projection_bound(cfg, w, wp, 2, 0)
         assert rep.dimension_histogram == {1: 2}
+
+
+def test_one_certificate_per_check(monkeypatch):
+    # each check certifies all of its trials in one batched call
+    calls, certify = [], generic.certified_columns
+    monkeypatch.setattr(generic, "certified_columns", lambda batch: calls.append(len(batch)) or certify(batch))
+    cfg, _, flags = flags_of("so_pq:2,1")
+    check_intersection_bound(cfg, flags[1], flags[2], 200, 3)
+    assert calls == [200]
+    check_projection_bound(cfg, flags[0], flags[2], 30, 3)
+    assert calls == [200, 30]
+    find_spanning_q(cfg, flags[1], 20, 3)
+    assert calls == [200, 30, 20]
 
 
 # Criterion 3's configs at seed 11, pinned before the checks moved to integer
@@ -253,7 +266,7 @@ def test_projection_and_spanning_pinned(name):
 def test_spanning_replayed_over_z_matches_pins(name, monkeypatch):
     # no head batch certifies, so every trial runs the spanning run over Z; at
     # n = 9 the dim-3 flag replays its deficit (4, (0, 1, 2)) on ~380-bit entries
-    monkeypatch.setattr(generic, "certified_columns", lambda residues: None)
+    monkeypatch.setattr(generic, "certified_columns", lambda batch: [None] * len(batch))
     cfg, _, flags = flags_of(name)
     assert [find_spanning_q(cfg, w, trials=4, seed=11) for w in flags] == SPANNING_PINS[cfg.n]
 
@@ -261,7 +274,7 @@ def test_spanning_replayed_over_z_matches_pins(name, monkeypatch):
 def test_spanning_tie_goes_to_the_first_outcome(monkeypatch):
     # two trials, two distinct outcomes that both satisfy sum k_q' = qk - n:
     # the modal outcome of a tie is the one seen first
-    monkeypatch.setattr(generic, "certified_columns", lambda residues: None)
+    monkeypatch.setattr(generic, "certified_columns", lambda batch: [None] * len(batch))
     cfg, _, flags = flags_of("so_pq:2,1")
     w = flags[2]
     assert w.dim == 2

@@ -245,9 +245,10 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 
-    @pytest.mark.parametrize("delta", ["0", "41", "1100"])
+    @pytest.mark.parametrize("delta", ["0", "41", "1100", "-2000"])
     def test_proj_exp_delta_out_of_range(self, delta, capsys):
-        # 2^-1100 underflows to 0.0, which used to escape as a ValueError from log2
+        # 2^-1100 underflows to 0.0, which used to escape as a ValueError from log2;
+        # 2^2000 overflows, which used to escape as an OverflowError
         argv = ["--config", "so_pq:2,1", "--fractal", "full_grid:5,2", "--delta", delta]
         assert proj_exp_main(argv) == 2
         assert capsys.readouterr().err.startswith("error: delta must be 2^-s")

@@ -24,6 +24,7 @@ from repverify.qlinalg import (
     Subspace,
     _integer,
     canonicalize,
+    certified_columns,
     det,
     exp_product,
     exp_product_residues,
@@ -278,7 +279,7 @@ class TestIndependentColumns:
         assert independent_columns([]) == []
 
     def test_deficient_mod_p_full_over_q(self):
-        # (p, 0) vanishes mod p; only the Bareiss recount sees rank 2
+        # (p, 0) vanishes mod p; the RowSpan over Z sees rank 2
         assert independent_columns([[MODULUS, 0], [0, 1]]) == [0, 1]
 
     def test_deficient_mod_p_and_over_q(self):
@@ -287,8 +288,8 @@ class TestIndependentColumns:
         assert independent_columns(cols) == [0, 1]
 
     def test_bareiss_recount_matches_rank(self):
-        # every column a multiple of p, so every rank is recounted over Z; the
-        # sparse entries leave zeros below pivots, which Bareiss must rescale too
+        # every column a multiple of p, which a mod-p count would miss; the
+        # sparse entries leave zeros in pivot columns, which RowSpan must skip
         rng = random.Random(5)
         for _ in range(3000):
             n, c = rng.randint(1, 6), rng.randint(1, 7)
@@ -446,12 +447,78 @@ def test_independent_columns_rank_property(m):
 @settings(max_examples=120, deadline=None)
 @given(int_or_frac_matrix())
 def test_independent_columns_exact_branch_is_greedy(m):
-    # every column a multiple of p, so no rank is certified mod p and the exact
-    # branch picks column i exactly when it raises the rank of the columns before
+    # every column a multiple of p, which a mod-p count would miss: column i is
+    # picked exactly when it raises the rank of the columns before it
     cols = [[MODULUS * x for x in col] for col in integer_columns(m)]
     sm = to_sympy(m)
     ranks = [sm[:, :i].rank() for i in range(m.cols + 1)]
     assert independent_columns(cols) == [i for i in range(m.cols) if ranks[i + 1] > ranks[i]]
+
+
+def _sweep_mod_p(rows):
+    """certified_columns for one matrix, one row at a time: pivot on the first
+    remaining row that is nonzero mod p, remove it and eliminate the column
+    from the rest."""
+    rows, width, pivots = [list(row) for row in rows], len(rows[0]), []
+    full = min(len(rows), width)
+    for c in range(width):
+        i = next((i for i, row in enumerate(rows) if row[c] % MODULUS), None)
+        if i is not None:
+            y = rows.pop(i)
+            rows = [[(y[c] * x - row[c] * b) % MODULUS for x, b in zip(row, y)] for row in rows]
+            pivots.append(c)
+    return pivots if len(pivots) == full else None
+
+
+@st.composite
+def residue_batches(draw):
+    """Integer matrices of one shape (length x #vectors), each of one of three
+    kinds: dense with entries up to 2^40 (full rank), the same with some
+    columns times MODULUS (deficient mod p, not over Q), or a product of inner
+    dimension below both sides (deficient over Q)."""
+    length = draw(st.integers(min_value=1, max_value=6))
+    width = draw(st.integers(min_value=1, max_value=7))
+    big = st.integers(min_value=-(2**40), max_value=2**40)
+
+    def mat(rows, cols, entry=big):
+        return draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+
+    mats = []
+    for kind in draw(st.lists(st.sampled_from(("full", "mod_p", "over_q")), min_size=1, max_size=6)):
+        if kind == "over_q" and min(length, width) > 1:
+            inner = draw(st.integers(min_value=1, max_value=min(length, width) - 1))
+            a, b = mat(length, inner, st.integers(-9, 9)), mat(inner, width, st.integers(-9, 9))
+            m = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+        else:
+            m = mat(length, width)
+            if kind == "mod_p":
+                scaled = draw(st.lists(st.booleans(), min_size=width, max_size=width))
+                m = [[x * MODULUS if s else x for x, s in zip(row, scaled)] for row in m]
+        mats.append(m)
+    return mats
+
+
+@settings(max_examples=150, deadline=None)
+@given(residue_batches())
+def test_certified_columns_match_per_matrix_sweep(mats):
+    batch = np.array([[[x % MODULUS for x in row] for row in m] for m in mats], dtype=np.int64)
+    got = certified_columns(batch)
+    assert got == [_sweep_mod_p(m) for m in mats]
+    for m, sel in zip(mats, got):
+        # a certified list is a basis over Q of the span of the columns
+        cols = [list(col) for col in zip(*m)]
+        if sel is not None:
+            assert len(sel) == len(independent_columns(cols)) == len(independent_columns([cols[i] for i in sel]))
+            assert all(type(c) is int for c in sel)
+
+
+def test_certified_columns_edge_shapes():
+    assert certified_columns(np.zeros((2, 3, 0), dtype=np.int64)) == [[], []]
+    # entries p - 1 everywhere: the largest products the sweep forms
+    top = np.full((1, 2, 2), MODULUS - 1, dtype=np.int64)
+    top[0, 1, 1] = 1
+    assert certified_columns(top) == [[0, 1]]
+    assert certified_columns(np.full((1, 2, 2), MODULUS - 1, dtype=np.int64)) == [None]
 
 
 class DenseRowSpan:
