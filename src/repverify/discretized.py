@@ -5,8 +5,9 @@ floor division.  Point sets live in the unit box; images under sampled group
 elements may leave it, which covering counts handle transparently.  Norms are
 Euclidean throughout (a different norm only shifts constants).
 
-Every covering count floors the keys of KEY_BLOCK points at a time into one
-reused buffer, so it holds one packed key per point plus one block.
+Every covering count reads its key ranges off the point set's box and packs
+the keys of KEY_BLOCK points at a time, each block filled once into one reused
+buffer, so it holds one packed key per point plus one block.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ class DegenerateError(Exception):
 
 def _dyadic_exponent(delta: float) -> int:
     s = round(-math.log2(delta)) if 0 < delta < math.inf else 0  # NaN, 0 and inf fail the range check
-    if not (1 <= s <= MAX_SCALE) or abs(2.0**-s - delta) > 1e-15:
+    if not (1 <= s <= MAX_SCALE) or delta != 2.0**-s:
         raise SpecError(f"delta must be 2^-s with 1 <= s <= {MAX_SCALE}, got {delta}")
     return s
 
@@ -66,13 +67,14 @@ class PointSet:
             raise SpecError("points array must be (N, ambient)")
         if pts.shape[0] > MAX_POINTS:
             raise SizeError(f"point set exceeds cap {MAX_POINTS}")
-        if not np.isfinite(self.extent).all():  # a NaN or an infinity reaches the extremes
+        if not np.isfinite(self.box).all():  # a NaN or an infinity reaches the extremes
             raise SpecError("point coordinates must be finite")
 
     @cached_property
-    def extent(self) -> np.ndarray:
-        """The largest |x_j| over the points, for each coordinate j (0 for no points)."""
-        return np.maximum(self.points.max(axis=0, initial=0.0), -self.points.min(axis=0, initial=0.0))
+    def box(self) -> np.ndarray:
+        """(2, ambient): the least and the greatest x_j over the points, for each coordinate j."""
+        pts = self.points if self.size else np.zeros((1, self.ambient))  # zeros for no points
+        return np.stack([pts.min(axis=0), pts.max(axis=0)])
 
     @property
     def size(self) -> int:
@@ -101,16 +103,16 @@ def make_point_set(points, provenance: str) -> PointSet:
     return PointSet(pts.shape[1], _dedupe(pts), provenance)  # rejects a non-finite point, which _dedupe keeps
 
 
-def _count_distinct(n: int, k: int, fill) -> int:
-    """Number of distinct key tuples among n points with k integer keys each.
+def _count_distinct(n: int, lo, hi, fill) -> int:
+    """Number of distinct key tuples among n points whose key j lies in [lo[j], hi[j]].
 
     fill(start, out) writes the keys of points start .. start + m - 1, as
     integer-valued floats, into the (k, m) buffer out, m <= KEY_BLOCK; one
-    buffer serves every block.  Pass 1 takes each key's min and max.  Pass 2
-    refills the blocks (a set that fits in one block is filled once), shifts
-    them by the minimum and packs each point into one key by one product with
-    the place values, key j taking bit_length(max_j - min_j + 1) bits.  The
-    packed keys are sorted and unequal neighbours counted.
+    buffer serves every block, each filled once.  Each block is shifted by lo
+    and packed into one key per point by one product with the place values,
+    key j taking bit_length(hi_j - lo_j + 1) bits: a range wider than its keys
+    costs bits, never exactness.  The packed keys are sorted and unequal
+    neighbours counted.
 
     Keys of at most 53 bits pack as float64, where every integer is exact, and
     sort as uint32 when they fit in 32 bits.  Keys of 54 to 62 bits pack as
@@ -118,73 +120,55 @@ def _count_distinct(n: int, k: int, fill) -> int:
     """
     if n == 0:
         return 0
+    k = len(lo)
+    lo = [int(v) for v in lo]
+    widths = [(int(top) - low + 1).bit_length() for low, top in zip(lo, hi)]
+    bits = sum(widths)
     step = min(n, KEY_BLOCK)
     buf = np.empty(k * step)
 
-    def blocks(refill=True):
+    def blocks():
         for start in range(0, n, step):
             out = buf[: k * min(step, n - start)].reshape(k, -1)
-            if refill:
-                fill(start, out)
-            yield start, out
+            fill(start, out)
+            yield slice(start, start + out.shape[1]), out
 
-    lo = np.full(k, np.inf)
-    hi = np.full(k, -np.inf)
-    for _, out in blocks():
-        np.minimum(lo, out.min(axis=1), out=lo)
-        np.maximum(hi, out.max(axis=1), out=hi)
-    lo = [int(v) for v in lo]
-    widths = [(int(top) - low + 1).bit_length() for top, low in zip(hi, lo)]
-    bits = sum(widths)
     if bits > 62:
         rows = np.empty((k, n))
-        for start, out in blocks(refill=n > step):
-            rows[:, start : start + out.shape[1]] = out
+        for at, out in blocks():
+            rows[:, at] = out
         rows = rows[:, np.lexsort(rows)]
         return 1 + int(np.count_nonzero(np.any(rows[:, 1:] != rows[:, :-1], axis=0)))
     exact = np.int64 if bits > 53 else np.float64
     place = np.array([1 << sum(widths[j + 1 :]) for j in range(k)], dtype=exact)
     shift = np.array(lo, dtype=exact)[:, None]
-
-    def pack(out):
+    key = np.empty(n, np.uint32 if bits <= 32 else exact)
+    for at, out in blocks():
         out = out.astype(exact, copy=False)
         out -= shift
-        return out[0] if k == 1 else np.dot(place, out)  # np.dot on one row costs more than a copy
-
-    dtype = np.uint32 if bits <= 32 else exact
-    if n == step:
-        key = pack(out).astype(dtype, copy=False)  # the one block is still in the buffer
-    else:
-        key = np.empty(n, dtype)
-        for start, out in blocks():
-            key[start : start + out.shape[1]] = pack(out)
+        key[at] = out[0] if k == 1 else np.dot(place, out)  # np.dot on one row costs more than a copy
     key.sort()
     return 1 + int(np.count_nonzero(key[1:] != key[:-1]))
 
 
-def _cube_fill(a: PointSet, delta: float):
-    """fill(start, out) for `_count_distinct`: the cube indices floor(x / delta)
-    of the points of a.
+def covering_number(a: PointSet, delta: float) -> int:
+    """Number of half-open axis-aligned delta-cubes anchored at 0 meeting a.
 
-    Generated point sets are column-major, so each coordinate of a block is
-    read as one contiguous run.  SpecError, before any division, when some
-    |x| / delta would reach MAX_QUOTIENT, so that no quotient overflows to inf.
+    delta = 2^-s, so the cube indices floor(x / delta) are exact and lie in
+    floor(box / delta).  SpecError, before any division, when some |x| / delta
+    would reach MAX_QUOTIENT.  Generated point sets are column-major, so each
+    coordinate of a block is read as one contiguous run.
     """
-    if np.any(a.extent >= delta * MAX_QUOTIENT):
-        raise SpecError(f"|coordinate| / cell side must stay below 2^1023, got {a.extent.max()} / {delta}")
-    points = a.points
+    _dyadic_exponent(delta)
+    if np.any(np.abs(a.box) >= delta * MAX_QUOTIENT):
+        raise SpecError(f"|coordinate| / cell side must stay below 2^1023, got {np.abs(a.box).max()} / {delta}")
 
     def fill(start, out):
-        np.divide(points[start : start + out.shape[1]].T, delta, out=out)
+        np.divide(a.points[start : start + out.shape[1]].T, delta, out=out)
         np.floor(out, out=out)
 
-    return fill
-
-
-def covering_number(a: PointSet, delta: float) -> int:
-    """Number of half-open axis-aligned delta-cubes anchored at 0 meeting a."""
-    _dyadic_exponent(delta)
-    return _count_distinct(a.size, a.ambient, _cube_fill(a, delta))
+    lo, hi = np.floor(a.box / delta)
+    return _count_distinct(a.size, lo, hi, fill)
 
 
 def _distance_blocks(pts: np.ndarray):
@@ -452,17 +436,30 @@ def projection_experiment(
     per_u = []
     exceptional = 0
     pts_t = f.points.T  # n x N
+    extent = np.abs(f.box).max(axis=0)
     for i in range(num_u):
         coeffs = rng.uniform(-1.0, 1.0, size=dim_u)
         # delta = 2^-s, so pre-scaling the flag rows is exact: each k x m block
-        # product equals (mat @ pts) / delta bit for bit, and is floored where it lies
+        # product equals (mat @ pts) / delta bit for bit, and is floored where it
+        # lies.  Key r, floor(rows[r] . x), is bounded over the box by interval
+        # arithmetic before any key is computed.  The keys' matmul and the
+        # interval's sums each err by at most gamma_n bound <= 2n 2^-53 bound,
+        # bound = |rows[r]| . extent (Higham, Accuracy and Stability of Numerical
+        # Algorithms, ch. 3), so each end widens by twice that: one cell at most
+        # at desk scales.
         rows = _unipotent_matrix(cfg, coeffs)[flag_idx] / delta
+        with np.errstate(over="ignore"):  # an overflowing bound is inf, rejected here
+            bound = np.abs(rows) @ extent
+        if not np.all(bound < MAX_QUOTIENT):
+            raise SpecError(f"|flag key| must stay below 2^1023, got a bound of {bound.max()}")
+        ends = np.sort([rows * f.box[0], rows * f.box[1]], axis=0).sum(axis=2)  # least and greatest
+        lo, hi = np.floor(ends + [[-1.0], [1.0]] * (n * 2.0**-51 * bound))
 
         def fill(start, out):
             np.matmul(rows, pts_t[:, start : start + out.shape[1]], out=out)
             np.floor(out, out=out)
 
-        cover = _count_distinct(f.size, k, fill)
+        cover = _count_distinct(f.size, lo, hi, fill)
         bad = cover < covering_threshold
         exceptional += bad
         per_u.append((tuple(coeffs), cover, bool(bad)))

@@ -66,7 +66,9 @@ class TestCovering:
         with pytest.raises(SpecError):
             covering_number(ps, 0.3)
 
-    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf, 0.0, -0.25, 1.0, 2.0**-41, 0.375])
+    @pytest.mark.parametrize(
+        "delta", [math.nan, math.inf, -math.inf, 0.0, -0.25, 1.0, 2.0**-41, 0.375, 2**-40 * 1.001, 2**-10 * (1 + 1e-14)]
+    )
     @pytest.mark.parametrize(
         "count",
         [
@@ -105,6 +107,15 @@ class TestCovering:
             with pytest.raises(SpecError, match=r"2\^1023"):
                 count(np.array([[0.5], [x]]))
             assert count(np.array([[0.5], [x * 2.0**-40]])) == 2
+
+    def test_overflowing_flag_key_is_a_spec_error(self):
+        # the base cover passes the 2^1023 check, but the flag keys of the far
+        # point overflow: their bound is rejected before any key is computed
+        ps = PointSet(5, np.array([[0.5] * 5, [2.0**1020] * 5]), "big")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SpecError, match=r"2\^1023"):
+                projection_experiment(build_config("sl2_sym:4"), ps, 0, 2**-1, 0.05, 2.0, 5, 1)
 
     def test_wide_keys(self, monkeypatch):
         # 3 x 41 key bits at 2^-40 take the lexsort path
@@ -173,7 +184,8 @@ def _count_rows(keys: np.ndarray) -> int:
     def fill(start, out):
         out[:] = keys[start : start + out.shape[1]].T
 
-    return discretized._count_distinct(*keys.shape, fill)
+    lo, hi = (keys.min(axis=0), keys.max(axis=0)) if len(keys) else ([0] * keys.shape[1],) * 2
+    return discretized._count_distinct(len(keys), lo, hi, fill)
 
 
 class TestCountDistinct:
@@ -193,6 +205,28 @@ class TestCountDistinct:
         keys = rng.integers(-span // 2, span // 2, size=shape)
         keys = np.vstack([keys, keys[: shape[0] // 3]])  # repeated rows
         assert _count_rows(keys) == _distinct_rows(keys)
+
+    @pytest.mark.parametrize(
+        "pad, lexsorted",
+        [
+            (0, False),  # 2 x 16 bits: uint32
+            (1, False),  # 2 x 17 bits: across the 32-bit cut, float64
+            (1 << 29, False),  # 2 x 31 bits: int64
+            (1 << 31, True),  # 2 x 33 bits: lexsort
+        ],
+    )
+    def test_ranges_wider_than_keys(self, pad, lexsorted, monkeypatch):
+        keys = _spanning_keys((16, 16), 500)
+        lexsorts = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda k: lexsorts.append(1) or lexsort(k))
+
+        def fill(start, out):
+            out[:] = keys[start : start + out.shape[1]].T
+
+        lo, hi = keys.min(axis=0) - pad, keys.max(axis=0) + pad
+        assert discretized._count_distinct(len(keys), lo, hi, fill) == _distinct_rows(keys)
+        assert len(lexsorts) == lexsorted
 
     def test_negative_offset_columns(self):
         keys = np.array([[-5, 3], [-5, 3], [2, -7], [-5, -7], [2, -7]])
@@ -295,6 +329,41 @@ class TestKeyBlocks:
         for coeffs, cover, _ in rep.per_u:
             image = (discretized._unipotent_matrix(cfg, np.array(coeffs)) @ ps.points.T)[flag_idx] / 2**-6
             assert cover == len(set(map(tuple, np.floor(image).T.tolist())))
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_given_ranges_hold_every_key(self, size, monkeypatch):
+        # the cube indices' ranges are exact; the flag keys' may be wider
+        ranges = []
+        count = discretized._count_distinct
+
+        def spy(n, lo, hi, fill):
+            def checked(start, out):
+                fill(start, out)
+                ranges.append((out.min(axis=1), out.max(axis=1), np.asarray(lo), np.asarray(hi)))
+
+            return count(n, lo, hi, checked)
+
+        monkeypatch.setattr(discretized, "_count_distinct", spy)
+        ps = PointSet(5, self._points(size, 5), "p")
+        covering_number(ps, 2**-3)
+        low, high = np.floor(ps.points / 2**-3).min(axis=0), np.floor(ps.points / 2**-3).max(axis=0)
+        assert np.array_equal(ranges[0][2], low) and np.array_equal(ranges[0][3], high)
+        projection_experiment(build_config("so_pq:2,1"), ps, 0, 2**-6, 0.05, 2.0, 6, 5)
+        assert len(ranges) == 8 * -(-size // 7)  # each block of two base covers and six u, once
+        for low, high, lo, hi in ranges:
+            assert np.all(lo <= low) and np.all(high <= hi)
+
+    @pytest.mark.parametrize("widths", [(16, 16), (21, 21, 21)])  # packed, lexsorted
+    def test_one_fill_per_block(self, widths):
+        keys = _spanning_keys(widths, 50)
+        starts = []
+
+        def fill(start, out):
+            starts.append(start)
+            out[:] = keys[start : start + out.shape[1]].T
+
+        assert discretized._count_distinct(50, keys.min(axis=0), keys.max(axis=0), fill) == _distinct_rows(keys)
+        assert starts == list(range(0, 50, 7))  # 8 blocks, each filled once
 
     @pytest.mark.parametrize(
         "widths",
@@ -694,7 +763,13 @@ class TestProjectionExperiment:
 
     @pytest.mark.parametrize(
         "desc, delta",
-        [(WeightAligned((1, 0.5, 0.5, 0, 0), level_scale=6), 2**-8), (FullGrid(5, 3), 2**-3), (FullGrid(5, 3), 2**-1)],
+        [
+            (WeightAligned((1, 0.5, 0.5, 0, 0), level_scale=6), 2**-8),
+            (FullGrid(5, 3), 2**-3),
+            (FullGrid(5, 3), 2**-1),
+            (RandomSubset(5, 3, 0.05), 2**-5),  # not a box product: ranges can be wider than the keys
+            (ProductCantor(((3, (0, 2), 2),) * 5), 2**-6),
+        ],
     )
     def test_per_u_covers_match_unscaled_recount(self, desc, delta):
         # the flag rows are pre-scaled by 1/delta; recount from (mat @ p) / delta
