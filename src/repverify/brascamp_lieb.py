@@ -147,15 +147,11 @@ def build_datum_from_rep(
     if m < 1:
         raise ValueError("need at least one group element")
     if mu is not None:
-        proj = flag_projector(weight_decompose(cfg), mu)
-        rows_idx = [i for i in range(n) if proj.projector.at(i, i) == 1]
-        base = Mat.from_rows([[Fraction(1 if j == i else 0) for j in range(n)] for i in rows_idx])
-        k = base.rows
-    else:
-        if w.ambient_dim != n or w.dim == 0:
-            raise ValueError("w must be a nonzero subspace of the representation space")
-        base = w.basis.transpose()  # k x n, kernel = w-perp
-        k = w.dim
+        w = flag_projector(weight_decompose(cfg), mu).flag
+    elif w.ambient_dim != n or w.dim == 0:
+        raise ValueError("w must be a nonzero subspace of the representation space")
+    base = w.basis.transpose()  # k x n, kernel = w-perp; the flag's coordinate rows in flag mode
+    k = w.dim
     p = Fraction(n, k * m)
     if p > 1:
         raise InvalidExponent(f"m = {m} is too small: need m >= n / k = {Fraction(n, k)}")

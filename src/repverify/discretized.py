@@ -116,13 +116,15 @@ def _count_distinct(n: int, lo, hi, fill) -> int:
 
     Keys of at most 53 bits pack as float64, where every integer is exact, and
     sort as uint32 when they fit in 32 bits.  Keys of 54 to 62 bits pack as
-    int64.  Only wider keys, which no int64 holds, are kept whole and lexsorted.
+    int64.  Only wider keys, which no int64 holds, and ranges reaching 2^63 in
+    absolute value, past which no int64 shift or cast is exact, are kept whole
+    and lexsorted.
     """
     if n == 0:
         return 0
     k = len(lo)
-    lo = [int(v) for v in lo]
-    widths = [(int(top) - low + 1).bit_length() for low, top in zip(lo, hi)]
+    lo, hi = [int(v) for v in lo], [int(v) for v in hi]
+    widths = [(top - low + 1).bit_length() for low, top in zip(lo, hi)]
     bits = sum(widths)
     step = min(n, KEY_BLOCK)
     buf = np.empty(k * step)
@@ -133,7 +135,7 @@ def _count_distinct(n: int, lo, hi, fill) -> int:
             fill(start, out)
             yield slice(start, start + out.shape[1]), out
 
-    if bits > 62:
+    if bits > 62 or any(abs(v) >= 1 << 63 for v in lo + hi):
         rows = np.empty((k, n))
         for at, out in blocks():
             rows[:, at] = out
@@ -419,8 +421,7 @@ def projection_experiment(
         if not check_proximal(dec):
             raise HypothesisError("supercritical mode needs a proximal configuration")
         mu = dec.max_eigenvalue
-    proj = flag_projector(dec, mu)
-    flag_idx = [i for i in range(cfg.n) if proj.projector.at(i, i) == 1]
+    flag_idx = list(flag_projector(dec, mu).flag.pivots)
     k = len(flag_idx)
     n = cfg.n
 

@@ -32,6 +32,7 @@ from .qlinalg import (
     Mat,
     RowSpan,
     Subspace,
+    _integer,
     apply_rows,
     certified_columns,
     exp_product,
@@ -169,8 +170,8 @@ def _mod_p(cols: Sequence[Sequence[int]]) -> np.ndarray:
 def translate(h: Mat, s: Subspace) -> Subspace:
     """h.s, spanned by h's rows times the lcm of its denominators applied to each
     column of s, each product column over its gcd to keep the span's sweep small."""
-    den = math.lcm(*(x.denominator for x in h.entries))
-    rows = [[x.numerator * (den // x.denominator) for x in h.row(i)] for i in range(h.rows)]
+    _, ents = _integer(h.entries)
+    rows = [ents[i * h.cols : (i + 1) * h.cols] for i in range(h.rows)]
     cols = apply_rows(rows, s.columns)
     return Subspace.from_columns(h.rows, [[x // g for x in col] for col in cols if (g := math.gcd(*col))])
 

@@ -310,18 +310,6 @@ def _kernel_vectors(rows: list[Sequence[int]], ncols: int) -> list[list[int]]:
     return out
 
 
-def solve_exact(m: Mat, rhs: Mat) -> Mat:
-    """Solve m @ X = rhs for a consistent system with full column rank m."""
-    if rhs.rows != m.rows:
-        raise DimensionMismatch(f"rhs has {rhs.rows} rows, m has {m.rows}")
-    aug = [_integer(m.row(i) + rhs.row(i))[1] for i in range(m.rows)]
-    pivots, d = _pivot_columns(aug)
-    # a pivot in the rhs columns is an inconsistent row; rows past the pivots are zero
-    if len(pivots) < m.cols or any(p >= m.cols for p in pivots):
-        raise LinAlgError("system is inconsistent or underdetermined")
-    return Mat(m.cols, rhs.cols, tuple(Fraction(x, d) for row in aug[: m.cols] for x in row[m.cols :]))
-
-
 class RowSpan:
     """Incrementally maintained row span of exact vectors, kept over Z.
 
@@ -402,7 +390,7 @@ class Subspace:
 
     @cached_property
     def basis(self) -> Mat:
-        scale = next(x for x in self.columns[0] if x) if self.columns else 1
+        scale = self.scale
         return Mat(self.ambient_dim, self.dim, tuple(Fraction(x, scale) for row in zip(*self.columns) for x in row))
 
     @staticmethod
@@ -435,6 +423,11 @@ class Subspace:
         """The first nonzero row of each column, where its entry is L."""
         return tuple(next(i for i, x in enumerate(col) if x) for col in self.columns)
 
+    @property
+    def scale(self) -> int:
+        """L, the pivot entry of every column; 1 for the zero subspace."""
+        return self.columns[0][self.pivots[0]] if self.columns else 1
+
     def contains_subspace(self, other: "Subspace") -> bool:
         """Read off the columns: each column x of other satisfies
         L x[i] = sum_j self_j[i] x[p_j] for every i, with p_j the pivots."""
@@ -444,7 +437,7 @@ class Subspace:
             return False
         if other.dim == 0 or self.dim == self.ambient_dim:
             return True
-        scale = self.columns[0][self.pivots[0]]
+        scale = self.scale
         return all(
             scale * x[i] == sum(uj[i] * x[p] for uj, p in zip(self.columns, self.pivots))
             for x in other.columns
@@ -494,8 +487,7 @@ def subspace_intersect(u: Subspace, w: Subspace) -> Subspace:
     if u.dim < w.dim:
         u, w = w, u
     n, cols = u.ambient_dim, w.columns
-    pivots = u.pivots
-    scale, rows = u.columns[0][pivots[0]], []
+    pivots, scale, rows = u.pivots, u.scale, []
     for i in sorted(set(range(n)) - set(pivots)):
         rows.append([scale * col[i] - sum(uj[i] * col[p] for uj, p in zip(u.columns, pivots)) for col in cols])
     ker = _kernel_vectors(rows, len(cols))
@@ -535,8 +527,8 @@ def exp_terms(n: Mat) -> ExpTerms:
     if n.rows != n.cols:
         raise DimensionMismatch("exp of non-square matrix")
     dim = n.rows
-    d = math.lcm(*(x.denominator for x in n.entries))
-    m = [{j: x.numerator * (d // x.denominator) for j, x in enumerate(n.row(i)) if x} for i in range(dim)]
+    d, ents = _integer(n.entries)
+    m = [{j: x for j, x in enumerate(ents[i * dim : (i + 1) * dim]) if x} for i in range(dim)]
     terms = []
     power, den = m, 1
     for k in range(1, dim + 1):

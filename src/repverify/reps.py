@@ -19,29 +19,37 @@ Supported families:
 through one helper, `_spin`, on sparse integer words graded by ad(a)-weight.
 The grading is exact: a is diagonal and every generator is an
 ad(a)-eigenvector, so every word is homogeneous and enlarges the span of the
-words exactly when it enlarges its own weight block.  Building a
-configuration commutes generators as integer words too (`_commutator`).
+words exactly when it enlarges its own weight block.
+
+Construction runs on integer words too.  The stabilizer and complement
+kernels are canonical integer `Subspace`s, each ad(a)-weight piece of one
+keeps its canonical columns with their scale L, and `_action_matrices`
+commutes those words (`_commutator`) and solves every bracket against the
+basis in one `_pivot_columns` sweep.  `Fraction`s are built only for the
+entries of the action matrices.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from typing import Sequence
 
 from .qlinalg import (
     DimensionMismatch,
+    LinAlgError,
     Mat,
     NotNilpotent,
     RowSpan,
     Subspace,
     _integer,
-    canonicalize,
+    _pivot_columns,
     exp_terms,
     kernel_basis,
     mat_from_json,
     mat_to_json,
-    solve_exact,
     subspace_intersect,
 )
 
@@ -154,14 +162,6 @@ class IrreducibilityVerdict:
 # --- matrix-space plumbing -----------------------------------------------------
 
 
-def _vec(m: Mat) -> tuple[Fraction, ...]:
-    return m.entries
-
-
-def _unvec(v, d: int) -> Mat:
-    return Mat(d, d, tuple(v))
-
-
 def _diagonal(a: Mat) -> list[Fraction]:
     """The diagonal of a; RationalityError unless a is diagonal."""
     n = a.rows
@@ -206,8 +206,8 @@ def _sp_form(nn: int) -> Mat:
     return Mat.from_rows(s)
 
 
-def _form_stabilizer_basis(s: Mat) -> list[Mat]:
-    """Basis of {X : X^T S + S X = 0} inside gl_d."""
+def _form_stabilizer_basis(s: Mat) -> Subspace:
+    """{X : X^T S + S X = 0} inside gl_d, as a subspace of the flat entries."""
     d = s.rows
     # Linear constraints on vec(X): for each (i, j), sum_k X_ki S_kj + S_ik X_kj = 0.
     rows = []
@@ -218,63 +218,64 @@ def _form_stabilizer_basis(s: Mat) -> list[Mat]:
                 coeff[k * d + i] += s.at(k, j)
                 coeff[k * d + j] += s.at(i, k)
             rows.append(coeff)
-    ker = kernel_basis(Mat.from_rows(rows))
-    return [_unvec(ker.basis.col(c), d) for c in range(ker.dim)]
+    return kernel_basis(Mat.from_rows(rows))
 
 
-def _trace_complement_basis(d: int, h_mats: list[Mat]) -> list[Mat]:
-    """Basis of the trace-form orthocomplement of span(h_mats) inside sl_d."""
-    rows = []
-    for x in h_mats:
-        # tr(Y X) = sum_{i,j} Y_ij X_ji
-        rows.append([x.at(j, i) for i in range(d) for j in range(d)])
-    rows.append([Fraction(1 if i == j else 0) for i in range(d) for j in range(d)])  # trace zero
-    ker = kernel_basis(Mat.from_rows(rows))
-    return [_unvec(ker.basis.col(c), d) for c in range(ker.dim)]
+def _trace_complement_basis(d: int, words: list[Sequence[int]]) -> Subspace:
+    """The trace-form orthocomplement of the span of the flat words inside sl_d."""
+    # tr(Y X) = sum_{i,j} Y_ij X_ji, and the identity row keeps the trace zero
+    rows = [[x[j * d + i] for i in range(d) for j in range(d)] for x in words]
+    rows.append([int(i == j) for i in range(d) for j in range(d)])
+    return kernel_basis(Mat.from_rows(rows))
 
 
-def _weight_adapt(mats: list[Mat], a_diag: list[Fraction]) -> tuple[list[Mat], list[Fraction]]:
-    """Re-basis span(mats) into ad(a)-eigenvectors, sorted by descending eigenvalue.
+def _weight_adapt(span: Subspace, a_diag: list[Fraction]) -> tuple[list[tuple[int, tuple[int, ...]]], list[Fraction]]:
+    """Re-basis a subspace of the flat d x d matrices into ad(a)-eigenvectors,
+    sorted by descending eigenvalue: each as (L, its integer word), the matrix
+    word / L, for the canonical columns of one weight piece and their scale L.
 
     Requires a diagonal; ad(a) acts on the matrix units E_ij by a_i - a_j, so
     the eigenspaces of the ambient matrix space are coordinate blocks and the
-    intersection with span(mats) is exact.
+    intersection with span is exact.
     """
-    d = len(a_diag)
-    span = canonicalize(Mat.from_cols([_vec(m) for m in mats]))
-    weights = sorted({a_diag[i] - a_diag[j] for i in range(d) for j in range(d)}, reverse=True)
-    out_mats: list[Mat] = []
+    grading = [x - y for x in a_diag for y in a_diag]
+    words: list[tuple[int, tuple[int, ...]]] = []
     out_wts: list[Fraction] = []
-    total = 0
-    for lam in weights:
-        idx = [i * d + j for i in range(d) for j in range(d) if a_diag[i] - a_diag[j] == lam]
-        piece = subspace_intersect(span, Subspace.coordinate(d * d, idx))
-        for c in range(piece.dim):
-            out_mats.append(_unvec(piece.basis.col(c), d))
-            out_wts.append(lam)
-        total += piece.dim
-    if total != span.dim:
+    for lam in sorted(set(grading), reverse=True):
+        idx = [c for c, w in enumerate(grading) if w == lam]
+        piece = subspace_intersect(span, Subspace.coordinate(len(grading), idx))
+        words += [(piece.scale, col) for col in piece.columns]
+        out_wts += [lam] * piece.dim
+    if len(words) != span.dim:
         raise RationalityError("element a is not diagonalizable over Q on the requested space")
-    return out_mats, out_wts
+    return words, out_wts
 
 
-def _action_matrices(
-    v_mats: list[Mat], generators: list[Mat]
-) -> list[Mat]:
-    """Matrices of Y -> [X, Y] on span(v_mats), in the v_mats coordinates.
+def _action_matrices(basis: list[tuple[int, Sequence[int]]], generators: list[tuple[int, Sequence[int]]]) -> list[Mat]:
+    """Matrices of Y -> [X, Y] on the span of the basis, in its coordinates,
+    for (L, word) pairs: each stands for the square matrix of flat integer
+    entries word / L.
 
-    Each bracket is the integer word [s X, t Y] divided back by the lcms s and
-    t, and every bracket is solved against the one basis in one sweep.
+    The bracket word [x, y] of generator x / s and basis element y / t is
+    s t [X, Y].  One `_pivot_columns` sweep of [basis words | bracket words]
+    solves every bracket at once: pivot row r ends as reduced row echelon row r
+    times the last pivot D, so bracket c = sum_r (row_r[c] / D) y_r and the
+    coordinate of [X, Y] on y_r / t_r is t_r row_r[c] / (D s t).  A pivot
+    among the brackets means one leaves the span, and a missing one that the
+    basis is dependent: LinAlgError.
     """
-    k = len(v_mats)
-    ys = [_sparse_rows(y) for y in v_mats]
-    brackets = [
-        [Fraction(z, s * t) for z in _commutator(x, y)] for s, x in map(_sparse_rows, generators) for t, y in ys
-    ]
-    coords = solve_exact(Mat.from_cols([_vec(m) for m in v_mats]), Mat.from_cols(brackets))
+    k = len(basis)
+    ys = [_sparse_rows(y) for _, y in basis]
+    brackets = [_commutator(x, y) for x in (_sparse_rows(w) for _, w in generators) for y in ys]
+    rows = list(zip(*[y for _, y in basis], *brackets))
+    pivots, last = _pivot_columns(rows)
+    if pivots != list(range(k)):
+        raise LinAlgError("a bracket leaves the span of the basis")
+    scales = [t for t, _ in basis]
     return [
-        Mat(k, k, tuple(z for r in range(k) for z in coords.row(r)[i * k : (i + 1) * k]))
-        for i in range(len(generators))
+        Mat(k, k, tuple(Fraction(t_r * row[k * (i + 1) + j], last * s * t)
+                        for t_r, row in zip(scales, rows) for j, t in enumerate(scales)))
+        for i, (s, _) in enumerate(generators)
     ]
 
 
@@ -296,8 +297,8 @@ def _validate_config(cfg: RepConfig) -> None:
     # the commutator of the generators cleared of denominators, a multiple of it
     span = RowSpan(n * n)
     for x in cfg.h_basis:
-        span.add(_vec(x))
-    words = [_sparse_rows(x)[1] for x in cfg.h_basis]
+        span.add(x.entries)
+    words = [_sparse_rows(_integer(x.entries)[1]) for x in cfg.h_basis]
     for i, x in enumerate(words):
         for y in words[i + 1 :]:
             if not span.contains(_commutator(x, y)):
@@ -323,21 +324,16 @@ def _config(name: str, h_action: list[Mat], a_diag: list[Fraction]) -> RepConfig
 
 def _complement_config(name: str, s_form: Mat, a_diag: list[Fraction]) -> RepConfig:
     d = s_form.rows
-    h_raw = _form_stabilizer_basis(s_form)
-    h_mats, _ = _weight_adapt(h_raw, a_diag)
-    a_mat = Mat.diagonal(a_diag)
+    h, _ = _weight_adapt(_form_stabilizer_basis(s_form), a_diag)
     span = RowSpan(d * d)
-    for m in h_mats:
-        span.add(_vec(m))
-    if not span.contains(_vec(a_mat)):
+    for _, x in h:
+        span.add(x)
+    if not span.contains(Mat.diagonal(a_diag).entries):
         raise ConfigError("element a does not lie in the stabilizer algebra")
-    v_raw = _trace_complement_basis(d, h_mats)
-    v_mats, v_wts = _weight_adapt(v_raw, a_diag)
-    n = len(v_mats)
-    expected = d * d - 1 - len(h_mats)
-    if n != expected:
+    v, v_wts = _weight_adapt(_trace_complement_basis(d, [x for _, x in h]), a_diag)
+    if len(v) != d * d - 1 - len(h):
         raise ConfigError("complement dimension mismatch")
-    return _config(name, _action_matrices(v_mats, h_mats), v_wts)
+    return _config(name, _action_matrices(v, h), v_wts)
 
 
 def _sl_weight_basis(k: int) -> tuple[list[Mat], list[Fraction]]:
@@ -361,8 +357,8 @@ def _sl_weight_basis(k: int) -> tuple[list[Mat], list[Fraction]]:
 
 def _adjoint_config(name: str, k: int) -> RepConfig:
     basis, a_diag = _sl_weight_basis(k)
-    v_mats, v_wts = _weight_adapt(basis, a_diag)
-    return _config(name, _action_matrices(v_mats, v_mats), v_wts)
+    v, v_wts = _weight_adapt(Subspace.from_columns(k * k, [m.entries for m in basis]), a_diag)
+    return _config(name, _action_matrices(v, v), v_wts)
 
 
 def _tensor_sort(perm_weights: list[Fraction]) -> list[int]:
@@ -403,8 +399,9 @@ def _tensor_config(name: str, kn: int, km: int, standard: bool) -> RepConfig:
         da, db = kn, km
     else:
         # factors act on sl_kn and sl_km by ad, so V = sl_kn (x) sl_km
-        left_ops = _action_matrices(left_basis, left_basis)
-        right_ops = _action_matrices(right_basis, right_basis)
+        left = [_integer(m.entries) for m in left_basis]
+        right = [_integer(m.entries) for m in right_basis]
+        left_ops, right_ops = _action_matrices(left, left), _action_matrices(right, right)
         left_fac_wts = [_weight(m, a1) for m in left_basis]
         right_fac_wts = [_weight(m, a2) for m in right_basis]
         da, db = len(left_basis), len(right_basis)
@@ -529,18 +526,16 @@ def flag_projector(dec: WeightDecomposition, mu) -> FlagProjector:
     mu = Fraction(mu)
     if mu not in dec.eigenvalues:
         raise InvalidLevel(f"{mu} is not an eigenvalue")
-    n = dec.total_dim
-    indices = {i for lam, basis in zip(dec.eigenvalues, dec.eigenbases) if lam >= mu
-               for col in basis.columns for i, x in enumerate(col) if x}
-    proj = Mat.diagonal([Fraction(1 if i in indices else 0) for i in range(n)])
-    return FlagProjector(mu, Subspace.coordinate(n, indices), proj)
+    indices = [i for lam, basis in zip(dec.eigenvalues, dec.eigenbases) if lam >= mu for i in basis.pivots]
+    proj = Mat.diagonal([int(i in indices) for i in range(dec.total_dim)])
+    return FlagProjector(mu, Subspace.coordinate(dec.total_dim, indices), proj)
 
 
-def _sparse_rows(g: Mat) -> tuple[int, list[list[tuple[int, int]]]]:
-    """(s, the rows of s g as lists of their nonzero (column, value) pairs), for
-    s the lcm of g's denominators."""
-    s, ents = _integer(g.entries)
-    return s, [[(t, x) for t, x in enumerate(ents[i * g.cols : (i + 1) * g.cols]) if x] for i in range(g.rows)]
+def _sparse_rows(word: Sequence[int]) -> list[list[tuple[int, int]]]:
+    """The rows of the square integer matrix of flat entries word, as lists of
+    their nonzero (column, value) pairs."""
+    n = math.isqrt(len(word))
+    return [[(t, x) for t, x in enumerate(word[i * n : (i + 1) * n]) if x] for i in range(n)]
 
 
 def _product(g: list[list[tuple[int, int]]], x: list[int]) -> list[int]:
@@ -603,7 +598,7 @@ def _spin(cfg: RepConfig, seed: list[int], grading: list[Fraction]) -> list[list
     ids = {w: b for b, w in enumerate(blocks)}
     # target[b][i]: the block of g_i x for x in block b, None when it has no coordinate
     target = [[ids.get(v + w) for w in cfg.generator_weights] for v in blocks]
-    gens = [_sparse_rows(g)[1] for g in cfg.h_basis]
+    gens = [_sparse_rows(_integer(g.entries)[1]) for g in cfg.h_basis]
 
     def open_block(t: int | None) -> bool:
         return t is not None and spans[t].dim < spans[t].length

@@ -228,6 +228,19 @@ class TestCountDistinct:
         assert discretized._count_distinct(len(keys), lo, hi, fill) == _distinct_rows(keys)
         assert len(lexsorts) == lexsorted
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_keys_beyond_int64(self, sign):
+        # keys near 2^71, 2^61 apart: 62 bits, but no int64 holds the shift
+        pts = PointSet(1, sign * np.array([[2.0**70], [2.0**70 + 2.0**60]]), "far")
+        assert covering_number(pts, 2**-1) == 2
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_range_straddling_int64(self, sign):
+        # keys 2^63 - 2^60, 2^63 + 2^60 and 2^63 + 2^60 + 2^58: a 62-bit range
+        # whose top end leaves int64
+        x = np.array([[2.0**62 - 2.0**59], [2.0**62 + 2.0**59], [2.0**62 + 2.0**59 + 2.0**57]])
+        assert covering_number(PointSet(1, sign * x, "straddle"), 2**-1) == 3
+
     def test_negative_offset_columns(self):
         keys = np.array([[-5, 3], [-5, 3], [2, -7], [-5, -7], [2, -7]])
         assert _count_rows(keys) == 3

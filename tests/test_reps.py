@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repverify import reps
-from repverify.qlinalg import DimensionMismatch, Mat, RowSpan, Subspace, mat_to_json, subspace_intersect, subspace_sum, subspace_to_json
+from repverify.qlinalg import DimensionMismatch, LinAlgError, Mat, RowSpan, Subspace, mat_to_json, subspace_intersect, subspace_sum, subspace_to_json
 from repverify.reps import (
     ConfigError,
     InvalidLevel,
@@ -240,8 +240,9 @@ class TestIrreducibility:
 # sha256 of build_config(d)'s name, n, h_dim, h_basis, a_action and u+ / u- (see
 # _config_json) and of the check_irreducible verdict (kind, algebra dimension,
 # witness).  The verdict hashes were pinned before qlinalg's elimination moved
-# to integer rows: building a configuration runs kernel_basis, solve_exact,
-# subspace_intersect and RowSpan, and the closure test runs RowSpan.
+# to integer rows: building a configuration runs kernel_basis,
+# subspace_intersect, RowSpan and the _pivot_columns sweep of the brackets,
+# and the closure test runs RowSpan.
 CONFIG_PINS = {
     "so_pq:2,1": ("0023d6677c18d7088cffb8bbc554a961bdc3f966485771090099ea44e691dc3b", "e2bc9e92bab6630d63bb4c188d9c83d1989a3ee0d3e64f836d4ecd9d52998f79"),
     "so_pq:2,2": ("718121315023f09f6c339bd0535e622ebf86a2e2855b02d1b971c58fd93415be", "bb2cac08dc711cc2628278040ed6fcd6d44927ad983f49d9022086818ae4b781"),
@@ -288,6 +289,32 @@ def test_config_and_verdict_pinned(desc):
 
 def test_reducible_verdict_pinned():
     assert _sha(_verdict_json(check_irreducible(_direct_sum_fixture()))) == FIXTURE_VERDICT_PIN
+
+
+def test_action_matrices_of_scaled_words():
+    """Each (L, word) pair stands for word / L: column j of ad X rebuilds
+    [X, Y_j] from the basis, for scales L and generator scales other than 1."""
+    mats, _ = reps._sl_weight_basis(3)
+    scales, multiples = [1, 2, 3, 5, 6, 4, 7, 9], [3, 1, -2, 5, 1, 2, -1, 4]
+    basis = [(t, tuple(c * int(x) for x in m.entries)) for t, c, m in zip(scales, multiples, mats)]
+    generators = [(6, basis[0][1]), (1, basis[3][1]), (4, tuple(2 * x for x in basis[7][1]))]
+
+    def mat(pair):
+        return Mat(3, 3, tuple(Fraction(x, pair[0]) for x in pair[1]))
+
+    ys = [mat(y) for y in basis]
+    for x, ad in zip(map(mat, generators), reps._action_matrices(basis, generators)):
+        for j, y in enumerate(ys):
+            combo = Mat.zeros(3, 3)
+            for r, y_r in enumerate(ys):
+                combo = combo + y_r.scale(ad.at(r, j))
+            assert combo == x @ y - y @ x
+
+
+def test_bracket_leaving_the_basis_raises():
+    """[E_21, E_12] = E_11 - E_22 does not lie in span{E_12}."""
+    with pytest.raises(LinAlgError):
+        reps._action_matrices([(1, (0, 1, 0, 0))], [(1, (0, 0, 1, 0))])
 
 
 def test_spin_makes_no_fraction_product(monkeypatch):
