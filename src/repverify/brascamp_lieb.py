@@ -4,9 +4,15 @@ Feasibility is the scaling condition sum p_j n_j = n together with
 dim U <= sum p_j dim pi_j(U) over subspaces U; both sides are evaluated with
 exact rational arithmetic on a subspace lattice.  A passing lattice check is
 labeled as such and is not a proof for general data.  The lattice is the
-sum/intersection closure of the map kernels; a pair in which one member
-contains the other is skipped, since its sum and intersection are the pair
-itself, and each map's integer rows are cleared once.
+sum/intersection closure of the map kernels.  Its walk keeps the containment
+relation of the members as bitmasks: a pair in which one member contains the
+other is skipped by one bit test, since its sum and intersection are the pair
+itself, and any other pair runs one kernel sweep for the two dimensions and
+builds a sum or intersection only when no member of that dimension already
+lies above (below) both.  Every bit of the relation is proven, by the
+lattice or by an exact containment check; a residue test mod a prime only
+rules out, beforehand, pairs whose check would fail.  Each map's integer rows
+are cleared once.
 
 The constant is estimated by alternating (operator) scaling of the maps
 towards a geometric datum.  Every iterate gives two lower bounds for the
@@ -22,7 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -30,6 +36,8 @@ from .generic import SampledElement
 from .qlinalg import (
     Mat,
     Subspace,
+    _meet,
+    _meet_kernel,
     apply_rows,
     independent_columns,
     integer_columns,
@@ -37,7 +45,6 @@ from .qlinalg import (
     mat_from_json,
     mat_to_json,
     rank,
-    subspace_intersect,
     subspace_sum,
 )
 from .reps import RepConfig, flag_projector, weight_decompose
@@ -205,37 +212,166 @@ def _iter_kernel_lattice(d: BLDatum, cap: int):
     """Yield the sum/intersection closure of the map kernels as it grows.
 
     Each round combines every new element with the older members and with
-    the new elements after it, so every unordered pair is combined once.  A
-    comparable pair (one member contains the other) is skipped: its sum and
-    intersection are the pair itself, already seen, so the skip changes
-    neither the order of the yields nor the point where the cap is passed.
-    Raises CapExceeded past `cap` elements; callers checking the criterion
-    incrementally see every element first.
+    the new elements after it, so every unordered pair is combined once.  The
+    walk keeps the containment relation of its members (`_Relation`): for each
+    member, the bitmasks of the members above it and below it.  Every bit is a
+    proven containment, and the relation is complete after each insertion.
+    So a comparable pair is skipped by one bit test: its sum and intersection
+    are the pair itself.  Any other pair runs the one meet-kernel sweep, which
+    gives dim(a cap b) and dim(a + b) = dim a + dim b - dim(a cap b).  A sum
+    is built only when no member of its dimension lies above both a and b: such
+    a member contains a + b and has its dimension, so it is a + b.  A meet,
+    dually, is built only when none of its dimension lies below both.  So the
+    skips change neither the order of the yields nor the point where the cap
+    is passed.  Raises CapExceeded past `cap` elements; callers checking the
+    criterion incrementally see every element first.
     """
-    seeds = [kernel_basis(m.matrix) for m in d.maps]
-    seeds.append(Subspace.full(d.n))
-    seen: dict[Subspace, bool] = {}
-    for s in seeds:
-        if s not in seen:
-            seen[s] = True
+    rel = _Relation(d.n)
+    for s in [kernel_basis(m.matrix) for m in d.maps] + [Subspace.full(d.n)]:
+        if s not in rel.members:
+            rel.insert(s, 0, 0)
             yield s
-    old: list[Subspace] = []
-    frontier = list(seen)
-    while frontier:
-        new: list[Subspace] = []
-        for i, a in enumerate(frontier):
-            for b in old + frontier[i + 1 :]:
-                if a.contains_subspace(b) or b.contains_subspace(a):
+    members, up, down, blocks = rel.members, rel.up, rel.down, rel.blocks
+    lo, hi = 0, len(members)
+    while lo < hi:
+        for i in range(lo, hi):
+            for j in chain(range(lo), range(i + 1, hi)):
+                if (up[i] | down[i]) >> j & 1:
                     continue
-                for c in (subspace_sum(a, b), subspace_intersect(a, b)):
-                    if c not in seen:
-                        seen[c] = True
-                        new.append(c)
-                        if len(seen) > cap:
-                            raise CapExceeded(f"kernel lattice exceeded cap {cap}")
-                        yield c
-        old += frontier
-        frontier = new
+                a, b = members[i], members[j]
+                cols, ker = _meet_kernel(a, b)
+                k = len(ker)
+                if not up[i] & up[j] & blocks[a.dim + b.dim - k].mask:
+                    c = subspace_sum(a, b)
+                    rel.insert(c, up[i] & up[j], down[i] | down[j], check_above=False)
+                    if len(members) > cap:
+                        raise CapExceeded(f"kernel lattice exceeded cap {cap}")
+                    yield c
+                if not down[i] & down[j] & blocks[k].mask:
+                    c = _meet(d.n, cols, ker)
+                    rel.insert(c, up[i] | up[j], down[i] & down[j], check_below=False)
+                    if len(members) > cap:
+                        raise CapExceeded(f"kernel lattice exceeded cap {cap}")
+                    yield c
+        lo, hi = hi, len(members)
+
+
+class _Relation:
+    """Subspaces with their containment relation, kept as bitmasks (ints).
+
+    Bit j of up[i] (of down[i]) is set exactly when member j contains (lies
+    in) member i, i itself included; blocks[k] holds the members of dimension
+    k.
+
+    A new member comes with the containments the lattice already gives: a sum
+    a + b lies in exactly the members above both a and b and contains
+    everything below either, and a meet dually.  On each side left open, the
+    members of the other dimensions are first put to a residue test, one
+    numpy pass per dimension (`_Block`), and the few that pass are checked
+    with the exact `contains_subspace`.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.members: list[Subspace] = []
+        self.up: list[int] = []
+        self.down: list[int] = []
+        self.weights = [pow(3, 16 * (i + 1), _Block.P) for i in range(n)]
+        self.blocks = [_Block(n, k) for k in range(n + 1)]
+
+    def insert(self, c: Subspace, above: int, below: int, check_above: bool = True, check_below: bool = True) -> None:
+        """Add c, known to lie in the members of above and to contain those of
+        below; the other members are checked on each side asked for."""
+        i, members = len(self.members), self.members
+        cols = np.array([[x % _Block.P for x in col] for col in c.columns], dtype=np.int64).reshape(c.dim, self.n)
+        phi = np.array([x % _Block.P for x in self._functional(c)], dtype=np.int64)
+        if check_above:
+            for blk in self.blocks[c.dim + 1 :]:
+                for j in blk.may_contain(cols):
+                    if not above >> j & 1 and members[j].contains_subspace(c):
+                        above |= 1 << j
+        if check_below:
+            for blk in self.blocks[: c.dim]:
+                for j in blk.may_lie_in(phi):
+                    if not below >> j & 1 and c.contains_subspace(members[j]):
+                        below |= 1 << j
+        self.blocks[c.dim].append(i, cols, phi)
+        bit = 1 << i
+        for j in _bits(above):
+            self.down[j] |= bit
+        for j in _bits(below):
+            self.up[j] |= bit
+        members.append(c)
+        self.up.append(above | bit)
+        self.down.append(below | bit)
+
+    def _functional(self, c: Subspace) -> list[int]:
+        """sum_i w_i (L e_i - sum_j c_j[i] e_(p_j)) over the rows i off c's pivots."""
+        free = sorted(set(range(self.n)) - set(c.pivots))
+        out = [0] * self.n
+        for i in free:
+            out[i] = c.scale * self.weights[i]
+        for col, piv in zip(c.columns, c.pivots):
+            out[piv] = -sum(self.weights[i] * col[i] for i in free)
+        return out
+
+
+class _Block:
+    """The members of one dimension k of a `_Relation`, mod the prime P.
+
+    mask has the bits of their member indices.  For the t-th of them,
+    index[t] is its member index, cols[t] holds its k columns and phi[t] a
+    functional that vanishes on it: a weighted sum of the constraints
+    L e_i - sum_j x_j[i] e_(p_j), i off its pivots p_j, which
+    `contains_subspace` reads too.  A column v with phi v nonzero mod P is
+    nonzero over Z, so v does not lie in that member: the residue test only
+    rules out containments that fail.
+    """
+
+    P = 2**28 - 57  # a prime: a sum of 127 products of residues stays below 2^63
+
+    def __init__(self, n: int, k: int):
+        self.index: list[int] = []
+        self.mask = 0
+        self.cols = np.zeros((4, k, n), dtype=np.int64)
+        self.phi = np.zeros((4, n), dtype=np.int64)
+
+    def append(self, j: int, cols: np.ndarray, phi: np.ndarray) -> None:
+        t = len(self.index)
+        if t == len(self.phi):
+            self.cols = np.concatenate([self.cols, np.zeros_like(self.cols)])
+            self.phi = np.concatenate([self.phi, np.zeros_like(self.phi)])
+        self.index.append(j)
+        self.mask |= 1 << j
+        self.cols[t] = cols
+        self.phi[t] = phi
+
+    def may_contain(self, cols: np.ndarray) -> list[int]:
+        """The members whose functional vanishes on each of the (s, n) columns mod P."""
+        return self._vanishing(self.phi, cols.T)
+
+    def may_lie_in(self, phi: np.ndarray) -> list[int]:
+        """The members whose columns the functional phi sends to 0 mod P."""
+        return self._vanishing(self.cols, phi)
+
+    def _vanishing(self, a: np.ndarray, b: np.ndarray) -> list[int]:
+        """The members j whose products a[j] @ b all vanish mod P, summed 127
+        products at a time."""
+        m = len(self.index)
+        if not m:
+            return []
+        dots = a[:m, ..., :127] @ b[:127] % self.P
+        for k in range(127, b.shape[0], 127):
+            dots = (dots + a[:m, ..., k : k + 127] @ b[k : k + 127]) % self.P
+        return [self.index[t] for t in np.flatnonzero(~dots.any(axis=1))]
+
+
+def _bits(mask: int):
+    """The indices of the set bits of mask."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def check_feasibility(d: BLDatum, mode: str = "lattice") -> FeasibilityCertificate:

@@ -63,6 +63,8 @@ class PointSet:
 
     def __post_init__(self):
         pts = self.points
+        if self.ambient < 1:
+            raise SpecError("ambient dimension must be >= 1")
         if pts.ndim != 2 or pts.shape[1] != self.ambient:
             raise SpecError("points array must be (N, ambient)")
         if pts.shape[0] > MAX_POINTS:

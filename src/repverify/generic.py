@@ -33,6 +33,7 @@ from .qlinalg import (
     RowSpan,
     Subspace,
     _integer,
+    _meet_kernel,
     apply_rows,
     certified_columns,
     exp_product,
@@ -307,15 +308,18 @@ def find_spanning_q(cfg: RepConfig, w: Subspace, trials: int, seed: int) -> tupl
 
 
 def submodularity_check(w_prime: Subspace, w1: Subspace, w2: Subspace) -> bool:
-    """dim W' cap W1 cap W2 + dim W' cap (W1+W2) >= dim W' cap W1 + dim W' cap W2."""
+    """dim W' cap W1 cap W2 + dim W' cap (W1+W2) >= dim W' cap W1 + dim W' cap W2.
+
+    W1 cap W2 and W1 + W2 are built canonical; each of the four dimensions is
+    the length of a meet kernel (`_meet_kernel`), with no canonical form built."""
     if not (w_prime.ambient_dim == w1.ambient_dim == w2.ambient_dim):
         raise PreconditionError("ambient dimension mismatch")
-    lhs = (
-        subspace_intersect(w_prime, subspace_intersect(w1, w2)).dim
-        + subspace_intersect(w_prime, subspace_sum(w1, w2)).dim
-    )
-    rhs = subspace_intersect(w_prime, w1).dim + subspace_intersect(w_prime, w2).dim
-    return lhs >= rhs
+
+    def meet_dim(w: Subspace) -> int:
+        return len(_meet_kernel(w_prime, w)[1])
+
+    lhs = meet_dim(subspace_intersect(w1, w2)) + meet_dim(subspace_sum(w1, w2))
+    return lhs >= meet_dim(w1) + meet_dim(w2)
 
 
 def random_subspace(n: int, dim: int, rng: random.Random) -> Subspace:

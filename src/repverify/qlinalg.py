@@ -476,22 +476,34 @@ def subspace_sum(u: Subspace, w: Subspace) -> Subspace:
     return _span(u.ambient_dim, list(u.columns + w.columns))
 
 
-def subspace_intersect(u: Subspace, w: Subspace) -> Subspace:
-    """u cap w as W y over the kernel of the constraints L x_i = sum_j u_j[i]
-    x[p_j], i off the pivots p_j, on x = W y, for the larger of the two column
-    lists u_j (pivot entry L) and the columns W of the other."""
+def _meet_kernel(u: Subspace, w: Subspace) -> tuple[tuple[tuple[int, ...], ...], list[list[int]]]:
+    """(W, K) with u cap w spanned by the W y, y in K, and dim(u cap w) = len(K):
+    K spans the kernel of the constraints L x_i = sum_j u_j[i] x[p_j], i off the
+    pivots p_j, on x = W y, for the larger of the two column lists u_j (pivot
+    entry L) and the columns W of the other.  One sweep over Z; the columns of
+    W are independent, so K's length is the dimension of the meet."""
     if u.ambient_dim != w.ambient_dim:
         raise DimensionMismatch("ambient dimension mismatch in intersection")
     if u.dim == 0 or w.dim == 0:
-        return Subspace.zero(u.ambient_dim)
+        return (), []
     if u.dim < w.dim:
         u, w = w, u
-    n, cols = u.ambient_dim, w.columns
-    pivots, scale, rows = u.pivots, u.scale, []
-    for i in sorted(set(range(n)) - set(pivots)):
+    cols, pivots, scale, rows = w.columns, u.pivots, u.scale, []
+    for i in sorted(set(range(u.ambient_dim)) - set(pivots)):
         rows.append([scale * col[i] - sum(uj[i] * col[p] for uj, p in zip(u.columns, pivots)) for col in cols])
-    ker = _kernel_vectors(rows, len(cols))
-    return _span(n, apply_rows(list(zip(*cols)), ker))
+    return cols, _kernel_vectors(rows, len(cols))
+
+
+def _meet(n: int, cols: Sequence[Sequence[int]], ker: list[list[int]]) -> Subspace:
+    """The canonical span of the W y, y in ker, for a `_meet_kernel` pair (W, ker)."""
+    return _span(n, apply_rows(list(zip(*cols)), ker)) if ker else Subspace.zero(n)
+
+
+def subspace_intersect(u: Subspace, w: Subspace) -> Subspace:
+    """u cap w from the one meet-kernel sweep `_meet_kernel`, which the BL
+    lattice walk and `generic.submodularity_check` also call: the kernel's
+    length is the meet's dimension, read there before any canonical form."""
+    return _meet(u.ambient_dim, *_meet_kernel(u, w))
 
 
 @dataclass(frozen=True)

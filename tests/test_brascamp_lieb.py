@@ -297,6 +297,71 @@ def test_lattice_walk_matches_every_pair_reference(name, monkeypatch):
     assert not any(a.contains_subspace(b) or b.contains_subspace(a) for a, b in summed)
 
 
+def _random_datum(rng: random.Random) -> BLDatum:
+    """1-5 surjective maps of Q^n, n = 2..6, with entries in -1..2: small
+    entries put the kernels in special position, so many lattices pass 64."""
+    n = rng.randint(2, 6)
+    maps = []
+    for _ in range(rng.randint(1, 5)):
+        k = rng.randint(1, n - 1)
+        m = Mat.from_rows([[rng.choice((-1, 0, 0, 1, 2)) for _ in range(n)] for _ in range(k)])
+        while brascamp_lieb.rank(m) < k:
+            m = Mat.from_rows([[rng.choice((-1, 0, 0, 1, 2)) for _ in range(n)] for _ in range(k)])
+        maps.append(BLMap(k, m))
+    return BLDatum(n, tuple(maps), (F(1),) * len(maps))
+
+
+def test_lattice_walk_matches_reference_on_random_data():
+    rng, capped = random.Random(0), 0
+    for _ in range(200):
+        d = _random_datum(rng)
+        expected = _walk(_reference_lattice, d, 64)
+        assert _walk(brascamp_lieb._iter_kernel_lattice, d, 64) == expected
+        capped += expected[1]
+    assert 0 < capped < 200
+
+
+@pytest.mark.parametrize("name", ["corpus0", "loomis_whitney", "stuffed0"])
+def test_lattice_walk_builds_new_sums_and_tests_each_pair_once(name, monkeypatch):
+    # corpus0 builds no sum at all: every sum of two of its hyperplanes is the full space
+    summed, tested = [], Counter()
+    real_sum, real_contains = brascamp_lieb.subspace_sum, Subspace.contains_subspace
+
+    def recording_sum(a, b):
+        summed.append(real_sum(a, b))
+        return summed[-1]
+
+    def counting_contains(self, other):
+        tested[frozenset((self, other))] += 1
+        return real_contains(self, other)
+
+    monkeypatch.setattr(brascamp_lieb, "subspace_sum", recording_sum)
+    monkeypatch.setattr(Subspace, "contains_subspace", counting_contains)
+    yielded, _ = _walk(brascamp_lieb._iter_kernel_lattice, PINNED_DATA[name], 64)
+    assert (len(summed) > 0) == (name != "corpus0")
+    assert all(c.columns in yielded for c in summed)
+    assert max(tested.values()) == 1
+
+
+@pytest.mark.parametrize("n", [5, 700])
+def test_relation_is_exact_containment(n):
+    # entries that are multiples of the residue prime vanish mod P, and at n = 700
+    # the residue products are summed in six blocks; the exact check still decides
+    rng, big = random.Random(1), brascamp_lieb._Block.P
+    subs = [Subspace.zero(n), Subspace.full(n), Subspace.coordinate(n, (0,)), Subspace.coordinate(n, (1, 2, 3))]
+    for _ in range(14):
+        cols = [[rng.choice((0, 1, -1, 3, big, 2 * big + 1)) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+        subs.append(Subspace.from_columns(n, cols))
+    subs += [op(a, b) for a, b in zip(subs[4:], subs[5:]) for op in (subspace_sum, subspace_intersect)]
+    members = list(dict.fromkeys(subs))
+    rel = brascamp_lieb._Relation(n)
+    for c in members:
+        rel.insert(c, 0, 0)
+    for i, a in enumerate(members):
+        assert [rel.up[i] >> j & 1 for j in range(len(members))] == [b.contains_subspace(a) for b in members]
+        assert [rel.down[i] >> j & 1 for j in range(len(members))] == [a.contains_subspace(b) for b in members]
+
+
 def test_rank_paths_make_no_fraction_product(monkeypatch):
     """The BCCT ranks and generic translates run on integer products only."""
     cfg = build_config("so_pq:2,1")

@@ -146,6 +146,12 @@ class TestPointSet:
             with pytest.raises(SpecError):
                 PointSet(2, np.array([[0.5, 0.5], [0.0, bad]]), "p")
 
+    @pytest.mark.parametrize("count", [3, 0])
+    def test_ambient_zero_rejected(self, count):
+        # covering_number of such a set used to fail in a numpy reshape
+        with pytest.raises(SpecError):
+            PointSet(0, np.zeros((count, 0)), "x")
+
     @pytest.mark.parametrize("bad", [[0.1, 0.2], [], [[]], 0.5])
     def test_not_a_point_array_rejected(self, bad):
         with pytest.raises(SpecError):
