@@ -1,9 +1,16 @@
 """Brascamp-Lieb data: construction, BCCT feasibility, constant estimation.
 
 Feasibility is the scaling condition sum p_j n_j = n together with
-dim U <= sum p_j dim pi_j(U) over subspaces U; both sides are evaluated with
-exact rational arithmetic on a subspace lattice.  A passing lattice check is
-labeled as such and is not a proof for general data.  The lattice is the
+dim U <= sum p_j dim pi_j(U) over subspaces U.  It is proven (status
+certified) by one lift: with p_j = c_j / c and N a multiple of c, the square
+matrix stack_j (B_j (x) Z_j), Z_j a (p_j N) x N matrix of residues drawn from
+a recorded seed, has full rank mod a prime.  Any U that violates the criterion
+would make it singular, so the proof needs no probability; only finding a
+nonsingular lift is left to chance.  Data the lift does not certify are
+checked with exact integer arithmetic on a subspace lattice, which gives a
+violating U as witness; a passing lattice check is labeled as such
+(passed_lattice, or passed_heuristic after the coordinate subspaces) and is
+not a proof for general data.  The lattice is the
 sum/intersection closure of the map kernels.  Its walk keeps the containment
 relation of the members as bitmasks: a pair in which one member contains the
 other is skipped by one bit test, since its sum and intersection are the pair
@@ -25,6 +32,8 @@ constant infinite, is found exactly with a rank computation over Q.
 from __future__ import annotations
 
 import math
+import operator
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -34,11 +43,13 @@ import numpy as np
 
 from .generic import SampledElement
 from .qlinalg import (
+    MODULUS,
     Mat,
     Subspace,
     _meet,
     _meet_kernel,
     apply_rows,
+    certified_columns,
     independent_columns,
     integer_columns,
     kernel_basis,
@@ -51,6 +62,9 @@ from .reps import RepConfig, flag_projector, weight_decompose
 
 LATTICE_CAP = 4096
 SCALING_TOL = 1e-6
+LIFT_SEED = 0
+LIFT_BLOWUPS = 2  # certify_feasible tries N = c and N = 2c by default
+LIFT_FIRST_MAX = 64  # largest n c at which check_feasibility lifts before it walks
 
 
 class InvalidExponent(Exception):
@@ -102,6 +116,12 @@ class BLDatum:
     def m(self) -> int:
         return len(self.maps)
 
+    @cached_property
+    def exponent_numerators(self) -> tuple[int, tuple[int, ...]]:
+        """(c, (c_1, ..., c_m)): p_j = c_j / c over the least common denominator c."""
+        c = math.lcm(*(p.denominator for p in self.exponents))
+        return c, tuple(p.numerator * (c // p.denominator) for p in self.exponents)
+
     def scaling_holds(self) -> bool:
         return sum((p * m.n_j for p, m in zip(self.exponents, self.maps)), Fraction(0)) == self.n
 
@@ -112,10 +132,11 @@ class BLDatum:
 @dataclass
 class FeasibilityCertificate:
     scaling_ok: bool
-    status: str  # "violated" | "passed_lattice" | "passed_heuristic"
+    status: str  # "certified" | "violated" | "passed_lattice" | "passed_heuristic"
     witness: Subspace | None = None
     lattice_size: int = 0
     random_checks: int = 0  # subspaces checked past the lattice
+    lift: tuple[int, int] | None = None  # (N, seed) of the nonsingular lift behind "certified"
 
     @property
     def feasible_so_far(self) -> bool:
@@ -199,13 +220,13 @@ def loomis_whitney_datum() -> BLDatum:
 # --- feasibility ----------------------------------------------------------------
 
 
-def _criterion_deficit(d: BLDatum, u: Subspace) -> Fraction:
-    """dim U - sum p_j dim pi_j(U), each dim the rank of the map's rows cleared of
-    denominators times U's integer columns; positive means the criterion is violated."""
-    total = Fraction(0)
-    for p, m in zip(d.exponents, d.maps):
-        total += p * len(independent_columns(apply_rows(m.integer_rows, u.columns)))
-    return u.dim - total
+def _criterion_deficit(d: BLDatum, u: Subspace) -> int:
+    """c dim U - sum c_j dim pi_j(U) for p_j = c_j / c, each dim the rank of the
+    map's rows cleared of denominators times U's integer columns: c times
+    dim U - sum p_j dim pi_j(U), so positive means the criterion is violated."""
+    c, cs = d.exponent_numerators
+    ranks = (len(independent_columns(apply_rows(m.integer_rows, u.columns))) for m in d.maps)
+    return c * u.dim - sum(map(operator.mul, cs, ranks))
 
 
 def _iter_kernel_lattice(d: BLDatum, cap: int):
@@ -374,12 +395,94 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _lift_factors(d: BLDatum, n_copies: int, seed: int) -> list[tuple[list[list[int]], list[list[int]]]]:
+    """(B_j, Z_j) per map: its integer rows, and a (p_j N) x N matrix of
+    residues mod MODULUS, drawn row by row in map order from random.Random(seed);
+    N = n_copies is a multiple of the common denominator c."""
+    rng = random.Random(seed)
+    c, cs = d.exponent_numerators
+    return [
+        (m.integer_rows, [[rng.randrange(MODULUS) for _ in range(n_copies)] for _ in range(cj * n_copies // c)])
+        for cj, m in zip(cs, d.maps)
+    ]
+
+
+def _lift_residues(d: BLDatum, n_copies: int, seed: int) -> np.ndarray:
+    """The lift M = stack_j (B_j (x) Z_j) mod MODULUS, an int64 array of
+    sum_j n_j p_j N rows and nN columns.  B_j is reduced in Python ints before
+    any int64 array is built, so each product of two residues stays below 2^62."""
+    blocks = []
+    for rows, z in _lift_factors(d, n_copies, seed):
+        b = np.array([[x % MODULUS for x in row] for row in rows], dtype=np.int64)
+        z = np.array(z, dtype=np.int64).reshape(len(z), n_copies)
+        kron = b[:, None, :, None] * z[None, :, None, :] % MODULUS  # np.kron(b, z); np.kron pages in ~0.3 MB on first use
+        blocks.append(kron.reshape(len(b) * len(z), d.n * n_copies))
+    return np.vstack(blocks)
+
+
+def certify_feasible(d: BLDatum, blowups: int = LIFT_BLOWUPS) -> tuple[int, int] | None:
+    """(N, LIFT_SEED) of a lift of d that is nonsingular mod MODULUS, which proves the
+    BCCT criterion for d; None when the scaling condition fails or no lift at
+    N = c, 2c, ..., blowups c is nonsingular (c the exponents' common denominator).
+
+    The lift M = stack_j (B_j (x) Z_j) takes Z_j a (p_j N) x N matrix of residues
+    drawn from LIFT_SEED; with the scaling condition M is square, of size nN.  The
+    proof uses no probability: a V with dim V > sum p_j dim B_j V makes M map
+    V (x) Q^N, of dimension N dim V, into the sum of the B_j V (x) Q^(p_j N), of
+    dimension N sum p_j dim B_j V, so M is singular over Q and hence mod the
+    prime.  One `certified_columns` sweep decides each N.  Conversely, at N = c e
+    M is a blow-up of the operator of Garg-Gurvits-Oliveira-Wigderson (GAFA
+    2018), which is rank-nondecreasing exactly for feasible data, and some
+    e <= cn - 1 has a nonsingular blow-up (Derksen-Makam, Adv. Math. 2017); a
+    random draw finds it with probability at least 1 - nN/MODULUS.
+    """
+    if not d.scaling_holds():
+        return None
+    c = d.exponent_numerators[0]
+    for n_copies in range(c, blowups * c + 1, c):
+        if certified_columns(_lift_residues(d, n_copies, LIFT_SEED)[None])[0] is not None:
+            return n_copies, LIFT_SEED
+    return None
+
+
 def check_feasibility(d: BLDatum, mode: str = "lattice") -> FeasibilityCertificate:
+    """BCCT feasibility: a proof by a nonsingular lift, else the kernel-lattice walk.
+
+    When the scaling condition holds and n c is at most LIFT_FIRST_MAX, the lift
+    of `certify_feasible` at N = c runs first.  A nonsingular one returns status
+    certified, a proof that the constant is finite (BCCT, GAFA 2008), with no
+    lattice walked (lattice_size 0) and the lift's (N, seed).  Otherwise the
+    walk of `_walk_lattice` decides, and where it passes LATTICE_CAP the lifts
+    up to N = LIFT_BLOWUPS c are tried at any n c; CapExceeded is raised again
+    when none certifies.  The bound is there because a singular lift proves
+    nothing and costs a sweep of an nc x nc matrix, cubic in nc, where the walk
+    usually finds a violation in about a millisecond.
+
+    mode is "lattice" or "coordinate_exhaustive", which makes the walk go on
+    to every proper coordinate subspace; it is checked before anything runs.
+    """
+    if mode not in ("lattice", "coordinate_exhaustive"):
+        raise ValueError(f"unknown feasibility mode {mode!r}")
+    if mode == "coordinate_exhaustive" and d.n > 16:
+        raise ValueError("coordinate_exhaustive supported only for n <= 16")
+    lift = None
+    if d.scaling_holds() and d.n * d.exponent_numerators[0] <= LIFT_FIRST_MAX:
+        lift = certify_feasible(d, blowups=1)
+    if lift is None:
+        try:
+            return _walk_lattice(d, mode)
+        except CapExceeded:
+            lift = certify_feasible(d)
+            if lift is None:
+                raise
+    return FeasibilityCertificate(True, "certified", lift=lift)
+
+
+def _walk_lattice(d: BLDatum, mode: str) -> FeasibilityCertificate:
     """BCCT criterion on the kernel lattice, optionally reinforced.
 
-    mode is "lattice" or "coordinate_exhaustive", which goes on to every
-    proper coordinate subspace.  A pass is labeled passed_lattice only in pure
-    lattice mode and passed_heuristic otherwise.  Neither is a proof of
+    A pass is labeled passed_lattice only in pure lattice mode and
+    passed_heuristic after the coordinate subspaces.  Neither is a proof of
     feasibility: the criterion quantifies over all subspaces.  The lattice is
     checked incrementally, so a violation is reported even when the full
     closure would exceed the element cap.
@@ -389,10 +492,6 @@ def check_feasibility(d: BLDatum, mode: str = "lattice") -> FeasibilityCertifica
     dim pi_j(U) = min(k, n_j) >= k n_j / n, hence deficit <= 0.  Only a U on
     a proper Zariski-closed locus can fail.
     """
-    if mode not in ("lattice", "coordinate_exhaustive"):
-        raise ValueError(f"unknown feasibility mode {mode!r}")
-    if mode == "coordinate_exhaustive" and d.n > 16:
-        raise ValueError("coordinate_exhaustive supported only for n <= 16")
     scaling_ok = d.scaling_holds()
     lattice_size = 0
     for u in _iter_kernel_lattice(d, LATTICE_CAP):

@@ -175,6 +175,7 @@ def bl_main(argv=None) -> int:
             "lattice_size": cert.lattice_size,
             "random_checks": cert.random_checks,
             "witness": subspace_to_json(cert.witness) if cert.witness else None,
+            "lift": {"N": cert.lift[0], "seed": cert.lift[1]} if cert.lift else None,
         }
         return _write_out(json.dumps(payload, indent=2, sort_keys=True), args.out, 0 if cert.feasible_so_far else 1)
     payload = {

@@ -20,6 +20,7 @@ from repverify.brascamp_lieb import (
     InvalidExponent,
     SingularForm,
     build_datum_from_rep,
+    certify_feasible,
     check_feasibility,
     datum_from_json,
     datum_to_json,
@@ -30,7 +31,7 @@ from repverify.brascamp_lieb import (
 )
 from repverify.generic import sample_elements, translate
 from repverify.harness import _corpus_pair, derive_seed
-from repverify.qlinalg import Mat, Subspace, kernel_basis, subspace_intersect, subspace_sum
+from repverify.qlinalg import MODULUS, Mat, Subspace, _pivot_columns, kernel_basis, subspace_intersect, subspace_sum
 from repverify.reps import build_config
 
 F = Fraction
@@ -107,10 +108,10 @@ class TestBuildFromRep:
 class TestFeasibility:
     def test_holder_passes(self):
         cert = check_feasibility(holder_datum(3, 2), "lattice")
-        assert cert.scaling_ok and cert.status == "passed_lattice"
+        assert cert.scaling_ok and cert.status == "certified"
 
     def test_loomis_whitney_coordinate_exhaustive(self):
-        cert = check_feasibility(loomis_whitney_datum(), "coordinate_exhaustive")
+        cert = brascamp_lieb._walk_lattice(loomis_whitney_datum(), "coordinate_exhaustive")
         assert cert.scaling_ok and cert.status == "passed_heuristic"
         assert cert.random_checks == 6  # proper nonzero coordinate subspaces of R^3
 
@@ -143,7 +144,7 @@ class TestFeasibility:
             return real_sum(a, b)
 
         monkeypatch.setattr(brascamp_lieb, "subspace_sum", counting_sum)
-        cert = check_feasibility(loomis_whitney_datum(), "lattice")
+        cert = brascamp_lieb._walk_lattice(loomis_whitney_datum(), "lattice")
         assert cert.status == "passed_lattice"
         assert pairs and max(pairs.values()) == 1
 
@@ -178,7 +179,7 @@ FEASIBILITY_MODES = ("lattice", "coordinate_exhaustive")
 LATTICE_PASS = {"holder": 2, "loomis_whitney": 8, "corpus0": 32, "corpus1": 32, "corpus2": 8}
 LATTICE_WITNESS = {"violating": (1, ((0, 1),)), "stuffed0": (20, ((0, 0, 0, 0, 1),)),
                    "stuffed1": (20, ((0, 0, 0, 0, 1),)), "stuffed2": (5, ((0, 0, 1),))}
-# (status, lattice_size, random_checks, witness columns) of check_feasibility(d, mode)
+# (status, lattice_size, random_checks, witness columns) of the walk, _walk_lattice(d, mode)
 FEASIBILITY_PINS = {
     **{(name, "lattice"): ("passed_lattice", size, 0, None) for name, size in LATTICE_PASS.items()},
     ("holder", "coordinate_exhaustive"): ("passed_heuristic", 2, 6, None),
@@ -210,11 +211,11 @@ EXTRA_WITNESS_PINS = {
 
 
 class TestFeasibilityPins:
-    """Certificates and candidate order recorded before the integer rank path."""
+    """Walk certificates and candidate order recorded before the integer rank path."""
 
     @pytest.mark.parametrize("name, mode", sorted(FEASIBILITY_PINS))
     def test_certificate(self, name, mode):
-        cert = check_feasibility(PINNED_DATA[name], mode)
+        cert = brascamp_lieb._walk_lattice(PINNED_DATA[name], mode)
         witness = cert.witness.columns if cert.witness else None
         assert (cert.status, cert.lattice_size, cert.random_checks, witness) == FEASIBILITY_PINS[(name, mode)]
 
@@ -228,7 +229,7 @@ class TestFeasibilityPins:
 
         monkeypatch.setattr(brascamp_lieb, "_criterion_deficit", record)
         for mode in FEASIBILITY_MODES:
-            check_feasibility(PINNED_DATA[name], mode)
+            brascamp_lieb._walk_lattice(PINNED_DATA[name], mode)
         assert hashlib.sha256(json.dumps(seen).encode()).hexdigest() == CANDIDATE_PINS[name]
 
     @pytest.mark.parametrize("name, mode", sorted(EXTRA_WITNESS_PINS))
@@ -241,8 +242,114 @@ class TestFeasibilityPins:
             return F(1) if len(calls) == size + 5 else real(d, u)
 
         monkeypatch.setattr(brascamp_lieb, "_criterion_deficit", flag_fifth)
-        cert = check_feasibility(PINNED_DATA[name], mode)
+        cert = brascamp_lieb._walk_lattice(PINNED_DATA[name], mode)
         assert (cert.status, cert.lattice_size, cert.random_checks, cert.witness.columns) == ("violated", size, 5, cols)
+
+
+# N of the nonsingular lift at seed LIFT_SEED: the exponents' common denominator c
+LIFT_PASS = {"holder": 2, "loomis_whitney": 2, "corpus0": 1, "corpus1": 1, "corpus2": 1}
+# (status, lattice_size, random_checks, witness columns, lift) of check_feasibility(d, mode):
+# the lift certifies each feasible datum before any walk; each violated one keeps its walk pin
+CHECK_PINS = {
+    **{(name, mode): ("certified", 0, 0, None, (n_copies, brascamp_lieb.LIFT_SEED))
+       for name, n_copies in LIFT_PASS.items() for mode in FEASIBILITY_MODES},
+    **{(name, mode): ("violated", size, 0, cols, None) for name, (size, cols) in LATTICE_WITNESS.items()
+       for mode in FEASIBILITY_MODES},
+}
+
+
+@pytest.mark.parametrize("name, mode", sorted(CHECK_PINS))
+def test_check_feasibility_pinned(name, mode):
+    cert = check_feasibility(PINNED_DATA[name], mode)
+    witness = cert.witness.columns if cert.witness else None
+    assert (cert.status, cert.lattice_size, cert.random_checks, witness, cert.lift) == CHECK_PINS[(name, mode)]
+    assert cert.scaling_ok
+
+
+def _q3_datum(scale: int = 1) -> BLDatum:
+    """Five maps of Q^3 whose kernel lattice is infinite, exponents scale * 3 / (5 n_j):
+    feasible at scale 1, where the scaling condition holds, and not at scale 2."""
+    rows = ([[0, 2, 1]], [[2, -1, 1]], [[2, 0, 0], [1, 2, 2]], [[1, 0, 0], [0, 2, 1]], [[-1, 0, 2]])
+    maps = tuple(BLMap(len(r), Mat.from_rows(r)) for r in rows)
+    return BLDatum(3, maps, tuple(F(3 * scale, 5 * m.n_j) for m in maps))
+
+
+def _lift_over_z(d: BLDatum, n_copies: int, seed: int) -> list[list[int]]:
+    """The lift stack_j (B_j (x) Z_j) as Python ints, rows and columns in np.kron's order."""
+    return [
+        [b * z for b in brow for z in zrow]
+        for rows, zs in brascamp_lieb._lift_factors(d, n_copies, seed)
+        for brow in rows
+        for zrow in zs
+    ]
+
+
+class TestLift:
+    def test_infinite_lattice_datum_certified(self, monkeypatch):
+        # the walk passes any cap on this datum (4096 after about a second); the lift at
+        # N = c = 10 certifies it, first or, past LIFT_FIRST_MAX, once the cap is passed
+        d = _q3_datum()
+        assert check_feasibility(d).status == "certified"
+        assert check_feasibility(d).lift == (10, brascamp_lieb.LIFT_SEED)
+        monkeypatch.setattr(brascamp_lieb, "LATTICE_CAP", 64)
+        with pytest.raises(CapExceeded):
+            brascamp_lieb._walk_lattice(d, "lattice")
+        monkeypatch.setattr(brascamp_lieb, "LIFT_FIRST_MAX", 0)
+        assert check_feasibility(d) == brascamp_lieb.FeasibilityCertificate(
+            True, "certified", lift=(10, brascamp_lieb.LIFT_SEED)
+        )
+
+    def test_cap_without_certificate_raises(self, monkeypatch):
+        # at scale 2 the criterion holds on every subspace but the scaling condition fails
+        d = _q3_datum(2)
+        assert not d.scaling_holds() and certify_feasible(d) is None
+        monkeypatch.setattr(brascamp_lieb, "LATTICE_CAP", 64)
+        with pytest.raises(CapExceeded, match="cap 64"):
+            check_feasibility(d)
+
+    @pytest.mark.parametrize("name", [*LIFT_PASS, "q3"])
+    def test_lift_replays_over_z(self, name):
+        d = _q3_datum() if name == "q3" else PINNED_DATA[name]
+        n_copies, seed = check_feasibility(d).lift
+        m = _lift_over_z(d, n_copies, seed)
+        assert len(m) == len(m[0]) == d.n * n_copies
+        pivots, last = _pivot_columns(m)
+        assert len(pivots) == d.n * n_copies and last != 0  # the determinant
+
+    def test_big_rows_reduced_in_python_ints(self):
+        big = 2**64 + 12345
+        maps = (BLMap(1, Mat.from_rows([[big, 3]])), BLMap(1, Mat.from_rows([[-(2**70) - 1, big]])))
+        d = BLDatum(2, maps, (F(1), F(1)))
+        assert max(abs(x) for m in d.maps for row in m.integer_rows for x in row) > 2**63
+        expected = [[x % MODULUS for x in row] for row in _lift_over_z(d, 2, 5)]
+        assert brascamp_lieb._lift_residues(d, 2, 5).tolist() == expected
+        n_copies, seed = certify_feasible(d)
+        assert _pivot_columns(_lift_over_z(d, n_copies, seed))[1] != 0
+
+    def test_violated_data_never_certified(self, monkeypatch):
+        # the walk decides at cap 64; every datum it finds violated keeps its certificate,
+        # and no lift up to N = LIFT_BLOWUPS c certifies it where check_feasibility lifts
+        monkeypatch.setattr(brascamp_lieb, "LATTICE_CAP", 64)
+        rng = random.Random(0)
+        data = [PINNED_DATA[name] for name in LATTICE_WITNESS]
+        for _ in range(200):
+            d = _random_datum(rng)
+            data += [d, BLDatum(d.n, d.maps, tuple(F(d.n, d.m * m.n_j) for m in d.maps))]
+        verdicts = Counter()
+        for d in data:
+            try:
+                walked = brascamp_lieb._walk_lattice(d, "lattice")
+            except CapExceeded:
+                verdicts["cap"] += 1
+                continue
+            cert = check_feasibility(d)
+            verdicts[walked.status, cert.status] += 1
+            if walked.status == "violated":
+                assert cert == walked
+                if d.n * d.exponent_numerators[0] <= brascamp_lieb.LIFT_FIRST_MAX:
+                    assert certify_feasible(d) is None
+        assert verdicts["violated", "certified"] == 0 and verdicts["violated", "violated"] > 200
+        assert verdicts["passed_lattice", "certified"] > 50  # many data are lifted, not vacuously
 
 
 def _reference_lattice(d: BLDatum, cap: int):
@@ -374,8 +481,8 @@ def test_rank_paths_make_no_fraction_product(monkeypatch):
 
     monkeypatch.setattr(Mat, "__matmul__", no_product)
     for mode in FEASIBILITY_MODES:
-        cert = check_feasibility(PINNED_DATA["corpus0"], mode)
-        assert cert.status != "violated"
+        assert check_feasibility(PINNED_DATA["corpus0"], mode).status == "certified"
+        assert brascamp_lieb._walk_lattice(PINNED_DATA["corpus0"], mode).status != "violated"
     assert check_feasibility(PINNED_DATA["stuffed0"], "lattice").status == "violated"
     assert translate(h, w) == expected
 

@@ -65,7 +65,7 @@ class TestSuites:
         [
             ("hypotheses", 0, 1.0, "0dd2f3daf07dd3e4d7160cbdee3ef46808cbcbaad1b5454ce2d5e8adc488eeb5"),
             ("generic-dim", 4, 0.1, "c5d0915ecbb5d2480131c362f21758fa4cfb1bc6e009ae9c05ede84240f8f92c"),
-            ("bl", 0, 1.0, "60d19350e7640cc91cc86c7fca99c4879f577a0a114282dbb073437563443e02"),
+            ("bl", 0, 1.0, "34037206314db0cf0b985e34e19de1a658c85f36ba3226c503fb81820f6d772f"),
         ],
     )
     def test_exact_suite_hash_pinned(self, suite, seed, scale, digest):
@@ -177,7 +177,8 @@ class TestCLI:
         datum_path.write_text(json.dumps(datum_to_json(loomis_whitney_datum())))
         out = tmp_path / "cert.json"
         assert bl_main(["check", "--datum", str(datum_path), "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["status"] == "passed_lattice"
+        doc = json.loads(out.read_text())
+        assert doc["status"] == "certified" and doc["lift"] == {"N": 2, "seed": 0}
         out2 = tmp_path / "est.json"
         assert bl_main(["estimate", "--datum", str(datum_path), "--budget", "100",
                         "--seed", "1", "--out", str(out2)]) == 0
@@ -266,6 +267,34 @@ class TestCLI:
         datum_path.write_text(json.dumps(datum_to_json(holder_datum(3, 2))))
         assert bl_main(["estimate", "--datum", str(datum_path), "--budget", "0"]) == 2
         assert capsys.readouterr().err.startswith("error: budget")
+
+    def test_bl_check_violated_has_no_lift(self, tmp_path):
+        from repverify.brascamp_lieb import BLDatum, BLMap, datum_to_json
+        from repverify.qlinalg import Mat
+
+        violating = BLDatum(2, (BLMap(1, Mat.from_rows([[1, 0]])),), (Fraction(2),))
+        datum_path = tmp_path / "bad.json"
+        datum_path.write_text(json.dumps(datum_to_json(violating)))
+        out = tmp_path / "cert.json"
+        assert bl_main(["check", "--datum", str(datum_path), "--out", str(out)]) == 1
+        doc = json.loads(out.read_text())
+        assert (doc["status"], doc["lattice_size"], doc["lift"]) == ("violated", 1, None)
+
+    def test_bl_check_cap_without_certificate(self, tmp_path, capsys, monkeypatch):
+        # five maps of Q^3 with an infinite kernel lattice, at twice exponents that
+        # meet the scaling condition: no lift is square and the walk passes the cap
+        from repverify import brascamp_lieb
+        from repverify.brascamp_lieb import BLDatum, BLMap, datum_to_json
+        from repverify.qlinalg import Mat
+
+        rows = ([[0, 2, 1]], [[2, -1, 1]], [[2, 0, 0], [1, 2, 2]], [[1, 0, 0], [0, 2, 1]], [[-1, 0, 2]])
+        maps = tuple(BLMap(len(r), Mat.from_rows(r)) for r in rows)
+        d = BLDatum(3, maps, tuple(Fraction(6, 5 * m.n_j) for m in maps))
+        datum_path = tmp_path / "q3.json"
+        datum_path.write_text(json.dumps(datum_to_json(d)))
+        monkeypatch.setattr(brascamp_lieb, "LATTICE_CAP", 64)
+        assert bl_main(["check", "--datum", str(datum_path)]) == 2
+        assert capsys.readouterr().err == "error: kernel lattice exceeded cap 64\n"
 
     def test_bl_check_coordinate_exhaustive_too_large(self, tmp_path, capsys):
         from repverify.brascamp_lieb import datum_to_json, holder_datum
