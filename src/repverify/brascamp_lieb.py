@@ -2,7 +2,7 @@
 
 Feasibility is the scaling condition sum p_j n_j = n together with
 dim U <= sum p_j dim pi_j(U) over subspaces U.  It is proven (status
-certified) by one lift: with p_j = c_j / c and N a multiple of c, the square
+certified) by one lift: with p_j = c_j / c and N = c, the square
 matrix stack_j (B_j (x) Z_j), Z_j a (p_j N) x N matrix of residues drawn from
 a recorded seed, has full rank mod a prime.  Any U that violates the criterion
 would make it singular, so the proof needs no probability; only finding a
@@ -63,8 +63,8 @@ from .reps import RepConfig, flag_projector, weight_decompose
 LATTICE_CAP = 4096
 SCALING_TOL = 1e-6
 LIFT_SEED = 0
-LIFT_BLOWUPS = 2  # certify_feasible tries N = c and N = 2c by default
 LIFT_FIRST_MAX = 64  # largest n c at which check_feasibility lifts before it walks
+LIFT_MAX = 512  # largest n c at which it lifts once the walk passes LATTICE_CAP
 
 
 class InvalidExponent(Exception):
@@ -413,36 +413,36 @@ def _lift_residues(d: BLDatum, n_copies: int, seed: int) -> np.ndarray:
     any int64 array is built, so each product of two residues stays below 2^62."""
     blocks = []
     for rows, z in _lift_factors(d, n_copies, seed):
-        b = np.array([[x % MODULUS for x in row] for row in rows], dtype=np.int64)
+        b = np.array([[x % MODULUS for x in row] for row in rows], dtype=np.int64).reshape(len(rows), d.n)
         z = np.array(z, dtype=np.int64).reshape(len(z), n_copies)
         kron = b[:, None, :, None] * z[None, :, None, :] % MODULUS  # np.kron(b, z); np.kron pages in ~0.3 MB on first use
         blocks.append(kron.reshape(len(b) * len(z), d.n * n_copies))
     return np.vstack(blocks)
 
 
-def certify_feasible(d: BLDatum, blowups: int = LIFT_BLOWUPS) -> tuple[int, int] | None:
+def certify_feasible(d: BLDatum) -> tuple[int, int] | None:
     """(N, LIFT_SEED) of a lift of d that is nonsingular mod MODULUS, which proves the
-    BCCT criterion for d; None when the scaling condition fails or no lift at
-    N = c, 2c, ..., blowups c is nonsingular (c the exponents' common denominator).
+    BCCT criterion for d; None when the scaling condition fails or the lift at
+    N = c (the exponents' common denominator) is singular.
 
     The lift M = stack_j (B_j (x) Z_j) takes Z_j a (p_j N) x N matrix of residues
     drawn from LIFT_SEED; with the scaling condition M is square, of size nN.  The
     proof uses no probability: a V with dim V > sum p_j dim B_j V makes M map
     V (x) Q^N, of dimension N dim V, into the sum of the B_j V (x) Q^(p_j N), of
     dimension N sum p_j dim B_j V, so M is singular over Q and hence mod the
-    prime.  One `certified_columns` sweep decides each N.  Conversely, at N = c e
-    M is a blow-up of the operator of Garg-Gurvits-Oliveira-Wigderson (GAFA
-    2018), which is rank-nondecreasing exactly for feasible data, and some
-    e <= cn - 1 has a nonsingular blow-up (Derksen-Makam, Adv. Math. 2017); a
-    random draw finds it with probability at least 1 - nN/MODULUS.
+    prime.  One `certified_columns` sweep, cubic in nc, decides it.  Conversely,
+    at N = c e M is a blow-up of the operator of Garg-Gurvits-Oliveira-Wigderson
+    (GAFA 2018), which is rank-nondecreasing exactly for feasible data, and some
+    e <= cn - 1 has a nonsingular blow-up (Derksen-Makam, Adv. Math. 2017); only
+    e = 1 is tried, and a random draw finds a nonsingular one there, when it
+    exists, with probability at least 1 - nc/MODULUS.
     """
     if not d.scaling_holds():
         return None
     c = d.exponent_numerators[0]
-    for n_copies in range(c, blowups * c + 1, c):
-        if certified_columns(_lift_residues(d, n_copies, LIFT_SEED)[None])[0] is not None:
-            return n_copies, LIFT_SEED
-    return None
+    if certified_columns(_lift_residues(d, c, LIFT_SEED)[None])[0] is None:
+        return None
+    return c, LIFT_SEED
 
 
 def check_feasibility(d: BLDatum, mode: str = "lattice") -> FeasibilityCertificate:
@@ -452,11 +452,12 @@ def check_feasibility(d: BLDatum, mode: str = "lattice") -> FeasibilityCertifica
     of `certify_feasible` at N = c runs first.  A nonsingular one returns status
     certified, a proof that the constant is finite (BCCT, GAFA 2008), with no
     lattice walked (lattice_size 0) and the lift's (N, seed).  Otherwise the
-    walk of `_walk_lattice` decides, and where it passes LATTICE_CAP the lifts
-    up to N = LIFT_BLOWUPS c are tried at any n c; CapExceeded is raised again
-    when none certifies.  The bound is there because a singular lift proves
-    nothing and costs a sweep of an nc x nc matrix, cubic in nc, where the walk
-    usually finds a violation in about a millisecond.
+    walk of `_walk_lattice` decides, and where it passes LATTICE_CAP the lift is
+    tried at n c up to LIFT_MAX, where it costs about as much as the walk to the
+    cap (1 s); CapExceeded is raised again when it does not certify.  The
+    bounds are there because a singular lift proves nothing and costs a sweep of
+    an nc x nc matrix, cubic in nc, where the walk usually finds a violation in
+    about a millisecond.
 
     mode is "lattice" or "coordinate_exhaustive", which makes the walk go on
     to every proper coordinate subspace; it is checked before anything runs.
@@ -465,14 +466,13 @@ def check_feasibility(d: BLDatum, mode: str = "lattice") -> FeasibilityCertifica
         raise ValueError(f"unknown feasibility mode {mode!r}")
     if mode == "coordinate_exhaustive" and d.n > 16:
         raise ValueError("coordinate_exhaustive supported only for n <= 16")
-    lift = None
-    if d.scaling_holds() and d.n * d.exponent_numerators[0] <= LIFT_FIRST_MAX:
-        lift = certify_feasible(d, blowups=1)
+    size = d.n * d.exponent_numerators[0]
+    lift = certify_feasible(d) if size <= LIFT_FIRST_MAX else None
     if lift is None:
         try:
             return _walk_lattice(d, mode)
         except CapExceeded:
-            lift = certify_feasible(d)
+            lift = certify_feasible(d) if LIFT_FIRST_MAX < size <= LIFT_MAX else None
             if lift is None:
                 raise
     return FeasibilityCertificate(True, "certified", lift=lift)

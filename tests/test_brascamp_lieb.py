@@ -307,6 +307,30 @@ class TestLift:
         with pytest.raises(CapExceeded, match="cap 64"):
             check_feasibility(d)
 
+    def test_lift_after_cap_bounded_by_lift_max(self, monkeypatch):
+        # n c = 30 on the Q^3 datum: lifted after the cap at LIFT_MAX 30, not at 29
+        d = _q3_datum()
+        monkeypatch.setattr(brascamp_lieb, "LATTICE_CAP", 64)
+        monkeypatch.setattr(brascamp_lieb, "LIFT_FIRST_MAX", 0)
+        monkeypatch.setattr(brascamp_lieb, "LIFT_MAX", 30)
+        assert check_feasibility(d).lift == (10, brascamp_lieb.LIFT_SEED)
+        monkeypatch.setattr(brascamp_lieb, "LIFT_MAX", 29)
+        with pytest.raises(CapExceeded, match="cap 64"):
+            check_feasibility(d)
+
+    def test_map_onto_q0(self):
+        # a 0 x n map has no integer rows and adds no rows to the lift
+        line, empty = BLMap(1, Mat.from_rows([[1, 0]])), BLMap(0, Mat.zeros(0, 2))
+        d = BLDatum(2, (line, empty), (F(2), F(1, 3)))
+        assert d.scaling_holds() and empty.integer_rows == []
+        assert brascamp_lieb._lift_residues(d, 3, 0).shape == (6, 6)
+        cert = check_feasibility(d)
+        assert cert == brascamp_lieb._walk_lattice(d, "lattice") and cert.status == "violated"
+        d = BLDatum(1, (BLMap(1, Mat.from_rows([[1]])), BLMap(0, Mat.zeros(0, 1))), (F(1), F(1, 2)))
+        assert check_feasibility(d) == brascamp_lieb.FeasibilityCertificate(
+            True, "certified", lift=(2, brascamp_lieb.LIFT_SEED)
+        )
+
     @pytest.mark.parametrize("name", [*LIFT_PASS, "q3"])
     def test_lift_replays_over_z(self, name):
         d = _q3_datum() if name == "q3" else PINNED_DATA[name]
@@ -328,7 +352,7 @@ class TestLift:
 
     def test_violated_data_never_certified(self, monkeypatch):
         # the walk decides at cap 64; every datum it finds violated keeps its certificate,
-        # and no lift up to N = LIFT_BLOWUPS c certifies it where check_feasibility lifts
+        # and no lift at N = c certifies it where check_feasibility lifts
         monkeypatch.setattr(brascamp_lieb, "LATTICE_CAP", 64)
         rng = random.Random(0)
         data = [PINNED_DATA[name] for name in LATTICE_WITNESS]

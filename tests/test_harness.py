@@ -296,6 +296,44 @@ class TestCLI:
         assert bl_main(["check", "--datum", str(datum_path)]) == 2
         assert capsys.readouterr().err == "error: kernel lattice exceeded cap 64\n"
 
+    def test_bl_check_large_denominator_exits_2(self, tmp_path, capsys, monkeypatch):
+        # the Q^3 datum above with exponents over c = 99990 that meet the scaling
+        # condition: n c is past LIFT_MAX, so the cap's exit 2 comes without a lift
+        from repverify import brascamp_lieb
+        from repverify.brascamp_lieb import BLDatum, BLMap, datum_to_json
+        from repverify.qlinalg import Mat
+
+        rows = ([[0, 2, 1]], [[2, -1, 1]], [[2, 0, 0], [1, 2, 2]], [[1, 0, 0], [0, 2, 1]], [[-1, 0, 2]])
+        maps = tuple(BLMap(len(r), Mat.from_rows(r)) for r in rows)
+        e = Fraction(1, 9999)
+        exponents = [Fraction(3, 5 * m.n_j) for m in maps]
+        d = BLDatum(3, maps, (exponents[0] + e, exponents[1] - e, *exponents[2:]))
+        assert d.scaling_holds() and d.exponent_numerators[0] == 99990
+        datum_path = tmp_path / "q3c.json"
+        datum_path.write_text(json.dumps(datum_to_json(d)))
+
+        def no_lift(*args):
+            raise AssertionError("lift built")
+
+        monkeypatch.setattr(brascamp_lieb, "_lift_residues", no_lift)
+        monkeypatch.setattr(brascamp_lieb, "LATTICE_CAP", 64)
+        assert bl_main(["check", "--datum", str(datum_path)]) == 2
+        assert capsys.readouterr().err == "error: kernel lattice exceeded cap 64\n"
+
+    def test_bl_check_map_onto_q0(self, tmp_path):
+        # a 0 x 2 map next to a line with exponent 2: the lift runs and the walk
+        # finds the violation
+        from repverify.brascamp_lieb import BLDatum, BLMap, datum_to_json
+        from repverify.qlinalg import Mat
+
+        d = BLDatum(2, (BLMap(1, Mat.from_rows([[1, 0]])), BLMap(0, Mat.zeros(0, 2))), (Fraction(2), Fraction(1, 3)))
+        datum_path = tmp_path / "q0.json"
+        datum_path.write_text(json.dumps(datum_to_json(d)))
+        out = tmp_path / "cert.json"
+        assert bl_main(["check", "--datum", str(datum_path), "--out", str(out)]) == 1
+        doc = json.loads(out.read_text())
+        assert (doc["status"], doc["lift"]) == ("violated", None)
+
     def test_bl_check_coordinate_exhaustive_too_large(self, tmp_path, capsys):
         from repverify.brascamp_lieb import datum_to_json, holder_datum
 
