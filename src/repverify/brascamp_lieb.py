@@ -1,7 +1,11 @@
 """Brascamp-Lieb data: construction, BCCT feasibility, constant estimation.
 
 Feasibility is the scaling condition sum p_j n_j = n together with
-dim U <= sum p_j dim pi_j(U) over subspaces U.  It is proven (status
+dim U <= sum p_j dim pi_j(U) over subspaces U.  The common kernel K of the
+maps is decided first, by one integer sweep over their stacked rows
+(`BLDatum.common_kernel`): K != 0 violates the criterion at once, since
+pi_j(K) = 0, and is returned as the witness with lattice_size 1, before any
+lift is built or any lattice walked.  Otherwise feasibility is proven (status
 certified) by one lift: with p_j = c_j / c and N = c, the square
 matrix stack_j (B_j (x) Z_j), Z_j a (p_j N) x N matrix of residues drawn from
 a recorded seed, has full rank mod a prime.  Any U that violates the criterion
@@ -19,14 +23,15 @@ builds a sum or intersection only when no member of that dimension already
 lies above (below) both.  Every bit of the relation is proven, by the
 lattice or by an exact containment check; a residue test mod a prime only
 rules out, beforehand, pairs whose check would fail.  Each map's integer rows
-are cleared once.
+are cleared once, and its kernel and K are swept from them.
 
 The constant is estimated by alternating (operator) scaling of the maps
 towards a geometric datum.  Every iterate gives two lower bounds for the
 constant, certified by construction: the closed-form Gaussian ratio and the
 reciprocal of the determinant-one Hilbert-Schmidt product, which meet at the
-fixed point.  A common kernel direction of the maps, which makes the
-constant infinite, is found exactly with a rank computation over Q.
+fixed point.  A nonzero common kernel K makes the constant infinite; the
+estimator reads the same cached K, so a datum pays for its sweep once.  The
+maps are converted to floats once per datum.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import chain, combinations
 
 import numpy as np
@@ -52,7 +57,7 @@ from .qlinalg import (
     certified_columns,
     independent_columns,
     integer_columns,
-    kernel_basis,
+    kernel_of_rows,
     mat_from_json,
     mat_to_json,
     rank,
@@ -125,8 +130,23 @@ class BLDatum:
     def scaling_holds(self) -> bool:
         return sum((p * m.n_j for p, m in zip(self.exponents, self.maps)), Fraction(0)) == self.n
 
-    def numpy_maps(self) -> list[np.ndarray]:
-        return [np.array(m.matrix.to_float_rows(), dtype=float) for m in self.maps]
+    @cached_property
+    def common_kernel(self) -> Subspace:
+        """K, the meet of the map kernels: one integer sweep over the stacked
+        rows of all maps, read by both `check_feasibility` and the estimator."""
+        return kernel_of_rows([row for m in self.maps for row in m.integer_rows], self.n)
+
+    def numpy_maps(self) -> tuple[np.ndarray, ...]:
+        """The maps as float arrays, converted on the first call only; they are
+        shared by every caller, so read-only."""
+        return self._float_maps
+
+    @cached_property
+    def _float_maps(self) -> tuple[np.ndarray, ...]:
+        out = tuple(np.array(m.matrix.to_float_rows(), dtype=float) for m in self.maps)
+        for a in out:
+            a.flags.writeable = False
+        return out
 
 
 @dataclass
@@ -248,7 +268,7 @@ def _iter_kernel_lattice(d: BLDatum, cap: int):
     criterion incrementally see every element first.
     """
     rel = _Relation(d.n)
-    for s in [kernel_basis(m.matrix) for m in d.maps] + [Subspace.full(d.n)]:
+    for s in [kernel_of_rows(m.integer_rows, d.n) for m in d.maps] + [Subspace.full(d.n)]:
         if s not in rel.members:
             rel.insert(s, 0, 0)
             yield s
@@ -446,18 +466,23 @@ def certify_feasible(d: BLDatum) -> tuple[int, int] | None:
 
 
 def check_feasibility(d: BLDatum, mode: str = "lattice") -> FeasibilityCertificate:
-    """BCCT feasibility: a proof by a nonsingular lift, else the kernel-lattice walk.
+    """BCCT feasibility: the common kernel, then a proof by a nonsingular lift,
+    else the kernel-lattice walk.
 
-    When the scaling condition holds and n c is at most LIFT_FIRST_MAX, the lift
-    of `certify_feasible` at N = c runs first.  A nonsingular one returns status
-    certified, a proof that the constant is finite (BCCT, GAFA 2008), with no
-    lattice walked (lattice_size 0) and the lift's (N, seed).  Otherwise the
-    walk of `_walk_lattice` decides, and where it passes LATTICE_CAP the lift is
-    tried at n c up to LIFT_MAX, where it costs about as much as the walk to the
-    cap (1 s); CapExceeded is raised again when it does not certify.  The
-    bounds are there because a singular lift proves nothing and costs a sweep of
-    an nc x nc matrix, cubic in nc, where the walk usually finds a violation in
-    about a millisecond.
+    The common kernel K = cap_j ker B_j is decided first, in both modes.  When
+    K != 0 it is a violation (dim K > 0 = sum p_j dim B_j K) and the bottom
+    member of the lattice, the meet of every kernel: status violated with
+    witness K and lattice_size 1, and no lift is built and no walk started.
+    Otherwise, when the scaling condition holds and n c is at most
+    LIFT_FIRST_MAX, the lift of `certify_feasible` at N = c runs first.  A
+    nonsingular one returns status certified, a proof that the constant is
+    finite (BCCT, GAFA 2008), with no lattice walked (lattice_size 0) and the
+    lift's (N, seed).  Otherwise the walk of `_walk_lattice` decides, and where
+    it passes LATTICE_CAP the lift is tried at n c up to LIFT_MAX, where it
+    costs about as much as the walk to the cap (1 s); CapExceeded is raised
+    again when it does not certify.  The bounds are there because a singular
+    lift proves nothing and costs a sweep of an nc x nc matrix, cubic in nc,
+    where the walk usually finds a violation in about a millisecond.
 
     mode is "lattice" or "coordinate_exhaustive", which makes the walk go on
     to every proper coordinate subspace; it is checked before anything runs.
@@ -466,6 +491,8 @@ def check_feasibility(d: BLDatum, mode: str = "lattice") -> FeasibilityCertifica
         raise ValueError(f"unknown feasibility mode {mode!r}")
     if mode == "coordinate_exhaustive" and d.n > 16:
         raise ValueError("coordinate_exhaustive supported only for n <= 16")
+    if d.common_kernel.dim:
+        return FeasibilityCertificate(d.scaling_holds(), "violated", d.common_kernel, lattice_size=1)
     size = d.n * d.exponent_numerators[0]
     lift = certify_feasible(d) if size <= LIFT_FIRST_MAX else None
     if lift is None:
@@ -594,7 +621,7 @@ def estimate_bl_constant(d: BLDatum, budget: int, seed: int, restarts: int = 8) 
         raise ValueError(f"budget must be >= 1, got {budget}")
     if not d.scaling_holds():
         raise InvalidExponent("scaling condition fails; constant is trivially degenerate")
-    if rank(reduce(Mat.vstack, (m.matrix for m in d.maps))) < d.n:
+    if d.common_kernel.dim:
         return BLEstimate(math.inf, math.inf, 0, False, bl_infinite=True, cause="common-kernel")
     mats = d.numpy_maps()
     ps = [float(p) for p in d.exponents]

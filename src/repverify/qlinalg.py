@@ -463,7 +463,13 @@ def _span(n: int, vecs: list[Sequence[int]]) -> Subspace:
 
 def kernel_basis(m: Mat) -> Subspace:
     """ker(m) as a Subspace of the domain; dimension cols - rank(m)."""
-    return _span(m.cols, _kernel_vectors([_integer(m.row(i))[1] for i in range(m.rows)], m.cols))
+    return kernel_of_rows([_integer(m.row(i))[1] for i in range(m.rows)], m.cols)
+
+
+def kernel_of_rows(rows: Sequence[Sequence[int]], n: int) -> Subspace:
+    """The kernel in Q^n of the integer matrix rows (not consumed), from one
+    sweep over Z; rows may be empty, which gives Q^n."""
+    return _span(n, _kernel_vectors(list(rows), n))
 
 
 def subspace_sum(u: Subspace, w: Subspace) -> Subspace:

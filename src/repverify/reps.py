@@ -22,7 +22,8 @@ ad(a)-eigenvector, so every word is homogeneous and enlarges the span of the
 words exactly when it enlarges its own weight block.
 
 Construction runs on integer words too.  The stabilizer and complement
-kernels are canonical integer `Subspace`s, each ad(a)-weight piece of one
+kernels are swept from integer constraint rows (`kernel_of_rows`) into
+canonical integer `Subspace`s, each ad(a)-weight piece of one
 keeps its canonical columns with their scale L, and `_action_matrices`
 commutes those words (`_commutator`) and solves every bracket against the
 basis in one `_pivot_columns` sweep.  `Fraction`s are built only for the
@@ -47,7 +48,7 @@ from .qlinalg import (
     _integer,
     _pivot_columns,
     exp_terms,
-    kernel_basis,
+    kernel_of_rows,
     mat_from_json,
     mat_to_json,
     subspace_intersect,
@@ -209,16 +210,17 @@ def _sp_form(nn: int) -> Mat:
 def _form_stabilizer_basis(s: Mat) -> Subspace:
     """{X : X^T S + S X = 0} inside gl_d, as a subspace of the flat entries."""
     d = s.rows
+    _, ents = _integer(s.entries)  # S cleared of denominators: the constraints scale, the kernel stays
     # Linear constraints on vec(X): for each (i, j), sum_k X_ki S_kj + S_ik X_kj = 0.
     rows = []
     for i in range(d):
         for j in range(d):
-            coeff = [Fraction(0)] * (d * d)
+            coeff = [0] * (d * d)
             for k in range(d):
-                coeff[k * d + i] += s.at(k, j)
-                coeff[k * d + j] += s.at(i, k)
+                coeff[k * d + i] += ents[k * d + j]
+                coeff[k * d + j] += ents[i * d + k]
             rows.append(coeff)
-    return kernel_basis(Mat.from_rows(rows))
+    return kernel_of_rows(rows, d * d)
 
 
 def _trace_complement_basis(d: int, words: list[Sequence[int]]) -> Subspace:
@@ -226,7 +228,7 @@ def _trace_complement_basis(d: int, words: list[Sequence[int]]) -> Subspace:
     # tr(Y X) = sum_{i,j} Y_ij X_ji, and the identity row keeps the trace zero
     rows = [[x[j * d + i] for i in range(d) for j in range(d)] for x in words]
     rows.append([int(i == j) for i in range(d) for j in range(d)])
-    return kernel_basis(Mat.from_rows(rows))
+    return kernel_of_rows(rows, d * d)
 
 
 def _weight_adapt(span: Subspace, a_diag: list[Fraction]) -> tuple[list[tuple[int, tuple[int, ...]]], list[Fraction]]:

@@ -8,6 +8,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -249,11 +250,12 @@ class TestFeasibilityPins:
 # N of the nonsingular lift at seed LIFT_SEED: the exponents' common denominator c
 LIFT_PASS = {"holder": 2, "loomis_whitney": 2, "corpus0": 1, "corpus1": 1, "corpus2": 1}
 # (status, lattice_size, random_checks, witness columns, lift) of check_feasibility(d, mode):
-# the lift certifies each feasible datum before any walk; each violated one keeps its walk pin
+# the lift certifies each feasible datum before any walk; each violated one has a nonzero
+# common kernel K, returned as the one member checked, and each walk's witness was K already
 CHECK_PINS = {
     **{(name, mode): ("certified", 0, 0, None, (n_copies, brascamp_lieb.LIFT_SEED))
        for name, n_copies in LIFT_PASS.items() for mode in FEASIBILITY_MODES},
-    **{(name, mode): ("violated", size, 0, cols, None) for name, (size, cols) in LATTICE_WITNESS.items()
+    **{(name, mode): ("violated", 1, 0, cols, None) for name, (_, cols) in LATTICE_WITNESS.items()
        for mode in FEASIBILITY_MODES},
 }
 
@@ -351,7 +353,8 @@ class TestLift:
         assert _pivot_columns(_lift_over_z(d, n_copies, seed))[1] != 0
 
     def test_violated_data_never_certified(self, monkeypatch):
-        # the walk decides at cap 64; every datum it finds violated keeps its certificate,
+        # the walk decides at cap 64; every datum it finds violated keeps its verdict, with
+        # the walk's certificate when the maps share no kernel and else their common kernel,
         # and no lift at N = c certifies it where check_feasibility lifts
         monkeypatch.setattr(brascamp_lieb, "LATTICE_CAP", 64)
         rng = random.Random(0)
@@ -368,12 +371,99 @@ class TestLift:
                 continue
             cert = check_feasibility(d)
             verdicts[walked.status, cert.status] += 1
-            if walked.status == "violated":
+            common = reduce(subspace_intersect, [kernel_basis(m.matrix) for m in d.maps])
+            if common.dim:
+                verdicts["common-kernel"] += 1
+                assert walked.status == "violated"
+                assert cert == brascamp_lieb.FeasibilityCertificate(walked.scaling_ok, "violated", common, 1)
+            elif walked.status == "violated":
                 assert cert == walked
+            if walked.status == "violated":
                 if d.n * d.exponent_numerators[0] <= brascamp_lieb.LIFT_FIRST_MAX:
                     assert certify_feasible(d) is None
         assert verdicts["violated", "certified"] == 0 and verdicts["violated", "violated"] > 200
+        assert 50 < verdicts["common-kernel"] < verdicts["violated", "violated"]  # both branches run
         assert verdicts["passed_lattice", "certified"] > 50  # many data are lifted, not vacuously
+
+
+def _tensor_datum() -> BLDatum:
+    """tensor_std:2,2 on the coordinate plane of e_1, e_3, three elements at height 5."""
+    rc = build_config("tensor_std:2,2")
+    plane = Subspace.from_columns(4, [[1, 0, 0, 0], [0, 0, 1, 0]])
+    return build_datum_from_rep(rc, tuple(sample_elements(rc, 0, 3, height=5)), w=plane)
+
+
+def _stuffed_tensor_datum() -> BLDatum:
+    """`_tensor_datum` with every map composed with the projection killing e_4: the
+    walk stops at the first map kernel, a plane, while the common kernel is <e_4>."""
+    d, proj = _tensor_datum(), Mat.diagonal([F(1)] * 3 + [F(0)])
+    return BLDatum(d.n, tuple(BLMap(m.n_j, m.matrix @ proj) for m in d.maps), d.exponents)
+
+
+def _fresh(d: BLDatum) -> BLDatum:
+    """An equal datum with nothing cached yet."""
+    return datum_from_json(datum_to_json(d))
+
+
+class TestCommonKernel:
+    def test_walk_stops_at_a_map_kernel_above_k(self):
+        d = _stuffed_tensor_datum()
+        walked = brascamp_lieb._walk_lattice(d, "lattice")
+        assert (walked.status, walked.lattice_size, walked.witness.dim) == ("violated", 1, 2)
+        k = Subspace.coordinate(4, [3])
+        assert d.common_kernel == k and walked.witness.contains_subspace(k)
+        for mode in FEASIBILITY_MODES:
+            assert check_feasibility(d, mode) == brascamp_lieb.FeasibilityCertificate(True, "violated", k, 1)
+
+    @pytest.mark.parametrize("name", ["violating", "stuffed0", "stuffed1", "stuffed2", "tensor"])
+    def test_no_lift_and_no_walk(self, name, monkeypatch):
+        def never(*args):
+            raise AssertionError("a datum with a common kernel reached the lift or the walk")
+
+        monkeypatch.setattr(brascamp_lieb, "_lift_residues", never)
+        monkeypatch.setattr(brascamp_lieb, "_iter_kernel_lattice", never)
+        d = _fresh(_stuffed_tensor_datum() if name == "tensor" else PINNED_DATA[name])
+        with pytest.raises(ValueError, match="unknown feasibility mode"):
+            check_feasibility(d, "bogus")
+        for mode in FEASIBILITY_MODES:
+            cert = check_feasibility(d, mode)
+            assert (cert.status, cert.witness, cert.lattice_size, cert.lift) == ("violated", d.common_kernel, 1, None)
+            assert cert.witness.dim > 0
+
+    def test_one_sweep_for_check_and_estimate(self, monkeypatch):
+        calls, real = [], brascamp_lieb.kernel_of_rows
+
+        def counting(rows, n):
+            calls.append(n)
+            return real(rows, n)
+
+        monkeypatch.setattr(brascamp_lieb, "kernel_of_rows", counting)
+        d = _fresh(PINNED_DATA["stuffed0"])
+        assert check_feasibility(d).status == "violated"
+        est = estimate_bl_constant(d, budget=10, seed=0)
+        assert est.bl_infinite and est.cause == "common-kernel"
+        assert calls == [d.n]
+
+    def test_map_onto_q0_adds_no_rows(self):
+        empty = BLMap(0, Mat.zeros(0, 2))
+        d = BLDatum(2, (BLMap(2, Mat.identity(2)), empty), (F(1), F(1, 3)))
+        assert d.common_kernel == Subspace.zero(2)
+        assert check_feasibility(d).status == "certified"
+        d = BLDatum(2, (empty,), (F(1),))
+        assert d.common_kernel == Subspace.full(2)
+        assert check_feasibility(d) == brascamp_lieb.FeasibilityCertificate(False, "violated", Subspace.full(2), 1)
+
+    def test_scaling_fails_with_a_common_kernel(self):
+        # sum p_j n_j = 2 != 3: violated on K = <e_3>, where the walk stops at the plane
+        # ker B_1 = <e_2, e_3>, with scaling_ok False; the estimator refuses the datum
+        d = BLDatum(3, (BLMap(1, Mat.from_rows([[1, 0, 0]])), BLMap(1, Mat.from_rows([[0, 1, 0]]))), (F(1), F(1)))
+        k = Subspace.coordinate(3, [2])
+        assert brascamp_lieb._walk_lattice(d, "lattice").witness == Subspace.coordinate(3, [1, 2])
+        cert = check_feasibility(d)
+        assert cert == brascamp_lieb.FeasibilityCertificate(False, "violated", k, 1)
+        assert not cert.feasible_so_far
+        with pytest.raises(InvalidExponent):
+            estimate_bl_constant(d, budget=10, seed=0)
 
 
 def _reference_lattice(d: BLDatum, cap: int):
@@ -562,6 +652,20 @@ class TestEstimate:
         assert est.lower_bound_variational >= 0.999
         assert est.lower_bound_gaussian >= 0.999
         assert est.converged
+
+    def test_maps_converted_to_floats_once(self, monkeypatch):
+        calls, real = [], Mat.to_float_rows
+
+        def counting(self):
+            calls.append(self)
+            return real(self)
+
+        monkeypatch.setattr(Mat, "to_float_rows", counting)
+        d = _tensor_datum()
+        est = estimate_bl_constant(d, budget=200, seed=0)
+        assert est.iterations > 5 and len(calls) == d.m
+        mats = d.numpy_maps()
+        assert mats is d.numpy_maps() and not any(a.flags.writeable for a in mats)
 
     @pytest.mark.parametrize("budget", [0, -1])
     def test_budget_below_one_rejected(self, budget):

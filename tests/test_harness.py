@@ -280,6 +280,21 @@ class TestCLI:
         doc = json.loads(out.read_text())
         assert (doc["status"], doc["lattice_size"], doc["lift"]) == ("violated", 1, None)
 
+    def test_bl_check_stuffed_datum_returns_common_kernel(self, tmp_path):
+        # the so_pq:2,1 corpus datum with e_5 dropped from every map: the common kernel
+        # <e_5> is the one member checked, and no lift is built
+        from repverify.brascamp_lieb import datum_to_json
+        from repverify.qlinalg import Subspace, subspace_from_json
+
+        _, stuffed = harness._corpus_pair(reps.build_config("so_pq:2,1"), 0, 0, 2, 5)
+        datum_path = tmp_path / "stuffed.json"
+        datum_path.write_text(json.dumps(datum_to_json(stuffed)))
+        out = tmp_path / "cert.json"
+        assert bl_main(["check", "--datum", str(datum_path), "--out", str(out)]) == 1
+        doc = json.loads(out.read_text())
+        assert (doc["status"], doc["lattice_size"], doc["lift"]) == ("violated", 1, None)
+        assert subspace_from_json(doc["witness"]) == Subspace.coordinate(5, [4])
+
     def test_bl_check_cap_without_certificate(self, tmp_path, capsys, monkeypatch):
         # five maps of Q^3 with an infinite kernel lattice, at twice exponents that
         # meet the scaling condition: no lift is square and the walk passes the cap
@@ -321,8 +336,8 @@ class TestCLI:
         assert capsys.readouterr().err == "error: kernel lattice exceeded cap 64\n"
 
     def test_bl_check_map_onto_q0(self, tmp_path):
-        # a 0 x 2 map next to a line with exponent 2: the lift runs and the walk
-        # finds the violation
+        # a 0 x 2 map next to a line with exponent 2: the common kernel <e_2> is the
+        # violation
         from repverify.brascamp_lieb import BLDatum, BLMap, datum_to_json
         from repverify.qlinalg import Mat
 

@@ -33,6 +33,7 @@ from repverify.qlinalg import (
     independent_columns,
     integer_columns,
     kernel_basis,
+    kernel_of_rows,
     mat_from_json,
     mat_to_json,
     matmul_mod,
@@ -184,6 +185,16 @@ class TestKernel:
             m = random_mat(rng, rng.randint(1, 5), rng.randint(1, 5))
             assert rank(m) == to_sympy(m).rank()
             assert kernel_basis(m).dim == m.cols - to_sympy(m).rank()
+
+    def test_kernel_of_rows_keeps_its_rows(self):
+        rng = random.Random(6)
+        for _ in range(20):
+            m = random_mat(rng, rng.randint(1, 5), rng.randint(1, 5))
+            rows = integer_columns(m.transpose())
+            before = [list(row) for row in rows]
+            assert kernel_of_rows(rows, m.cols) == kernel_basis(m)
+            assert rows == before
+        assert kernel_of_rows([], 3) == Subspace.full(3)
 
 
 class TestSumIntersect:

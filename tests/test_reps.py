@@ -240,7 +240,7 @@ class TestIrreducibility:
 # sha256 of build_config(d)'s name, n, h_dim, h_basis, a_action and u+ / u- (see
 # _config_json) and of the check_irreducible verdict (kind, algebra dimension,
 # witness).  The verdict hashes were pinned before qlinalg's elimination moved
-# to integer rows: building a configuration runs kernel_basis,
+# to integer rows: building a configuration runs kernel_of_rows,
 # subspace_intersect, RowSpan and the _pivot_columns sweep of the brackets,
 # and the closure test runs RowSpan.
 CONFIG_PINS = {
