@@ -143,7 +143,8 @@ class BLDatum:
 
     @cached_property
     def _float_maps(self) -> tuple[np.ndarray, ...]:
-        out = tuple(np.array(m.matrix.to_float_rows(), dtype=float) for m in self.maps)
+        """Each map as an (n_j, n) array; reshaped, since a map onto Q^0 has no rows."""
+        out = tuple(np.array(m.matrix.to_float_rows(), dtype=float).reshape(m.n_j, self.n) for m in self.maps)
         for a in out:
             a.flags.writeable = False
         return out
@@ -573,9 +574,10 @@ def gaussian_ratio(d: BLDatum, m_list: list[np.ndarray]) -> float:
 
 
 def _inv_sqrt(g: np.ndarray) -> np.ndarray:
-    """g^{-1/2} of a symmetric positive-definite Gram matrix."""
+    """g^{-1/2} of a symmetric positive-definite Gram matrix; the empty Gram
+    matrix of a map onto Q^0 is its own inverse square root."""
     w, v = np.linalg.eigh(g)
-    if w[0] <= 0:
+    if w.size and w[0] <= 0:
         raise SingularForm("Gram matrix is not positive definite")
     return (v / np.sqrt(w)) @ v.T
 
@@ -584,12 +586,14 @@ def _hs_product_bound(ps: list[float], a: np.ndarray, cs: list[np.ndarray], bs: 
     """Reciprocal of prod (||B_j||^2 / n_j)^{p_j n_j / 2}, B_j = C_j pi_j A, at |det A| = |det C_j| = 1.
 
     Determinant-one changes of variables leave the constant unchanged, and
-    the product is at least its inverse, so the value is a lower bound.
+    the product is at least its inverse, so the value is a lower bound.  A map
+    onto Q^0 contributes the factor 1.
     """
     log_f = -np.linalg.slogdet(a)[1]
     for p, c, b in zip(ps, cs, bs):
         nj = b.shape[0]
-        log_f += p * (nj / 2 * math.log(float(np.sum(b**2)) / nj) - np.linalg.slogdet(c)[1])
+        if nj:
+            log_f += p * (nj / 2 * math.log(float(np.sum(b**2)) / nj) - np.linalg.slogdet(c)[1])
     return math.exp(-log_f)
 
 

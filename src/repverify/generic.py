@@ -9,8 +9,10 @@ first use.  The bound checks need only ranks, so they compute the residues mod
 the prime MODULUS of all their elements in one batch, straight from the
 recipes, and certify the ranks of all their trials in one `certified_columns`
 call on that batch.  A mod-p rank that reaches min(#columns, length) is the
-exact rank; every trial whose mod-p rank falls short builds its exact elements
-and is decided over Z, by a `RowSpan`.
+exact rank; every trial whose mod-p rank falls short is decided over Z, by a
+`RowSpan`, on the exact translates h.W.  Each comes from h's recipe through the
+exp kernel `exp_product_columns`, applied to W's columns only, so no trial
+builds a full element matrix.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ from .qlinalg import (
     apply_rows,
     certified_columns,
     exp_product,
+    exp_product_columns,
     exp_product_residues,
-    exp_product_rows,
     exp_terms,
     independent_columns,
     matmul_mod,
@@ -58,21 +60,22 @@ class IrreducibilityViolation(Exception):
 @dataclass(frozen=True)
 class SampledElement:
     """Determinant-one element of cfg given by its recipe of (generator index, t)
-    factors; its exact matrix, equal to replay_recipe(cfg, recipe), is built on
-    first use."""
+    factors.  Its exact matrix, replay_recipe(cfg, recipe), is built on first
+    use; a translate h.W is computed from the recipe without it."""
 
     cfg: RepConfig = field(repr=False)
     recipe: tuple[tuple[int, Fraction], ...]
     seed: int
 
     @cached_property
-    def integer_rows(self) -> tuple[list[list[int]], int]:
-        """(rows, den): the exact matrix is rows / den, with rows integer."""
-        return exp_product_rows(self.cfg.n, _factors(self.cfg, self.recipe))
-
-    @cached_property
     def matrix(self) -> Mat:
-        return Mat.from_integer(*self.integer_rows)
+        return replay_recipe(self.cfg, self.recipe)
+
+    def translate_columns(self, cols: Sequence[Sequence[int]]) -> list[list[int]]:
+        """The matrix times each integer column of cols, by `exp_product_columns`
+        on those columns alone, each product over its gcd: the columns span h.W
+        for W the span of cols."""
+        return _primitive(exp_product_columns(self.cfg.n, _factors(self.cfg, self.recipe), cols)[0])
 
     @cached_property
     def residues(self) -> np.ndarray:
@@ -168,13 +171,17 @@ def _mod_p(cols: Sequence[Sequence[int]]) -> np.ndarray:
     return np.array([[x % MODULUS for x in col] for col in cols], dtype=np.int64).T
 
 
+def _primitive(cols: Iterable[Sequence[int]]) -> list[list[int]]:
+    """The nonzero integer columns, each over its gcd; their span is unchanged."""
+    return [[x // g for x in col] for col in cols if (g := math.gcd(*col))]
+
+
 def translate(h: Mat, s: Subspace) -> Subspace:
     """h.s, spanned by h's rows times the lcm of its denominators applied to each
     column of s, each product column over its gcd to keep the span's sweep small."""
     _, ents = _integer(h.entries)
     rows = [ents[i * h.cols : (i + 1) * h.cols] for i in range(h.rows)]
-    cols = apply_rows(rows, s.columns)
-    return Subspace.from_columns(h.rows, [[x // g for x in col] for col in cols if (g := math.gcd(*col))])
+    return Subspace.from_columns(h.rows, _primitive(apply_rows(rows, s.columns)))
 
 
 def _require_trials(trials: int) -> None:
@@ -228,7 +235,7 @@ def check_intersection_bound(
     report = TrialReport()
     for h, sel in zip(elements, certified_columns(np.concatenate([hw, wp], axis=2))):
         if sel is None:
-            sel = independent_columns(apply_rows(h.integer_rows[0], wc) + wpc)
+            sel = independent_columns(h.translate_columns(wc) + wpc)
         d = k + w_prime.dim - len(sel)
         report.record(d, d * n <= k * w_prime.dim, witness=(h.seed, h.recipe))
     return report
@@ -248,20 +255,24 @@ def check_projection_bound(cfg: RepConfig, w: Subspace, w_prime: Subspace, trial
     report = TrialReport()
     for h, sel in zip(elements, certified_columns(products)):
         if sel is None:
-            sel = independent_columns(apply_rows(apply_rows(h.integer_rows[0], wc), wpc))
+            sel = independent_columns(apply_rows(h.translate_columns(wc), wpc))
         r = len(sel)
         report.record(r, r * n >= k * w_prime.dim, witness=(h.seed, h.recipe))
     return report
 
 
 def _spanning_run(n: int, wc: list[list[int]], elements: Iterable[SampledElement]) -> tuple[int, tuple[int, ...]]:
-    """(q, k_list) of one spanning run over Z: each h.W joins one RowSpan of the
-    sum, and k_{q'} is dim W minus the rows that h_{q'}.W added."""
+    """(q, k_list) of one spanning run over Z: the columns of each h.W, from
+    `SampledElement.translate_columns`, join one RowSpan of the sum, and k_{q'}
+    is dim W minus the rows that h_{q'}.W added.  No column enlarges a full
+    span, so the run reduces none once the span has dimension n."""
     span, added = RowSpan(n), []
     for h in islice(elements, n + 1):
-        added.append(sum(map(span.add, apply_rows(h.integer_rows[0], wc))))
-        if span.dim == n:
-            return len(added), tuple(len(wc) - a for a in added[1:])
+        added.append(0)
+        for col in h.translate_columns(wc):
+            added[-1] += span.add(col)
+            if span.dim == n:
+                return len(added), tuple(len(wc) - a for a in added[1:])
     raise IrreducibilityViolation("translates never span V; configuration looks reducible")
 
 

@@ -4,9 +4,10 @@ Matrices and vectors are Fractions.  Subspaces are kept over Z in one
 canonical integer form, so their equality and hashing compare integers; ranks,
 kernels, sums and intersections are exact, and the Fraction basis of a
 subspace is built only when it is read.  Every exact product on a rank or span
-path (translates h.W, the BCCT ranks of `brascamp_lieb`, the kernel step of
-`subspace_intersect`) is the one integer product `apply_rows`: integer rows
-times integer columns.
+path (translates h.W by a given matrix, the BCCT ranks of `brascamp_lieb`, the
+kernel step of `subspace_intersect`) is the one integer product `apply_rows`:
+integer rows times integer columns.  Translates by a sampled element come from
+its recipe through the exp kernel below, with no matrix built.
 
 Every matrix elimination over Z runs on integer rows in the one column sweep
 `_pivot_columns`, fraction-free Gauss-Jordan on vectors cleared of
@@ -29,10 +30,12 @@ one numpy sweep over a batch of residue matrices, which `generic` runs once
 per trial check: a mod-p rank that reaches min(#columns, length) is the rank
 over Q (rank_p <= rank_Q <= min, and a minor nonzero mod p is nonzero over Z).
 
-Every unipotent exponential goes through the one exp kernel `exp_product_rows`:
-it multiplies exp(t N) factors from the terms N^k/k! of each N (`exp_terms`)
-over Z with one common denominator; `exp_product` is its `Mat`, and
-`nilpotent_exp` the one-factor case.  `exp_product_residues` computes the same
+Every exact unipotent exponential goes through the one exp kernel
+`exp_product_columns`: it applies a product of exp(t N) factors, built from the
+terms N^k/k! of each N (`exp_terms`), to integer columns over Z, right to left
+and with one common denominator.  A translate h.W takes W's columns alone;
+`exp_product` is the kernel on the identity's columns, as a `Mat`, and
+`nilpotent_exp` its one-factor case.  `exp_product_residues` computes the same
 products mod p for a batch of parameter rows sharing one schedule of N's, as
 int64 numpy arrays multiplied by `matmul_mod`.
 """
@@ -516,8 +519,8 @@ def subspace_intersect(u: Subspace, w: Subspace) -> Subspace:
 class ExpTerms:
     """The terms N^k/k!, k = 1..degree, of exp(tN) for one dim x dim nilpotent N.
 
-    Term k is terms[k-1] = (its denominator, its integer rows), each row a tuple
-    of (column, value) pairs; den is the lcm of the term denominators.
+    Term k is terms[k-1] = (its denominator, its integer columns), each column
+    a tuple of (row, value) pairs; den is the lcm of the term denominators.
     """
 
     dim: int
@@ -528,10 +531,10 @@ class ExpTerms:
     def residues(self) -> np.ndarray:
         """(degree, dim, dim) int64: term k mod MODULUS is residues[k-1]."""
         out = np.zeros((len(self.terms), self.dim, self.dim), dtype=np.int64)
-        for k, (den_k, rows) in enumerate(self.terms):
+        for k, (den_k, cols) in enumerate(self.terms):
             inv = _inverse(den_k)
-            for i, row in enumerate(rows):
-                for j, v in row:
+            for j, col in enumerate(cols):
+                for i, v in col:
                     out[k, i, j] = v * inv % MODULUS
         return out
 
@@ -554,7 +557,11 @@ def exp_terms(n: Mat) -> ExpTerms:
             break
         den *= d * k
         g = math.gcd(den, *(v for row in power for v in row.values()))
-        terms.append((den // g, tuple(tuple((j, v // g) for j, v in sorted(row.items())) for row in power)))
+        cols: list[list[tuple[int, int]]] = [[] for _ in range(dim)]
+        for i, row in enumerate(power):
+            for j, v in row.items():
+                cols[j].append((i, v // g))
+        terms.append((den // g, tuple(tuple(col) for col in cols)))
         power = _sparse_matmul(power, m)
     if any(power):
         raise NotNilpotent("matrix is not nilpotent (n^dim != 0)")
@@ -572,50 +579,55 @@ def _sparse_matmul(a: list[dict[int, int]], b: list[dict[int, int]]) -> list[dic
     return out
 
 
-def exp_product_rows(dim: int, factors: Sequence[tuple[ExpTerms, Fraction]]) -> tuple[list[list[int]], int]:
-    """(rows, den) with rows / den the exact product of exp(t N) over the
-    (ExpTerms of N, t) factors, in order.
+def exp_product_columns(
+    dim: int, factors: Sequence[tuple[ExpTerms, Fraction]], cols: Sequence[Sequence[int]]
+) -> tuple[list[list[int]], int]:
+    """(out, den) with out / den the exact product of exp(t N) over the
+    (ExpTerms of N, t) factors, in order, times each integer column of cols.
 
-    For t = a/b, exp(tN) is an integer matrix over b^degree * den.  The running
-    product is kept as integer rows over one common denominator, reduced by the
-    gcd of that denominator and all entries after each factor, so den is the
-    lcm of the denominators of the reduced entries.
+    The factors act right to left.  For t = a/b, exp(tN) times b^degree * den
+    is an integer matrix, built once per factor as sparse columns; a running
+    column x then becomes the sum of x_j times column j over its nonzero x_j.
+    The columns share one denominator, reduced after each factor by its gcd
+    with all their entries.
     """
-    num = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    out = [list(col) for col in cols]
     den = 1
-    for terms, t in factors:
+    for terms, t in reversed(factors):
         a, b = t.numerator, t.denominator
         deg = len(terms.terms)
         scale = b**deg * terms.den
         # exp(tN) * scale = scale * I + sum_k a^k b^(deg-k) (den / den_k) * term_k
         coeffs = [a**k * b ** (deg - k) * (terms.den // den_k) for k, (den_k, _) in enumerate(terms.terms, 1)]
-        exp_rows = []
-        for i in range(dim):
-            row = {i: scale}
-            for c, (_, rows) in zip(coeffs, terms.terms):
-                for j, v in rows[i]:
-                    row[j] = row.get(j, 0) + c * v
-            exp_rows.append([(j, v) for j, v in row.items() if v])
+        exp_cols = []
+        for j in range(dim):
+            col = {j: scale}
+            for c, (_, term_cols) in zip(coeffs, terms.terms):
+                for i, v in term_cols[j]:
+                    col[i] = col.get(i, 0) + c * v
+            exp_cols.append([(i, v) for i, v in col.items() if v])
         prod = []
-        for arow in num:
-            out = [0] * dim
-            for x, row in zip(arow, exp_rows):
-                if x:
-                    for j, v in row:
-                        out[j] += x * v
-            prod.append(out)
-        num = prod
+        for x in out:
+            y = [0] * dim
+            for xj, col in zip(x, exp_cols):
+                if xj:
+                    for i, v in col:
+                        y[i] += xj * v
+            prod.append(y)
+        out = prod
         den *= scale
-        g = math.gcd(den, *(x for row in num for x in row))
+        g = math.gcd(den, *(x for col in out for x in col))
         if g > 1:
             den //= g
-            num = [[x // g for x in row] for row in num]
-    return num, den
+            out = [[x // g for x in col] for col in out]
+    return out, den
 
 
 def exp_product(dim: int, factors: Sequence[tuple[ExpTerms, Fraction]]) -> Mat:
-    """The exact product of exp(t N) over the (ExpTerms of N, t) factors, in order."""
-    return Mat.from_integer(*exp_product_rows(dim, factors))
+    """The exact product of exp(t N) over the (ExpTerms of N, t) factors, in
+    order: `exp_product_columns` on the columns of the identity."""
+    cols, den = exp_product_columns(dim, factors, [[int(i == j) for i in range(dim)] for j in range(dim)])
+    return Mat.from_integer(list(zip(*cols)), den)
 
 
 def _inverse(d: int) -> int:

@@ -667,6 +667,14 @@ class TestEstimate:
         mats = d.numpy_maps()
         assert mats is d.numpy_maps() and not any(a.flags.writeable for a in mats)
 
+    @pytest.mark.parametrize("datum", [BLDatum(2, (BLMap(2, Mat.identity(2)),), (F(1),)), _tensor_datum()])
+    def test_map_onto_q0_contributes_factor_one(self, datum):
+        # appending a 0 x n map with any exponent leaves both bounds unchanged
+        empty = BLMap(0, Mat.zeros(0, datum.n))
+        d = BLDatum(datum.n, datum.maps + (empty,), datum.exponents + (F(1, 3),))
+        assert d.numpy_maps()[-1].shape == (0, datum.n)
+        assert estimate_bl_constant(d, budget=200, seed=0) == estimate_bl_constant(datum, budget=200, seed=0)
+
     @pytest.mark.parametrize("budget", [0, -1])
     def test_budget_below_one_rejected(self, budget):
         with pytest.raises(ValueError, match="budget"):

@@ -26,8 +26,19 @@ from repverify.generic import (
     submodularity_check,
     translate,
 )
-from repverify.qlinalg import MODULUS, Mat, Subspace, canonicalize, det, mat_to_json, rank, subspace_intersect, subspace_sum
-from repverify.reps import build_config, flag_projector, weight_decompose
+from repverify.qlinalg import (
+    MODULUS,
+    Mat,
+    RowSpan,
+    Subspace,
+    canonicalize,
+    det,
+    mat_to_json,
+    rank,
+    subspace_intersect,
+    subspace_sum,
+)
+from repverify.reps import build_config, check_irreducible, flag_projector, weight_decompose
 
 F = Fraction
 
@@ -269,6 +280,36 @@ def test_spanning_replayed_over_z_matches_pins(name, monkeypatch):
     monkeypatch.setattr(generic, "certified_columns", lambda batch: [None] * len(batch))
     cfg, _, flags = flags_of(name)
     assert [find_spanning_q(cfg, w, trials=4, seed=11) for w in flags] == SPANNING_PINS[cfg.n]
+
+
+@pytest.mark.parametrize("forced_z", [False, True])
+def test_spanning_structural_deficit_at_n14_pinned(forced_z, monkeypatch):
+    # the dim-4 flag of so_pq:3,2 replays over Z on every trial: its outcome
+    # (5, (0, 1, 2, 3)) exceeds q0 = 4, so no head batch certifies it
+    if forced_z:
+        monkeypatch.setattr(generic, "certified_columns", lambda batch: [None] * len(batch))
+    cfg, _, flags = flags_of("so_pq:3,2")
+    w = next(w for w in flags if w.dim == 4)
+    assert find_spanning_q(cfg, w, trials=2, seed=11) == (5, (0, 1, 2, 3))
+
+
+def test_spanning_run_builds_no_matrix_and_stops_at_full_span(monkeypatch):
+    # the dim-3 flag of so_pq:2,2 replays (4, (0, 1, 2)) over Z from the
+    # elements' recipes; its RowSpan takes 3 + 3 + 3 columns, then one more
+    # fills Q^9, and the fourth translate's last two columns are not reduced
+    monkeypatch.setattr(generic, "certified_columns", lambda batch: [None] * len(batch))
+    cfg, _, flags = flags_of("so_pq:2,2")
+    w = flags[2]
+    check_irreducible(cfg)  # cached; its algebra closure runs RowSpans of its own
+
+    def no_matrix(self):
+        raise AssertionError("full element matrix built")
+
+    dims, add = [], RowSpan.add
+    monkeypatch.setattr(SampledElement, "matrix", property(no_matrix))
+    monkeypatch.setattr(RowSpan, "add", lambda self, vec: dims.append(self.dim) or add(self, vec))
+    assert find_spanning_q(cfg, w, trials=2, seed=11) == (4, (0, 1, 2))
+    assert len(dims) == 2 * 10 and max(dims) < cfg.n
 
 
 def test_spanning_tie_goes_to_the_first_outcome(monkeypatch):

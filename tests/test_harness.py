@@ -349,6 +349,19 @@ class TestCLI:
         doc = json.loads(out.read_text())
         assert (doc["status"], doc["lift"]) == ("violated", None)
 
+    def test_bl_estimate_map_onto_q0(self, tmp_path):
+        # the identity on Q^2 next to a 0 x 2 map: the estimate is the identity's
+        from repverify.brascamp_lieb import BLDatum, BLMap, datum_to_json
+        from repverify.qlinalg import Mat
+
+        d = BLDatum(2, (BLMap(2, Mat.identity(2)), BLMap(0, Mat.zeros(0, 2))), (Fraction(1), Fraction(1, 3)))
+        datum_path = tmp_path / "q0.json"
+        datum_path.write_text(json.dumps(datum_to_json(d)))
+        out = tmp_path / "est.json"
+        assert bl_main(["estimate", "--datum", str(datum_path), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert (doc["lower_bound_gaussian"], doc["converged"], doc["cause"]) == (1.0, True, None)
+
     def test_bl_check_coordinate_exhaustive_too_large(self, tmp_path, capsys):
         from repverify.brascamp_lieb import datum_to_json, holder_datum
 

@@ -27,8 +27,8 @@ from repverify.qlinalg import (
     certified_columns,
     det,
     exp_product,
+    exp_product_columns,
     exp_product_residues,
-    exp_product_rows,
     exp_terms,
     independent_columns,
     integer_columns,
@@ -745,6 +745,24 @@ def test_exp_product_matches_power_series(data):
     assert exp_product(dim, [(exp_terms(n), t) for n, t in factors]) == expected
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_exp_product_columns_match_power_series(data):
+    # the kernel's columns over its denominator are the Fraction power-series
+    # product times the integer columns; on the identity it is exp_product
+    dim = data.draw(st.integers(min_value=1, max_value=5))
+    factors = data.draw(st.lists(st.tuples(nilpotent_matrix(dim, dim), params), max_size=4))
+    cols = data.draw(st.lists(st.lists(st.integers(-10**6, 10**6), min_size=dim, max_size=dim), max_size=4))
+    product = Mat.identity(dim)
+    for n, t in factors:
+        product = product @ power_series_exp(n.scale(t))
+    schedule = [(exp_terms(n), t) for n, t in factors]
+    out, den = exp_product_columns(dim, schedule, cols)
+    assert [[F(x, den) for x in col] for col in out] == [list(product.apply(col)) for col in cols]
+    out, den = exp_product_columns(dim, schedule, np.eye(dim, dtype=int).tolist())
+    assert Mat.from_cols([[F(x, den) for x in col] for col in out]) == exp_product(dim, schedule) == product
+
+
 def test_matmul_mod_matches_big_integers():
     # residues p - 1 and p - 2: each product is near 2^62 and a sum of 14 of them
     # overflows int64, which numpy's plain @ wraps silently
@@ -767,8 +785,8 @@ def test_exp_product_residues_match_exact(data):
     got = exp_product_residues(dim, schedule, batch)
     assert got.shape == (len(batch), dim, dim)
     for row, residues in zip(batch, got.tolist()):
-        num, den = exp_product_rows(dim, list(zip(schedule, row)))
-        assert residues == [[x * pow(den, -1, MODULUS) % MODULUS for x in r] for r in num]
+        cols, den = exp_product_columns(dim, list(zip(schedule, row)), np.eye(dim, dtype=int).tolist())
+        assert residues == [[x * pow(den, -1, MODULUS) % MODULUS for x in r] for r in zip(*cols)]
 
 
 def test_exp_product_residues_need_invertible_denominators():
