@@ -12,18 +12,13 @@ a recorded seed, has full rank mod a prime.  Any U that violates the criterion
 would make it singular, so the proof needs no probability; only finding a
 nonsingular lift is left to chance.  Data the lift does not certify are
 checked with exact integer arithmetic on a subspace lattice, which gives a
-violating U as witness; a passing lattice check is labeled as such
-(passed_lattice, or passed_heuristic after the coordinate subspaces) and is
-not a proof for general data.  The lattice is the
-sum/intersection closure of the map kernels.  Its walk keeps the containment
-relation of the members as bitmasks: a pair in which one member contains the
-other is skipped by one bit test, since its sum and intersection are the pair
-itself, and any other pair runs one kernel sweep for the two dimensions and
-builds a sum or intersection only when no member of that dimension already
-lies above (below) both.  Every bit of the relation is proven, by the
-lattice or by an exact containment check; a residue test mod a prime only
-rules out, beforehand, pairs whose check would fail.  Each map's integer rows
-are cleared once, and its kernel and K are swept from them.
+violating U as witness; a passing lattice check is labeled passed_lattice and
+is not a proof for general data.  The lattice is the sum/intersection closure
+of the map kernels.  Its walk sweeps every pair once for the dimension of its
+meet: a pair in which one member contains the other is skipped, since its
+sum and intersection are the pair itself, and a sum of dimension n is the
+full space, already a member.  Each map's integer rows are cleared once, and
+its kernel and K are swept from them.
 
 The constant is estimated by alternating (operator) scaling of the maps
 towards a geometric datum.  Every iterate gives two lower bounds for the
@@ -42,7 +37,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import chain
 
 import numpy as np
 
@@ -153,10 +148,9 @@ class BLDatum:
 @dataclass
 class FeasibilityCertificate:
     scaling_ok: bool
-    status: str  # "certified" | "violated" | "passed_lattice" | "passed_heuristic"
+    status: str  # "certified" (a proof) | "violated" (with a witness) | "passed_lattice" (no proof)
     witness: Subspace | None = None
     lattice_size: int = 0
-    random_checks: int = 0  # subspaces checked past the lattice
     lift: tuple[int, int] | None = None  # (N, seed) of the nonsingular lift behind "certified"
 
     @property
@@ -254,166 +248,43 @@ def _iter_kernel_lattice(d: BLDatum, cap: int):
     """Yield the sum/intersection closure of the map kernels as it grows.
 
     Each round combines every new element with the older members and with
-    the new elements after it, so every unordered pair is combined once.  The
-    walk keeps the containment relation of its members (`_Relation`): for each
-    member, the bitmasks of the members above it and below it.  Every bit is a
-    proven containment, and the relation is complete after each insertion.
-    So a comparable pair is skipped by one bit test: its sum and intersection
-    are the pair itself.  Any other pair runs the one meet-kernel sweep, which
-    gives dim(a cap b) and dim(a + b) = dim a + dim b - dim(a cap b).  A sum
-    is built only when no member of its dimension lies above both a and b: such
-    a member contains a + b and has its dimension, so it is a + b.  A meet,
-    dually, is built only when none of its dimension lies below both.  So the
-    skips change neither the order of the yields nor the point where the cap
-    is passed.  Raises CapExceeded past `cap` elements; callers checking the
-    criterion incrementally see every element first.
+    the new elements after it, so every unordered pair is combined once, by
+    one meet-kernel sweep that gives dim(a cap b) and so dim(a + b) = dim a +
+    dim b - dim(a cap b).  A comparable pair, whose meet has the smaller
+    dimension, is skipped: its sum and intersection are the pair itself.  A
+    sum of dimension n is the full space, a member from the start; any other
+    sum is built, and the meet is built from the sweep.  New elements are
+    yielded sum first, then meet.  Raises CapExceeded past `cap` elements;
+    callers checking the criterion incrementally see every element first.
     """
-    rel = _Relation(d.n)
-    for s in [kernel_of_rows(m.integer_rows, d.n) for m in d.maps] + [Subspace.full(d.n)]:
-        if s not in rel.members:
-            rel.insert(s, 0, 0)
-            yield s
-    members, up, down, blocks = rel.members, rel.up, rel.down, rel.blocks
+    members = list(dict.fromkeys([kernel_of_rows(m.integer_rows, d.n) for m in d.maps] + [Subspace.full(d.n)]))
+    seen = set(members)
+    yield from members
+
+    def add(c: Subspace) -> bool:
+        """Whether c is new; a new c becomes a member."""
+        if c in seen:
+            return False
+        seen.add(c)
+        members.append(c)
+        if len(members) > cap:
+            raise CapExceeded(f"kernel lattice exceeded cap {cap}")
+        return True
+
     lo, hi = 0, len(members)
     while lo < hi:
         for i in range(lo, hi):
             for j in chain(range(lo), range(i + 1, hi)):
-                if (up[i] | down[i]) >> j & 1:
-                    continue
                 a, b = members[i], members[j]
                 cols, ker = _meet_kernel(a, b)
                 k = len(ker)
-                if not up[i] & up[j] & blocks[a.dim + b.dim - k].mask:
-                    c = subspace_sum(a, b)
-                    rel.insert(c, up[i] & up[j], down[i] | down[j], check_above=False)
-                    if len(members) > cap:
-                        raise CapExceeded(f"kernel lattice exceeded cap {cap}")
+                if k == min(a.dim, b.dim):
+                    continue
+                if a.dim + b.dim - k < d.n and add(c := subspace_sum(a, b)):
                     yield c
-                if not down[i] & down[j] & blocks[k].mask:
-                    c = _meet(d.n, cols, ker)
-                    rel.insert(c, up[i] | up[j], down[i] & down[j], check_below=False)
-                    if len(members) > cap:
-                        raise CapExceeded(f"kernel lattice exceeded cap {cap}")
+                if add(c := _meet(d.n, cols, ker)):
                     yield c
         lo, hi = hi, len(members)
-
-
-class _Relation:
-    """Subspaces with their containment relation, kept as bitmasks (ints).
-
-    Bit j of up[i] (of down[i]) is set exactly when member j contains (lies
-    in) member i, i itself included; blocks[k] holds the members of dimension
-    k.
-
-    A new member comes with the containments the lattice already gives: a sum
-    a + b lies in exactly the members above both a and b and contains
-    everything below either, and a meet dually.  On each side left open, the
-    members of the other dimensions are first put to a residue test, one
-    numpy pass per dimension (`_Block`), and the few that pass are checked
-    with the exact `contains_subspace`.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.members: list[Subspace] = []
-        self.up: list[int] = []
-        self.down: list[int] = []
-        self.weights = [pow(3, 16 * (i + 1), _Block.P) for i in range(n)]
-        self.blocks = [_Block(n, k) for k in range(n + 1)]
-
-    def insert(self, c: Subspace, above: int, below: int, check_above: bool = True, check_below: bool = True) -> None:
-        """Add c, known to lie in the members of above and to contain those of
-        below; the other members are checked on each side asked for."""
-        i, members = len(self.members), self.members
-        cols = np.array([[x % _Block.P for x in col] for col in c.columns], dtype=np.int64).reshape(c.dim, self.n)
-        phi = np.array([x % _Block.P for x in self._functional(c)], dtype=np.int64)
-        if check_above:
-            for blk in self.blocks[c.dim + 1 :]:
-                for j in blk.may_contain(cols):
-                    if not above >> j & 1 and members[j].contains_subspace(c):
-                        above |= 1 << j
-        if check_below:
-            for blk in self.blocks[: c.dim]:
-                for j in blk.may_lie_in(phi):
-                    if not below >> j & 1 and c.contains_subspace(members[j]):
-                        below |= 1 << j
-        self.blocks[c.dim].append(i, cols, phi)
-        bit = 1 << i
-        for j in _bits(above):
-            self.down[j] |= bit
-        for j in _bits(below):
-            self.up[j] |= bit
-        members.append(c)
-        self.up.append(above | bit)
-        self.down.append(below | bit)
-
-    def _functional(self, c: Subspace) -> list[int]:
-        """sum_i w_i (L e_i - sum_j c_j[i] e_(p_j)) over the rows i off c's pivots."""
-        free = sorted(set(range(self.n)) - set(c.pivots))
-        out = [0] * self.n
-        for i in free:
-            out[i] = c.scale * self.weights[i]
-        for col, piv in zip(c.columns, c.pivots):
-            out[piv] = -sum(self.weights[i] * col[i] for i in free)
-        return out
-
-
-class _Block:
-    """The members of one dimension k of a `_Relation`, mod the prime P.
-
-    mask has the bits of their member indices.  For the t-th of them,
-    index[t] is its member index, cols[t] holds its k columns and phi[t] a
-    functional that vanishes on it: a weighted sum of the constraints
-    L e_i - sum_j x_j[i] e_(p_j), i off its pivots p_j, which
-    `contains_subspace` reads too.  A column v with phi v nonzero mod P is
-    nonzero over Z, so v does not lie in that member: the residue test only
-    rules out containments that fail.
-    """
-
-    P = 2**28 - 57  # a prime: a sum of 127 products of residues stays below 2^63
-
-    def __init__(self, n: int, k: int):
-        self.index: list[int] = []
-        self.mask = 0
-        self.cols = np.zeros((4, k, n), dtype=np.int64)
-        self.phi = np.zeros((4, n), dtype=np.int64)
-
-    def append(self, j: int, cols: np.ndarray, phi: np.ndarray) -> None:
-        t = len(self.index)
-        if t == len(self.phi):
-            self.cols = np.concatenate([self.cols, np.zeros_like(self.cols)])
-            self.phi = np.concatenate([self.phi, np.zeros_like(self.phi)])
-        self.index.append(j)
-        self.mask |= 1 << j
-        self.cols[t] = cols
-        self.phi[t] = phi
-
-    def may_contain(self, cols: np.ndarray) -> list[int]:
-        """The members whose functional vanishes on each of the (s, n) columns mod P."""
-        return self._vanishing(self.phi, cols.T)
-
-    def may_lie_in(self, phi: np.ndarray) -> list[int]:
-        """The members whose columns the functional phi sends to 0 mod P."""
-        return self._vanishing(self.cols, phi)
-
-    def _vanishing(self, a: np.ndarray, b: np.ndarray) -> list[int]:
-        """The members j whose products a[j] @ b all vanish mod P, summed 127
-        products at a time."""
-        m = len(self.index)
-        if not m:
-            return []
-        dots = a[:m, ..., :127] @ b[:127] % self.P
-        for k in range(127, b.shape[0], 127):
-            dots = (dots + a[:m, ..., k : k + 127] @ b[k : k + 127]) % self.P
-        return [self.index[t] for t in np.flatnonzero(~dots.any(axis=1))]
-
-
-def _bits(mask: int):
-    """The indices of the set bits of mask."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _lift_factors(d: BLDatum, n_copies: int, seed: int) -> list[tuple[list[list[int]], list[list[int]]]]:
@@ -470,35 +341,32 @@ def check_feasibility(d: BLDatum, mode: str = "lattice") -> FeasibilityCertifica
     """BCCT feasibility: the common kernel, then a proof by a nonsingular lift,
     else the kernel-lattice walk.
 
-    The common kernel K = cap_j ker B_j is decided first, in both modes.  When
-    K != 0 it is a violation (dim K > 0 = sum p_j dim B_j K) and the bottom
-    member of the lattice, the meet of every kernel: status violated with
-    witness K and lattice_size 1, and no lift is built and no walk started.
-    Otherwise, when the scaling condition holds and n c is at most
-    LIFT_FIRST_MAX, the lift of `certify_feasible` at N = c runs first.  A
-    nonsingular one returns status certified, a proof that the constant is
-    finite (BCCT, GAFA 2008), with no lattice walked (lattice_size 0) and the
-    lift's (N, seed).  Otherwise the walk of `_walk_lattice` decides, and where
-    it passes LATTICE_CAP the lift is tried at n c up to LIFT_MAX, where it
-    costs about as much as the walk to the cap (1 s); CapExceeded is raised
-    again when it does not certify.  The bounds are there because a singular
-    lift proves nothing and costs a sweep of an nc x nc matrix, cubic in nc,
-    where the walk usually finds a violation in about a millisecond.
-
-    mode is "lattice" or "coordinate_exhaustive", which makes the walk go on
-    to every proper coordinate subspace; it is checked before anything runs.
+    The common kernel K = cap_j ker B_j is decided first.  When K != 0 it is a
+    violation (dim K > 0 = sum p_j dim B_j K) and the bottom member of the
+    lattice, the meet of every kernel: status violated with witness K and
+    lattice_size 1, and no lift is built and no walk started.  Otherwise, when
+    the scaling condition holds and n c is at most LIFT_FIRST_MAX, the lift of
+    `certify_feasible` at N = c runs first.  A nonsingular one returns status
+    certified, a proof that the constant is finite (BCCT, GAFA 2008), with no
+    lattice walked (lattice_size 0) and the lift's (N, seed).  Otherwise the
+    walk of `_walk_lattice` decides, and where it passes LATTICE_CAP the lift is
+    tried at n c up to LIFT_MAX, where it costs about as much as the walk to
+    the cap (0.5-0.9 s on a datum of Q^3, 2.7-7.5 s on data of Q^5 and Q^6);
+    CapExceeded is raised again when it does not certify.  The bounds are
+    there because a singular lift proves nothing and costs a sweep of an
+    nc x nc matrix, cubic in nc, where the walk usually finds a violation in
+    about a millisecond.
     """
-    if mode not in ("lattice", "coordinate_exhaustive"):
+    # "lattice" is the only mode; the parameter stays because the benchmark workloads pass it
+    if mode != "lattice":
         raise ValueError(f"unknown feasibility mode {mode!r}")
-    if mode == "coordinate_exhaustive" and d.n > 16:
-        raise ValueError("coordinate_exhaustive supported only for n <= 16")
     if d.common_kernel.dim:
         return FeasibilityCertificate(d.scaling_holds(), "violated", d.common_kernel, lattice_size=1)
     size = d.n * d.exponent_numerators[0]
     lift = certify_feasible(d) if size <= LIFT_FIRST_MAX else None
     if lift is None:
         try:
-            return _walk_lattice(d, mode)
+            return _walk_lattice(d)
         except CapExceeded:
             lift = certify_feasible(d) if LIFT_FIRST_MAX < size <= LIFT_MAX else None
             if lift is None:
@@ -506,14 +374,13 @@ def check_feasibility(d: BLDatum, mode: str = "lattice") -> FeasibilityCertifica
     return FeasibilityCertificate(True, "certified", lift=lift)
 
 
-def _walk_lattice(d: BLDatum, mode: str) -> FeasibilityCertificate:
-    """BCCT criterion on the kernel lattice, optionally reinforced.
+def _walk_lattice(d: BLDatum) -> FeasibilityCertificate:
+    """BCCT criterion on the kernel lattice: violated with the first member
+    that violates it, else passed_lattice.
 
-    A pass is labeled passed_lattice only in pure lattice mode and
-    passed_heuristic after the coordinate subspaces.  Neither is a proof of
-    feasibility: the criterion quantifies over all subspaces.  The lattice is
-    checked incrementally, so a violation is reported even when the full
-    closure would exceed the element cap.
+    A pass is not a proof of feasibility: the criterion quantifies over all
+    subspaces.  The lattice is checked incrementally, so a violation is
+    reported even when the full closure would exceed the element cap.
 
     Random subspaces are never worth checking: the full space is in the
     lattice, so past it sum p_j n_j >= n, and a generic U of dimension k has
@@ -525,15 +392,8 @@ def _walk_lattice(d: BLDatum, mode: str) -> FeasibilityCertificate:
     for u in _iter_kernel_lattice(d, LATTICE_CAP):
         lattice_size += 1
         if _criterion_deficit(d, u) > 0:
-            return FeasibilityCertificate(scaling_ok, "violated", u, lattice_size, 0)
-    if mode == "lattice":
-        return FeasibilityCertificate(scaling_ok, "passed_lattice", None, lattice_size, 0)
-    extra = (Subspace.coordinate(d.n, idx) for size in range(1, d.n) for idx in combinations(range(d.n), size))
-    random_checks = 0
-    for random_checks, u in enumerate(extra, 1):
-        if _criterion_deficit(d, u) > 0:
-            return FeasibilityCertificate(scaling_ok, "violated", u, lattice_size, random_checks)
-    return FeasibilityCertificate(scaling_ok, "passed_heuristic", None, lattice_size, random_checks)
+            return FeasibilityCertificate(scaling_ok, "violated", u, lattice_size)
+    return FeasibilityCertificate(scaling_ok, "passed_lattice", None, lattice_size)
 
 
 # --- Gaussian ratio and estimators ----------------------------------------------

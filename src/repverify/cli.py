@@ -145,7 +145,6 @@ def bl_main(argv=None) -> int:
     sub = parser.add_subparsers(dest="cmd", required=True)
     p_check = sub.add_parser("check")
     p_check.add_argument("--datum", required=True)
-    p_check.add_argument("--mode", choices=("lattice", "coordinate_exhaustive"), default="lattice")
     p_check.add_argument("--out", default=None)
     p_est = sub.add_parser("estimate")
     p_est.add_argument("--datum", required=True)
@@ -162,7 +161,7 @@ def bl_main(argv=None) -> int:
         return 2
     try:
         if args.cmd == "check":
-            cert = bl_mod.check_feasibility(datum, args.mode)
+            cert = bl_mod.check_feasibility(datum)
         else:
             est = bl_mod.estimate_bl_constant(datum, args.budget, args.seed)
     except (bl_mod.CapExceeded, bl_mod.InvalidExponent, ValueError) as exc:
@@ -173,7 +172,6 @@ def bl_main(argv=None) -> int:
             "scaling_ok": cert.scaling_ok,
             "status": cert.status,
             "lattice_size": cert.lattice_size,
-            "random_checks": cert.random_checks,
             "witness": subspace_to_json(cert.witness) if cert.witness else None,
             "lift": {"N": cert.lift[0], "seed": cert.lift[1]} if cert.lift else None,
         }

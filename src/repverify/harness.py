@@ -204,7 +204,7 @@ def _suite_bl(cfg: SuiteConfig) -> list[dict]:
     results = []
     budget = _scaled(200, cfg.scale)
     for name, datum in (("holder", bl.holder_datum(3, 2)), ("loomis_whitney", bl.loomis_whitney_datum())):
-        cert = bl.check_feasibility(datum, "lattice")
+        cert = bl.check_feasibility(datum)
         est = bl.estimate_bl_constant(datum, budget, derive_seed(cfg.master_seed, "bl", name))
         ok = (
             cert.feasible_so_far
@@ -222,7 +222,7 @@ def _suite_bl(cfg: SuiteConfig) -> list[dict]:
             )
         )
     bad = bl.BLDatum(2, (bl.BLMap(1, Mat.from_rows([[1, 0]])),), (Fraction(2),))
-    cert = bl.check_feasibility(bad, "lattice")
+    cert = bl.check_feasibility(bad)
     est = bl.estimate_bl_constant(bad, budget, derive_seed(cfg.master_seed, "bl", "violating"))
     results.append(
         _item(
@@ -240,8 +240,8 @@ def _suite_bl(cfg: SuiteConfig) -> list[dict]:
         (("so_pq:2,1", 2, 5), ("sl2_sym:4", 4, 5), ("sl2_sym:2", 2, 3))
     ):
         datum, stuffed = _corpus_pair(build_config(name), cfg.master_seed, idx, mu, m)
-        c1 = bl.check_feasibility(datum, "lattice")
-        c2 = bl.check_feasibility(stuffed, "lattice")
+        c1 = bl.check_feasibility(datum)
+        c2 = bl.check_feasibility(stuffed)
         e1 = bl.estimate_bl_constant(datum, budget, derive_seed(cfg.master_seed, "bl", "corpus-est", idx))
         e2 = bl.estimate_bl_constant(stuffed, budget, derive_seed(cfg.master_seed, "bl", "corpus-est2", idx))
         agree += int(c1.feasible_so_far == (not e1.bl_infinite))

@@ -362,18 +362,16 @@ class TestCLI:
         doc = json.loads(out.read_text())
         assert (doc["lower_bound_gaussian"], doc["converged"], doc["cause"]) == (1.0, True, None)
 
-    def test_bl_check_coordinate_exhaustive_too_large(self, tmp_path, capsys):
-        from repverify.brascamp_lieb import datum_to_json, holder_datum
-
-        datum_path = tmp_path / "holder17.json"
-        datum_path.write_text(json.dumps(datum_to_json(holder_datum(17, 2))))
-        assert bl_main(["check", "--datum", str(datum_path), "--mode", "coordinate_exhaustive"]) == 2
-        assert capsys.readouterr().err.startswith("error: coordinate_exhaustive")
-
     @pytest.mark.parametrize(
         "flags",
-        [["--mode", "lattice_plus_random"], ["--random-count", "3"], ["--seed", "1"]],
-        ids=["random-mode", "random-count", "seed"],
+        [
+            ["--mode", "lattice_plus_random"],
+            ["--random-count", "3"],
+            ["--seed", "1"],
+            ["--mode", "lattice"],
+            ["--mode", "coordinate_exhaustive"],
+        ],
+        ids=["random-mode", "random-count", "seed", "lattice-mode", "coordinate-exhaustive-mode"],
     )
     def test_bl_check_has_no_random_mode(self, flags, tmp_path):
         from repverify.brascamp_lieb import datum_to_json, holder_datum
