@@ -234,6 +234,28 @@ def test_check_feasibility_pinned(name, mode):
     assert cert.scaling_ok
 
 
+@pytest.mark.parametrize("name", sorted(PINNED_DATA))
+def test_walk_agrees_with_check(name):
+    # the lift and the common kernel decide before any walk; the walk alone reaches the
+    # same verdict, and its witness violates the criterion
+    walked, checked = brascamp_lieb._walk_lattice(PINNED_DATA[name]), check_feasibility(PINNED_DATA[name])
+    assert {"passed_lattice": "certified"}.get(walked.status, walked.status) == checked.status
+    if walked.status == "violated":
+        assert brascamp_lieb._criterion_deficit(PINNED_DATA[name], walked.witness) > 0
+        assert walked.witness.contains_subspace(checked.witness)
+
+
+@pytest.mark.parametrize("name", sorted(LIFT_PASS))
+def test_removed_mode_rejected_before_lift(name, monkeypatch):
+    def never(*args):
+        raise AssertionError("a rejected mode reached the lift or the walk")
+
+    monkeypatch.setattr(brascamp_lieb, "_lift_residues", never)
+    monkeypatch.setattr(brascamp_lieb, "_iter_kernel_lattice", never)
+    with pytest.raises(ValueError, match="unknown feasibility mode 'coordinate_exhaustive'"):
+        check_feasibility(PINNED_DATA[name], "coordinate_exhaustive")
+
+
 def _q3_datum(scale: int = 1) -> BLDatum:
     """Five maps of Q^3 whose kernel lattice is infinite, exponents scale * 3 / (5 n_j):
     feasible at scale 1, where the scaling condition holds, and not at scale 2."""
@@ -465,11 +487,20 @@ def _walk(lattice, d: BLDatum, cap: int) -> tuple[list[tuple], bool]:
     return out, False
 
 
-@pytest.mark.parametrize("name", [*sorted(PINNED_DATA), "q3"])
+def _walk_datum(name: str) -> BLDatum:
+    """A pinned datum, the Q^3 datum or one of the two tensor_std:2,2 data."""
+    extra = {"q3": _q3_datum, "tensor": _tensor_datum, "stuffed_tensor": _stuffed_tensor_datum}
+    return extra[name]() if name in extra else PINNED_DATA[name]
+
+
+WALK_DATA = [*sorted(PINNED_DATA), "q3", "tensor", "stuffed_tensor"]
+
+
+@pytest.mark.parametrize("name", WALK_DATA)
 def test_lattice_walk_matches_every_pair_reference(name, monkeypatch):
     # stuffed0 (so_pq:2,1), stuffed1 (sl2_sym:4) and the Q^3 datum, whose lattice is
     # infinite, pass the cap; the others close below it
-    d, cap = _q3_datum() if name == "q3" else PINNED_DATA[name], 64
+    d, cap = _walk_datum(name), 64
     expected = _walk(_reference_lattice, d, cap)
     assert expected[1] == (name in ("stuffed0", "stuffed1", "q3"))
     summed, real_sum = [], brascamp_lieb.subspace_sum
@@ -507,10 +538,19 @@ def test_lattice_walk_matches_reference_on_random_data():
     assert 0 < capped < 200
 
 
-@pytest.mark.parametrize("name", ["corpus0", "loomis_whitney", "stuffed0"])
-def test_lattice_walk_sweeps_each_pair_once(name, monkeypatch):
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_lattice_walk_matches_reference_at_more_seeds(seed):
+    rng = random.Random(seed)
+    for _ in range(200):
+        d = _random_datum(rng)
+        assert _walk(brascamp_lieb._iter_kernel_lattice, d, 64) == _walk(_reference_lattice, d, 64)
+
+
+@pytest.mark.parametrize("name", WALK_DATA)
+def test_lattice_walk_builds_new_sums_and_tests_each_pair_once(name, monkeypatch):
     # no sum of dimension n is built: it is the full space, read off the sweep; so corpus0
-    # builds no sum of two of its hyperplanes, only of their meets
+    # builds no sum of two of its hyperplanes, only of their meets, and holder, violating,
+    # stuffed2 and tensor, whose pairs are comparable or span Q^n, build none
     summed, swept = [], Counter()
     real_sum, real_sweep = brascamp_lieb.subspace_sum, brascamp_lieb._meet_kernel
 
@@ -528,9 +568,10 @@ def test_lattice_walk_sweeps_each_pair_once(name, monkeypatch):
     monkeypatch.setattr(brascamp_lieb, "subspace_sum", recording_sum)
     monkeypatch.setattr(brascamp_lieb, "_meet_kernel", counting_sweep)
     monkeypatch.setattr(Subspace, "contains_subspace", no_containment)
-    d = PINNED_DATA[name]
+    d = _walk_datum(name)
     yielded, _ = _walk(brascamp_lieb._iter_kernel_lattice, d, 64)
-    assert summed and all(c.dim < d.n and c.columns in yielded for c in summed)
+    assert bool(summed) == (name not in ("holder", "violating", "stuffed2", "tensor"))
+    assert all(c.dim < d.n and c.columns in yielded for c in summed)
     assert max(swept.values()) == 1
 
 

@@ -382,6 +382,17 @@ class TestCLI:
             bl_main(["check", "--datum", str(datum_path), *flags])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("name, code", [("holder", 0), ("violating", 1)])
+    def test_bl_check_json_has_no_random_checks(self, name, code, tmp_path):
+        from repverify.brascamp_lieb import BLDatum, BLMap, datum_to_json, holder_datum
+        from repverify.qlinalg import Mat
+
+        violating = BLDatum(2, (BLMap(1, Mat.from_rows([[1, 0]])),), (Fraction(2),))
+        datum_path, out = tmp_path / f"{name}.json", tmp_path / "cert.json"
+        datum_path.write_text(json.dumps(datum_to_json(holder_datum(3, 2) if name == "holder" else violating)))
+        assert bl_main(["check", "--datum", str(datum_path), "--out", str(out)]) == code
+        assert sorted(json.loads(out.read_text())) == ["lattice_size", "lift", "scaling_ok", "status", "witness"]
+
     @pytest.mark.parametrize("scale", ["nan", "inf", "-1", "0"])
     def test_suite_scale_out_of_range(self, scale, tmp_path, capsys):
         assert main(["generic-dim", "--scale", scale]) == 2
