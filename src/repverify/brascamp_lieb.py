@@ -101,6 +101,8 @@ class BLDatum:
     exponents: tuple[Fraction, ...]
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"need n >= 1, got {self.n}")
         if len(self.maps) != len(self.exponents):
             raise ValueError("maps and exponents length mismatch")
         for m in self.maps:

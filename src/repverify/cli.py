@@ -2,7 +2,10 @@
 
 `repverify` runs named verification suites; `genericdim`, `bl`, `proj-exp`
 and `oppenheim` expose the individual engines.  Exit codes: 0 all checks
-passed, 1 verification failures, 2 usage or configuration errors.
+passed, 1 verification failures, 2 usage or configuration errors.  One rule
+covers every entry point: a malformed flag or file, an output path that
+cannot be written, or an input an engine refuses exits 2 with one `error:`
+line on stderr and no traceback.
 """
 
 from __future__ import annotations
@@ -21,26 +24,38 @@ from .harness import SUITES, SuiteConfig, UsageError, emit_report, run_suite
 from .qlinalg import LinAlgError, Subspace, subspace_to_json
 from .reps import ConfigError, InvalidLevel, build_config, flag_projector, weight_decompose
 
+# What reading a flag or a file can raise, then each engine's refusal of its input.
+INPUT_ERRORS = (
+    OSError, ValueError, TypeError, KeyError, ArithmeticError,
+    UsageError, ConfigError, InvalidLevel, LinAlgError, generic.PreconditionError,
+    bl_mod.InvalidExponent, bl_mod.CapExceeded, dg.SpecError, dg.SizeError, dg.HypothesisError,
+    oppenheim.FormParseError, oppenheim.SignatureError, oppenheim.BudgetError, oppenheim.FitError,
+)
 
-def _outputs_missing(*paths: str | None) -> bool:
-    """True, after printing an error, when the directory of an output path does
-    not exist, so that no work is spent on a result that cannot be written."""
+
+def _check_outputs(*paths: str | None) -> None:
+    """Refuse an output path with no directory, before any work is spent on its text."""
     for path in paths:
         if path and not Path(path).parent.is_dir():
-            print(f"error: cannot write {path}: no directory {Path(path).parent}", file=sys.stderr)
-            return True
-    return False
+            raise UsageError(f"cannot write {path}: no directory {Path(path).parent}")
 
 
-def _write_out(text: str, out: str | None, code: int) -> int:
-    """Write text to out, or print it; code, or 2 if out cannot be written."""
-    if not out:
-        print(text)
-        return code
+def _run(body, *outs: str | None) -> int:
+    """Check outs, run body and write each (text, path) it returns, or print it for path None;
+    return body's exit code, or 2 after one `error:` line for any input error on the way."""
     try:
-        Path(out).write_text(text)
-    except OSError as exc:
-        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
+        _check_outputs(*outs)
+        code, outputs = body()
+        for text, path in outputs:
+            if not path:
+                print(text)
+                continue
+            try:
+                Path(path).write_text(text)
+            except OSError as exc:
+                raise UsageError(f"cannot write {path}: {exc}") from exc
+    except INPUT_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     return code
 
@@ -74,7 +89,8 @@ def main(argv=None) -> int:
         p.add_argument("--format", choices=("json", "csv", "markdown-summary"), default="json")
         p.add_argument("--config", default=None, help="JSON file overriding the flags")
     args = parser.parse_args(argv)
-    try:
+
+    def body():
         overrides = {}
         if args.config:
             overrides = json.loads(Path(args.config).read_text())
@@ -86,13 +102,13 @@ def main(argv=None) -> int:
             scale=float(overrides.get("scale", args.scale)),
         )
         out = overrides.get("out", args.out)
-    except (UsageError, json.JSONDecodeError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if _outputs_missing(out):
-        return 2
-    report = run_suite(cfg, jobs=args.jobs)
-    return _write_out(emit_report(report, args.format), out, 0 if report.all_passed else 1)
+        if out is not None and not isinstance(out, str):
+            raise UsageError(f"--config {args.config}: \"out\" must be a string or null, got {out!r}")
+        _check_outputs(out)  # the config file may name the output, so it is checked here
+        report = run_suite(cfg, jobs=args.jobs)
+        return 0 if report.all_passed else 1, [(emit_report(report, args.format), out)]
+
+    return _run(body)
 
 
 def genericdim_main(argv=None) -> int:
@@ -105,39 +121,33 @@ def genericdim_main(argv=None) -> int:
     parser.add_argument("--check", choices=("intersection", "projection"), default="intersection")
     parser.add_argument("--out", default=None)
     args = parser.parse_args(argv)
-    if _outputs_missing(args.out):
-        return 2
-    try:
+
+    def body():
         cfg = build_config(args.config)
         w = parse_subspace(cfg, args.w)
         wp = parse_subspace(cfg, args.wprime)
-    except (ConfigError, InvalidLevel, UsageError, ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    check = (
-        generic.check_intersection_bound
-        if args.check == "intersection"
-        else generic.check_projection_bound
-    )
-    try:
+        check = (
+            generic.check_intersection_bound
+            if args.check == "intersection"
+            else generic.check_projection_bound
+        )
         report = check(cfg, w, wp, args.trials, args.seed)
-    except generic.PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    payload = {
-        "config": args.config,
-        "W": subspace_to_json(w),
-        "W'": subspace_to_json(wp),
-        "check": args.check,
-        "trials": report.trials,
-        "passes": report.passes,
-        "histogram": {str(k): v for k, v in sorted(report.dimension_histogram.items())},
-        "failures": [
-            {"seed": seed, "recipe": [[i, str(t)] for i, t in recipe]}
-            for seed, recipe in report.witness_failures
-        ],
-    }
-    return _write_out(json.dumps(payload, indent=2, sort_keys=True), args.out, 0 if report.all_passed else 1)
+        payload = {
+            "config": args.config,
+            "W": subspace_to_json(w),
+            "W'": subspace_to_json(wp),
+            "check": args.check,
+            "trials": report.trials,
+            "passes": report.passes,
+            "histogram": {str(k): v for k, v in sorted(report.dimension_histogram.items())},
+            "failures": [
+                {"seed": seed, "recipe": [[i, str(t)] for i, t in recipe]}
+                for seed, recipe in report.witness_failures
+            ],
+        }
+        return 0 if report.all_passed else 1, [(json.dumps(payload, indent=2, sort_keys=True), args.out)]
+
+    return _run(body, args.out)
 
 
 def bl_main(argv=None) -> int:
@@ -152,39 +162,34 @@ def bl_main(argv=None) -> int:
     p_est.add_argument("--seed", type=int, default=1)
     p_est.add_argument("--out", default=None)
     args = parser.parse_args(argv)
-    if _outputs_missing(args.out):
-        return 2
-    try:
-        datum = bl_mod.datum_from_json(json.loads(Path(args.datum).read_text()))
-    except (OSError, ValueError, KeyError, TypeError, bl_mod.InvalidExponent, LinAlgError) as exc:
-        print(f"error: cannot load datum: {exc}", file=sys.stderr)
-        return 2
-    try:
+
+    def body():
+        try:
+            datum = bl_mod.datum_from_json(json.loads(Path(args.datum).read_text()))
+        except INPUT_ERRORS as exc:
+            raise UsageError(f"cannot load datum: {exc}") from exc
         if args.cmd == "check":
             cert = bl_mod.check_feasibility(datum)
-        else:
-            est = bl_mod.estimate_bl_constant(datum, args.budget, args.seed)
-    except (bl_mod.CapExceeded, bl_mod.InvalidExponent, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.cmd == "check":
+            payload = {
+                "scaling_ok": cert.scaling_ok,
+                "status": cert.status,
+                "lattice_size": cert.lattice_size,
+                "witness": subspace_to_json(cert.witness) if cert.witness else None,
+                "lift": {"N": cert.lift[0], "seed": cert.lift[1]} if cert.lift else None,
+            }
+            return 0 if cert.feasible_so_far else 1, [(json.dumps(payload, indent=2, sort_keys=True), args.out)]
+        est = bl_mod.estimate_bl_constant(datum, args.budget, args.seed)
         payload = {
-            "scaling_ok": cert.scaling_ok,
-            "status": cert.status,
-            "lattice_size": cert.lattice_size,
-            "witness": subspace_to_json(cert.witness) if cert.witness else None,
-            "lift": {"N": cert.lift[0], "seed": cert.lift[1]} if cert.lift else None,
+            "lower_bound_variational": est.lower_bound_variational if math.isfinite(est.lower_bound_variational) else None,
+            "lower_bound_gaussian": est.lower_bound_gaussian if math.isfinite(est.lower_bound_gaussian) else None,
+            "iterations": est.iterations,
+            "converged": est.converged,
+            "bl_infinite": est.bl_infinite,
+            "cause": est.cause,
         }
-        return _write_out(json.dumps(payload, indent=2, sort_keys=True), args.out, 0 if cert.feasible_so_far else 1)
-    payload = {
-        "lower_bound_variational": est.lower_bound_variational if math.isfinite(est.lower_bound_variational) else None,
-        "lower_bound_gaussian": est.lower_bound_gaussian if math.isfinite(est.lower_bound_gaussian) else None,
-        "iterations": est.iterations,
-        "converged": est.converged,
-        "bl_infinite": est.bl_infinite,
-        "cause": est.cause,
-    }
-    return _write_out(json.dumps(payload, indent=2, sort_keys=True), args.out, 0)
+        return 0, [(json.dumps(payload, indent=2, sort_keys=True), args.out)]
+
+    return _run(body, args.out)
 
 
 def proj_exp_main(argv=None) -> int:
@@ -201,15 +206,10 @@ def proj_exp_main(argv=None) -> int:
     parser.add_argument("--out", default=None)
     parser.add_argument("--csv", default=None, help="optional per-u CSV path")
     args = parser.parse_args(argv)
-    if _outputs_missing(args.out, args.csv):
-        return 2
-    try:
+
+    def body():
         cfg = build_config(args.config)
         mu = Fraction(args.mu)
-    except (ConfigError, ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         fractal = dg.generate_fractal(args.fractal, seed=args.seed)
         rep = dg.projection_experiment(
             cfg,
@@ -222,24 +222,23 @@ def proj_exp_main(argv=None) -> int:
             args.seed,
             args.mode,
         )
-    except (ConfigError, InvalidLevel, dg.SpecError, dg.HypothesisError, dg.SizeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    payload = {
-        "params": rep.params,
-        "num_u": rep.num_u,
-        "exceptional_fraction": rep.exceptional_fraction,
-        "threshold": rep.threshold,
-        "covering_threshold": rep.covering_threshold,
-        "within_bound": rep.within_bound,
-    }
-    code = _write_out(json.dumps(payload, indent=2, sort_keys=True), args.out, 0 if rep.within_bound else 1)
-    if args.csv and code != 2:
-        lines = ["u_coords,covering,exceptional"]
-        for coords, cover, bad in rep.per_u:
-            lines.append(f"\"{' '.join(f'{c:.6f}' for c in coords)}\",{cover},{int(bad)}")
-        code = _write_out("\n".join(lines) + "\n", args.csv, code)
-    return code
+        payload = {
+            "params": rep.params,
+            "num_u": rep.num_u,
+            "exceptional_fraction": rep.exceptional_fraction,
+            "threshold": rep.threshold,
+            "covering_threshold": rep.covering_threshold,
+            "within_bound": rep.within_bound,
+        }
+        outputs = [(json.dumps(payload, indent=2, sort_keys=True), args.out)]
+        if args.csv:
+            lines = ["u_coords,covering,exceptional"]
+            for coords, cover, bad in rep.per_u:
+                lines.append(f"\"{' '.join(f'{c:.6f}' for c in coords)}\",{cover},{int(bad)}")
+            outputs.append(("\n".join(lines) + "\n", args.csv))
+        return 0 if rep.within_bound else 1, outputs
+
+    return _run(body, args.out, args.csv)
 
 
 def oppenheim_main(argv=None) -> int:
@@ -250,9 +249,8 @@ def oppenheim_main(argv=None) -> int:
     parser.add_argument("--decay", action="store_true", help="run the T/100, T/10, T curve")
     parser.add_argument("--out", default=None)
     args = parser.parse_args(argv)
-    if _outputs_missing(args.out):
-        return 2
-    try:
+
+    def body():
         form = oppenheim.parse_form(args.form)
         if args.decay:
             t_list = sorted({max(2, args.T // 100), max(3, args.T // 10), args.T})
@@ -274,10 +272,9 @@ def oppenheim_main(argv=None) -> int:
                 "best_value": res.best_value,
                 "value_exact": str(res.value_exact),
             }
-    except (oppenheim.FormParseError, oppenheim.SignatureError, oppenheim.BudgetError, oppenheim.FitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return _write_out(json.dumps(payload, indent=2, sort_keys=True), args.out, 0)
+        return 0, [(json.dumps(payload, indent=2, sort_keys=True), args.out)]
+
+    return _run(body, args.out)
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ rate it would take several minutes.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -43,9 +44,13 @@ class FormParseError(Exception):
     pass
 
 
+# Trial division runs up to sqrt(D): about 0.3 s for a prime D near the bound on a
+# 2-core x86 host, paid once per radicand since the result is cached.
+MAX_RADICAND = 10**12
+
+
+@functools.cache
 def _is_squarefree(d: int) -> bool:
-    if d < 0:
-        return False
     k = 2
     while k * k <= d:
         if d % (k * k) == 0:
@@ -63,8 +68,8 @@ class QuadExt:
     d: int
 
     def __post_init__(self):
-        if self.d < 2 or not _is_squarefree(self.d):
-            raise FormParseError(f"d must be squarefree and >= 2, got {self.d}")
+        if not 2 <= self.d <= MAX_RADICAND or not _is_squarefree(self.d):
+            raise FormParseError(f"d must be squarefree and in [2, {MAX_RADICAND}], got {self.d}")
 
     @staticmethod
     def rational(x, d: int) -> "QuadExt":

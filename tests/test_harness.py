@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -125,6 +126,32 @@ class TestEmit:
 PROJ_EXP_ARGV = ["--config", "so_pq:2,1", "--fractal", "weight_aligned:1,0.5,0.5,0,0", "--delta", "4", "--num-u", "5"]
 
 
+def _line_datum(entry="1", exponent="2", n=2):
+    return {"n": n, "maps": [{"nj": 1, "matrix": {"rows": 1, "cols": 2, "entries": [[entry, "0"]]}}],
+            "exponents": [exponent]}
+
+
+# Input files that once ended in a traceback and exit 1: a zero denominator or a
+# 1e400, which json reads as inf, raises an ArithmeticError, a null seed or scale
+# a TypeError; n = 0 and an integer "out" are refused by their own checks.
+BAD_DATUMS = {
+    "zero-denominator-entry": _line_datum(entry="1/0"),
+    "zero-denominator-exponent": _line_datum(exponent="1/0"),
+    "1e400-n": _line_datum(n=1e400),
+    "1e400-entry": _line_datum(entry=1e400),
+    "1e400-exponent": _line_datum(exponent=1e400),
+    "n-zero": {"n": 0, "maps": [], "exponents": []},
+}
+BAD_CONFIGS = {
+    "null-master-seed": '{"master_seed": null}',
+    "null-scale": '{"scale": null}',
+    "1e400-master-seed": '{"master_seed": 1e400}',
+    "integer-out": '{"out": 5}',
+}
+HUGE_FORM = "1e400*x1^2+x2^2-x3^2"
+HUGE_PRIME_RADICAND = "sqrt2305843009213693951"  # 2^61 - 1, far past oppenheim.MAX_RADICAND
+
+
 class TestCLI:
     def test_suite_exit_code(self, tmp_path):
         out = tmp_path / "rep.json"
@@ -141,9 +168,10 @@ class TestCLI:
         assert code == 0
         assert json.loads(out.read_text())["suite"] == "hypotheses"
 
-    def test_bad_config_file(self, tmp_path):
+    @pytest.mark.parametrize("text", ["{not json", *BAD_CONFIGS.values()], ids=["not-json", *BAD_CONFIGS])
+    def test_bad_config_file(self, text, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text("{not json")
+        cfg.write_text(text)
         assert main(["hypotheses", "--config", str(cfg)]) == 2
 
     def test_genericdim(self, tmp_path):
@@ -415,8 +443,9 @@ class TestCLI:
             {"n": 2, "maps": [{"nj": 1, "matrix": {"rows": 2, "cols": 2, "entries": [["1", "0"], ["1"]]}}],
              "exponents": ["2"]},
             [1, 2],
+            *BAD_DATUMS.values(),
         ],
-        ids=["negative-exponent", "ragged-matrix", "not-an-object"],
+        ids=["negative-exponent", "ragged-matrix", "not-an-object", *BAD_DATUMS],
     )
     def test_bl_bad_datum(self, cmd, doc, tmp_path, capsys):
         datum_path = tmp_path / "datum.json"
@@ -455,14 +484,15 @@ class TestCLI:
         assert oppenheim_main(["--form", "x1^2+x2^2-sqrt2*x3^2", "--s", s, "--T", "5"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
-    def test_oppenheim_bad_form(self):
-        assert oppenheim_main(["--form", "x1^3", "--T", "10"]) == 2
+    @pytest.mark.parametrize("form", ["x1^3", HUGE_FORM])
+    def test_oppenheim_bad_form(self, form):
+        assert oppenheim_main(["--form", form, "--T", "10"]) == 2
 
     def test_oppenheim_zero_denominator(self, capsys):
         assert oppenheim_main(["--form", "x1^2+x2^2-1/0*x3^2", "--T", "10"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
-    @pytest.mark.parametrize("radicand", ["sqrtx", "sqrt2/1"])
+    @pytest.mark.parametrize("radicand", ["sqrtx", "sqrt2/1", HUGE_PRIME_RADICAND])
     def test_oppenheim_bad_radicand(self, radicand):
         assert oppenheim_main(["--form", f"x1^2+x2^2-{radicand}*x3^2", "--T", "5"]) == 2
 
@@ -509,6 +539,31 @@ class TestCLI:
         bad = tmp_path / "missing" / "x.json"
         assert entry([a.format(bad=bad) for a in argv]) == 2
         assert capsys.readouterr().err.startswith(f"error: cannot write {bad}")
+
+    @pytest.mark.parametrize(
+        "entry, argv, text",
+        [
+            *((bl_main, [cmd, "--datum", "{path}"], json.dumps(doc))
+              for doc in BAD_DATUMS.values() for cmd in ("check", "estimate")),
+            *((main, ["hypotheses", "--config", "{path}"], text) for text in BAD_CONFIGS.values()),
+            (oppenheim_main, ["--form", HUGE_FORM, "--T", "5"], ""),
+            (oppenheim_main, ["--form", f"x1^2+x2^2-{HUGE_PRIME_RADICAND}*x3^2", "--T", "5"], ""),
+        ],
+        ids=[
+            *(f"bl-{cmd}-{name}" for name in BAD_DATUMS for cmd in ("check", "estimate")),
+            *(f"repverify-{name}" for name in BAD_CONFIGS),
+            "oppenheim-1e400-coefficient",
+            "oppenheim-huge-prime-radicand",
+        ],
+    )
+    def test_bad_input_is_one_error_line(self, entry, argv, text, tmp_path, capsys):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        start = time.perf_counter()
+        assert entry([a.format(path=path) for a in argv]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err
 
     def test_proj_exp_negative_seed(self, capsys):
         assert proj_exp_main([*PROJ_EXP_ARGV, "--seed", "-1"]) == 2
