@@ -423,7 +423,8 @@ def gaussian_ratio(d: BLDatum, m_list: list[np.ndarray]) -> float:
         agg += float(p) * pi.T @ mj @ pi
         sign, logdet = np.linalg.slogdet(mj)
         logprod += float(p) / 2.0 * logdet
-    sign, logdet_agg = np.linalg.slogdet(agg)
+    with np.errstate(divide="ignore"):  # an exactly singular aggregate reads sign 0, logdet -inf
+        sign, logdet_agg = np.linalg.slogdet(agg)
     diag = np.diagonal(agg)
     # The Hadamard ratio det / prod(diagonal) is the product of the n Cholesky
     # pivots of the form rescaled to a unit diagonal, each in (0, 1]; unlike

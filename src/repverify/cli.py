@@ -96,9 +96,12 @@ def main(argv=None) -> int:
             overrides = json.loads(Path(args.config).read_text())
             if not isinstance(overrides, dict):
                 raise UsageError(f"--config {args.config} does not hold a JSON object")
+        seed = overrides.get("master_seed", args.seed)
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise UsageError(f"--config {args.config}: \"master_seed\" must be an integer, got {seed!r}")
         cfg = SuiteConfig(
             suite=overrides.get("suite", args.suite),
-            master_seed=int(overrides.get("master_seed", args.seed)),
+            master_seed=seed,
             scale=float(overrides.get("scale", args.scale)),
         )
         out = overrides.get("out", args.out)

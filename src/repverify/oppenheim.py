@@ -421,7 +421,11 @@ def _scan(q: QuadraticForm, s: float, t: int) -> tuple[tuple[int, ...], QuadExt]
 
 def _candidate_roots(a, b, c, t: int):
     """Integers in [-t, t] next to the roots (or the vertex) of a x^2 + b x + c,
-    each paired with that root."""
+    each paired with that root.
+
+    A root is clipped to [-t - 1, t] before its floor is cast to int64, which
+    keeps a root far out of range from overflowing the cast; the clipped
+    candidates equal those of the unclipped floor."""
     if abs(a) > 1e-12:
         disc = b * b - 4 * a * c
         has_root = disc >= 0
@@ -432,7 +436,7 @@ def _candidate_roots(a, b, c, t: int):
             roots = [np.where(np.abs(b) > 1e-12, -c / b, 0.0)]
     cands = []
     for r in roots:
-        f = np.floor(r).astype(np.int64)
+        f = np.floor(np.clip(r, -t - 1, t)).astype(np.int64)
         xs = [f, f + 1] + ([np.zeros_like(f), np.ones_like(f)] if len(roots) == 1 else [])
         cands += [(np.clip(x, -t, t), r) for x in xs]
     return cands

@@ -37,7 +37,14 @@ and with one common denominator.  A translate h.W takes W's columns alone;
 `exp_product` is the kernel on the identity's columns, as a `Mat`, and
 `nilpotent_exp` its one-factor case.  `exp_product_residues` computes the same
 products mod p for a batch of parameter rows sharing one schedule of N's, as
-int64 numpy arrays multiplied by `matmul_mod`.
+int64 numpy arrays multiplied by `matmul_mod`, its factors as a pairwise tree.
+
+`matmul_mod` multiplies residues on float64 BLAS with the reduction delayed to
+the end of each inner sum, as in FFLAS (Dumas, Giorgi, Pernet, ACM TOMS 35(3),
+2008): it splits one factor into 16-bit halves, so each inner sum of at most
+MAX_DIM = 64 products of a residue below 2^31 and a half below 2^16 stays
+below 2^53.  float64 holds every integer below 2^53 exactly, so the sums are
+exact in any order, and the residues equal those of the exact integer product.
 """
 
 from __future__ import annotations
@@ -221,6 +228,13 @@ def det(m: Mat) -> Fraction:
 
 
 MODULUS = 2**31 - 1
+# The largest dimension of a configuration, and of the inner dimension of
+# `matmul_mod`: 64 products of a residue below 2^31 and a 16-bit half sum to
+# less than 2^53, below which float64 is exact.
+MAX_DIM = 64
+# Entries that one chunk of `exp_product_residues` factors may hold (512 KiB
+# of int64).
+FACTOR_ENTRIES = 2**16
 
 
 def integer_columns(m: Mat) -> list[list[int]]:
@@ -638,16 +652,26 @@ def _inverse(d: int) -> int:
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b mod MODULUS for int64 arrays of residues, broadcast over leading axes.
+    """a @ b mod MODULUS for int64 arrays of residues, broadcast over leading
+    axes, for an inner dimension of at most MAX_DIM.
 
-    Each elementwise product of two residues is below p^2 < 2^62 and is reduced
-    before the sum, so a sum of n reduced terms stays below n p < n 2^31, which
-    is below 2^63 for any n < 2^32.  A plain int64 `@` would sum n unreduced
-    products of up to 2^62, and numpy array overflow wraps without a warning.
+    b splits into 16-bit halves, b = 2^16 hi + lo, and a @ hi and a @ lo are
+    two float64 products.  Every entry of a is below p < 2^31 and every entry
+    of lo below 2^16, so an inner sum of at most 64 terms stays below
+    64 * 2^31 * 2^16 = 2^53; float64 holds every integer below 2^53 exactly,
+    so each partial sum, in any order the BLAS takes, is the exact integer.
+    The result is ((a @ hi mod p) 2^16 + a @ lo) mod p, below 2^54 in int64.
     """
-    prod = a[..., :, :, None] * b[..., None, :, :]
-    np.remainder(prod, MODULUS, out=prod)
-    return prod.sum(-2) % MODULUS
+    if a.shape[-1] > MAX_DIM:
+        raise LinAlgError(f"inner dimension {a.shape[-1]} exceeds {MAX_DIM}; float64 sums would not be exact")
+    af = a.astype(np.float64)
+    hi = np.matmul(af, (b >> 16).astype(np.float64)).astype(np.int64)
+    lo = np.matmul(af, (b & 0xFFFF).astype(np.float64)).astype(np.int64)
+    hi %= MODULUS
+    hi <<= 16
+    hi += lo
+    hi %= MODULUS
+    return hi
 
 
 def exp_product_residues(dim: int, schedule: Sequence[ExpTerms], params: Sequence[Sequence[Fraction]]) -> np.ndarray:
@@ -656,21 +680,44 @@ def exp_product_residues(dim: int, schedule: Sequence[ExpTerms], params: Sequenc
     (len(params), dim, dim) int64 array.
 
     Each t = a/b is a b^-1 mod p and each term N^k/k! its integer rows times the
-    inverse of its denominator; `_inverse` checks that p divides neither.  Then
-    exp(t N) = I + sum_k t^k N^k/k! for the whole batch at once, every product of
-    two residues reduced before it is summed.
+    inverse of its denominator; `_inverse` checks that p divides neither.  The
+    powers t^k, k = 1..degree, of the whole schedule form one (S, T, degree)
+    array for S factors and T rows.  The factors are taken a chunk at a time:
+    each factor exp(t_s N_s) = I + sum_k t_s^k N_s^k/k! of a chunk is I plus
+    its powers times its stacked term residues, one batched `matmul_mod` over
+    the chunk with an inner dimension of degree <= dim - 1, and the chunk's
+    factors are multiplied in schedule order as a pairwise tree, one batched
+    `matmul_mod` per level.  A chunk holds at most dim factors, and at most
+    FACTOR_ENTRIES entries in its factors and stacked terms unless it is one
+    factor, so the float64 temporaries of `matmul_mod` stay small.  Every
+    product is exact, so the residues do not depend on the chunking.
     """
-    identity = np.eye(dim, dtype=np.int64)
-    h = np.broadcast_to(identity, (len(params), dim, dim))
-    for s, terms in enumerate(schedule):
-        t = np.array([row[s].numerator * _inverse(row[s].denominator) % MODULUS for row in params], dtype=np.int64)
-        t = t.reshape(-1, 1, 1)
-        power, e = t, identity
-        for term in terms.residues:
-            e = e + power * term % MODULUS
-            power = power * t % MODULUS
-        h = matmul_mod(h, e % MODULUS)
-    return h
+    count = len(params)
+    t = np.array(
+        [[row[s].numerator * _inverse(row[s].denominator) % MODULUS for row in params] for s in range(len(schedule))],
+        dtype=np.int64,
+    ).reshape(len(schedule), count)
+    degree = max((len(terms.terms) for terms in schedule), default=0)
+    powers = np.empty((len(schedule), count, degree), dtype=np.int64)
+    if degree:
+        powers[..., 0] = t
+    for k in range(1, degree):
+        powers[..., k] = powers[..., k - 1] * t % MODULUS
+    size = max(1, min(dim, FACTOR_ENTRIES // max(1, (count + degree) * dim * dim)))
+    diagonal = np.arange(dim)
+    h = None
+    for start in range(0, len(schedule), size):
+        chunk = schedule[start : start + size]
+        terms = np.zeros((len(chunk), degree, dim * dim), dtype=np.int64)
+        for i, factor in enumerate(chunk):
+            terms[i, : len(factor.terms)] = factor.residues.reshape(-1, dim * dim)
+        factors = matmul_mod(powers[start : start + size], terms).reshape(len(chunk), count, dim, dim)
+        factors[..., diagonal, diagonal] = (factors[..., diagonal, diagonal] + 1) % MODULUS
+        while len(factors) > 1:
+            pairs = matmul_mod(factors[0:-1:2], factors[1::2])
+            factors = np.concatenate([pairs, factors[-1:]]) if len(factors) % 2 else pairs
+        h = factors[0] if h is None else matmul_mod(h, factors[0])
+    return np.broadcast_to(np.eye(dim, dtype=np.int64), (count, dim, dim)) if h is None else h
 
 
 def nilpotent_exp(n: Mat) -> Mat:

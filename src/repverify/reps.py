@@ -39,6 +39,7 @@ from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .qlinalg import (
+    MAX_DIM,
     DimensionMismatch,
     LinAlgError,
     Mat,
@@ -65,9 +66,6 @@ class RationalityError(ConfigError):
 
 class InvalidLevel(Exception):
     """Requested flag level is not an eigenvalue."""
-
-
-MAX_DIM = 64
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import random
+import warnings
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
@@ -698,6 +699,17 @@ class TestEstimate:
         est = estimate_bl_constant(d, budget=10, seed=0)
         assert est.bl_infinite and not est.converged
         assert est.cause == "unconverged"
+
+    def test_singular_aggregate_ends_unconverged_without_warning(self):
+        # U = span(e_1) violates the criterion (1 > 4/5); the scaling drives the
+        # aggregate form to exact singularity, where slogdet takes log 0
+        rows = ([0, -1], [1, 2], [0, 1], [0, 2], [1, -1])
+        d = BLDatum(2, tuple(BLMap(1, Mat.from_rows([row])) for row in rows), (F(2, 5),) * 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = estimate_bl_constant(d, budget=5000, seed=1)
+        assert est.bl_infinite and not est.converged and est.cause == "unconverged"
+        assert est.iterations < 5000
 
     def test_overflowing_bound_is_infinite(self):
         d = BLDatum(2, (BLMap(1, Mat.from_rows([[1, 0]])),), (F(2),))

@@ -147,6 +147,9 @@ BAD_CONFIGS = {
     "null-scale": '{"scale": null}',
     "1e400-master-seed": '{"master_seed": 1e400}',
     "integer-out": '{"out": 5}',
+    "float-master-seed": '{"master_seed": 2.7}',
+    "bool-master-seed": '{"master_seed": true}',
+    "string-master-seed": '{"master_seed": "3"}',
 }
 HUGE_FORM = "1e400*x1^2+x2^2-x3^2"
 HUGE_PRIME_RADICAND = "sqrt2305843009213693951"  # 2^61 - 1, far past oppenheim.MAX_RADICAND
@@ -173,6 +176,16 @@ class TestCLI:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text)
         assert main(["hypotheses", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize(
+        "name, shown", [("float-master-seed", "2.7"), ("bool-master-seed", "True"), ("string-master-seed", "'3'")]
+    )
+    def test_config_seed_must_be_an_integer(self, name, shown, tmp_path, capsys):
+        # int() would run 2.7 at seed 2 and true at seed 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(BAD_CONFIGS[name])
+        assert main(["hypotheses", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f'error: --config {cfg}: "master_seed" must be an integer, got {shown}\n'
 
     def test_genericdim(self, tmp_path):
         out = tmp_path / "g.json"

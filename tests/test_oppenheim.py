@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -220,6 +221,29 @@ class TestScan:
         assert r.value_exact.abs_exact() == brute_min(q, F(s), t)
         head = [x for x in r.best_v[:-2] if x]
         assert not head or head[0] < 0  # the scan stops after the zero head
+
+    def test_far_roots_are_clipped_before_the_cast(self):
+        # the last coordinate's root, (1/2 - 10^6 (x1^2 - x2^2)) / (10^-14 x1),
+        # lies beyond 2^63 whenever x1 != x2; the best primitive vector
+        # maximizes x1 x3 on x1 = x2
+        q = parse_form("1000000*x1^2-1000000*x2^2+1/100000000000000*x1*x3")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = search_min_value(q, 0.5, 120)
+        assert r.best_v == (-120, -120, -119)
+        assert r.value_exact.abs_exact() == QuadExt.rational(F(1, 2) - F(120 * 119, 10**14), q.field_d)
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 4])
+    def test_far_roots_match_brute_force(self, t):
+        q = parse_form("1000000000*x1^2-1000000000*x2^2+1/1000000000000*x1*x3")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = search_min_value(q, 0.5, t)
+        got, want = r.value_exact.abs_exact(), brute_min(q, F(1, 2), t)
+        # exact up to float ties within 1e-9: at t = 1 the linear coefficient
+        # 10^-12 x1 reads as zero, and the scan returns 1/2 at (-1, -1, 0)
+        # against 1/2 - 10^-12 at (1, 1, 1)
+        assert got == want if t > 1 else abs(float(got - want)) < 1e-9
 
     def test_intermediate_bound_is_minimal(self):
         q = parse_form("x1^2+x2^2-1/100*x3^2")

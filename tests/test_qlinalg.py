@@ -6,6 +6,7 @@ import json
 import math
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,10 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repverify import generic, qlinalg
+from repverify.harness import BUILTIN_CONFIGS
 from repverify.qlinalg import (
+    MAX_DIM,
     MODULUS,
     DimensionMismatch,
     LinAlgError,
@@ -44,6 +48,7 @@ from repverify.qlinalg import (
     subspace_sum,
     subspace_to_json,
 )
+from repverify.reps import build_config
 
 F = Fraction
 
@@ -787,6 +792,86 @@ def test_exp_product_residues_match_exact(data):
     for row, residues in zip(batch, got.tolist()):
         cols, den = exp_product_columns(dim, list(zip(schedule, row)), np.eye(dim, dtype=int).tolist())
         assert residues == [[x * pow(den, -1, MODULUS) % MODULUS for x in r] for r in zip(*cols)]
+
+
+@pytest.mark.parametrize("fill", ["p-1", "random"])
+def test_matmul_mod_exact_at_max_dim(fill):
+    # every entry p - 1: each float64 inner sum of a low half reaches
+    # 64 (2^31 - 2)(2^16 - 2), within 2^38 of 2^53; random residues round
+    # in float64 unless the halves keep every sum below 2^53
+    if fill == "p-1":
+        a = np.full((2, 3, MAX_DIM), MODULUS - 1, dtype=np.int64)
+        b = np.full((MAX_DIM, 4), MODULUS - 1, dtype=np.int64)
+    else:
+        rng = np.random.default_rng(7)
+        a, b = rng.integers(MODULUS - 2**20, MODULUS, (2, 3, MAX_DIM)), rng.integers(MODULUS - 2**20, MODULUS, (MAX_DIM, 4))
+    want = [[[sum(x * y for x, y in zip(row, col)) % MODULUS for col in zip(*b.tolist())] for row in m] for m in a.tolist()]
+    assert matmul_mod(a, b).tolist() == want
+    with pytest.raises(LinAlgError, match="inner dimension 65"):
+        matmul_mod(np.ones((3, MAX_DIM + 1), dtype=np.int64), np.ones((MAX_DIM + 1, 2), dtype=np.int64))
+
+
+def _exact_residues(dim, schedule, row):
+    cols, den = exp_product_columns(dim, list(zip(schedule, row)), np.eye(dim, dtype=int).tolist())
+    return [[x * pow(den, -1, MODULUS) % MODULUS for x in r] for r in zip(*cols)]
+
+
+@pytest.mark.parametrize("name", [*BUILTIN_CONFIGS, "sl2_sym:60"])
+def test_exp_product_residues_match_exact_on_configs(name):
+    # one sampled element per family; sl2_sym:60 has a degree-60 term, and its
+    # chunks hold one factor each
+    cfg = build_config(name)
+    (el,) = generic.sample_elements(cfg, 0, 1)
+    schedule = [generic._generator_terms(cfg, idx) for idx, _ in el.recipe]
+    row = [t for _, t in el.recipe]
+    assert exp_product_residues(cfg.n, schedule, [row]).tolist() == [_exact_residues(cfg.n, schedule, row)]
+
+
+def test_exp_product_residues_do_not_depend_on_chunks(monkeypatch):
+    # sp2n:2 has 16 factors at n = 5: chunks of 5, 5, 5 and 1, odd tree levels
+    cfg = build_config("sp2n:2")
+    elements = generic.sample_elements(cfg, 3, 6)
+    schedule = [generic._generator_terms(cfg, idx) for idx, _ in elements[0].recipe]
+    params = [[t for _, t in el.recipe] for el in elements]
+    got = exp_product_residues(cfg.n, schedule, params)
+    assert got.tolist() == [_exact_residues(cfg.n, schedule, row) for row in params]
+    per_factor = (len(params) + max(len(terms.terms) for terms in schedule)) * cfg.n**2
+    for entries in (1, 2 * per_factor, 3 * per_factor):  # chunks of 1, 2 and 3 factors
+        monkeypatch.setattr(qlinalg, "FACTOR_ENTRIES", entries)
+        assert (exp_product_residues(cfg.n, schedule, params) == got).all()
+
+
+@pytest.mark.parametrize(
+    "schedule, batch, want",
+    [
+        ([], [[], []], [np.eye(3)] * 2),  # empty schedule: the identity per row
+        ([Mat.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])], [], []),  # empty batch
+        ([Mat.zeros(3, 3), Mat.zeros(3, 3)], [[F(5, 7), F(-2)]], [np.eye(3)]),  # zero generators
+    ],
+    ids=["empty-schedule", "empty-batch", "zero-generator"],
+)
+def test_exp_product_residues_edge_cases(schedule, batch, want):
+    got = exp_product_residues(3, [exp_terms(n) for n in schedule], batch)
+    assert got.shape == (len(batch), 3, 3) and got.dtype == np.int64
+    assert got.tolist() == np.array(want, dtype=np.int64).reshape(-1, 3, 3).tolist()
+
+
+def test_exp_product_residues_memory_stays_small():
+    # 50 elements of sl2_sym:60 (n = 61); one batched elementwise product of
+    # the whole batch, T n^3 int64 entries, would peak near 94 MB
+    cfg = build_config("sl2_sym:60")
+    elements = generic.sample_elements(cfg, 0, 50)
+    schedule = [generic._generator_terms(cfg, idx) for idx, _ in elements[0].recipe]
+    params = [[t for _, t in el.recipe] for el in elements]
+    for terms in schedule:
+        terms.residues
+    tracemalloc.start()
+    try:
+        exp_product_residues(cfg.n, schedule, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_exp_product_residues_need_invertible_denominators():
