@@ -48,6 +48,7 @@ from .qlinalg import (
     Subspace,
     _meet,
     _meet_kernel,
+    _read_json,
     apply_rows,
     certified_columns,
     independent_columns,
@@ -526,5 +527,6 @@ def datum_to_json(d: BLDatum) -> dict:
 
 
 def datum_from_json(obj: dict) -> BLDatum:
-    maps = tuple(BLMap(int(m["nj"]), mat_from_json(m["matrix"])) for m in obj["maps"])
-    return BLDatum(int(obj["n"]), maps, tuple(Fraction(p) for p in obj["exponents"]))
+    maps = tuple(BLMap(_read_json(int, m["nj"], "nj"), mat_from_json(m["matrix"])) for m in obj["maps"])
+    exponents = tuple(_read_json(Fraction, p, "exponent", k) for k, p in enumerate(obj["exponents"]))
+    return BLDatum(_read_json(int, obj["n"], "n"), maps, exponents)

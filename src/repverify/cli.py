@@ -99,11 +99,10 @@ def main(argv=None) -> int:
         seed = overrides.get("master_seed", args.seed)
         if isinstance(seed, bool) or not isinstance(seed, int):
             raise UsageError(f"--config {args.config}: \"master_seed\" must be an integer, got {seed!r}")
-        cfg = SuiteConfig(
-            suite=overrides.get("suite", args.suite),
-            master_seed=seed,
-            scale=float(overrides.get("scale", args.scale)),
-        )
+        scale = overrides.get("scale", args.scale)
+        if isinstance(scale, bool) or not isinstance(scale, (int, float)):
+            raise UsageError(f"--config {args.config}: \"scale\" must be a number, got {scale!r}")
+        cfg = SuiteConfig(suite=overrides.get("suite", args.suite), master_seed=seed, scale=float(scale))
         out = overrides.get("out", args.out)
         if out is not None and not isinstance(out, str):
             raise UsageError(f"--config {args.config}: \"out\" must be a string or null, got {out!r}")

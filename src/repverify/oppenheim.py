@@ -172,7 +172,6 @@ class QuadraticForm:
         """(positives, negatives, zeros) by exact congruence diagonalization."""
         n = self.d
         m = [[self.gram[i][j] for j in range(n)] for i in range(n)]
-        zero = QuadExt.rational(0, self.field_d)
         pos = neg = nil = 0
         idx = list(range(n))
         while idx:
@@ -332,12 +331,12 @@ def _scan(q: QuadraticForm, s: float, t: int) -> tuple[tuple[int, ...], QuadExt]
     >= r + 1, while the mirror row, from -r and -r + 1, reaches the mirrors of
     the nearest >= r and the nearest <= r - 1.  These differ only when r is
     itself primitive, and then the rows hold r and -r, at the same error,
-    which is the least of either row.  In the linear case (a = 0) the extra
-    candidates 0 and 1 are not mirrored, but they lie on stretches whose best
-    primitive x the root's own pair already reaches.  So the skipped rows hold
-    only exact ties, which never replace the best; row order is unchanged, so
-    ties still go to the first vector found, and up to float ties the half
-    scan returns what the full scan returns.
+    which is the least of either row.  In the linear case (a = 0) the one root
+    r = -c / b is mirrored the same way; where b is exactly 0 the row is
+    constant, its pair is {0, 1}, and every primitive x ties.  So the skipped
+    rows hold only exact ties, which never replace the best; row order is
+    unchanged, so ties still go to the first vector found, and up to float ties
+    the half scan returns what the full scan returns.
 
     Rows are scanned in blocks of max(1, _BLOCK_ENTRIES // (2t + 1)) rows, as
     flat arrays.  A block builds its heads from their row numbers and sums
@@ -421,7 +420,7 @@ def _scan(q: QuadraticForm, s: float, t: int) -> tuple[tuple[int, ...], QuadExt]
 
 def _candidate_roots(a, b, c, t: int):
     """Integers in [-t, t] next to the roots (or the vertex) of a x^2 + b x + c,
-    each paired with that root.
+    each paired with that root; for a = 0, next to -c / b, or to 0 where b = 0.
 
     A root is clipped to [-t - 1, t] before its floor is cast to int64, which
     keeps a root far out of range from overflowing the cast; the clipped
@@ -432,14 +431,10 @@ def _candidate_roots(a, b, c, t: int):
         sq = np.sqrt(np.where(has_root, disc, 0.0))
         roots = [np.where(has_root, (-b + sgn * sq) / (2 * a), -b / (2 * a)) for sgn in (1.0, -1.0)]
     else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            roots = [np.where(np.abs(b) > 1e-12, -c / b, 0.0)]
-    cands = []
-    for r in roots:
-        f = np.floor(np.clip(r, -t - 1, t)).astype(np.int64)
-        xs = [f, f + 1] + ([np.zeros_like(f), np.ones_like(f)] if len(roots) == 1 else [])
-        cands += [(np.clip(x, -t, t), r) for x in xs]
-    return cands
+        with np.errstate(all="ignore"):
+            roots = [np.where(b != 0, -c / b, 0.0)]
+    floors = [(np.floor(np.clip(r, -t - 1, t)).astype(np.int64), r) for r in roots]
+    return [(np.clip(x, -t, t), r) for f, r in floors for x in (f, f + 1)]
 
 
 def _primitive_step(x, side, g, t: int):
@@ -515,10 +510,17 @@ def parse_form(text: str, dim: int | None = None) -> QuadraticForm:
         field_d = 2  # rational form embedded in Q(sqrt 2)
     gram = [[QuadExt.rational(0, field_d) for _ in range(d)] for _ in range(d)]
     for (i, j), (a, b) in entries.items():
+        coeff = QuadExt(a, b, field_d)
+        try:
+            finite = math.isfinite(float(coeff))  # as the scan reads it
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise FormParseError(f"coefficient of {f'x{i}^2' if i == j else f'x{i}*x{j}'} overflows a float")
         if i == j:
-            gram[i - 1][i - 1] = QuadExt(a, b, field_d)
+            gram[i - 1][i - 1] = coeff
         else:
-            half = QuadExt(a / 2, b / 2, field_d)
+            half = coeff.scale(Fraction(1, 2))
             gram[i - 1][j - 1] = gram[i - 1][j - 1] + half
             gram[j - 1][i - 1] = gram[j - 1][i - 1] + half
     return QuadraticForm(d, tuple(tuple(row) for row in gram))

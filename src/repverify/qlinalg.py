@@ -736,13 +736,22 @@ def mat_to_json(m: Mat) -> dict:
     }
 
 
+def _read_json(kind: type, x, *field):
+    """kind(x) for a JSON value x, or a ValueError that names x's field."""
+    try:
+        return kind(x)
+    except (TypeError, ValueError, ArithmeticError):
+        noun = "an integer" if kind is int else "a rational number"
+        raise ValueError(f"{' '.join(map(str, field))}: {x!r} is not {noun}") from None
+
+
 def mat_from_json(obj: dict) -> Mat:
-    rows = int(obj["rows"])
-    cols = int(obj["cols"])
+    rows, cols = _read_json(int, obj["rows"], "rows"), _read_json(int, obj["cols"], "cols")
     ents = obj["entries"]
     if len(ents) != rows or any(len(r) != cols for r in ents):
         raise DimensionMismatch("bad serialized matrix shape")
-    return Mat(rows, cols, tuple(Fraction(x) for r in ents for x in r))
+    return Mat(rows, cols, tuple(_read_json(Fraction, x, "entry", (i, j))
+                                 for i, r in enumerate(ents) for j, x in enumerate(r)))
 
 
 def subspace_to_json(s: Subspace) -> dict:

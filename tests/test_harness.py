@@ -150,6 +150,17 @@ BAD_CONFIGS = {
     "float-master-seed": '{"master_seed": 2.7}',
     "bool-master-seed": '{"master_seed": true}',
     "string-master-seed": '{"master_seed": "3"}',
+    "bool-scale": '{"scale": true}',
+    "string-scale": '{"scale": "0.5"}',
+}
+# The field each BAD_DATUMS entry's one error line names.
+BAD_DATUM_FIELDS = {
+    "zero-denominator-entry": "entry (0, 0): '1/0' is not a rational number",
+    "zero-denominator-exponent": "exponent 0: '1/0' is not a rational number",
+    "1e400-n": "n: inf is not an integer",
+    "1e400-entry": "entry (0, 0): inf is not a rational number",
+    "1e400-exponent": "exponent 0: inf is not a rational number",
+    "n-zero": "need n >= 1, got 0",
 }
 HUGE_FORM = "1e400*x1^2+x2^2-x3^2"
 HUGE_PRIME_RADICAND = "sqrt2305843009213693951"  # 2^61 - 1, far past oppenheim.MAX_RADICAND
@@ -186,6 +197,16 @@ class TestCLI:
         cfg.write_text(BAD_CONFIGS[name])
         assert main(["hypotheses", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == f'error: --config {cfg}: "master_seed" must be an integer, got {shown}\n'
+
+    @pytest.mark.parametrize(
+        "name, shown", [("bool-scale", "True"), ("string-scale", "'0.5'"), ("null-scale", "None")]
+    )
+    def test_config_scale_must_be_a_number(self, name, shown, tmp_path, capsys):
+        # float() would run true at scale 1.0 and "0.5" at 0.5
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(BAD_CONFIGS[name])
+        assert main(["hypotheses", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f'error: --config {cfg}: "scale" must be a number, got {shown}\n'
 
     def test_genericdim(self, tmp_path):
         out = tmp_path / "g.json"
@@ -439,13 +460,25 @@ class TestCLI:
         assert main(["generic-dim", "--scale", scale]) == 2
         assert capsys.readouterr().err.startswith("error: scale")
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"scale": scale}))
+        cfg.write_text(json.dumps({"scale": float(scale)}))  # NaN and Infinity, as Python's json reads them
         assert main(["generic-dim", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("error: scale")
 
     def test_genericdim_flag_level_out_of_range(self, capsys):
         assert genericdim_main(["--config", "so_pq:2,1", "--w", "flag:7", "--wprime", "full"]) == 2
         assert capsys.readouterr().err.startswith("error: 7 is not an eigenvalue")
+
+    def test_genericdim_weight_and_full_subspaces(self, tmp_path):
+        out = tmp_path / "g.json"
+        argv = ["--config", "so_pq:2,1", "--w", "weight:0", "--wprime", "full", "--trials", "5", "--out", str(out)]
+        assert genericdim_main(argv) == 0
+        doc = json.loads(out.read_text())
+        assert doc["W"]["ambient_dim"] == 5 and len(doc["W'"]["basis"]["entries"]) == 5
+        assert doc["passes"] == doc["trials"] == 5
+
+    def test_genericdim_weight_not_an_eigenvalue(self, capsys):
+        assert genericdim_main(["--config", "so_pq:2,1", "--w", "weight:7", "--wprime", "full"]) == 2
+        assert capsys.readouterr().err == "error: 7 is not an eigenvalue of so_pq:2,1\n"
 
     @pytest.mark.parametrize("cmd", ["check", "estimate"])
     @pytest.mark.parametrize(
@@ -500,6 +533,25 @@ class TestCLI:
     @pytest.mark.parametrize("form", ["x1^3", HUGE_FORM])
     def test_oppenheim_bad_form(self, form):
         assert oppenheim_main(["--form", form, "--T", "10"]) == 2
+
+    def test_oppenheim_decay(self, tmp_path):
+        from repverify.oppenheim import decay_curve, sqrt2_form
+
+        out = tmp_path / "decay.json"
+        assert oppenheim_main(["--form", "x1^2+x2^2-sqrt2*x3^2", "--T", "100", "--decay", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        curve = decay_curve(sqrt2_form(), 0.0, [2, 10, 100])
+        assert doc["rows"] == [list(row) for row in curve.rows]
+        assert [t for t, _ in doc["rows"]] == [2, 10, 100]
+        assert doc["kappa"] == curve.kappa
+        assert doc["exact_values"] == [str(e) for e in curve.exact_values]
+
+    def test_oppenheim_decay_isotropic_kappa_is_null(self, tmp_path):
+        out = tmp_path / "decay.json"
+        assert oppenheim_main(["--form", "x1^2-x3^2", "--T", "100", "--decay", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["kappa"] is None
+        assert doc["rows"][-1] == [100, 0.0]
 
     def test_oppenheim_zero_denominator(self, capsys):
         assert oppenheim_main(["--form", "x1^2+x2^2-1/0*x3^2", "--T", "10"]) == 2
@@ -577,6 +629,17 @@ class TestCLI:
         assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err
+
+    @pytest.mark.parametrize("name", BAD_DATUMS)
+    def test_bad_datum_names_its_field(self, name, tmp_path, capsys):
+        path = tmp_path / "datum.json"
+        path.write_text(json.dumps(BAD_DATUMS[name]))
+        assert bl_main(["check", "--datum", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: cannot load datum: {BAD_DATUM_FIELDS[name]}\n"
+
+    def test_huge_coefficient_names_its_monomial(self, capsys):
+        assert oppenheim_main(["--form", HUGE_FORM, "--T", "5"]) == 2
+        assert capsys.readouterr().err == "error: coefficient of x1^2 overflows a float\n"
 
     def test_proj_exp_negative_seed(self, capsys):
         assert proj_exp_main([*PROJ_EXP_ARGV, "--seed", "-1"]) == 2

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -244,6 +245,29 @@ class TestScan:
         # 10^-12 x1 reads as zero, and the scan returns 1/2 at (-1, -1, 0)
         # against 1/2 - 10^-12 at (1, 1, 1)
         assert got == want if t > 1 else abs(float(got - want)) < 1e-9
+
+    def test_tiny_linear_coefficient_is_not_zero(self):
+        # b = 10^-12 x1 is exactly nonzero, so the row's root, not 0 and 1, gives the candidates
+        q = parse_form("1000000000*x1^2-1000000000*x2^2+1/1000000000000*x1*x3")
+        r = search_min_value(q, 0.5, 1)
+        assert r.value_exact.abs_exact() == QuadExt.rational(F(1, 2) - F(1, 10**12), q.field_d)
+        assert r.best_v == (-1, -1, -1)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_linear_rows_match_brute_force(self, seed):
+        # no x_d^2 term: every row is linear in the last coordinate, and its one
+        # root's floor and floor + 1 (or 0 and 1 where b = 0) are all the candidates
+        rng = random.Random(seed)
+        d, t = 3 + seed % 2, 1 + seed % 3
+        while True:
+            terms = [f"{rng.randint(-3, 3)}/{rng.randint(1, 3)}*x{i}*x{j}"
+                     for i in range(1, d + 1) for j in range(i, d + 1) if j < d or i < d]
+            q = parse_form("+".join(terms), dim=d)
+            if q.is_indefinite():
+                break
+        s = F(rng.randint(-6, 6), 4)
+        r = search_min_value(q, float(s), t)
+        assert r.value_exact.abs_exact() == brute_min(q, s, t)
 
     def test_intermediate_bound_is_minimal(self):
         q = parse_form("x1^2+x2^2-1/100*x3^2")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repverify import reps
-from repverify.qlinalg import DimensionMismatch, LinAlgError, Mat, RowSpan, Subspace, mat_to_json, subspace_intersect, subspace_sum, subspace_to_json
+from repverify.qlinalg import DimensionMismatch, LinAlgError, Mat, RowSpan, Subspace, exp_terms, mat_to_json, subspace_intersect, subspace_sum, subspace_to_json
 from repverify.reps import (
     ConfigError,
     InvalidLevel,
@@ -433,6 +434,44 @@ def test_graded_spin_matches_fraction_product_reference(drawn):
     for start in range(n):
         e = [int(i == start) for i in range(n)]
         assert len(reps._spin(cfg, e, reps._diagonal(cfg.a_action))) == len(_reference_spin(cfg.h_basis, Mat.from_cols([e])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(graded_generator_set())
+def test_generators_of_nonzero_weight_are_nilpotent(drawn):
+    # validation computes no powers: X^k lives where a_i - a_j = k w, empty for large k
+    diag, gens = drawn
+    for g in gens:
+        x = Mat.from_rows(g)
+        if reps._weight(x, diag) != 0:
+            exp_terms(x)  # NotNilpotent otherwise
+
+
+def test_complement_config_checks_a_before_the_stabilizer_sweep(monkeypatch):
+    def no_sweep(s):
+        raise AssertionError("the stabilizer basis was swept")
+
+    monkeypatch.setattr(reps, "_form_stabilizer_basis", no_sweep)
+    with pytest.raises(ConfigError, match="stabilizer algebra"):
+        reps._complement_config("fixture:off", reps._so_gram(2, 1), [F(1), F(1), F(-2)])
+
+
+@pytest.mark.parametrize("form", [reps._so_gram(2, 1), reps._so_gram(2, 2), reps._so_gram(3, 1), reps._sp_form(2)],
+                         ids=["so21", "so22", "so31", "sp4"])
+def test_stabilizer_equation_matches_the_span(form, monkeypatch):
+    # the reference: diag(a) in the span of the swept basis of {X : X^T S + S X = 0}
+    class Admitted(Exception):
+        pass
+
+    def admitted(*args):
+        raise Admitted
+
+    monkeypatch.setattr(reps, "_trace_complement_basis", admitted)
+    basis = reps._form_stabilizer_basis(form)
+    for diag in itertools.product([F(-2), F(-1), F(0), F(1)], repeat=form.rows):
+        inside = basis.contains_vector(Mat.diagonal(list(diag)).entries)
+        with pytest.raises(Admitted if inside else ConfigError):
+            reps._complement_config("fixture:a", form, list(diag))
 
 
 def test_closure_needs_eigenvector_generators():
