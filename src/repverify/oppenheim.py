@@ -5,16 +5,24 @@ values at integer vectors are exact field elements.  One scan serves every
 dimension d and every bound T: it enumerates the leading d - 2 coordinates
 (a row), runs the next one over [-T, T] and solves for the last, which makes
 T = 10^3..10^4 practical at d = 3.  Since Q(-v) = Q(v), only the rows up to
-the zero head are scanned: half the box.  Rows go through numpy in blocks of
-about 2^14 entries; a candidate pays for a gcd only while its float error can
-still beat the best value found before its block.  The scan runs on floats and
-re-evaluates only improvements exactly, row by row; up to float ties it
-returns the minimum of |Q(v) - s| over primitive v in the box.
+the zero head are scanned: half the box.  Each coordinate in which Q is even
+(it has no cross term x_i x_j) halves that again: an even head coordinate or
+an even x_{d-1} runs over [-T, 0] only, and an even x_d takes one root of its
+quadratic, not two.  A diagonal form such as x1^2+x2^2-sqrt2*x3^2 gets every
+reduction; a cross term x_i x_j takes away those of x_i and x_j.  Rows go
+through numpy in blocks of about 2^14 entries; a candidate pays for a gcd only
+while its float error can still beat the best value found before its block.
+The scan runs on floats and re-evaluates only improvements exactly, row by
+row; up to float ties it returns the minimum of |Q(v) - s| over primitive v
+in the box.
 
-At d = 4 the cost grows as T^3: x1^2+x2^2+x3^2-sqrt2*x4^2 at s = 0 takes
-about 0.6 s at T = 100, 1.5 s at T = 150 and 3.8 s at T = 200 on a 2-core
-x86 host.  The cap MAX_T[4] = 1000 is accepted but stays impractical: at that
-rate it would take several minutes.
+On a 2-core x86 host, at s = 0: x1^2+x2^2-sqrt2*x3^2 takes about 0.05-0.09 s
+at T = 1000 and 0.45 s at T = 3000, and x1^2+x1*x2+x2*x3-sqrt2*x3^2, even in
+no coordinate, about 0.2 s at T = 1000.  At d = 4 the cost grows as T^3:
+x1^2+x2^2+x3^2-sqrt2*x4^2 takes about 0.08 s at T = 100, 0.22 s at T = 150
+and 0.5 s at T = 200, and x1^2+x1*x2+x2*x3+x3*x4-sqrt2*x4^2, even in no
+coordinate, 0.7 s at T = 100.  The cap MAX_T[4] = 1000 is accepted but stays
+impractical: at those rates it would take from one minute to about ten.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -168,6 +177,10 @@ class QuadraticForm:
     def gram_float(self) -> np.ndarray:
         return np.array([[float(x) for x in row] for row in self.gram])
 
+    def even_coordinates(self) -> list[bool]:
+        """For each j, whether Q is even in x_j (g_ij = 0 exactly for every i != j)."""
+        return [all(self.gram[i][j].is_zero() for i in range(self.d) if i != j) for j in range(self.d)]
+
     def signature(self) -> tuple[int, int, int]:
         """(positives, negatives, zeros) by exact congruence diagonalization."""
         n = self.d
@@ -238,6 +251,7 @@ class DecayCurve:
 
 
 MAX_T = {3: 10_000, 4: 1_000}
+_MAX_SCAN_VALUE = math.sqrt(sys.float_info.max / 8)  # about 4.7e153
 
 
 def search_min_value(q: QuadraticForm, s: float, t_bound: int) -> SearchResult:
@@ -293,11 +307,17 @@ def _check_scannable(q: QuadraticForm, s: float, t_list: list[int]) -> None:
         raise BudgetError(f"t_bound {min(t_list)} is below 1")
     if not math.isfinite(s):
         raise BudgetError(f"target s must be finite, got {s}")
+    # |a|, |b| / 2 and |c - s| are at most m, so the scan's largest float, the
+    # discriminant b^2 - 4ac, is at most 8 m^2
+    m = sum(abs(float(x)) for row in q.gram for x in row) * max(t_list) ** 2 + abs(s)
+    if not m <= _MAX_SCAN_VALUE:
+        raise BudgetError(f"sum of |g_ij| T^2 + |s| is {m:.3g} at T = {max(t_list)}, "
+                          f"past {_MAX_SCAN_VALUE:.3g}, where the scan's floats can overflow")
     if not q.is_indefinite():
         raise SignatureError("form must be indefinite")
 
 
-_BLOCK_ENTRIES = 2**14  # a block holds max(1, _BLOCK_ENTRIES // (2t + 1)) rows
+_BLOCK_ENTRIES = 2**14  # a block holds max(1, _BLOCK_ENTRIES // width) rows of `width` entries
 
 
 def _scan(q: QuadraticForm, s: float, t: int) -> tuple[tuple[int, ...], QuadExt]:
@@ -315,31 +335,54 @@ def _scan(q: QuadraticForm, s: float, t: int) -> tuple[tuple[int, ...], QuadExt]
     a primitive vector, the best primitive x of its stretch.
 
     Only half the box is scanned.  The heads whose first nonzero entry is
-    negative, followed by the zero head, are exactly the first
-    ((2t + 1)^(d - 2) + 1) // 2 rows; the scan stops after the zero head,
-    whose row keeps every w in [-t, t].  Each skipped v has its mirror -v in
-    an earlier row, with a bit-identical float error, since Q(-v) = Q(v):
-    with c = c0 + 2 c1 w + g_kk w^2 and b = 2 (b0 + g_k,d-1 w), negating h and
-    w keeps every term of c and negates b exactly, so the roots (or the
-    vertex) are negated exactly and the error at -x in the mirror row is the
-    error at x.  A root r that is not an integer has candidates floor(r),
-    stepping to -1, and floor(r) + 1, stepping to +1; their mirrors are the
-    mirror row's candidates floor(-r) + 1, stepping to +1, and floor(-r),
-    stepping to -1.  An exactly integer root, as the isotropic forms have,
-    gives the pair {r, r + 1} and not a mirrored pair.  The step at x = r goes
-    to -1, so the row reaches the nearest primitive x <= r and the nearest
-    >= r + 1, while the mirror row, from -r and -r + 1, reaches the mirrors of
-    the nearest >= r and the nearest <= r - 1.  These differ only when r is
-    itself primitive, and then the rows hold r and -r, at the same error,
-    which is the least of either row.  In the linear case (a = 0) the one root
+    negative, followed by the zero head, are exactly the rows up to the zero
+    head; the scan stops after it, and its row keeps every w.  Each skipped v
+    has its mirror -v in an earlier row, with a bit-identical float error,
+    since Q(-v) = Q(v): with c = c0 + 2 c1 w + g_kk w^2 and
+    b = 2 (b0 + g_k,d-1 w), negating h and w keeps every term of c and negates
+    b exactly, so the roots (or the vertex) are negated exactly (each of
+    `_candidate_roots`' two formulas turns into the other's negative when b
+    changes sign) and the error at -x in the mirror row is the error at x.  A
+    root r that is not an integer has candidates floor(r), stepping to -1, and
+    floor(r) + 1, stepping to +1; their mirrors are the mirror row's
+    candidates floor(-r) + 1, stepping to +1, and floor(-r), stepping to -1.
+    An exactly integer root, as the isotropic forms have, gives the pair
+    {r, r + 1} and not a mirrored pair.  The step at x = r goes to -1, so the
+    row reaches the nearest primitive x <= r and the nearest >= r + 1, while
+    the mirror row, from -r and -r + 1, reaches the mirrors of the nearest
+    >= r and the nearest <= r - 1.  These differ only when r is itself
+    primitive, and then the rows hold r and -r, at the same error, which is
+    the least of either row.  In the linear case (a = 0) the one root
     r = -c / b is mirrored the same way; where b is exactly 0 the row is
     constant, its pair is {0, 1}, and every primitive x ties.  So the skipped
     rows hold only exact ties, which never replace the best; row order is
     unchanged, so ties still go to the first vector found, and up to float ties
     the half scan returns what the full scan returns.
 
-    Rows are scanned in blocks of max(1, _BLOCK_ENTRIES // (2t + 1)) rows, as
-    flat arrays.  A block builds its heads from their row numbers and sums
+    A coordinate j in which Q is even (g_ij = 0 exactly for every i != j)
+    gives one more mirror, v -> v with v_j negated, and every float the scan
+    builds from v is unchanged by it: each term with a factor g_ij, i != j, is
+    +-0, which leaves a sum that starts at +0 unchanged, and (g_jj h_j) h_j is
+    unchanged by negating h_j.  So:
+    - an even head coordinate runs over [-t, 0] only.  A row with h_j > 0
+      before the zero head has the cells of the row with h_j negated bit for
+      bit, and that row comes earlier and keeps the first nonzero entry
+      negative;
+    - an even w runs over [-t, 0] only.  The cells (h, w) and (h, -w) have the
+      same a, b and c bit for bit, so the row's first least error lies at
+      some w <= 0;
+    - an even x has b = +0 everywhere, so the two roots are +-sqrt(disc) / (2a),
+      exact negatives, and only the first is taken.  By the argument above,
+      applied within one cell, the second root's candidates reach the mirrors
+      of what the first root's reach, or r and -r at the same least error, and
+      the first root's come first.
+    Each skipped vector thus has a mirror earlier in row order with the same
+    float error bit for bit and the same exact value, and the kept rows keep
+    their order, so every minimum, vector and tie is the one above.
+
+    Rows are scanned in blocks of max(1, _BLOCK_ENTRIES // width) rows, as
+    flat arrays, where a row is width = 2t + 1 entries wide, or t + 1 for an
+    even w.  A block builds its heads from their row numbers and sums
     the per-head scalars c0, c1 and b0 over all its heads at once, term by
     term in the order of the form's index pairs, so each is bit-identical to
     summing one head's terms one by one.  Before a block starts, its
@@ -364,16 +407,18 @@ def _scan(q: QuadraticForm, s: float, t: int) -> tuple[tuple[int, ...], QuadExt]
     d = q.d
     k = d - 2  # the row coordinates are v[:k]; v[k] runs over w, v[k + 1] is solved
     g = q.gram_float()
+    even = q.even_coordinates()
     target = QuadExt.rational(Fraction(s).limit_denominator(10**12), q.field_d)
     a = g[d - 1, d - 1]
-    w = np.arange(-t, t + 1)
+    sizes = [t + 1 if even[j] else 2 * t + 1 for j in range(k + 1)]  # an even one runs over [-t, 0]
+    w = np.arange(-t, sizes[k] - t)
     abs_w, w_sq, w_lin = np.abs(w), g[k, k] * w * w, g[k, d - 1] * w
-    n_rows = (w.size**k + 1) // 2  # up to and including the zero head
+    n_rows = int(np.ravel_multi_index((t,) * k, sizes[:k])) + 1  # up to and including the zero head
     block_rows = max(1, _BLOCK_ENTRIES // w.size)
     best_val, best_vec, best_exact = math.inf, None, None
     for start in range(0, n_rows, block_rows):
         rows = np.arange(start, min(start + block_rows, n_rows))
-        heads = np.stack(np.unravel_index(rows, (w.size,) * k), axis=1) - t
+        heads = np.stack(np.unravel_index(rows, sizes[:k]), axis=1) - t
         # each term is (g h_i) h_j, added in the same order as for a single row
         c0, c1, b0 = np.zeros((3, rows.size))
         for i in range(k):
@@ -387,7 +432,7 @@ def _scan(q: QuadraticForm, s: float, t: int) -> tuple[tuple[int, ...], QuadExt]
         threshold = best_val + 1e-9
         err_best = np.full(c.shape, math.inf)
         x_best = np.zeros(c.shape, dtype=w.dtype)
-        for x, r in _candidate_roots(a, b, c - s, t):
+        for x, r in _candidate_roots(a, b, c - s, t, even[d - 1]):
             err = np.abs(a * x * x + b * x + c - s)
             live = np.flatnonzero(err < threshold)
             row, col = np.divmod(live, w.size)
@@ -418,21 +463,34 @@ def _scan(q: QuadraticForm, s: float, t: int) -> tuple[tuple[int, ...], QuadExt]
     return best_vec, best_exact
 
 
-def _candidate_roots(a, b, c, t: int):
+def _candidate_roots(a, b, c, t: int, even: bool):
     """Integers in [-t, t] next to the roots (or the vertex) of a x^2 + b x + c,
     each paired with that root; for a = 0, next to -c / b, or to 0 where b = 0.
 
+    The roots come in the order (-b + sqrt(disc)) / (2a), (-b - sqrt(disc)) / (2a).
+    Where -b and the square root have opposite signs that formula cancels, so
+    that root is taken as 2c / (-b -+ sqrt(disc)), which is c / a over the other
+    root.  A form even in x (`even`) has b = 0 everywhere, so its roots are
+    +-sqrt(disc) / (2a), exact negatives, and only the first root's candidates
+    are returned: the second's are their mirrors, at the same error bit for bit.
+
     A root is clipped to [-t - 1, t] before its floor is cast to int64, which
-    keeps a root far out of range from overflowing the cast; the clipped
-    candidates equal those of the unclipped floor."""
-    if abs(a) > 1e-12:
-        disc = b * b - 4 * a * c
-        has_root = disc >= 0
-        sq = np.sqrt(np.where(has_root, disc, 0.0))
-        roots = [np.where(has_root, (-b + sgn * sq) / (2 * a), -b / (2 * a)) for sgn in (1.0, -1.0)]
-    else:
-        with np.errstate(all="ignore"):
+    keeps a root far out of range, even an infinite one, from overflowing the
+    cast; the clipped candidates equal those of the unclipped floor."""
+    with np.errstate(all="ignore"):  # a root past the float range is inf, and clipped
+        if a == 0:
             roots = [np.where(b != 0, -c / b, 0.0)]
+        else:
+            disc = b * b - 4 * a * c
+            has_root = disc >= 0
+            sq = np.sqrt(np.where(has_root, disc, 0.0))
+            vertex = -b / (2 * a)
+            if even:
+                roots = [np.where(has_root, sq / (2 * a), vertex)]
+            else:
+                plus = np.where(b > 0, 2 * c / (-b - sq), (-b + sq) / (2 * a))
+                minus = np.where(b < 0, 2 * c / (-b + sq), (-b - sq) / (2 * a))
+                roots = [np.where(has_root, r, vertex) for r in (plus, minus)]
     floors = [(np.floor(np.clip(r, -t - 1, t)).astype(np.int64), r) for r in roots]
     return [(np.clip(x, -t, t), r) for f, r in floors for x in (f, f + 1)]
 

@@ -737,8 +737,13 @@ def mat_to_json(m: Mat) -> dict:
 
 
 def _read_json(kind: type, x, *field):
-    """kind(x) for a JSON value x, or a ValueError that names x's field."""
+    """kind(x) for a JSON value x, or a ValueError that names x's field.
+
+    A bool is refused, and so is a number with a fractional part where kind is
+    int, rather than read as 1 or truncated."""
     try:
+        if isinstance(x, bool) or (kind is int and isinstance(x, float) and not x.is_integer()):
+            raise ValueError
         return kind(x)
     except (TypeError, ValueError, ArithmeticError):
         noun = "an integer" if kind is int else "a rational number"
@@ -762,7 +767,7 @@ def subspace_from_json(obj: dict) -> Subspace:
     """Loads through canonicalize, so a stored basis that is not canonical (or
     not independent) gives the same Subspace as its span."""
     m = mat_from_json(obj["basis"])
-    if m.rows != int(obj["ambient_dim"]):
+    if m.rows != _read_json(int, obj["ambient_dim"], "ambient_dim"):
         raise DimensionMismatch("basis rows must equal ambient dimension")
     return canonicalize(m)
 

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -133,7 +134,8 @@ def _line_datum(entry="1", exponent="2", n=2):
 
 # Input files that once ended in a traceback and exit 1: a zero denominator or a
 # 1e400, which json reads as inf, raises an ArithmeticError, a null seed or scale
-# a TypeError; n = 0 and an integer "out" are refused by their own checks.
+# a TypeError; n = 0 and an integer "out" are refused by their own checks.  A
+# fractional n or a true for an integer or an entry once loaded as 2 or 1.
 BAD_DATUMS = {
     "zero-denominator-entry": _line_datum(entry="1/0"),
     "zero-denominator-exponent": _line_datum(exponent="1/0"),
@@ -141,6 +143,10 @@ BAD_DATUMS = {
     "1e400-entry": _line_datum(entry=1e400),
     "1e400-exponent": _line_datum(exponent=1e400),
     "n-zero": {"n": 0, "maps": [], "exponents": []},
+    "float-n": _line_datum(n=2.5),
+    "bool-n": _line_datum(n=True),
+    "bool-rows": {**_line_datum(), "maps": [{"nj": 1, "matrix": {"rows": True, "cols": 2, "entries": [["1", "0"]]}}]},
+    "bool-entry": _line_datum(entry=True),
 }
 BAD_CONFIGS = {
     "null-master-seed": '{"master_seed": null}',
@@ -161,6 +167,10 @@ BAD_DATUM_FIELDS = {
     "1e400-entry": "entry (0, 0): inf is not a rational number",
     "1e400-exponent": "exponent 0: inf is not a rational number",
     "n-zero": "need n >= 1, got 0",
+    "float-n": "n: 2.5 is not an integer",
+    "bool-n": "n: True is not an integer",
+    "bool-rows": "rows: True is not an integer",
+    "bool-entry": "entry (0, 0): True is not a rational number",
 }
 HUGE_FORM = "1e400*x1^2+x2^2-x3^2"
 HUGE_PRIME_RADICAND = "sqrt2305843009213693951"  # 2^61 - 1, far past oppenheim.MAX_RADICAND
@@ -641,6 +651,13 @@ class TestCLI:
         assert oppenheim_main(["--form", HUGE_FORM, "--T", "5"]) == 2
         assert capsys.readouterr().err == "error: coefficient of x1^2 overflows a float\n"
 
+    def test_form_past_the_float_range_is_one_error_line(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert oppenheim_main(["--form", "x1^2+x2^2-1e307*x3^2", "--T", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "overflow" in err
+
     def test_proj_exp_negative_seed(self, capsys):
         assert proj_exp_main([*PROJ_EXP_ARGV, "--seed", "-1"]) == 2
         assert capsys.readouterr().err.startswith("error: seed must be >= 0")
@@ -700,7 +717,8 @@ def test_benchmark_tracer_installs():
     assert proc.returncode == 0, proc.stderr
 
 
-SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+SCRIPTS_DIR = Path(__file__).resolve().parents[1] / "scripts"
+SCRIPTS = sorted(SCRIPTS_DIR.glob("*.py"))
 
 
 @pytest.mark.parametrize("script", SCRIPTS, ids=[p.name for p in SCRIPTS])
@@ -715,6 +733,27 @@ def test_script_help_runs(script):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage:")
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["--form", "x1^3"], "bad monomial factor 'x1^3'"),
+        (["--t-list", "10,x"], "--t-list must be integers"),
+        (["--t-list", "10,100"], "need at least three distinct bounds"),
+        (["--form", "x1^2+x2^2-1e307*x3^2", "--t-list", "1,2,3"], "overflow"),
+    ],
+    ids=["form", "t-list", "two-bounds", "overflow"],
+)
+def test_decay_script_bad_input_is_one_error_line(argv, field):
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", str(SCRIPTS_DIR / "oppenheim_decay.py"), *argv],
+        env={**os.environ, "PYTHONPATH": str(Path(repverify.__file__).resolve().parents[1])},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1 and field in proc.stderr
 
 
 def test_public_api_names_resolve():

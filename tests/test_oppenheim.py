@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -9,6 +10,7 @@ import tracemalloc
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from repverify import oppenheim
@@ -196,6 +198,9 @@ def brute_min(q: QuadraticForm, s: Fraction, t: int) -> QuadExt:
     return best
 
 
+_cached_brute_min = functools.cache(brute_min)  # for tests that share a (form, s, t)
+
+
 class TestScan:
     @pytest.mark.parametrize(
         "form, s, t",
@@ -253,6 +258,49 @@ class TestScan:
         assert r.value_exact.abs_exact() == QuadExt.rational(F(1, 2) - F(1, 10**12), q.field_d)
         assert r.best_v == (-1, -1, -1)
 
+    def test_tiny_square_coefficient_is_not_zero(self):
+        # a = 5 10^-13 is exactly nonzero, so the scan solves the quadratic: the
+        # best is x1^2 = x2^2 and |x3| = 1000, where Q = 5 10^-7
+        q = parse_form("x1^2-x2^2+1/2000000000000*x3^2")
+        r = search_min_value(q, 0.5, 1000)
+        assert r.value_exact == QuadExt.rational(F(-1, 2) + F(5, 10**7), q.field_d)
+        assert r.best_v == (-999, -999, 1000)
+
+    # a tiny a beside b: the textbook root (-b +- sqrt(b^2 - 4ac)) / (2a) loses the
+    # root near -c / b to cancellation; at |a| = 1e-17 it reads 0
+    @pytest.mark.parametrize("b", [3.0, -3.0])
+    @pytest.mark.parametrize("a", [1e-17, -1e-17, 1e-13])
+    def test_near_root_does_not_cancel(self, a, b):
+        roots = [r[0] for _, r in oppenheim._candidate_roots(a, np.array([b]), np.array([10.0]), 100, False)]
+        assert min(roots, key=abs) == pytest.approx(-10 / b, rel=1e-12)
+
+    # with a smaller a, Q at the best vectors differs by less than the floats
+    # around s = 1/2 resolve, and the scan returns a float tie
+    @pytest.mark.parametrize("t", [2, 3, 4])
+    @pytest.mark.parametrize("linear", ["+x1*x3", "-x1*x3", "+x2*x3"])
+    @pytest.mark.parametrize("tiny", ["1/10000000000000", "1/1000000000000000", "-1/10000000000000000"])
+    def test_tiny_square_coefficient_beside_a_linear_one(self, tiny, linear, t):
+        q = parse_form(f"x1^2-x2^2+{tiny}*x3^2{linear}")
+        r = search_min_value(q, 0.5, t)
+        assert r.value_exact.abs_exact() == brute_min(q, F(1, 2), t)
+
+    @pytest.mark.parametrize("form, t", [("x1^2+x2^2-1e307*x3^2", 3), ("x1^2+x2^2-1e150*x3^2", 100)])
+    def test_values_past_the_float_range_are_refused(self, form, t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BudgetError, match="overflow"):
+                search_min_value(parse_form(form), 0.0, t)
+            with pytest.raises(BudgetError):
+                decay_curve(parse_form(form), 0.0, [1, 2, t])
+
+    def test_values_inside_the_float_range_are_scanned(self):
+        # sum |g_ij| T^2 = (2 + 10^150) 10^4 sits just under the 4.7 10^153 bound
+        q = parse_form("x1^2+x2^2-1e150*x3^2")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = search_min_value(q, 0.0, 46)
+        assert r.value_exact.abs_exact() == QuadExt.rational(1, q.field_d)
+
     @pytest.mark.parametrize("seed", range(12))
     def test_linear_rows_match_brute_force(self, seed):
         # no x_d^2 term: every row is linear in the last coordinate, and its one
@@ -289,10 +337,14 @@ class TestScan:
         assert c.exact_values == [search_min_value(q, s, t).value_exact for t in bounds]
 
 
-def _force_block_rows(monkeypatch, rows: int | None, t: int) -> None:
-    """Make a scan at bound t run `rows` rows per block (None keeps the default)."""
+def _force_block_rows(monkeypatch, rows: int | None, q: QuadraticForm, t: int) -> None:
+    """Make a scan of q at bound t run `rows` rows per block (None keeps the default).
+
+    A row holds t + 1 entries where q is even in x_{d-1}, which then runs over
+    [-t, 0] only, and 2t + 1 entries otherwise."""
     if rows is not None:
-        monkeypatch.setattr(oppenheim, "_BLOCK_ENTRIES", rows * (2 * t + 1))
+        width = t + 1 if q.even_coordinates()[q.d - 2] else 2 * t + 1
+        monkeypatch.setattr(oppenheim, "_BLOCK_ENTRIES", rows * width)
 
 
 class TestBlocks:
@@ -307,8 +359,8 @@ class TestBlocks:
         ],
     )
     def test_blocks_match_brute_force(self, monkeypatch, rows, form, s, bounds):
-        _force_block_rows(monkeypatch, rows, bounds[-1])
         q = parse_form(form)
+        _force_block_rows(monkeypatch, rows, q, bounds[-1])
         expected = [brute_min(q, F(s), t) for t in bounds]
         assert search_min_value(q, float(F(s)), bounds[-1]).value_exact.abs_exact() == expected[-1]
         curve = decay_curve(q, float(F(s)), bounds)
@@ -326,8 +378,9 @@ class TestBlocks:
         ],
     )
     def test_tie_pins(self, monkeypatch, rows, form, t, best_v):
-        _force_block_rows(monkeypatch, rows, t)
-        r = search_min_value(parse_form(form, dim=3), 0.0, t)
+        q = parse_form(form, dim=3)
+        _force_block_rows(monkeypatch, rows, q, t)
+        r = search_min_value(q, 0.0, t)
         assert r.best_v == best_v
         assert r.value_exact == QuadExt(F(0), F(0), 2)
 
@@ -340,3 +393,34 @@ class TestBlocks:
         r = search_min_value(parse_form("x1^2+x2^2+x3^2-sqrt2*x4^2"), 0.0, 100)
         assert r.best_v == (-54, -12, -8, -47)
         assert r.value_exact == QuadExt(F(3124), F(-2209), 2)
+
+    # Forms even in some coordinates (no cross term with it): the scan keeps only
+    # heads whose even coordinates are <= 0, runs an even x_{d-1} over [-t, 0] and
+    # takes one root of an even x_d.
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("s", ["0", "1/2", "-5/2", "37/100"])
+    @pytest.mark.parametrize(
+        "form, t, even",
+        [
+            ("sqrt2*x1^2+3/10*x1*x2-x2^2-7/5*x3^2", 4, (False, False, True)),
+            ("sqrt2*x1^2+3/10*x1*x3-x2^2+1/2*x3^2", 4, (False, True, False)),
+            ("sqrt2*x1^2-x2^2+3/10*x2*x3+1/2*x3^2", 4, (True, False, False)),
+            ("sqrt2*x1^2-7/5*x2^2+3/10*x3^2", 4, (True, True, True)),
+            ("sqrt2*x1^2+3/10*x1*x2-x2^2+1/2*x2*x3+3/10*x3^2", 4, (False, False, False)),
+            ("sqrt2*x1^2+3/10*x1*x2-x2^2+1/2*x2*x3+sqrt2*x3^2-7/5*x4^2", 2, (False, False, False, True)),
+            ("sqrt2*x1^2+3/10*x1*x2-x2^2+sqrt2*x2*x4-x3^2+3/10*x4^2", 2, (False, False, True, False)),
+            ("sqrt2*x1^2-x2^2+3/10*x2*x3+sqrt2*x3^2-1/2*x3*x4+3/10*x4^2", 2, (True, False, False, False)),
+            ("sqrt2*x1^2+1/2*x1*x3-x2^2+sqrt2*x3*x4-3/10*x3^2+3/10*x4^2", 2, (False, True, False, False)),
+            ("sqrt2*x1^2-7/5*x2^2+3/10*x3^2-1/2*x4^2", 2, (True, True, True, True)),
+            ("sqrt2*x1^2+3/10*x1*x2-x2^2+1/2*x2*x3+x3^2-sqrt2*x3*x4+3/10*x4^2", 2, (False, False, False, False)),
+        ],
+        ids=["d3-last", "d3-w", "d3-head", "d3-all", "d3-none",
+             "d4-last", "d4-w", "d4-head1", "d4-head2", "d4-all", "d4-none"],
+    )
+    def test_even_coordinates_match_brute_force(self, monkeypatch, rows, s, form, t, even):
+        q = parse_form(form)
+        assert tuple(q.even_coordinates()) == even
+        _force_block_rows(monkeypatch, rows, q, t)
+        r = search_min_value(q, float(F(s)), t)
+        assert r.value_exact.abs_exact() == _cached_brute_min(q, F(s), t)
+        assert all(x <= 0 for x, e in zip(r.best_v[:-1], even) if e)

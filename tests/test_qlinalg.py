@@ -354,6 +354,9 @@ class TestSerialization:
         assert s == canonicalize(m)
         with pytest.raises(DimensionMismatch):
             subspace_from_json({"ambient_dim": 3, "basis": mat_to_json(m)})
+        # a bool is not read as 1, which the one row of this basis would match
+        with pytest.raises(ValueError, match="ambient_dim: True is not an integer"):
+            subspace_from_json({"ambient_dim": True, "basis": mat_to_json(Mat.from_cols([[1]]))})
 
 
 small_fracs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
