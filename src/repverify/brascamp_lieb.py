@@ -211,10 +211,9 @@ def _dyadic_normalize(m: Mat) -> Mat:
     Composing a map with a scalar isomorphism changes neither its kernel nor
     the feasibility of any datum containing it, and keeps the estimators'
     collapse threshold meaningful for sampled group elements of any height.
+    m is nonzero: its one caller passes a rank-k basis times an invertible map.
     """
     sq = sum((x * x for x in m.entries), Fraction(0))
-    if sq == 0:
-        return m
     e = math.floor(math.log2(float(sq)) / 2.0)
     return m.scale(Fraction(1, 2**e) if e >= 0 else Fraction(2**-e))
 

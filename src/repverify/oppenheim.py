@@ -124,10 +124,9 @@ class QuadExt:
             return 1
         if a < 0 and b < 0:
             return -1
-        # opposite signs: compare a^2 against b^2 d exactly
+        # opposite signs: compare a^2 against b^2 d exactly; they never tie, since
+        # a squarefree d >= 2 is not the square a^2 / b^2 of a rational
         cmp = a * a - b * b * self.d
-        if cmp == 0:
-            return 0  # impossible for squarefree d, kept for safety
         if a > 0:
             return 1 if cmp > 0 else -1
         return -1 if cmp > 0 else 1
@@ -234,13 +233,6 @@ class SearchResult:
     value_exact: QuadExt
     t_bound: int
     s: float
-
-    def __post_init__(self):
-        g = 0
-        for x in self.best_v:
-            g = math.gcd(g, abs(x))
-        if g != 1:
-            raise ValueError("returned vector is not primitive")
 
 
 @dataclass

@@ -28,6 +28,11 @@ keeps its canonical columns with their scale L, and `_action_matrices`
 commutes those words (`_commutator`) and solves every bracket against the
 basis in one `_pivot_columns` sweep.  `Fraction`s are built only for the
 entries of the action matrices.
+
+Each family's generators are the image of a Lie algebra, so they are
+square, traceless, ad(a)-homogeneous and bracket closed by construction, and
+`build_config` does not check them again.  `_validate_config` checks a
+configuration read from a file, in `config_from_json`.
 """
 
 from __future__ import annotations
@@ -74,10 +79,10 @@ class RepConfig:
     a_action is diagonal, so the ad(a)-eigenvalue of a matrix unit E_ij is
     a_i - a_j.  Everything else is read off these: n = dim V, h_dim = dim H,
     and u_plus_indices / u_minus_indices, the basis elements of positive /
-    negative ad(a)-eigenvalue (the horospherical generators).  Validation
-    requires every generator to be an ad(a)-eigenvector, which makes each
-    horospherical one nilpotent.  All downstream claims are scale covariant, so
-    a is stored unnormalized.
+    negative ad(a)-eigenvalue (the horospherical generators).  Every generator
+    is an ad(a)-eigenvector (by construction in `build_config`, checked in
+    `config_from_json`), which makes each horospherical one nilpotent.  All
+    downstream claims are scale covariant, so a is stored unnormalized.
     """
 
     name: str
@@ -234,7 +239,8 @@ def _weight_adapt(span: Subspace, a_diag: list[Fraction]) -> tuple[list[tuple[in
 
     Requires a diagonal; ad(a) acts on the matrix units E_ij by a_i - a_j, so
     the eigenspaces of the ambient matrix space are coordinate blocks and the
-    intersection with span is exact.
+    intersection with span is exact.  Every span passed here is ad(a)-stable,
+    so its weight pieces add up to all of it.
     """
     grading = [x - y for x in a_diag for y in a_diag]
     words: list[tuple[int, tuple[int, ...]]] = []
@@ -244,8 +250,6 @@ def _weight_adapt(span: Subspace, a_diag: list[Fraction]) -> tuple[list[tuple[in
         piece = subspace_intersect(span, Subspace.coordinate(len(grading), idx))
         words += [(piece.scale, col) for col in piece.columns]
         out_wts += [lam] * piece.dim
-    if len(words) != span.dim:
-        raise RationalityError("element a is not diagonalizable over Q on the requested space")
     return words, out_wts
 
 
@@ -283,6 +287,10 @@ def _check_dim(n: int) -> None:
 
 
 def _validate_config(cfg: RepConfig) -> None:
+    """The check of a configuration read from a file: n within MAX_DIM, square
+    generators of a's size, a diagonal, each generator an ad(a)-eigenvector of
+    trace zero, and their span closed under brackets.  `build_config` never
+    calls it, since its families hold all of this by construction."""
     n = cfg.n
     _check_dim(n)
     if any((x.rows, x.cols) != (n, n) for x in cfg.h_basis):
@@ -304,23 +312,15 @@ def _validate_config(cfg: RepConfig) -> None:
                 raise ConfigError("h_basis is not closed under brackets")
 
 
-def _config(name: str, h_action: list[Mat], a_diag: list[Fraction]) -> RepConfig:
-    """A validated configuration with a_action = diag(a_diag)."""
-    cfg = RepConfig(name, tuple(h_action), Mat.diagonal(a_diag))
-    _validate_config(cfg)
-    return cfg
-
-
 def _complement_config(name: str, s_form: Mat, a_diag: list[Fraction]) -> RepConfig:
     d = s_form.rows
     # a = diag(a_diag) lies in {X : X^T S + S X = 0} iff (a_i + a_j) S_ij = 0 for all i, j
     if any((a_diag[k // d] + a_diag[k % d]) * s_ij for k, s_ij in enumerate(s_form.entries)):
         raise ConfigError("element a does not lie in the stabilizer algebra")
     h, _ = _weight_adapt(_form_stabilizer_basis(s_form), a_diag)
+    # h's words and the identity, which is not in h, are independent: dim V = d^2 - 1 - dim h
     v, v_wts = _weight_adapt(_trace_complement_basis(d, [x for _, x in h]), a_diag)
-    if len(v) != d * d - 1 - len(h):
-        raise ConfigError("complement dimension mismatch")
-    return _config(name, _action_matrices(v, h), v_wts)
+    return RepConfig(name, tuple(_action_matrices(v, h)), Mat.diagonal(v_wts))
 
 
 def _sl_weight_basis(k: int) -> tuple[list[Mat], list[Fraction]]:
@@ -345,7 +345,7 @@ def _sl_weight_basis(k: int) -> tuple[list[Mat], list[Fraction]]:
 def _adjoint_config(name: str, k: int) -> RepConfig:
     basis, a_diag = _sl_weight_basis(k)
     v, v_wts = _weight_adapt(Subspace.from_columns(k * k, [m.entries for m in basis]), a_diag)
-    return _config(name, _action_matrices(v, v), v_wts)
+    return RepConfig(name, tuple(_action_matrices(v, v)), Mat.diagonal(v_wts))
 
 
 def _tensor_sort(perm_weights: list[Fraction]) -> list[int]:
@@ -398,7 +398,7 @@ def _tensor_config(name: str, kn: int, km: int, standard: bool) -> RepConfig:
 
     h_action = [_kron_action(x, None, (da, db), order) for x in left_ops]
     h_action += [_kron_action(None, y, (da, db), order) for y in right_ops]
-    return _config(name, h_action, sorted_wts)
+    return RepConfig(name, tuple(h_action), Mat.diagonal(sorted_wts))
 
 
 def _sl2_sym_config(k: int) -> RepConfig:
@@ -413,7 +413,7 @@ def _sl2_sym_config(k: int) -> RepConfig:
         if i <= k - 1:
             f_rows[i + 1][i] = Fraction(k - i)  # f: v_i -> (k - i) v_{i+1}
     e, h, f = Mat.from_rows(e_rows), Mat.diagonal(a_diag), Mat.from_rows(f_rows)
-    return _config(f"sl2_sym:{k}", [e, h, f], a_diag)
+    return RepConfig(f"sl2_sym:{k}", (e, h, f), h)  # a is h itself
 
 
 def parse_descriptor(text: str) -> tuple[str, tuple]:
@@ -476,7 +476,7 @@ def build_config(descriptor: str) -> RepConfig:
         if kn < 2 or km < 2:
             raise ConfigError("tensor needs n, m >= 2")  # sl_1 = 0 would leave V = 0
         _check_dim((kn * kn - 1) * (km * km - 1))
-        return _tensor_config(f"tensor:{args[0]},{args[1]}", kn, km, standard=False)
+        return _tensor_config(f"tensor:{kn},{km}", kn, km, standard=False)
     if kind == "tensor_std":
         if len(args) != 2:
             raise ConfigError("tensor_std needs n,m")
@@ -484,7 +484,7 @@ def build_config(descriptor: str) -> RepConfig:
         if kn < 1 or km < 1 or kn + km < 3:
             raise ConfigError("tensor_std needs n, m >= 1 with n + m >= 3")
         _check_dim(kn * km)
-        return _tensor_config(f"tensor_std:{args[0]},{args[1]}", kn, km, standard=True)
+        return _tensor_config(f"tensor_std:{kn},{km}", kn, km, standard=True)
     if kind == "sl2_sym":
         if len(args) != 1:
             raise ConfigError("sl2_sym needs k")
@@ -503,9 +503,7 @@ def weight_decompose(cfg: RepConfig) -> WeightDecomposition:
     diag = _diagonal(cfg.a_action)
     values = sorted(set(diag))
     bases = tuple(Subspace.coordinate(n, [i for i in range(n) if diag[i] == mu]) for mu in values)
-    dec = WeightDecomposition(tuple(values), bases)
-    assert dec.total_dim == n
-    return dec
+    return WeightDecomposition(tuple(values), bases)
 
 
 def flag_projector(dec: WeightDecomposition, mu) -> FlagProjector:
@@ -640,7 +638,8 @@ def config_to_json(cfg: RepConfig) -> dict:
 
 def config_from_json(obj: dict) -> RepConfig:
     """Rebuild a configuration from its three keys, ignoring any others, and
-    run the same validation as build_config."""
+    validate it (`_validate_config`): this is where a configuration from
+    outside the program enters."""
     cfg = RepConfig(
         obj["name"],
         tuple(mat_from_json(m) for m in obj["h_basis"]),

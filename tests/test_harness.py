@@ -474,6 +474,12 @@ class TestCLI:
         assert main(["generic-dim", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("error: scale")
 
+    def test_suite_scale_whose_trial_counts_overflow(self, capsys):
+        # round(200 * 1e308) overflows: refused as input, not recorded as generic-dim/error
+        assert main(["generic-dim", "--scale", "1e308"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: scale") and err.count("\n") == 1
+
     def test_genericdim_flag_level_out_of_range(self, capsys):
         assert genericdim_main(["--config", "so_pq:2,1", "--w", "flag:7", "--wprime", "full"]) == 2
         assert capsys.readouterr().err.startswith("error: 7 is not an eigenvalue")
@@ -754,6 +760,30 @@ def test_decay_script_bad_input_is_one_error_line(argv, field):
     )
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1 and field in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "script, argv, field",
+    [
+        ("run_all_suites.py", ["--scale", "0"], "scale must be > 0"),
+        ("run_all_suites.py", ["--out-dir", "{file}"], "File exists"),
+        ("pilot_subcritical.py", ["--num-u", "0"], "sampled parameters"),
+    ],
+    ids=["suites-scale", "suites-out-dir", "pilot-num-u"],
+)
+def test_script_bad_input_is_one_error_line(script, argv, field, tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", str(SCRIPTS_DIR / script), *(a.format(file=taken) for a in argv)],
+        env={**os.environ, "PYTHONPATH": str(Path(repverify.__file__).resolve().parents[1])},
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1 and field in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_public_api_names_resolve():

@@ -567,6 +567,53 @@ def _eight_key_doc(cfg: RepConfig) -> dict:
     }
 
 
+# Every family build_config makes, at least once, with a few larger members.
+BUILT_DESCRIPTORS = ALL_DESCRIPTORS + [
+    "so_pq:3,2", "so_pq:4,3", "sp2n:3", "diagonal:sl4", "tensor:2,3", "tensor_std:2,3", "sl2_sym:9",
+]
+
+
+@pytest.mark.parametrize("desc", BUILT_DESCRIPTORS)
+def test_built_configs_pass_the_file_validation(desc):
+    """build_config does not validate its families; the check that
+    config_from_json runs on a file proves them here instead."""
+    reps._validate_config(build_config(desc))
+
+
+def test_build_config_never_validates(monkeypatch):
+    def refuse(cfg):
+        raise AssertionError(f"build_config validated {cfg.name}")
+
+    monkeypatch.setattr(reps, "_validate_config", refuse)
+    build_config.cache_clear()
+    for desc in BUILT_DESCRIPTORS:
+        assert build_config(desc).n > 0
+
+
+def test_config_from_json_rejects_sl2_without_h():
+    # [e, f] = h leaves span{e, f}
+    doc = config_to_json(build_config("sl2_sym:2"))
+    doc["h_basis"] = [doc["h_basis"][0], doc["h_basis"][2]]
+    with pytest.raises(ConfigError, match="closed under brackets"):
+        config_from_json(doc)
+
+
+def test_config_from_json_rejects_a_generator_with_trace():
+    # diag(1, 0, 0) has ad(a)-weight 0 but trace 1
+    doc = config_to_json(build_config("sl2_sym:2"))
+    doc["h_basis"][1] = mat_to_json(Mat.diagonal([1, 0, 0]))
+    with pytest.raises(ConfigError, match="nonzero trace"):
+        config_from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "desc, canonical", [("tensor:02,2", "tensor:2,2"), ("tensor_std: 2 ,+2", "tensor_std:2,2")]
+)
+def test_tensor_names_come_from_the_parsed_fields(desc, canonical):
+    assert build_config(desc).name == canonical
+    assert build_config(desc) == build_config(canonical)
+
+
 def test_config_from_json_checks_every_bracket_whatever_h_dim_says():
     # without its weight-0 generator so(2,1) is not bracket closed: [u+, u-] lies in the weight-0 space
     cfg = build_config("so_pq:2,1")
