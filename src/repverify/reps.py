@@ -21,13 +21,14 @@ The grading is exact: a is diagonal and every generator is an
 ad(a)-eigenvector, so every word is homogeneous and enlarges the span of the
 words exactly when it enlarges its own weight block.
 
-Construction runs on integer words too.  The stabilizer and complement
-kernels are swept from integer constraint rows (`kernel_of_rows`) into
-canonical integer `Subspace`s, each ad(a)-weight piece of one
-keeps its canonical columns with their scale L, and `_action_matrices`
-commutes those words (`_commutator`) and solves every bracket against the
-basis in one `_pivot_columns` sweep.  `Fraction`s are built only for the
-entries of the action matrices.
+Construction runs on integer words too, and sweeps only to make canonical
+(reduced column echelon) spans: the stabilizer and complement kernels
+(`kernel_of_rows`) and sl_k.  Each span is ad(a)-stable, since a lies in the
+stabilizer (`_complement_config` checks that first), so `_weight_adapt` only
+sorts its canonical columns by the weight at their pivots.  A canonical basis
+in a new order is still reduced, so `_action_matrices` reads each bracket's
+(`_commutator`) coordinates at the basis pivots.  `tensor:n,m` takes each factor from
+`_adjoint_config`.  `Fraction`s are built only for the action matrices.
 
 Each family's generators are the image of a Lie algebra, so they are
 square, traceless, ad(a)-homogeneous and bracket closed by construction, and
@@ -46,16 +47,13 @@ from typing import Sequence
 from .qlinalg import (
     MAX_DIM,
     DimensionMismatch,
-    LinAlgError,
     Mat,
     RowSpan,
     Subspace,
     _integer,
-    _pivot_columns,
     kernel_of_rows,
     mat_from_json,
     mat_to_json,
-    subspace_intersect,
 )
 
 
@@ -233,24 +231,24 @@ def _trace_complement_basis(d: int, words: list[Sequence[int]]) -> Subspace:
 
 
 def _weight_adapt(span: Subspace, a_diag: list[Fraction]) -> tuple[list[tuple[int, tuple[int, ...]]], list[Fraction]]:
-    """Re-basis a subspace of the flat d x d matrices into ad(a)-eigenvectors,
-    sorted by descending eigenvalue: each as (L, its integer word), the matrix
-    word / L, for the canonical columns of one weight piece and their scale L.
+    """Re-basis a subspace of the flat d x d matrices into ad(a)-eigenvectors
+    by descending eigenvalue, as (L, integer word) pairs, the matrices word / L:
+    span's canonical columns, each over its gcd, and their eigenvalues.
 
-    Requires a diagonal; ad(a) acts on the matrix units E_ij by a_i - a_j, so
-    the eigenspaces of the ambient matrix space are coordinate blocks and the
-    intersection with span is exact.  Every span passed here is ad(a)-stable,
-    so its weight pieces add up to all of it.
+    Requires a diagonal and span ad(a)-stable, as every span passed here is
+    (a lies in the stabilizer, checked first).  Then span is the sum of its
+    pieces in the blocks of matrix units E_ij of one weight a_i - a_j, and a
+    canonical column's piece of another weight than its pivot's is zero at
+    every pivot, so zero.  The stable sort keeps the basis reduced.
     """
     grading = [x - y for x in a_diag for y in a_diag]
-    words: list[tuple[int, tuple[int, ...]]] = []
-    out_wts: list[Fraction] = []
-    for lam in sorted(set(grading), reverse=True):
-        idx = [c for c, w in enumerate(grading) if w == lam]
-        piece = subspace_intersect(span, Subspace.coordinate(len(grading), idx))
-        words += [(piece.scale, col) for col in piece.columns]
-        out_wts += [lam] * piece.dim
-    return words, out_wts
+    weights = [grading[p] for p in span.pivots]
+    order = sorted(range(span.dim), key=weights.__getitem__, reverse=True)
+    words = []
+    for c in order:
+        g = math.gcd(*span.columns[c])
+        words.append((span.scale // g, tuple(x // g for x in span.columns[c])))
+    return words, [weights[c] for c in order]
 
 
 def _action_matrices(basis: list[tuple[int, Sequence[int]]], generators: list[tuple[int, Sequence[int]]]) -> list[Mat]:
@@ -258,27 +256,25 @@ def _action_matrices(basis: list[tuple[int, Sequence[int]]], generators: list[tu
     for (L, word) pairs: each stands for the square matrix of flat integer
     entries word / L.
 
-    The bracket word [x, y] of generator x / s and basis element y / t is
-    s t [X, Y].  One `_pivot_columns` sweep of [basis words | bracket words]
-    solves every bracket at once: pivot row r ends as reduced row echelon row r
-    times the last pivot D, so bracket c = sum_r (row_r[c] / D) y_r and the
-    coordinate of [X, Y] on y_r / t_r is t_r row_r[c] / (D s t).  A pivot
-    among the brackets means one leaves the span, and a missing one that the
-    basis is dependent: LinAlgError.
+    Requires the basis reduced: every other word is zero at the pivot p_r of
+    y_r, its first nonzero entry.  Every basis passed here is a canonical one
+    in a new order (`_weight_adapt`), so a vector v of the span has coordinate
+    t_r v[p_r] / y_r[p_r] on y_r / t_r.  The bracket word [x, y] of generator
+    x / s and basis element y / t is s t [X, Y], so [X, Y_j] has coordinate
+    t_r [x, y_j][p_r] / (s t_j y_r[p_r]) on Y_r.  The brackets lie in the span
+    by construction: sl_k, or the trace-form complement of h, which ad(h)
+    preserves.
     """
     k = len(basis)
     ys = [_sparse_rows(y) for _, y in basis]
-    brackets = [_commutator(x, y) for x in (_sparse_rows(w) for _, w in generators) for y in ys]
-    rows = list(zip(*[y for _, y in basis], *brackets))
-    pivots, last = _pivot_columns(rows)
-    if pivots != list(range(k)):
-        raise LinAlgError("a bracket leaves the span of the basis")
-    scales = [t for t, _ in basis]
-    return [
-        Mat(k, k, tuple(Fraction(t_r * row[k * (i + 1) + j], last * s * t)
-                        for t_r, row in zip(scales, rows) for j, t in enumerate(scales)))
-        for i, (s, _) in enumerate(generators)
-    ]
+    pivots = [next(i for i, x in enumerate(y) if x) for _, y in basis]
+    out = []
+    for s, x in generators:
+        xs = _sparse_rows(x)
+        brackets = [_commutator(xs, y) for y in ys]
+        out.append(Mat(k, k, tuple(Fraction(t_r * b[p_r], s * t_j * y_r[p_r])
+                                   for (t_r, y_r), p_r in zip(basis, pivots) for (t_j, _), b in zip(basis, brackets))))
+    return out
 
 
 def _check_dim(n: int) -> None:
@@ -287,11 +283,13 @@ def _check_dim(n: int) -> None:
 
 
 def _validate_config(cfg: RepConfig) -> None:
-    """The check of a configuration read from a file: n within MAX_DIM, square
-    generators of a's size, a diagonal, each generator an ad(a)-eigenvector of
-    trace zero, and their span closed under brackets.  `build_config` never
-    calls it, since its families hold all of this by construction."""
+    """The check of a configuration read from a file: 1 <= n <= MAX_DIM, square
+    generators of a's size, a diagonal, independent generators, each an
+    ad(a)-eigenvector of trace zero, and their span closed under brackets.
+    `build_config` never calls it: its families hold all this by construction."""
     n = cfg.n
+    if n < 1:
+        raise ConfigError("a_action is 0 x 0: V needs dimension at least 1")
     _check_dim(n)
     if any((x.rows, x.cols) != (n, n) for x in cfg.h_basis):
         raise DimensionMismatch("h_basis element is not n x n for the n x n a_action")
@@ -304,7 +302,8 @@ def _validate_config(cfg: RepConfig) -> None:
     # the commutator of the generators cleared of denominators, a multiple of it
     span = RowSpan(n * n)
     for x in cfg.h_basis:
-        span.add(x.entries)
+        if not span.add(x.entries):
+            raise ConfigError("h_basis element is zero or in the span of the ones before it")
     words = [_sparse_rows(_integer(x.entries)[1]) for x in cfg.h_basis]
     for i, x in enumerate(words):
         for y in words[i + 1 :]:
@@ -348,10 +347,6 @@ def _adjoint_config(name: str, k: int) -> RepConfig:
     return RepConfig(name, tuple(_action_matrices(v, v)), Mat.diagonal(v_wts))
 
 
-def _tensor_sort(perm_weights: list[Fraction]) -> list[int]:
-    return sorted(range(len(perm_weights)), key=lambda i: perm_weights[i], reverse=True)
-
-
 def _kron_action(left: Mat | None, right: Mat | None, dims: tuple[int, int], order: list[int]) -> Mat:
     """Matrix of X (x) I or I (x) Y on the sorted tensor basis."""
     da, db = dims
@@ -377,23 +372,18 @@ def _kron_action(left: Mat | None, right: Mat | None, dims: tuple[int, int], ord
 
 
 def _tensor_config(name: str, kn: int, km: int, standard: bool) -> RepConfig:
-    left_basis, a1 = _sl_weight_basis(kn)
-    right_basis, a2 = _sl_weight_basis(km)
     if standard:
         # factors act on R^kn and R^km by the matrices themselves
-        left_ops, right_ops = left_basis, right_basis
-        left_fac_wts, right_fac_wts = a1, a2
-        da, db = kn, km
+        left_ops, left_fac_wts = _sl_weight_basis(kn)
+        right_ops, right_fac_wts = _sl_weight_basis(km)
     else:
         # factors act on sl_kn and sl_km by ad, so V = sl_kn (x) sl_km
-        left = [_integer(m.entries) for m in left_basis]
-        right = [_integer(m.entries) for m in right_basis]
-        left_ops, right_ops = _action_matrices(left, left), _action_matrices(right, right)
-        left_fac_wts = [_weight(m, a1) for m in left_basis]
-        right_fac_wts = [_weight(m, a2) for m in right_basis]
-        da, db = len(left_basis), len(right_basis)
+        left, right = _adjoint_config(f"diagonal:sl{kn}", kn), _adjoint_config(f"diagonal:sl{km}", km)
+        left_ops, left_fac_wts = left.h_basis, _diagonal(left.a_action)
+        right_ops, right_fac_wts = right.h_basis, _diagonal(right.a_action)
+    da, db = len(left_fac_wts), len(right_fac_wts)
     pair_wts = [left_fac_wts[i] + right_fac_wts[j] for i in range(da) for j in range(db)]
-    order = _tensor_sort(pair_wts)
+    order = sorted(range(da * db), key=pair_wts.__getitem__, reverse=True)
     sorted_wts = [pair_wts[o] for o in order]
 
     h_action = [_kron_action(x, None, (da, db), order) for x in left_ops]

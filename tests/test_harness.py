@@ -671,6 +671,7 @@ class TestCLI:
     def test_installed_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "repverify.cli"],
+            env={**os.environ, "PYTHONPATH": str(Path(repverify.__file__).resolve().parents[1])},
             capture_output=True,
             text=True,
         )

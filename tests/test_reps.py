@@ -6,14 +6,16 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repverify import reps
-from repverify.qlinalg import DimensionMismatch, LinAlgError, Mat, RowSpan, Subspace, exp_terms, mat_to_json, subspace_intersect, subspace_sum, subspace_to_json
+from repverify.qlinalg import DimensionMismatch, Mat, RowSpan, Subspace, exp_terms, mat_to_json, subspace_intersect, subspace_sum, subspace_to_json
 from repverify.reps import (
     ConfigError,
     InvalidLevel,
@@ -241,9 +243,9 @@ class TestIrreducibility:
 # sha256 of build_config(d)'s name, n, h_dim, h_basis, a_action and u+ / u- (see
 # _config_json) and of the check_irreducible verdict (kind, algebra dimension,
 # witness).  The verdict hashes were pinned before qlinalg's elimination moved
-# to integer rows: building a configuration runs kernel_of_rows,
-# subspace_intersect, RowSpan and the _pivot_columns sweep of the brackets,
-# and the closure test runs RowSpan.
+# to integer rows: building a configuration runs kernel_of_rows and reads the
+# weight basis and the brackets at the canonical pivots, and the closure test
+# runs RowSpan.
 CONFIG_PINS = {
     "so_pq:2,1": ("0023d6677c18d7088cffb8bbc554a961bdc3f966485771090099ea44e691dc3b", "e2bc9e92bab6630d63bb4c188d9c83d1989a3ee0d3e64f836d4ecd9d52998f79"),
     "so_pq:2,2": ("718121315023f09f6c339bd0535e622ebf86a2e2855b02d1b971c58fd93415be", "bb2cac08dc711cc2628278040ed6fcd6d44927ad983f49d9022086818ae4b781"),
@@ -294,10 +296,13 @@ def test_reducible_verdict_pinned():
 
 def test_action_matrices_of_scaled_words():
     """Each (L, word) pair stands for word / L: column j of ad X rebuilds
-    [X, Y_j] from the basis, for scales L and generator scales other than 1."""
-    mats, _ = reps._sl_weight_basis(3)
+    [X, Y_j] from the basis, for scales L and generator scales other than 1.
+    The basis is sl_3's canonical one by weight, a reduced basis, with its
+    words scaled by integers other than 1, which keeps it reduced."""
+    mats, a_diag = reps._sl_weight_basis(3)
+    words, _ = reps._weight_adapt(Subspace.from_columns(9, [m.entries for m in mats]), a_diag)
     scales, multiples = [1, 2, 3, 5, 6, 4, 7, 9], [3, 1, -2, 5, 1, 2, -1, 4]
-    basis = [(t, tuple(c * int(x) for x in m.entries)) for t, c, m in zip(scales, multiples, mats)]
+    basis = [(t, tuple(c * x for x in w)) for t, c, (_, w) in zip(scales, multiples, words)]
     generators = [(6, basis[0][1]), (1, basis[3][1]), (4, tuple(2 * x for x in basis[7][1]))]
 
     def mat(pair):
@@ -310,12 +315,6 @@ def test_action_matrices_of_scaled_words():
             for r, y_r in enumerate(ys):
                 combo = combo + y_r.scale(ad.at(r, j))
             assert combo == x @ y - y @ x
-
-
-def test_bracket_leaving_the_basis_raises():
-    """[E_21, E_12] = E_11 - E_22 does not lie in span{E_12}."""
-    with pytest.raises(LinAlgError):
-        reps._action_matrices([(1, (0, 1, 0, 0))], [(1, (0, 0, 1, 0))])
 
 
 def test_spin_makes_no_fraction_product(monkeypatch):
@@ -590,11 +589,120 @@ def test_build_config_never_validates(monkeypatch):
         assert build_config(desc).n > 0
 
 
+def _calls_while_building(monkeypatch, name: str) -> list[tuple]:
+    """The arguments of every call of reps.<name> made while building
+    BUILT_DESCRIPTORS afresh."""
+    calls, real = [], getattr(reps, name)
+
+    def record(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(reps, name, record)
+    build_config.cache_clear()
+    for desc in BUILT_DESCRIPTORS:
+        build_config(desc)
+    build_config.cache_clear()
+    return calls
+
+
+def _intersected_weight_pieces(span: Subspace, a_diag: list[Fraction]) -> tuple[list[tuple[Fraction, ...]], list[Fraction]]:
+    """The reference for `_weight_adapt`: the canonical basis of span's
+    intersection with each coordinate block on which ad(a) acts by one weight,
+    by descending weight, and the weights."""
+    grading = [x - y for x in a_diag for y in a_diag]
+    vectors, weights = [], []
+    for lam in sorted(set(grading), reverse=True):
+        block = Subspace.coordinate(len(grading), [c for c, w in enumerate(grading) if w == lam])
+        piece = subspace_intersect(span, block)
+        vectors += [tuple(F(x, piece.scale) for x in col) for col in piece.columns]
+        weights += [lam] * piece.dim
+    return vectors, weights
+
+
+def test_weight_adapt_reads_the_intersected_weight_pieces(monkeypatch):
+    """Sorting a stable span's canonical columns by the weight at their pivot
+    gives the canonical bases of its weight pieces, on every span a built
+    family weight-adapts."""
+    weight_adapt = reps._weight_adapt
+    calls = _calls_while_building(monkeypatch, "_weight_adapt")
+    assert len(calls) == 21  # 2 for each of 7 complements, 1 for each of 3 adjoints and 4 tensor factors
+    for span, a_diag in calls:
+        words, weights = weight_adapt(span, a_diag)
+        assert ([tuple(F(x, t) for x in w) for t, w in words], weights) == _intersected_weight_pieces(span, a_diag)
+
+
+def _solved_action_matrices(basis, generators) -> list[list[list[Fraction]]]:
+    """The reference for `_action_matrices`: every bracket [X, Y_j] solved
+    against the basis by sympy's Gauss-Jordan, the columns of ad X."""
+    d = math.isqrt(len(basis[0][1]))
+
+    def mat(pair):
+        return sympy.Matrix(d, d, [sympy.Rational(x, pair[0]) for x in pair[1]])
+
+    ys = [mat(y) for y in basis]
+    span = sympy.Matrix.hstack(*[y.reshape(d * d, 1) for y in ys])
+    brackets = [(x * y - y * x).reshape(d * d, 1) for x in map(mat, generators) for y in ys]
+    solution, free = span.gauss_jordan_solve(sympy.Matrix.hstack(*brackets))
+    assert free.shape[0] == 0  # the basis is independent
+    k = len(basis)
+    return [[[F(int(c.p), int(c.q)) for c in solution[r, i * k : (i + 1) * k]] for r in range(k)]
+            for i in range(len(generators))]
+
+
+def test_action_matrices_match_a_sympy_solve(monkeypatch):
+    """Reading each coordinate at a pivot agrees with solving the brackets
+    against the basis, on every family that builds action matrices."""
+    action_matrices = reps._action_matrices
+    calls = _calls_while_building(monkeypatch, "_action_matrices")
+    assert len(calls) == 14  # 7 complements, 3 adjoints and 4 tensor factors
+    for basis, generators in calls:
+        got = [[list(m.row(r)) for r in range(m.rows)] for m in action_matrices(basis, generators)]
+        assert got == _solved_action_matrices(basis, generators)
+
+
+# tensor:n,m reads each factor's ad action off diagonal:slK, whose zero-weight
+# basis is E_ii - E_kk for the last index k.  These invariants do not depend on
+# that basis, and were read off the earlier E_ii - E_{i+1,i+1} one: n, sha256
+# of a_action, u+ / u-, and the verdict's kind and algebra dimension.
+TENSOR_INVARIANTS = {
+    "tensor:2,3": (24, "4a20e1cca88d5f5cb4c7994478d94d49e39ad114f389aa76ebdcd3c026da2044",
+                   (0, 3, 4, 5), (2, 8, 9, 10), "absolutely_irreducible", 576),
+    "tensor:2,4": (45, "4a66b72446124ca7bfda32b8c161d7f251c0de4e24d11ffc0e311fe9f9db19bb",
+                   (0, 3, 4, 5, 6, 7, 8), (2, 12, 13, 14, 15, 16, 17), "absolutely_irreducible", 2025),
+    "tensor:3,3": (64, "44a09b47f25e7808f651a8b23460ac8fd90697aa930d6bb5dd96f6a19d5f9ad3",
+                   (0, 1, 2, 8, 9, 10), (5, 6, 7, 13, 14, 15), "absolutely_irreducible", 4096),
+}
+
+
+@pytest.mark.parametrize("desc", sorted(TENSOR_INVARIANTS))
+def test_tensor_invariants_pinned(desc):
+    cfg = build_config(desc)
+    verdict = check_irreducible(cfg)
+    got = (cfg.n, _sha(mat_to_json(cfg.a_action)), cfg.u_plus_indices, cfg.u_minus_indices, verdict.kind, verdict.algebra_dim)
+    assert got == TENSOR_INVARIANTS[desc]
+
+
 def test_config_from_json_rejects_sl2_without_h():
     # [e, f] = h leaves span{e, f}
     doc = config_to_json(build_config("sl2_sym:2"))
     doc["h_basis"] = [doc["h_basis"][0], doc["h_basis"][2]]
     with pytest.raises(ConfigError, match="closed under brackets"):
+        config_from_json(doc)
+
+
+def test_config_from_json_rejects_an_empty_space():
+    doc = {"name": "fixture:empty", "h_basis": [], "a_action": mat_to_json(Mat(0, 0, ()))}
+    with pytest.raises(ConfigError, match="dimension at least 1"):
+        config_from_json(doc)
+
+
+@pytest.mark.parametrize("extra", ["repeated", "zero"])
+def test_config_from_json_rejects_a_dependent_generator(extra):
+    # a repeated e would count twice in h_dim and in the u+ round-robin
+    doc = config_to_json(build_config("sl2_sym:2"))
+    doc["h_basis"].append(doc["h_basis"][0] if extra == "repeated" else mat_to_json(Mat.zeros(3, 3)))
+    with pytest.raises(ConfigError, match="span of the ones before it"):
         config_from_json(doc)
 
 
