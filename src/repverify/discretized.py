@@ -373,7 +373,9 @@ class ExceptionalReport:
 
 def _unipotent_matrix(cfg: RepConfig, coeffs: np.ndarray) -> np.ndarray:
     """exp(sum t_i N_i) over the expanding generators, as a float matrix."""
-    gens = [np.array(cfg.h_basis[i].to_float_rows()) for i in cfg.u_plus_indices]
+    # int true division x / s rounds correctly, as float(Fraction(x, s)) does
+    words = [cfg.words[i] for i in cfg.u_plus_indices]
+    gens = [np.array([x / s for x in w]).reshape(cfg.n, cfg.n) for s, w in words]
     x = sum(t * g for t, g in zip(coeffs, gens))
     out = np.eye(cfg.n)
     term = np.eye(cfg.n)

@@ -41,11 +41,11 @@ from .qlinalg import (
     exp_product,
     exp_product_columns,
     exp_product_residues,
-    exp_terms,
     independent_columns,
     matmul_mod,
     subspace_intersect,
     subspace_sum,
+    word_exp_terms,
 )
 from .reps import RepConfig, check_irreducible
 
@@ -135,7 +135,7 @@ def sample_element(cfg: RepConfig, seed: int, complexity: int, height: int = PAR
 
 @lru_cache(maxsize=None)
 def _generator_terms(cfg: RepConfig, idx: int) -> ExpTerms:
-    return exp_terms(cfg.h_basis[idx])
+    return word_exp_terms(cfg.n, *cfg.words[idx])
 
 
 def _factors(cfg: RepConfig, recipe) -> list[tuple[ExpTerms, Fraction]]:

@@ -9,7 +9,9 @@ reported but never hashed).
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import random
 import time
@@ -401,10 +403,10 @@ def emit_report(report: ExperimentReport, fmt: str = "json") -> str:
             default=str,
         )
     if fmt == "csv":
-        lines = ["name,passed"]
-        for r in report.results:
-            lines.append(f"{r['name']},{int(r['passed'])}")
-        return "\n".join(lines) + "\n"
+        out = io.StringIO()  # csv.writer quotes a name holding a comma, as "so_pq:2,1" does
+        rows = [("name", "passed")] + [(r["name"], int(r["passed"])) for r in report.results]
+        csv.writer(out, lineterminator="\n").writerows(rows)
+        return out.getvalue()
     if fmt == "markdown-summary":
         lines = [
             f"# Suite `{report.suite}` (seed {report.master_seed})",

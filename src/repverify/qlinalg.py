@@ -32,9 +32,10 @@ over Q (rank_p <= rank_Q <= min, and a minor nonzero mod p is nonzero over Z).
 
 Every exact unipotent exponential goes through the one exp kernel
 `exp_product_columns`: it applies a product of exp(t N) factors, built from the
-terms N^k/k! of each N (`exp_terms`), to integer columns over Z, right to left
-and with one common denominator.  A translate h.W takes W's columns alone;
-`exp_product` is the kernel on the identity's columns, as a `Mat`, and
+terms N^k/k! of each N (`word_exp_terms`, on N's integer word over its
+denominator), to integer columns over Z, right to left and with one common
+denominator.  A translate h.W takes W's columns alone; `exp_product` is the
+kernel on the identity's columns, as a `Mat`, and
 `nilpotent_exp` its one-factor case.  `exp_product_residues` computes the same
 products mod p for a batch of parameter rows sharing one schedule of N's, as
 int64 numpy arrays multiplied by `matmul_mod`, its factors as a pairwise tree.
@@ -554,15 +555,19 @@ class ExpTerms:
 
 
 def exp_terms(n: Mat) -> ExpTerms:
-    """The ExpTerms of a nilpotent n, with its powers taken over Z.
-
-    With n = M/d for an integer M, N^k/k! = M^k/(d^k k!); each term is reduced by
-    the gcd of its denominator and entries.  Raises NotNilpotent when n^dim != 0.
-    """
+    """The ExpTerms of a nilpotent n: `word_exp_terms` of n cleared of denominators."""
     if n.rows != n.cols:
         raise DimensionMismatch("exp of non-square matrix")
-    dim = n.rows
-    d, ents = _integer(n.entries)
+    return word_exp_terms(n.rows, *_integer(n.entries))
+
+
+def word_exp_terms(dim: int, d: int, ents: Sequence[int]) -> ExpTerms:
+    """The ExpTerms of the nilpotent dim x dim matrix N = M/d of flat integer
+    entries ents = M, with its powers taken over Z.
+
+    N^k/k! = M^k/(d^k k!); each term is reduced by the gcd of its denominator
+    and entries.  Raises NotNilpotent when N^dim != 0.
+    """
     m = [{j: x for j, x in enumerate(ents[i * dim : (i + 1) * dim]) if x} for i in range(dim)]
     terms = []
     power, den = m, 1

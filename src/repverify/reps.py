@@ -1,10 +1,10 @@
 """Construction of the example (H, a, V) configurations.
 
 Each configuration stores the action matrices of a basis of the Lie algebra
-of H on V, in coordinates adapted to the chosen diagonalizable element a:
-the coordinates of V are eigenvectors of a ordered by descending eigenvalue,
-so flags are leading coordinate blocks and flag projectors are coordinate
-projections.  All data is exact over Q.
+of H on V as integer words, in coordinates adapted to the chosen
+diagonalizable element a: the coordinates of V are eigenvectors of a ordered
+by descending eigenvalue, so flags are leading coordinate blocks and flag
+projectors are coordinate projections.  All data is exact over Q.
 
 Supported families:
 
@@ -27,8 +27,8 @@ Construction runs on integer words too, and sweeps only to make canonical
 stabilizer (`_complement_config` checks that first), so `_weight_adapt` only
 sorts its canonical columns by the weight at their pivots.  A canonical basis
 in a new order is still reduced, so `_action_matrices` reads each bracket's
-(`_commutator`) coordinates at the basis pivots.  `tensor:n,m` takes each factor from
-`_adjoint_config`.  `Fraction`s are built only for the action matrices.
+(`_commutator`) coordinates at the basis pivots.  `tensor:n,m` takes each factor
+from `_adjoint_config`.  No family and no check builds a `Fraction` generator.
 
 Each family's generators are the image of a Lie algebra, so they are
 square, traceless, ad(a)-homogeneous and bracket closed by construction, and
@@ -73,18 +73,19 @@ class InvalidLevel(Exception):
 class RepConfig:
     """An (H, a, V) configuration as exact matrix data.
 
-    h_basis holds the action of a weight-adapted basis of Lie(H) on V, and
-    a_action is diagonal, so the ad(a)-eigenvalue of a matrix unit E_ij is
-    a_i - a_j.  Everything else is read off these: n = dim V, h_dim = dim H,
-    and u_plus_indices / u_minus_indices, the basis elements of positive /
-    negative ad(a)-eigenvalue (the horospherical generators).  Every generator
-    is an ad(a)-eigenvector (by construction in `build_config`, checked in
-    `config_from_json`), which makes each horospherical one nilpotent.  All
-    downstream claims are scale covariant, so a is stored unnormalized.
+    words holds the action of a weight-adapted basis of Lie(H) on V, each as
+    the unique (L, word) pair, L > 0 and gcd(L, word) = 1, of the n x n matrix
+    word / L of flat integer entries.  a_action is diagonal, so the
+    ad(a)-eigenvalue of a matrix unit E_ij is a_i - a_j.  Everything else is
+    read off these: n = dim V, h_dim = dim H, and u_plus_indices /
+    u_minus_indices, the basis elements of positive / negative ad(a)-eigenvalue
+    (the horospherical generators).  Every generator is an ad(a)-eigenvector
+    (by construction in `build_config`, checked in `config_from_json`), which
+    makes each horospherical one nilpotent.  a is stored unnormalized.
     """
 
     name: str
-    h_basis: tuple[Mat, ...]
+    words: tuple[tuple[int, tuple[int, ...]], ...]
     a_action: Mat
 
     @cached_property
@@ -93,13 +94,18 @@ class RepConfig:
 
     @property
     def h_dim(self) -> int:
-        return len(self.h_basis)
+        return len(self.words)
+
+    @cached_property
+    def h_basis(self) -> tuple[Mat, ...]:
+        """The generators as Fraction matrices, for readers outside the exact checks."""
+        return tuple(Mat(self.n, self.n, tuple(Fraction(x, s) for x in w)) for s, w in self.words)
 
     @cached_property
     def generator_weights(self) -> tuple[Fraction, ...]:
-        """The ad(a)-eigenvalue of each element of h_basis, off one read of a's diagonal."""
+        """The ad(a)-eigenvalue of each generator, off one read of a's diagonal."""
         diag = _diagonal(self.a_action)
-        return tuple(_weight(x, diag) for x in self.h_basis)
+        return tuple(_weight(w, diag) for _, w in self.words)
 
     @cached_property
     def u_plus_indices(self) -> tuple[int, ...]:
@@ -110,8 +116,8 @@ class RepConfig:
         return tuple(i for i, w in enumerate(self.generator_weights) if w < 0)
 
     def __hash__(self) -> int:
-        # Equal configs agree on these values; the generated hash read every
-        # Fraction of h_basis on each lookup of a cache keyed by a config.
+        # Equal configs agree on these values; the generated hash would read
+        # every entry of every word on each lookup of a cache keyed by a config.
         return hash((self.name, self.n, self.h_dim))
 
 
@@ -170,46 +176,42 @@ def _diagonal(a: Mat) -> list[Fraction]:
     return list(a.entries[:: n + 1])
 
 
-def _weight(x: Mat, diag: list[Fraction]) -> Fraction:
-    """The ad(a)-eigenvalue of x for a = diag(diag), 0 for x = 0.
+def _weight(x: Sequence, diag: list) -> Fraction:
+    """The ad(a)-eigenvalue of the matrix of flat entries x for a = diag(diag), 0 for x = 0.
 
     ad(a) scales the matrix unit E_ij by a_i - a_j, so x is an eigenvector
     exactly when its nonzero entries all carry one such weight.
     """
     n = len(diag)
-    weights = {diag[k // n] - diag[k % n] for k, x_k in enumerate(x.entries) if x_k}
+    weights = {diag[k // n] - diag[k % n] for k, x_k in enumerate(x) if x_k}
     if len(weights) > 1:
         raise ConfigError("generator is not an ad(a)-eigenvector")
     return weights.pop() if weights else Fraction(0)
 
 
-def _so_gram(p: int, q: int) -> Mat:
-    """Gram matrix of 2 x_1 x_{p+q} + x_2^2 + ... + x_p^2 - x_{p+1}^2 - ... - x_{p+q-1}^2."""
+def _so_gram(p: int, q: int) -> tuple[int, ...]:
+    """Flat Gram matrix of 2 x_1 x_{p+q} + x_2^2 + ... + x_p^2 - x_{p+1}^2 - ... - x_{p+q-1}^2."""
     d = p + q
-    s = [[Fraction(0)] * d for _ in range(d)]
-    s[0][d - 1] = Fraction(1)
-    s[d - 1][0] = Fraction(1)
-    for i in range(1, p):
-        s[i][i] = Fraction(1)
-    for i in range(p, d - 1):
-        s[i][i] = Fraction(-1)
-    return Mat.from_rows(s)
+    s = [0] * (d * d)
+    s[d - 1] = s[(d - 1) * d] = 1
+    for i in range(1, d - 1):
+        s[i * (d + 1)] = 1 if i < p else -1
+    return tuple(s)
 
 
-def _sp_form(nn: int) -> Mat:
-    """Antidiagonal symplectic form on R^{2n}."""
+def _sp_form(nn: int) -> tuple[int, ...]:
+    """Flat antidiagonal symplectic form on R^{2n}."""
     d = 2 * nn
-    s = [[Fraction(0)] * d for _ in range(d)]
+    s = [0] * (d * d)
     for i in range(nn):
-        s[i][d - 1 - i] = Fraction(1)
-        s[d - 1 - i][i] = Fraction(-1)
-    return Mat.from_rows(s)
+        s[i * d + d - 1 - i] = 1
+        s[(d - 1 - i) * d + i] = -1
+    return tuple(s)
 
 
-def _form_stabilizer_basis(s: Mat) -> Subspace:
-    """{X : X^T S + S X = 0} inside gl_d, as a subspace of the flat entries."""
-    d = s.rows
-    _, ents = _integer(s.entries)  # S cleared of denominators: the constraints scale, the kernel stays
+def _form_stabilizer_basis(ents: Sequence[int]) -> Subspace:
+    """{X : X^T S + S X = 0} inside gl_d, for S flat, as a subspace of the flat entries."""
+    d = math.isqrt(len(ents))
     # Linear constraints on vec(X): for each (i, j), sum_k X_ki S_kj + S_ik X_kj = 0.
     rows = []
     for i in range(d):
@@ -230,7 +232,7 @@ def _trace_complement_basis(d: int, words: list[Sequence[int]]) -> Subspace:
     return kernel_of_rows(rows, d * d)
 
 
-def _weight_adapt(span: Subspace, a_diag: list[Fraction]) -> tuple[list[tuple[int, tuple[int, ...]]], list[Fraction]]:
+def _weight_adapt(span: Subspace, a_diag: list[int]) -> tuple[list[tuple[int, tuple[int, ...]]], list[int]]:
     """Re-basis a subspace of the flat d x d matrices into ad(a)-eigenvectors
     by descending eigenvalue, as (L, integer word) pairs, the matrices word / L:
     span's canonical columns, each over its gcd, and their eigenvalues.
@@ -251,29 +253,35 @@ def _weight_adapt(span: Subspace, a_diag: list[Fraction]) -> tuple[list[tuple[in
     return words, [weights[c] for c in order]
 
 
-def _action_matrices(basis: list[tuple[int, Sequence[int]]], generators: list[tuple[int, Sequence[int]]]) -> list[Mat]:
+def _action_matrices(basis: list[tuple[int, Sequence[int]]], generators: list[tuple[int, Sequence[int]]]) -> list:
     """Matrices of Y -> [X, Y] on the span of the basis, in its coordinates,
     for (L, word) pairs: each stands for the square matrix of flat integer
-    entries word / L.
+    entries word / L, and so does each matrix returned, with gcd(L, word) = 1.
 
     Requires the basis reduced: every other word is zero at the pivot p_r of
     y_r, its first nonzero entry.  Every basis passed here is a canonical one
     in a new order (`_weight_adapt`), so a vector v of the span has coordinate
     t_r v[p_r] / y_r[p_r] on y_r / t_r.  The bracket word [x, y] of generator
     x / s and basis element y / t is s t [X, Y], so [X, Y_j] has coordinate
-    t_r [x, y_j][p_r] / (s t_j y_r[p_r]) on Y_r.  The brackets lie in the span
-    by construction: sl_k, or the trace-form complement of h, which ad(h)
-    preserves.
+    t_r [x, y_j][p_r] / (s t_j y_r[p_r]) on Y_r, which is t_r (P / y_r[p_r])
+    (T / t_j) [x, y_j][p_r] / (s T P) for T = lcm(t_j) and P = lcm(y_r[p_r]).
+    The brackets lie in the span by construction: sl_k, or the trace-form
+    complement of h, which ad(h) preserves.
     """
-    k = len(basis)
     ys = [_sparse_rows(y) for _, y in basis]
     pivots = [next(i for i, x in enumerate(y) if x) for _, y in basis]
+    t_lcm = math.lcm(*(t for t, _ in basis))
+    p_lcm = math.lcm(*(y[p] for (_, y), p in zip(basis, pivots)))
+    row_factors = [(p, t * (p_lcm // y[p])) for (t, y), p in zip(basis, pivots)]
+    col_factors = [t_lcm // t for t, _ in basis]
     out = []
     for s, x in generators:
         xs = _sparse_rows(x)
         brackets = [_commutator(xs, y) for y in ys]
-        out.append(Mat(k, k, tuple(Fraction(t_r * b[p_r], s * t_j * y_r[p_r])
-                                   for (t_r, y_r), p_r in zip(basis, pivots) for (t_j, _), b in zip(basis, brackets))))
+        word = [f * c * b[p] for p, f in row_factors for c, b in zip(col_factors, brackets)]
+        den = s * t_lcm * p_lcm
+        g = math.gcd(den, *word)
+        out.append((den // g, tuple(v // g for v in word)))
     return out
 
 
@@ -283,38 +291,35 @@ def _check_dim(n: int) -> None:
 
 
 def _validate_config(cfg: RepConfig) -> None:
-    """The check of a configuration read from a file: 1 <= n <= MAX_DIM, square
-    generators of a's size, a diagonal, independent generators, each an
-    ad(a)-eigenvector of trace zero, and their span closed under brackets.
-    `build_config` never calls it: its families hold all this by construction."""
+    """The check of a configuration read from a file, on its words: 1 <= n <=
+    MAX_DIM, a diagonal, independent generators, each an ad(a)-eigenvector of
+    trace zero, and their span closed under brackets.  `build_config` never
+    calls it: its families hold all this by construction."""
     n = cfg.n
     if n < 1:
         raise ConfigError("a_action is 0 x 0: V needs dimension at least 1")
     _check_dim(n)
-    if any((x.rows, x.cols) != (n, n) for x in cfg.h_basis):
-        raise DimensionMismatch("h_basis element is not n x n for the n x n a_action")
     # raises unless a is diagonal and each X has one weight w; X^k lives where a_i - a_j = k w: nilpotent if w != 0
     cfg.generator_weights
-    for x in cfg.h_basis:
-        if x.trace() != 0:
-            raise ConfigError("h_basis element with nonzero trace")
-    # bracket closure: [rho(X_i), rho(X_j)] must lie in span(h_basis), read off
-    # the commutator of the generators cleared of denominators, a multiple of it
     span = RowSpan(n * n)
-    for x in cfg.h_basis:
-        if not span.add(x.entries):
+    for _, w in cfg.words:
+        if sum(w[:: n + 1]):
+            raise ConfigError("h_basis element with nonzero trace")
+        if not span.add(w):
             raise ConfigError("h_basis element is zero or in the span of the ones before it")
-    words = [_sparse_rows(_integer(x.entries)[1]) for x in cfg.h_basis]
+    # bracket closure: [rho(X_i), rho(X_j)] must lie in span(h_basis), read off
+    # the commutator of the words, a positive multiple of it
+    words = [_sparse_rows(w) for _, w in cfg.words]
     for i, x in enumerate(words):
         for y in words[i + 1 :]:
             if not span.contains(_commutator(x, y)):
                 raise ConfigError("h_basis is not closed under brackets")
 
 
-def _complement_config(name: str, s_form: Mat, a_diag: list[Fraction]) -> RepConfig:
-    d = s_form.rows
+def _complement_config(name: str, s_form: Sequence[int], a_diag: list[int]) -> RepConfig:
+    d = math.isqrt(len(s_form))
     # a = diag(a_diag) lies in {X : X^T S + S X = 0} iff (a_i + a_j) S_ij = 0 for all i, j
-    if any((a_diag[k // d] + a_diag[k % d]) * s_ij for k, s_ij in enumerate(s_form.entries)):
+    if any((a_diag[k // d] + a_diag[k % d]) * s_ij for k, s_ij in enumerate(s_form)):
         raise ConfigError("element a does not lie in the stabilizer algebra")
     h, _ = _weight_adapt(_form_stabilizer_basis(s_form), a_diag)
     # h's words and the identity, which is not in h, are independent: dim V = d^2 - 1 - dim h
@@ -322,65 +327,51 @@ def _complement_config(name: str, s_form: Mat, a_diag: list[Fraction]) -> RepCon
     return RepConfig(name, tuple(_action_matrices(v, h)), Mat.diagonal(v_wts))
 
 
-def _sl_weight_basis(k: int) -> tuple[list[Mat], list[Fraction]]:
-    """Weight-adapted basis of sl_k for the regular a = diag(k-1, k-3, ...), and a's diagonal."""
-    a_diag = [Fraction(k - 1 - 2 * i) for i in range(k)]
-    mats: list[Mat] = []
+def _sl_weight_basis(k: int) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Weight-adapted flat basis of sl_k for the regular a = diag(k-1, k-3, ...), and a's diagonal."""
+    a_diag = [k - 1 - 2 * i for i in range(k)]
+    words = []
     for i in range(k):
         for j in range(k):
             if i != j:
-                e = [[Fraction(0)] * k for _ in range(k)]
-                e[i][j] = Fraction(1)
-                mats.append(Mat.from_rows(e))
+                e = [0] * (k * k)
+                e[i * k + j] = 1
+                words.append(tuple(e))
     for i in range(k - 1):
-        h = [[Fraction(0)] * k for _ in range(k)]
-        h[i][i] = Fraction(1)
-        h[i + 1][i + 1] = Fraction(-1)
-        mats.append(Mat.from_rows(h))
-    mats.sort(key=lambda m: _weight(m, a_diag), reverse=True)
-    return mats, a_diag
+        h = [0] * (k * k)
+        h[i * (k + 1)], h[(i + 1) * (k + 1)] = 1, -1
+        words.append(tuple(h))
+    words.sort(key=lambda w: _weight(w, a_diag), reverse=True)
+    return words, a_diag
 
 
 def _adjoint_config(name: str, k: int) -> RepConfig:
     basis, a_diag = _sl_weight_basis(k)
-    v, v_wts = _weight_adapt(Subspace.from_columns(k * k, [m.entries for m in basis]), a_diag)
+    v, v_wts = _weight_adapt(Subspace.from_columns(k * k, basis), a_diag)
     return RepConfig(name, tuple(_action_matrices(v, v)), Mat.diagonal(v_wts))
 
 
-def _kron_action(left: Mat | None, right: Mat | None, dims: tuple[int, int], order: list[int]) -> Mat:
-    """Matrix of X (x) I or I (x) Y on the sorted tensor basis."""
+def _kron_action(left: tuple | None, right: tuple | None, dims: tuple[int, int], order: list[int]) -> tuple:
+    """The (L, word) pair of X (x) I or I (x) Y on the sorted tensor basis, for
+    X or Y an (L, word) pair: its entries are X's or Y's, so gcd(L, word) = 1."""
     da, db = dims
-    n = da * db
-    inv = [0] * n
-    for newpos, old in enumerate(order):
-        inv[old] = newpos
-    ents = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(da):
-        for j in range(db):
-            src = i * db + j
-            if left is not None:
-                for i2 in range(da):
-                    c = left.at(i2, i)
-                    if c:
-                        ents[inv[i2 * db + j]][inv[src]] += c
-            if right is not None:
-                for j2 in range(db):
-                    c = right.at(j2, j)
-                    if c:
-                        ents[inv[i * db + j2]][inv[src]] += c
-    return Mat.from_rows(ents)
+    pos = [divmod(o, db) for o in order]  # sorted basis vector r is e_a (x) f_b for (a, b) = pos[r]
+    if left:
+        return left[0], tuple(left[1][a * da + c] if b == d else 0 for a, b in pos for c, d in pos)
+    return right[0], tuple(right[1][b * db + d] if a == c else 0 for a, b in pos for c, d in pos)
 
 
 def _tensor_config(name: str, kn: int, km: int, standard: bool) -> RepConfig:
     if standard:
         # factors act on R^kn and R^km by the matrices themselves
-        left_ops, left_fac_wts = _sl_weight_basis(kn)
-        right_ops, right_fac_wts = _sl_weight_basis(km)
+        left_words, left_fac_wts = _sl_weight_basis(kn)
+        right_words, right_fac_wts = _sl_weight_basis(km)
+        left_ops, right_ops = [(1, w) for w in left_words], [(1, w) for w in right_words]
     else:
         # factors act on sl_kn and sl_km by ad, so V = sl_kn (x) sl_km
         left, right = _adjoint_config(f"diagonal:sl{kn}", kn), _adjoint_config(f"diagonal:sl{km}", km)
-        left_ops, left_fac_wts = left.h_basis, _diagonal(left.a_action)
-        right_ops, right_fac_wts = right.h_basis, _diagonal(right.a_action)
+        left_ops, left_fac_wts = left.words, _diagonal(left.a_action)
+        right_ops, right_fac_wts = right.words, _diagonal(right.a_action)
     da, db = len(left_fac_wts), len(right_fac_wts)
     pair_wts = [left_fac_wts[i] + right_fac_wts[j] for i in range(da) for j in range(db)]
     order = sorted(range(da * db), key=pair_wts.__getitem__, reverse=True)
@@ -394,16 +385,15 @@ def _tensor_config(name: str, kn: int, km: int, standard: bool) -> RepConfig:
 def _sl2_sym_config(k: int) -> RepConfig:
     """Sym^k of the standard SL_2 module on monomials x^{k-i} y^i."""
     n = k + 1
-    a_diag = [Fraction(k - 2 * i) for i in range(n)]
-    e_rows = [[Fraction(0)] * n for _ in range(n)]
-    f_rows = [[Fraction(0)] * n for _ in range(n)]
+    a_diag = [k - 2 * i for i in range(n)]
+    e, h, f = [0] * (n * n), [0] * (n * n), [0] * (n * n)
     for i in range(n):
+        h[i * (n + 1)] = a_diag[i]
         if i >= 1:
-            e_rows[i - 1][i] = Fraction(i)  # e: v_i -> i v_{i-1}
+            e[(i - 1) * n + i] = i  # e: v_i -> i v_{i-1}
         if i <= k - 1:
-            f_rows[i + 1][i] = Fraction(k - i)  # f: v_i -> (k - i) v_{i+1}
-    e, h, f = Mat.from_rows(e_rows), Mat.diagonal(a_diag), Mat.from_rows(f_rows)
-    return RepConfig(f"sl2_sym:{k}", (e, h, f), h)  # a is h itself
+            f[(i + 1) * n + i] = k - i  # f: v_i -> (k - i) v_{i+1}
+    return RepConfig(f"sl2_sym:{k}", ((1, tuple(e)), (1, tuple(h)), (1, tuple(f))), Mat.diagonal(a_diag))  # a is h
 
 
 def parse_descriptor(text: str) -> tuple[str, tuple]:
@@ -438,9 +428,7 @@ def build_config(descriptor: str) -> RepConfig:
             raise ConfigError("so_pq needs p, q >= 1 with p + q >= 3")
         d = p + q
         _check_dim(d * (d + 1) // 2 - 1)  # dim sl_d - dim so(p, q)
-        a_diag = [Fraction(0)] * d
-        a_diag[0] = Fraction(1)
-        a_diag[-1] = Fraction(-1)
+        a_diag = [1] + [0] * (d - 2) + [-1]
         return _complement_config(f"so_pq:{p},{q}", _so_gram(p, q), a_diag)
     if kind == "sp2n":
         if len(args) != 1:
@@ -449,7 +437,7 @@ def build_config(descriptor: str) -> RepConfig:
         if nn < 2:
             raise ConfigError("sp2n needs n >= 2")  # sp_2 = sl_2 leaves no complement
         _check_dim(2 * nn * nn - nn - 1)  # dim sl_2n - dim sp_2n
-        a_diag = [Fraction(nn - i) for i in range(nn)] + [Fraction(-(nn - i)) for i in reversed(range(nn))]
+        a_diag = [nn - i for i in range(nn)] + [-(nn - i) for i in reversed(range(nn))]
         return _complement_config(f"sp2n:{nn}", _sp_form(nn), a_diag)
     if kind == "diagonal":
         if len(args) != 1 or not args[0].startswith("sl"):
@@ -558,12 +546,12 @@ def _spin(cfg: RepConfig, seed: list[int], grading: list[Fraction]) -> list[list
     is never formed.  The grading is exact, not a filter: the orbit is the
     one an ungraded span gives.
 
-    Each generator is cleared of denominators once, a positive multiple of
-    itself, so the same products enlarge the span and the orbit and its span
-    are those of the Fraction products.  The words are integer and sparse, and
-    as small as those products: each is the Fraction word g_k ... g_1 x times
-    the product of those generators' lcms, which is 1 for integer generators
-    such as those of so_pq:3,2, whose words stay within 4 bits.
+    Each generator g is stored as its word L g, a positive multiple of it, so
+    the same products enlarge the span and the orbit and its span are those of
+    the Fraction products.  The products are integer and sparse, and as small
+    as those products: each is the Fraction product g_k ... g_1 x times the
+    product of those generators' L, which is 1 for integer generators such as
+    those of so_pq:3,2, whose products stay within 4 bits.
     """
     blocks: dict[Fraction, list[int]] = {}
     for k, w in enumerate(grading):
@@ -573,7 +561,7 @@ def _spin(cfg: RepConfig, seed: list[int], grading: list[Fraction]) -> list[list
     ids = {w: b for b, w in enumerate(blocks)}
     # target[b][i]: the block of g_i x for x in block b, None when it has no coordinate
     target = [[ids.get(v + w) for w in cfg.generator_weights] for v in blocks]
-    gens = [_sparse_rows(_integer(g.entries)[1]) for g in cfg.h_basis]
+    gens = [_sparse_rows(w) for _, w in cfg.words]
 
     def open_block(t: int | None) -> bool:
         return t is not None and spans[t].dim < spans[t].length
@@ -629,11 +617,14 @@ def config_to_json(cfg: RepConfig) -> dict:
 def config_from_json(obj: dict) -> RepConfig:
     """Rebuild a configuration from its three keys, ignoring any others, and
     validate it (`_validate_config`): this is where a configuration from
-    outside the program enters."""
-    cfg = RepConfig(
-        obj["name"],
-        tuple(mat_from_json(m) for m in obj["h_basis"]),
-        mat_from_json(obj["a_action"]),
-    )
+    outside the program enters.  Each n x n generator is stored as its (L, word)
+    pair, L the lcm of its denominators."""
+    name = obj["name"]
+    mats = [mat_from_json(m) for m in obj["h_basis"]]
+    a = mat_from_json(obj["a_action"])
+    if any((x.rows, x.cols) != (a.rows, a.rows) for x in mats):
+        raise DimensionMismatch("h_basis element is not n x n for the n x n a_action")
+    words = (_integer(x.entries) for x in mats)
+    cfg = RepConfig(name, tuple((s, tuple(w)) for s, w in words), a)
     _validate_config(cfg)
     return cfg

@@ -8,6 +8,7 @@ import random
 import re
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,7 +34,8 @@ from repverify.discretized import (
     random_poly,
     remez_check,
 )
-from repverify.reps import build_config, flag_projector, weight_decompose
+from repverify.qlinalg import mat_to_json
+from repverify.reps import build_config, config_from_json, config_to_json, flag_projector, weight_decompose
 
 
 class TestCovering:
@@ -854,3 +856,21 @@ class TestRemez:
             p = random_poly(2, 3, rng)
             res = remez_check(p, ((-1.0, 1.0), (-1.0, 1.0)), 0.05, 20_000, 100 + i)
             assert res.ok
+
+
+def test_unipotent_matrix_reads_scaled_words_as_their_floats():
+    """The float generators come from the integer words over L, bit for bit
+    as from the Fraction entries, also for a generator with denominators."""
+    cfg = build_config("so_pq:2,1")
+    doc = config_to_json(cfg)
+    i = cfg.u_plus_indices[0]
+    doc["h_basis"][i] = mat_to_json(cfg.h_basis[i].scale(Fraction(1, 3)))
+    scaled = config_from_json(doc)
+    assert scaled.words[i][0] == 3
+    coeffs = np.array([0.7])
+    x = sum(t * np.array(scaled.h_basis[j].to_float_rows()) for t, j in zip(coeffs, scaled.u_plus_indices))
+    out, term = np.eye(scaled.n), np.eye(scaled.n)
+    for k in range(1, scaled.n + 1):
+        term = term @ x / k
+        out += term
+    assert np.array_equal(discretized._unipotent_matrix(scaled, coeffs), out)

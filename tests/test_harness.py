@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import csv
 import inspect
+import io
 import json
 import math
 import os
@@ -16,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import repverify
-from repverify import harness, reps
+from repverify import generic, harness, reps
 from repverify.cli import bl_main, genericdim_main, main, oppenheim_main, proj_exp_main
 from repverify.harness import (
     SuiteConfig,
@@ -112,6 +114,13 @@ class TestEmit:
         rep = run_suite(SuiteConfig("hypotheses", master_seed=2))
         csv = emit_report(rep, "csv")
         assert len(csv.strip().splitlines()) == len(rep.results) + 1
+
+    def test_csv_rows_parse_as_name_and_verdict(self):
+        # every hypotheses name carries a descriptor such as so_pq:2,1
+        rep = run_suite(SuiteConfig("hypotheses", master_seed=2))
+        assert any("," in r["name"] for r in rep.results)
+        rows = list(csv.reader(io.StringIO(emit_report(rep, "csv"))))
+        assert rows == [["name", "passed"]] + [[r["name"], str(int(r["passed"]))] for r in rep.results]
 
     def test_markdown_table(self):
         rep = run_suite(SuiteConfig("hypotheses", master_seed=2))
@@ -682,6 +691,36 @@ def test_report_csv_trial_rows():
     rep = run_suite(SuiteConfig("generic-dim", master_seed=4, scale=0.1))
     csv = emit_report(rep, "csv")
     assert csv.splitlines()[0] == "name,passed"
+
+
+def test_suites_build_no_fraction_generators():
+    """Every exact reader of a configuration takes its integer words: after the
+    suites that build configurations, none holds the Fraction view h_basis."""
+    for cache in (reps.build_config, reps.weight_decompose, reps.check_irreducible, generic._generator_terms):
+        cache.cache_clear()
+    for suite in ("hypotheses", "generic-dim", "bl", "discretized"):
+        assert not [r for r in run_suite(SuiteConfig(suite)).results if r["name"].endswith("/error")]
+    assert [d for d in harness.BUILTIN_CONFIGS if "h_basis" in vars(reps.build_config(d))] == []
+
+
+def test_a_failing_hypothesis_test_does_not_end_the_run(tmp_path):
+    """hypothesis explains a failing example through libcst, whose import of
+    mypy_extensions warns; the project's warning filters must leave that
+    warning alone, so the failure is reported and the next test still runs."""
+    (tmp_path / "test_two.py").write_text(
+        "from hypothesis import given, settings, strategies as st\n\n\n"
+        "@settings(database=None)\n@given(st.integers())\ndef test_fails(x):\n    assert x < 0\n\n\n"
+        "def test_passes():\n    pass\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(Path(__file__).resolve().parents[1] / "pyproject.toml"),
+         "--rootdir", str(tmp_path), "-p", "no:cacheprovider", "-q", "test_two.py"],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout
 
 
 # The functions whose spans benchmark/workloads.py and benchmark/worker.py read

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repverify import reps
-from repverify.qlinalg import DimensionMismatch, Mat, RowSpan, Subspace, exp_terms, mat_to_json, subspace_intersect, subspace_sum, subspace_to_json
+from repverify.qlinalg import DimensionMismatch, Mat, RowSpan, Subspace, _integer, exp_terms, mat_to_json, subspace_intersect, subspace_sum, subspace_to_json
 from repverify.reps import (
     ConfigError,
     InvalidLevel,
@@ -31,6 +31,13 @@ from repverify.reps import (
 )
 
 F = Fraction
+
+
+def _words(mats) -> tuple:
+    """The (L, word) pairs of Fraction matrices, as `RepConfig` stores its
+    generators: L the lcm of the denominators, word the entries times L."""
+    return tuple((s, tuple(w)) for s, w in (_integer(m.entries) for m in mats))
+
 
 ALL_DESCRIPTORS = [
     "so_pq:2,1",
@@ -197,7 +204,7 @@ def _direct_sum_fixture() -> RepConfig:
 
     return RepConfig(
         name="fixture:sym1+sym1",
-        h_basis=tuple(two_blocks(m) for m in base.h_basis),
+        words=_words(two_blocks(m) for m in base.h_basis),
         a_action=Mat.diagonal([F(1), F(-1), F(1), F(-1)]),
     )
 
@@ -207,7 +214,7 @@ def _fixture(name: str, generator) -> RepConfig:
     n = len(generator)
     return RepConfig(
         name=name,
-        h_basis=(Mat.from_rows(generator),),
+        words=_words([Mat.from_rows(generator)]),
         a_action=Mat.zeros(n, n),
     )
 
@@ -294,27 +301,43 @@ def test_reducible_verdict_pinned():
     assert _sha(_verdict_json(check_irreducible(_direct_sum_fixture()))) == FIXTURE_VERDICT_PIN
 
 
-def test_action_matrices_of_scaled_words():
-    """Each (L, word) pair stands for word / L: column j of ad X rebuilds
-    [X, Y_j] from the basis, for scales L and generator scales other than 1.
-    The basis is sl_3's canonical one by weight, a reduced basis, with its
-    words scaled by integers other than 1, which keeps it reduced."""
-    mats, a_diag = reps._sl_weight_basis(3)
-    words, _ = reps._weight_adapt(Subspace.from_columns(9, [m.entries for m in mats]), a_diag)
+def _scaled_sl3_words() -> tuple[list, list]:
+    """sl_3's canonical basis by weight, a reduced basis, with its words scaled
+    by integers other than 1, which keeps it reduced, and three generators
+    with scales other than 1."""
+    sl3_words, a_diag = reps._sl_weight_basis(3)
+    words, _ = reps._weight_adapt(Subspace.from_columns(9, sl3_words), a_diag)
     scales, multiples = [1, 2, 3, 5, 6, 4, 7, 9], [3, 1, -2, 5, 1, 2, -1, 4]
     basis = [(t, tuple(c * x for x in w)) for t, c, (_, w) in zip(scales, multiples, words)]
-    generators = [(6, basis[0][1]), (1, basis[3][1]), (4, tuple(2 * x for x in basis[7][1]))]
+    return basis, [(6, basis[0][1]), (1, basis[3][1]), (4, tuple(2 * x for x in basis[7][1]))]
+
+
+def test_action_matrices_of_scaled_words():
+    """Each (L, word) pair stands for word / L: column j of ad X rebuilds
+    [X, Y_j] from the basis, for scales L and generator scales other than 1."""
+    basis, generators = _scaled_sl3_words()
 
     def mat(pair):
         return Mat(3, 3, tuple(Fraction(x, pair[0]) for x in pair[1]))
 
     ys = [mat(y) for y in basis]
-    for x, ad in zip(map(mat, generators), reps._action_matrices(basis, generators)):
+    k = len(basis)
+    for x, (s, ad) in zip(map(mat, generators), reps._action_matrices(basis, generators)):
         for j, y in enumerate(ys):
             combo = Mat.zeros(3, 3)
             for r, y_r in enumerate(ys):
-                combo = combo + y_r.scale(ad.at(r, j))
+                combo = combo + y_r.scale(Fraction(ad[r * k + j], s))
             assert combo == x @ y - y @ x
+
+
+def test_action_matrices_come_in_lowest_terms():
+    """Each matrix comes back as its unique (L, word) pair, L > 0 and
+    gcd(L, word) = 1, which config equality and the caches keyed by a config
+    rely on; every built family happens to give L = 1."""
+    basis, generators = _scaled_sl3_words()
+    pairs = reps._action_matrices(basis, generators)
+    assert all(s > 0 and math.gcd(s, *word) == 1 for s, word in pairs)
+    assert [s for s, _ in pairs] != [1, 1, 1]
 
 
 def test_spin_makes_no_fraction_product(monkeypatch):
@@ -395,7 +418,7 @@ def generator_set(draw):
 @given(generator_set())
 def test_spin_matches_fraction_product_reference(gens):
     n = len(gens[0])
-    cfg = RepConfig("fixture:drawn", tuple(Mat.from_rows(g) for g in gens), Mat.zeros(n, n))
+    cfg = RepConfig("fixture:drawn", _words(Mat.from_rows(g) for g in gens), Mat.zeros(n, n))
     v = check_irreducible(cfg)
     assert (v.kind, v.algebra_dim, v.witness) == _reference_verdict(cfg)
     for start in range(n):
@@ -427,7 +450,7 @@ def graded_generator_set(draw):
 def test_graded_spin_matches_fraction_product_reference(drawn):
     diag, gens = drawn
     n = len(diag)
-    cfg = RepConfig("fixture:graded", tuple(Mat.from_rows(g) for g in gens), Mat.diagonal(diag))
+    cfg = RepConfig("fixture:graded", _words(Mat.from_rows(g) for g in gens), Mat.diagonal(diag))
     v = check_irreducible(cfg)
     assert (v.kind, v.algebra_dim, v.witness) == _reference_verdict(cfg)
     for start in range(n):
@@ -442,7 +465,7 @@ def test_generators_of_nonzero_weight_are_nilpotent(drawn):
     diag, gens = drawn
     for g in gens:
         x = Mat.from_rows(g)
-        if reps._weight(x, diag) != 0:
+        if reps._weight(x.entries, diag) != 0:
             exp_terms(x)  # NotNilpotent otherwise
 
 
@@ -467,7 +490,7 @@ def test_stabilizer_equation_matches_the_span(form, monkeypatch):
 
     monkeypatch.setattr(reps, "_trace_complement_basis", admitted)
     basis = reps._form_stabilizer_basis(form)
-    for diag in itertools.product([F(-2), F(-1), F(0), F(1)], repeat=form.rows):
+    for diag in itertools.product([F(-2), F(-1), F(0), F(1)], repeat=math.isqrt(len(form))):
         inside = basis.contains_vector(Mat.diagonal(list(diag)).entries)
         with pytest.raises(Admitted if inside else ConfigError):
             reps._complement_config("fixture:a", form, list(diag))
@@ -475,7 +498,7 @@ def test_stabilizer_equation_matches_the_span(form, monkeypatch):
 
 def test_closure_needs_eigenvector_generators():
     # unvalidated: [[1, 1], [0, -1]] carries weight 0 on its diagonal and a_1 - a_2 = 2 off it
-    cfg = RepConfig("fixture:mixed", (Mat.from_rows([[1, 1], [0, -1]]),), Mat.diagonal([1, -1]))
+    cfg = RepConfig("fixture:mixed", _words([Mat.from_rows([[1, 1], [0, -1]])]), Mat.diagonal([1, -1]))
     with pytest.raises(ConfigError, match="not an ad\\(a\\)-eigenvector"):
         check_irreducible(cfg)
 
@@ -548,11 +571,6 @@ class TestHorospherical:
         assert cfg.u_minus_indices == tuple(i for i, w in enumerate(wts) if w < 0)
 
 
-def test_config_json_round_trip():
-    cfg = build_config("so_pq:2,1")
-    assert config_from_json(config_to_json(cfg)) == cfg
-
-
 def _eight_key_doc(cfg: RepConfig) -> dict:
     """A config document in the earlier eight-key format, which stored n, h_dim,
     u+ / u- and ||a||^2 beside the generators and a."""
@@ -570,6 +588,23 @@ def _eight_key_doc(cfg: RepConfig) -> dict:
 BUILT_DESCRIPTORS = ALL_DESCRIPTORS + [
     "so_pq:3,2", "so_pq:4,3", "sp2n:3", "diagonal:sl4", "tensor:2,3", "tensor_std:2,3", "sl2_sym:9",
 ]
+
+
+@pytest.mark.parametrize("desc", BUILT_DESCRIPTORS)
+def test_config_json_round_trip(desc):
+    cfg = build_config(desc)
+    assert config_from_json(config_to_json(cfg)) == cfg
+
+
+def test_config_json_round_trip_keeps_a_scaled_generator():
+    """A file generator with denominators loads as its (L, word) pair, with
+    gcd(L, word) = 1, and writes back the strings it was read from."""
+    doc = config_to_json(build_config("so_pq:2,1"))
+    doc["h_basis"][0] = mat_to_json(config_from_json(doc).h_basis[0].scale(F(1, 3)))
+    cfg = config_from_json(doc)
+    s, word = cfg.words[0]
+    assert s == 3 and math.gcd(s, *word) == 1
+    assert config_to_json(cfg) == doc
 
 
 @pytest.mark.parametrize("desc", BUILT_DESCRIPTORS)
@@ -657,7 +692,8 @@ def test_action_matrices_match_a_sympy_solve(monkeypatch):
     calls = _calls_while_building(monkeypatch, "_action_matrices")
     assert len(calls) == 14  # 7 complements, 3 adjoints and 4 tensor factors
     for basis, generators in calls:
-        got = [[list(m.row(r)) for r in range(m.rows)] for m in action_matrices(basis, generators)]
+        k = len(basis)
+        got = [[[F(x, s) for x in w[r * k : (r + 1) * k]] for r in range(k)] for s, w in action_matrices(basis, generators)]
         assert got == _solved_action_matrices(basis, generators)
 
 
@@ -772,7 +808,7 @@ def test_config_from_json_rejects_bad_a_action():
 
 
 def test_config_stores_and_writes_only_generators_and_a():
-    assert [f.name for f in dataclasses.fields(RepConfig)] == ["name", "h_basis", "a_action"]
+    assert [f.name for f in dataclasses.fields(RepConfig)] == ["name", "words", "a_action"]
     assert [f.name for f in dataclasses.fields(reps.WeightDecomposition)] == ["eigenvalues", "eigenbases"]
     assert sorted(config_to_json(build_config("so_pq:2,1"))) == ["a_action", "h_basis", "name"]
 
@@ -780,7 +816,7 @@ def test_config_stores_and_writes_only_generators_and_a():
 def test_horospherical_indices_read_the_diagonal_once(monkeypatch):
     cfg = build_config("diagonal:sl3")
     weights = list(cfg.generator_weights)
-    unvalidated = RepConfig(cfg.name, cfg.h_basis, cfg.a_action)
+    unvalidated = RepConfig(cfg.name, cfg.words, cfg.a_action)
     calls, real = [], reps._diagonal
 
     def counting_diagonal(a):
