@@ -11,7 +11,6 @@ from .qlinalg import (
     Mat,
     Subspace,
     canonicalize,
-    kernel_basis,
     nilpotent_exp,
     subspace_intersect,
     subspace_sum,
@@ -52,7 +51,6 @@ __all__ = [
     "Mat",
     "Subspace",
     "canonicalize",
-    "kernel_basis",
     "nilpotent_exp",
     "subspace_intersect",
     "subspace_sum",

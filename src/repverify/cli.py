@@ -255,6 +255,8 @@ def oppenheim_main(argv=None) -> int:
     def body():
         form = oppenheim.parse_form(args.form)
         if args.decay:
+            if args.T < 4:  # below 4 the bounds are not three distinct values up to T
+                raise UsageError(f"--decay needs --T >= 4, got {args.T}")
             t_list = sorted({max(2, args.T // 100), max(3, args.T // 10), args.T})
             curve = oppenheim.decay_curve(form, args.s, t_list)
             payload = {

@@ -83,28 +83,6 @@ class PointSet:
         return self.points.shape[0]
 
 
-def _dedupe(points: np.ndarray) -> np.ndarray:
-    """The points without repeats at resolution 2^-40, first occurrences in order.
-
-    Each coordinate is rounded to the 2^-40 grid.  From 2^12 on every float
-    already lies on that grid, so only smaller ones are scaled and rounded:
-    scaling a large one to an integer key would overflow."""
-    small = np.abs(points) < 2.0 ** (52 - DEDUP_SCALE)
-    scale = 2.0**DEDUP_SCALE
-    keys = np.where(small, np.round(np.where(small, points, 0.0) * scale) / scale, points)
-    _, idx = np.unique(keys, axis=0, return_index=True)
-    return points[np.sort(idx)]
-
-
-def make_point_set(points, provenance: str) -> PointSet:
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] < 1:
-        raise SpecError("points array must be (N, ambient) with ambient >= 1")
-    if pts.shape[0] > MAX_POINTS:
-        raise SizeError(f"point set exceeds cap {MAX_POINTS}")
-    return PointSet(pts.shape[1], _dedupe(pts), provenance)  # rejects a non-finite point, which _dedupe keeps
-
-
 def _count_distinct(n: int, lo, hi, fill) -> int:
     """Number of distinct key tuples among n points whose key j lies in [lo[j], hi[j]].
 

@@ -117,10 +117,12 @@ def sample_element(cfg: RepConfig, seed: int, complexity: int, height: int = PAR
     The generators N alternate between the u+ and u- lists on a round-robin
     schedule, so every expanding and contracting generator of every simple
     factor contributes; the parameters t are uniform rationals of height at
-    most `height`.  Deterministic in (seed, complexity, height); the default
-    height keeps the probability of landing on a proper Zariski-closed locus
-    around 1e-8 per trial (coarser grids measurably hit codimension-one
-    strata).
+    most `height`.  Deterministic in (seed, complexity, height).  At the
+    default height, draws on a proper Zariski-closed locus came out around
+    1e-8 per trial (coarser grids measurably hit codimension-one strata); that
+    is an empirical rate, not a bound.  The bound is Schwartz-Zippel's: a locus
+    cut out by a nonzero polynomial of total degree D in the numerators of the
+    t's is hit with probability at most D / (2 height + 1).
     """
     if complexity < 1:
         raise PreconditionError("complexity must be >= 1")

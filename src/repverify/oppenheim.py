@@ -90,9 +90,6 @@ class QuadExt:
     def __sub__(self, o: "QuadExt") -> "QuadExt":
         return QuadExt(self.a - o.a, self.b - o.b, self.d)
 
-    def __neg__(self) -> "QuadExt":
-        return QuadExt(-self.a, -self.b, self.d)
-
     def __mul__(self, o: "QuadExt") -> "QuadExt":
         return QuadExt(
             self.a * o.a + self.b * o.b * self.d,
@@ -130,9 +127,6 @@ class QuadExt:
         if a > 0:
             return 1 if cmp > 0 else -1
         return -1 if cmp > 0 else 1
-
-    def abs_exact(self) -> "QuadExt":
-        return self if self.sign() >= 0 else -self
 
     def __float__(self) -> float:
         return float(self.a) + float(self.b) * math.sqrt(self.d)

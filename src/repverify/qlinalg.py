@@ -184,14 +184,6 @@ class Mat:
             raise DimensionMismatch("vector length mismatch")
         return tuple(sum((self.at(i, j) * vec[j] for j in range(self.cols)), Fraction(0)) for i in range(self.rows))
 
-    def trace(self) -> Fraction:
-        if self.rows != self.cols:
-            raise DimensionMismatch("trace of non-square matrix")
-        return sum((self.at(i, i) for i in range(self.rows)), Fraction(0))
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.entries)
-
     def hstack(self, other: "Mat") -> "Mat":
         if self.rows != other.rows:
             raise DimensionMismatch("hstack row mismatch")
@@ -217,15 +209,6 @@ def _integer(vec: Sequence[Fraction]) -> tuple[int, list[int]]:
 
 def rank(m: Mat) -> int:
     return len(independent_columns(integer_columns(m)))
-
-
-def det(m: Mat) -> Fraction:
-    """The last pivot of the sweep of s m over s^n, for s the lcm of m's denominators."""
-    if m.rows != m.cols:
-        raise DimensionMismatch("determinant of non-square matrix")
-    s, ents = _integer(m.entries)
-    pivots, d = _pivot_columns([ents[i * m.cols : (i + 1) * m.cols] for i in range(m.rows)])
-    return Fraction(d, s**m.rows) if len(pivots) == m.rows else Fraction(0)
 
 
 MODULUS = 2**31 - 1
@@ -462,9 +445,6 @@ class Subspace:
             for i in range(self.ambient_dim)
         )
 
-    def column_vectors(self) -> list[tuple[Fraction, ...]]:
-        return [self.basis.col(j) for j in range(self.dim)]
-
 
 def canonicalize(m: Mat) -> Subspace:
     """Column span of m as a canonical Subspace (reduced column echelon form)."""
@@ -477,11 +457,6 @@ def _span(n: int, vecs: list[Sequence[int]]) -> Subspace:
     pivots, d = _pivot_columns(vecs)
     g = math.gcd(*(x for row in vecs for x in row)) * (1 if d > 0 else -1)
     return Subspace(n, tuple(tuple(x // g for x in row) for row in vecs[: len(pivots)]))
-
-
-def kernel_basis(m: Mat) -> Subspace:
-    """ker(m) as a Subspace of the domain; dimension cols - rank(m)."""
-    return kernel_of_rows([_integer(m.row(i))[1] for i in range(m.rows)], m.cols)
 
 
 def kernel_of_rows(rows: Sequence[Sequence[int]], n: int) -> Subspace:

@@ -33,7 +33,16 @@ from repverify.brascamp_lieb import (
 )
 from repverify.generic import sample_elements, translate
 from repverify.harness import _corpus_pair, derive_seed
-from repverify.qlinalg import MODULUS, Mat, Subspace, _pivot_columns, kernel_basis, subspace_intersect, subspace_sum
+from repverify.qlinalg import (
+    MODULUS,
+    Mat,
+    Subspace,
+    _pivot_columns,
+    integer_columns,
+    kernel_of_rows,
+    subspace_intersect,
+    subspace_sum,
+)
 from repverify.reps import build_config
 
 F = Fraction
@@ -360,7 +369,8 @@ class TestLift:
                 continue
             cert = check_feasibility(d)
             verdicts[walked.status, cert.status] += 1
-            common = reduce(subspace_intersect, [kernel_basis(m.matrix) for m in d.maps])
+            kernels = [kernel_of_rows(integer_columns(m.matrix.transpose()), m.matrix.cols) for m in d.maps]
+            common = reduce(subspace_intersect, kernels)
             if common.dim:
                 verdicts["common-kernel"] += 1
                 assert walked.status == "violated"
@@ -456,7 +466,8 @@ class TestCommonKernel:
 def _reference_lattice(d: BLDatum, cap: int):
     """The kernel-lattice walk that sums and intersects every pair, comparable or not."""
     seen: dict[Subspace, bool] = {}
-    for s in [kernel_basis(m.matrix) for m in d.maps] + [Subspace.full(d.n)]:
+    kernels = [kernel_of_rows(integer_columns(m.matrix.transpose()), m.matrix.cols) for m in d.maps]
+    for s in kernels + [Subspace.full(d.n)]:
         if s not in seen:
             seen[s] = True
             yield s

@@ -28,7 +28,6 @@ from repverify.discretized import (
     covering_number,
     frostman_energy_bound_check,
     generate_fractal,
-    make_point_set,
     parse_fractal,
     projection_experiment,
     random_poly,
@@ -40,11 +39,11 @@ from repverify.reps import build_config, config_from_json, config_to_json, flag_
 
 class TestCovering:
     def test_single_point(self):
-        ps = make_point_set([[0.3, 0.4]], "p")
+        ps = PointSet(2, np.array([[0.3, 0.4]]), "p")
         assert covering_number(ps, 2**-3) == 1
 
     def test_eighths_at_quarter_scale(self):
-        ps = make_point_set([[i / 8] for i in range(8)], "g")
+        ps = PointSet(1, np.array([[i / 8] for i in range(8)]), "g")
         assert covering_number(ps, 2**-2) == 4  # two points per cube
 
     def test_full_grid_square(self):
@@ -54,8 +53,8 @@ class TestCovering:
     def test_monotone_in_inclusion_and_scale(self):
         rng = np.random.default_rng(3)
         pts = rng.random((500, 3))
-        a = make_point_set(pts[:200], "a")
-        b = make_point_set(pts, "b")
+        a = PointSet(3, pts[:200], "a")
+        b = PointSet(3, pts, "b")
         for s in (2, 4, 6):
             assert covering_number(a, 2**-s) <= covering_number(b, 2**-s)
         for s in (2, 4, 6):
@@ -64,7 +63,7 @@ class TestCovering:
             assert ca <= cf <= 2**3 * ca
 
     def test_bad_delta(self):
-        ps = make_point_set([[0.0]], "p")
+        ps = PointSet(1, np.array([[0.0]]), "p")
         with pytest.raises(SpecError):
             covering_number(ps, 0.3)
 
@@ -81,7 +80,7 @@ class TestCovering:
     )
     def test_delta_outside_dyadic_range_is_a_spec_error(self, count, delta):
         # NaN, 0, negatives and inf used to escape as ValueError or OverflowError from log2
-        ps = make_point_set([[0.25], [0.75]], "p")
+        ps = PointSet(1, np.array([[0.25], [0.75]]), "p")
         with pytest.raises(SpecError, match="delta must be 2"):
             count(ps, delta)
 
@@ -90,7 +89,7 @@ class TestCovering:
         rng = np.random.default_rng(s)
         grid = generate_fractal(FullGrid(3, 4)).points  # points on cube boundaries
         pts = np.vstack([rng.uniform(-1.5, 1.5, (3000, 3)), grid, grid[:300] - 0.5])
-        ps = make_point_set(pts, "mix")
+        ps = PointSet(3, pts, "mix")
         assert covering_number(ps, 2**-s) == _floor_tuples(ps.points, [2**-s] * 3)
 
     @pytest.mark.parametrize(
@@ -144,7 +143,7 @@ class TestPointSet:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SpecError):
-                make_point_set([[bad, 0.0], [0.5, 0.5]], "p")
+                PointSet(2, np.array([[bad, 0.0], [0.5, 0.5]]), "p")
             with pytest.raises(SpecError):
                 PointSet(2, np.array([[0.5, 0.5], [0.0, bad]]), "p")
 
@@ -157,29 +156,29 @@ class TestPointSet:
     @pytest.mark.parametrize("bad", [[0.1, 0.2], [], [[]], 0.5])
     def test_not_a_point_array_rejected(self, bad):
         with pytest.raises(SpecError):
-            make_point_set(bad, "p")
+            PointSet(2, np.asarray(bad, dtype=float), "p")
 
     @pytest.mark.parametrize(
         "points, size",
         [
             ([[1e7], [2e7], [3e7]], 3),
             ([[1e7, 0], [-1e7, 0]], 2),
-            ([[1e300, 1.0], [-1e300, 1.0], [1e300, 1.0]], 2),
+            ([[2.0**982, 1.0], [-(2.0**982), 1.0], [2.0**982, 1.0]], 2),
             ([[5000.0, 0.5], [5000.0, 0.5 + 2**-45], [-0.0, 0.0], [0.0, 0.0]], 2),
         ],
     )
     def test_large_coordinates_keep_distinct_points(self, points, size):
-        # keys scaled by 2^40 used to overflow int64 from 2^23 on and merge distinct points
-        assert make_point_set(points, "p").size == size
+        # cube keys at 2^-40 pass 2^63 from |x| = 2^23 on, where no int64 holds them
+        ps = PointSet(len(points[0]), np.array(points, dtype=float), "p")
+        assert covering_number(ps, 2**-40) == size
 
     def test_validated_once(self, monkeypatch):
         # the extremes behind the finiteness check are one pass over every point
         calls = []
         post_init = PointSet.__post_init__
         monkeypatch.setattr(PointSet, "__post_init__", lambda ps: calls.append(ps.size) or post_init(ps))
-        pts = np.random.default_rng(4).random((1000, 3))
-        ps = make_point_set(np.vstack([pts, pts[:10]]), "p")
-        assert ps.size == 1000 and calls == [1000]
+        ps = generate_fractal(RandomSubset(3, 4, 0.5), seed=4)
+        assert calls == [ps.size] and "box" in vars(ps)
 
 
 def _distinct_rows(keys: np.ndarray) -> int:
@@ -434,18 +433,18 @@ def _criterion_8_constant(ps, delta0, alpha):
 
 class TestFrostman:
     def test_uniform_grid_constant(self):
-        ps = make_point_set([[i / 64] for i in range(64)], "u")
+        ps = PointSet(1, np.array([[i / 64] for i in range(64)]), "u")
         assert _criterion_8_constant(ps, 1 / 64, 1.0) == pytest.approx(3.0)
 
     def test_alpha_zero_gives_one(self):
-        ps = make_point_set([[i / 16] for i in range(16)], "u")
+        ps = PointSet(1, np.array([[i / 16] for i in range(16)]), "u")
         assert _criterion_8_constant(ps, 2**-4, 0.0) == pytest.approx(1.0)
 
     def test_cluster_dominates(self):
         delta = 2**-10
         cluster = [[j * delta / 8] for j in range(8)]
         spread = [[0.25 + i / 16] for i in range(8)]
-        ps = make_point_set(cluster + spread, "c")
+        ps = PointSet(1, np.array(cluster + spread), "c")
         c = _criterion_8_constant(ps, delta, 1.0)
         assert c >= (8 / 16) / delta * 0.9  # worst ball holds the cluster
 
@@ -503,13 +502,13 @@ class TestHeaviestBalls:
     """Ball counts and the largest truncated energy of small sets, by hand."""
 
     def test_singleton_has_no_energy(self):
-        ps = make_point_set([[0.5]], "p")
+        ps = PointSet(1, np.array([[0.5]]), "p")
         assert discretized._heaviest_balls(ps, 4, 2**-4, 0.5) == ([1] * 5, 0.0)
 
     def test_two_term_example(self):
         # at delta the energy is 1/delta + 1/(1 - delta), above 1/delta + 1 at 0
         delta = 2**-6
-        ps = make_point_set([[0.0], [delta], [1.0]], "p")
+        ps = PointSet(1, np.array([[0.0], [delta], [1.0]]), "p")
         counts, top = discretized._heaviest_balls(ps, 6, delta, 1.0)
         assert counts == [3, 2, 2, 2, 2, 2, 2]
         assert top == pytest.approx(1 / delta + 1 / (1 - delta))
@@ -521,7 +520,7 @@ class TestHeaviestBalls:
         assert top == 4.0  # at 0.5: two points at distance 1/2
 
     def test_largest_energy_monotone_in_delta(self):
-        ps = make_point_set(np.random.default_rng(9).random((60, 2)), "r")
+        ps = PointSet(2, np.random.default_rng(9).random((60, 2)), "r")
         tops = [discretized._heaviest_balls(ps, s, 2**-s, 1.5)[1] for s in (8, 6, 4, 2)]
         assert all(a >= b for a, b in zip(tops, tops[1:]))
         assert tops[0] > tops[-1]
@@ -703,7 +702,7 @@ class TestGenerators:
 class TestProjectionExperiment:
     def test_single_point_never_exceptional(self):
         cfg = build_config("so_pq:2,1")
-        ps = make_point_set([[0.1, 0.2, 0.3, 0.4, 0.5]], "p")
+        ps = PointSet(5, np.array([[0.1, 0.2, 0.3, 0.4, 0.5]]), "p")
         rep = projection_experiment(cfg, ps, 0, 2**-6, 0.05, 2.0, 20, 7)
         assert rep.exceptional_fraction == 0.0
         assert all(c == 1 for _, c, _ in rep.per_u)
@@ -727,7 +726,7 @@ class TestProjectionExperiment:
         from tests.test_reps import _direct_sum_fixture
 
         cfg = _direct_sum_fixture()
-        ps = make_point_set([[0.1, 0.2, 0.3, 0.4]], "p")
+        ps = PointSet(4, np.array([[0.1, 0.2, 0.3, 0.4]]), "p")
         with pytest.raises(HypothesisError):
             projection_experiment(cfg, ps, None, 2**-4, 0.05, 2.0, 5, 1, mode="supercritical")
 
@@ -742,7 +741,7 @@ class TestProjectionExperiment:
     @pytest.mark.parametrize("num_u", [0, -4, 1001])
     def test_num_u_out_of_range(self, num_u):
         cfg = build_config("so_pq:2,1")
-        ps = make_point_set([[0.1, 0.2, 0.3, 0.4, 0.5]], "p")
+        ps = PointSet(5, np.array([[0.1, 0.2, 0.3, 0.4, 0.5]]), "p")
         with pytest.raises(SizeError):
             projection_experiment(cfg, ps, 0, 2**-6, 0.05, 2.0, num_u, 7)
 
@@ -756,7 +755,7 @@ class TestProjectionExperiment:
 
         monkeypatch.setattr(discretized, "_count_distinct", no_cover)
         cfg = build_config("so_pq:2,1")
-        ps = make_point_set([[0.1, 0.2, 0.3, 0.4, 0.5]], "p")
+        ps = PointSet(5, np.array([[0.1, 0.2, 0.3, 0.4, 0.5]]), "p")
         with pytest.raises(SpecError):
             projection_experiment(cfg, ps, 0, 2**-6, epsilon, m_exponent, 20, 7)
 
@@ -767,7 +766,7 @@ class TestProjectionExperiment:
         monkeypatch.setattr(discretized, "weight_decompose", no_work)
         monkeypatch.setattr(discretized, "_count_distinct", no_work)
         cfg = build_config("so_pq:2,1")
-        ps = make_point_set([[0.1, 0.2, 0.3, 0.4, 0.5]], "p")
+        ps = PointSet(5, np.array([[0.1, 0.2, 0.3, 0.4, 0.5]]), "p")
         with pytest.raises(SpecError):
             projection_experiment(cfg, ps, 0, 2**-6, 0.05, 2.0, 20, 7, mode="critical")
 
@@ -778,7 +777,7 @@ class TestProjectionExperiment:
         monkeypatch.setattr(discretized, "weight_decompose", no_work)
         monkeypatch.setattr(discretized, "_count_distinct", no_work)
         cfg = build_config("so_pq:2,1")
-        ps = make_point_set([[0.1, 0.2, 0.3, 0.4, 0.5]], "p")
+        ps = PointSet(5, np.array([[0.1, 0.2, 0.3, 0.4, 0.5]]), "p")
         with pytest.raises(SpecError, match="seed"):
             projection_experiment(cfg, ps, 0, 2**-6, 0.05, 2.0, 20, -1)
 

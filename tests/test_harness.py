@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import repverify
-from repverify import generic, harness, reps
+from repverify import generic, harness, oppenheim, reps
 from repverify.cli import bl_main, genericdim_main, main, oppenheim_main, proj_exp_main
 from repverify.harness import (
     SuiteConfig,
@@ -570,6 +570,18 @@ class TestCLI:
         assert [t for t, _ in doc["rows"]] == [2, 10, 100]
         assert doc["kappa"] == curve.kappa
         assert doc["exact_values"] == [str(e) for e in curve.exact_values]
+
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_oppenheim_decay_needs_t_at_least_4(self, t, capsys, monkeypatch):
+        # T = 1 used to scan the bounds 2 and 3 past T; T = 2 and 3 gave two bounds
+        def no_scan(*args):
+            raise AssertionError("a bound was scanned")
+
+        monkeypatch.setattr(oppenheim, "_scan", no_scan)
+        assert oppenheim_main(["--form", "x1^2+x2^2-sqrt2*x3^2", "--T", str(t), "--decay"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: --decay needs --T >= 4, got {t}"]
 
     def test_oppenheim_decay_isotropic_kappa_is_null(self, tmp_path):
         out = tmp_path / "decay.json"

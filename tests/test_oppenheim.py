@@ -192,7 +192,8 @@ def brute_min(q: QuadraticForm, s: Fraction, t: int) -> QuadExt:
     best = None
     for v in itertools.product(range(-t, t + 1), repeat=q.d):
         if math.gcd(*v) == 1:
-            e = (q.evaluate(v) - target).abs_exact()
+            e = q.evaluate(v) - target
+            e = e.scale(e.sign())
             if best is None or (best - e).sign() > 0:
                 best = e
     return best
@@ -215,7 +216,7 @@ class TestScan:
     def test_matches_brute_force(self, form, s, t):
         q = parse_form(form)
         r = search_min_value(q, float(F(s)), t)
-        assert r.value_exact.abs_exact() == brute_min(q, F(s), t)
+        assert r.value_exact.scale(r.value_exact.sign()) == brute_min(q, F(s), t)
 
     # exactly integer roots: a row's candidate pair is {r, r + 1}, not a mirrored pair
     @pytest.mark.parametrize("t", [2, 3])
@@ -224,7 +225,7 @@ class TestScan:
     def test_half_box_matches_brute_force_on_isotropic_forms(self, form, s, t):
         q = parse_form(form)
         r = search_min_value(q, float(F(s)), t)
-        assert r.value_exact.abs_exact() == brute_min(q, F(s), t)
+        assert r.value_exact.scale(r.value_exact.sign()) == brute_min(q, F(s), t)
         head = [x for x in r.best_v[:-2] if x]
         assert not head or head[0] < 0  # the scan stops after the zero head
 
@@ -237,7 +238,7 @@ class TestScan:
             warnings.simplefilter("error")
             r = search_min_value(q, 0.5, 120)
         assert r.best_v == (-120, -120, -119)
-        assert r.value_exact.abs_exact() == QuadExt.rational(F(1, 2) - F(120 * 119, 10**14), q.field_d)
+        assert r.value_exact.scale(r.value_exact.sign()) == QuadExt.rational(F(1, 2) - F(120 * 119, 10**14), q.field_d)
 
     @pytest.mark.parametrize("t", [1, 2, 3, 4])
     def test_far_roots_match_brute_force(self, t):
@@ -245,7 +246,7 @@ class TestScan:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             r = search_min_value(q, 0.5, t)
-        got, want = r.value_exact.abs_exact(), brute_min(q, F(1, 2), t)
+        got, want = r.value_exact.scale(r.value_exact.sign()), brute_min(q, F(1, 2), t)
         # exact up to float ties within 1e-9: at t = 1 the linear coefficient
         # 10^-12 x1 reads as zero, and the scan returns 1/2 at (-1, -1, 0)
         # against 1/2 - 10^-12 at (1, 1, 1)
@@ -255,7 +256,7 @@ class TestScan:
         # b = 10^-12 x1 is exactly nonzero, so the row's root, not 0 and 1, gives the candidates
         q = parse_form("1000000000*x1^2-1000000000*x2^2+1/1000000000000*x1*x3")
         r = search_min_value(q, 0.5, 1)
-        assert r.value_exact.abs_exact() == QuadExt.rational(F(1, 2) - F(1, 10**12), q.field_d)
+        assert r.value_exact.scale(r.value_exact.sign()) == QuadExt.rational(F(1, 2) - F(1, 10**12), q.field_d)
         assert r.best_v == (-1, -1, -1)
 
     def test_tiny_square_coefficient_is_not_zero(self):
@@ -282,7 +283,7 @@ class TestScan:
     def test_tiny_square_coefficient_beside_a_linear_one(self, tiny, linear, t):
         q = parse_form(f"x1^2-x2^2+{tiny}*x3^2{linear}")
         r = search_min_value(q, 0.5, t)
-        assert r.value_exact.abs_exact() == brute_min(q, F(1, 2), t)
+        assert r.value_exact.scale(r.value_exact.sign()) == brute_min(q, F(1, 2), t)
 
     # The FOUND on `oppenheim._scan`'s float ties in CHANGES.md: near s = 1/2 the
     # candidates' float errors agree to the last bit, a row's float argmin picks
@@ -293,7 +294,7 @@ class TestScan:
     def test_float_ties_keep_the_exact_minimum(self):
         q = parse_form("x1^2-x2^2+1/100000000000000000*x3^2+x2*x3")
         r = search_min_value(q, 0.5, 3)
-        assert r.value_exact.abs_exact() == brute_min(q, F(1, 2), 3)
+        assert r.value_exact.scale(r.value_exact.sign()) == brute_min(q, F(1, 2), 3)
 
     @pytest.mark.parametrize("form, t", [("x1^2+x2^2-1e307*x3^2", 3), ("x1^2+x2^2-1e150*x3^2", 100)])
     def test_values_past_the_float_range_are_refused(self, form, t):
@@ -310,7 +311,7 @@ class TestScan:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             r = search_min_value(q, 0.0, 46)
-        assert r.value_exact.abs_exact() == QuadExt.rational(1, q.field_d)
+        assert r.value_exact.scale(r.value_exact.sign()) == QuadExt.rational(1, q.field_d)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_linear_rows_match_brute_force(self, seed):
@@ -326,13 +327,14 @@ class TestScan:
                 break
         s = F(rng.randint(-6, 6), 4)
         r = search_min_value(q, float(s), t)
-        assert r.value_exact.abs_exact() == brute_min(q, s, t)
+        assert r.value_exact.scale(r.value_exact.sign()) == brute_min(q, s, t)
 
     def test_intermediate_bound_is_minimal(self):
         q = parse_form("x1^2+x2^2-1/100*x3^2")
         c = decay_curve(q, 0.37, [2, 4, 7, 11])
         assert c.rows[2] == (7, pytest.approx(7 / 50))
-        assert c.exact_values[2].abs_exact() == brute_min(q, F(37, 100), 7)
+        e = c.exact_values[2]
+        assert e.scale(e.sign()) == brute_min(q, F(37, 100), 7)
 
     @pytest.mark.parametrize(
         "form, s, bounds",
@@ -373,9 +375,10 @@ class TestBlocks:
         q = parse_form(form)
         _force_block_rows(monkeypatch, rows, q, bounds[-1])
         expected = [brute_min(q, F(s), t) for t in bounds]
-        assert search_min_value(q, float(F(s)), bounds[-1]).value_exact.abs_exact() == expected[-1]
+        e = search_min_value(q, float(F(s)), bounds[-1]).value_exact
+        assert e.scale(e.sign()) == expected[-1]
         curve = decay_curve(q, float(F(s)), bounds)
-        assert [e.abs_exact() for e in curve.exact_values] == expected
+        assert [e.scale(e.sign()) for e in curve.exact_values] == expected
 
     # computed with the row-at-a-time scan; every row of these ties at value 0
     @pytest.mark.parametrize("rows", [None, 1, 3])
@@ -433,5 +436,5 @@ class TestBlocks:
         assert tuple(q.even_coordinates()) == even
         _force_block_rows(monkeypatch, rows, q, t)
         r = search_min_value(q, float(F(s)), t)
-        assert r.value_exact.abs_exact() == _cached_brute_min(q, F(s), t)
+        assert r.value_exact.scale(r.value_exact.sign()) == _cached_brute_min(q, F(s), t)
         assert all(x <= 0 for x, e in zip(r.best_v[:-1], even) if e)

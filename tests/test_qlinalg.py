@@ -29,14 +29,12 @@ from repverify.qlinalg import (
     _integer,
     canonicalize,
     certified_columns,
-    det,
     exp_product,
     exp_product_columns,
     exp_product_residues,
     exp_terms,
     independent_columns,
     integer_columns,
-    kernel_basis,
     kernel_of_rows,
     mat_from_json,
     mat_to_json,
@@ -170,18 +168,19 @@ class TestCanonicalForm:
 
 class TestKernel:
     def test_zero_map(self):
-        assert kernel_basis(Mat.zeros(2, 2)) == Subspace.full(2)
+        m = Mat.zeros(2, 2)
+        assert kernel_of_rows(integer_columns(m.transpose()), m.cols) == Subspace.full(2)
 
     def test_invertible(self):
         m = Mat.from_rows([[1, 1], [0, 1]])
-        assert kernel_basis(m).dim == 0
+        assert kernel_of_rows(integer_columns(m.transpose()), m.cols).dim == 0
 
     def test_row_of_ones(self):
         m = Mat.from_rows([[1, 1, 1]])
-        k = kernel_basis(m)
+        k = kernel_of_rows(integer_columns(m.transpose()), m.cols)
         assert k.dim == 2
         assert k.contains_vector([1, -1, 0])
-        for col in k.column_vectors():
+        for col in k.columns:
             assert all(x == 0 for x in m.apply(col))
 
     def test_rank_against_sympy(self):
@@ -189,7 +188,7 @@ class TestKernel:
         for _ in range(20):
             m = random_mat(rng, rng.randint(1, 5), rng.randint(1, 5))
             assert rank(m) == to_sympy(m).rank()
-            assert kernel_basis(m).dim == m.cols - to_sympy(m).rank()
+            assert kernel_of_rows(integer_columns(m.transpose()), m.cols).dim == m.cols - to_sympy(m).rank()
 
     def test_kernel_of_rows_keeps_its_rows(self):
         rng = random.Random(6)
@@ -197,7 +196,7 @@ class TestKernel:
             m = random_mat(rng, rng.randint(1, 5), rng.randint(1, 5))
             rows = integer_columns(m.transpose())
             before = [list(row) for row in rows]
-            assert kernel_of_rows(rows, m.cols) == kernel_basis(m)
+            assert kernel_of_rows(rows, m.cols).dim == m.cols - rank(m)
             assert rows == before
         assert kernel_of_rows([], 3) == Subspace.full(3)
 
@@ -274,7 +273,7 @@ class TestNilpotentExp:
             strict = [[F(rng.randint(-4, 4)) if j > i else F(0) for j in range(n)] for i in range(n)]
             m = Mat.from_rows(strict)
             assert nilpotent_exp(m) @ nilpotent_exp(-m) == Mat.identity(n)
-            assert det(nilpotent_exp(m)) == 1
+            assert to_sympy(nilpotent_exp(m)).det() == 1
 
 
 class TestIndependentColumns:
@@ -654,7 +653,7 @@ def test_elimination_matches_sympy(m, data):
     r = sm.rank()
     assert rank(m) == r
     assert canonicalize(m) == sympy_span(m.rows, [sm.col(j) for j in range(m.cols)])
-    assert kernel_basis(m) == sympy_span(m.cols, sm.nullspace())
+    assert kernel_of_rows(integer_columns(m.transpose()), m.cols) == sympy_span(m.cols, sm.nullspace())
     # the span of A x over the kernel vectors (x, y) of [A | -B]; A and B share column h
     h = m.cols // 2
     a, b = sm[:, : h + 1], sm[:, h:]
@@ -663,11 +662,6 @@ def test_elimination_matches_sympy(m, data):
     assert subspace_intersect(u, w) == subspace_intersect(w, u) == sympy_span(m.rows, meet)
     generators = [a.col(j) for j in range(a.cols)] + [b.col(j) for j in range(b.cols)]
     assert subspace_sum(u, w) == sympy_span(m.rows, generators)
-    # half the entries zero, so most pivots need a row swap
-    k = data.draw(st.integers(min_value=0, max_value=5))
-    entry = st.one_of(st.just(F(0)), small_fracs)
-    square = Mat(k, k, tuple(data.draw(st.lists(entry, min_size=k * k, max_size=k * k))))
-    assert det(square) == F(to_sympy(square).det())
     # a vector of the domain to reduce against the row span below
     pairs = st.lists(small_fracs, min_size=2, max_size=2)
     x0 = Mat.from_rows(data.draw(st.lists(pairs, min_size=m.cols, max_size=m.cols)))
@@ -696,9 +690,9 @@ def test_canonicalize_idempotent_property(m):
 @settings(max_examples=60, deadline=None)
 @given(frac_matrix())
 def test_kernel_annihilates_property(m):
-    k = kernel_basis(m)
+    k = kernel_of_rows(integer_columns(m.transpose()), m.cols)
     assert k.dim == m.cols - rank(m)
-    for col in k.column_vectors():
+    for col in k.columns:
         assert all(x == 0 for x in m.apply(col))
 
 
@@ -707,7 +701,7 @@ def test_kernel_annihilates_property(m):
 def test_column_space_and_left_kernel_split_the_space_property(m):
     # over Q the column space of m meets the kernel of m^T only in 0
     u = canonicalize(m)
-    k = kernel_basis(m.transpose())
+    k = kernel_of_rows(integer_columns(m), m.rows)
     assert u.dim + k.dim == m.rows
     assert subspace_intersect(u, k).dim == 0
     assert subspace_sum(u, k) == Subspace.full(m.rows)
