@@ -26,8 +26,6 @@ from . import generic, oppenheim
 from .qlinalg import Mat
 from .reps import RepConfig, build_config, check_irreducible, check_proximal, flag_projector, weight_decompose
 
-SUITES = ("hypotheses", "generic-dim", "bl", "discretized", "oppenheim")
-
 BUILTIN_CONFIGS = (
     "so_pq:2,1",
     "so_pq:2,2",
@@ -334,6 +332,7 @@ _SUITE_FUNCS = {
     "discretized": _suite_discretized,
     "oppenheim": _suite_oppenheim,
 }
+SUITES = tuple(_SUITE_FUNCS)
 
 
 def _error_site(exc: Exception) -> str:

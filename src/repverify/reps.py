@@ -32,8 +32,8 @@ from `_adjoint_config`.  No family and no check builds a `Fraction` generator.
 
 Each family's generators are the image of a Lie algebra, so they are
 square, traceless, ad(a)-homogeneous and bracket closed by construction, and
-`build_config` does not check them again.  `_validate_config` checks a
-configuration read from a file, in `config_from_json`.
+`build_config` does not check them again.  `config_from_json` checks a file's
+configuration: its a square and diagonal, then the rest in `_validate_config`.
 """
 
 from __future__ import annotations
@@ -75,7 +75,8 @@ class RepConfig:
 
     words holds the action of a weight-adapted basis of Lie(H) on V, each as
     the unique (L, word) pair, L > 0 and gcd(L, word) = 1, of the n x n matrix
-    word / L of flat integer entries.  a_action is diagonal, so the
+    word / L of flat integer entries.  a is diagonal, and a_diag is its
+    diagonal (ints for the built families, Fractions from a file), so the
     ad(a)-eigenvalue of a matrix unit E_ij is a_i - a_j.  Everything else is
     read off these: n = dim V, h_dim = dim H, and u_plus_indices /
     u_minus_indices, the basis elements of positive / negative ad(a)-eigenvalue
@@ -86,11 +87,11 @@ class RepConfig:
 
     name: str
     words: tuple[tuple[int, tuple[int, ...]], ...]
-    a_action: Mat
+    a_diag: tuple
 
-    @cached_property
+    @property
     def n(self) -> int:
-        return self.a_action.rows
+        return len(self.a_diag)
 
     @property
     def h_dim(self) -> int:
@@ -102,10 +103,14 @@ class RepConfig:
         return tuple(Mat(self.n, self.n, tuple(Fraction(x, s) for x in w)) for s, w in self.words)
 
     @cached_property
+    def a_action(self) -> Mat:
+        """a as a Fraction matrix, for readers outside the exact checks."""
+        return Mat.diagonal(self.a_diag)
+
+    @cached_property
     def generator_weights(self) -> tuple[Fraction, ...]:
-        """The ad(a)-eigenvalue of each generator, off one read of a's diagonal."""
-        diag = _diagonal(self.a_action)
-        return tuple(_weight(w, diag) for _, w in self.words)
+        """The ad(a)-eigenvalue of each generator."""
+        return tuple(_weight(w, self.a_diag) for _, w in self.words)
 
     @cached_property
     def u_plus_indices(self) -> tuple[int, ...]:
@@ -168,15 +173,7 @@ class IrreducibilityVerdict:
 # --- matrix-space plumbing -----------------------------------------------------
 
 
-def _diagonal(a: Mat) -> list[Fraction]:
-    """The diagonal of a; RationalityError unless a is diagonal."""
-    n = a.rows
-    if a.cols != n or any(x for k, x in enumerate(a.entries) if k % (n + 1)):
-        raise RationalityError("a_action is not diagonal in the stored coordinates")
-    return list(a.entries[:: n + 1])
-
-
-def _weight(x: Sequence, diag: list) -> Fraction:
+def _weight(x: Sequence, diag: Sequence) -> Fraction:
     """The ad(a)-eigenvalue of the matrix of flat entries x for a = diag(diag), 0 for x = 0.
 
     ad(a) scales the matrix unit E_ij by a_i - a_j, so x is an eigenvector
@@ -292,14 +289,14 @@ def _check_dim(n: int) -> None:
 
 def _validate_config(cfg: RepConfig) -> None:
     """The check of a configuration read from a file, on its words: 1 <= n <=
-    MAX_DIM, a diagonal, independent generators, each an ad(a)-eigenvector of
-    trace zero, and their span closed under brackets.  `build_config` never
-    calls it: its families hold all this by construction."""
+    MAX_DIM, independent generators, each an ad(a)-eigenvector of trace zero,
+    and their span closed under brackets.  `build_config` never calls it: its
+    families hold all this by construction."""
     n = cfg.n
     if n < 1:
         raise ConfigError("a_action is 0 x 0: V needs dimension at least 1")
     _check_dim(n)
-    # raises unless a is diagonal and each X has one weight w; X^k lives where a_i - a_j = k w: nilpotent if w != 0
+    # raises unless each X has one weight w; X^k lives where a_i - a_j = k w: nilpotent if w != 0
     cfg.generator_weights
     span = RowSpan(n * n)
     for _, w in cfg.words:
@@ -324,7 +321,7 @@ def _complement_config(name: str, s_form: Sequence[int], a_diag: list[int]) -> R
     h, _ = _weight_adapt(_form_stabilizer_basis(s_form), a_diag)
     # h's words and the identity, which is not in h, are independent: dim V = d^2 - 1 - dim h
     v, v_wts = _weight_adapt(_trace_complement_basis(d, [x for _, x in h]), a_diag)
-    return RepConfig(name, tuple(_action_matrices(v, h)), Mat.diagonal(v_wts))
+    return RepConfig(name, tuple(_action_matrices(v, h)), tuple(v_wts))
 
 
 def _sl_weight_basis(k: int) -> tuple[list[tuple[int, ...]], list[int]]:
@@ -348,7 +345,7 @@ def _sl_weight_basis(k: int) -> tuple[list[tuple[int, ...]], list[int]]:
 def _adjoint_config(name: str, k: int) -> RepConfig:
     basis, a_diag = _sl_weight_basis(k)
     v, v_wts = _weight_adapt(Subspace.from_columns(k * k, basis), a_diag)
-    return RepConfig(name, tuple(_action_matrices(v, v)), Mat.diagonal(v_wts))
+    return RepConfig(name, tuple(_action_matrices(v, v)), tuple(v_wts))
 
 
 def _kron_action(left: tuple | None, right: tuple | None, dims: tuple[int, int], order: list[int]) -> tuple:
@@ -370,8 +367,8 @@ def _tensor_config(name: str, kn: int, km: int, standard: bool) -> RepConfig:
     else:
         # factors act on sl_kn and sl_km by ad, so V = sl_kn (x) sl_km
         left, right = _adjoint_config(f"diagonal:sl{kn}", kn), _adjoint_config(f"diagonal:sl{km}", km)
-        left_ops, left_fac_wts = left.words, _diagonal(left.a_action)
-        right_ops, right_fac_wts = right.words, _diagonal(right.a_action)
+        left_ops, left_fac_wts = left.words, left.a_diag
+        right_ops, right_fac_wts = right.words, right.a_diag
     da, db = len(left_fac_wts), len(right_fac_wts)
     pair_wts = [left_fac_wts[i] + right_fac_wts[j] for i in range(da) for j in range(db)]
     order = sorted(range(da * db), key=pair_wts.__getitem__, reverse=True)
@@ -379,7 +376,7 @@ def _tensor_config(name: str, kn: int, km: int, standard: bool) -> RepConfig:
 
     h_action = [_kron_action(x, None, (da, db), order) for x in left_ops]
     h_action += [_kron_action(None, y, (da, db), order) for y in right_ops]
-    return RepConfig(name, tuple(h_action), Mat.diagonal(sorted_wts))
+    return RepConfig(name, tuple(h_action), tuple(sorted_wts))
 
 
 def _sl2_sym_config(k: int) -> RepConfig:
@@ -393,7 +390,7 @@ def _sl2_sym_config(k: int) -> RepConfig:
             e[(i - 1) * n + i] = i  # e: v_i -> i v_{i-1}
         if i <= k - 1:
             f[(i + 1) * n + i] = k - i  # f: v_i -> (k - i) v_{i+1}
-    return RepConfig(f"sl2_sym:{k}", ((1, tuple(e)), (1, tuple(h)), (1, tuple(f))), Mat.diagonal(a_diag))  # a is h
+    return RepConfig(f"sl2_sym:{k}", ((1, tuple(e)), (1, tuple(h)), (1, tuple(f))), tuple(a_diag))  # a is h
 
 
 def parse_descriptor(text: str) -> tuple[str, tuple]:
@@ -477,8 +474,7 @@ def build_config(descriptor: str) -> RepConfig:
 @lru_cache(maxsize=None)
 def weight_decompose(cfg: RepConfig) -> WeightDecomposition:
     """Eigenvalues of a on V with exact eigenbases, sorted ascending."""
-    n = cfg.n
-    diag = _diagonal(cfg.a_action)
+    n, diag = cfg.n, cfg.a_diag
     values = sorted(set(diag))
     bases = tuple(Subspace.coordinate(n, [i for i in range(n) if diag[i] == mu]) for mu in values)
     return WeightDecomposition(tuple(values), bases)
@@ -530,7 +526,7 @@ def _commutator(x: list[list[tuple[int, int]]], y: list[list[tuple[int, int]]]) 
     return out
 
 
-def _spin(cfg: RepConfig, seed: list[int], grading: list[Fraction]) -> list[list[int]]:
+def _spin(cfg: RepConfig, seed: list[int], grading: Sequence) -> list[list[int]]:
     """The seed and the products g x over the generators g of cfg, breadth
     first, that each enlarge the span of those before them; none once that
     span is full.
@@ -583,13 +579,12 @@ def _spin(cfg: RepConfig, seed: list[int], grading: list[Fraction]) -> list[list
 def check_irreducible(cfg: RepConfig) -> IrreducibilityVerdict:
     """Burnside closure test of the matrix algebra generated by the action.
 
-    Both closures run graded by the ad(a)-weights of the generators
-    (`RepConfig.generator_weights`), so a generator that is not an
-    ad(a)-eigenvector raises ConfigError, as validation does, even for a
-    configuration that was never validated.
+    Both closures run graded by the ad(a)-weights read off `RepConfig.a_diag`
+    and those of the generators (`RepConfig.generator_weights`), so a generator
+    that is not an ad(a)-eigenvector raises ConfigError, as validation does,
+    even for a configuration that was never validated.
     """
-    n = cfg.n
-    diag = _diagonal(cfg.a_action)
+    n, diag = cfg.n, cfg.a_diag
     grading = [x - y for x in diag for y in diag]
     algebra_dim = len(_spin(cfg, [int(i == j) for i in range(n) for j in range(n)], grading))
     if algebra_dim == n * n:
@@ -617,14 +612,18 @@ def config_to_json(cfg: RepConfig) -> dict:
 def config_from_json(obj: dict) -> RepConfig:
     """Rebuild a configuration from its three keys, ignoring any others, and
     validate it (`_validate_config`): this is where a configuration from
-    outside the program enters.  Each n x n generator is stored as its (L, word)
-    pair, L the lcm of its denominators."""
+    outside the program enters.  a, square and diagonal, is kept as its
+    diagonal and each n x n generator as its (L, word) pair, L the lcm of its
+    denominators."""
     name = obj["name"]
     mats = [mat_from_json(m) for m in obj["h_basis"]]
     a = mat_from_json(obj["a_action"])
-    if any((x.rows, x.cols) != (a.rows, a.rows) for x in mats):
+    n = a.rows
+    if any((x.rows, x.cols) != (n, n) for x in mats):
         raise DimensionMismatch("h_basis element is not n x n for the n x n a_action")
+    if a.cols != n or any(x for k, x in enumerate(a.entries) if k % (n + 1)):
+        raise RationalityError("a_action is not diagonal in the stored coordinates")
     words = (_integer(x.entries) for x in mats)
-    cfg = RepConfig(name, tuple((s, tuple(w)) for s, w in words), a)
+    cfg = RepConfig(name, tuple((s, tuple(w)) for s, w in words), a.entries[:: n + 1])
     _validate_config(cfg)
     return cfg

@@ -205,7 +205,7 @@ def _direct_sum_fixture() -> RepConfig:
     return RepConfig(
         name="fixture:sym1+sym1",
         words=_words(two_blocks(m) for m in base.h_basis),
-        a_action=Mat.diagonal([F(1), F(-1), F(1), F(-1)]),
+        a_diag=(1, -1, 1, -1),
     )
 
 
@@ -215,7 +215,7 @@ def _fixture(name: str, generator) -> RepConfig:
     return RepConfig(
         name=name,
         words=_words([Mat.from_rows(generator)]),
-        a_action=Mat.zeros(n, n),
+        a_diag=(0,) * n,
     )
 
 
@@ -418,12 +418,12 @@ def generator_set(draw):
 @given(generator_set())
 def test_spin_matches_fraction_product_reference(gens):
     n = len(gens[0])
-    cfg = RepConfig("fixture:drawn", _words(Mat.from_rows(g) for g in gens), Mat.zeros(n, n))
+    cfg = RepConfig("fixture:drawn", _words(Mat.from_rows(g) for g in gens), (0,) * n)
     v = check_irreducible(cfg)
     assert (v.kind, v.algebra_dim, v.witness) == _reference_verdict(cfg)
     for start in range(n):
         e = [int(i == start) for i in range(n)]
-        assert len(reps._spin(cfg, e, reps._diagonal(cfg.a_action))) == len(_reference_spin(cfg.h_basis, Mat.from_cols([e])))
+        assert len(reps._spin(cfg, e, list(cfg.a_diag))) == len(_reference_spin(cfg.h_basis, Mat.from_cols([e])))
 
 
 @st.composite
@@ -450,12 +450,12 @@ def graded_generator_set(draw):
 def test_graded_spin_matches_fraction_product_reference(drawn):
     diag, gens = drawn
     n = len(diag)
-    cfg = RepConfig("fixture:graded", _words(Mat.from_rows(g) for g in gens), Mat.diagonal(diag))
+    cfg = RepConfig("fixture:graded", _words(Mat.from_rows(g) for g in gens), tuple(diag))
     v = check_irreducible(cfg)
     assert (v.kind, v.algebra_dim, v.witness) == _reference_verdict(cfg)
     for start in range(n):
         e = [int(i == start) for i in range(n)]
-        assert len(reps._spin(cfg, e, reps._diagonal(cfg.a_action))) == len(_reference_spin(cfg.h_basis, Mat.from_cols([e])))
+        assert len(reps._spin(cfg, e, list(cfg.a_diag))) == len(_reference_spin(cfg.h_basis, Mat.from_cols([e])))
 
 
 @settings(max_examples=150, deadline=None)
@@ -498,7 +498,7 @@ def test_stabilizer_equation_matches_the_span(form, monkeypatch):
 
 def test_closure_needs_eigenvector_generators():
     # unvalidated: [[1, 1], [0, -1]] carries weight 0 on its diagonal and a_1 - a_2 = 2 off it
-    cfg = RepConfig("fixture:mixed", _words([Mat.from_rows([[1, 1], [0, -1]])]), Mat.diagonal([1, -1]))
+    cfg = RepConfig("fixture:mixed", _words([Mat.from_rows([[1, 1], [0, -1]])]), (1, -1))
     with pytest.raises(ConfigError, match="not an ad\\(a\\)-eigenvector"):
         check_irreducible(cfg)
 
@@ -795,35 +795,35 @@ def test_config_from_json_rejects_mixed_weight_generator(plus, minus):
         config_from_json(doc)
 
 
-def test_config_from_json_rejects_bad_a_action():
+@pytest.mark.parametrize(
+    "make_a, error",
+    [
+        (lambda cfg: cfg.a_action + cfg.h_basis[0], RationalityError),
+        # one diagonal entry too many: the weights of n x n generators cannot be read off it
+        (lambda cfg: Mat.diagonal(cfg.a_diag + (7,)), DimensionMismatch),
+        # the n x n generators fit its n rows, but a non-square a has no diagonal
+        (lambda cfg: Mat.from_rows([list(cfg.a_action.row(i)) + [0] for i in range(cfg.n)]), RationalityError),
+    ],
+    ids=["off-diagonal", "n+1 x n+1", "n x n+1"],
+)
+def test_config_from_json_rejects_bad_a_action(make_a, error):
     cfg = build_config("so_pq:2,1")
     doc = config_to_json(cfg)
-    doc["a_action"] = mat_to_json(cfg.a_action + cfg.h_basis[0])
-    with pytest.raises(RationalityError):
-        config_from_json(doc)
-    # one diagonal entry too many: the weights of n x n generators cannot be read off it
-    doc["a_action"] = mat_to_json(Mat.diagonal([cfg.a_action.at(i, i) for i in range(cfg.n)] + [F(7)]))
-    with pytest.raises(DimensionMismatch):
+    doc["a_action"] = mat_to_json(make_a(cfg))
+    with pytest.raises(error):
         config_from_json(doc)
 
 
 def test_config_stores_and_writes_only_generators_and_a():
-    assert [f.name for f in dataclasses.fields(RepConfig)] == ["name", "words", "a_action"]
+    assert [f.name for f in dataclasses.fields(RepConfig)] == ["name", "words", "a_diag"]
     assert [f.name for f in dataclasses.fields(reps.WeightDecomposition)] == ["eigenvalues", "eigenbases"]
     assert sorted(config_to_json(build_config("so_pq:2,1"))) == ["a_action", "h_basis", "name"]
 
 
-def test_horospherical_indices_read_the_diagonal_once(monkeypatch):
+def test_horospherical_indices_read_the_diagonal_once():
     cfg = build_config("diagonal:sl3")
     weights = list(cfg.generator_weights)
-    unvalidated = RepConfig(cfg.name, cfg.words, cfg.a_action)
-    calls, real = [], reps._diagonal
-
-    def counting_diagonal(a):
-        calls.append(a)
-        return real(a)
-
-    monkeypatch.setattr(reps, "_diagonal", counting_diagonal)
+    unvalidated = RepConfig(cfg.name, cfg.words, cfg.a_diag)
     assert (unvalidated.u_plus_indices, unvalidated.u_minus_indices) == ((0, 1, 2), (5, 6, 7))
     assert list(unvalidated.generator_weights) == weights
-    assert len(calls) == 1
+    assert "a_action" not in vars(unvalidated)
