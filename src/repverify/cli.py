@@ -60,16 +60,26 @@ def _run(body, *outs: str | None) -> int:
     return code
 
 
-def parse_subspace(cfg, spec: str) -> Subspace:
-    """Subspace descriptors: flag:<mu>, weight:<mu>, or full."""
+def _rational(text: str, where: str) -> Fraction:
+    """text as a Fraction, or a UsageError that starts with where, the flag it came in."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise UsageError(f"{where}: {text!r} has a zero denominator") from exc
+    except ValueError as exc:
+        raise UsageError(f"{where}: {text!r} is not a rational number") from exc
+
+
+def parse_subspace(cfg, spec: str, flag: str) -> Subspace:
+    """Subspace descriptors: flag:<mu>, weight:<mu>, or full; flag names the option read."""
     dec = weight_decompose(cfg)
     if spec == "full":
         return Subspace.full(cfg.n)
     kind, _, arg = spec.partition(":")
     if kind == "flag":
-        return flag_projector(dec, Fraction(arg)).flag
+        return flag_projector(dec, _rational(arg, f"{flag} {spec}")).flag
     if kind == "weight":
-        mu = Fraction(arg)
+        mu = _rational(arg, f"{flag} {spec}")
         for lam, basis in zip(dec.eigenvalues, dec.eigenbases):
             if lam == mu:
                 return basis
@@ -126,8 +136,8 @@ def genericdim_main(argv=None) -> int:
 
     def body():
         cfg = build_config(args.config)
-        w = parse_subspace(cfg, args.w)
-        wp = parse_subspace(cfg, args.wprime)
+        w = parse_subspace(cfg, args.w, "--w")
+        wp = parse_subspace(cfg, args.wprime, "--wprime")
         check = (
             generic.check_intersection_bound
             if args.check == "intersection"
@@ -211,7 +221,7 @@ def proj_exp_main(argv=None) -> int:
 
     def body():
         cfg = build_config(args.config)
-        mu = Fraction(args.mu)
+        mu = _rational(args.mu, "--mu")
         fractal = dg.generate_fractal(args.fractal, seed=args.seed)
         rep = dg.projection_experiment(
             cfg,

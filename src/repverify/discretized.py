@@ -8,6 +8,11 @@ Euclidean throughout (a different norm only shifts constants).
 Every covering count reads its key ranges off the point set's box and packs
 the keys of KEY_BLOCK points at a time, each block filled once into one reused
 buffer, so it holds one packed key per point plus one block.
+
+Generated point sets other than random subsets are kept as their coordinate
+axes, never as an (N, n) array: a cube count is the product of one count per
+axis, and a projection count builds each block of points from the axes.  The
+array is built only when `points` is read, as the pairwise Frostman scan does.
 """
 
 from __future__ import annotations
@@ -55,14 +60,27 @@ def _dyadic_exponent(delta: float) -> int:
 
 @dataclass(frozen=True)
 class PointSet:
+    """A finite set of points in R^ambient, built from an (N, ambient) array.
+
+    `points` is a read-only view of that array: a write through it raises
+    ValueError, so the box read off the points at construction stays theirs.
+    The array is not copied; writing to it through another name leaves the box
+    stale.  generate_fractal builds its product sets as `_AxisProduct`, which
+    holds only the coordinate axes; `axes` is None on every other set.
+    """
+
     ambient: int
-    points: np.ndarray  # (N, ambient) float
+    points: np.ndarray = field(repr=False)  # (N, ambient) float, read-only
     provenance: str
     seed: int | None = None
     designed_dim: float | None = None
 
+    axes = None  # not a field: _AxisProduct sets it
+
     def __post_init__(self):
-        pts = self.points
+        pts = np.asarray(self.points).view()
+        pts.flags.writeable = False
+        object.__setattr__(self, "points", pts)
         if self.ambient < 1:
             raise SpecError("ambient dimension must be >= 1")
         if pts.ndim != 2 or pts.shape[1] != self.ambient:
@@ -81,6 +99,46 @@ class PointSet:
     @property
     def size(self) -> int:
         return self.points.shape[0]
+
+
+def _product_grid(axes) -> np.ndarray:
+    """(len(axes), N): the coordinates of the points of A_0 x ... x A_{k-1} in
+    row-major order, the last coordinate varying fastest; np.stack writes each
+    coordinate as one contiguous row from broadcast views."""
+    return np.stack(np.meshgrid(*axes, indexing="ij", copy=False)).reshape(len(axes), -1)
+
+
+class _AxisProduct(PointSet):
+    """The product A_0 x ... x A_{ambient-1} of finite 1-D coordinate axes.
+
+    Only the axes are held, read-only: size, box and the finiteness check are
+    read off them.  `points`, the (N, ambient) array of the points in
+    row-major order of the axes, is built on first read and cached read-only;
+    it is column-major, so each coordinate is one contiguous run.
+    """
+
+    def __init__(self, axes: tuple[np.ndarray, ...], provenance: str, seed: int | None, designed_dim: float):
+        for x in axes:
+            x.flags.writeable = False
+        state = dict(ambient=len(axes), axes=axes, provenance=provenance, seed=seed, designed_dim=designed_dim)
+        for name, value in state.items():
+            object.__setattr__(self, name, value)  # frozen, as a PointSet is
+        if not np.isfinite(self.box).all():
+            raise SpecError("point coordinates must be finite")
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        pts = _product_grid(self.axes).T
+        pts.flags.writeable = False
+        return pts
+
+    @cached_property
+    def box(self) -> np.ndarray:
+        return np.array([[x.min() for x in self.axes], [x.max() for x in self.axes]])
+
+    @property
+    def size(self) -> int:
+        return math.prod(len(x) for x in self.axes)
 
 
 def _count_distinct(n: int, lo, hi, fill) -> int:
@@ -138,19 +196,26 @@ def covering_number(a: PointSet, delta: float) -> int:
 
     delta = 2^-s, so the cube indices floor(x / delta) are exact and lie in
     floor(box / delta).  SpecError, before any division, when some |x| / delta
-    would reach MAX_QUOTIENT.  Generated point sets are column-major, so each
-    coordinate of a block is read as one contiguous run.
+    would reach MAX_QUOTIENT.  The cubes meeting a product A_0 x ... x A_{n-1}
+    are the products of the cells meeting each axis, so its count is the
+    product of one count per axis; an array's points are counted whole, each
+    coordinate of a block read from its transpose.
     """
     _dyadic_exponent(delta)
     if np.any(np.abs(a.box) >= delta * MAX_QUOTIENT):
         raise SpecError(f"|coordinate| / cell side must stay below 2^1023, got {np.abs(a.box).max()} / {delta}")
 
-    def fill(start, out):
-        np.divide(a.points[start : start + out.shape[1]].T, delta, out=out)
-        np.floor(out, out=out)
+    def count(coords, lo, hi):
+        def fill(start, out):
+            np.divide(coords[:, start : start + out.shape[1]], delta, out=out)
+            np.floor(out, out=out)
+
+        return _count_distinct(coords.shape[1], lo, hi, fill)
 
     lo, hi = np.floor(a.box / delta)
-    return _count_distinct(a.size, lo, hi, fill)
+    if a.axes is None:
+        return count(a.points.T, lo, hi)
+    return math.prod(count(x[None], lo[j : j + 1], hi[j : j + 1]) for j, x in enumerate(a.axes))
 
 
 def _distance_blocks(pts: np.ndarray):
@@ -275,7 +340,10 @@ def generate_fractal(desc: FractalSpec | str, seed: int = 0) -> PointSet:
     Every family is one product of coordinate axes.  An axis is a digit expansion
     listed as places (digits, scale): one place (range(count), spacing) for a grid,
     one per level for a Cantor coordinate.  The size is checked before any axis is
-    built.  RandomSubset masks FullGrid's points by `seed`, keeping the first if none.
+    built.  FullGrid, ProductCantor and WeightAligned sets are kept as their axes
+    (`_AxisProduct`), so no (N, n) array is built unless `points` is read.
+    RandomSubset masks FullGrid's points by `seed`, keeping the first if none, and
+    is kept as that array.
     """
     if seed < 0:
         raise SpecError(f"seed must be >= 0, got {seed}")
@@ -319,16 +387,14 @@ def generate_fractal(desc: FractalSpec | str, seed: int = 0) -> PointSet:
             digits = np.arange(len(digits)) if isinstance(digits, range) else np.asarray(digits)
             vals = (vals[:, None] + digits * scale).ravel()
         grids.append(vals)
-    # column-major (N, k): np.stack writes each coordinate as one contiguous row
-    # from broadcast views, and covering counts read each coordinate contiguously
-    pts = np.stack(np.meshgrid(*grids, indexing="ij", copy=False)).reshape(len(grids), -1).T
-    if isinstance(desc, RandomSubset):
-        keep = np.random.default_rng(seed).random(pts.shape[0]) < desc.density
-        if not np.any(keep):
-            keep[0] = True
-        pts = pts[keep]
-        dim = math.log(pts.shape[0]) / (desc.s * math.log(2))
-        provenance = f"random_subset:{desc.ambient},{desc.s},{desc.density}"
+    if not isinstance(desc, RandomSubset):
+        return _AxisProduct(tuple(grids), provenance, seed, dim)
+    keep = np.random.default_rng(seed).random(total) < desc.density
+    if not np.any(keep):
+        keep[0] = True
+    pts = _product_grid(grids).T[keep]
+    dim = math.log(pts.shape[0]) / (desc.s * math.log(2))
+    provenance = f"random_subset:{desc.ambient},{desc.s},{desc.density}"
     return PointSet(len(grids), pts, provenance, seed, dim)
 
 
@@ -361,6 +427,51 @@ def _unipotent_matrix(cfg: RepConfig, coeffs: np.ndarray) -> np.ndarray:
         term = term @ x / k
         out += term
     return out
+
+
+def _coordinate_blocks(f: PointSet):
+    """coords(start, m): the (ambient, m) coordinates of points start .. start + m - 1
+    of f, for the blocks of a covering count, whose starts are multiples of
+    min(f.size, KEY_BLOCK).
+
+    An array's are a view of its transpose.  A product's are built from its
+    inner grid, the product of as many trailing axes as hold at most KEY_BLOCK
+    points together: point i is row i // L of the product of the leading axes
+    joined to point i % L of the inner grid, L its size.
+    A product that fits in one block is its own inner grid, read in place.
+    Otherwise every block is written into one buffer: the inner grid's rows
+    are tiled into it once when L divides the block, and gathered per block
+    when blocks start mid-row; the leading coordinates are written per block.
+    The blocks hold the same floats as the array's, in the same order.
+    """
+    if f.axes is None:
+        pts_t = f.points.T
+        return lambda start, m: pts_t[:, start : start + m]
+    lead = next(t for t in range(f.ambient + 1) if math.prod(len(x) for x in f.axes[t:]) <= KEY_BLOCK)
+    inner = _product_grid(f.axes[lead:]) if lead < f.ambient else np.empty((0, 1))
+    width = inner.shape[1]
+    if lead == 0:
+        return lambda start, m: inner[:, start : start + m]
+    buf = np.empty((f.ambient, KEY_BLOCK))
+    tiled = KEY_BLOCK % width == 0
+    if tiled:
+        buf[lead:] = np.tile(inner, KEY_BLOCK // width)
+    shape = [len(x) for x in f.axes[:lead]]
+
+    def coords(start, m):
+        out = buf[:, :m]
+        first, offset = divmod(start, width)
+        rows = np.unravel_index(np.arange(first, (start + m - 1) // width + 1), shape)
+        if tiled:  # the block is whole rows: each leading coordinate is one value per row
+            for j in range(lead):
+                out[j].reshape(-1, width)[:] = f.axes[j][rows[j], None]
+            return out
+        out[lead:] = inner[:, (start + np.arange(m)) % width]
+        for j in range(lead):
+            out[j] = np.repeat(f.axes[j][rows[j]], width)[offset : offset + m]
+        return out
+
+    return coords
 
 
 def projection_experiment(
@@ -418,7 +529,7 @@ def projection_experiment(
     dim_u = len(cfg.u_plus_indices)
     per_u = []
     exceptional = 0
-    pts_t = f.points.T  # n x N
+    coords = _coordinate_blocks(f)
     extent = np.abs(f.box).max(axis=0)
     for i in range(num_u):
         coeffs = rng.uniform(-1.0, 1.0, size=dim_u)
@@ -439,7 +550,7 @@ def projection_experiment(
         lo, hi = np.floor(ends + [[-1.0], [1.0]] * (n * 2.0**-51 * bound))
 
         def fill(start, out):
-            np.matmul(rows, pts_t[:, start : start + out.shape[1]], out=out)
+            np.matmul(rows, coords(start, out.shape[1]), out=out)
             np.floor(out, out=out)
 
         cover = _count_distinct(f.size, lo, hi, fill)

@@ -172,6 +172,28 @@ class TestPointSet:
         ps = PointSet(len(points[0]), np.array(points, dtype=float), "p")
         assert covering_number(ps, 2**-40) == size
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: PointSet(2, np.array([[0.0, 0.0], [0.5, 0.5]]), "p"), id="array"),
+            pytest.param(lambda: generate_fractal(FullGrid(2, 1)), id="product"),
+            pytest.param(lambda: generate_fractal(RandomSubset(2, 1, 1.0)), id="random-subset"),
+        ],
+    )
+    def test_points_are_read_only(self, make):
+        # a write through points would leave the box stale: counts would go
+        # wrong without a word, and a NaN would reach the casts unchecked
+        ps = make()
+        before = covering_number(ps, 2**-1)
+        with pytest.raises(ValueError, match="read-only"):
+            ps.points[:] = [[0.0, 4.0], [1.0, 0.0]] * (ps.size // 2)
+        with pytest.raises(ValueError, match="read-only"):
+            ps.points[0, 0] = math.nan
+        for x in ps.axes or ():
+            with pytest.raises(ValueError, match="read-only"):
+                x[0] = math.nan
+        assert covering_number(ps, 2**-1) == before
+
     def test_validated_once(self, monkeypatch):
         # the extremes behind the finiteness check are one pass over every point
         calls = []
@@ -422,6 +444,22 @@ def test_count_memory_stays_small(count):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_generation_and_counts_stay_small():
+    # a product set keeps its axes: the 2^20-point set's (N, 5) array, 40 MB,
+    # is never built by generating it, counting its cubes or its projections
+    cfg = build_config("so_pq:2,1")
+    tracemalloc.start()
+    try:
+        ps = generate_fractal(WeightAligned((1, 1, 0.5, 0, 0)))
+        covering_number(ps, 2**-10)
+        projection_experiment(cfg, ps, 0, 2**-10, 0.05, 2.0, 1, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert "points" not in vars(ps)
 
 
 def _criterion_8_constant(ps, delta0, alpha):
@@ -697,6 +735,70 @@ class TestGenerators:
         for desc in (FullGrid(2, 4), WeightAligned((1, 0.5), level_scale=6)):
             ps = generate_fractal(desc)
             assert np.all(ps.points >= 0) and np.all(ps.points < 1)
+
+
+# a configuration of each ambient dimension a projection can run in
+_PROJECTION_CONFIGS = {2: "sl2_sym:1", 3: "sl2_sym:2", 5: "so_pq:2,1"}
+
+
+class TestProductPath:
+    """A product set's counts equal those of the array of its points, bit for bit."""
+
+    PRODUCT_SPECS = [spec for spec, _, _ in GENERATOR_PINS if not isinstance(parse_fractal(spec) if isinstance(spec, str) else spec, RandomSubset)]
+
+    @staticmethod
+    def _as_array(ps: PointSet) -> PointSet:
+        return PointSet(ps.ambient, ps.points, ps.provenance, ps.seed, ps.designed_dim)
+
+    def _check(self, ps: PointSet, deltas, num_u: int = 3):
+        arr = self._as_array(ps)
+        assert ps.axes is not None and arr.axes is None
+        assert np.array_equal(ps.box, arr.box) and ps.size == arr.size
+        for delta in deltas:
+            assert covering_number(ps, delta) == covering_number(arr, delta)
+        # every block of a count holds the array's floats, in the array's order
+        coords, step = discretized._coordinate_blocks(ps), min(ps.size, discretized.KEY_BLOCK)
+        for start in range(0, ps.size, step):
+            m = min(step, ps.size - start)
+            assert coords(start, m).tobytes() == ps.points.T[:, start : start + m].tobytes()
+        if ps.ambient not in _PROJECTION_CONFIGS:
+            return  # no configuration acts on R^1
+        cfg = build_config(_PROJECTION_CONFIGS[ps.ambient])
+        mu = weight_decompose(cfg).max_eigenvalue
+        for delta in deltas[-1:]:
+            a = projection_experiment(cfg, ps, mu, delta, 0.05, 2.0, num_u, 7)
+            b = projection_experiment(cfg, arr, mu, delta, 0.05, 2.0, num_u, 7)
+            assert a.per_u == b.per_u and a.params == b.params
+            assert a.covering_threshold == b.covering_threshold
+
+    @pytest.mark.parametrize("spec", PRODUCT_SPECS, ids=[repr(s) for s in PRODUCT_SPECS])
+    def test_generator_pins(self, spec):
+        self._check(generate_fractal(spec), [2**-1, 2**-3, 2**-6])
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            pytest.param(FullGrid(3, 1), id="inner-grid-of-4-blocks-of-7"),
+            pytest.param(ProductCantor(((3, (0, 1, 2), 1),) * 3), id="3-digit-axes"),
+            pytest.param(ProductCantor(((2, (0, 1), 2), (7, tuple(range(7)), 1))), id="inner-grid-fills-a-block"),
+            pytest.param(ProductCantor(((3, (0, 1, 2), 1), (2, (0, 1), 3))), id="last-axis-longer-than-a-block"),
+            pytest.param(WeightAligned((1, 0.5, 0.5, 0, 0), level_scale=4), id="weight-aligned"),
+        ],
+    )
+    def test_blocks_of_seven(self, spec, monkeypatch):
+        monkeypatch.setattr(discretized, "KEY_BLOCK", 7)
+        self._check(generate_fractal(spec), [2**-1, 2**-2, 2**-5], num_u=6)
+
+    def test_blocks_start_mid_row(self):
+        # 81 x 81 x 8 points: the inner grid of the two trailing axes holds 648,
+        # which does not divide a block of 2^15
+        self._check(generate_fractal(ProductCantor(((3, (0, 1, 2), 4), (3, (0, 1, 2), 4), (2, (0, 1), 3)))), [2**-3, 2**-7])
+
+    def test_axis_longer_than_a_block(self):
+        self._check(generate_fractal(ProductCantor(((2, (0, 1), 1), (2, (0, 1), 16)))), [2**-4, 2**-10])
+
+    def test_weight_aligned_at_criterion_9_scale(self):
+        self._check(generate_fractal(WeightAligned((1, 1, 0.5, 0, 0))), [2**-4, 2**-10], num_u=2)
 
 
 class TestProjectionExperiment:

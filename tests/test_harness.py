@@ -249,6 +249,30 @@ class TestCLI:
         assert genericdim_main(["--config", "so_pq:2,1", "--w", "flag:1/0", "--wprime", "full"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            pytest.param(["proj-exp", "--mu", "1/0"], "--mu: '1/0' has a zero denominator", id="mu-zero-denominator"),
+            pytest.param(["proj-exp", "--mu", "abc"], "--mu: 'abc' is not a rational number", id="mu-not-rational"),
+            pytest.param(
+                ["genericdim", "--w", "flag:1/0"], "--w flag:1/0: '1/0' has a zero denominator", id="w-flag-zero-denominator"
+            ),
+            pytest.param(
+                ["genericdim", "--wprime", "weight:abc"],
+                "--wprime weight:abc: 'abc' is not a rational number",
+                id="wprime-weight-not-rational",
+            ),
+        ],
+    )
+    def test_rational_parse_error_names_its_flag(self, argv, err, capsys):
+        prog, flag, value = argv
+        if prog == "proj-exp":
+            code = proj_exp_main(["--config", "so_pq:2,1", "--fractal", "full_grid:5,2", "--delta", "3", flag, value])
+        else:
+            code = genericdim_main(["--config", "so_pq:2,1", "--w", "full", "--wprime", "full", flag, value])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
+
     @pytest.mark.parametrize("check", ["intersection", "projection"])
     def test_genericdim_zero_trials(self, check, capsys):
         argv = ["--config", "so_pq:2,1", "--w", "flag:1", "--wprime", "flag:0", "--trials", "0", "--check", check]
