@@ -18,7 +18,8 @@ of the map kernels.  Its walk sweeps every pair once for the dimension of its
 meet: a pair in which one member contains the other is skipped, since its
 sum and intersection are the pair itself, and a sum of dimension n is the
 full space, already a member.  Each map's integer rows are cleared once, and
-its kernel and K are swept from them.
+its surjectivity, its kernel and K are read from them.  A sampled datum's maps
+are built over Z from the recipes and become `Fraction` `Mat`s only at the end.
 
 The constant is estimated by alternating (operator) scaling of the maps
 towards a geometric datum.  Every iterate gives two lower bounds for the
@@ -41,7 +42,7 @@ from itertools import chain
 
 import numpy as np
 
-from .generic import SampledElement
+from .generic import SampledElement, _factors
 from .qlinalg import (
     MODULUS,
     Mat,
@@ -51,12 +52,12 @@ from .qlinalg import (
     _read_json,
     apply_rows,
     certified_columns,
+    exp_product_columns,
     independent_columns,
     integer_columns,
     kernel_of_rows,
     mat_from_json,
     mat_to_json,
-    rank,
     subspace_sum,
 )
 from .reps import RepConfig, flag_projector, weight_decompose
@@ -109,7 +110,7 @@ class BLDatum:
         for m in self.maps:
             if m.matrix.cols != self.n:
                 raise ValueError("map domain dimension mismatch")
-            if rank(m.matrix) != m.n_j:
+            if len(independent_columns(m.integer_rows)) != m.n_j:
                 raise ValueError("map is not surjective")
         for p in self.exponents:
             if p < 0:
@@ -196,26 +197,21 @@ def build_datum_from_rep(
         w = flag_projector(weight_decompose(cfg), mu).flag
     elif w.ambient_dim != n or w.dim == 0:
         raise ValueError("w must be a nonzero subspace of the representation space")
-    base = w.basis.transpose()  # k x n, kernel = w-perp; the flag's coordinate rows in flag mode
     k = w.dim
     p = Fraction(n, k * m)
     if p > 1:
         raise InvalidExponent(f"m = {m} is too small: need m >= n / k = {Fraction(n, k)}")
-    maps = tuple(BLMap(k, _dyadic_normalize(base @ el.matrix)) for el in elements)
-    return BLDatum(n, maps, (p,) * m)
-
-
-def _dyadic_normalize(m: Mat) -> Mat:
-    """Scale by an exact power of two so the HS norm lands in [1, 2).
-
-    Composing a map with a scalar isomorphism changes neither its kernel nor
-    the feasibility of any datum containing it, and keeps the estimators'
-    collapse threshold meaningful for sampled group elements of any height.
-    m is nonzero: its one caller passes a rank-k basis times an invertible map.
-    """
-    sq = sum((x * x for x in m.entries), Fraction(0))
-    e = math.floor(math.log2(float(sq)) / 2.0)
-    return m.scale(Fraction(1, 2**e) if e >= 0 else Fraction(2**-e))
+    ident = [[int(i == j) for i in range(n)] for j in range(n)]
+    maps = []
+    for el in elements:
+        # pi_W o h is rows / (den L): W's columns times each column of h.
+        cols, den = exp_product_columns(n, _factors(cfg, el.recipe), ident)
+        rows, den = list(zip(*apply_rows(w.columns, cols))), den * w.scale
+        # 2^-e puts the HS norm of the nonzero map in [1, 2): it changes no kernel,
+        # and keeps the estimators' collapse threshold meaningful at any height.
+        e = math.floor(math.log2(float(Fraction(sum(x * x for row in rows for x in row), den * den))) / 2.0)
+        maps.append(BLMap(k, Mat.from_integer([[x << max(-e, 0) for x in row] for row in rows], den << max(e, 0))))
+    return BLDatum(n, tuple(maps), (p,) * m)
 
 
 def holder_datum(n: int, m: int) -> BLDatum:

@@ -62,10 +62,10 @@ def _dyadic_exponent(delta: float) -> int:
 class PointSet:
     """A finite set of points in R^ambient, built from an (N, ambient) array.
 
-    `points` is a read-only view of that array: a write through it raises
-    ValueError, so the box read off the points at construction stays theirs.
-    The array is not copied; writing to it through another name leaves the box
-    stale.  generate_fractal builds its product sets as `_AxisProduct`, which
+    `points` is a read-only copy of that array, in its dtype and memory order: a
+    write through it raises ValueError, and a write to the caller's array does
+    not reach it, so the box read off the points at construction stays theirs.
+    generate_fractal builds its product sets as `_AxisProduct`, which
     holds only the coordinate axes; `axes` is None on every other set.
     """
 
@@ -78,7 +78,7 @@ class PointSet:
     axes = None  # not a field: _AxisProduct sets it
 
     def __post_init__(self):
-        pts = np.asarray(self.points).view()
+        pts = np.array(self.points)
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
         if self.ambient < 1:

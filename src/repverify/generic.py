@@ -4,8 +4,8 @@ Group elements are sampled as products of unipotent exponentials with random
 rational parameters, so every trial stays in exact arithmetic.  The minimal
 spanning count is read off as the modal value over independent trials.
 
-A sampled element is its recipe; the exact matrix is built from it only on
-first use.  The bound checks need only ranks, so they compute the residues mod
+A sampled element is its recipe; its exact matrix is built only for outside
+readers.  The bound checks need only ranks, so they compute the residues mod
 the prime MODULUS of all their elements in one batch, straight from the
 recipes, and certify the ranks of all their trials in one `certified_columns`
 call on that batch.  A mod-p rank that reaches min(#columns, length) is the
@@ -61,7 +61,7 @@ class IrreducibilityViolation(Exception):
 class SampledElement:
     """Determinant-one element of cfg given by its recipe of (generator index, t)
     factors.  Its exact matrix, replay_recipe(cfg, recipe), is built on first
-    use; a translate h.W is computed from the recipe without it."""
+    read, for outside readers; translates and BL maps are built without it."""
 
     cfg: RepConfig = field(repr=False)
     recipe: tuple[tuple[int, Fraction], ...]

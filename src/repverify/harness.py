@@ -185,15 +185,13 @@ def _corpus_pair(rc: RepConfig, master_seed: int, idx: int, mu: int, m: int) -> 
     draw is replaced by the next seed of a fixed sequence, so the first draw,
     and every master seed where it works, keeps its elements.
     """
-    proj = Mat.diagonal([Fraction(1)] * (rc.n - 1) + [Fraction(0)])
     for draw in range(CORPUS_DRAWS):
         op, index = ("corpus", idx) if draw == 0 else (f"corpus-redraw/{idx}", draw)
         els = tuple(generic.sample_elements(rc, derive_seed(master_seed, "bl", op, index), m, height=5))
         datum = bl.build_datum_from_rep(rc, els, mu=mu)
+        zeroed = (Mat.from_rows([mp.matrix.row(i)[:-1] + (0,) for i in range(mp.n_j)]) for mp in datum.maps)
         try:
-            stuffed = bl.BLDatum(
-                datum.n, tuple(bl.BLMap(mp.n_j, mp.matrix @ proj) for mp in datum.maps), datum.exponents
-            )
+            stuffed = bl.BLDatum(datum.n, tuple(bl.BLMap(z.rows, z) for z in zeroed), datum.exponents)
         except ValueError:  # a stuffed map is not surjective
             continue
         return datum, stuffed

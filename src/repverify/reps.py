@@ -148,7 +148,11 @@ class WeightDecomposition:
 class FlagProjector:
     mu: Fraction
     flag: Subspace
-    projector: Mat
+
+    @cached_property
+    def projector(self) -> Mat:
+        """The flag's 0/1 diagonal projector, for readers outside the exact checks."""
+        return Mat.diagonal([int(i in self.flag.pivots) for i in range(self.flag.ambient_dim)])
 
 
 @dataclass(frozen=True)
@@ -481,13 +485,12 @@ def weight_decompose(cfg: RepConfig) -> WeightDecomposition:
 
 
 def flag_projector(dec: WeightDecomposition, mu) -> FlagProjector:
-    """Flag of eigenvalues >= mu with its coordinate projection."""
+    """Flag of eigenvalues >= mu; its coordinate projection is read off its pivots."""
     mu = Fraction(mu)
     if mu not in dec.eigenvalues:
         raise InvalidLevel(f"{mu} is not an eigenvalue")
     indices = [i for lam, basis in zip(dec.eigenvalues, dec.eigenbases) if lam >= mu for i in basis.pivots]
-    proj = Mat.diagonal([int(i in indices) for i in range(dec.total_dim)])
-    return FlagProjector(mu, Subspace.coordinate(dec.total_dim, indices), proj)
+    return FlagProjector(mu, Subspace.coordinate(dec.total_dim, indices))
 
 
 def _sparse_rows(word: Sequence[int]) -> list[list[tuple[int, int]]]:

@@ -3,7 +3,7 @@
 Tolerances and frozen thresholds are pinned here; the subcritical covering
 exponent M = 2.0 and the final small-value threshold 0.05 were frozen from
 pilot brute-force runs (scripts/pilot_subcritical.py and
-scripts/oppenheim_decay.py reproduce them).
+`oppenheim --form 'x1^2+x2^2-sqrt2*x3^2' --T 1000 --decay` reproduce them).
 """
 
 from __future__ import annotations

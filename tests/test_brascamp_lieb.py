@@ -31,7 +31,7 @@ from repverify.brascamp_lieb import (
     holder_datum,
     loomis_whitney_datum,
 )
-from repverify.generic import sample_elements, translate
+from repverify.generic import PARAM_HEIGHT, random_subspace, sample_elements, translate
 from repverify.harness import _corpus_pair, derive_seed
 from repverify.qlinalg import (
     MODULUS,
@@ -40,10 +40,11 @@ from repverify.qlinalg import (
     _pivot_columns,
     integer_columns,
     kernel_of_rows,
+    rank,
     subspace_intersect,
     subspace_sum,
 )
-from repverify.reps import build_config
+from repverify.reps import build_config, flag_projector, weight_decompose
 
 F = Fraction
 
@@ -103,8 +104,6 @@ class TestBuildFromRep:
     def test_subspace_mode_exponents(self):
         cfg = build_config("so_pq:2,1")
         els = tuple(sample_elements(cfg, seed=2, count=5, height=5))
-        from repverify.generic import random_subspace
-
         w = random_subspace(5, 2, random.Random(4))
         d = build_datum_from_rep(cfg, els, w=w)
         assert d.exponents == (F(1, 2),) * 5  # 5 / (2 * 5)
@@ -114,6 +113,31 @@ class TestBuildFromRep:
         els = tuple(sample_elements(cfg, seed=2, count=3, height=5))
         with pytest.raises(InvalidExponent):
             build_datum_from_rep(cfg, els, mu=2)  # p = 5/3 > 1
+
+    @pytest.mark.parametrize("height", [5, PARAM_HEIGHT])
+    @pytest.mark.parametrize("mode", ["flag", "w"])
+    @pytest.mark.parametrize("desc", ["so_pq:2,1", "sl2_sym:4", "sp2n:2"])
+    def test_matches_fraction_product(self, desc, mode, height):
+        """The maps built over Z equal, byte for byte in JSON, the Fraction
+        recipe: W's basis transposed times the element matrix, scaled by the
+        power of two that puts the HS norm in [1, 2)."""
+        cfg = build_config(desc)
+        dec = weight_decompose(cfg)
+        if mode == "flag":
+            cases = [(flag_projector(dec, mu).flag, {"mu": mu}) for mu in dec.eigenvalues]
+        else:
+            rng = random.Random(desc)
+            cases = [(w, {"w": w}) for w in (random_subspace(cfg.n, k, rng) for k in range(1, cfg.n + 1))]
+        for seed, (w, kwargs) in enumerate(cases):
+            els = tuple(sample_elements(cfg, seed, -(-cfg.n // w.dim) + 1, height=height))
+            ref = []
+            for el in els:
+                m = w.basis.transpose() @ el.matrix
+                e = math.floor(math.log2(float(sum((x * x for x in m.entries), F(0)))) / 2.0)
+                ref.append(BLMap(w.dim, m.scale(F(1, 2**e) if e >= 0 else F(2**-e))))
+            expected = BLDatum(cfg.n, tuple(ref), (F(cfg.n, w.dim * len(els)),) * len(els))
+            got = build_datum_from_rep(cfg, els, **kwargs)
+            assert json.dumps(datum_to_json(got)) == json.dumps(datum_to_json(expected))
 
 
 class TestFeasibility:
@@ -534,7 +558,7 @@ def _random_datum(rng: random.Random) -> BLDatum:
     for _ in range(rng.randint(1, 5)):
         k = rng.randint(1, n - 1)
         m = Mat.from_rows([[rng.choice((-1, 0, 0, 1, 2)) for _ in range(n)] for _ in range(k)])
-        while brascamp_lieb.rank(m) < k:
+        while rank(m) < k:
             m = Mat.from_rows([[rng.choice((-1, 0, 0, 1, 2)) for _ in range(n)] for _ in range(k)])
         maps.append(BLMap(k, m))
     return BLDatum(n, tuple(maps), (F(1),) * len(maps))

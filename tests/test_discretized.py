@@ -194,6 +194,14 @@ class TestPointSet:
                 x[0] = math.nan
         assert covering_number(ps, 2**-1) == before
 
+    def test_owns_its_array(self):
+        # a write to the caller's array must not leave the box stale
+        a = np.array([[0, 0], [0.5, 0.5]])
+        ps = PointSet(2, a, "p")
+        a[:] = [[0, 4], [1, 0]]
+        assert covering_number(ps, 0.5) == 2
+        assert ps.points.tolist() == [[0, 0], [0.5, 0.5]]
+
     def test_validated_once(self, monkeypatch):
         # the extremes behind the finiteness check are one pass over every point
         calls = []

@@ -23,6 +23,8 @@ ALLOWED = {
     "qlinalg.subspace_from_json": "README.md documents the subspace JSON round trip",
     "generic.translate": "benchmark/workloads.py calls it",
     "qlinalg.nilpotent_exp": "benchmark/workloads.py calls it",
+    "qlinalg.rank": "benchmark/workloads.py calls it",
+    "reps.FlagProjector.projector": "benchmark/workloads.py reads it",
     "qlinalg.Mat.from_cols": "benchmark/tracing.py wraps it by name",
     "qlinalg.Mat.apply": "benchmark/tracing.py wraps it by name",
     "qlinalg.Mat.hstack": "benchmark/tracing.py wraps it by name",
