@@ -27,7 +27,13 @@ constant, certified by construction: the closed-form Gaussian ratio and the
 reciprocal of the determinant-one Hilbert-Schmidt product, which meet at the
 fixed point.  A nonzero common kernel K makes the constant infinite; the
 estimator reads the same cached K, so a datum pays for its sweep once.  The
-maps are converted to floats once per datum.
+maps are converted to floats once per datum and stacked by target dimension
+n_j.  Each scaling step makes one batched numpy call per stack for every
+matrix product, `eigh` and `cholesky`, and one `slogdet` call per matrix shape
+in each bound, in place of one call per map: on these 2 x 2 to 5 x 5 matrices
+a call costs more than its arithmetic.  Batched LAPACK and matmul act on each
+matrix as the two-dimensional calls do, and sums over the maps add in map
+order, so every float is the one a loop over the maps computes.
 """
 
 from __future__ import annotations
@@ -127,6 +133,11 @@ class BLDatum:
         return c, tuple(p.numerator * (c // p.denominator) for p in self.exponents)
 
     def scaling_holds(self) -> bool:
+        """sum p_j n_j = n, summed in Fractions on the first call only."""
+        return self._scaling_holds
+
+    @cached_property
+    def _scaling_holds(self) -> bool:
         return sum((p * m.n_j for p, m in zip(self.exponents, self.maps)), Fraction(0)) == self.n
 
     @cached_property
@@ -147,6 +158,45 @@ class BLDatum:
         for a in out:
             a.flags.writeable = False
         return out
+
+    @cached_property
+    def float_exponents(self) -> tuple[float, ...]:
+        """p_j as floats, converted once per datum."""
+        return tuple(float(p) for p in self.exponents)
+
+    @cached_property
+    def map_groups(self) -> tuple[MapGroup, ...]:
+        """The float maps stacked by target dimension, one group per n_j in
+        order of first appearance; the estimator's batched calls run on them."""
+        at: dict[int, list[int]] = {}
+        for j, m in enumerate(self.maps):
+            at.setdefault(m.n_j, []).append(j)
+        return tuple(
+            MapGroup(
+                n_j,
+                tuple(js),
+                np.stack([self.numpy_maps()[j] for j in js]),
+                np.array([self.float_exponents[j] for j in js]).reshape(-1, 1, 1),
+            )
+            for n_j, js in at.items()
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class MapGroup:
+    """The maps of one target dimension n_j: their positions `at` in the datum,
+    their float matrices stacked as a (k, n_j, n) array, and their exponents
+    as a (k, 1, 1) array."""
+
+    n_j: int
+    at: tuple[int, ...]
+    maps: np.ndarray
+    ps: np.ndarray
+
+    @cached_property
+    def scaled_maps_t(self) -> np.ndarray:
+        """p_j pi_j^T for each map, scaled before any product, as p_j pi_j^T M_j pi_j is."""
+        return self.ps * self.maps.transpose(0, 2, 1)
 
 
 @dataclass
@@ -400,59 +450,106 @@ def _walk_lattice(d: BLDatum) -> FeasibilityCertificate:
 def gaussian_ratio(d: BLDatum, m_list: list[np.ndarray]) -> float:
     """det(sum p_j pi_j^T M_j pi_j)^{-1/2} prod det(M_j)^{p_j/2}.
 
-    Each M_j must be positive definite; the value is a lower bound for the
-    constant of the datum for any such choice.
+    m_list holds one n_j x n_j positive-definite M_j per map, in map order.
+    The value is a lower bound for the constant of the datum for any such
+    choice.  The M_j are stacked by target dimension (`BLDatum.map_groups`):
+    each check and product is one call per stack, and `slogdet` one call per
+    matrix shape.
     """
-    mats = d.numpy_maps()
     if len(m_list) != d.m:
         raise ValueError("need one positive-definite matrix per map")
-    agg = np.zeros((d.n, d.n))
-    logprod = 0.0
-    for p, pi, mj in zip(d.exponents, mats, m_list):
-        mj = np.asarray(mj, dtype=float)
-        if not np.all(np.isfinite(mj)):
-            raise SingularForm("M_j has non-finite entries")
-        try:
-            np.linalg.cholesky(mj)
-        except np.linalg.LinAlgError:
-            raise SingularForm("M_j is not positive definite")
-        agg += float(p) * pi.T @ mj @ pi
-        sign, logdet = np.linalg.slogdet(mj)
-        logprod += float(p) / 2.0 * logdet
+    for j, (m, mj) in enumerate(zip(d.maps, m_list)):
+        if np.shape(mj) != (m.n_j, m.n_j):
+            raise ValueError(f"map {j}: M_j has shape {np.shape(mj)}, need ({m.n_j}, {m.n_j})")
+    groups = d.map_groups
+    ms = [np.asarray([m_list[j] for j in g.at], dtype=float) for g in groups]
+    if not all(np.isfinite(m).all() for m in ms):
+        raise SingularForm("M_j has non-finite entries")
+    try:
+        for m in ms:
+            np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        raise SingularForm("M_j is not positive definite")
+    agg = _sum_in_map_order(d, [g.scaled_maps_t @ m @ g.maps for g, m in zip(groups, ms)])
     with np.errstate(divide="ignore"):  # an exactly singular aggregate reads sign 0, logdet -inf
-        sign, logdet_agg = np.linalg.slogdet(agg)
-    diag = np.diagonal(agg)
+        signs, logdets = _slogdets([agg[None], *ms])
+    sign, logdet_agg = signs[0][0], logdets[0][0]
+    diag = agg.diagonal()
     # The Hadamard ratio det / prod(diagonal) is the product of the n Cholesky
     # pivots of the form rescaled to a unit diagonal, each in (0, 1]; unlike
     # det itself it does not change when a coordinate is rescaled.  The form is
     # singular to working precision when their geometric mean is below epsilon.
-    hadamard = logdet_agg - float(np.sum(np.log(diag))) if np.all(diag > 0) else -math.inf
+    hadamard = logdet_agg - float(np.log(diag).sum()) if (diag > 0).all() else -math.inf
     if sign <= 0 or hadamard < math.log(np.finfo(float).eps) * d.n:
         raise SingularForm("aggregate form is singular along some direction")
+    logprod = 0.0
+    for p, logdet in zip(d.float_exponents, _in_map_order(d, logdets[1:])):
+        logprod += p / 2.0 * logdet
     return math.exp(-0.5 * logdet_agg + logprod)
 
 
+def _in_map_order(d: BLDatum, per_group: list) -> list:
+    """One value per map, in map order, from one sequence per group of `BLDatum.map_groups`."""
+    out = [None] * d.m
+    for g, values in zip(d.map_groups, per_group):
+        for j, v in zip(g.at, values):
+            out[j] = v
+    return out
+
+
+def _sum_in_map_order(d: BLDatum, per_group: list[np.ndarray]) -> np.ndarray:
+    """0 + T_1 + ... + T_m for one (k, n, n) stack of terms per group: added in
+    map order, as a loop over the maps adds them."""
+    if len(per_group) == 1:
+        terms = per_group[0]
+    else:
+        terms = np.empty((d.m, d.n, d.n))
+        for g, t in zip(d.map_groups, per_group):
+            terms[list(g.at)] = t
+    return np.add.reduce(terms, axis=0, initial=0.0)
+
+
+def _slogdets(stacks: list[np.ndarray]) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The signs and the log |det| of each stack of square matrices, from one
+    slogdet call per matrix shape."""
+    by_shape: dict[tuple[int, ...], list[int]] = {}
+    for i, s in enumerate(stacks):
+        by_shape.setdefault(s.shape[1:], []).append(i)
+    signs, logdets = [None] * len(stacks), [None] * len(stacks)
+    for idx in by_shape.values():
+        stack = stacks[idx[0]] if len(idx) == 1 else np.concatenate([stacks[i] for i in idx])
+        sign, logdet = np.linalg.slogdet(stack)
+        start = 0
+        for i in idx:
+            stop = start + len(stacks[i])
+            signs[i], logdets[i] = sign[start:stop], logdet[start:stop]
+            start = stop
+    return signs, logdets
+
+
 def _inv_sqrt(g: np.ndarray) -> np.ndarray:
-    """g^{-1/2} of a symmetric positive-definite Gram matrix; the empty Gram
-    matrix of a map onto Q^0 is its own inverse square root."""
+    """g^{-1/2} of each matrix of a stack of symmetric positive-definite Gram
+    matrices; the empty Gram matrix of a map onto Q^0 is its own inverse square root."""
     w, v = np.linalg.eigh(g)
-    if w.size and w[0] <= 0:
+    if w.size and (w[:, 0] <= 0).any():
         raise SingularForm("Gram matrix is not positive definite")
-    return (v / np.sqrt(w)) @ v.T
+    return (v / np.sqrt(w)[:, None, :]) @ v.transpose(0, 2, 1)
 
 
-def _hs_product_bound(ps: list[float], a: np.ndarray, cs: list[np.ndarray], bs: list[np.ndarray]) -> float:
-    """Reciprocal of prod (||B_j||^2 / n_j)^{p_j n_j / 2}, B_j = C_j pi_j A, at |det A| = |det C_j| = 1.
+def _hs_product_bound(d: BLDatum, a: np.ndarray, cs: list[np.ndarray], bs: list[np.ndarray]) -> float:
+    """Reciprocal of prod (||B_j||^2 / n_j)^{p_j n_j / 2}, B_j = C_j pi_j A, at |det A| = |det C_j| = 1,
+    with C_j and B_j stacked per group of `BLDatum.map_groups`.
 
     Determinant-one changes of variables leave the constant unchanged, and
     the product is at least its inverse, so the value is a lower bound.  A map
     onto Q^0 contributes the factor 1.
     """
-    log_f = -np.linalg.slogdet(a)[1]
-    for p, c, b in zip(ps, cs, bs):
-        nj = b.shape[0]
-        if nj:
-            log_f += p * (nj / 2 * math.log(float(np.sum(b**2)) / nj) - np.linalg.slogdet(c)[1])
+    _, logdets = _slogdets([a[None], *cs])
+    log_f = -logdets[0][0]
+    sq_norms = _in_map_order(d, [(b**2).sum(axis=(1, 2)) for b in bs])
+    for p, m, sq, c_logdet in zip(d.float_exponents, d.maps, sq_norms, _in_map_order(d, logdets[1:])):
+        if m.n_j:
+            log_f += p * (m.n_j / 2 * math.log(float(sq) / m.n_j) - c_logdet)
     return math.exp(-log_f)
 
 
@@ -472,6 +569,12 @@ def estimate_bl_constant(d: BLDatum, budget: int, seed: int, restarts: int = 8) 
     positive definite, ends the loop unconverged; the last bounds computed
     stand.
 
+    The maps are stacked by target dimension n_j (`BLDatum.map_groups`), and
+    a step makes one batched call per group for each matrix product, `eigh`
+    and `cholesky`, and one `slogdet` call per matrix shape in each bound.
+    Each matrix gets the floats a loop over the maps would give it, and sums
+    over the maps add in map order, so the grouping changes no result.
+
     The constant is reported infinite (bl_infinite) when the maps share a
     kernel direction, certified exactly by a rank deficit of the stacked maps
     over Q, with both bounds math.inf (cause "common-kernel"); or when the
@@ -486,24 +589,24 @@ def estimate_bl_constant(d: BLDatum, budget: int, seed: int, restarts: int = 8) 
         raise InvalidExponent("scaling condition fails; constant is trivially degenerate")
     if d.common_kernel.dim:
         return BLEstimate(math.inf, math.inf, 0, False, bl_infinite=True, cause="common-kernel")
-    mats = d.numpy_maps()
-    ps = [float(p) for p in d.exponents]
-    a = np.eye(d.n)
-    cs = [np.eye(m.n_j) for m in d.maps]
+    groups = d.map_groups
+    a = eye = np.eye(d.n)
+    cs = [np.repeat(np.eye(g.n_j)[None], len(g.at), axis=0) for g in groups]
     bounds = (0.0, 0.0)
     steps, converged = 0, False
     with np.errstate(over="raise", invalid="raise"):
         try:
             for steps in range(1, budget + 1):
-                bs = [c @ pi @ a for c, pi in zip(cs, mats)]
-                cs = [_inv_sqrt(b @ b.T) @ c for b, c in zip(bs, cs)]
-                bs = [c @ pi @ a for c, pi in zip(cs, mats)]
-                bounds = (_hs_product_bound(ps, a, cs, bs), gaussian_ratio(d, [c.T @ c for c in cs]))
-                s = sum(p * b.T @ b for p, b in zip(ps, bs))
-                if float(np.sum((s - np.eye(d.n)) ** 2)) < SCALING_TOL:
+                bs = [c @ g.maps @ a for g, c in zip(groups, cs)]
+                cs = [_inv_sqrt(b @ b.transpose(0, 2, 1)) @ c for b, c in zip(bs, cs)]
+                bs = [c @ g.maps @ a for g, c in zip(groups, cs)]
+                ms = _in_map_order(d, [c.transpose(0, 2, 1) @ c for c in cs])
+                bounds = (_hs_product_bound(d, a, cs, bs), gaussian_ratio(d, ms))
+                s = _sum_in_map_order(d, [g.ps * b.transpose(0, 2, 1) @ b for g, b in zip(groups, bs)])
+                if float(((s - eye) ** 2).sum()) < SCALING_TOL:
                     converged = True
                     break
-                a = a @ _inv_sqrt(s)
+                a = a @ _inv_sqrt(s[None])[0]
         except (FloatingPointError, OverflowError, SingularForm):
             pass  # the guard stops the loop; the last bounds computed stand
     cause = None if converged else "unconverged"

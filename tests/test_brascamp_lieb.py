@@ -17,6 +17,7 @@ import pytest
 from repverify import brascamp_lieb
 from repverify.brascamp_lieb import (
     BLDatum,
+    BLEstimate,
     BLMap,
     CapExceeded,
     InvalidExponent,
@@ -416,11 +417,16 @@ def _tensor_datum() -> BLDatum:
     return build_datum_from_rep(rc, tuple(sample_elements(rc, 0, 3, height=5)), w=plane)
 
 
-def _stuffed_tensor_datum() -> BLDatum:
-    """`_tensor_datum` with every map composed with the projection killing e_4: the
-    walk stops at the first map kernel, a plane, while the common kernel is <e_4>."""
-    d, proj = _tensor_datum(), Mat.diagonal([F(1)] * 3 + [F(0)])
+def _stuffed(d: BLDatum) -> BLDatum:
+    """d with every map composed with the projection killing the last coordinate."""
+    proj = Mat.diagonal([F(1)] * (d.n - 1) + [F(0)])
     return BLDatum(d.n, tuple(BLMap(m.n_j, m.matrix @ proj) for m in d.maps), d.exponents)
+
+
+def _stuffed_tensor_datum() -> BLDatum:
+    """`_stuffed(_tensor_datum())`, the projection killing e_4: the walk stops at
+    the first map kernel, a plane, while the common kernel is <e_4>."""
+    return _stuffed(_tensor_datum())
 
 
 def _fresh(d: BLDatum) -> BLDatum:
@@ -653,6 +659,12 @@ class TestGaussianRatio:
         with pytest.raises(SingularForm):
             gaussian_ratio(d, [np.eye(1)])
 
+    @pytest.mark.parametrize("bad", [np.eye(2, 3), np.eye(1)])
+    def test_wrong_shape_names_the_map(self, bad):
+        # the shape is checked before the non-finite M_0 is seen
+        with pytest.raises(ValueError, match=r"map 1: M_j has shape"):
+            gaussian_ratio(loomis_whitney_datum(), [np.full((2, 2), np.nan), bad, np.eye(2)])
+
     def test_ratio_is_lower_bound_against_quadrature(self):
         # closed form vs direct numerical integration on random Gaussians
         rng = np.random.default_rng(11)
@@ -757,3 +769,193 @@ class TestEstimate:
         b = estimate_bl_constant(loomis_whitney_datum(), budget=100, seed=9)
         assert a.lower_bound_variational == b.lower_bound_variational
         assert a.lower_bound_gaussian == b.lower_bound_gaussian
+
+
+# --- the per-map scaling loop, kept as the reference for the batched one --------
+
+
+def _reference_gaussian_ratio(d: BLDatum, m_list) -> float:
+    agg = np.zeros((d.n, d.n))
+    logprod = 0.0
+    for p, pi, mj in zip(d.exponents, d.numpy_maps(), m_list):
+        if not np.all(np.isfinite(mj)):
+            raise SingularForm("M_j has non-finite entries")
+        try:
+            np.linalg.cholesky(mj)
+        except np.linalg.LinAlgError:
+            raise SingularForm("M_j is not positive definite")
+        agg += float(p) * pi.T @ mj @ pi
+        sign, logdet = np.linalg.slogdet(mj)
+        logprod += float(p) / 2.0 * logdet
+    with np.errstate(divide="ignore"):
+        sign, logdet_agg = np.linalg.slogdet(agg)
+    diag = np.diagonal(agg)
+    hadamard = logdet_agg - float(np.sum(np.log(diag))) if np.all(diag > 0) else -math.inf
+    if sign <= 0 or hadamard < math.log(np.finfo(float).eps) * d.n:
+        raise SingularForm("aggregate form is singular along some direction")
+    return math.exp(-0.5 * logdet_agg + logprod)
+
+
+def _reference_inv_sqrt(g: np.ndarray) -> np.ndarray:
+    w, v = np.linalg.eigh(g)
+    if w.size and w[0] <= 0:
+        raise SingularForm("Gram matrix is not positive definite")
+    return (v / np.sqrt(w)) @ v.T
+
+
+def _reference_hs_product_bound(ps, a, cs, bs) -> float:
+    log_f = -np.linalg.slogdet(a)[1]
+    for p, c, b in zip(ps, cs, bs):
+        nj = b.shape[0]
+        if nj:
+            log_f += p * (nj / 2 * math.log(float(np.sum(b**2)) / nj) - np.linalg.slogdet(c)[1])
+    return math.exp(-log_f)
+
+
+def _reference_estimate(d: BLDatum, budget: int) -> tuple[BLEstimate, type | None]:
+    """The scaling loop with one set of numpy calls per map, and the exception
+    class that ended it (None when it converged or ran out of budget)."""
+    if d.common_kernel.dim:
+        return BLEstimate(math.inf, math.inf, 0, False, bl_infinite=True, cause="common-kernel"), None
+    mats = d.numpy_maps()
+    ps = [float(p) for p in d.exponents]
+    a = np.eye(d.n)
+    cs = [np.eye(m.n_j) for m in d.maps]
+    bounds = (0.0, 0.0)
+    steps, converged, exit_by = 0, False, None
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            for steps in range(1, budget + 1):
+                bs = [c @ pi @ a for c, pi in zip(cs, mats)]
+                cs = [_reference_inv_sqrt(b @ b.T) @ c for b, c in zip(bs, cs)]
+                bs = [c @ pi @ a for c, pi in zip(cs, mats)]
+                bounds = (
+                    _reference_hs_product_bound(ps, a, cs, bs),
+                    _reference_gaussian_ratio(d, [c.T @ c for c in cs]),
+                )
+                s = sum(p * b.T @ b for p, b in zip(ps, bs))
+                if float(np.sum((s - np.eye(d.n)) ** 2)) < brascamp_lieb.SCALING_TOL:
+                    converged = True
+                    break
+                a = a @ _reference_inv_sqrt(s)
+        except (FloatingPointError, OverflowError, SingularForm) as exc:
+            exit_by = type(exc)
+    cause = None if converged else "unconverged"
+    return BLEstimate(bounds[0], bounds[1], steps, converged, bl_infinite=not converged, cause=cause), exit_by
+
+
+def _rep_data():
+    """Flag-mode data of four configurations and plane-mode tensor_std:2,2
+    data, 10 seeds each at height 5, each followed by its stuffed twin when
+    the stuffed maps stay surjective."""
+    plane = Subspace.from_columns(4, [[1, 0, 0, 0], [0, 0, 1, 0]])
+    for desc, kwargs, m in (
+        ("so_pq:2,1", {"mu": 2}, 5),
+        ("sp2n:2", {"mu": 3}, 5),
+        ("sl2_sym:2", {"mu": 2}, 3),
+        ("sl2_sym:4", {"mu": 4}, 5),
+        ("tensor_std:2,2", {"w": plane}, 3),
+    ):
+        cfg = build_config(desc)
+        for seed in range(10):
+            d = build_datum_from_rep(cfg, tuple(sample_elements(cfg, 3000 + seed, m, height=5)), **kwargs)
+            yield f"{desc}/{seed}", d
+            try:
+                yield f"{desc}/{seed}/stuffed", _stuffed(d)
+            except ValueError:  # a stuffed map is not surjective
+                pass
+
+
+def _criterion_7_data():
+    """The 20 data of criterion 7 (tests/test_acceptance.py), with its budgets."""
+    rng = random.Random(91)
+    plane = Subspace.from_columns(4, [[1, 0, 0, 0], [0, 0, 1, 0]])
+    plans = [
+        ("so_pq:2,1", {"mu": 2}, 5, 1700),
+        ("so_pq:2,1", {"mu": 2}, 5, 1800),
+        ("so_pq:2,1", {"w_dim": 1}, 5, 1900),
+        ("sp2n:2", {"mu": 3}, 5, 2000),
+        ("sp2n:2", {"mu": 3}, 5, 2100),
+        ("sl2_sym:4", {"mu": 4}, 5, 2200),
+        ("sl2_sym:2", {"mu": 2}, 3, 2300),
+        ("sl2_sym:2", {"mu": 0}, 3, 2400),
+        ("tensor_std:2,2", {"plane": True}, 3, 2500),
+        ("tensor_std:2,2", {"plane": True}, 3, 2600),
+    ]
+    for name, how, m, seed in plans:
+        cfg = build_config(name)
+        els = tuple(sample_elements(cfg, seed=seed, count=m, height=5))
+        if "mu" in how:
+            d = build_datum_from_rep(cfg, els, mu=how["mu"])
+        elif "plane" in how:
+            d = build_datum_from_rep(cfg, els, w=plane)
+        else:
+            d = build_datum_from_rep(cfg, els, w=random_subspace(cfg.n, how["w_dim"], rng))
+        yield d
+        yield _stuffed(d)
+
+
+def _reweighted(d: BLDatum) -> BLDatum:
+    """d with exponents n / (m n_j), which satisfy the scaling condition."""
+    return BLDatum(d.n, d.maps, tuple(F(d.n, d.m * m.n_j) for m in d.maps))
+
+
+class TestBatchedScaling:
+    """The batched loop returns the BLEstimate of the per-map loop, floats equal."""
+
+    def _same(self, d: BLDatum, budget: int = 200) -> type | None:
+        expected, exit_by = _reference_estimate(d, budget)
+        assert estimate_bl_constant(_fresh(d), budget, seed=0) == expected
+        return exit_by
+
+    def test_rep_data_and_stuffed_twins(self):
+        data = dict(_rep_data())
+        assert len(data) > 60
+        for d in data.values():
+            self._same(d)
+
+    def test_exact_data_and_criterion_7(self):
+        for d in (holder_datum(3, 2), holder_datum(4, 3), loomis_whitney_datum()):
+            assert self._same(d) is None
+        for d in _criterion_7_data():
+            self._same(d, budget=260)
+
+    def test_mixed_target_dimensions(self):
+        d = _q3_datum()
+        assert len(d.map_groups) == 2
+        self._same(d)
+
+    @pytest.mark.parametrize("datum", [loomis_whitney_datum(), _q3_datum(), _tensor_datum()])
+    def test_map_onto_q0(self, datum):
+        empty = BLMap(0, Mat.zeros(0, datum.n))
+        maps = datum.maps[:1] + (empty,) + datum.maps[1:]
+        self._same(BLDatum(datum.n, maps, datum.exponents[:1] + (F(1, 3),) + datum.exponents[1:]))
+
+    def test_exit_by_singular_form(self):
+        rows = ([0, -1], [1, 2], [0, 1], [0, 2], [1, -1])
+        d = BLDatum(2, tuple(BLMap(1, Mat.from_rows([row])) for row in rows), (F(2, 5),) * 5)
+        assert self._same(d, budget=5000) is SingularForm
+
+    def test_exit_by_floating_point_error(self):
+        # U = span(e_3) violates the criterion (1 > 3/5), with no common kernel;
+        # A grows until a product overflows, at step 1208
+        maps = (BLMap(1, Mat.from_rows([[1, 0, 0]])), BLMap(2, Mat.from_rows([[2, 1, 0], [1, -1, 1]])))
+        d = BLDatum(3, maps, (F(9, 5), F(3, 5)))
+        assert self._same(d, budget=3000) is FloatingPointError
+
+    def test_stops_at_budget(self):
+        d = BLDatum(
+            2,
+            (BLMap(1, Mat.from_rows([[1, 0]])), BLMap(1, Mat.from_rows([[1, 0]])), BLMap(1, Mat.from_rows([[0, 1]]))),
+            (F(2, 3),) * 3,
+        )
+        assert self._same(d, budget=10) is None
+        assert estimate_bl_constant(d, 10, seed=0).iterations == 10
+
+    def test_reweighted_random_data(self):
+        rng = random.Random(48)
+        exits = Counter()
+        for _ in range(80):
+            d = _reweighted(_random_datum(rng))
+            exits[self._same(d), len(d.map_groups) > 1] += 1
+        assert exits[SingularForm, True] > 10 and exits[None, True] > 10

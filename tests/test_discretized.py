@@ -913,6 +913,21 @@ class TestProjectionExperiment:
             assert cover == len(set(map(tuple, np.floor(image).T.tolist())))
 
 
+class TestPoly:
+    @pytest.mark.parametrize("nvars,degree", [(1, 6), (2, 4), (3, 3)])
+    def test_matches_pow_within_rounding(self, nvars, degree):
+        # a product chain rounds at each step where pow rounds once: each term
+        # may move by about degree ulps of its size, so the sum by as many ulps
+        # of the sum of the terms' absolute values
+        rng = random.Random(nvars)
+        x = np.random.default_rng(degree).uniform(-1.5, 1.5, size=(2000, nvars))
+        for _ in range(5):
+            p = random_poly(nvars, degree, rng)
+            terms = [c * np.prod([x[:, j] ** e for j, e in enumerate(exps)], axis=0) for c, exps in p.terms]
+            ref, size = np.sum(terms, axis=0), np.sum(np.abs(terms), axis=0)
+            assert np.all(np.abs(p(x) - ref) <= 4 * (degree + 1) * np.finfo(float).eps * size)
+
+
 class TestRemez:
     def test_linear_sublevel(self):
         p = Poly(1, 1, ((1.0, (1,)),))
